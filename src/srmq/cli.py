@@ -16,13 +16,14 @@ import argparse
 import configparser
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import lqt, scheduler, sim
 from .plant import (MotorParams, ReferenceProfile, default_surface,
-                    inductance_at, load_surface_csv)
+                    frozen_dynamics, load_surface_csv)
 from .scheduler import (SafetyAbortError, TableMismatchError, TableTrainError,
                         TableTrainConfig)
 
@@ -187,19 +188,23 @@ def _scenario(cp, params, surface, seed=None) -> sim.Scenario:
         raise ConfigError(f"invalid scenario: {exc}") from exc
 
 
+def _node_oracle(params, surface, cfg, theta, i):
+    """Frozen local model at one grid node and its discounted Riccati
+    solution: (L, A, B, model, P, K)."""
+    L, A, B = frozen_dynamics(params, surface, theta, i)
+    model = lqt.build_augmented(A, B, Q=cfg.q_weight, R_u=cfg.r_weight,
+                                gamma=cfg.gamma)
+    P = lqt.are_fixed_point(model)
+    return L, A, B, model, P, lqt.optimal_gain(P, model)
+
+
 def _oracle_nodes(cp, params, surface):
     theta_nodes, current_nodes = _grid(cp, params)
     cfg = _train_cfg(cp)
     rows = []
     for a, th in enumerate(theta_nodes):
         for b, i_node in enumerate(current_nodes):
-            L = inductance_at(surface, th, i_node)
-            A = 1 - params.T * params.R_phase / L
-            B = params.T / L
-            model = lqt.build_augmented(A, B, Q=cfg.q_weight, R_u=cfg.r_weight,
-                                        gamma=cfg.gamma)
-            P = lqt.are_fixed_point(model)
-            K = lqt.optimal_gain(P, model)
+            L, A, B, model, P, K = _node_oracle(params, surface, cfg, th, i_node)
             pi = lqt.policy_iteration_model_based(model, cfg.K0)
             rows.append({
                 "row": a, "col": b, "theta_deg": float(th), "i_A": float(i_node),
@@ -251,11 +256,7 @@ def cmd_train(cp, out_path, json_out=False, stream=None) -> int:
     gaps = np.zeros(table.shape)
     for a, th in enumerate(theta_nodes):
         for b, i_node in enumerate(current_nodes):
-            L = inductance_at(surface, th, i_node)
-            model = lqt.build_augmented(1 - params.T * params.R_phase / L,
-                                        params.T / L, Q=cfg.q_weight,
-                                        R_u=cfg.r_weight, gamma=cfg.gamma)
-            K_ref = lqt.optimal_gain(lqt.are_fixed_point(model), model)
+            K_ref = _node_oracle(params, surface, cfg, th, i_node)[-1]
             gaps[a, b] = np.linalg.norm(table.gains[a, b] - K_ref) \
                 / np.linalg.norm(K_ref)
     scheduler.save_table(table, out_path)
@@ -281,12 +282,17 @@ def _load_checked_table(table_path, params):
     return table
 
 
-def _run_one(scenario, table, out_dir, tag, fmt, stream):
-    trace = sim.run_closed_loop(scenario, table)
-    metrics = sim.compute_metrics(trace, scenario)
-    trace.summary = metrics
+def _run_one(scenario, table, out_dir, tag, fmt):
+    """Run and export one scenario; on a safety abort the partial trace is
+    exported as trace_aborted.<fmt> before the error propagates."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        trace = sim.run_closed_loop(scenario, table)
+    except SafetyAbortError as exc:
+        sim.export_trace(exc.trace, out_dir / f"trace_aborted.{fmt}", fmt)
+        raise
+    metrics = sim.compute_metrics(trace, scenario)
     trace_path = out_dir / f"trace_{tag}.{fmt}"
     sim.export_trace(trace, trace_path, fmt)
     return metrics, trace_path
@@ -300,11 +306,8 @@ def cmd_run(cp, table_path, out_dir, fmt="csv", json_out=False,
     scenario = _scenario(cp, params, surface)
     try:
         metrics, trace_path = _run_one(scenario, table, out_dir,
-                                       scenario.controller, fmt, stream)
+                                       scenario.controller, fmt)
     except SafetyAbortError as exc:
-        partial = getattr(exc, "trace", None)
-        if partial is not None:
-            sim.export_trace(partial, Path(out_dir) / f"trace_aborted.{fmt}", fmt)
         print(f"safety abort: {exc}", file=sys.stderr)
         return EXIT_SAFETY
     out = Path(out_dir)
@@ -331,9 +334,9 @@ def cmd_compare(cp, table_path, out_dir, fmt="csv", json_out=False,
     results = {}
     try:
         for controller in ("scheduled-qlearning", "delta-modulation"):
-            scenario = replace_controller(base, controller)
+            scenario = replace(base, controller=controller)
             metrics, trace_path = _run_one(scenario, table, out_dir,
-                                           controller, fmt, stream)
+                                           controller, fmt)
             results[controller] = {"metrics": metrics.as_dict(),
                                    "trace": str(trace_path)}
     except SafetyAbortError as exc:
@@ -356,11 +359,6 @@ def cmd_compare(cp, table_path, out_dir, fmt="csv", json_out=False,
         print(f"ripple ratio (scheduled/delta): {report['ripple_ratio']:.4f}",
               file=stream)
     return EXIT_OK
-
-
-def replace_controller(scenario: sim.Scenario, controller: str) -> sim.Scenario:
-    from dataclasses import replace
-    return replace(scenario, controller=controller)
 
 
 def main(argv=None) -> int:

@@ -39,6 +39,8 @@ class MotorParams:
             raise ValueError("need 0 < L_unaligned < L_aligned")
         if not (self.rotor_pitch > 0):
             raise ValueError("rotor_pitch must be positive")
+        if not (self.speed > 0):
+            raise ValueError("speed must be positive")
         if not (self.V_dc > 0):
             raise ValueError("V_dc must be positive")
         if not (self.i_nominal > 0):
@@ -136,24 +138,49 @@ class ReferenceProfile:
         return amp
 
 
+def _axis_locate(nodes: np.ndarray, value: float, wrap: bool):
+    if nodes.size == 1:
+        return 0, 0.0
+    if wrap:
+        # wrapped value lands in [nodes[0], nodes[-1]), never on the top node
+        span = nodes[-1] - nodes[0]
+        value = nodes[0] + (value - nodes[0]) % span
+    else:
+        value = min(max(value, nodes[0]), nodes[-1])
+    idx = int(np.searchsorted(nodes, value, side="right")) - 1
+    if idx >= nodes.size - 1:
+        # at (or clamped to) the top node: that node is the lower corner, l = 0
+        return nodes.size - 1, 0.0
+    idx = max(idx, 0)
+    frac = (value - nodes[idx]) / (nodes[idx + 1] - nodes[idx])
+    return idx, float(frac)
+
+
+def _blend(values: np.ndarray, row: int, col: int, l1: float, l2: float):
+    """Bilinear blend of the four node entries around a cell of `values`
+    (grid over the two leading axes); the upper corner saturates at the
+    last node, where its weight is zero."""
+    r1 = min(row + 1, values.shape[0] - 1)
+    c1 = min(col + 1, values.shape[1] - 1)
+    return ((1 - l1) * (1 - l2) * values[row, col]
+            + l1 * (1 - l2) * values[r1, col]
+            + (1 - l1) * l2 * values[row, c1]
+            + l1 * l2 * values[r1, c1])
+
+
 def inductance_at(surface: InductanceSurface, theta: float, i: float) -> float:
     """Bilinear lookup of L(theta, i); theta wraps, current clamps to the grid."""
-    tg, cg, vals = surface.theta_grid, surface.current_grid, surface.values
-    span = surface.pitch
-    th = tg[0] + (theta - tg[0]) % span
-    i = min(max(i, cg[0]), cg[-1])
+    row, l1 = _axis_locate(surface.theta_grid, theta, wrap=True)
+    col, l2 = _axis_locate(surface.current_grid, i, wrap=False)
+    return float(_blend(surface.values, row, col, l1, l2))
 
-    a = int(np.searchsorted(tg, th, side="right")) - 1
-    a = min(max(a, 0), tg.size - 2)
-    b = int(np.searchsorted(cg, i, side="right")) - 1
-    b = min(max(b, 0), cg.size - 2)
 
-    l1 = (th - tg[a]) / (tg[a + 1] - tg[a])
-    l2 = (i - cg[b]) / (cg[b + 1] - cg[b])
-    return float((1 - l1) * (1 - l2) * vals[a, b]
-                 + l1 * (1 - l2) * vals[a + 1, b]
-                 + (1 - l1) * l2 * vals[a, b + 1]
-                 + l1 * l2 * vals[a + 1, b + 1])
+def frozen_dynamics(params: MotorParams, surface: InductanceSurface,
+                    theta: float, i: float):
+    """(L, A, B): the inductance at (theta, i) and the phase model
+    x' = A x + B u linearised with L frozen there."""
+    L = inductance_at(surface, theta, i)
+    return L, 1 - params.T * params.R_phase / L, params.T / L
 
 
 def default_surface(params: MotorParams, n_theta: int = 16, n_current: int = 8,

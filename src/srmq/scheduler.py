@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import qlearn
-from .plant import InductanceSurface, MotorParams, inductance_at
-from .qlearn import DataTuple, QKernel, QTrainConfig, RlsState
+from .plant import (InductanceSurface, MotorParams, _axis_locate, _blend,
+                    frozen_dynamics)
+from .qlearn import NUM_PARAMS, DataTuple, QKernel, QTrainConfig, RlsState
 
 TABLE_FORMAT_VERSION = 1
 
@@ -76,17 +77,20 @@ class CellLocation:
 class QCoreTable:
     """Grid of trained kernels, cached greedy gains, and per-core RLS state.
 
-    Single writer (online updates), many readers; an update replaces a
-    whole core at once so readers never see a half-written kernel.
+    Kernels are stored as 6-vectors in QKernel.to_vec order; they are
+    validated here and on every accepted online update, never per control
+    step.  Single writer (online updates), many readers; an update
+    replaces a whole core at once so readers never see a half-written
+    kernel.
     """
 
     theta_nodes: np.ndarray
     current_nodes: np.ndarray
-    cores: list                     # [n_theta][n_current] of QKernel
+    kernels: np.ndarray             # (n_theta, n_current, 6)
     cfg: TableTrainConfig
     params_hash: str
     gains: np.ndarray = None        # (n_theta, n_current, 2)
-    rls: list = None                # [n_theta][n_current] of RlsState
+    covariance: np.ndarray = None   # (n_theta, n_current, 6, 6) RLS covariance
     iterations: np.ndarray = None   # training iterations per core
     fallback_count: int = 0
     clamped_updates: int = 0
@@ -94,21 +98,26 @@ class QCoreTable:
     def __post_init__(self):
         self.theta_nodes = np.asarray(self.theta_nodes, float)
         self.current_nodes = np.asarray(self.current_nodes, float)
+        self.kernels = np.array(self.kernels, float)
         nt, ni = self.theta_nodes.size, self.current_nodes.size
         if nt >= 2 and np.any(np.diff(self.theta_nodes) <= 0):
             raise ValueError("theta nodes must be strictly ascending")
         if ni >= 2 and np.any(np.diff(self.current_nodes) <= 0):
             raise ValueError("current nodes must be strictly ascending")
-        if len(self.cores) != nt or any(len(r) != ni for r in self.cores):
+        if self.kernels.shape != (nt, ni, NUM_PARAMS):
             raise ValueError("core grid shape must match the node grids")
+        if not np.all(np.isfinite(self.kernels)):
+            raise ValueError("kernel entries must be finite")
         if self.gains is None:
-            self.gains = np.zeros((nt, ni, 2))
-            for a in range(nt):
-                for b in range(ni):
-                    self.gains[a, b] = qlearn.policy_improvement(self.cores[a][b])
-        if self.rls is None:
-            self.rls = [[qlearn.rls_init(self.cfg.online_tau, self.cores[a][b])
-                         for b in range(ni)] for a in range(nt)]
+            G_uu = self.kernels[..., 5:]
+            if np.any(G_uu <= 0):
+                raise qlearn.ExcitationError(
+                    "a core has a non-positive G_uu; kernel is not a valid "
+                    "action value (insufficient excitation)")
+            self.gains = self.kernels[..., [2, 4]] / G_uu
+        if self.covariance is None:
+            self.covariance = np.tile(self.cfg.online_tau * np.eye(NUM_PARAMS),
+                                      (nt, ni, 1, 1))
         if self.iterations is None:
             self.iterations = np.zeros((nt, ni), int)
 
@@ -119,24 +128,6 @@ class QCoreTable:
     @property
     def pitch(self) -> float:
         return float(self.theta_nodes[-1] - self.theta_nodes[0])
-
-
-def _axis_locate(nodes: np.ndarray, value: float, wrap: bool):
-    if nodes.size == 1:
-        return 0, 0.0
-    if wrap:
-        # wrapped value lands in [nodes[0], nodes[-1]), never on the top node
-        span = nodes[-1] - nodes[0]
-        value = nodes[0] + (value - nodes[0]) % span
-    else:
-        value = min(max(value, nodes[0]), nodes[-1])
-    idx = int(np.searchsorted(nodes, value, side="right")) - 1
-    if idx >= nodes.size - 1:
-        # at (or clamped to) the top node: that node is the lower corner, l = 0
-        return nodes.size - 1, 0.0
-    idx = max(idx, 0)
-    frac = (value - nodes[idx]) / (nodes[idx + 1] - nodes[idx])
-    return idx, float(frac)
 
 
 def locate(table: QCoreTable, theta: float, i: float) -> CellLocation:
@@ -157,16 +148,7 @@ def nearest_core(table: QCoreTable, theta: float, i: float) -> QKernel:
     """Corner kernel of the enclosing cell closest in normalized offsets;
     ties break toward the lower indices."""
     loc = locate(table, theta, i)
-    a, b = _corner(loc, table)
-    return table.cores[a][b]
-
-
-def _cell_kernels(table: QCoreTable, loc: CellLocation):
-    nt, ni = table.shape
-    r1 = min(loc.row + 1, nt - 1)
-    c1 = min(loc.col + 1, ni - 1)
-    return (table.cores[loc.row][loc.col].G, table.cores[r1][loc.col].G,
-            table.cores[loc.row][c1].G, table.cores[r1][c1].G)
+    return QKernel.from_vec(table.kernels[_corner(loc, table)])
 
 
 def scheduled_q(table: QCoreTable, theta: float, i: float) -> QKernel:
@@ -177,23 +159,18 @@ def scheduled_q(table: QCoreTable, theta: float, i: float) -> QKernel:
     single-row or single-column tables reduce to linear interpolation.
     """
     loc = locate(table, theta, i)
-    G00, G10, G01, G11 = _cell_kernels(table, loc)
-    l1, l2 = loc.l1, loc.l2
-    Gs = ((1 - l1) * (1 - l2) * G00 + l1 * (1 - l2) * G10
-          + (1 - l1) * l2 * G01 + l1 * l2 * G11)
-    return QKernel((Gs + Gs.T) / 2)
+    return QKernel.from_vec(_blend(table.kernels, loc.row, loc.col, loc.l1, loc.l2))
 
 
 def scheduled_gain(table: QCoreTable, theta: float, i: float) -> np.ndarray:
     """Greedy gain of the scheduled kernel; falls back to the nearest
     core's cached gain if the blended input block is not positive."""
-    kernel = scheduled_q(table, theta, i)
-    if kernel.G_uu <= 0:
+    loc = locate(table, theta, i)
+    g = _blend(table.kernels, loc.row, loc.col, loc.l1, loc.l2)
+    if g[5] <= 0:
         table.fallback_count += 1
-        loc = locate(table, theta, i)
-        a, b = _corner(loc, table)
-        return table.gains[a, b].copy()
-    return kernel.G_uX / kernel.G_uu
+        return table.gains[_corner(loc, table)].copy()
+    return g[[2, 4]] / g[5]
 
 
 def _node_collector(A: float, B: float, cfg: TableTrainConfig,
@@ -245,19 +222,21 @@ def train_table(params: MotorParams, surface: InductanceSurface,
     theta_nodes = np.asarray(theta_nodes, float)
     current_nodes = np.asarray(current_nodes, float)
 
+    if not cfg.gamma < 1:
+        raise ValueError(
+            f"training needs gamma < 1, got {cfg.gamma}: with r' = r the "
+            "r^2 Bellman column vanishes and the kernel is unidentifiable")
     qcfg = QTrainConfig(gamma=cfg.gamma, tuples_per_iter=cfg.tuples_per_iter,
                         tol=cfg.tol, max_iters=cfg.max_iters)
     i_limit = cfg.safety_factor * params.i_nominal
     i_span = (float(current_nodes[0]), float(current_nodes[-1]))
 
-    cores = [[None] * current_nodes.size for _ in range(theta_nodes.size)]
+    kernels = np.zeros((theta_nodes.size, current_nodes.size, NUM_PARAMS))
     iters = np.zeros((theta_nodes.size, current_nodes.size), int)
     failures = []
     for a, th in enumerate(theta_nodes):
         for b, i_node in enumerate(current_nodes):
-            L = inductance_at(surface, th, i_node)
-            A = 1 - params.T * params.R_phase / L
-            B = params.T / L
+            _, A, B = frozen_dynamics(params, surface, th, i_node)
             rng = np.random.default_rng([cfg.seed, a, b])
             collect = _node_collector(A, B, cfg, i_span, i_limit, rng)
             try:
@@ -266,11 +245,11 @@ def train_table(params: MotorParams, surface: InductanceSurface,
                     qlearn.ExcitationError, SafetyAbortError) as exc:
                 failures.append((a, b, str(exc)))
                 continue
-            cores[a][b] = result.kernel
+            kernels[a, b] = result.kernel.to_vec()
             iters[a, b] = result.iterations
     if failures:
         raise TableTrainError(failures)
-    return QCoreTable(theta_nodes, current_nodes, cores, cfg,
+    return QCoreTable(theta_nodes, current_nodes, kernels, cfg,
                       params_hash(params), iterations=iters)
 
 
@@ -287,7 +266,8 @@ def update_core_online(table: QCoreTable, tup: DataTuple,
     loc = locate(table, theta, i)
     a, b = _corner(loc, table)
     row = qlearn.sym_features(tup.M_k) - table.cfg.gamma * qlearn.sym_features(tup.M_k1)
-    state = qlearn.rls_update(table.rls[a][b], row, tup.stage_cost)
+    state = qlearn.rls_update(RlsState(table.kernels[a, b], table.covariance[a, b]),
+                              row, tup.stage_cost)
     g = state.g_vec
     if g[5] <= 0:
         table.clamped_updates += 1
@@ -297,8 +277,10 @@ def update_core_online(table: QCoreTable, tup: DataTuple,
     if np.linalg.norm(K_new - K_old) > table.cfg.gain_clamp * (1 + np.linalg.norm(K_old)):
         table.clamped_updates += 1
         return False
-    table.rls[a][b] = state
-    table.cores[a][b] = QKernel.from_vec(g)
+    if not np.all(np.isfinite(g)):
+        raise ValueError("kernel entries must be finite")
+    table.kernels[a, b] = g
+    table.covariance[a, b] = state.eta
     table.gains[a, b] = K_new
     return True
 
@@ -315,9 +297,7 @@ def save_table(table: QCoreTable, path) -> None:
         "theta_nodes": [float(v) for v in table.theta_nodes],
         "current_nodes": [float(v) for v in table.current_nodes],
         "iterations": table.iterations.tolist(),
-        "cores": [[list(map(float, table.cores[a][b].to_vec()))
-                   for b in range(table.current_nodes.size)]
-                  for a in range(table.theta_nodes.size)],
+        "cores": table.kernels.tolist(),
     }
     with open(path, "w") as f:
         json.dump(doc, f)
@@ -333,10 +313,9 @@ def load_table(path) -> QCoreTable:
         cfg_kwargs = dict(doc["cfg"])
         cfg_kwargs["K0"] = tuple(cfg_kwargs["K0"])
         cfg = TableTrainConfig(**cfg_kwargs)
-        cores = [[QKernel.from_vec(v) for v in row] for row in doc["cores"]]
         return QCoreTable(np.array(doc["theta_nodes"]),
                           np.array(doc["current_nodes"]),
-                          cores, cfg, doc["params_hash"],
+                          doc["cores"], cfg, doc["params_hash"],
                           iterations=np.array(doc["iterations"], int))
     except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: malformed table file ({exc})") from exc

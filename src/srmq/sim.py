@@ -16,7 +16,7 @@ import numpy as np
 
 from . import qlearn, scheduler
 from .plant import (InductanceSurface, MotorParams, PhaseState,
-                    ReferenceProfile, inductance_at, reference_at)
+                    ReferenceProfile, reference_at, step_phase)
 from .scheduler import QCoreTable, SafetyAbortError
 
 CONTROLLERS = ("scheduled-qlearning", "single-qcore", "delta-modulation")
@@ -72,7 +72,6 @@ class SimTrace:
     K: np.ndarray       # (n, 2) active gains
     cell: np.ndarray    # (n, 2) int, (-1, -1) for the baseline
     cost: np.ndarray
-    summary: "Metrics | None" = None
 
     def __len__(self):
         return self.k.size
@@ -142,28 +141,24 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None) -> SimT
     """Run the scenario; deterministic for a fixed seed.
 
     Raises SafetyAbortError (carrying the partial trace in .trace) if the
-    phase current exceeds three times the nominal rating.
+    phase current exceeds the table's safety_factor (the TableTrainConfig
+    default without a table) times the nominal rating.
     """
     params, surface, profile = scenario.motor, scenario.surface, scenario.reference
     uses_table = scenario.controller != "delta-modulation"
     if uses_table and table is None:
         raise ValueError(f"controller {scenario.controller!r} needs a trained table")
 
-    if table is not None:
-        Q_q = table.cfg.tracking_weight()
-        R_u = table.cfg.r_weight
-        gamma = table.cfg.gamma
-    else:
-        Q_q = scheduler.TableTrainConfig().tracking_weight()
-        R_u = scheduler.TableTrainConfig().r_weight
-        gamma = scheduler.TableTrainConfig().gamma
+    cfg = table.cfg if table is not None else scheduler.TableTrainConfig()
+    Q_q = cfg.tracking_weight()
+    R_u = cfg.r_weight
 
     plant_params = params if scenario.r_scale == 1.0 else \
         replace(params, R_phase=params.R_phase * scenario.r_scale)
 
     rng = np.random.default_rng(scenario.seed)
     n = scenario.steps
-    i_limit = 3.0 * params.i_nominal
+    i_limit = cfg.safety_factor * params.i_nominal
     single = _fixed_core_index(table, scenario) \
         if scenario.controller == "single-qcore" else None
 
@@ -209,11 +204,7 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None) -> SimT
         K_rec[k] = K
         cell_rec[k] = cell
 
-        L = inductance_at(surface, theta, x)
-        x_raw = (1 - plant_params.T * plant_params.R_phase / L) * x \
-            + plant_params.T / L * u
-        state = PhaseState(x=max(0.0, x_raw), theta=(theta + params.deg_per_step)
-                           % params.rotor_pitch, k=k + 1)
+        state = step_phase(state, u, plant_params, surface)
 
         if state.x > i_limit:
             err = SafetyAbortError(
@@ -225,11 +216,12 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None) -> SimT
         if learn:
             r_next = reference_at(profile, state.theta, k + 1)
             # the tuple is only Bellman-consistent on flat reference
-            # segments away from the zero-current clamp; settled samples are
-            # skipped because a steady operating point only constrains the
-            # kernel's level, not its shape, and would drag the gain around
+            # segments away from the zero-current clamp (a clamped step
+            # lands on exactly 0.0); settled samples are skipped because a
+            # steady operating point only constrains the kernel's level,
+            # not its shape, and would drag the gain around
             transient = r > 0 and abs(x - r) >= SETTLE_FRACTION * r
-            if transient and r_next == r and x_raw >= 0.0:
+            if transient and r_next == r and state.x > 0.0:
                 a, b = cell
                 u_next = -(table.gains[a, b][0] * state.x
                            + table.gains[a, b][1] * r_next)

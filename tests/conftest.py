@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from srmq import MotorParams, TableTrainConfig, default_surface, train_table
+from srmq import (MotorParams, QKernel, TableTrainConfig, default_surface,
+                  train_table)
 from srmq.plant import InductanceSurface
 
 
@@ -32,6 +33,11 @@ def constant_surface(L, pitch=45.0, i_max=7.5):
     theta = np.linspace(0.0, pitch, 5)
     current = np.linspace(0.0, i_max, 4)
     return InductanceSurface(theta, current, np.full((5, 4), L))
+
+
+def core_G(table, a, b):
+    """3x3 kernel of the stored core at node (a, b)."""
+    return QKernel.from_vec(table.kernels[a, b]).G
 
 
 @pytest.fixture

@@ -25,6 +25,7 @@ from srmq.qlearn import (DataTuple, QKernel, RankDeficientError,
 from srmq.scheduler import (QCoreTable, TableTrainConfig, locate,
                             scheduled_q, train_table)
 from srmq.sim import Scenario, SimTrace, compute_metrics, run_closed_loop
+from conftest import core_G
 
 
 def report(n, dt, limit, detail):
@@ -165,17 +166,18 @@ def test_criterion_4_scheduling_equivalence(capsys):
                 G = rng.uniform(-5, 5, (3, 3))
                 G = (G + G.T) / 2
                 G[2, 2] = rng.uniform(0.5, 2.0)
-                row.append(QKernel(G))
+                row.append(QKernel(G).to_vec())
             cores.append(row)
-        table = QCoreTable(theta, current, cores, TableTrainConfig(), "h")
+        table = QCoreTable(theta, current, np.array(cores),
+                           TableTrainConfig(), "h")
         for _ in range(10):
             th, i = rng.uniform(-10, 90), rng.uniform(-1, 10)
             loc = locate(table, th, i)
             r1 = min(loc.row + 1, nt - 1)
             c1 = min(loc.col + 1, ni - 1)
-            corner_Gs = [table.cores[loc.row][loc.col].G,
-                         table.cores[r1][loc.col].G,
-                         table.cores[loc.row][c1].G, table.cores[r1][c1].G]
+            corner_Gs = [core_G(table, loc.row, loc.col),
+                         core_G(table, r1, loc.col),
+                         core_G(table, loc.row, c1), core_G(table, r1, c1)]
             # independent route: solve for the coefficients of the
             # 1, l1, l2, l1*l2 basis at the unit-square corners
             V = np.array([[1.0, a, b, a * b]
@@ -195,7 +197,7 @@ def test_criterion_4_scheduling_equivalence(capsys):
             for b in range(ni):
                 G_node = scheduled_q(table, float(theta[a]),
                                      float(current[b])).G
-                assert np.allclose(G_node, table.cores[a][b].G, atol=1e-12)
+                assert np.allclose(G_node, core_G(table, a, b), atol=1e-12)
     assert worst < 1e-10
     dt = time.perf_counter() - t0
     with capsys.disabled():

@@ -1,9 +1,14 @@
 import json
 
+import numpy as np
 import pytest
 
-from srmq.cli import (EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_OK, REFERENCE_GAIN,
-                      default_config, load_config, main)
+from srmq.cli import (EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_OK, EXIT_SAFETY,
+                      REFERENCE_GAIN, default_config, load_config, main)
+from srmq.plant import MotorParams
+from srmq.qlearn import QKernel
+from srmq.scheduler import (QCoreTable, TableTrainConfig, params_hash,
+                            save_table)
 
 
 def last_json(capsys):
@@ -22,6 +27,7 @@ n_current = 3
 [scenario]
 duration_cycles = 2
 """
+SMALL_STEPS = 2 * MotorParams().steps_per_cycle
 
 
 @pytest.fixture
@@ -36,6 +42,19 @@ def small_table(tmp_path, small_cfg):
     out = tmp_path / "qtable.json"
     assert main(["--config", small_cfg, "train", "--out", str(out)]) == EXIT_OK
     return str(out)
+
+
+@pytest.fixture
+def runaway_table(tmp_path):
+    """One positive-feedback core (K = [-50, -50]) for the default motor."""
+    G = np.zeros((3, 3))
+    G[0, 2] = G[2, 0] = G[1, 2] = G[2, 1] = -50.0
+    G[2, 2] = 1.0
+    path = tmp_path / "runaway.json"
+    save_table(QCoreTable(np.array([0.0]), np.array([0.0]),
+                          [[QKernel(G).to_vec()]], TableTrainConfig(),
+                          params_hash(MotorParams())), path)
+    return str(path)
 
 
 class TestConfig:
@@ -67,6 +86,18 @@ class TestConfig:
                                          "duration_cycles = 2\nevents = oops"))
         assert main(["--config", str(cp_path), "run", "--table", small_table,
                      "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("speed", ["0", "-60"])
+    def test_non_positive_speed_rejected(self, tmp_path, small_table, speed,
+                                         capsys):
+        path = tmp_path / "speed.ini"
+        path.write_text(SMALL + f"\n[motor]\nspeed_rpm = {speed}\n")
+        assert main(["--config", str(path), "train",
+                     "--out", str(tmp_path / "t.json")]) == EXIT_CONFIG
+        assert "speed must be positive" in capsys.readouterr().err
+        assert main(["--config", str(path), "run", "--table", small_table,
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "speed must be positive" in capsys.readouterr().err
 
     def test_zero_duration_rejected(self, tmp_path, small_table):
         path = tmp_path / "zero.ini"
@@ -119,6 +150,20 @@ class TestTrain:
                      "--out", str(tmp_path / "t.json")]) == EXIT_CONVERGENCE
 
 
+    def test_undiscounted_training_rejected(self, tmp_path, capsys):
+        path = tmp_path / "gamma.ini"
+        path.write_text(SMALL + "\n[training]\ngamma = 1.0\n")
+        assert main(["--config", str(path), "train",
+                     "--out", str(tmp_path / "t.json")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "gamma < 1" in err
+        assert "Bellman column vanishes" in err
+
+
+def _csv_rows(path):
+    return len(path.read_text().splitlines()) - 1
+
+
 class TestRun:
     def test_produces_trace_and_metrics(self, tmp_path, small_cfg,
                                         small_table, capsys):
@@ -162,6 +207,13 @@ class TestRun:
         first = json.loads(path.read_text().splitlines()[0])
         assert first["k"] == 0
 
+    def test_safety_abort_exports_partial_trace(self, tmp_path, small_cfg,
+                                                runaway_table):
+        out = tmp_path / "out"
+        assert main(["--config", small_cfg, "run", "--table", runaway_table,
+                     "--out", str(out)]) == EXIT_SAFETY
+        assert 0 < _csv_rows(out / "trace_aborted.csv") < SMALL_STEPS
+
     def test_seed_flag_overrides_config(self, tmp_path, small_cfg,
                                         small_table, capsys):
         reports = []
@@ -187,3 +239,10 @@ class TestCompare:
         sched = report["controllers"]["scheduled-qlearning"]["metrics"]
         delta = report["controllers"]["delta-modulation"]["metrics"]
         assert sched["ripple_A"] < delta["ripple_A"]
+
+    def test_safety_abort_exports_partial_trace(self, tmp_path, small_cfg,
+                                                runaway_table):
+        out = tmp_path / "cmp"
+        assert main(["--config", small_cfg, "compare", "--table",
+                     runaway_table, "--out", str(out)]) == EXIT_SAFETY
+        assert 0 < _csv_rows(out / "trace_aborted.csv") < SMALL_STEPS

@@ -11,7 +11,7 @@ from srmq.scheduler import (CellLocation, QCoreTable, TableMismatchError,
                             nearest_core, params_hash, save_table,
                             scheduled_gain, scheduled_q, train_table,
                             update_core_online)
-from conftest import constant_surface
+from conftest import constant_surface, core_G
 
 
 def random_kernel(rng):
@@ -27,7 +27,8 @@ def random_table(rng, nt=None, ni=None):
     ni = ni or rng.integers(2, 5)
     theta = np.sort(rng.uniform(0, 45, nt))
     current = np.sort(rng.uniform(0, 8, ni))
-    cores = [[random_kernel(rng) for _ in range(ni)] for _ in range(nt)]
+    cores = np.array([[random_kernel(rng).to_vec() for _ in range(ni)]
+                      for _ in range(nt)])
     return QCoreTable(theta, current, cores, TableTrainConfig(), "testhash")
 
 
@@ -40,8 +41,8 @@ def blend_oracle(table, theta, i):
     corners = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
     V = np.array([[1.0, a, b, a * b] for a, b in corners])
     w = np.linalg.solve(V.T, [1.0, loc.l1, loc.l2, loc.l1 * loc.l2])
-    Gs = [table.cores[loc.row][loc.col].G, table.cores[r1][loc.col].G,
-          table.cores[loc.row][c1].G, table.cores[r1][c1].G]
+    Gs = [core_G(table, loc.row, loc.col), core_G(table, r1, loc.col),
+          core_G(table, loc.row, c1), core_G(table, r1, c1)]
     return sum(wk * Gk for wk, Gk in zip(w, Gs))
 
 
@@ -90,16 +91,17 @@ class TestNearestCore:
         di = t.current_nodes[1] - t.current_nodes[0]
         near_00 = nearest_core(t, float(t.theta_nodes[0] + 0.2 * dt),
                                float(t.current_nodes[0] + 0.2 * di))
-        assert near_00 is t.cores[0][0]
+        assert np.array_equal(near_00.to_vec(), t.kernels[0, 0])
         near_11 = nearest_core(t, float(t.theta_nodes[0] + 0.8 * dt),
                                float(t.current_nodes[0] + 0.8 * di))
-        assert near_11 is t.cores[1][1]
+        assert np.array_equal(near_11.to_vec(), t.kernels[1, 1])
 
     def test_tie_breaks_to_lower_indices(self, trained_table):
         t = trained_table
         mid_t = (t.theta_nodes[0] + t.theta_nodes[1]) / 2
         mid_i = (t.current_nodes[0] + t.current_nodes[1]) / 2
-        assert nearest_core(t, float(mid_t), float(mid_i)) is t.cores[0][0]
+        assert np.array_equal(
+            nearest_core(t, float(mid_t), float(mid_i)).to_vec(), t.kernels[0, 0])
 
 
 class TestScheduledQ:
@@ -109,7 +111,7 @@ class TestScheduledQ:
             for b in (0, 3, 7):
                 G = scheduled_q(t, float(t.theta_nodes[a]),
                                 float(t.current_nodes[b])).G
-                assert np.allclose(G, t.cores[a][b].G, atol=1e-12)
+                assert np.allclose(G, core_G(t, a, b), atol=1e-12)
 
     def test_result_is_symmetric(self, trained_table):
         G = scheduled_q(trained_table, 7.3, 2.9).G
@@ -124,9 +126,9 @@ class TestScheduledQ:
             loc = locate(t, theta, i)
             r1 = min(loc.row + 1, t.theta_nodes.size - 1)
             c1 = min(loc.col + 1, t.current_nodes.size - 1)
-            stack = np.stack([t.cores[loc.row][loc.col].G,
-                              t.cores[r1][loc.col].G,
-                              t.cores[loc.row][c1].G, t.cores[r1][c1].G])
+            stack = np.stack([core_G(t, loc.row, loc.col),
+                              core_G(t, r1, loc.col),
+                              core_G(t, loc.row, c1), core_G(t, r1, c1)])
             G = scheduled_q(t, theta, i).G
             assert np.all(G >= stack.min(axis=0) - 1e-9)
             assert np.all(G <= stack.max(axis=0) + 1e-9)
@@ -170,7 +172,7 @@ class TestScheduledGain:
         G_pos = np.diag([1.0, 1.0, 3.0])
         gains = np.array([[[1.0, -1.0], [2.0, -2.0]]])
         t = QCoreTable(np.array([0.0]), np.array([0.0, 4.0]),
-                       [[QKernel(G_neg), QKernel(G_pos)]],
+                       [[QKernel(G_neg).to_vec(), QKernel(G_pos).to_vec()]],
                        TableTrainConfig(), "h", gains=gains.copy())
         K = scheduled_gain(t, 0.0, 0.4)   # l2 = 0.1, G_uu = -0.6
         assert t.fallback_count == 1
@@ -301,8 +303,8 @@ class TestPersistence:
         assert np.array_equal(back.iterations, trained_table.iterations)
         for a in range(16):
             for b in range(8):
-                assert np.array_equal(back.cores[a][b].G,
-                                      trained_table.cores[a][b].G)
+                assert np.array_equal(core_G(back, a, b),
+                                      core_G(trained_table, a, b))
         assert np.array_equal(back.gains, trained_table.gains)
 
     def test_corrupted_file_rejected(self, tmp_path):
@@ -353,10 +355,10 @@ class TestTableValidation:
         k = QKernel(np.diag([1.0, 1.0, 1.0]))
         with pytest.raises(ValueError):
             QCoreTable(np.array([1.0, 0.0]), np.array([0.0, 1.0]),
-                       [[k, k], [k, k]], TableTrainConfig(), "h")
+                       np.tile(k.to_vec(), (2, 2, 1)), TableTrainConfig(), "h")
 
     def test_shape_mismatch_rejected(self):
         k = QKernel(np.diag([1.0, 1.0, 1.0]))
         with pytest.raises(ValueError):
             QCoreTable(np.array([0.0, 1.0]), np.array([0.0, 1.0]),
-                       [[k], [k]], TableTrainConfig(), "h")
+                       np.tile(k.to_vec(), (2, 1, 1)), TableTrainConfig(), "h")

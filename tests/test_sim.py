@@ -111,14 +111,29 @@ class TestRunClosedLoop:
         G[0, 2] = G[2, 0] = -50.0   # gain K = [-50, -50] with G_uu = 1
         G[1, 2] = G[2, 1] = -50.0
         G[2, 2] = 1.0
-        bad = QCoreTable(np.array([0.0]), np.array([0.0]), [[QKernel(G)]],
-                         TableTrainConfig(), "h")
+        bad = QCoreTable(np.array([0.0]), np.array([0.0]),
+                         [[QKernel(G).to_vec()]], TableTrainConfig(), "h")
         s = make_scenario(params, surface)
         with pytest.raises(SafetyAbortError) as exc:
             run_closed_loop(s, bad)
         trace = exc.value.trace
         assert len(trace) < s.steps
         assert trace.x.max() <= 3.0 * params.i_nominal * 1.5
+
+    def test_safety_bound_follows_table_config(self, params, surface,
+                                               trained_table):
+        # tracking 6.5 A stays inside the default 3x bound (15 A) but
+        # crosses 1.2x (6 A)
+        from dataclasses import replace
+        s = make_scenario(params, surface, reference=ReferenceProfile(i_ref=6.5),
+                          duration=2 * params.steps_per_cycle)
+        assert len(run_closed_loop(s, trained_table)) == s.steps
+        tight = replace(trained_table,
+                        cfg=replace(trained_table.cfg, safety_factor=1.2))
+        with pytest.raises(SafetyAbortError) as exc:
+            run_closed_loop(s, tight)
+        assert len(exc.value.trace) < s.steps
+        assert exc.value.trace.x.max() <= 1.2 * params.i_nominal
 
     def test_online_learning_on_nominal_plant_is_benign(self, params, surface,
                                                         trained_table,
