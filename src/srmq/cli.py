@@ -188,36 +188,46 @@ def _scenario(cp, params, surface, seed=None) -> sim.Scenario:
         raise ConfigError(f"invalid scenario: {exc}") from exc
 
 
-def _node_oracle(params, surface, cfg, theta, i):
-    """Frozen local model at one grid node and its discounted Riccati
-    solution: (L, A, B, model, P, K)."""
-    L, A, B = frozen_dynamics(params, surface, theta, i)
-    model = lqt.build_augmented(A, B, Q=cfg.q_weight, R_u=cfg.r_weight,
-                                gamma=cfg.gamma)
+def _augmented(cfg, A, B):
+    return lqt.build_augmented(A, B, Q=cfg.q_weight, R_u=cfg.r_weight,
+                               gamma=cfg.gamma)
+
+
+def _grid_oracle(params, surface, cfg, theta_nodes, current_nodes):
+    """Frozen local models at every grid node, row-major, and their
+    discounted Riccati solutions from one stacked solve: (L, A, B, P, K)
+    with a leading node axis."""
+    L, A, B = np.array([frozen_dynamics(params, surface, th, i_node)
+                        for th in theta_nodes
+                        for i_node in current_nodes]).T
+    model = _augmented(cfg, A, B)
     P = lqt.are_fixed_point(model)
-    return L, A, B, model, P, lqt.optimal_gain(P, model)
+    return L, A, B, P, lqt.optimal_gain(P, model)
 
 
 def _oracle_nodes(cp, params, surface):
     theta_nodes, current_nodes = _grid(cp, params)
     cfg = _train_cfg(cp)
+    L, A, B, P, K = _grid_oracle(params, surface, cfg, theta_nodes,
+                                 current_nodes)
     rows = []
-    for a, th in enumerate(theta_nodes):
-        for b, i_node in enumerate(current_nodes):
-            L, A, B, model, P, K = _node_oracle(params, surface, cfg, th, i_node)
-            pi = lqt.policy_iteration_model_based(model, cfg.K0)
-            rows.append({
-                "row": a, "col": b, "theta_deg": float(th), "i_A": float(i_node),
-                "L_H": L, "A": A, "B": B,
-                "P": [[float(v) for v in r] for r in P],
-                "K": [float(v) for v in K],
-                "pi_iterations": pi.iterations,
-                "pi_gap": float(np.linalg.norm(pi.K - K)),
-            })
+    for k, (a, b) in enumerate(np.ndindex(theta_nodes.size,
+                                          current_nodes.size)):
+        pi = lqt.policy_iteration_model_based(_augmented(cfg, A[k], B[k]),
+                                              cfg.K0)
+        rows.append({
+            "row": a, "col": b, "theta_deg": float(theta_nodes[a]),
+            "i_A": float(current_nodes[b]),
+            "L_H": float(L[k]), "A": float(A[k]), "B": float(B[k]),
+            "P": [[float(v) for v in r] for r in P[k]],
+            "K": [float(v) for v in K[k]],
+            "pi_iterations": pi.iterations,
+            "pi_gap": float(np.linalg.norm(pi.K - K[k])),
+        })
     return rows
 
 
-def cmd_oracle(cp, json_out=False, stream=None) -> int:
+def cmd_oracle(cp, json_out=False) -> int:
     params = _motor(cp)
     surface = _surface(cp, params)
     nodes = _oracle_nodes(cp, params, surface)
@@ -226,21 +236,21 @@ def cmd_oracle(cp, json_out=False, stream=None) -> int:
               "reference_gain_note": REFERENCE_GAIN_NOTE,
               "aligned_node_gain": aligned["K"]}
     if json_out:
-        print(json.dumps(report), file=stream)
+        print(json.dumps(report))
     else:
         print(f"{'theta':>8} {'i':>6} {'L_mH':>8} {'A':>9} {'B':>9} "
-              f"{'K1':>10} {'K2':>10} {'pi_it':>5}", file=stream)
+              f"{'K1':>10} {'K2':>10} {'pi_it':>5}")
         for n in nodes:
             print(f"{n['theta_deg']:8.3f} {n['i_A']:6.2f} {n['L_H'] * 1e3:8.3f} "
                   f"{n['A']:9.5f} {n['B']:9.5f} {n['K'][0]:10.3f} {n['K'][1]:10.3f} "
-                  f"{n['pi_iterations']:5d}", file=stream)
-        print(f"note: {REFERENCE_GAIN_NOTE}", file=stream)
+                  f"{n['pi_iterations']:5d}")
+        print(f"note: {REFERENCE_GAIN_NOTE}")
         print(f"aligned-node gain: [{aligned['K'][0]:.2f}, {aligned['K'][1]:.2f}] "
-              f"vs reference {list(REFERENCE_GAIN)}", file=stream)
+              f"vs reference {list(REFERENCE_GAIN)}")
     return EXIT_OK
 
 
-def cmd_train(cp, out_path, json_out=False, stream=None) -> int:
+def cmd_train(cp, out_path, json_out=False) -> int:
     params = _motor(cp)
     surface = _surface(cp, params)
     theta_nodes, current_nodes = _grid(cp, params)
@@ -253,26 +263,28 @@ def cmd_train(cp, out_path, json_out=False, stream=None) -> int:
         return EXIT_CONVERGENCE
 
     # model-based cross-check, reported per node
-    gaps = np.zeros(table.shape)
-    for a, th in enumerate(theta_nodes):
-        for b, i_node in enumerate(current_nodes):
-            K_ref = _node_oracle(params, surface, cfg, th, i_node)[-1]
-            gaps[a, b] = np.linalg.norm(table.gains[a, b] - K_ref) \
-                / np.linalg.norm(K_ref)
+    K_ref = _grid_oracle(params, surface, cfg, theta_nodes,
+                         current_nodes)[-1]
+    gaps = np.array([np.linalg.norm(K - K_node) / np.linalg.norm(K_node)
+                     for K, K_node in zip(table.gains.reshape(-1, 2), K_ref)]
+                    ).reshape(table.shape)
+    worst = np.unravel_index(np.argmax(gaps), gaps.shape)
     scheduler.save_table(table, out_path)
     report = {"table": str(out_path), "cores": int(np.prod(table.shape)),
               "iterations_max": int(table.iterations.max()),
               "iterations_mean": float(table.iterations.mean()),
               "oracle_gap_max": float(gaps.max()),
-              "oracle_gap_mean": float(gaps.mean())}
+              "oracle_gap_mean": float(gaps.mean()),
+              "oracle_gap_worst_node": [int(v) for v in worst]}
     if json_out:
-        print(json.dumps(report), file=stream)
+        print(json.dumps(report))
     else:
-        print(f"trained {report['cores']} cores -> {out_path}", file=stream)
+        print(f"trained {report['cores']} cores -> {out_path}")
         print(f"iterations: mean {report['iterations_mean']:.1f}, "
-              f"max {report['iterations_max']}", file=stream)
+              f"max {report['iterations_max']}")
         print(f"model-based gain gap: mean {report['oracle_gap_mean']:.2e}, "
-              f"max {report['oracle_gap_max']:.2e}", file=stream)
+              f"max {report['oracle_gap_max']:.2e} at node "
+              f"{tuple(report['oracle_gap_worst_node'])}")
     return EXIT_OK
 
 
@@ -298,8 +310,7 @@ def _run_one(scenario, table, out_dir, tag, fmt):
     return metrics, trace_path
 
 
-def cmd_run(cp, table_path, out_dir, fmt="csv", json_out=False,
-            stream=None) -> int:
+def cmd_run(cp, table_path, out_dir, fmt="csv", json_out=False) -> int:
     params = _motor(cp)
     surface = _surface(cp, params)
     table = _load_checked_table(table_path, params)
@@ -317,16 +328,15 @@ def cmd_run(cp, table_path, out_dir, fmt="csv", json_out=False,
     with open(out / "metrics.json", "w") as f:
         json.dump(report, f)
     if json_out:
-        print(json.dumps(report), file=stream)
+        print(json.dumps(report))
     else:
         for key, value in metrics.as_dict().items():
-            print(f"{key} = {value}", file=stream)
-        print(f"trace -> {trace_path}", file=stream)
+            print(f"{key} = {value}")
+        print(f"trace -> {trace_path}")
     return EXIT_OK
 
 
-def cmd_compare(cp, table_path, out_dir, fmt="csv", json_out=False,
-                stream=None) -> int:
+def cmd_compare(cp, table_path, out_dir, fmt="csv", json_out=False) -> int:
     params = _motor(cp)
     surface = _surface(cp, params)
     table = _load_checked_table(table_path, params)
@@ -350,14 +360,13 @@ def cmd_compare(cp, table_path, out_dir, fmt="csv", json_out=False,
     with open(Path(out_dir) / "compare.json", "w") as f:
         json.dump(report, f)
     if json_out:
-        print(json.dumps(report), file=stream)
+        print(json.dumps(report))
     else:
         keys = sorted(sched)
-        print(f"{'metric':>22} {'scheduled':>14} {'delta':>14}", file=stream)
+        print(f"{'metric':>22} {'scheduled':>14} {'delta':>14}")
         for key in keys:
-            print(f"{key:>22} {sched[key]:>14.6g} {delta[key]:>14.6g}", file=stream)
-        print(f"ripple ratio (scheduled/delta): {report['ripple_ratio']:.4f}",
-              file=stream)
+            print(f"{key:>22} {sched[key]:>14.6g} {delta[key]:>14.6g}")
+        print(f"ripple ratio (scheduled/delta): {report['ripple_ratio']:.4f}")
     return EXIT_OK
 
 

@@ -15,11 +15,15 @@ import numpy as np
 
 
 class ConvergenceError(RuntimeError):
-    """Iteration failed to reach tolerance; carries the last residual."""
+    """Iteration failed to reach tolerance; carries the worst unconverged
+    residual and, for the Riccati solve, the flat batch indices that did
+    not converge (``(0,)`` for an unbatched model)."""
 
-    def __init__(self, message: str, residual: float | None = None):
+    def __init__(self, message: str, residual: float | None = None,
+                 indices: tuple = ()):
         super().__init__(message)
         self.residual = residual
+        self.indices = indices
 
 
 class NotStabilizingError(ValueError):
@@ -28,12 +32,16 @@ class NotStabilizingError(ValueError):
 
 @dataclass(frozen=True)
 class AugmentedModel:
-    """Plant state stacked with the reference generator state X = [x, r]."""
+    """Plant state stacked with the reference generator state X = [x, r].
 
-    A_a: np.ndarray   # 2x2, diag(A, F)
-    B_b: np.ndarray   # 2x1, [B, 0]
-    C_c: np.ndarray   # 1x2, [C, 0]
-    Q_q: np.ndarray   # 2x2 tracking weight
+    The matrices may carry leading batch axes, one model per node, all
+    sharing R_u and gamma.
+    """
+
+    A_a: np.ndarray   # (..., 2, 2), diag(A, F)
+    B_b: np.ndarray   # (..., 2, 1), [B, 0]
+    C_c: np.ndarray   # (..., 1, 2), [C, 0]
+    Q_q: np.ndarray   # (..., 2, 2) tracking weight
     R_u: float
     gamma: float
 
@@ -44,25 +52,31 @@ class AugmentedModel:
             raise ValueError("discount must be in (0, 1]")
         if not (self.R_u > 0):
             raise ValueError("input weight must be positive")
-        if not np.allclose(self.Q_q, self.Q_q.T):
+        if not np.allclose(self.Q_q, self.Q_q.swapaxes(-1, -2)):
             raise ValueError("tracking weight must be symmetric")
 
 
-def build_augmented(A: float, B: float, C: float = 1.0, F: float = 1.0,
+def build_augmented(A, B, C: float = 1.0, F: float = 1.0,
                     Q: float = 100.0, R_u: float = 0.001,
                     gamma: float = 0.9) -> AugmentedModel:
     """Assemble the augmented block system and the tracking weight.
 
+    Scalar A, B give one model; arrays of shape (N,) give N stacked models.
     Q_q = [C, -1]^T Q [C, -1] penalizes the output-vs-reference error.
     """
+    A, B = np.broadcast_arrays(np.asarray(A, float), np.asarray(B, float))
     for v in (A, B, C, F, Q):
-        if not np.isfinite(v):
+        if not np.all(np.isfinite(v)):
             raise ValueError("plant parameters must be finite")
-    A_a = np.array([[A, 0.0], [0.0, F]])
-    B_b = np.array([[B], [0.0]])
-    C_c = np.array([[C, 0.0]])
+    batch = A.shape
+    A_a = np.zeros(batch + (2, 2))
+    A_a[..., 0, 0], A_a[..., 1, 1] = A, F
+    B_b = np.zeros(batch + (2, 1))
+    B_b[..., 0, 0] = B
+    C_c = np.zeros(batch + (1, 2))
+    C_c[..., 0, 0] = C
     e = np.array([[C, -1.0]])
-    Q_q = e.T * Q @ e
+    Q_q = np.broadcast_to(e.T * Q @ e, batch + (2, 2))
     return AugmentedModel(A_a, B_b, C_c, Q_q, float(R_u), float(gamma))
 
 
@@ -83,32 +97,57 @@ def is_stabilizing(model: AugmentedModel, K: np.ndarray) -> bool:
 
 def are_fixed_point(model: AugmentedModel, tol: float = 1e-10,
                     max_iter: int = 10000) -> np.ndarray:
-    """Solve the discounted Riccati equation by iterating from P = 0."""
-    A, B = model.A_a, model.B_b
+    """Solve the discounted Riccati equation by iterating from P = 0.
+
+    Every model of a batch is iterated in one stacked pass; each stops at
+    the first iterate whose own residual (Frobenius norm of the step)
+    drops below tol, so its P does not depend on the rest of the batch.
+    """
+    batch = model.A_a.shape[:-2]
+    A = model.A_a.reshape(-1, 2, 2)
+    B = model.B_b.reshape(-1, 2, 1)
+    Q = np.broadcast_to(model.Q_q, model.A_a.shape).reshape(-1, 2, 2)
     g, Ru = model.gamma, model.R_u
-    P = np.zeros((2, 2))
-    residual = np.inf
+    P = np.zeros_like(A)
+    residual = np.full(len(A), np.inf)
+    active = np.arange(len(A))
+    a, b, q, p = A, B, Q, P
     for _ in range(max_iter):
-        S = Ru + g * (B.T @ P @ B).item()
-        P_next = model.Q_q + g * A.T @ P @ A \
-            - g ** 2 * (A.T @ P @ B) @ (B.T @ P @ A) / S
-        P_next = (P_next + P_next.T) / 2
-        residual = float(np.linalg.norm(P_next - P))
-        P = P_next
-        if residual < tol:
-            return P
+        at, bt = a.swapaxes(-1, -2), b.swapaxes(-1, -2)
+        S = Ru + g * (bt @ p @ b)
+        p_next = q + g * at @ p @ a \
+            - g ** 2 * (at @ p @ b) @ (bt @ p @ a) / S
+        p_next = (p_next + p_next.swapaxes(-1, -2)) / 2
+        step = (p_next - p).reshape(-1, 1, 4)
+        res = np.sqrt(step @ step.swapaxes(-1, -2))[:, 0, 0]
+        P[active], residual[active] = p_next, res
+        p = p_next
+        done = res < tol
+        if done.all():
+            return P.reshape(batch + (2, 2))
+        if done.any():
+            keep = ~done
+            active = active[keep]
+            a, b, q, p = A[active], B[active], Q[active], p[keep]
+    worst = float(residual[active].max())
     raise ConvergenceError(
-        f"Riccati iteration did not converge in {max_iter} steps "
-        f"(last residual {residual:.3e})", residual)
+        f"Riccati iteration did not converge in {max_iter} steps at "
+        f"{active.size} of {len(A)} nodes, first {active[:5].tolist()} "
+        f"(worst residual {worst:.3e})", worst, tuple(active.tolist()))
 
 
 def optimal_gain(P: np.ndarray, model: AugmentedModel) -> np.ndarray:
-    """Greedy gain K = (R_u + g B'PB)^-1 g B'PA; control law u = -K X."""
+    """Greedy gain K = (R_u + g B'PB)^-1 g B'PA; control law u = -K X.
+
+    K has shape (..., 2) for P of shape (..., 2, 2).
+    """
     B, A, g = model.B_b, model.A_a, model.gamma
-    S = model.R_u + g * (B.T @ P @ B).item()
-    if S <= 0:
-        raise ValueError(f"singular/indefinite input denominator {S:.3e}")
-    return (g * B.T @ P @ A / S).ravel()
+    Bt = B.swapaxes(-1, -2)
+    S = model.R_u + g * (Bt @ P @ B)
+    if np.any(S <= 0):
+        raise ValueError(
+            f"singular/indefinite input denominator {S.min():.3e}")
+    return (g * Bt @ P @ A / S)[..., 0, :]
 
 
 def evaluate_policy(model: AugmentedModel, K: np.ndarray) -> np.ndarray:

@@ -24,11 +24,23 @@ TABLE_FORMAT_VERSION = 1
 
 
 class TableTrainError(RuntimeError):
-    """One or more grid nodes failed to train; lists the failing nodes."""
+    """One or more grid nodes failed to train.
 
-    def __init__(self, failures):
-        nodes = ", ".join(f"({r},{c}): {msg}" for r, c, msg in failures)
-        super().__init__(f"training failed at nodes {nodes}")
+    ``failures`` lists every failed node as (row, col, exception); the
+    message summarises them: the failed count, a count per exception type
+    with its first message, and the first few nodes.
+    """
+
+    def __init__(self, failures, total: int):
+        by_kind = {}
+        for _, _, exc in failures:
+            by_kind.setdefault(type(exc).__name__, []).append(exc)
+        reasons = "; ".join(f"{len(excs)} x {kind} (first: {excs[0]})"
+                            for kind, excs in by_kind.items())
+        nodes = ", ".join(f"({r},{c})" for r, c, _ in failures[:3])
+        more = ", ..." if len(failures) > 3 else ""
+        super().__init__(f"{len(failures)} of {total} nodes failed: "
+                         f"{reasons}; nodes {nodes}{more}")
         self.failures = failures
 
 
@@ -243,12 +255,12 @@ def train_table(params: MotorParams, surface: InductanceSurface,
                 result = qlearn.q_policy_iteration(collect, cfg.K0, qcfg)
             except (qlearn.QTrainError, qlearn.RankDeficientError,
                     qlearn.ExcitationError, SafetyAbortError) as exc:
-                failures.append((a, b, str(exc)))
+                failures.append((a, b, exc))
                 continue
             kernels[a, b] = result.kernel.to_vec()
             iters[a, b] = result.iterations
     if failures:
-        raise TableTrainError(failures)
+        raise TableTrainError(failures, iters.size)
     return QCoreTable(theta_nodes, current_nodes, kernels, cfg,
                       params_hash(params), iterations=iters)
 
@@ -319,6 +331,8 @@ def load_table(path) -> QCoreTable:
                           iterations=np.array(doc["iterations"], int))
     except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: malformed table file ({exc})") from exc
+    except qlearn.ExcitationError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def check_table_compatible(table: QCoreTable, params: MotorParams) -> None:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from srmq.cli import (EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_OK, EXIT_SAFETY,
                       REFERENCE_GAIN, default_config, load_config, main)
 from srmq.plant import MotorParams
 from srmq.qlearn import QKernel
-from srmq.scheduler import (QCoreTable, TableTrainConfig, params_hash,
-                            save_table)
+from srmq.scheduler import (QCoreTable, TableTrainConfig, load_table,
+                            params_hash, save_table)
 
 
 def last_json(capsys):
@@ -143,6 +144,38 @@ class TestTrain:
         assert report["cores"] == 12
         assert report["oracle_gap_max"] < 1e-2
 
+    def test_reports_worst_gap_node(self, tmp_path, small_cfg, capsys):
+        out = tmp_path / "t.json"
+        assert main(["--config", small_cfg, "--json", "train",
+                     "--out", str(out)]) == EXIT_OK
+        report = last_json(capsys)
+        assert main(["--config", small_cfg, "--json", "oracle"]) == EXIT_OK
+        nodes = last_json(capsys)["nodes"]
+        gains = load_table(out).gains
+        gaps = {(n["row"], n["col"]):
+                np.linalg.norm(gains[n["row"], n["col"]] - n["K"])
+                / np.linalg.norm(n["K"]) for n in nodes}
+        worst = max(gaps, key=gaps.get)
+        assert report["oracle_gap_worst_node"] == list(worst)
+        assert report["oracle_gap_max"] == gaps[worst]
+        assert main(["--config", small_cfg, "train",
+                     "--out", str(out)]) == EXIT_OK
+        assert f"at node {worst}" in capsys.readouterr().out
+
+    def test_failure_message_is_summarised(self, tmp_path, capsys):
+        # every node of the default 16x8 grid fails without dither; the
+        # message counts them instead of listing all 128
+        path = tmp_path / "nodither.ini"
+        path.write_text("[training]\ndither_v = 0\n")
+        assert main(["--config", str(path), "train",
+                     "--out", str(tmp_path / "t.json")]) == EXIT_CONVERGENCE
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert len(err) < 300
+        assert "128 of 128 nodes failed" in err
+        assert "128 x RankDeficientError" in err
+        assert "nodes (0,0), (0,1), (0,2), ..." in err
+
     def test_nonconvergence_exits_3(self, tmp_path):
         path = tmp_path / "hard.ini"
         path.write_text(SMALL + "\n[training]\nmax_iters = 1\ntol = 1e-16\n")
@@ -191,6 +224,18 @@ class TestRun:
         bad.write_text("{broken")
         assert main(["--config", small_cfg, "run", "--table", str(bad),
                      "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+
+    def test_non_positive_G_uu_table_exits_2(self, tmp_path, small_cfg,
+                                             small_table, capsys):
+        doc = json.loads(Path(small_table).read_text())
+        doc["cores"][1][2][5] = -1.0          # G_uu of core (1, 2)
+        bad = tmp_path / "indefinite.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["--config", small_cfg, "run", "--table", str(bad),
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()]
+        assert str(bad) in err and "G_uu" in err
 
     def test_motor_mismatch_exits_2(self, tmp_path, small_cfg, small_table):
         other = tmp_path / "other.ini"

@@ -6,6 +6,7 @@ from srmq.lqt import (AugmentedModel, ConvergenceError, NotStabilizingError,
                       are_fixed_point, build_augmented, closed_loop,
                       evaluate_policy, is_stabilizing, optimal_gain,
                       policy_iteration_model_based, spectral_radius)
+from srmq.plant import frozen_dynamics
 
 # dynamics of one phase frozen at the two inductance extremes:
 # A = 1 - T*R/L, B = T/L with T = 1e-4 s, R = 2 ohm
@@ -15,6 +16,44 @@ A6, B6 = 1 - 0.2 / 6, 1e-4 / 6e-3
 
 def motor_model(A, B, **kw):
     return build_augmented(A, B, **kw)
+
+
+def reference_are(model, tol=1e-10, max_iter=10000):
+    """Plain per-node fixed-point loop on one unbatched model: the
+    reference the stacked solver must reproduce bit for bit."""
+    A, B = model.A_a, model.B_b
+    g, Ru = model.gamma, model.R_u
+    P = np.zeros((2, 2))
+    for _ in range(max_iter):
+        S = Ru + g * (B.T @ P @ B).item()
+        P_next = model.Q_q + g * A.T @ P @ A \
+            - g ** 2 * (A.T @ P @ B) @ (B.T @ P @ A) / S
+        P_next = (P_next + P_next.T) / 2
+        residual = float(np.linalg.norm(P_next - P))
+        P = P_next
+        if residual < tol:
+            return P
+    raise ConvergenceError("reference loop did not converge", residual)
+
+
+def reference_gain(P, model):
+    B, A, g = model.B_b, model.A_a, model.gamma
+    S = model.R_u + g * (B.T @ P @ B).item()
+    return (g * B.T @ P @ A / S).ravel()
+
+
+def grid_dynamics(params, surface):
+    """(A, B) of the frozen local model at every node of the default
+    16x8 grid, row-major."""
+    theta = np.linspace(0.0, params.rotor_pitch, 16)
+    current = np.linspace(0.0, 1.5 * params.i_nominal, 8)
+    return np.array([frozen_dynamics(params, surface, th, i)[1:]
+                     for th in theta for i in current]).T
+
+
+def random_dynamics(n, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.3, 0.995, n), rng.uniform(0.005, 0.5, n)
 
 
 def random_stable_model(rng):
@@ -138,6 +177,7 @@ class TestRiccati:
             are_fixed_point(m, tol=1e-15, max_iter=3)
         assert exc.value.residual is not None
         assert exc.value.residual > 0
+        assert exc.value.indices == (0,)
 
     def test_steady_error_shrinks_with_cheaper_input(self):
         errors = []
@@ -150,6 +190,81 @@ class TestRiccati:
             errors.append(abs(X[0] - X[1]))
         assert errors[0] > errors[1] > errors[2]
         assert errors[2] < 0.05   # < 1.25 % of a 4 A reference
+
+
+class TestStackedRiccati:
+    """One stacked solve over many nodes equals the per-node loop."""
+
+    @staticmethod
+    def assert_matches_reference(A, B, **kw):
+        stacked = build_augmented(A, B)
+        P = are_fixed_point(stacked, **kw)
+        K = optimal_gain(P, stacked)
+        assert P.shape == (len(A), 2, 2) and K.shape == (len(A), 2)
+        for k in range(len(A)):
+            node = build_augmented(A[k], B[k])
+            P_ref = reference_are(node, **kw)
+            assert np.array_equal(P[k], P_ref), k
+            assert np.array_equal(K[k], reference_gain(P_ref, node)), k
+
+    def test_bit_identical_on_default_grid(self, params, surface):
+        self.assert_matches_reference(*grid_dynamics(params, surface))
+
+    def test_bit_identical_on_random_models(self):
+        self.assert_matches_reference(*random_dynamics(50), tol=1e-13)
+
+    def test_batched_blocks(self):
+        A, B = random_dynamics(3)
+        m = build_augmented(A, B, Q=100.0)
+        assert m.A_a.shape == (3, 2, 2) and m.B_b.shape == (3, 2, 1)
+        assert m.C_c.shape == (3, 1, 2) and m.Q_q.shape == (3, 2, 2)
+        for k in range(3):
+            node = build_augmented(A[k], B[k], Q=100.0)
+            for name in ("A_a", "B_b", "C_c", "Q_q"):
+                assert np.array_equal(getattr(m, name)[k], getattr(node, name))
+
+    def test_batched_asymmetric_weight_rejected(self):
+        Q = np.array([np.eye(2), [[1.0, 2.0], [0.0, 1.0]]])
+        with pytest.raises(ValueError):
+            AugmentedModel(np.tile(np.eye(2), (2, 1, 1)),
+                           np.tile([[1.0], [0.0]], (2, 1, 1)),
+                           np.tile([[1.0, 0.0]], (2, 1, 1)), Q, 0.001, 0.9)
+
+    def test_nonconvergence_lists_unconverged_indices(self):
+        A, B = random_dynamics(20, seed=1)
+        with pytest.raises(ConvergenceError) as exc:
+            are_fixed_point(build_augmented(A, B), max_iter=3)
+        assert exc.value.residual > 0
+        assert exc.value.indices == tuple(range(20))
+
+    def test_partial_nonconvergence_matches_reference(self):
+        # nodes converge at different iterates; exactly those the
+        # per-node loop cannot finish within max_iter are reported
+        A, B = random_dynamics(20, seed=1)
+        max_iter = 160
+        failing = []
+        for k in range(20):
+            try:
+                reference_are(build_augmented(A[k], B[k]), max_iter=max_iter)
+            except ConvergenceError:
+                failing.append(k)
+        assert 0 < len(failing) < 20
+        with pytest.raises(ConvergenceError) as exc:
+            are_fixed_point(build_augmented(A, B), max_iter=max_iter)
+        assert exc.value.indices == tuple(failing)
+        assert exc.value.residual > 0
+
+    def test_single_node_keeps_scalar_shapes(self):
+        m = motor_model(A16, B16)
+        P = are_fixed_point(m)
+        K = optimal_gain(P, m)
+        assert m.A_a.shape == (2, 2) and m.B_b.shape == (2, 1)
+        assert P.shape == (2, 2) and K.shape == (2,)
+        one = build_augmented(np.array([A16]), np.array([B16]))
+        P1 = are_fixed_point(one)
+        K1 = optimal_gain(P1, one)
+        assert P1.shape == (1, 2, 2) and K1.shape == (1, 2)
+        assert np.array_equal(P1[0], P) and np.array_equal(K1[0], K)
 
 
 class TestPolicyEvaluation:
