@@ -250,6 +250,12 @@ def cmd_oracle(cp, json_out=False) -> int:
     return EXIT_OK
 
 
+def _gain_gap(K, K_ref):
+    scale = np.linalg.norm(K_ref)
+    gap = np.linalg.norm(K - K_ref)
+    return gap / scale if scale > 0 else gap
+
+
 def cmd_train(cp, out_path, json_out=False) -> int:
     params = _motor(cp)
     surface = _surface(cp, params)
@@ -262,11 +268,12 @@ def cmd_train(cp, out_path, json_out=False) -> int:
         print(f"training failed: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
 
-    # model-based cross-check, reported per node
+    # model-based cross-check, reported per node: the gap is relative to
+    # the oracle gain, or absolute where that gain is zero (q_weight = 0)
     K_ref = _grid_oracle(params, surface, cfg, theta_nodes,
                          current_nodes)[-1]
-    gaps = np.array([np.linalg.norm(K - K_node) / np.linalg.norm(K_node)
-                     for K, K_node in zip(table.gains.reshape(-1, 2), K_ref)]
+    gaps = np.array([_gain_gap(K, K_node) for K, K_node
+                     in zip(table.gains.reshape(-1, 2), K_ref)]
                     ).reshape(table.shape)
     worst = np.unravel_index(np.argmax(gaps), gaps.shape)
     scheduler.save_table(table, out_path)

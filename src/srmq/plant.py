@@ -9,6 +9,7 @@ values, so instances are safe to share across threads.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,7 +64,8 @@ class InductanceSurface:
     theta_grid spans exactly one rotor pitch with both endpoints present;
     the first and last angle columns must be equal so the surface continues
     periodically.  Values must be non-increasing in current at fixed angle
-    (magnetic saturation).
+    (magnetic saturation).  The grids are fixed once built: their nodes are
+    also kept as lists of Python floats for the scalar cell lookup.
     """
 
     theta_grid: np.ndarray   # deg, strictly ascending
@@ -90,6 +92,8 @@ class InductanceSurface:
             raise ValueError("first and last theta columns must match (periodic)")
         if np.any(np.diff(self.values, axis=1) > 1e-12):
             raise ValueError("values must be non-increasing in current (saturation)")
+        object.__setattr__(self, "_theta_list", self.theta_grid.tolist())
+        object.__setattr__(self, "_current_list", self.current_grid.tolist())
 
     @property
     def pitch(self) -> float:
@@ -138,8 +142,12 @@ class ReferenceProfile:
         return amp
 
 
-def _axis_locate(nodes: np.ndarray, value: float, wrap: bool):
-    if nodes.size == 1:
+def _axis_locate(nodes: list, value: float, wrap: bool):
+    """(idx, frac): the lower node of the cell holding `value` on the
+    ascending list of float nodes and the offset in [0, 1) toward the next
+    node; the value wraps over the span or clamps to the end nodes."""
+    n = len(nodes)
+    if n == 1:
         return 0, 0.0
     if wrap:
         # wrapped value lands in [nodes[0], nodes[-1]), never on the top node
@@ -147,10 +155,10 @@ def _axis_locate(nodes: np.ndarray, value: float, wrap: bool):
         value = nodes[0] + (value - nodes[0]) % span
     else:
         value = min(max(value, nodes[0]), nodes[-1])
-    idx = int(np.searchsorted(nodes, value, side="right")) - 1
-    if idx >= nodes.size - 1:
+    idx = bisect_right(nodes, value) - 1
+    if idx >= n - 1:
         # at (or clamped to) the top node: that node is the lower corner, l = 0
-        return nodes.size - 1, 0.0
+        return n - 1, 0.0
     idx = max(idx, 0)
     frac = (value - nodes[idx]) / (nodes[idx + 1] - nodes[idx])
     return idx, float(frac)
@@ -170,8 +178,8 @@ def _blend(values: np.ndarray, row: int, col: int, l1: float, l2: float):
 
 def inductance_at(surface: InductanceSurface, theta: float, i: float) -> float:
     """Bilinear lookup of L(theta, i); theta wraps, current clamps to the grid."""
-    row, l1 = _axis_locate(surface.theta_grid, theta, wrap=True)
-    col, l2 = _axis_locate(surface.current_grid, i, wrap=False)
+    row, l1 = _axis_locate(surface._theta_list, theta, wrap=True)
+    col, l2 = _axis_locate(surface._current_list, i, wrap=False)
     return float(_blend(surface.values, row, col, l1, l2))
 
 

@@ -91,9 +91,10 @@ class QCoreTable:
 
     Kernels are stored as 6-vectors in QKernel.to_vec order; they are
     validated here and on every accepted online update, never per control
-    step.  Single writer (online updates), many readers; an update
-    replaces a whole core at once so readers never see a half-written
-    kernel.
+    step.  The node grids are fixed once built: their nodes are also kept
+    as lists of Python floats for the scalar cell lookup.  Single writer
+    (online updates), many readers; an update replaces a whole core at
+    once so readers never see a half-written kernel.
     """
 
     theta_nodes: np.ndarray
@@ -132,6 +133,8 @@ class QCoreTable:
                                       (nt, ni, 1, 1))
         if self.iterations is None:
             self.iterations = np.zeros((nt, ni), int)
+        self._theta_list = self.theta_nodes.tolist()
+        self._current_list = self.current_nodes.tolist()
 
     @property
     def shape(self):
@@ -144,8 +147,8 @@ class QCoreTable:
 
 def locate(table: QCoreTable, theta: float, i: float) -> CellLocation:
     """Find the enclosing cell; theta wraps periodically, current clamps."""
-    row, l1 = _axis_locate(table.theta_nodes, theta, wrap=True)
-    col, l2 = _axis_locate(table.current_nodes, i, wrap=False)
+    row, l1 = _axis_locate(table._theta_list, theta, wrap=True)
+    col, l2 = _axis_locate(table._current_list, i, wrap=False)
     return CellLocation(row, col, l1, l2)
 
 

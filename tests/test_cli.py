@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +162,30 @@ class TestTrain:
         assert main(["--config", small_cfg, "train",
                      "--out", str(out)]) == EXIT_OK
         assert f"at node {worst}" in capsys.readouterr().out
+
+    def test_zero_state_weight_reports_finite_absolute_gap(self, tmp_path,
+                                                            capsys):
+        # with q_weight = 0 every oracle gain is zero, so the gap is the
+        # absolute distance to it rather than a division by zero
+        path = tmp_path / "zq.ini"
+        path.write_text(SMALL + "\n[training]\nq_weight = 0.0\n")
+        out = tmp_path / "t.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--config", str(path), "--json", "train",
+                         "--out", str(out)]) == EXIT_OK
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        report = json.loads(line, parse_constant=reject)
+        assert np.isfinite(report["oracle_gap_max"])
+        assert np.isfinite(report["oracle_gap_mean"])
+        gaps = np.linalg.norm(load_table(out).gains, axis=-1)
+        assert report["oracle_gap_max"] == pytest.approx(gaps.max(), rel=1e-12)
+        assert report["oracle_gap_worst_node"] == \
+            list(np.unravel_index(np.argmax(gaps), gaps.shape))
 
     def test_failure_message_is_summarised(self, tmp_path, capsys):
         # every node of the default 16x8 grid fails without dither; the

@@ -5,10 +5,50 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from srmq.plant import (InductanceSurface, MotorParams, PhaseState,
-                        ReferenceProfile, default_surface, inductance_at,
-                        load_surface_csv, reference_at, save_surface_csv,
-                        step_phase)
+                        ReferenceProfile, _axis_locate, default_surface,
+                        inductance_at, load_surface_csv, reference_at,
+                        save_surface_csv, step_phase)
 from conftest import constant_surface
+
+
+def reference_axis_locate(nodes, value, wrap):
+    """np.searchsorted locator on a node array: the reference the bisect
+    locator over a node list must reproduce exactly."""
+    nodes = np.asarray(nodes, float)
+    if nodes.size == 1:
+        return 0, 0.0
+    if wrap:
+        span = nodes[-1] - nodes[0]
+        value = nodes[0] + (value - nodes[0]) % span
+    else:
+        value = min(max(value, nodes[0]), nodes[-1])
+    idx = int(np.searchsorted(nodes, value, side="right")) - 1
+    if idx >= nodes.size - 1:
+        return nodes.size - 1, 0.0
+    idx = max(idx, 0)
+    frac = (value - nodes[idx]) / (nodes[idx + 1] - nodes[idx])
+    return idx, float(frac)
+
+
+@st.composite
+def grid_and_value(draw):
+    """A strictly ascending grid of 1, 2 or 16 nodes and a value that is
+    a node, outside the range, a whole number of spans away from the first
+    node, negative, or anywhere."""
+    size = draw(st.sampled_from([1, 2, 16]))
+    nodes = sorted(draw(st.lists(st.floats(-1e3, 1e3), min_size=size,
+                                 max_size=size, unique=True)))
+    lo, hi = nodes[0], nodes[-1]
+    gap = st.floats(0.0, 1e4, exclude_min=True)
+    value = draw(st.one_of(
+        st.sampled_from(nodes),
+        gap.map(lambda d: lo - d),
+        gap.map(lambda d: hi + d),
+        st.integers(-50, 50).map(lambda m: lo + m * (hi - lo)),
+        st.floats(-1e4, 0.0, exclude_max=True),
+        st.floats(-1e4, 1e4),
+    ))
+    return nodes, value
 
 
 class TestMotorParams:
@@ -112,6 +152,19 @@ class TestInductanceSurface:
         path.write_text("theta_deg,0.0,5.0\n0.0,0.01\n45.0,0.01,0.01\n")
         with pytest.raises(ValueError):
             load_surface_csv(path)
+
+
+class TestAxisLocate:
+    @given(case=grid_and_value(), wrap=st.booleans(), as_numpy=st.booleans())
+    @settings(max_examples=1000, deadline=None)
+    def test_matches_searchsorted_reference(self, case, wrap, as_numpy):
+        nodes, value = case
+        if as_numpy:   # grid nodes reach the locator as numpy scalars
+            value = np.float64(value)
+        idx, frac = _axis_locate(nodes, value, wrap)
+        assert (idx, frac) == reference_axis_locate(nodes, value, wrap)
+        assert type(idx) is int
+        assert type(frac) is float
 
 
 class TestStepPhase:

@@ -1,17 +1,49 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 
 from srmq.plant import MotorParams, ReferenceProfile
 from srmq.scheduler import SafetyAbortError
-from srmq.sim import (CONTROLLERS, TRACE_COLUMNS, Metrics, Scenario, SimTrace,
-                      compute_metrics, delta_modulation_step, export_trace,
-                      run_closed_loop)
+from srmq.sim import (CONTROLLERS, EXPORT_CHUNK, TRACE_COLUMNS, Metrics,
+                      Scenario, SimTrace, compute_metrics,
+                      delta_modulation_step, export_trace, run_closed_loop)
 from conftest import constant_surface
 
 
 def make_scenario(params, surface, **kw):
     kw.setdefault("reference", ReferenceProfile())
     return Scenario(motor=params, surface=surface, **kw)
+
+
+def reference_row(trace, i):
+    # str(float) is repr in Python 3, so values round-trip exactly
+    return [int(trace.k[i]), float(trace.t[i]), float(trace.theta[i]),
+            float(trace.r[i]), float(trace.x[i]), float(trace.u[i]),
+            float(trace.K[i, 0]), float(trace.K[i, 1]),
+            int(trace.cell[i, 0]), int(trace.cell[i, 1]), float(trace.cost[i])]
+
+
+def reference_export(trace, path, fmt):
+    """Row-at-a-time trace writer: the reference export_trace must
+    reproduce byte for byte."""
+    with open(path, "w", newline="") as f:
+        if fmt == "csv":
+            w = csv.writer(f)
+            w.writerow(TRACE_COLUMNS)
+            for i in range(len(trace)):
+                w.writerow(reference_row(trace, i))
+        else:
+            for i in range(len(trace)):
+                f.write(json.dumps(dict(zip(TRACE_COLUMNS,
+                                            reference_row(trace, i)))) + "\n")
+
+
+def head(trace, m):
+    return SimTrace(trace.k[:m], trace.t[:m], trace.theta[:m], trace.r[:m],
+                    trace.x[:m], trace.u[:m], trace.K[:m], trace.cell[:m],
+                    trace.cost[:m])
 
 
 class TestDeltaModulation:
@@ -257,6 +289,40 @@ class TestExport:
         for i, rec in enumerate(recs):
             assert rec["x_A"] == trace.x[i]
             assert rec["cell_row"] == int(trace.cell[i, 0])
+
+    @pytest.fixture(scope="class")
+    def nominal_trace(self, params, surface, trained_table):
+        trace = run_closed_loop(make_scenario(params, surface), trained_table)
+        assert len(trace) == 6250
+        return trace
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("n", [0, 1, EXPORT_CHUNK - 1, EXPORT_CHUNK,
+                                   EXPORT_CHUNK + 1, 6250])
+    def test_bytes_match_row_writer(self, nominal_trace, tmp_path, n, fmt):
+        trace = head(nominal_trace, n)
+        export_trace(trace, tmp_path / "got", fmt=fmt)
+        reference_export(trace, tmp_path / "want", fmt)
+        assert (tmp_path / "got").read_bytes() == \
+            (tmp_path / "want").read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_aborted_trace_bytes_match_row_writer(self, params, surface,
+                                                  trained_table, tmp_path,
+                                                  fmt):
+        from dataclasses import replace
+        tight = replace(trained_table,
+                        cfg=replace(trained_table.cfg, safety_factor=1.2))
+        s = make_scenario(params, surface, reference=ReferenceProfile(i_ref=6.5),
+                          duration=2 * params.steps_per_cycle)
+        with pytest.raises(SafetyAbortError) as exc:
+            run_closed_loop(s, tight)
+        trace = exc.value.trace
+        assert EXPORT_CHUNK < len(trace) < s.steps
+        export_trace(trace, tmp_path / "got", fmt=fmt)
+        reference_export(trace, tmp_path / "want", fmt)
+        assert (tmp_path / "got").read_bytes() == \
+            (tmp_path / "want").read_bytes()
 
     def test_unknown_format_rejected(self, params, surface, trained_table,
                                      tmp_path):
