@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -295,6 +296,20 @@ def cmd_train(cp, out_path, json_out=False) -> int:
     return EXIT_OK
 
 
+def _strict_json(report) -> str:
+    """The report as strict JSON: non-finite floats (a metric that is nan
+    when no window settles) are written as null, not NaN or Infinity."""
+    def clean(v):
+        if isinstance(v, float):
+            return v if math.isfinite(v) else None
+        if isinstance(v, dict):
+            return {k: clean(x) for k, x in v.items()}
+        if isinstance(v, list):
+            return [clean(x) for x in v]
+        return v
+    return json.dumps(clean(report), allow_nan=False)
+
+
 def _load_checked_table(table_path, params):
     table = scheduler.load_table(table_path)
     scheduler.check_table_compatible(table, params)
@@ -332,10 +347,10 @@ def cmd_run(cp, table_path, out_dir, fmt="csv", json_out=False) -> int:
     dump_config(cp, out / "effective_config.ini")
     report = {"metrics": metrics.as_dict(), "trace": str(trace_path),
               "config": str(out / "effective_config.ini")}
-    with open(out / "metrics.json", "w") as f:
-        json.dump(report, f)
+    text = _strict_json(report)
+    (out / "metrics.json").write_text(text)
     if json_out:
-        print(json.dumps(report))
+        print(text)
     else:
         for key, value in metrics.as_dict().items():
             print(f"{key} = {value}")
@@ -364,10 +379,10 @@ def cmd_compare(cp, table_path, out_dir, fmt="csv", json_out=False) -> int:
     report = {"controllers": results,
               "ripple_ratio": sched["ripple_A"] / delta["ripple_A"]
               if delta["ripple_A"] > 0 else 0.0}
-    with open(Path(out_dir) / "compare.json", "w") as f:
-        json.dump(report, f)
+    text = _strict_json(report)
+    (Path(out_dir) / "compare.json").write_text(text)
     if json_out:
-        print(json.dumps(report))
+        print(text)
     else:
         keys = sorted(sched)
         print(f"{'metric':>22} {'scheduled':>14} {'delta':>14}")

@@ -64,8 +64,9 @@ class InductanceSurface:
     theta_grid spans exactly one rotor pitch with both endpoints present;
     the first and last angle columns must be equal so the surface continues
     periodically.  Values must be non-increasing in current at fixed angle
-    (magnetic saturation).  The grids are fixed once built: their nodes are
-    also kept as lists of Python floats for the scalar cell lookup.
+    (magnetic saturation).  The surface is fixed once built: its nodes and
+    values are also kept as (nested) lists of Python floats for the scalar
+    lookup.
     """
 
     theta_grid: np.ndarray   # deg, strictly ascending
@@ -94,6 +95,7 @@ class InductanceSurface:
             raise ValueError("values must be non-increasing in current (saturation)")
         object.__setattr__(self, "_theta_list", self.theta_grid.tolist())
         object.__setattr__(self, "_current_list", self.current_grid.tolist())
+        object.__setattr__(self, "_values_list", self.values.tolist())
 
     @property
     def pitch(self) -> float:
@@ -164,23 +166,36 @@ def _axis_locate(nodes: list, value: float, wrap: bool):
     return idx, float(frac)
 
 
-def _blend(values: np.ndarray, row: int, col: int, l1: float, l2: float):
-    """Bilinear blend of the four node entries around a cell of `values`
-    (grid over the two leading axes); the upper corner saturates at the
-    last node, where its weight is zero."""
-    r1 = min(row + 1, values.shape[0] - 1)
-    c1 = min(col + 1, values.shape[1] - 1)
-    return ((1 - l1) * (1 - l2) * values[row, col]
-            + l1 * (1 - l2) * values[r1, col]
-            + (1 - l1) * l2 * values[row, c1]
-            + l1 * l2 * values[r1, c1])
+def _locate(theta_nodes: list, current_nodes: list, theta: float, i: float):
+    """(row, col, l1, l2): lower corner and offsets of the cell holding
+    (theta, i) on the two node lists; theta wraps, current clamps."""
+    row, l1 = _axis_locate(theta_nodes, theta, wrap=True)
+    col, l2 = _axis_locate(current_nodes, i, wrap=False)
+    return row, col, l1, l2
+
+
+def _weights(l1: float, l2: float):
+    """Bilinear weights of the corners (row, col), (row+1, col),
+    (row, col+1), (row+1, col+1), in that order."""
+    return (1 - l1) * (1 - l2), l1 * (1 - l2), (1 - l1) * l2, l1 * l2
+
+
+def _corners(grid: list, row: int, col: int):
+    """The four node entries around a cell of a nested-list grid, in the
+    order of _weights; the upper corner saturates at the last node, where
+    its weight is zero."""
+    lo, hi = grid[row], grid[min(row + 1, len(grid) - 1)]
+    c1 = min(col + 1, len(lo) - 1)
+    return lo[col], hi[col], lo[c1], hi[c1]
 
 
 def inductance_at(surface: InductanceSurface, theta: float, i: float) -> float:
     """Bilinear lookup of L(theta, i); theta wraps, current clamps to the grid."""
-    row, l1 = _axis_locate(surface._theta_list, theta, wrap=True)
-    col, l2 = _axis_locate(surface._current_list, i, wrap=False)
-    return float(_blend(surface.values, row, col, l1, l2))
+    row, col, l1, l2 = _locate(surface._theta_list, surface._current_list,
+                               theta, i)
+    w00, w10, w01, w11 = _weights(l1, l2)
+    v00, v10, v01, v11 = _corners(surface._values_list, row, col)
+    return w00 * v00 + w10 * v10 + w01 * v01 + w11 * v11
 
 
 def frozen_dynamics(params: MotorParams, surface: InductanceSurface,

@@ -175,13 +175,19 @@ def rls_init(tau: float = 1e6, kernel: QKernel | None = None) -> RlsState:
 
 def rls_update(state: RlsState, row: np.ndarray, target: float) -> RlsState:
     """One recursive least-squares step on a single regression row."""
-    row = np.asarray(row, float).ravel()
-    eta_row = state.eta @ row
+    return RlsState(*_rls_step(state.g_vec, state.eta,
+                               np.asarray(row, float).ravel(), target))
+
+
+def _rls_step(g: np.ndarray, eta: np.ndarray, row: np.ndarray, target: float):
+    """(g, eta) after one RLS step on plain arrays, unvalidated; the new
+    covariance is symmetric by construction."""
+    eta_row = eta @ row
     denom = 1.0 + float(row @ eta_row)
-    err = target - float(row @ state.g_vec)
-    g = state.g_vec + eta_row * (err / denom)
-    eta = state.eta - np.outer(eta_row, eta_row) / denom
-    return RlsState(g, (eta + eta.T) / 2)
+    err = target - float(row @ g)
+    g = g + eta_row * (err / denom)
+    eta = eta - np.outer(eta_row, eta_row) / denom
+    return g, (eta + eta.T) / 2
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import qlearn
-from .plant import (InductanceSurface, MotorParams, _axis_locate, _blend,
-                    frozen_dynamics)
-from .qlearn import NUM_PARAMS, DataTuple, QKernel, QTrainConfig, RlsState
+from .plant import (InductanceSurface, MotorParams, _corners, _locate,
+                    _weights, frozen_dynamics)
+from .qlearn import NUM_PARAMS, DataTuple, QKernel, QTrainConfig
 
 TABLE_FORMAT_VERSION = 1
 
@@ -91,10 +91,11 @@ class QCoreTable:
 
     Kernels are stored as 6-vectors in QKernel.to_vec order; they are
     validated here and on every accepted online update, never per control
-    step.  The node grids are fixed once built: their nodes are also kept
-    as lists of Python floats for the scalar cell lookup.  Single writer
-    (online updates), many readers; an update replaces a whole core at
-    once so readers never see a half-written kernel.
+    step.  The node grids are fixed once built; the nodes and the kernels
+    are also kept as (nested) lists of Python floats, which the per-step
+    read uses.  Single writer (update_core_online, which also refreshes the
+    kernel list of the core it changes), many readers; an update replaces
+    a whole core at once so readers never see a half-written kernel.
     """
 
     theta_nodes: np.ndarray
@@ -135,6 +136,7 @@ class QCoreTable:
             self.iterations = np.zeros((nt, ni), int)
         self._theta_list = self.theta_nodes.tolist()
         self._current_list = self.current_nodes.tolist()
+        self._kernels_list = self.kernels.tolist()
 
     @property
     def shape(self):
@@ -147,23 +149,28 @@ class QCoreTable:
 
 def locate(table: QCoreTable, theta: float, i: float) -> CellLocation:
     """Find the enclosing cell; theta wraps periodically, current clamps."""
-    row, l1 = _axis_locate(table._theta_list, theta, wrap=True)
-    col, l2 = _axis_locate(table._current_list, i, wrap=False)
-    return CellLocation(row, col, l1, l2)
+    return CellLocation(*_locate(table._theta_list, table._current_list,
+                                 theta, i))
 
 
-def _corner(loc: CellLocation, table: QCoreTable):
-    nt, ni = table.shape
-    dr = 1 if (loc.l1 > 0.5 and loc.row + 1 < nt) else 0
-    dc = 1 if (loc.l2 > 0.5 and loc.col + 1 < ni) else 0
-    return loc.row + dr, loc.col + dc
+def _corner(table: QCoreTable, row: int, col: int, l1: float, l2: float):
+    """Node of the cell (row, col) nearest in normalized offsets; ties
+    break toward the lower indices."""
+    dr = 1 if (l1 > 0.5 and row + 1 < len(table._theta_list)) else 0
+    dc = 1 if (l2 > 0.5 and col + 1 < len(table._current_list)) else 0
+    return row + dr, col + dc
+
+
+def _nearest_node(table: QCoreTable, theta: float, i: float):
+    """(row, col) of the core nearest to (theta, i); see _corner."""
+    return _corner(table, *_locate(table._theta_list, table._current_list,
+                                   theta, i))
 
 
 def nearest_core(table: QCoreTable, theta: float, i: float) -> QKernel:
     """Corner kernel of the enclosing cell closest in normalized offsets;
     ties break toward the lower indices."""
-    loc = locate(table, theta, i)
-    return QKernel.from_vec(table.kernels[_corner(loc, table)])
+    return QKernel.from_vec(table.kernels[_nearest_node(table, theta, i)])
 
 
 def scheduled_q(table: QCoreTable, theta: float, i: float) -> QKernel:
@@ -173,19 +180,41 @@ def scheduled_q(table: QCoreTable, theta: float, i: float) -> QKernel:
     entry stays inside the range of the corner entries.  Degenerate
     single-row or single-column tables reduce to linear interpolation.
     """
-    loc = locate(table, theta, i)
-    return QKernel.from_vec(_blend(table.kernels, loc.row, loc.col, loc.l1, loc.l2))
+    row, col, l1, l2 = _locate(table._theta_list, table._current_list,
+                               theta, i)
+    w00, w10, w01, w11 = _weights(l1, l2)
+    return QKernel.from_vec([
+        w00 * g00 + w10 * g10 + w01 * g01 + w11 * g11
+        for g00, g10, g01, g11 in zip(*_corners(table._kernels_list, row, col))])
+
+
+def schedule(table: QCoreTable, theta: float, i: float):
+    """(k_x, k_r, (row, col)): the greedy gain of the scheduled kernel and
+    the nearest core, from one cell lookup, as Python floats and ints.
+
+    Only the entries the gain needs (G_ux, G_ur, G_uu) are blended.  If the
+    blended input block is not positive, the nearest core's cached gain is
+    returned instead and the table's fallback_count goes up by one.
+    """
+    row, col, l1, l2 = _locate(table._theta_list, table._current_list,
+                               theta, i)
+    cell = _corner(table, row, col, l1, l2)
+    w00, w10, w01, w11 = _weights(l1, l2)
+    g00, g10, g01, g11 = _corners(table._kernels_list, row, col)
+    g_uu = w00 * g00[5] + w10 * g10[5] + w01 * g01[5] + w11 * g11[5]
+    if g_uu <= 0:
+        table.fallback_count += 1
+        k_x, k_r = table.gains[cell].tolist()
+        return k_x, k_r, cell
+    return ((w00 * g00[2] + w10 * g10[2] + w01 * g01[2] + w11 * g11[2]) / g_uu,
+            (w00 * g00[4] + w10 * g10[4] + w01 * g01[4] + w11 * g11[4]) / g_uu,
+            cell)
 
 
 def scheduled_gain(table: QCoreTable, theta: float, i: float) -> np.ndarray:
-    """Greedy gain of the scheduled kernel; falls back to the nearest
-    core's cached gain if the blended input block is not positive."""
-    loc = locate(table, theta, i)
-    g = _blend(table.kernels, loc.row, loc.col, loc.l1, loc.l2)
-    if g[5] <= 0:
-        table.fallback_count += 1
-        return table.gains[_corner(loc, table)].copy()
-    return g[[2, 4]] / g[5]
+    """Greedy gain of the scheduled kernel as an array (see schedule)."""
+    k_x, k_r, _ = schedule(table, theta, i)
+    return np.array([k_x, k_r])
 
 
 def _node_collector(A: float, B: float, cfg: TableTrainConfig,
@@ -278,12 +307,10 @@ def update_core_online(table: QCoreTable, tup: DataTuple,
     gain exactly consistent with the stored kernel.  Returns True if the
     update was applied.
     """
-    loc = locate(table, theta, i)
-    a, b = _corner(loc, table)
+    a, b = _nearest_node(table, theta, i)
     row = qlearn.sym_features(tup.M_k) - table.cfg.gamma * qlearn.sym_features(tup.M_k1)
-    state = qlearn.rls_update(RlsState(table.kernels[a, b], table.covariance[a, b]),
+    g, eta = qlearn._rls_step(table.kernels[a, b], table.covariance[a, b],
                               row, tup.stage_cost)
-    g = state.g_vec
     if g[5] <= 0:
         table.clamped_updates += 1
         return False
@@ -295,7 +322,8 @@ def update_core_online(table: QCoreTable, tup: DataTuple,
     if not np.all(np.isfinite(g)):
         raise ValueError("kernel entries must be finite")
     table.kernels[a, b] = g
-    table.covariance[a, b] = state.eta
+    table._kernels_list[a][b] = g.tolist()
+    table.covariance[a, b] = eta
     table.gains[a, b] = K_new
     return True
 

@@ -135,8 +135,7 @@ def _fixed_core_index(table: QCoreTable, scenario: Scenario):
         return tuple(scenario.fixed_core)
     ref = scenario.reference
     mid = (ref.theta_on + ref.theta_off) / 2
-    loc = scheduler.locate(table, mid, ref.i_ref)
-    return scheduler._corner(loc, table)
+    return scheduler._nearest_node(table, mid, ref.i_ref)
 
 
 def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None) -> SimTrace:
@@ -161,8 +160,9 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None) -> SimT
     rng = np.random.default_rng(scenario.seed)
     n = scenario.steps
     i_limit = cfg.safety_factor * params.i_nominal
-    single = _fixed_core_index(table, scenario) \
-        if scenario.controller == "single-qcore" else None
+    if scenario.controller == "single-qcore":
+        single = _fixed_core_index(table, scenario)
+        single_K = table.gains[single].tolist()
 
     rec = {name: np.zeros(n) for name in ("theta", "r", "x", "u", "cost")}
     K_rec = np.zeros((n, 2))
@@ -183,17 +183,15 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None) -> SimT
 
         if scenario.controller == "delta-modulation":
             u = delta_modulation_step(x, r, params.V_dc, scenario.delta_band)
-            K = np.zeros(2)
+            k_x = k_r = 0.0
             cell = (-1, -1)
         else:
             if scenario.controller == "single-qcore":
                 cell = single
-                K = table.gains[cell]
+                k_x, k_r = single_K
             else:
-                loc = scheduler.locate(table, theta, x)
-                cell = scheduler._corner(loc, table)
-                K = scheduler.scheduled_gain(table, theta, x)
-            u = -(K[0] * x + K[1] * r)
+                k_x, k_r, cell = scheduler.schedule(table, theta, x)
+            u = -(k_x * x + k_r * r)
             if learn and scenario.dither > 0:
                 u += scenario.dither * rng.uniform(-1, 1)
         u = min(max(float(u), -params.V_dc), params.V_dc)
@@ -203,8 +201,8 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None) -> SimT
         rec["x"][k] = x
         rec["u"][k] = u
         rec["cost"][k] = qlearn.stage_cost((x, r), u, Q_q, R_u)
-        K_rec[k] = K
-        cell_rec[k] = cell
+        K_rec[k, 0], K_rec[k, 1] = k_x, k_r
+        cell_rec[k, 0], cell_rec[k, 1] = cell
 
         state = step_phase(state, u, plant_params, surface)
 
@@ -224,9 +222,8 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None) -> SimT
             # not its shape, and would drag the gain around
             transient = r > 0 and abs(x - r) >= SETTLE_FRACTION * r
             if transient and r_next == r and state.x > 0.0:
-                a, b = cell
-                u_next = -(table.gains[a, b][0] * state.x
-                           + table.gains[a, b][1] * r_next)
+                g_x, g_r = table.gains[cell].tolist()
+                u_next = -(g_x * state.x + g_r * r_next)
                 tup = qlearn.DataTuple(np.array([x, r, u]),
                                        np.array([state.x, r_next, u_next]),
                                        rec["cost"][k])

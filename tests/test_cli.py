@@ -218,6 +218,37 @@ class TestTrain:
         assert "Bellman column vanishes" in err
 
 
+def strict_json(text):
+    """json.loads that rejects NaN, Infinity and -Infinity."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("command, report_file", [
+    ("run", "metrics.json"), ("compare", "compare.json")])
+def test_reports_are_strict_json(tmp_path, small_cfg, small_table, capsys,
+                                 command, report_file):
+    # delta modulation never settles, so its settled metrics are nan:
+    # null in JSON, still nan in the text table
+    cfg = tmp_path / "delta.ini"
+    cfg.write_text(SMALL + "controller = delta-modulation\n")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    argv = ["--config", str(cfg), command, "--table", small_table,
+            "--out", str(out)]
+    assert main(["--json"] + argv) == EXIT_OK
+    printed = strict_json(capsys.readouterr().out.strip().splitlines()[-1])
+    assert strict_json((out / report_file).read_text()) == printed
+    reports = ([printed] if command == "run" else
+               list(printed["controllers"].values()))
+    delta = reports[-1]["metrics"]
+    assert delta["rmse_settled_A"] is None
+    assert delta["settling_steps_mean"] is None
+    assert main(argv) == EXIT_OK
+    assert "nan" in capsys.readouterr().out
+
+
 def _csv_rows(path):
     return len(path.read_text().splitlines()) - 1
 

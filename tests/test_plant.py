@@ -8,7 +8,7 @@ from srmq.plant import (InductanceSurface, MotorParams, PhaseState,
                         ReferenceProfile, _axis_locate, default_surface,
                         inductance_at, load_surface_csv, reference_at,
                         save_surface_csv, step_phase)
-from conftest import constant_surface
+from conftest import constant_surface, point_near, reference_blend
 
 
 def reference_axis_locate(nodes, value, wrap):
@@ -49,6 +49,27 @@ def grid_and_value(draw):
         st.floats(-1e4, 1e4),
     ))
     return nodes, value
+
+
+def ascending(size, lo, hi):
+    """Strictly ascending lists of `size` floats in [lo, hi]."""
+    return st.lists(st.floats(lo, hi), min_size=size, max_size=size,
+                    unique=True).map(sorted)
+
+
+@st.composite
+def surface_and_point(draw):
+    """A valid random surface (periodic in angle, non-increasing in
+    current) and a point on, around or off its grid."""
+    nt, ni = draw(st.integers(2, 6)), draw(st.integers(2, 5))
+    theta = draw(ascending(nt, 0.0, 90.0))
+    current = draw(ascending(ni, 0.0, 20.0))
+    rows = [sorted(draw(st.lists(st.floats(1e-3, 2e-2), min_size=ni,
+                                 max_size=ni)), reverse=True)
+            for _ in range(nt - 1)]
+    surface = InductanceSurface(np.array(theta), np.array(current),
+                                np.array(rows + rows[:1]))
+    return surface, draw(point_near(theta, True)), draw(point_near(current, False))
 
 
 class TestMotorParams:
@@ -125,6 +146,16 @@ class TestInductanceSurface:
             + abs(p[1] - q[1]) / (c1 - c0) * span_c
         diff = abs(inductance_at(surface, *p) - inductance_at(surface, *q))
         assert diff <= bound + 1e-15
+
+    @given(case=surface_and_point())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_numpy_reference_blend(self, case):
+        surface, theta, i = case
+        row, l1 = reference_axis_locate(surface.theta_grid, theta, wrap=True)
+        col, l2 = reference_axis_locate(surface.current_grid, i, wrap=False)
+        L = inductance_at(surface, theta, i)
+        assert L == float(reference_blend(surface.values, row, col, l1, l2))
+        assert type(L) is float
 
     def test_malformed_surfaces_rejected(self):
         theta = np.array([0.0, 10.0, 45.0])

@@ -1,17 +1,21 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from srmq import lqt
-from srmq.plant import MotorParams, inductance_at
-from srmq.qlearn import DataTuple, QKernel, stage_cost, sym_features
+from srmq import lqt, scheduler
+from srmq.plant import MotorParams, ReferenceProfile, inductance_at
+from srmq.qlearn import (DataTuple, QKernel, RlsState, rls_update, stage_cost,
+                         sym_features)
 from srmq.scheduler import (CellLocation, QCoreTable, TableMismatchError,
-                            TableTrainConfig, TableTrainError,
+                            TableTrainConfig, TableTrainError, _corner,
                             check_table_compatible, load_table, locate,
-                            nearest_core, params_hash, save_table,
+                            nearest_core, params_hash, save_table, schedule,
                             scheduled_gain, scheduled_q, train_table,
                             update_core_online)
-from conftest import constant_surface, core_G
+from srmq.sim import Scenario, run_closed_loop
+from conftest import constant_surface, core_G, point_near, reference_blend
 
 
 def random_kernel(rng):
@@ -44,6 +48,127 @@ def blend_oracle(table, theta, i):
     Gs = [core_G(table, loc.row, loc.col), core_G(table, r1, loc.col),
           core_G(table, loc.row, c1), core_G(table, r1, c1)]
     return sum(wk * Gk for wk, Gk in zip(w, Gs))
+
+
+def reference_scheduled_gain(table, theta, i):
+    """The numpy scheduled read: locate, the nearest-corner rule, the numpy
+    blend of the whole 6-vector and g[[2, 4]] / g[5], or the nearest core's
+    cached gain when the blended G_uu <= 0.  (K, cell, fell back?)."""
+    loc = locate(table, theta, i)
+    cell = _corner(table, loc.row, loc.col, loc.l1, loc.l2)
+    g = reference_blend(table.kernels, loc.row, loc.col, loc.l1, loc.l2)
+    if g[5] <= 0:
+        return table.gains[cell].copy(), cell, True
+    return g[[2, 4]] / g[5], cell, False
+
+
+def reference_update_core_online(table, tup, theta, i):
+    """update_core_online through the public, validated RLS path."""
+    loc = locate(table, theta, i)
+    a, b = _corner(table, loc.row, loc.col, loc.l1, loc.l2)
+    row = sym_features(tup.M_k) - table.cfg.gamma * sym_features(tup.M_k1)
+    state = rls_update(RlsState(table.kernels[a, b], table.covariance[a, b]),
+                       row, tup.stage_cost)
+    g = state.g_vec
+    if g[5] <= 0:
+        table.clamped_updates += 1
+        return False
+    K_new = np.array([g[2], g[4]]) / g[5]
+    K_old = table.gains[a, b]
+    if np.linalg.norm(K_new - K_old) > table.cfg.gain_clamp * (1 + np.linalg.norm(K_old)):
+        table.clamped_updates += 1
+        return False
+    table.kernels[a, b] = g
+    table.covariance[a, b] = state.eta
+    table.gains[a, b] = K_new
+    return True
+
+
+@st.composite
+def table_and_point(draw):
+    """A random table, 1xN and Nx1 grids included, optionally with
+    indefinite input blocks (cached gains supplied), and a point on a node,
+    wrapped in theta, clamped in current, or anywhere; the point may come
+    as numpy scalars."""
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    nt, ni = draw(st.sampled_from([(1, 1), (1, 4), (4, 1), (2, 2), (3, 5)]))
+    t = random_table(rng, nt, ni)
+    if draw(st.booleans()):
+        kernels = t.kernels.copy()
+        kernels[..., 5] = rng.uniform(-1.0, 2.0, (nt, ni))
+        t = QCoreTable(t.theta_nodes, t.current_nodes, kernels, t.cfg, "h",
+                       gains=rng.uniform(-200, 200, (nt, ni, 2)))
+    theta = draw(point_near(t.theta_nodes.tolist(), wrap=True))
+    i = draw(point_near(t.current_nodes.tolist(), wrap=False))
+    if draw(st.booleans()):
+        theta, i = np.float64(theta), np.float64(i)
+    return t, theta, i
+
+
+class TestSchedule:
+    @given(case=table_and_point())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_numpy_reference(self, case):
+        t, theta, i = case
+        K_ref, cell_ref, fell_back = reference_scheduled_gain(t, theta, i)
+        before = t.fallback_count
+        k_x, k_r, cell = schedule(t, theta, i)
+        assert np.array([k_x, k_r]).tobytes() == K_ref.tobytes()
+        assert cell == cell_ref
+        assert t.fallback_count == before + fell_back
+        # numpy scalars here would silently double the cost of a step
+        assert type(k_x) is float and type(k_r) is float
+        assert type(cell[0]) is int and type(cell[1]) is int
+
+    @given(case=table_and_point())
+    @settings(max_examples=200, deadline=None)
+    def test_scheduled_q_matches_numpy_reference(self, case):
+        t, theta, i = case
+        loc = locate(t, theta, i)
+        want = QKernel.from_vec(reference_blend(t.kernels, loc.row, loc.col,
+                                                loc.l1, loc.l2)).G
+        assert scheduled_q(t, theta, i).G.tobytes() == want.tobytes()
+
+    def test_fallback_counts_once_per_read(self):
+        G_neg = np.diag([1.0, 1.0, -1.0])
+        G_pos = np.diag([1.0, 1.0, 3.0])
+        t = QCoreTable(np.array([0.0]), np.array([0.0, 4.0]),
+                       [[QKernel(G_neg).to_vec(), QKernel(G_pos).to_vec()]],
+                       TableTrainConfig(), "h",
+                       gains=np.array([[[1.0, -1.0], [2.0, -2.0]]]))
+        assert schedule(t, 0.0, 0.4) == (1.0, -1.0, (0, 0))   # G_uu = -0.6
+        assert schedule(t, 0.0, 3.6) == (0.0, 0.0, (0, 1))    # G_uu = 2.6
+        assert t.fallback_count == 1
+
+
+class TestMirrors:
+    def test_learning_run_keeps_kernel_mirror_and_public_rls_result(
+            self, params, surface, fresh_table, monkeypatch):
+        # criterion 6 learning scenario; every online update is replayed on
+        # a copy of the table through the public RlsState/rls_update path
+        spc = params.steps_per_cycle
+        profile = ReferenceProfile(step_events=((4 * spc, 5.5), (8 * spc, 4.5)))
+        scenario = Scenario(motor=params, surface=surface, reference=profile,
+                            duration=12 * spc, online_learning=True)
+        ref = copy.deepcopy(fresh_table)
+        updates = []
+
+        def recording(table, tup, theta, i):
+            applied = update_core_online(table, tup, theta, i)
+            updates.append((tup, theta, i, applied))
+            return applied
+
+        monkeypatch.setattr(scheduler, "update_core_online", recording)
+        run_closed_loop(scenario, fresh_table)
+        accepted = sum(applied for *_, applied in updates)
+        assert 0 < accepted < len(updates)
+        for tup, theta, i, applied in updates:
+            assert reference_update_core_online(ref, tup, theta, i) == applied
+        t = fresh_table
+        assert t._kernels_list == t.kernels.tolist()
+        assert t.clamped_updates == ref.clamped_updates == len(updates) - accepted
+        for name in ("kernels", "gains", "covariance"):
+            assert getattr(t, name).tobytes() == getattr(ref, name).tobytes()
 
 
 class TestLocate:
