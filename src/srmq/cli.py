@@ -59,7 +59,7 @@ DEFAULTS = {
     "training": {
         "gamma": "0.9", "q_weight": "100.0", "r_weight": "0.001",
         "k0_x": "100.0", "k0_r": "-100.0",
-        "tau": "1e6", "online_tau": "1e3", "dither_v": "15.0",
+        "online_tau": "1e3", "dither_v": "15.0",
         "tuples_per_iter": "6", "tol": "1e-4", "max_iters": "100",
         "gain_clamp": "0.02", "seed": "0",
     },
@@ -148,7 +148,7 @@ def _train_cfg(cp) -> TableTrainConfig:
             dither=t.getfloat("dither_v"),
             tuples_per_iter=t.getint("tuples_per_iter"),
             tol=t.getfloat("tol"), max_iters=t.getint("max_iters"),
-            tau=t.getfloat("tau"), online_tau=t.getfloat("online_tau"),
+            online_tau=t.getfloat("online_tau"),
             gain_clamp=t.getfloat("gain_clamp"), seed=t.getint("seed"))
     except ValueError as exc:
         raise ConfigError(f"invalid training parameters: {exc}") from exc
@@ -310,9 +310,9 @@ def _strict_json(report) -> str:
     return json.dumps(clean(report), allow_nan=False)
 
 
-def _load_checked_table(table_path, params):
+def _load_checked_table(table_path, params, surface):
     table = scheduler.load_table(table_path)
-    scheduler.check_table_compatible(table, params)
+    scheduler.check_table_compatible(table, params, surface)
     return table
 
 
@@ -335,7 +335,7 @@ def _run_one(scenario, table, out_dir, tag, fmt):
 def cmd_run(cp, table_path, out_dir, fmt="csv", json_out=False) -> int:
     params = _motor(cp)
     surface = _surface(cp, params)
-    table = _load_checked_table(table_path, params)
+    table = _load_checked_table(table_path, params, surface)
     scenario = _scenario(cp, params, surface)
     try:
         metrics, trace_path = _run_one(scenario, table, out_dir,
@@ -361,7 +361,7 @@ def cmd_run(cp, table_path, out_dir, fmt="csv", json_out=False) -> int:
 def cmd_compare(cp, table_path, out_dir, fmt="csv", json_out=False) -> int:
     params = _motor(cp)
     surface = _surface(cp, params)
-    table = _load_checked_table(table_path, params)
+    table = _load_checked_table(table_path, params, surface)
     base = _scenario(cp, params, surface)
     results = {}
     try:

@@ -119,8 +119,8 @@ class PhaseState:
 class ReferenceProfile:
     """Square-pulse current reference over the conduction window.
 
-    step_events is a sequence of (step index, new amplitude); the amplitude
-    in force at step k is the latest event with index <= k.
+    step_events is a sequence of (step index, new amplitude) in step order;
+    the amplitude in force at step k is the last event's with index <= k.
     """
 
     i_ref: float = 4.0
@@ -135,13 +135,14 @@ class ReferenceProfile:
             raise ValueError("i_ref must be non-negative")
         if not (0 <= self.theta_on < self.theta_off):
             raise ValueError("need 0 <= theta_on < theta_off")
+        steps = [k for k, _ in self.step_events]
+        if steps != sorted(steps):
+            raise ValueError(f"step events must be in step order, got steps {steps}")
 
     def amplitude_at(self, k: int) -> float:
-        amp = self.i_ref
-        for idx, value in self.step_events:
-            if idx <= k:
-                amp = value
-        return amp
+        # events at equal steps: the last one wins
+        n = bisect_right(self.step_events, (k, math.inf))
+        return self.step_events[n - 1][1] if n else self.i_ref
 
 
 def _axis_locate(nodes: list, value: float, wrap: bool):

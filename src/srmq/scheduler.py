@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .plant import (InductanceSurface, MotorParams, _corners, _locate,
                     _weights, frozen_dynamics)
 from .qlearn import NUM_PARAMS, DataTuple, QKernel, QTrainConfig
 
-TABLE_FORMAT_VERSION = 1
+TABLE_FORMAT_VERSION = 2
 
 
 class TableTrainError(RuntimeError):
@@ -49,7 +49,7 @@ class SafetyAbortError(RuntimeError):
 
 
 class TableMismatchError(ValueError):
-    """Table file was trained against different motor parameters."""
+    """Table file was trained against a different motor or surface."""
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,6 @@ class TableTrainConfig:
     tuples_per_iter: int = 6
     tol: float = 1e-4
     max_iters: int = 100
-    tau: float = 1e6               # RLS covariance init during training
     online_tau: float = 1e3        # RLS covariance init for online refinement
     gain_clamp: float = 0.02       # max relative gain change per online update
     safety_factor: float = 3.0     # abort when |x| exceeds this times nominal
@@ -87,15 +86,16 @@ class CellLocation:
 
 @dataclass
 class QCoreTable:
-    """Grid of trained kernels, cached greedy gains, and per-core RLS state.
+    """Grid of trained kernels (gains derived) and per-core RLS state.
 
     Kernels are stored as 6-vectors in QKernel.to_vec order; they are
-    validated here and on every accepted online update, never per control
-    step.  The node grids are fixed once built; the nodes and the kernels
-    are also kept as (nested) lists of Python floats, which the per-step
-    read uses.  Single writer (update_core_online, which also refreshes the
-    kernel list of the core it changes), many readers; an update replaces
-    a whole core at once so readers never see a half-written kernel.
+    validated here (G_uu > 0) and on every accepted online update, never
+    per control step.  The node grids are fixed once built; the nodes and
+    the kernels are also kept as (nested) lists of Python floats, which the
+    per-step read uses.  Single writer (update_core_online, which also
+    refreshes the kernel list of the core it changes), many readers; an
+    update replaces a whole core at once so readers never see a
+    half-written kernel.
     """
 
     theta_nodes: np.ndarray
@@ -103,11 +103,8 @@ class QCoreTable:
     kernels: np.ndarray             # (n_theta, n_current, 6)
     cfg: TableTrainConfig
     params_hash: str
-    gains: np.ndarray = None        # (n_theta, n_current, 2)
-    covariance: np.ndarray = None   # (n_theta, n_current, 6, 6) RLS covariance
     iterations: np.ndarray = None   # training iterations per core
-    fallback_count: int = 0
-    clamped_updates: int = 0
+    covariance: np.ndarray = field(init=False, repr=False)  # (.., 6, 6), online_tau*I
 
     def __post_init__(self):
         self.theta_nodes = np.asarray(self.theta_nodes, float)
@@ -122,21 +119,22 @@ class QCoreTable:
             raise ValueError("core grid shape must match the node grids")
         if not np.all(np.isfinite(self.kernels)):
             raise ValueError("kernel entries must be finite")
-        if self.gains is None:
-            G_uu = self.kernels[..., 5:]
-            if np.any(G_uu <= 0):
-                raise qlearn.ExcitationError(
-                    "a core has a non-positive G_uu; kernel is not a valid "
-                    "action value (insufficient excitation)")
-            self.gains = self.kernels[..., [2, 4]] / G_uu
-        if self.covariance is None:
-            self.covariance = np.tile(self.cfg.online_tau * np.eye(NUM_PARAMS),
-                                      (nt, ni, 1, 1))
+        if np.any(self.kernels[..., 5] <= 0):
+            raise qlearn.ExcitationError(
+                "a core has a non-positive G_uu; kernel is not a valid "
+                "action value (insufficient excitation)")
+        self.covariance = np.tile(self.cfg.online_tau * np.eye(NUM_PARAMS),
+                                  (nt, ni, 1, 1))
         if self.iterations is None:
             self.iterations = np.zeros((nt, ni), int)
         self._theta_list = self.theta_nodes.tolist()
         self._current_list = self.current_nodes.tolist()
         self._kernels_list = self.kernels.tolist()
+
+    @property
+    def gains(self) -> np.ndarray:
+        """(n_theta, n_current, 2) greedy gains [G_ux, G_ur] / G_uu."""
+        return self.kernels[..., [2, 4]] / self.kernels[..., 5:]
 
     @property
     def shape(self):
@@ -159,6 +157,13 @@ def _corner(table: QCoreTable, row: int, col: int, l1: float, l2: float):
     dr = 1 if (l1 > 0.5 and row + 1 < len(table._theta_list)) else 0
     dc = 1 if (l2 > 0.5 and col + 1 < len(table._current_list)) else 0
     return row + dr, col + dc
+
+
+def _core_gain(table: QCoreTable, cell):
+    """(k_x, k_r): the greedy gain of one core as Python floats, from the
+    kernel list (the same bits as QCoreTable.gains)."""
+    g = table._kernels_list[cell[0]][cell[1]]
+    return g[2] / g[5], g[4] / g[5]
 
 
 def _nearest_node(table: QCoreTable, theta: float, i: float):
@@ -193,8 +198,8 @@ def schedule(table: QCoreTable, theta: float, i: float):
     the nearest core, from one cell lookup, as Python floats and ints.
 
     Only the entries the gain needs (G_ux, G_ur, G_uu) are blended.  If the
-    blended input block is not positive, the nearest core's cached gain is
-    returned instead and the table's fallback_count goes up by one.
+    blended input block is not positive (subnormal G_uu can blend to 0),
+    the nearest core's gain is returned instead.  Reads never write.
     """
     row, col, l1, l2 = _locate(table._theta_list, table._current_list,
                                theta, i)
@@ -203,9 +208,7 @@ def schedule(table: QCoreTable, theta: float, i: float):
     g00, g10, g01, g11 = _corners(table._kernels_list, row, col)
     g_uu = w00 * g00[5] + w10 * g10[5] + w01 * g01[5] + w11 * g11[5]
     if g_uu <= 0:
-        table.fallback_count += 1
-        k_x, k_r = table.gains[cell].tolist()
-        return k_x, k_r, cell
+        return (*_core_gain(table, cell), cell)
     return ((w00 * g00[2] + w10 * g10[2] + w01 * g01[2] + w11 * g11[2]) / g_uu,
             (w00 * g00[4] + w10 * g10[4] + w01 * g01[4] + w11 * g11[4]) / g_uu,
             cell)
@@ -243,9 +246,13 @@ def _node_collector(A: float, B: float, cfg: TableTrainConfig,
     return collect
 
 
-def params_hash(params: MotorParams) -> str:
+def params_hash(params: MotorParams, surface: InductanceSurface) -> str:
+    """Fingerprint of what a table is trained against: the motor parameters
+    and the inductance surface (both grids and the values)."""
     payload = ",".join(f"{f.name}={getattr(params, f.name)!r}"
                        for f in fields(params))
+    payload += "".join(f";{grid.tolist()!r}" for grid in (
+        surface.theta_grid, surface.current_grid, surface.values))
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -294,37 +301,33 @@ def train_table(params: MotorParams, surface: InductanceSurface,
     if failures:
         raise TableTrainError(failures, iters.size)
     return QCoreTable(theta_nodes, current_nodes, kernels, cfg,
-                      params_hash(params), iterations=iters)
+                      params_hash(params, surface), iterations=iters)
 
 
-def update_core_online(table: QCoreTable, tup: DataTuple,
-                       theta: float, i: float) -> bool:
-    """One RLS step on the nearest core from a live-trajectory tuple.
+def update_core_online(table: QCoreTable, tup: DataTuple, cell) -> bool:
+    """One RLS step on the core at cell = (row, col), the nearest core that
+    schedule returned, from a live-trajectory tuple.
 
     The refreshed gain is rate-limited: an update that would move the
     core's gain by more than the configured clamp (or make its input
-    block non-positive) is rejected outright, which keeps the cached
-    gain exactly consistent with the stored kernel.  Returns True if the
-    update was applied.
+    block non-positive) is rejected outright, leaving the table as it was.
+    Returns True if the update was applied.
     """
-    a, b = _nearest_node(table, theta, i)
+    a, b = cell
     row = qlearn.sym_features(tup.M_k) - table.cfg.gamma * qlearn.sym_features(tup.M_k1)
     g, eta = qlearn._rls_step(table.kernels[a, b], table.covariance[a, b],
                               row, tup.stage_cost)
     if g[5] <= 0:
-        table.clamped_updates += 1
         return False
     K_new = np.array([g[2], g[4]]) / g[5]
-    K_old = table.gains[a, b]
+    K_old = np.array(_core_gain(table, cell))
     if np.linalg.norm(K_new - K_old) > table.cfg.gain_clamp * (1 + np.linalg.norm(K_old)):
-        table.clamped_updates += 1
         return False
     if not np.all(np.isfinite(g)):
         raise ValueError("kernel entries must be finite")
     table.kernels[a, b] = g
     table._kernels_list[a][b] = g.tolist()
     table.covariance[a, b] = eta
-    table.gains[a, b] = K_new
     return True
 
 
@@ -347,12 +350,13 @@ def save_table(table: QCoreTable, path) -> None:
 
 
 def load_table(path) -> QCoreTable:
-    """Load a table written by save_table; gains and RLS state are rebuilt."""
+    """Load a table written by save_table; the RLS state is rebuilt."""
     try:
         with open(path) as f:
             doc = json.load(f)
         if doc.get("version") != TABLE_FORMAT_VERSION:
-            raise ValueError(f"unsupported table format version {doc.get('version')}")
+            raise ValueError(f"{path}: table format version {doc.get('version')!r}"
+                             f" is not {TABLE_FORMAT_VERSION}; retrain the table")
         cfg_kwargs = dict(doc["cfg"])
         cfg_kwargs["K0"] = tuple(cfg_kwargs["K0"])
         cfg = TableTrainConfig(**cfg_kwargs)
@@ -360,15 +364,16 @@ def load_table(path) -> QCoreTable:
                           np.array(doc["current_nodes"]),
                           doc["cores"], cfg, doc["params_hash"],
                           iterations=np.array(doc["iterations"], int))
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (AttributeError, KeyError, TypeError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: malformed table file ({exc})") from exc
     except qlearn.ExcitationError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def check_table_compatible(table: QCoreTable, params: MotorParams) -> None:
-    expected = params_hash(params)
+def check_table_compatible(table: QCoreTable, params: MotorParams,
+                           surface: InductanceSurface) -> None:
+    expected = params_hash(params, surface)
     if table.params_hash != expected:
         raise TableMismatchError(
-            f"table was trained for motor hash {table.params_hash}, "
+            f"table was trained for motor/surface hash {table.params_hash}, "
             f"config gives {expected}; retrain or fix the config")

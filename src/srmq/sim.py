@@ -42,7 +42,6 @@ class Scenario:
     online_learning: bool = False
     dither: float = 0.0            # exploration voltage during online learning, V
     r_scale: float = 1.0           # deliberate plant-resistance mismatch factor
-    fixed_core: tuple | None = None  # (row, col) for the single-qcore controller
     delta_band: float = 0.0        # hysteresis band for the baseline, A
 
     def __post_init__(self):
@@ -130,14 +129,6 @@ def delta_modulation_step(x: float, r: float, V_dc: float,
     return 0.0
 
 
-def _fixed_core_index(table: QCoreTable, scenario: Scenario):
-    if scenario.fixed_core is not None:
-        return tuple(scenario.fixed_core)
-    ref = scenario.reference
-    mid = (ref.theta_on + ref.theta_off) / 2
-    return scheduler._nearest_node(table, mid, ref.i_ref)
-
-
 def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None) -> SimTrace:
     """Run the scenario; deterministic for a fixed seed.
 
@@ -161,8 +152,10 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None) -> SimT
     n = scenario.steps
     i_limit = cfg.safety_factor * params.i_nominal
     if scenario.controller == "single-qcore":
-        single = _fixed_core_index(table, scenario)
-        single_K = table.gains[single].tolist()
+        # the core nearest the middle of the conduction window at i_ref
+        single = scheduler._nearest_node(
+            table, (profile.theta_on + profile.theta_off) / 2, profile.i_ref)
+        single_K = scheduler._core_gain(table, single)
 
     rec = {name: np.zeros(n) for name in ("theta", "r", "x", "u", "cost")}
     K_rec = np.zeros((n, 2))
@@ -222,12 +215,12 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None) -> SimT
             # not its shape, and would drag the gain around
             transient = r > 0 and abs(x - r) >= SETTLE_FRACTION * r
             if transient and r_next == r and state.x > 0.0:
-                g_x, g_r = table.gains[cell].tolist()
+                g_x, g_r = scheduler._core_gain(table, cell)
                 u_next = -(g_x * state.x + g_r * r_next)
                 tup = qlearn.DataTuple(np.array([x, r, u]),
                                        np.array([state.x, r_next, u_next]),
                                        rec["cost"][k])
-                scheduler.update_core_online(table, tup, theta, x)
+                scheduler.update_core_online(table, tup, cell)
 
     return finish(n)
 

@@ -7,7 +7,7 @@ import pytest
 
 from srmq.cli import (EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_OK, EXIT_SAFETY,
                       REFERENCE_GAIN, default_config, load_config, main)
-from srmq.plant import MotorParams
+from srmq.plant import MotorParams, default_surface
 from srmq.qlearn import QKernel
 from srmq.scheduler import (QCoreTable, TableTrainConfig, load_table,
                             params_hash, save_table)
@@ -48,14 +48,17 @@ def small_table(tmp_path, small_cfg):
 
 @pytest.fixture
 def runaway_table(tmp_path):
-    """One positive-feedback core (K = [-50, -50]) for the default motor."""
+    """One positive-feedback core (K = [-50, -50]) for the default motor and
+    the SMALL surface."""
     G = np.zeros((3, 3))
     G[0, 2] = G[2, 0] = G[1, 2] = G[2, 1] = -50.0
     G[2, 2] = 1.0
     path = tmp_path / "runaway.json"
     save_table(QCoreTable(np.array([0.0]), np.array([0.0]),
                           [[QKernel(G).to_vec()]], TableTrainConfig(),
-                          params_hash(MotorParams())), path)
+                          params_hash(MotorParams(),
+                                      default_surface(MotorParams(), n_theta=5))),
+               path)
     return str(path)
 
 
@@ -100,6 +103,16 @@ class TestConfig:
         assert main(["--config", str(path), "run", "--table", small_table,
                      "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert "speed must be positive" in capsys.readouterr().err
+
+    def test_out_of_order_events_rejected(self, tmp_path, small_table, capsys):
+        path = tmp_path / "order.ini"
+        path.write_text(SMALL.replace("duration_cycles = 2",
+                                      "duration_cycles = 2\nevents = 100:5.0, 50:3.0"))
+        assert main(["--config", str(path), "run", "--table", small_table,
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()]
+        assert "invalid scenario: step events must be in step order" in err
 
     def test_zero_duration_rejected(self, tmp_path, small_table):
         path = tmp_path / "zero.ini"
@@ -298,6 +311,33 @@ class TestRun:
         other.write_text(SMALL + "\n[motor]\nr_phase = 2.5\n")
         assert main(["--config", str(other), "run", "--table", small_table,
                      "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_surface_mismatch_exits_2(self, tmp_path, small_table, command,
+                                      capsys):
+        # the table was trained on the kappa = 0.5 surface
+        other = tmp_path / "other.ini"
+        other.write_text(SMALL.replace("n_theta = 5", "n_theta = 5\nkappa = 0.95",
+                                       1))
+        assert main(["--config", str(other), command, "--table", small_table,
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()]
+        assert "retrain or fix the config" in err
+
+    def test_version_1_table_exits_2_with_retrain(self, tmp_path, small_cfg,
+                                                   small_table, capsys):
+        # format 1 carried a [training] tau entry in the table's config
+        doc = json.loads(Path(small_table).read_text())
+        doc["version"] = 1
+        doc["cfg"]["tau"] = 1e6
+        old = tmp_path / "format1.json"
+        old.write_text(json.dumps(doc))
+        assert main(["--config", small_cfg, "run", "--table", str(old),
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()]
+        assert str(old) in err and "retrain" in err
 
     def test_jsonl_format(self, tmp_path, small_cfg, small_table):
         out = tmp_path / "out"

@@ -262,6 +262,26 @@ class TestReference:
         assert reference_at(prof, 20.0, 500) == 5.5
         assert reference_at(prof, 20.0, 10_000) == 5.5
 
+    def test_out_of_order_events_rejected(self):
+        with pytest.raises(ValueError, match="step order"):
+            ReferenceProfile(step_events=((100, 5.0), (50, 3.0)))
+
+    @given(i_ref=st.floats(0, 10),
+           events=st.lists(st.tuples(st.integers(-5, 60), st.floats(0, 10)),
+                           max_size=8),
+           k=st.integers(-10, 70))
+    @settings(max_examples=300, deadline=None)
+    def test_amplitude_matches_linear_scan(self, i_ref, events, k):
+        # a stable sort on the step alone leaves repeated steps in drawn
+        # order, so the amplitudes at one step are in no particular order
+        events = sorted(events, key=lambda e: e[0])
+        prof = ReferenceProfile(i_ref, 10.0, 35.0, step_events=events)
+        amp = i_ref
+        for idx, value in events:
+            if idx <= k:
+                amp = value
+        assert prof.amplitude_at(k) == amp
+
     @given(theta=st.floats(0, 45), k=st.integers(0, 10**6))
     @settings(max_examples=200, deadline=None)
     def test_zero_outside_window_for_all_k(self, theta, k):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from srmq import lqt, scheduler
-from srmq.plant import MotorParams, ReferenceProfile, inductance_at
+from srmq.plant import (MotorParams, ReferenceProfile, default_surface,
+                        inductance_at)
 from srmq.qlearn import (DataTuple, QKernel, RlsState, rls_update, stage_cost,
                          sym_features)
 from srmq.scheduler import (CellLocation, QCoreTable, TableMismatchError,
@@ -53,53 +54,79 @@ def blend_oracle(table, theta, i):
 def reference_scheduled_gain(table, theta, i):
     """The numpy scheduled read: locate, the nearest-corner rule, the numpy
     blend of the whole 6-vector and g[[2, 4]] / g[5], or the nearest core's
-    cached gain when the blended G_uu <= 0.  (K, cell, fell back?)."""
+    derived gain when the blended G_uu <= 0.  (K, cell, fell back?)."""
     loc = locate(table, theta, i)
     cell = _corner(table, loc.row, loc.col, loc.l1, loc.l2)
     g = reference_blend(table.kernels, loc.row, loc.col, loc.l1, loc.l2)
     if g[5] <= 0:
-        return table.gains[cell].copy(), cell, True
+        return table.gains[cell], cell, True
     return g[[2, 4]] / g[5], cell, False
 
 
-def reference_update_core_online(table, tup, theta, i):
-    """update_core_online through the public, validated RLS path."""
-    loc = locate(table, theta, i)
-    a, b = _corner(table, loc.row, loc.col, loc.l1, loc.l2)
+def reference_update_core_online(table, tup, cell):
+    """update_core_online through the public, validated RLS path and the
+    numpy gains."""
     row = sym_features(tup.M_k) - table.cfg.gamma * sym_features(tup.M_k1)
-    state = rls_update(RlsState(table.kernels[a, b], table.covariance[a, b]),
+    state = rls_update(RlsState(table.kernels[cell], table.covariance[cell]),
                        row, tup.stage_cost)
     g = state.g_vec
     if g[5] <= 0:
-        table.clamped_updates += 1
         return False
     K_new = np.array([g[2], g[4]]) / g[5]
-    K_old = table.gains[a, b]
+    K_old = table.gains[cell]
     if np.linalg.norm(K_new - K_old) > table.cfg.gain_clamp * (1 + np.linalg.norm(K_old)):
-        table.clamped_updates += 1
         return False
-    table.kernels[a, b] = g
-    table.covariance[a, b] = state.eta
-    table.gains[a, b] = K_new
+    table.kernels[cell] = g
+    table.covariance[cell] = state.eta
     return True
+
+
+def table_state(table):
+    """Every attribute of a table, arrays as bytes: equal before and after
+    a read that leaves the table alone."""
+    return {name: value.tobytes() if isinstance(value, np.ndarray)
+            else copy.deepcopy(value) for name, value in vars(table).items()}
+
+
+SUBNORMAL = 5e-324
+
+
+def subnormal_cores(kernels, mask):
+    """Kernels with the cores under mask given a subnormal G_uu (and
+    subnormal G_ux, G_ur, so that their gains stay finite): still valid,
+    but a blend of them can round G_uu to 0."""
+    kernels = kernels.copy()
+    for j, scale in ((2, 1e-321), (4, 1e-321)):
+        kernels[..., j] = np.where(mask, kernels[..., j] * scale, kernels[..., j])
+    kernels[..., 5] = np.where(mask, SUBNORMAL, kernels[..., 5])
+    return kernels
+
+
+def cell_middle(nodes):
+    """The middle between two neighbouring nodes (the node itself on a
+    one-node axis), where every bilinear weight is about 1/4 or 1/2."""
+    return st.sampled_from([(a + b) / 2 for a, b in zip(nodes, nodes[1:])]
+                           or nodes)
 
 
 @st.composite
 def table_and_point(draw):
-    """A random table, 1xN and Nx1 grids included, optionally with
-    indefinite input blocks (cached gains supplied), and a point on a node,
-    wrapped in theta, clamped in current, or anywhere; the point may come
-    as numpy scalars."""
+    """A random valid table, 1xN and Nx1 grids included, optionally with
+    some or all cores at a subnormal G_uu (which reaches the fallback), and
+    a point on a node, wrapped in theta, clamped in current, in the middle
+    of a cell, or anywhere; the point may come as numpy scalars."""
     rng = np.random.default_rng(draw(st.integers(0, 10_000)))
     nt, ni = draw(st.sampled_from([(1, 1), (1, 4), (4, 1), (2, 2), (3, 5)]))
     t = random_table(rng, nt, ni)
-    if draw(st.booleans()):
-        kernels = t.kernels.copy()
-        kernels[..., 5] = rng.uniform(-1.0, 2.0, (nt, ni))
-        t = QCoreTable(t.theta_nodes, t.current_nodes, kernels, t.cfg, "h",
-                       gains=rng.uniform(-200, 200, (nt, ni, 2)))
-    theta = draw(point_near(t.theta_nodes.tolist(), wrap=True))
-    i = draw(point_near(t.current_nodes.tolist(), wrap=False))
+    share = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    if share:
+        mask = rng.random((nt, ni)) < share
+        t = QCoreTable(t.theta_nodes, t.current_nodes,
+                       subnormal_cores(t.kernels, mask), t.cfg, "h")
+    theta = draw(st.one_of(point_near(t.theta_nodes.tolist(), wrap=True),
+                           cell_middle(t.theta_nodes.tolist())))
+    i = draw(st.one_of(point_near(t.current_nodes.tolist(), wrap=False),
+                       cell_middle(t.current_nodes.tolist())))
     if draw(st.booleans()):
         theta, i = np.float64(theta), np.float64(i)
     return t, theta, i
@@ -110,12 +137,12 @@ class TestSchedule:
     @settings(max_examples=500, deadline=None)
     def test_matches_numpy_reference(self, case):
         t, theta, i = case
-        K_ref, cell_ref, fell_back = reference_scheduled_gain(t, theta, i)
-        before = t.fallback_count
+        K_ref, cell_ref, _ = reference_scheduled_gain(t, theta, i)
+        before = table_state(t)
         k_x, k_r, cell = schedule(t, theta, i)
         assert np.array([k_x, k_r]).tobytes() == K_ref.tobytes()
         assert cell == cell_ref
-        assert t.fallback_count == before + fell_back
+        assert table_state(t) == before
         # numpy scalars here would silently double the cost of a step
         assert type(k_x) is float and type(k_r) is float
         assert type(cell[0]) is int and type(cell[1]) is int
@@ -129,16 +156,21 @@ class TestSchedule:
                                                 loc.l1, loc.l2)).G
         assert scheduled_q(t, theta, i).G.tobytes() == want.tobytes()
 
-    def test_fallback_counts_once_per_read(self):
-        G_neg = np.diag([1.0, 1.0, -1.0])
-        G_pos = np.diag([1.0, 1.0, 3.0])
+    def test_fallback_leaves_table_unchanged(self):
+        # two valid cores with G_uu = 5e-324: at l2 = 0.5 each weight is 0.5
+        # and 0.5 * 5e-324 rounds to 0, so the blended G_uu is 0
         t = QCoreTable(np.array([0.0]), np.array([0.0, 4.0]),
-                       [[QKernel(G_neg).to_vec(), QKernel(G_pos).to_vec()]],
-                       TableTrainConfig(), "h",
-                       gains=np.array([[[1.0, -1.0], [2.0, -2.0]]]))
-        assert schedule(t, 0.0, 0.4) == (1.0, -1.0, (0, 0))   # G_uu = -0.6
-        assert schedule(t, 0.0, 3.6) == (0.0, 0.0, (0, 1))    # G_uu = 2.6
-        assert t.fallback_count == 1
+                       [[[1.0, 0.0, 1e-321, 1.0, -1e-321, SUBNORMAL],
+                         [1.0, 0.0, 2e-321, 1.0, -3e-321, SUBNORMAL]]],
+                       TableTrainConfig(), "h")
+        before = table_state(t)
+        assert schedule(t, 0.0, 2.0) == (*t.gains[0, 0].tolist(), (0, 0))
+        assert reference_scheduled_gain(t, 0.0, 2.0)[2]     # fell back
+        assert np.array_equal(scheduled_gain(t, 0.0, 2.0), t.gains[0, 0])
+        k_x, k_r, cell = schedule(t, 0.0, 3.6)             # G_uu = 5e-324
+        assert not reference_scheduled_gain(t, 0.0, 3.6)[2]
+        assert cell == (0, 1)
+        assert table_state(t) == before
 
 
 class TestMirrors:
@@ -153,22 +185,46 @@ class TestMirrors:
         ref = copy.deepcopy(fresh_table)
         updates = []
 
-        def recording(table, tup, theta, i):
-            applied = update_core_online(table, tup, theta, i)
-            updates.append((tup, theta, i, applied))
+        def recording(table, tup, cell):
+            applied = update_core_online(table, tup, cell)
+            updates.append((tup, cell, applied))
             return applied
 
         monkeypatch.setattr(scheduler, "update_core_online", recording)
         run_closed_loop(scenario, fresh_table)
         accepted = sum(applied for *_, applied in updates)
         assert 0 < accepted < len(updates)
-        for tup, theta, i, applied in updates:
-            assert reference_update_core_online(ref, tup, theta, i) == applied
+        for tup, cell, applied in updates:
+            assert reference_update_core_online(ref, tup, cell) == applied
         t = fresh_table
         assert t._kernels_list == t.kernels.tolist()
-        assert t.clamped_updates == ref.clamped_updates == len(updates) - accepted
         for name in ("kernels", "gains", "covariance"):
             assert getattr(t, name).tobytes() == getattr(ref, name).tobytes()
+
+    def test_learning_run_locates_once_per_step(self, params, surface,
+                                                fresh_table, monkeypatch):
+        # the online update works on the core that schedule located
+        locates, updates = [], []
+        locate_once = scheduler._locate
+        update = scheduler.update_core_online
+
+        def counting_locate(*args):
+            locates.append(args)
+            return locate_once(*args)
+
+        def counting_update(*args):
+            updates.append(args)
+            return update(*args)
+
+        monkeypatch.setattr(scheduler, "_locate", counting_locate)
+        monkeypatch.setattr(scheduler, "update_core_online", counting_update)
+        scenario = Scenario(motor=params, surface=surface,
+                            reference=ReferenceProfile(), dither=5.0,
+                            duration=2 * params.steps_per_cycle,
+                            online_learning=True)
+        run_closed_loop(scenario, fresh_table)
+        assert len(updates) > 0
+        assert len(locates) == scenario.steps
 
 
 class TestLocate:
@@ -291,17 +347,20 @@ class TestScheduledGain:
         assert np.allclose(K, k.G_uX / k.G_uu)
 
     def test_fallback_on_indefinite_blend(self):
-        # hand-built cores whose blended input block crosses zero; cached
-        # gains are supplied directly so construction does not reject them
-        G_neg = np.diag([1.0, 1.0, -1.0])
-        G_pos = np.diag([1.0, 1.0, 3.0])
-        gains = np.array([[[1.0, -1.0], [2.0, -2.0]]])
-        t = QCoreTable(np.array([0.0]), np.array([0.0, 4.0]),
-                       [[QKernel(G_neg).to_vec(), QKernel(G_pos).to_vec()]],
-                       TableTrainConfig(), "h", gains=gains.copy())
-        K = scheduled_gain(t, 0.0, 0.4)   # l2 = 0.1, G_uu = -0.6
-        assert t.fallback_count == 1
-        assert np.array_equal(K, gains[0, 0])
+        # valid cores whose subnormal input blocks blend to G_uu = 0 at
+        # l1 = l2 = 0.5 (every weight 0.25): the nearest core's gain is used
+        rng = np.random.default_rng(3)
+        base = random_table(rng, 2, 2)
+        t = QCoreTable(base.theta_nodes, base.current_nodes,
+                       subnormal_cores(base.kernels, np.ones((2, 2), bool)),
+                       base.cfg, "h")
+        theta = float(t.theta_nodes.mean())
+        i = float(t.current_nodes.mean())
+        assert scheduled_q(t, theta, i).G_uu == 0.0
+        K = scheduled_gain(t, theta, i)
+        cell = schedule(t, theta, i)[2]
+        assert np.array_equal(K, t.gains[cell])
+        assert np.all(np.isfinite(K))
 
 
 class TestTrainTable:
@@ -369,14 +428,12 @@ class TestOnlineUpdate:
         # Bellman residual, so the update must not move the gain
         t = fresh_table
         A, B = self._node_model(params, surface, t, 2, 3)
-        theta = float(t.theta_nodes[2])
-        i = float(t.current_nodes[3])
         before = t.gains[2, 3].copy()
         rng = np.random.default_rng(0)
         for _ in range(20):
             x, r = rng.uniform(0, 6), rng.uniform(1, 5)
             u = -(before[0] * x + before[1] * r) + 15 * rng.uniform(-1, 1)
-            update_core_online(t, self._make_tuple(t, A, B, x, r, u), theta, i)
+            update_core_online(t, self._make_tuple(t, A, B, x, r, u), (2, 3))
         assert np.allclose(t.gains[2, 3], before, atol=1e-6)
 
     def test_adapts_to_resistance_drift(self, params, surface, fresh_table):
@@ -389,8 +446,6 @@ class TestOnlineUpdate:
         A, B = 1 - params.T * R_hot / L, params.T / L
         m = lqt.build_augmented(A, B)
         K_star = lqt.optimal_gain(lqt.are_fixed_point(m), m)
-        theta = float(t.theta_nodes[2])
-        i = float(t.current_nodes[3])
 
         err0 = np.linalg.norm(t.gains[2, 3] - K_star)
         rng = np.random.default_rng(1)
@@ -398,22 +453,18 @@ class TestOnlineUpdate:
             x, r = rng.uniform(0, 6), rng.uniform(1, 5)
             K = t.gains[2, 3]
             u = -(K[0] * x + K[1] * r) + 15 * rng.uniform(-1, 1)
-            update_core_online(t, self._make_tuple(t, A, B, x, r, u), theta, i)
+            update_core_online(t, self._make_tuple(t, A, B, x, r, u), (2, 3))
         err1 = np.linalg.norm(t.gains[2, 3] - K_star)
         assert err1 < 0.05 * err0
 
     def test_destabilizing_update_rejected(self, fresh_table):
         t = fresh_table
-        theta = float(t.theta_nodes[2])
-        i = float(t.current_nodes[3])
-        before = t.gains[2, 3].copy()
-        rejected_before = t.clamped_updates
+        before = table_state(t)
         # wildly inconsistent target: huge cost at a tiny feature row
         tup = DataTuple((0.1, 0.1, 0.1), (0.0, 0.1, 0.0), 1e7)
-        applied = update_core_online(t, tup, theta, i)
+        applied = update_core_online(t, tup, (2, 3))
         assert not applied
-        assert t.clamped_updates == rejected_before + 1
-        assert np.array_equal(t.gains[2, 3], before)
+        assert table_state(t) == before
 
 
 class TestPersistence:
@@ -438,6 +489,12 @@ class TestPersistence:
         with pytest.raises(ValueError):
             load_table(path)
 
+    def test_non_object_file_rejected(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ValueError, match="malformed table file"):
+            load_table(path)
+
     def test_wrong_version_rejected(self, trained_table, tmp_path):
         import json
         path = tmp_path / "table.json"
@@ -460,19 +517,30 @@ class TestPersistence:
 
 
 class TestCompatibility:
-    def test_hash_is_stable(self, params):
-        assert params_hash(params) == params_hash(MotorParams())
+    def test_hash_is_stable(self, params, surface):
+        assert params_hash(params, surface) == params_hash(
+            MotorParams(), default_surface(MotorParams()))
 
-    def test_hash_changes_with_params(self, params):
+    def test_hash_changes_with_params(self, params, surface):
         from dataclasses import replace
-        assert params_hash(params) != params_hash(replace(params, R_phase=2.2))
+        assert params_hash(params, surface) != params_hash(
+            replace(params, R_phase=2.2), surface)
 
-    def test_mismatch_raises(self, trained_table, params):
+    def test_hash_changes_with_surface(self, params, surface):
+        assert params_hash(params, surface) != params_hash(
+            params, default_surface(params, kappa=0.95))
+        assert params_hash(params, surface) != params_hash(
+            params, default_surface(params, n_current=9))
+
+    def test_mismatch_raises(self, trained_table, params, surface):
         from dataclasses import replace
-        check_table_compatible(trained_table, params)
+        check_table_compatible(trained_table, params, surface)
         with pytest.raises(TableMismatchError):
             check_table_compatible(trained_table,
-                                   replace(params, L_aligned=17e-3))
+                                   replace(params, L_aligned=17e-3), surface)
+        with pytest.raises(TableMismatchError):
+            check_table_compatible(trained_table, params,
+                                   default_surface(params, kappa=0.95))
 
 
 class TestTableValidation:
