@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import lqt, scheduler, sim
-from .plant import (MotorParams, ReferenceProfile, default_surface,
-                    frozen_dynamics, load_surface_csv)
+from .plant import (MotorParams, ReferenceProfile, _require_bound,
+                    default_surface, frozen_dynamics, load_surface_csv)
 from .scheduler import (SafetyAbortError, TableMismatchError, TableTrainError,
                         TableTrainConfig)
 
@@ -85,7 +85,10 @@ def default_config() -> configparser.ConfigParser:
 def load_config(path=None) -> configparser.ConfigParser:
     cp = default_config()
     if path is not None:
-        read = cp.read(path)
+        try:
+            read = cp.read(path)
+        except configparser.Error as exc:
+            raise ConfigError(f"config file {path}: {exc}") from exc
         if not read:
             raise ConfigError(f"config file {path} not found")
         for section in cp.sections():
@@ -132,10 +135,17 @@ def _surface(cp, params: MotorParams):
 
 def _grid(cp, params: MotorParams):
     g = cp["grid"]
+    n_theta, n_current = g.getint("n_theta"), g.getint("n_current")
     i_max = g.getfloat("i_max") if g["i_max"] else 1.5 * params.i_nominal
-    theta = np.linspace(0.0, params.rotor_pitch, g.getint("n_theta"))
-    current = np.linspace(0.0, i_max, g.getint("n_current"))
-    return theta, current
+    try:
+        for key, n in (("n_theta", n_theta), ("n_current", n_current)):
+            if n < 1:
+                raise ValueError(f"{key} must be at least 1, got {n}")
+        _require_bound("i_max", i_max, positive=True)
+    except ValueError as exc:
+        raise ConfigError(f"invalid grid: {exc}") from exc
+    return (np.linspace(0.0, params.rotor_pitch, n_theta),
+            np.linspace(0.0, i_max, n_current))
 
 
 def _train_cfg(cp) -> TableTrainConfig:

@@ -18,6 +18,15 @@ import numpy as np
 RPM_TO_DEG_PER_S = 6.0
 
 
+def _require_bound(name: str, value: float, positive: bool = False) -> None:
+    """Raise ValueError naming `name` unless `value` is finite and >= 0
+    (> 0 if `positive`); written so that nan fails too."""
+    ok = value > 0 if positive else value >= 0
+    if not (ok and math.isfinite(value)):
+        bound = "positive" if positive else "non-negative"
+        raise ValueError(f"{name} must be {bound} and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MotorParams:
     """Electrical and kinematic parameters of one SRM phase."""
@@ -32,20 +41,10 @@ class MotorParams:
     i_nominal: float = 5.0      # rated current, A
 
     def __post_init__(self):
-        if not (self.R_phase > 0):
-            raise ValueError("R_phase must be positive")
-        if not (self.T > 0):
-            raise ValueError("sample period must be positive")
+        for name in ("R_phase", "T", "rotor_pitch", "speed", "V_dc", "i_nominal"):
+            _require_bound(name, getattr(self, name), positive=True)
         if not (0 < self.L_unaligned < self.L_aligned):
             raise ValueError("need 0 < L_unaligned < L_aligned")
-        if not (self.rotor_pitch > 0):
-            raise ValueError("rotor_pitch must be positive")
-        if not (self.speed > 0):
-            raise ValueError("speed must be positive")
-        if not (self.V_dc > 0):
-            raise ValueError("V_dc must be positive")
-        if not (self.i_nominal > 0):
-            raise ValueError("i_nominal must be positive")
 
     @property
     def deg_per_step(self) -> float:
@@ -103,19 +102,6 @@ class InductanceSurface:
 
 
 @dataclass(frozen=True)
-class PhaseState:
-    """Phase current and rotor angle at step k."""
-
-    x: float = 0.0       # phase current, A
-    theta: float = 0.0   # mechanical angle, deg, in [0, rotor_pitch)
-    k: int = 0
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("step index must be non-negative")
-
-
-@dataclass(frozen=True)
 class ReferenceProfile:
     """Square-pulse current reference over the conduction window.
 
@@ -131,8 +117,9 @@ class ReferenceProfile:
     def __post_init__(self):
         object.__setattr__(self, "step_events",
                            tuple((int(k), float(a)) for k, a in self.step_events))
-        if self.i_ref < 0:
-            raise ValueError("i_ref must be non-negative")
+        _require_bound("i_ref", self.i_ref)
+        for k, amplitude in self.step_events:
+            _require_bound(f"event amplitude at step {k}", amplitude)
         if not (0 <= self.theta_on < self.theta_off):
             raise ValueError("need 0 <= theta_on < theta_off")
         steps = [k for k, _ in self.step_events]
@@ -229,21 +216,21 @@ def default_surface(params: MotorParams, n_theta: int = 16, n_current: int = 8,
     return InductanceSurface(theta, current, values)
 
 
-def step_phase(state: PhaseState, u: float, params: MotorParams,
-               surface: InductanceSurface) -> PhaseState:
-    """Advance the phase one sample under applied voltage u.
+def step_phase(x: float, theta: float, u: float, params: MotorParams,
+               surface: InductanceSurface):
+    """(x', theta'): the phase current and rotor angle one sample on under
+    applied voltage u.
 
-    x' = (1 - T*R/L) x + (T/L) u with L evaluated at the current operating
-    point; the current is clamped at zero (the asymmetric bridge cannot
-    drive it negative) and the rotor advances at constant speed.
+    x' = A x + B u with A, B from frozen_dynamics at (theta, x), the model
+    each Q-core is trained against; the current is clamped at zero (the
+    asymmetric bridge cannot drive it negative) and the rotor advances at
+    constant speed.
     """
     if not math.isfinite(u):
         raise ValueError("applied voltage must be finite")
-    L = inductance_at(surface, state.theta, state.x)
-    x_next = (1 - params.T * params.R_phase / L) * state.x + params.T / L * u
-    x_next = max(0.0, x_next)
-    theta_next = (state.theta + params.deg_per_step) % params.rotor_pitch
-    return PhaseState(x=x_next, theta=theta_next, k=state.k + 1)
+    _, A, B = frozen_dynamics(params, surface, theta, x)
+    theta_next = (theta + params.deg_per_step) % params.rotor_pitch
+    return max(0.0, A * x + B * u), theta_next
 
 
 def reference_at(profile: ReferenceProfile, theta: float, k: int) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import qlearn
 from .plant import (InductanceSurface, MotorParams, _corners, _locate,
-                    _weights, frozen_dynamics)
+                    _require_bound, _weights, frozen_dynamics)
 from .qlearn import NUM_PARAMS, DataTuple, QKernel, QTrainConfig
 
 TABLE_FORMAT_VERSION = 2
@@ -68,6 +68,12 @@ class TableTrainConfig:
     gain_clamp: float = 0.02       # max relative gain change per online update
     safety_factor: float = 3.0     # abort when |x| exceeds this times nominal
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("q_weight", "dither"):
+            _require_bound(name, getattr(self, name))
+        for name in ("r_weight", "online_tau", "gain_clamp", "safety_factor"):
+            _require_bound(name, getattr(self, name), positive=True)
 
     def tracking_weight(self) -> np.ndarray:
         q = self.q_weight
@@ -355,7 +361,7 @@ def load_table(path) -> QCoreTable:
         with open(path) as f:
             doc = json.load(f)
         if doc.get("version") != TABLE_FORMAT_VERSION:
-            raise ValueError(f"{path}: table format version {doc.get('version')!r}"
+            raise ValueError(f"table format version {doc.get('version')!r}"
                              f" is not {TABLE_FORMAT_VERSION}; retrain the table")
         cfg_kwargs = dict(doc["cfg"])
         cfg_kwargs["K0"] = tuple(cfg_kwargs["K0"])
@@ -366,7 +372,8 @@ def load_table(path) -> QCoreTable:
                           iterations=np.array(doc["iterations"], int))
     except (AttributeError, KeyError, TypeError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: malformed table file ({exc})") from exc
-    except qlearn.ExcitationError as exc:
+    except (ValueError, qlearn.ExcitationError) as exc:
+        # a bad version, training config, grid or kernel; named by path
         raise ValueError(f"{path}: {exc}") from exc
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import qlearn, scheduler
-from .plant import (InductanceSurface, MotorParams, PhaseState,
-                    ReferenceProfile, reference_at, step_phase)
+from .plant import (InductanceSurface, MotorParams, ReferenceProfile,
+                    _require_bound, reference_at, step_phase)
 from .scheduler import QCoreTable, SafetyAbortError
 
 CONTROLLERS = ("scheduled-qlearning", "single-qcore", "delta-modulation")
@@ -50,10 +50,9 @@ class Scenario:
                              f"expected one of {CONTROLLERS}")
         if self.steps <= 0:
             raise ValueError("duration must be positive")
-        if self.dither < 0:
-            raise ValueError("dither must be non-negative")
-        if self.r_scale <= 0:
-            raise ValueError("r_scale must be positive")
+        _require_bound("dither", self.dither)
+        _require_bound("r_scale", self.r_scale, positive=True)
+        _require_bound("delta_band", self.delta_band)
 
     @property
     def steps(self) -> int:
@@ -161,7 +160,7 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None) -> SimT
     K_rec = np.zeros((n, 2))
     cell_rec = np.full((n, 2), -1, int)
 
-    state = PhaseState()
+    x = theta = 0.0
     learn = scenario.online_learning and scenario.controller == "scheduled-qlearning"
 
     def finish(m):
@@ -171,7 +170,6 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None) -> SimT
                         rec["cost"][:m])
 
     for k in range(n):
-        theta, x = state.theta, state.x
         r = reference_at(profile, theta, k)
 
         if scenario.controller == "delta-modulation":
@@ -197,30 +195,31 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None) -> SimT
         K_rec[k, 0], K_rec[k, 1] = k_x, k_r
         cell_rec[k, 0], cell_rec[k, 1] = cell
 
-        state = step_phase(state, u, plant_params, surface)
+        x_next, theta_next = step_phase(x, theta, u, plant_params, surface)
 
-        if state.x > i_limit:
+        if x_next > i_limit:
             err = SafetyAbortError(
-                f"current {state.x:.2f} A exceeded the {i_limit:.2f} A safety "
+                f"current {x_next:.2f} A exceeded the {i_limit:.2f} A safety "
                 f"bound at step {k}")
             err.trace = finish(k + 1)
             raise err
 
         if learn:
-            r_next = reference_at(profile, state.theta, k + 1)
+            r_next = reference_at(profile, theta_next, k + 1)
             # the tuple is only Bellman-consistent on flat reference
             # segments away from the zero-current clamp (a clamped step
             # lands on exactly 0.0); settled samples are skipped because a
             # steady operating point only constrains the kernel's level,
             # not its shape, and would drag the gain around
             transient = r > 0 and abs(x - r) >= SETTLE_FRACTION * r
-            if transient and r_next == r and state.x > 0.0:
+            if transient and r_next == r and x_next > 0.0:
                 g_x, g_r = scheduler._core_gain(table, cell)
-                u_next = -(g_x * state.x + g_r * r_next)
+                u_next = -(g_x * x_next + g_r * r_next)
                 tup = qlearn.DataTuple(np.array([x, r, u]),
-                                       np.array([state.x, r_next, u_next]),
+                                       np.array([x_next, r_next, u_next]),
                                        rec["cost"][k])
                 scheduler.update_core_online(table, tup, cell)
+        x, theta = x_next, theta_next
 
     return finish(n)
 

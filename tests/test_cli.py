@@ -1,3 +1,4 @@
+import configparser
 import json
 import warnings
 from pathlib import Path
@@ -113,6 +114,53 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.splitlines() == [err.strip()]
         assert "invalid scenario: step events must be in step order" in err
+
+    @pytest.mark.parametrize("section, key, value, named", [
+        ("training", "q_weight", "-1", "q_weight"),
+        ("training", "r_weight", "0", "r_weight"),
+        ("training", "online_tau", "-5", "online_tau"),
+        ("training", "gain_clamp", "-1", "gain_clamp"),
+        ("training", "dither_v", "nan", "dither"),
+        ("scenario", "dither_v", "nan", "dither"),
+        ("scenario", "delta_band", "-1", "delta_band"),
+        ("scenario", "i_ref", "nan", "i_ref"),
+        ("scenario", "r_scale", "nan", "r_scale"),
+        ("scenario", "events", "100:nan", "event amplitude"),
+        ("grid", "n_theta", "0", "n_theta"),
+        ("grid", "n_current", "-1", "n_current"),
+        ("grid", "i_max", "nan", "i_max"),
+    ])
+    def test_out_of_range_value_names_the_key(self, tmp_path, request, capsys,
+                                              section, key, value, named):
+        # the dataclass field behind [training] and [scenario] dither_v is
+        # named dither
+        cp = configparser.ConfigParser()
+        cp.read_string(SMALL)
+        if not cp.has_section(section):
+            cp.add_section(section)
+        cp[section][key] = value
+        path = tmp_path / "range.ini"
+        with open(path, "w") as f:
+            cp.write(f)
+        if section == "scenario":
+            table = request.getfixturevalue("small_table")
+            command = ["run", "--table", table, "--out", str(tmp_path / "out")]
+        else:
+            command = ["train", "--out", str(tmp_path / "t.json")]
+        capsys.readouterr()
+        assert main(["--config", str(path)] + command) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()]
+        assert named in err
+        assert "Traceback" not in err
+
+    def test_duplicate_section_rejected(self, tmp_path, capsys):
+        path = tmp_path / "dup.ini"
+        path.write_text("[grid]\nn_theta = 4\n[grid]\nn_current = 3\n")
+        assert main(["--config", str(path), "oracle"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()]
+        assert "section 'grid' already exists" in err
 
     def test_zero_duration_rejected(self, tmp_path, small_table):
         path = tmp_path / "zero.ini"

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from srmq.plant import (InductanceSurface, MotorParams, PhaseState,
-                        ReferenceProfile, _axis_locate, default_surface,
+from srmq.plant import (InductanceSurface, MotorParams, ReferenceProfile,
+                        _axis_locate, default_surface, frozen_dynamics,
                         inductance_at, load_surface_csv, reference_at,
                         save_surface_csv, step_phase)
 from conftest import constant_surface, point_near, reference_blend
@@ -203,47 +203,56 @@ class TestStepPhase:
         # A = 1 - T R / L = 1 - 1e-4 * 2 / 6e-3 = 0.966667
         p = MotorParams()
         s = constant_surface(6e-3)
-        nxt = step_phase(PhaseState(x=4.0, theta=0.0), 0.0, p, s)
-        assert nxt.x == pytest.approx(4.0 * (1 - 1e-4 * 2 / 6e-3), rel=1e-12)
-        assert nxt.k == 1
-        assert nxt.theta == pytest.approx(p.deg_per_step)
+        x, theta = step_phase(4.0, 0.0, 0.0, p, s)
+        assert x == pytest.approx(4.0 * (1 - 1e-4 * 2 / 6e-3), rel=1e-12)
+        assert theta == pytest.approx(p.deg_per_step)
+
+    @given(x=st.floats(0.0, 10.0), theta=st.floats(0.0, 44.99),
+           u=st.floats(-300.0, 300.0))
+    @settings(max_examples=50, deadline=None)
+    def test_advances_the_frozen_model(self, x, theta, u):
+        # the simulator steps the same model the Q-cores are trained on
+        p = MotorParams()
+        s = default_surface(p)
+        _, A, B = frozen_dynamics(p, s, theta, x)
+        assert step_phase(x, theta, u, p, s) == (
+            max(0.0, A * x + B * u), (theta + p.deg_per_step) % p.rotor_pitch)
 
     def test_origin_fixed_point(self, flat_surface):
         p = MotorParams()
-        nxt = step_phase(PhaseState(), 0.0, p, flat_surface)
-        assert nxt.x == 0.0
+        x, _ = step_phase(0.0, 0.0, 0.0, p, flat_surface)
+        assert x == 0.0
 
     def test_resistive_steady_state(self, flat_surface):
         p = MotorParams()
-        st0 = PhaseState(x=4.0)
-        nxt = step_phase(st0, p.R_phase * st0.x, p, flat_surface)
-        assert nxt.x == pytest.approx(4.0, rel=1e-12)
+        x, _ = step_phase(4.0, 0.0, p.R_phase * 4.0, p, flat_surface)
+        assert x == pytest.approx(4.0, rel=1e-12)
 
     @given(x=st.floats(0.01, 15.0))
     @settings(max_examples=50, deadline=None)
     def test_resistive_fixed_point_everywhere(self, x):
         p = MotorParams()
-        nxt = step_phase(PhaseState(x=x), p.R_phase * x, p, constant_surface(16e-3))
-        assert nxt.x == pytest.approx(x, rel=1e-10)
+        x_next, _ = step_phase(x, 0.0, p.R_phase * x, p, constant_surface(16e-3))
+        assert x_next == pytest.approx(x, rel=1e-10)
 
     def test_zero_input_geometric_decay(self, flat_surface):
         p = MotorParams()
         ratio = 1 - p.T * p.R_phase / 16e-3
         assert 0 < ratio < 1
-        state = PhaseState(x=5.0)
+        x, theta = 5.0, 0.0
         for _ in range(10):
-            nxt = step_phase(state, 0.0, p, flat_surface)
-            assert nxt.x == pytest.approx(state.x * ratio, rel=1e-12)
-            state = nxt
+            x_next, theta = step_phase(x, theta, 0.0, p, flat_surface)
+            assert x_next == pytest.approx(x * ratio, rel=1e-12)
+            x = x_next
 
     def test_current_clamped_at_zero(self, flat_surface):
         p = MotorParams()
-        nxt = step_phase(PhaseState(x=0.1), -p.V_dc, p, flat_surface)
-        assert nxt.x == 0.0
+        x, _ = step_phase(0.1, 0.0, -p.V_dc, p, flat_surface)
+        assert x == 0.0
 
     def test_nonfinite_voltage_rejected(self, flat_surface):
         with pytest.raises(ValueError):
-            step_phase(PhaseState(), float("nan"), MotorParams(), flat_surface)
+            step_phase(0.0, 0.0, float("nan"), MotorParams(), flat_surface)
 
 
 class TestReference:
@@ -294,3 +303,7 @@ class TestReference:
             ReferenceProfile(4.0, 30.0, 10.0)
         with pytest.raises(ValueError):
             ReferenceProfile(-1.0, 10.0, 35.0)
+        with pytest.raises(ValueError, match="i_ref"):
+            ReferenceProfile(float("nan"), 10.0, 35.0)
+        with pytest.raises(ValueError, match="event amplitude at step 100"):
+            ReferenceProfile(4.0, 10.0, 35.0, step_events=((100, float("nan")),))

@@ -505,6 +505,18 @@ class TestPersistence:
         with pytest.raises(ValueError):
             load_table(path)
 
+    def test_out_of_range_config_rejected_naming_the_file(self, trained_table,
+                                                          tmp_path):
+        import json
+        path = tmp_path / "table.json"
+        save_table(trained_table, path)
+        doc = json.loads(path.read_text())
+        doc["cfg"]["gain_clamp"] = -1.0
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="gain_clamp") as info:
+            load_table(path)
+        assert str(info.value).startswith(f"{path}: ")
+
     def test_missing_key_rejected(self, trained_table, tmp_path):
         import json
         path = tmp_path / "table.json"
@@ -544,6 +556,18 @@ class TestCompatibility:
 
 
 class TestTableValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("q_weight", -1.0), ("q_weight", float("nan")), ("r_weight", 0.0),
+        ("online_tau", -5.0), ("gain_clamp", -1.0), ("gain_clamp", float("inf")),
+        ("safety_factor", float("nan")), ("dither", -1.0),
+    ])
+    def test_config_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TableTrainConfig(**{field: value})
+
+    def test_config_edge_values_accepted(self):
+        TableTrainConfig(q_weight=0.0, dither=0.0)
+
     def test_unsorted_nodes_rejected(self):
         k = QKernel(np.diag([1.0, 1.0, 1.0]))
         with pytest.raises(ValueError):

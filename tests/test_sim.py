@@ -71,6 +71,11 @@ class TestScenario:
             make_scenario(params, surface, dither=-1.0)
         with pytest.raises(ValueError):
             make_scenario(params, surface, r_scale=0.0)
+        for field in ("dither", "r_scale", "delta_band"):
+            with pytest.raises(ValueError, match=field):
+                make_scenario(params, surface, **{field: float("nan")})
+        with pytest.raises(ValueError, match="delta_band"):
+            make_scenario(params, surface, delta_band=-1.0)
 
     def test_controller_names(self):
         assert CONTROLLERS == ("scheduled-qlearning", "single-qcore",
