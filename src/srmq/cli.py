@@ -76,6 +76,18 @@ class ConfigError(ValueError):
     pass
 
 
+# dataclass fields read from an INI key of another name
+INI_KEYS = {"dither": "dither_v", "speed": "speed_rpm", "T": "t_sample",
+            "R_phase": "r_phase"}
+
+
+def _invalid(what: str, exc: ValueError) -> ConfigError:
+    """A ConfigError for a rejected value; a message that starts with a
+    dataclass field (as plant._require_bound's do) names its INI key."""
+    name, sep, rest = str(exc).partition(" ")
+    return ConfigError(f"invalid {what}: {INI_KEYS.get(name, name)}{sep}{rest}")
+
+
 def default_config() -> configparser.ConfigParser:
     cp = configparser.ConfigParser()
     cp.read_dict(DEFAULTS)
@@ -114,7 +126,7 @@ def _motor(cp) -> MotorParams:
             rotor_pitch=m.getfloat("rotor_pitch"), speed=m.getfloat("speed_rpm"),
             V_dc=m.getfloat("v_dc"), i_nominal=m.getfloat("i_nominal"))
     except ValueError as exc:
-        raise ConfigError(f"invalid motor parameters: {exc}") from exc
+        raise _invalid("motor parameters", exc) from exc
 
 
 def _surface(cp, params: MotorParams):
@@ -143,7 +155,7 @@ def _grid(cp, params: MotorParams):
                 raise ValueError(f"{key} must be at least 1, got {n}")
         _require_bound("i_max", i_max, positive=True)
     except ValueError as exc:
-        raise ConfigError(f"invalid grid: {exc}") from exc
+        raise _invalid("grid", exc) from exc
     return (np.linspace(0.0, params.rotor_pitch, n_theta),
             np.linspace(0.0, i_max, n_current))
 
@@ -161,7 +173,7 @@ def _train_cfg(cp) -> TableTrainConfig:
             online_tau=t.getfloat("online_tau"),
             gain_clamp=t.getfloat("gain_clamp"), seed=t.getint("seed"))
     except ValueError as exc:
-        raise ConfigError(f"invalid training parameters: {exc}") from exc
+        raise _invalid("training parameters", exc) from exc
 
 
 def _parse_events(text: str):
@@ -185,8 +197,9 @@ def _scenario(cp, params, surface, seed=None) -> sim.Scenario:
         if profile.theta_off > params.rotor_pitch:
             raise ValueError("theta_off exceeds the rotor pitch")
         cycles = s.getint("duration_cycles")
-        if cycles <= 0:
-            raise ValueError("duration_cycles must be positive")
+        if cycles < 2:
+            raise ValueError("duration_cycles must be at least 2 (the metrics "
+                             f"skip the first cycle), got {cycles}")
         return sim.Scenario(
             motor=params, surface=surface, reference=profile,
             controller=s["controller"],
@@ -196,7 +209,7 @@ def _scenario(cp, params, surface, seed=None) -> sim.Scenario:
             dither=s.getfloat("dither_v"), r_scale=s.getfloat("r_scale"),
             delta_band=s.getfloat("delta_band"))
     except ValueError as exc:
-        raise ConfigError(f"invalid scenario: {exc}") from exc
+        raise _invalid("scenario", exc) from exc
 
 
 def _augmented(cfg, A, B):
@@ -439,6 +452,10 @@ def main(argv=None) -> int:
             return cmd_compare(cp, args.table, args.out, args.format, args.json)
     except (ConfigError, TableMismatchError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except configparser.InterpolationError as exc:
+        print(f"error: config key {exc.section}.{exc.option}: {exc}",
+              file=sys.stderr)
         return EXIT_CONFIG
     except lqt.ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)

@@ -72,7 +72,8 @@ class TableTrainConfig:
     def __post_init__(self):
         for name in ("q_weight", "dither"):
             _require_bound(name, getattr(self, name))
-        for name in ("r_weight", "online_tau", "gain_clamp", "safety_factor"):
+        for name in ("r_weight", "online_tau", "gain_clamp", "safety_factor",
+                     "tol", "max_iters"):
             _require_bound(name, getattr(self, name), positive=True)
 
     def tracking_weight(self) -> np.ndarray:

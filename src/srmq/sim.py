@@ -8,8 +8,6 @@ recorded trace.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,7 +22,14 @@ CONTROLLERS = ("scheduled-qlearning", "single-qcore", "delta-modulation")
 TRACE_COLUMNS = ("k", "t_s", "theta_deg", "r_A", "x_A", "u_V",
                  "K1", "K2", "cell_row", "cell_col", "cost")
 
-EXPORT_CHUNK = 256       # trace rows converted to Python values at a time on export
+EXPORT_CHUNK = 256       # trace rows converted to strings at a time on export
+
+# one trace row as the csv module and json.dumps write it: every value is
+# the repr of a Python int or float, which json.dumps spells NaN, Infinity
+# and -Infinity for the non-finite floats
+CSV_ROW = ",".join(["{}"] * len(TRACE_COLUMNS)) + "\r\n"
+JSONL_ROW = "{{" + ", ".join(f'"{name}": {{}}' for name in TRACE_COLUMNS) + "}}\n"
+JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 SETTLE_FRACTION = 0.05   # |x - r| below this fraction of the amplitude counts as settled
 
@@ -128,6 +133,12 @@ def delta_modulation_step(x: float, r: float, V_dc: float,
     return 0.0
 
 
+# a reference far beyond the safety bound overflows the cost and the
+# tracking error: those values are recorded as inf or nan, without a warning
+_QUIET_OVERFLOW = np.errstate(over="ignore", invalid="ignore")
+
+
+@_QUIET_OVERFLOW
 def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None) -> SimTrace:
     """Run the scenario; deterministic for a fixed seed.
 
@@ -156,7 +167,7 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None) -> SimT
             table, (profile.theta_on + profile.theta_off) / 2, profile.i_ref)
         single_K = scheduler._core_gain(table, single)
 
-    rec = {name: np.zeros(n) for name in ("theta", "r", "x", "u", "cost")}
+    rec = {name: np.zeros(n) for name in ("theta", "r", "x", "u")}
     K_rec = np.zeros((n, 2))
     cell_rec = np.full((n, 2), -1, int)
 
@@ -165,9 +176,13 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None) -> SimT
 
     def finish(m):
         ks = np.arange(m)
+        # the cost column in one stacked pass: the same products and sums,
+        # bit for bit, as qlearn.stage_cost at every step
+        X = np.stack((rec["x"][:m], rec["r"][:m]), axis=1)
+        u = rec["u"][:m]
+        cost = ((X[:, None, :] @ Q_q) @ X[:, :, None])[:, 0, 0] + R_u * u * u
         return SimTrace(ks, ks * params.T, rec["theta"][:m], rec["r"][:m],
-                        rec["x"][:m], rec["u"][:m], K_rec[:m], cell_rec[:m],
-                        rec["cost"][:m])
+                        rec["x"][:m], u, K_rec[:m], cell_rec[:m], cost)
 
     for k in range(n):
         r = reference_at(profile, theta, k)
@@ -191,7 +206,6 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None) -> SimT
         rec["r"][k] = r
         rec["x"][k] = x
         rec["u"][k] = u
-        rec["cost"][k] = qlearn.stage_cost((x, r), u, Q_q, R_u)
         K_rec[k, 0], K_rec[k, 1] = k_x, k_r
         cell_rec[k, 0], cell_rec[k, 1] = cell
 
@@ -217,7 +231,7 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None) -> SimT
                 u_next = -(g_x * x_next + g_r * r_next)
                 tup = qlearn.DataTuple(np.array([x, r, u]),
                                        np.array([x_next, r_next, u_next]),
-                                       rec["cost"][k])
+                                       qlearn.stage_cost((x, r), u, Q_q, R_u))
                 scheduler.update_core_online(table, tup, cell)
         x, theta = x_next, theta_next
 
@@ -241,6 +255,7 @@ def _conduction_windows(trace: SimTrace, start: int):
     return windows
 
 
+@_QUIET_OVERFLOW
 def compute_metrics(trace: SimTrace, scenario: Scenario) -> Metrics:
     """Tracking metrics over conduction windows after the first cycle."""
     spc = scenario.motor.steps_per_cycle
@@ -282,33 +297,34 @@ def compute_metrics(trace: SimTrace, scenario: Scenario) -> Metrics:
 
 
 def export_trace(trace: SimTrace, path, fmt: str = "csv") -> None:
-    """Write the trace as CSV (fixed column order) or JSON lines."""
+    """Write the trace as CSV (fixed column order) or JSON lines, the bytes
+    the csv module and one json.dumps per row would write.  Columns are
+    turned into strings EXPORT_CHUNK rows at a time, which keeps the list
+    copies small."""
     if fmt not in ("csv", "jsonl"):
         raise ValueError(f"unknown trace format {fmt!r}")
-    try:
-        with open(path, "w", newline="") as f:
-            if fmt == "csv":
-                w = csv.writer(f)
-                w.writerow(TRACE_COLUMNS)
-                w.writerows(_rows(trace))
-            else:
-                for row in _rows(trace):
-                    f.write(json.dumps(dict(zip(TRACE_COLUMNS, row))) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write trace to {path}: {exc}") from exc
-
-
-def _rows(trace: SimTrace):
-    """Trace rows in TRACE_COLUMNS order as Python ints and floats (str of a
-    float is its repr, so values round-trip exactly).  Columns are converted
-    EXPORT_CHUNK rows at a time, which keeps the list copies small."""
     columns = ((trace.k, int), (trace.t, float), (trace.theta, float),
                (trace.r, float), (trace.x, float), (trace.u, float),
                (trace.K[:, 0], float), (trace.K[:, 1], float),
                (trace.cell[:, 0], int), (trace.cell[:, 1], int),
                (trace.cost, float))
-    for lo in range(0, len(trace), EXPORT_CHUNK):
-        # a list, not a generator, as zip's arguments: zip(*generator) left
-        # peak RSS 0.25 MB higher after a few hundred exports
-        yield from zip(*[col[lo:lo + EXPORT_CHUNK].astype(kind, copy=False).tolist()
-                         for col, kind in columns])
+    row = CSV_ROW if fmt == "csv" else JSONL_ROW
+    try:
+        with open(path, "w", newline="") as f:
+            if fmt == "csv":
+                f.write(",".join(TRACE_COLUMNS) + "\r\n")
+            for lo in range(0, len(trace), EXPORT_CHUNK):
+                f.writelines(map(row.format, *[
+                    _strings(col[lo:lo + EXPORT_CHUNK], kind, fmt)
+                    for col, kind in columns]))
+    except OSError as exc:
+        raise OSError(f"cannot write trace to {path}: {exc}") from exc
+
+
+def _strings(chunk: np.ndarray, kind, fmt: str):
+    """The chunk's values as the reprs of Python ints or floats; in JSON
+    lines the non-finite floats take JSON's spelling."""
+    strings = map(repr, chunk.astype(kind, copy=False).tolist())
+    if fmt == "jsonl" and kind is float and not np.isfinite(chunk).all():
+        return [JSON_NONFINITE.get(s, s) for s in strings]
+    return strings

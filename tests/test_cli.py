@@ -1,11 +1,15 @@
 import configparser
+import contextlib
+import io
 import json
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from srmq import sim
 from srmq.cli import (EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_OK, EXIT_SAFETY,
                       REFERENCE_GAIN, default_config, load_config, main)
 from srmq.plant import MotorParams, default_surface
@@ -100,10 +104,10 @@ class TestConfig:
         path.write_text(SMALL + f"\n[motor]\nspeed_rpm = {speed}\n")
         assert main(["--config", str(path), "train",
                      "--out", str(tmp_path / "t.json")]) == EXIT_CONFIG
-        assert "speed must be positive" in capsys.readouterr().err
+        assert "speed_rpm must be positive" in capsys.readouterr().err
         assert main(["--config", str(path), "run", "--table", small_table,
                      "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-        assert "speed must be positive" in capsys.readouterr().err
+        assert "speed_rpm must be positive" in capsys.readouterr().err
 
     def test_out_of_order_events_rejected(self, tmp_path, small_table, capsys):
         path = tmp_path / "order.ini"
@@ -120,8 +124,11 @@ class TestConfig:
         ("training", "r_weight", "0", "r_weight"),
         ("training", "online_tau", "-5", "online_tau"),
         ("training", "gain_clamp", "-1", "gain_clamp"),
-        ("training", "dither_v", "nan", "dither"),
-        ("scenario", "dither_v", "nan", "dither"),
+        ("training", "dither_v", "nan", "dither_v"),
+        ("training", "tol", "nan", "tol"),
+        ("training", "tol", "0", "tol"),
+        ("training", "max_iters", "0", "max_iters"),
+        ("scenario", "dither_v", "nan", "dither_v"),
         ("scenario", "delta_band", "-1", "delta_band"),
         ("scenario", "i_ref", "nan", "i_ref"),
         ("scenario", "r_scale", "nan", "r_scale"),
@@ -129,11 +136,14 @@ class TestConfig:
         ("grid", "n_theta", "0", "n_theta"),
         ("grid", "n_current", "-1", "n_current"),
         ("grid", "i_max", "nan", "i_max"),
+        ("motor", "speed_rpm", "0", "speed_rpm"),
+        ("motor", "t_sample", "-1e-4", "t_sample"),
+        ("motor", "r_phase", "nan", "r_phase"),
     ])
     def test_out_of_range_value_names_the_key(self, tmp_path, request, capsys,
                                               section, key, value, named):
-        # the dataclass field behind [training] and [scenario] dither_v is
-        # named dither
+        # the message names the INI key, also where the dataclass field
+        # behind it has another name (dither_v is the field dither)
         cp = configparser.ConfigParser()
         cp.read_string(SMALL)
         if not cp.has_section(section):
@@ -168,6 +178,38 @@ class TestConfig:
                                       "duration_cycles = 0"))
         assert main(["--config", str(path), "run", "--table", small_table,
                      "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+
+    def test_single_cycle_rejected_before_the_loop(self, tmp_path, small_table,
+                                                   monkeypatch, capsys):
+        # the metrics skip the first cycle, so a one-cycle run would be
+        # simulated and then thrown away
+        calls = []
+        monkeypatch.setattr(sim, "run_closed_loop",
+                            lambda *args: calls.append(args))
+        path = tmp_path / "one.ini"
+        path.write_text(SMALL.replace("duration_cycles = 2",
+                                      "duration_cycles = 1"))
+        capsys.readouterr()
+        assert main(["--config", str(path), "run", "--table", small_table,
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()]
+        assert "duration_cycles must be at least 2" in err
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["5%", "%(nope)s"])
+    def test_bad_interpolation_names_the_key(self, tmp_path, small_table,
+                                             capsys, value):
+        path = tmp_path / "pct.ini"
+        path.write_text(SMALL + f"events = {value}\n")
+        capsys.readouterr()
+        assert main(["--config", str(path), "run", "--table", small_table,
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()]
+        assert "config key scenario.events" in err
+        assert "Traceback" not in err
 
 
 class TestOracle:
@@ -435,3 +477,88 @@ class TestCompare:
         assert main(["--config", small_cfg, "compare", "--table",
                      runaway_table, "--out", str(out)]) == EXIT_SAFETY
         assert 0 < _csv_rows(out / "trace_aborted.csv") < SMALL_STEPS
+
+
+# values for one INI key: in the key's range, any float (nan and inf
+# included), an integer, or text that is no number at all
+def ini_value(lo, hi, integer=False):
+    in_range = (st.integers(int(lo), int(hi)).map(str) if integer
+                else st.floats(lo, hi).map(repr))
+    return st.one_of(
+        in_range, st.floats().map(repr), st.integers(-10**20, 10**20).map(str),
+        st.sampled_from(["", "abc", "1e400", "-0", "0x10", "1_0", "5%"]))
+
+
+FUZZ_KEYS = {
+    "scenario": {
+        "i_ref": ini_value(0.0, 8.0), "theta_on": ini_value(0.0, 45.0),
+        "theta_off": ini_value(0.0, 45.0), "dither_v": ini_value(0.0, 30.0),
+        "r_scale": ini_value(0.5, 1.5), "delta_band": ini_value(0.0, 1.0),
+        "duration_cycles": st.one_of(st.integers(-3, 2).map(str),
+                                     st.sampled_from(["", "two", "2.0"])),
+        "seed": ini_value(0, 2**32, integer=True),
+        "controller": st.sampled_from(
+            ["scheduled-qlearning", "single-qcore", "delta-modulation", "pid"]),
+        "online_learning": st.sampled_from(["true", "false", "maybe"]),
+        "events": st.one_of(
+            st.lists(st.tuples(st.integers(-10, 3000),
+                               ini_value(0.0, 8.0)), max_size=3).map(
+                lambda ev: ", ".join(f"{k}:{a}" for k, a in ev)),
+            st.sampled_from(["oops", "1:2:3", "1.5:4"])),
+    },
+    "training": {
+        "gamma": ini_value(0.0, 0.99), "q_weight": ini_value(0.0, 200.0),
+        "r_weight": ini_value(1e-4, 1.0), "k0_x": ini_value(0.0, 200.0),
+        "k0_r": ini_value(-200.0, 0.0), "online_tau": ini_value(1.0, 1e4),
+        "dither_v": ini_value(0.0, 30.0),
+        "tuples_per_iter": ini_value(1, 12, integer=True),
+        "tol": ini_value(1e-8, 1e-2), "max_iters": ini_value(1, 100, integer=True),
+        "gain_clamp": ini_value(1e-3, 0.1), "seed": ini_value(0, 100, integer=True),
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_table(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "small.ini").write_text(SMALL)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["--config", str(root / "small.ini"), "train",
+                     "--out", str(root / "qtable.json")]) == EXIT_OK
+    return root
+
+
+@settings(max_examples=100, deadline=None)
+@example(command="run", values={("scenario", "i_ref"): "1e285",
+                                ("scenario", "r_scale"): "1e12"})
+@example(command="run", values={("scenario", "i_ref"): "1e200",
+                                ("scenario", "online_learning"): "true"})
+@given(command=st.sampled_from(["run", "train"]),
+       values=st.fixed_dictionaries({}, optional={
+           (section, key): strategy for section, keys in FUZZ_KEYS.items()
+           for key, strategy in keys.items()}))
+def test_fuzzed_config_exits_cleanly(fuzz_table, command, values):
+    # every config ends in exit 0, 2, 3 or 4 with at most one line on
+    # stderr and never a traceback; run reads [training] from the table
+    # file, train reads no [scenario] key
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read_string(SMALL)
+    for (section, key), value in values.items():
+        if not cp.has_section(section):
+            cp.add_section(section)
+        cp[section][key] = value
+    path = fuzz_table / "fuzz.ini"
+    with open(path, "w") as f:
+        cp.write(f)
+    args = (["run", "--table", str(fuzz_table / "qtable.json"), "--out",
+             str(fuzz_table / "out")] if command == "run"
+            else ["train", "--out", str(fuzz_table / "t.json")])
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["--config", str(path)] + args)
+    err = err.getvalue()
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_SAFETY)
+    assert len(err.splitlines()) <= 1
+    assert "Traceback" not in err

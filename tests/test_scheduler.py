@@ -510,12 +510,15 @@ class TestPersistence:
         import json
         path = tmp_path / "table.json"
         save_table(trained_table, path)
-        doc = json.loads(path.read_text())
-        doc["cfg"]["gain_clamp"] = -1.0
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="gain_clamp") as info:
-            load_table(path)
-        assert str(info.value).startswith(f"{path}: ")
+        for field, value in (("gain_clamp", -1.0), ("tol", 0.0),
+                             ("max_iters", 0)):
+            doc = json.loads(path.read_text())
+            doc["cfg"][field] = value
+            bad = tmp_path / f"bad_{field}.json"
+            bad.write_text(json.dumps(doc))
+            with pytest.raises(ValueError, match=field) as info:
+                load_table(bad)
+            assert str(info.value).startswith(f"{bad}: ")
 
     def test_missing_key_rejected(self, trained_table, tmp_path):
         import json
@@ -560,6 +563,8 @@ class TestTableValidation:
         ("q_weight", -1.0), ("q_weight", float("nan")), ("r_weight", 0.0),
         ("online_tau", -5.0), ("gain_clamp", -1.0), ("gain_clamp", float("inf")),
         ("safety_factor", float("nan")), ("dither", -1.0),
+        ("tol", 0.0), ("tol", float("nan")), ("tol", float("inf")),
+        ("max_iters", 0), ("max_iters", -3),
     ])
     def test_config_out_of_range_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from srmq.plant import MotorParams, ReferenceProfile
-from srmq.scheduler import SafetyAbortError
+from srmq.qlearn import stage_cost
+from srmq.scheduler import SafetyAbortError, TableTrainConfig
 from srmq.sim import (CONTROLLERS, EXPORT_CHUNK, TRACE_COLUMNS, Metrics,
                       Scenario, SimTrace, compute_metrics,
                       delta_modulation_step, export_trace, run_closed_loop)
@@ -38,6 +39,16 @@ def reference_export(trace, path, fmt):
             for i in range(len(trace)):
                 f.write(json.dumps(dict(zip(TRACE_COLUMNS,
                                             reference_row(trace, i)))) + "\n")
+
+
+def assert_cost_per_step(trace, cfg):
+    """The trace's cost column equals qlearn.stage_cost at every step, bit
+    for bit (-0.0 and nan payloads included)."""
+    want = np.array([stage_cost((x, r), u, cfg.tracking_weight(), cfg.r_weight)
+                     for x, r, u in zip(trace.x.tolist(), trace.r.tolist(),
+                                        trace.u.tolist())])
+    assert trace.cost.shape == want.shape
+    assert np.array_equal(trace.cost.view(np.uint64), want.view(np.uint64))
 
 
 def head(trace, m):
@@ -190,6 +201,42 @@ class TestRunClosedLoop:
         assert m_hot.rmse_settled > 1.5 * m_nom.rmse_settled
 
 
+class TestCostColumn:
+    def test_nominal_run(self, params, surface, trained_table):
+        s = make_scenario(params, surface)
+        assert_cost_per_step(run_closed_loop(s, trained_table),
+                             trained_table.cfg)
+
+    def test_delta_modulation_run(self, params, surface):
+        # without a table the cost uses the default training config
+        s = make_scenario(params, surface, controller="delta-modulation",
+                          delta_band=0.05)
+        assert_cost_per_step(run_closed_loop(s), TableTrainConfig())
+
+    def test_online_learning_run(self, params, surface, fresh_table):
+        reference = ReferenceProfile(step_events=((1250, 5.5), (2500, 3.0)))
+        s = make_scenario(params, surface, reference=reference,
+                          online_learning=True, dither=5.0, r_scale=1.1,
+                          seed=3)
+        before = fresh_table.kernels.copy()
+        trace = run_closed_loop(s, fresh_table)
+        assert not np.array_equal(fresh_table.kernels, before)   # it learned
+        assert_cost_per_step(trace, fresh_table.cfg)
+
+    def test_aborted_partial_trace(self, params, surface, trained_table):
+        from dataclasses import replace
+        tight = replace(trained_table,
+                        cfg=replace(trained_table.cfg, safety_factor=1.2,
+                                    q_weight=3.7, r_weight=0.37))
+        s = make_scenario(params, surface, reference=ReferenceProfile(i_ref=6.5),
+                          duration=2 * params.steps_per_cycle)
+        with pytest.raises(SafetyAbortError) as exc:
+            run_closed_loop(s, tight)
+        trace = exc.value.trace
+        assert 0 < len(trace) < s.steps
+        assert_cost_per_step(trace, tight.cfg)
+
+
 class TestMetrics:
     @staticmethod
     def _synthetic_trace(params, err=0.0):
@@ -328,6 +375,30 @@ class TestExport:
         reference_export(trace, tmp_path / "want", fmt)
         assert (tmp_path / "got").read_bytes() == \
             (tmp_path / "want").read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_special_floats_match_row_writer(self, nominal_trace, tmp_path,
+                                             fmt):
+        # -0.0 beside 0.0 in one column (a float-keyed memo would merge
+        # them), and every non-finite float in every float column, across
+        # a chunk boundary
+        m = EXPORT_CHUNK + 8
+        t = head(nominal_trace, m)
+        special = [-0.0, 0.0, float("nan"), float("inf"), float("-inf")]
+        cols = [c.copy() for c in (t.t, t.theta, t.r, t.x, t.u, t.cost)]
+        K = t.K.copy()
+        for j, col in enumerate(cols + [K[:, 0], K[:, 1]]):
+            for i, v in enumerate(special):
+                col[(37 * j + 61 * i) % m] = v
+        cols[4][EXPORT_CHUNK - 2:EXPORT_CHUNK + 2] = [0.0, -0.0, -0.0, 0.0]
+        trace = SimTrace(t.k, *cols[:5], K, t.cell, cols[5])
+        export_trace(trace, tmp_path / "got", fmt=fmt)
+        reference_export(trace, tmp_path / "want", fmt)
+        got = (tmp_path / "got").read_bytes()
+        assert got == (tmp_path / "want").read_bytes()
+        for word in ((b"-0.0", b"nan", b"-inf") if fmt == "csv"
+                     else (b"-0.0", b"NaN", b"-Infinity")):
+            assert word in got
 
     def test_unknown_format_rejected(self, params, surface, trained_table,
                                      tmp_path):
