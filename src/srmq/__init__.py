@@ -4,8 +4,8 @@ from .plant import (MotorParams, InductanceSurface, ReferenceProfile,
                     default_surface, inductance_at, step_phase, reference_at)
 from .lqt import (AugmentedModel, build_augmented, are_fixed_point, optimal_gain,
                   policy_iteration_model_based)
-from .qlearn import (QKernel, DataTuple, RlsState, QTrainConfig, q_value,
-                     policy_improvement, stage_cost, build_ls_rows,
+from .qlearn import (QKernel, DataTuple, TupleBatch, RlsState, QTrainConfig,
+                     q_value, policy_improvement, stage_cost, build_ls_rows,
                      batch_ls_solve, rls_init, rls_update, q_policy_iteration)
 from .scheduler import (QCoreTable, CellLocation, TableTrainConfig, locate,
                         nearest_core, scheduled_q, scheduled_gain, train_table,

@@ -212,41 +212,43 @@ def _scenario(cp, params, surface, seed=None) -> sim.Scenario:
         raise _invalid("scenario", exc) from exc
 
 
-def _augmented(cfg, A, B):
-    return lqt.build_augmented(A, B, Q=cfg.q_weight, R_u=cfg.r_weight,
-                               gamma=cfg.gamma)
-
-
 def _grid_oracle(params, surface, cfg, theta_nodes, current_nodes):
     """Frozen local models at every grid node, row-major, and their
-    discounted Riccati solutions from one stacked solve: (L, A, B, P, K)
-    with a leading node axis."""
+    discounted Riccati solutions from one stacked solve: (L, A, B, model,
+    P, K) with a leading node axis."""
     L, A, B = np.array([frozen_dynamics(params, surface, th, i_node)
                         for th in theta_nodes
                         for i_node in current_nodes]).T
-    model = _augmented(cfg, A, B)
+    model = lqt.build_augmented(A, B, Q=cfg.q_weight, R_u=cfg.r_weight,
+                                gamma=cfg.gamma)
     P = lqt.are_fixed_point(model)
-    return L, A, B, P, lqt.optimal_gain(P, model)
+    return L, A, B, model, P, lqt.optimal_gain(P, model)
 
 
 def _oracle_nodes(cp, params, surface):
     theta_nodes, current_nodes = _grid(cp, params)
     cfg = _train_cfg(cp)
-    L, A, B, P, K = _grid_oracle(params, surface, cfg, theta_nodes,
-                                 current_nodes)
+    L, A, B, model, P, K = _grid_oracle(params, surface, cfg, theta_nodes,
+                                        current_nodes)
+    try:
+        pi = lqt.policy_iteration_model_based(model, cfg.K0)
+    except lqt.NotStabilizingError as exc:
+        row, col = divmod(exc.indices[0], current_nodes.size)
+        raise ConfigError(
+            f"invalid training parameters: k0_x, k0_r = {list(cfg.K0)} is "
+            f"not stabilizing at {len(exc.indices)} of {L.size} nodes, "
+            f"first node ({row},{col})") from exc
     rows = []
     for k, (a, b) in enumerate(np.ndindex(theta_nodes.size,
                                           current_nodes.size)):
-        pi = lqt.policy_iteration_model_based(_augmented(cfg, A[k], B[k]),
-                                              cfg.K0)
         rows.append({
             "row": a, "col": b, "theta_deg": float(theta_nodes[a]),
             "i_A": float(current_nodes[b]),
             "L_H": float(L[k]), "A": float(A[k]), "B": float(B[k]),
             "P": [[float(v) for v in r] for r in P[k]],
             "K": [float(v) for v in K[k]],
-            "pi_iterations": pi.iterations,
-            "pi_gap": float(np.linalg.norm(pi.K - K[k])),
+            "pi_iterations": int(pi.iterations[k]),
+            "pi_gap": float(np.linalg.norm(pi.K[k] - K[k])),
         })
     return rows
 

@@ -27,7 +27,13 @@ class ConvergenceError(RuntimeError):
 
 
 class NotStabilizingError(ValueError):
-    """Initial policy does not stabilize the discounted closed loop."""
+    """Initial policy does not stabilize the discounted closed loop; carries
+    the flat batch indices where it fails (``(0,)`` for an unbatched
+    model)."""
+
+    def __init__(self, message: str, indices: tuple = ()):
+        super().__init__(message)
+        self.indices = indices
 
 
 @dataclass(frozen=True)
@@ -81,17 +87,18 @@ def build_augmented(A, B, C: float = 1.0, F: float = 1.0,
 
 
 def closed_loop(model: AugmentedModel, K: np.ndarray) -> np.ndarray:
-    """A_a - B_b K for a row gain K."""
-    K = np.asarray(K, float).reshape(1, 2)
-    return model.A_a - model.B_b @ K
+    """A_a - B_b K for a row gain K; K of shape (..., 2) gives one loop per
+    node of a batched model."""
+    return model.A_a - model.B_b @ np.asarray(K, float)[..., None, :]
 
 
-def spectral_radius(M: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(M))))
+def spectral_radius(M: np.ndarray):
+    """Largest eigenvalue magnitude of M, per matrix of a stack."""
+    return np.abs(np.linalg.eigvals(M)).max(axis=-1)
 
 
-def is_stabilizing(model: AugmentedModel, K: np.ndarray) -> bool:
-    """Discounted stability: sqrt(gamma) * rho(A_a - B_b K) < 1."""
+def is_stabilizing(model: AugmentedModel, K: np.ndarray):
+    """Discounted stability: sqrt(gamma) * rho(A_a - B_b K) < 1, per node."""
     return np.sqrt(model.gamma) * spectral_radius(closed_loop(model, K)) < 1.0
 
 
@@ -151,20 +158,36 @@ def optimal_gain(P: np.ndarray, model: AugmentedModel) -> np.ndarray:
 
 
 def evaluate_policy(model: AugmentedModel, K: np.ndarray) -> np.ndarray:
-    """Exact policy evaluation: solve P = Q_K + gamma Ac' P Ac by vectorization."""
-    K = np.asarray(K, float).ravel()
-    Ac = closed_loop(model, K)
-    Q_K = model.Q_q + model.R_u * np.outer(K, K)
-    M = np.eye(4) - model.gamma * np.kron(Ac.T, Ac.T)
-    p = np.linalg.solve(M, Q_K.flatten(order="F"))
-    P = p.reshape(2, 2, order="F")
-    return (P + P.T) / 2
+    """Exact policy evaluation: solve P = Q_K + gamma Ac' P Ac by vectorization.
+
+    A batched model with gains K of shape (..., 2) is evaluated in one
+    stacked solve.  The Kronecker product and Q_K = Q_q + R_u (K K') are
+    the same products as np.kron and np.outer, so every node's P equals
+    its unbatched evaluation bit for bit.
+    """
+    K = np.asarray(K, float)
+    batch = model.A_a.shape[:-2]
+    At = closed_loop(model, K).swapaxes(-1, -2)
+    Q_K = model.Q_q + model.R_u * (K[..., :, None] * K[..., None, :])
+    kron = At[..., :, None, :, None] * At[..., None, :, None, :]
+    M = np.eye(4) - model.gamma * kron.reshape(batch + (4, 4))
+    # column-major vec(Q_K) in, column-major vec(P) out
+    p = np.linalg.solve(M, Q_K.swapaxes(-1, -2).reshape(batch + (4, 1)))
+    P = p.reshape(batch + (2, 2)).swapaxes(-1, -2)
+    return (P + P.swapaxes(-1, -2)) / 2
 
 
 class PIResult(NamedTuple):
     P: np.ndarray
     K: np.ndarray
-    iterations: int
+    iterations: int | np.ndarray
+
+
+def _nodes(model: AugmentedModel, index) -> AugmentedModel:
+    """The models of a flat batch selected by index."""
+    return AugmentedModel(model.A_a[index], model.B_b[index],
+                          model.C_c[index], model.Q_q[index],
+                          model.R_u, model.gamma)
 
 
 def policy_iteration_model_based(model: AugmentedModel, K0,
@@ -172,21 +195,55 @@ def policy_iteration_model_based(model: AugmentedModel, K0,
                                  max_iter: int = 200) -> PIResult:
     """Alternate exact policy evaluation and greedy improvement from K0.
 
-    K0 must stabilize the discounted closed loop, otherwise the evaluated
-    cost is unbounded and the linear solve is meaningless.
+    K0 is one gain, shared by every node of a batched model, and must
+    stabilize each node's discounted closed loop, otherwise the evaluated
+    cost is unbounded and the linear solve is meaningless.  The nodes still
+    iterating are evaluated in one stacked solve per iteration; each stops
+    at its own convergence, so its P, K and iteration count do not depend
+    on the rest of the batch.  A batched model gives P (..., 2, 2),
+    K (..., 2) and an integer array of iterations.
     """
-    K = np.asarray(K0, float).ravel()
-    if K.shape != (2,):
+    K0 = np.asarray(K0, float).ravel()
+    if K0.shape != (2,):
         raise ValueError("initial gain must have two entries")
-    if not is_stabilizing(model, K):
+    batch = model.A_a.shape[:-2]
+    flat = AugmentedModel(
+        model.A_a.reshape(-1, 2, 2), model.B_b.reshape(-1, 2, 1),
+        model.C_c.reshape(-1, 1, 2),
+        np.broadcast_to(model.Q_q, model.A_a.shape).reshape(-1, 2, 2),
+        model.R_u, model.gamma)
+    n = len(flat.A_a)
+    K = np.tile(K0, (n, 1))
+    bad = np.flatnonzero(~is_stabilizing(flat, K))
+    if bad.size:
+        where = f" at {bad.size} of {n} nodes, first {bad[0]}" if batch else ""
         raise NotStabilizingError(
-            f"initial gain {K} is not stabilizing for the discounted loop")
+            f"initial gain {K0} is not stabilizing for the discounted "
+            f"loop{where}", tuple(bad.tolist()))
+    P_out, K_out = np.empty((n, 2, 2)), np.empty((n, 2))
+    iterations = np.zeros(n, int)
+    active = np.arange(n)
+    node = flat
     for i in range(1, max_iter + 1):
-        P = evaluate_policy(model, K)
+        P = evaluate_policy(node, K)
         if not np.all(np.isfinite(P)):
             raise ConvergenceError("policy evaluation diverged")
-        K_next = optimal_gain(P, model)
-        if np.linalg.norm(K_next - K) < tol:
-            return PIResult(evaluate_policy(model, K_next), K_next, i)
+        K_next = optimal_gain(P, node)
+        step = (K_next - K)[:, None, :]
+        done = np.sqrt(step @ step.swapaxes(-1, -2))[:, 0, 0] < tol
+        if done.any():
+            finished = active[done]
+            P_out[finished] = evaluate_policy(_nodes(node, done), K_next[done])
+            K_out[finished], iterations[finished] = K_next[done], i
+            keep = ~done
+            active, node, K_next = active[keep], _nodes(node, keep), K_next[keep]
+            if not active.size:
+                return PIResult(P_out.reshape(batch + (2, 2)),
+                                K_out.reshape(batch + (2,)),
+                                iterations.reshape(batch) if batch
+                                else int(iterations[0]))
         K = K_next
-    raise ConvergenceError(f"policy iteration did not converge in {max_iter} steps")
+    raise ConvergenceError(
+        f"policy iteration did not converge in {max_iter} steps at "
+        f"{active.size} of {n} nodes, first {active[:5].tolist()}",
+        indices=tuple(active.tolist()))

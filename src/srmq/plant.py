@@ -27,6 +27,13 @@ def _require_bound(name: str, value: float, positive: bool = False) -> None:
         raise ValueError(f"{name} must be {bound} and finite, got {value!r}")
 
 
+def _require_seed(name: str, value: int) -> None:
+    """Raise ValueError naming `name` unless `value` is a non-negative
+    integer, the seeds numpy's generators take."""
+    if not (isinstance(value, (int, np.integer)) and value >= 0):
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MotorParams:
     """Electrical and kinematic parameters of one SRM phase."""

@@ -49,7 +49,9 @@ class QKernel:
             raise ValueError("kernel must be 3x3")
         if not np.all(np.isfinite(G)):
             raise ValueError("kernel entries must be finite")
-        if not np.allclose(G, G.T, rtol=0, atol=1e-8 * (1 + np.abs(G).max())):
+        # from_vec's kernels are exactly symmetric; skip the tolerance test
+        if not ((G == G.T).all() or np.allclose(
+                G, G.T, rtol=0, atol=1e-8 * (1 + np.abs(G).max()))):
             raise ValueError("kernel must be symmetric")
         object.__setattr__(self, "G", (G + G.T) / 2)
 
@@ -100,12 +102,23 @@ class DataTuple:
             raise ValueError("stage cost must be non-negative")
 
 
+class TupleBatch(NamedTuple):
+    """z sampled transitions as arrays: rows of M_k and M_{k+1} (z, 3) and
+    the stage costs (z,); build_ls_rows checks them with DataTuple's rules,
+    once per batch."""
+
+    M_k: np.ndarray
+    M_k1: np.ndarray
+    costs: np.ndarray
+
+
 def sym_features(M: np.ndarray) -> np.ndarray:
     """Quadratic monomials of M in the symmetric basis, cross terms doubled,
-    so that features(M) . vec(G) == M' G M."""
-    m0, m1, m2 = M
+    so that features(M) . vec(G) == M' G M.  A stack M of shape (z, 3)
+    gives one row of features per vector."""
+    m0, m1, m2 = np.asarray(M).T
     return np.array([m0 * m0, 2 * m0 * m1, 2 * m0 * m2,
-                     m1 * m1, 2 * m1 * m2, m2 * m2])
+                     m1 * m1, 2 * m1 * m2, m2 * m2]).T
 
 
 def q_value(kernel: QKernel, X, u: float) -> float:
@@ -120,6 +133,14 @@ def stage_cost(X, u: float, Q_q: np.ndarray, R_u: float) -> float:
     return float(X @ Q_q @ X + R_u * u * u)
 
 
+def _stage_costs(x: np.ndarray, r: np.ndarray, u: np.ndarray,
+                 Q_q: np.ndarray, R_u: float) -> np.ndarray:
+    """stage_cost of every step ([x, r], u) of the columns x, r, u in one
+    stacked pass: the same products and sums, bit for bit."""
+    X = np.stack((x, r), axis=1)
+    return ((X[:, None, :] @ Q_q) @ X[:, :, None])[:, 0, 0] + R_u * u * u
+
+
 def policy_improvement(kernel: QKernel) -> np.ndarray:
     """Greedy gain K = G_uu^-1 G_uX; control law u = -K X."""
     if kernel.G_uu <= 0:
@@ -129,15 +150,30 @@ def policy_improvement(kernel: QKernel) -> np.ndarray:
     return kernel.G_uX / kernel.G_uu
 
 
-def build_ls_rows(tuples: Sequence[DataTuple], gamma: float):
+def build_ls_rows(tuples: TupleBatch | Sequence[DataTuple], gamma: float):
     """Bellman regression rows: features(M_k) - gamma * features(M_{k+1}),
-    one per tuple, with the stage costs as targets."""
-    if len(tuples) < MIN_TUPLES:
-        raise ValueError(f"need at least {MIN_TUPLES} tuples, got {len(tuples)}")
-    design = np.array([sym_features(t.M_k) - gamma * sym_features(t.M_k1)
-                       for t in tuples])
-    targets = np.array([t.stage_cost for t in tuples])
-    return design, targets
+    one per tuple, with the stage costs as targets.
+
+    A list of DataTuples is stacked into a TupleBatch first; the batch is
+    checked once, with DataTuple's rules.
+    """
+    if not isinstance(tuples, TupleBatch):
+        tuples = TupleBatch(
+            np.array([t.M_k for t in tuples], float).reshape(-1, 3),
+            np.array([t.M_k1 for t in tuples], float).reshape(-1, 3),
+            np.array([t.stage_cost for t in tuples], float))
+    M_k, M_k1, costs = (np.asarray(v, float) for v in tuples)
+    z = costs.size
+    if z < MIN_TUPLES:
+        raise ValueError(f"need at least {MIN_TUPLES} tuples, got {z}")
+    if M_k.shape != (z, 3) or M_k1.shape != (z, 3) or costs.shape != (z,):
+        raise ValueError("tuple vectors must have 3 entries [x, r, u]")
+    if not (np.all(np.isfinite(M_k)) and np.all(np.isfinite(M_k1))
+            and np.all(np.isfinite(costs))):
+        raise ValueError("tuple entries must be finite")
+    if np.any(costs < -1e-9):
+        raise ValueError("stage cost must be non-negative")
+    return sym_features(M_k) - gamma * sym_features(M_k1), costs
 
 
 def batch_ls_solve(design: np.ndarray, targets: np.ndarray) -> QKernel:
@@ -210,7 +246,7 @@ class QTrainResult(NamedTuple):
     iterations: int
 
 
-Collector = Callable[[np.ndarray, int], Sequence[DataTuple]]
+Collector = Callable[[np.ndarray, int], TupleBatch | Sequence[DataTuple]]
 
 
 def q_policy_iteration(collect: Collector, K0,
@@ -219,7 +255,8 @@ def q_policy_iteration(collect: Collector, K0,
     freshly collected tuples, take the greedy gain, repeat until the gain
     stops moving.
 
-    collect(gain, count) must return `count` tuples gathered under
+    collect(gain, count) must return `count` tuples (a TupleBatch or a list
+    of DataTuples) gathered under
     u = -gain . [x, r] plus exploration dither, with the successor action in
     M_{k+1} taken by the un-dithered policy.  Convergence is declared on the
     gain, not the kernel: kernel null directions under limited excitation

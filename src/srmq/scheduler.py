@@ -17,7 +17,7 @@ import numpy as np
 
 from . import qlearn
 from .plant import (InductanceSurface, MotorParams, _corners, _locate,
-                    _require_bound, _weights, frozen_dynamics)
+                    _require_bound, _require_seed, _weights, frozen_dynamics)
 from .qlearn import NUM_PARAMS, DataTuple, QKernel, QTrainConfig
 
 TABLE_FORMAT_VERSION = 2
@@ -72,9 +72,10 @@ class TableTrainConfig:
     def __post_init__(self):
         for name in ("q_weight", "dither"):
             _require_bound(name, getattr(self, name))
-        for name in ("r_weight", "online_tau", "gain_clamp", "safety_factor",
-                     "tol", "max_iters"):
+        for name in ("r_weight", "gamma", "online_tau", "gain_clamp",
+                     "safety_factor", "tol", "max_iters"):
             _require_bound(name, getattr(self, name), positive=True)
+        _require_seed("seed", self.seed)
 
     def tracking_weight(self) -> np.ndarray:
         q = self.q_weight
@@ -230,25 +231,32 @@ def scheduled_gain(table: QCoreTable, theta: float, i: float) -> np.ndarray:
 def _node_collector(A: float, B: float, cfg: TableTrainConfig,
                     i_span: tuple, i_limit: float, rng):
     """Tuple source for one node: a frozen locally-linear plant sampled at
-    random operating points around the cell, with input dither."""
+    random operating points around the cell, with input dither.
+
+    Each call draws its count x 3 uniforms in one block, row by row in the
+    order (x, r, dither) of one scalar rng.uniform per value, and scales
+    them as rng.uniform does, so the tuples are the scalar draws bit for
+    bit.
+    """
     Q_q = cfg.tracking_weight()
     lo, hi = i_span
+    r_lo = max(lo, 0.1 * hi)
 
     def collect(K, count):
-        tuples = []
-        for _ in range(count):
-            x = rng.uniform(0.0, hi)
-            r = rng.uniform(max(lo, 0.1 * hi), hi)
-            u = -(K[0] * x + K[1] * r) + cfg.dither * rng.uniform(-1, 1)
-            x1 = A * x + B * u
-            if abs(x1) > i_limit:
-                raise SafetyAbortError(
-                    f"training current {x1:.2f} A exceeded the "
-                    f"{i_limit:.2f} A safety bound")
-            u1 = -(K[0] * x1 + K[1] * r)
-            cost = qlearn.stage_cost((x, r), u, Q_q, cfg.r_weight)
-            tuples.append(DataTuple(np.array([x, r, u]), np.array([x1, r, u1]), cost))
-        return tuples
+        U = rng.random((count, 3))
+        x = 0.0 + (hi - 0.0) * U[:, 0]
+        r = r_lo + (hi - r_lo) * U[:, 1]
+        u = -(K[0] * x + K[1] * r) + cfg.dither * (-1.0 + 2.0 * U[:, 2])
+        x1 = A * x + B * u
+        over = np.flatnonzero(np.abs(x1) > i_limit)
+        if over.size:
+            raise SafetyAbortError(
+                f"training current {x1[over[0]]:.2f} A exceeded the "
+                f"{i_limit:.2f} A safety bound")
+        u1 = -(K[0] * x1 + K[1] * r)
+        return qlearn.TupleBatch(np.array([x, r, u]).T,
+                                 np.array([x1, r, u1]).T,
+                                 qlearn._stage_costs(x, r, u, Q_q, cfg.r_weight))
 
     return collect
 

@@ -8,13 +8,14 @@ recorded trace.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import qlearn, scheduler
 from .plant import (InductanceSurface, MotorParams, ReferenceProfile,
-                    _require_bound, reference_at, step_phase)
+                    _require_bound, _require_seed, reference_at, step_phase)
 from .scheduler import QCoreTable, SafetyAbortError
 
 CONTROLLERS = ("scheduled-qlearning", "single-qcore", "delta-modulation")
@@ -58,6 +59,7 @@ class Scenario:
         _require_bound("dither", self.dither)
         _require_bound("r_scale", self.r_scale, positive=True)
         _require_bound("delta_band", self.delta_band)
+        _require_seed("seed", self.seed)
 
     @property
     def steps(self) -> int:
@@ -176,11 +178,10 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None) -> SimT
 
     def finish(m):
         ks = np.arange(m)
-        # the cost column in one stacked pass: the same products and sums,
-        # bit for bit, as qlearn.stage_cost at every step
-        X = np.stack((rec["x"][:m], rec["r"][:m]), axis=1)
+        # the cost column in one stacked pass, bit for bit as
+        # qlearn.stage_cost at every step
         u = rec["u"][:m]
-        cost = ((X[:, None, :] @ Q_q) @ X[:, :, None])[:, 0, 0] + R_u * u * u
+        cost = qlearn._stage_costs(rec["x"][:m], rec["r"][:m], u, Q_q, R_u)
         return SimTrace(ks, ks * params.T, rec["theta"][:m], rec["r"][:m],
                         rec["x"][:m], u, K_rec[:m], cell_rec[:m], cost)
 
@@ -229,9 +230,15 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None) -> SimT
             if transient and r_next == r and x_next > 0.0:
                 g_x, g_r = scheduler._core_gain(table, cell)
                 u_next = -(g_x * x_next + g_r * r_next)
+                cost = qlearn.stage_cost((x, r), u, Q_q, R_u)
+                if not math.isfinite(cost):
+                    raise ValueError(
+                        f"online learning stage cost overflowed at step {k}: "
+                        + (f"the reference {r:.3g} A is beyond the "
+                           f"{i_limit:.2f} A safety bound" if r > i_limit
+                           else "the tracking weights are too large"))
                 tup = qlearn.DataTuple(np.array([x, r, u]),
-                                       np.array([x_next, r_next, u_next]),
-                                       qlearn.stage_cost((x, r), u, Q_q, R_u))
+                                       np.array([x_next, r_next, u_next]), cost)
                 scheduler.update_core_online(table, tup, cell)
         x, theta = x_next, theta_next
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from srmq import sim
+from srmq import lqt, sim
 from srmq.cli import (EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_OK, EXIT_SAFETY,
                       REFERENCE_GAIN, default_config, load_config, main)
 from srmq.plant import MotorParams, default_surface
@@ -128,6 +128,10 @@ class TestConfig:
         ("training", "tol", "nan", "tol"),
         ("training", "tol", "0", "tol"),
         ("training", "max_iters", "0", "max_iters"),
+        ("training", "gamma", "0", "gamma"),
+        ("training", "gamma", "-0.5", "gamma"),
+        ("training", "seed", "-1", "seed"),
+        ("scenario", "seed", "-1", "seed"),
         ("scenario", "dither_v", "nan", "dither_v"),
         ("scenario", "delta_band", "-1", "delta_band"),
         ("scenario", "i_ref", "nan", "i_ref"),
@@ -236,6 +240,27 @@ class TestOracle:
         report = last_json(capsys)
         for node in report["nodes"]:
             assert node["K"] == pytest.approx([0.0, 0.0], abs=1e-9)
+
+
+    @pytest.mark.parametrize("k0_x", ["-500", "200"])
+    def test_non_stabilizing_start_names_the_first_node(self, tmp_path,
+                                                        small_cfg, capsys,
+                                                        k0_x):
+        # the first row-major node whose loop the initial gain destabilizes
+        assert main(["--config", small_cfg, "--json", "oracle"]) == EXIT_OK
+        K0 = [float(k0_x), -100.0]
+        failing = [(n["row"], n["col"]) for n in last_json(capsys)["nodes"]
+                   if not lqt.is_stabilizing(lqt.build_augmented(n["A"], n["B"]),
+                                             K0)]
+        assert failing
+        path = tmp_path / "k0.ini"
+        path.write_text(SMALL + f"\n[training]\nk0_x = {k0_x}\n")
+        assert main(["--config", str(path), "oracle"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()]
+        assert "not stabilizing" in err and "k0_x" in err
+        assert f"at {len(failing)} of 12 nodes" in err
+        assert "first node ({},{})".format(*failing[0]) in err
 
 
 class TestTrain:
@@ -357,6 +382,22 @@ def _csv_rows(path):
 
 
 class TestRun:
+    def test_online_cost_overflow_names_the_step(self, tmp_path, small_table,
+                                                 capsys):
+        # the reference is far beyond the safety bound, the current is not:
+        # the first learning tuple's stage cost overflows
+        path = tmp_path / "overflow.ini"
+        path.write_text(SMALL.replace(
+            "duration_cycles = 2",
+            "duration_cycles = 2\ni_ref = 1e200\nonline_learning = true"))
+        capsys.readouterr()
+        assert main(["--config", str(path), "run", "--table", small_table,
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()]
+        assert "online learning stage cost overflowed at step " in err
+        assert "reference 1e+200 A is beyond the 15.00 A safety bound" in err
+
     def test_produces_trace_and_metrics(self, tmp_path, small_cfg,
                                         small_table, capsys):
         out = tmp_path / "out"

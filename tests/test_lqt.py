@@ -36,6 +36,31 @@ def reference_are(model, tol=1e-10, max_iter=10000):
     raise ConvergenceError("reference loop did not converge", residual)
 
 
+def reference_evaluate_policy(model, K):
+    """Per-node policy evaluation on one unbatched model, with np.kron and
+    np.outer: the reference the stacked evaluation must reproduce."""
+    K = np.asarray(K, float).ravel()
+    Ac = model.A_a - model.B_b @ K.reshape(1, 2)
+    Q_K = model.Q_q + model.R_u * np.outer(K, K)
+    M = np.eye(4) - model.gamma * np.kron(Ac.T, Ac.T)
+    p = np.linalg.solve(M, Q_K.flatten(order="F"))
+    P = p.reshape(2, 2, order="F")
+    return (P + P.T) / 2
+
+
+def reference_policy_iteration(model, K0, tol=1e-10, max_iter=200):
+    """Per-node policy iteration loop: (P, K, iterations), or None where
+    it does not converge within max_iter."""
+    K = np.asarray(K0, float).ravel()
+    for i in range(1, max_iter + 1):
+        P = reference_evaluate_policy(model, K)
+        K_next = reference_gain(P, model)
+        if np.linalg.norm(K_next - K) < tol:
+            return reference_evaluate_policy(model, K_next), K_next, i
+        K = K_next
+    return None
+
+
 def reference_gain(P, model):
     B, A, g = model.B_b, model.A_a, model.gamma
     S = model.R_u + g * (B.T @ P @ B).item()
@@ -265,6 +290,89 @@ class TestStackedRiccati:
         K1 = optimal_gain(P1, one)
         assert P1.shape == (1, 2, 2) and K1.shape == (1, 2)
         assert np.array_equal(P1[0], P) and np.array_equal(K1[0], K)
+
+
+class TestStackedPolicyIteration:
+    """One stacked policy iteration over many nodes equals the per-node
+    loop: P, K and the iteration count of every node, bit for bit."""
+
+    @staticmethod
+    def assert_matches_reference(model, K0, **kw):
+        res = policy_iteration_model_based(model, K0, **kw)
+        n = len(model.A_a)
+        assert res.P.shape == (n, 2, 2) and res.K.shape == (n, 2)
+        assert res.iterations.shape == (n,)
+        for k in range(n):
+            P, K, iters = reference_policy_iteration(
+                AugmentedModel(model.A_a[k], model.B_b[k], model.C_c[k],
+                               model.Q_q[k], model.R_u, model.gamma), K0, **kw)
+            assert np.array_equal(res.P[k], P), k
+            assert np.array_equal(res.K[k], K), k
+            assert res.iterations[k] == iters, k
+
+    def test_bit_identical_on_random_models(self):
+        # 10 batches of 200 open-loop stable plants, each batch with its
+        # own weights, discount and a shared initial gain that stabilizes
+        # every plant of it (|A - B k_x| < 1, and r' = r is discounted)
+        rng = np.random.default_rng(2024)
+        for _ in range(10):
+            A, B = rng.uniform(0.3, 0.995, 200), rng.uniform(0.005, 0.5, 200)
+            model = build_augmented(A, B, Q=rng.uniform(0.1, 1000.0),
+                                    R_u=10 ** rng.uniform(-4, 0),
+                                    gamma=rng.uniform(0.5, 0.99))
+            K0 = [rng.uniform(0.0, 1.0), -rng.uniform(0.0, 1.0)]
+            self.assert_matches_reference(model, K0)
+
+    def test_bit_identical_on_default_grid(self, params, surface):
+        model = build_augmented(*grid_dynamics(params, surface))
+        self.assert_matches_reference(model, [100.0, -100.0])
+
+    def test_batched_evaluation_matches_reference(self):
+        rng = np.random.default_rng(5)
+        A, B = random_dynamics(300, seed=5)
+        model = build_augmented(A, B)
+        K = rng.uniform(-2.0, 2.0, (300, 2))
+        P = evaluate_policy(model, K)
+        for k in range(300):
+            node = build_augmented(A[k], B[k])
+            assert np.array_equal(P[k], reference_evaluate_policy(node, K[k]))
+
+    def test_not_stabilizing_names_the_failing_nodes(self):
+        # k_x = 30 overshoots exactly the plants with A - 30 B < -1/sqrt(g)
+        A, B = random_dynamics(40, seed=3)
+        model = build_augmented(A, B)
+        failing = [k for k in range(40)
+                   if not is_stabilizing(build_augmented(A[k], B[k]),
+                                         [30.0, 0.0])]
+        assert 0 < len(failing) < 40
+        with pytest.raises(NotStabilizingError) as exc:
+            policy_iteration_model_based(model, [30.0, 0.0])
+        assert exc.value.indices == tuple(failing)
+        assert f"first {failing[0]}" in str(exc.value)
+
+    def test_partial_nonconvergence_matches_reference(self):
+        A, B = random_dynamics(60, seed=4)
+        model = build_augmented(A, B)
+        max_iter = 4      # 54 of these plants need 4 iterations, 6 need 5
+        failing = [k for k in range(60)
+                   if reference_policy_iteration(build_augmented(A[k], B[k]),
+                                                 [0.0, 0.0], max_iter=max_iter)
+                   is None]
+        assert 0 < len(failing) < 60
+        with pytest.raises(ConvergenceError) as exc:
+            policy_iteration_model_based(model, [0.0, 0.0], max_iter=max_iter)
+        assert exc.value.indices == tuple(failing)
+
+    def test_single_node_keeps_scalar_shapes(self):
+        m = motor_model(A16, B16)
+        res = policy_iteration_model_based(m, [100.0, -100.0])
+        assert res.P.shape == (2, 2) and res.K.shape == (2,)
+        assert type(res.iterations) is int
+        one = policy_iteration_model_based(
+            build_augmented(np.array([A16]), np.array([B16])), [100.0, -100.0])
+        assert np.array_equal(one.P[0], res.P)
+        assert np.array_equal(one.K[0], res.K)
+        assert one.iterations[0] == res.iterations
 
 
 class TestPolicyEvaluation:

@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from srmq import lqt
 from srmq.qlearn import (DataTuple, ExcitationError, QKernel, QTrainConfig,
-                         QTrainError, RankDeficientError, batch_ls_solve,
+                         QTrainError, RankDeficientError, TupleBatch,
+                         batch_ls_solve,
                          build_ls_rows, policy_improvement, q_policy_iteration,
                          q_value, rls_init, rls_update, stage_cost,
                          sym_features)
@@ -25,6 +26,24 @@ def kernel_from_value_matrix(model, P):
     G[2, :2] = G_Xu
     G[2, 2] = G_uu
     return QKernel(G)
+
+
+def reference_ls_rows(tuples, gamma):
+    """Regression rows one tuple at a time, from the scalar feature map:
+    the reference the stacked build_ls_rows must reproduce bit for bit."""
+    def features(M):
+        m0, m1, m2 = M
+        return np.array([m0 * m0, 2 * m0 * m1, 2 * m0 * m2,
+                         m1 * m1, 2 * m1 * m2, m2 * m2])
+    design = np.array([features(t.M_k) - gamma * features(t.M_k1)
+                       for t in tuples])
+    return design, np.array([t.stage_cost for t in tuples])
+
+
+def as_batch(tuples):
+    return TupleBatch(np.array([t.M_k for t in tuples]),
+                      np.array([t.M_k1 for t in tuples]),
+                      np.array([t.stage_cost for t in tuples]))
 
 
 def make_collector(model, rng, dither=15.0):
@@ -161,6 +180,43 @@ class TestLeastSquares:
         targets = targets + rng.normal(0, 1e-9, targets.size)
         fit = batch_ls_solve(design, targets)
         assert np.allclose(fit.G, G_true.G, rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_list_and_batch_match_reference(self, seed):
+        m = lqt.build_augmented(A16, B16)
+        rng = np.random.default_rng(seed)
+        tuples = make_collector(m, rng)(np.array([100.0, -100.0]), 6 + 10 * seed)
+        ref_design, ref_targets = reference_ls_rows(tuples, m.gamma)
+        for source in (tuples, as_batch(tuples)):
+            design, targets = build_ls_rows(source, m.gamma)
+            assert np.array_equal(design, ref_design)
+            assert np.array_equal(targets, ref_targets)
+            assert np.array_equal(batch_ls_solve(design, targets).G,
+                                  batch_ls_solve(ref_design, ref_targets).G)
+
+    @pytest.mark.parametrize("field, index, value, message", [
+        ("M_k", (2, 1), np.nan, "tuple entries must be finite"),
+        ("M_k1", (5, 2), np.inf, "tuple entries must be finite"),
+        ("costs", 3, np.nan, "tuple entries must be finite"),
+        ("costs", 0, -1.0, "stage cost must be non-negative"),
+    ])
+    def test_batch_checked_as_data_tuples_are(self, field, index, value,
+                                               message):
+        m = lqt.build_augmented(A16, B16)
+        tuples = make_collector(m, np.random.default_rng(0))(
+            np.array([100.0, -100.0]), 6)
+        batch = as_batch(tuples)
+        getattr(batch, field)[index] = value
+        with pytest.raises(ValueError, match=message):
+            build_ls_rows(batch, m.gamma)
+
+    def test_batch_shapes_checked(self):
+        batch = TupleBatch(np.ones((6, 2)), np.ones((6, 3)), np.ones(6))
+        with pytest.raises(ValueError, match="3 entries"):
+            build_ls_rows(batch, 0.9)
+        with pytest.raises(ValueError, match="at least 6"):
+            build_ls_rows(TupleBatch(np.ones((5, 3)), np.ones((5, 3)),
+                                     np.ones(5)), 0.9)
 
     def test_pure_state_feedback_is_rank_deficient(self):
         # without dither u is a deterministic function of (x, r): 6 tuples

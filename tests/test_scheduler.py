@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from srmq import lqt, scheduler
+from srmq import lqt, qlearn, scheduler
 from srmq.plant import (MotorParams, ReferenceProfile, default_surface,
-                        inductance_at)
+                        frozen_dynamics, inductance_at)
 from srmq.qlearn import (DataTuple, QKernel, RlsState, rls_update, stage_cost,
                          sym_features)
 from srmq.scheduler import (CellLocation, QCoreTable, TableMismatchError,
@@ -363,7 +363,119 @@ class TestScheduledGain:
         assert np.all(np.isfinite(K))
 
 
+def reference_node_collector(A, B, cfg, i_span, i_limit, rng):
+    """Scalar tuple source, one rng.uniform per value and one DataTuple per
+    tuple: the reference the array collector must reproduce bit for bit."""
+    Q_q = cfg.tracking_weight()
+    lo, hi = i_span
+
+    def collect(K, count):
+        tuples = []
+        for _ in range(count):
+            x = rng.uniform(0.0, hi)
+            r = rng.uniform(max(lo, 0.1 * hi), hi)
+            u = -(K[0] * x + K[1] * r) + cfg.dither * rng.uniform(-1, 1)
+            x1 = A * x + B * u
+            if abs(x1) > i_limit:
+                raise scheduler.SafetyAbortError(
+                    f"training current {x1:.2f} A exceeded the "
+                    f"{i_limit:.2f} A safety bound")
+            u1 = -(K[0] * x1 + K[1] * r)
+            cost = stage_cost((x, r), u, Q_q, cfg.r_weight)
+            tuples.append(DataTuple(np.array([x, r, u]),
+                                    np.array([x1, r, u1]), cost))
+        return tuples
+
+    return collect
+
+
+def reference_train_node(params, surface, cfg, theta_nodes, current_nodes,
+                         a, b):
+    """(kernel vector, iterations) of node (a, b) from the scalar collector,
+    per-row regression rows, lstsq and the greedy gain, one tuple at a time."""
+    _, A, B = frozen_dynamics(params, surface, theta_nodes[a], current_nodes[b])
+    collect = reference_node_collector(
+        A, B, cfg, (float(current_nodes[0]), float(current_nodes[-1])),
+        cfg.safety_factor * params.i_nominal,
+        np.random.default_rng([cfg.seed, a, b]))
+    K = np.asarray(cfg.K0, float)
+    for i in range(1, cfg.max_iters + 1):
+        tuples = collect(K, cfg.tuples_per_iter)
+        design = np.array([sym_features(t.M_k) - cfg.gamma * sym_features(t.M_k1)
+                           for t in tuples])
+        targets = np.array([t.stage_cost for t in tuples])
+        g = np.linalg.lstsq(design, targets, rcond=None)[0]
+        K_next = np.array([g[2], g[4]]) / g[5]
+        if np.linalg.norm(K_next - K) < cfg.tol:
+            return g, i
+        K = K_next
+    raise AssertionError("reference training did not settle")
+
+
+class TestTupleCollection:
+    """The array collector draws the scalar collector's tuples."""
+
+    @staticmethod
+    def collectors(seed, cfg=TableTrainConfig(), i_span=(0.0, 7.5),
+                   i_limit=15.0):
+        rng = np.random.default_rng(seed)
+        A, B = rng.uniform(0.95, 0.99), rng.uniform(0.005, 0.02)
+        return (scheduler._node_collector(A, B, cfg, i_span, i_limit,
+                                          np.random.default_rng([seed, 1])),
+                reference_node_collector(A, B, cfg, i_span, i_limit,
+                                         np.random.default_rng([seed, 1])))
+
+    def test_matches_scalar_reference_on_200_seeds(self):
+        # gains around K0 overshoot the bound on some draws: then both raise
+        # the same message, and the collectors are not used again
+        aborts = 0
+        for seed in range(200):
+            collect, reference = self.collectors(seed)
+            gains = np.random.default_rng(seed).uniform(-150, 150, (4, 2))
+            for K in gains:
+                count = 6 + seed % 5
+                try:
+                    tuples = reference(K, count)
+                except scheduler.SafetyAbortError as ref:
+                    with pytest.raises(scheduler.SafetyAbortError) as exc:
+                        collect(K, count)
+                    assert str(exc.value) == str(ref), seed
+                    aborts += 1
+                    break
+                batch = collect(K, count)
+                assert np.array_equal(batch.M_k, [t.M_k for t in tuples]), seed
+                assert np.array_equal(batch.M_k1, [t.M_k1 for t in tuples]), seed
+                assert np.array_equal(batch.costs,
+                                      [t.stage_cost for t in tuples]), seed
+        assert 0 < aborts < 200
+
+    def test_safety_abort_names_the_first_tuple_like_reference(self):
+        # a wide dither at a low bound: several tuples of a draw overshoot,
+        # and the message names the first of them
+        cfg = TableTrainConfig(dither=300.0)
+        for seed in range(3):
+            collect, reference = self.collectors(seed, cfg, i_limit=7.6)
+            with pytest.raises(scheduler.SafetyAbortError) as ref:
+                reference(np.array([0.0, 0.0]), 50)
+            with pytest.raises(scheduler.SafetyAbortError) as exc:
+                collect(np.array([0.0, 0.0]), 50)
+            assert str(exc.value) == str(ref.value)
+
+
 class TestTrainTable:
+    def test_small_grid_matches_scalar_reference(self, params, surface):
+        theta_nodes = np.array([0.0, 10.0, 22.5, 45.0])
+        current_nodes = np.array([0.0, 3.0, 7.5])
+        for cfg in (TableTrainConfig(), TableTrainConfig(seed=12345,
+                                                         tuples_per_iter=9)):
+            t = train_table(params, surface, theta_nodes, current_nodes, cfg)
+            for a in range(theta_nodes.size):
+                for b in range(current_nodes.size):
+                    g, iters = reference_train_node(
+                        params, surface, cfg, theta_nodes, current_nodes, a, b)
+                    assert np.array_equal(t.kernels[a, b], g), (a, b)
+                    assert t.iterations[a, b] == iters, (a, b)
+
     def test_constant_surface_cores_agree(self, params):
         surf = constant_surface(16e-3)
         t = train_table(params, surf, theta_nodes=np.array([0.0, 45.0]),
@@ -565,6 +677,8 @@ class TestTableValidation:
         ("safety_factor", float("nan")), ("dither", -1.0),
         ("tol", 0.0), ("tol", float("nan")), ("tol", float("inf")),
         ("max_iters", 0), ("max_iters", -3),
+        ("gamma", 0.0), ("gamma", -0.5), ("gamma", float("nan")),
+        ("seed", -1), ("seed", 1.5),
     ])
     def test_config_out_of_range_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):

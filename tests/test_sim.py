@@ -87,6 +87,9 @@ class TestScenario:
                 make_scenario(params, surface, **{field: float("nan")})
         with pytest.raises(ValueError, match="delta_band"):
             make_scenario(params, surface, delta_band=-1.0)
+        for seed in (-1, 2.5):
+            with pytest.raises(ValueError, match="seed"):
+                make_scenario(params, surface, seed=seed)
 
     def test_controller_names(self):
         assert CONTROLLERS == ("scheduled-qlearning", "single-qcore",
