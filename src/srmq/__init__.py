@@ -5,10 +5,10 @@ from .plant import (MotorParams, InductanceSurface, ReferenceProfile,
 from .lqt import (AugmentedModel, build_augmented, are_fixed_point, optimal_gain,
                   policy_iteration_model_based)
 from .qlearn import (QKernel, DataTuple, TupleBatch, RlsState, QTrainConfig,
-                     q_value, policy_improvement, stage_cost, build_ls_rows,
+                     policy_improvement, stage_cost, build_ls_rows,
                      batch_ls_solve, rls_init, rls_update, q_policy_iteration)
 from .scheduler import (QCoreTable, CellLocation, TableTrainConfig, locate,
-                        nearest_core, scheduled_q, scheduled_gain, train_table,
+                        scheduled_q, scheduled_gain, train_table,
                         update_core_online, save_table, load_table)
 from .sim import (Scenario, SimTrace, Metrics, run_closed_loop,
                   delta_modulation_step, compute_metrics, export_trace)

@@ -138,11 +138,14 @@ def _surface(cp, params: MotorParams):
         return load_surface_csv(path)
     if s["kind"] != "analytic":
         raise ConfigError(f"surface.kind must be analytic or file, got {s['kind']!r}")
-    return default_surface(
-        params, n_theta=s.getint("n_theta"), n_current=s.getint("n_current"),
-        kappa=s.getfloat("kappa"),
-        i_sat=s.getfloat("i_sat") if s["i_sat"] else None,
-        i_max=s.getfloat("i_max") if s["i_max"] else None)
+    try:
+        return default_surface(
+            params, n_theta=s.getint("n_theta"), n_current=s.getint("n_current"),
+            kappa=s.getfloat("kappa"),
+            i_sat=s.getfloat("i_sat") if s["i_sat"] else None,
+            i_max=s.getfloat("i_max") if s["i_max"] else None)
+    except ValueError as exc:
+        raise _invalid("surface", exc) from exc
 
 
 def _grid(cp, params: MotorParams):

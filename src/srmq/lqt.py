@@ -46,13 +46,12 @@ class AugmentedModel:
 
     A_a: np.ndarray   # (..., 2, 2), diag(A, F)
     B_b: np.ndarray   # (..., 2, 1), [B, 0]
-    C_c: np.ndarray   # (..., 1, 2), [C, 0]
     Q_q: np.ndarray   # (..., 2, 2) tracking weight
     R_u: float
     gamma: float
 
     def __post_init__(self):
-        for name in ("A_a", "B_b", "C_c", "Q_q"):
+        for name in ("A_a", "B_b", "Q_q"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), float))
         if not (0 < self.gamma <= 1):
             raise ValueError("discount must be in (0, 1]")
@@ -79,11 +78,9 @@ def build_augmented(A, B, C: float = 1.0, F: float = 1.0,
     A_a[..., 0, 0], A_a[..., 1, 1] = A, F
     B_b = np.zeros(batch + (2, 1))
     B_b[..., 0, 0] = B
-    C_c = np.zeros(batch + (1, 2))
-    C_c[..., 0, 0] = C
     e = np.array([[C, -1.0]])
     Q_q = np.broadcast_to(e.T * Q @ e, batch + (2, 2))
-    return AugmentedModel(A_a, B_b, C_c, Q_q, float(R_u), float(gamma))
+    return AugmentedModel(A_a, B_b, Q_q, float(R_u), float(gamma))
 
 
 def closed_loop(model: AugmentedModel, K: np.ndarray) -> np.ndarray:
@@ -186,8 +183,7 @@ class PIResult(NamedTuple):
 def _nodes(model: AugmentedModel, index) -> AugmentedModel:
     """The models of a flat batch selected by index."""
     return AugmentedModel(model.A_a[index], model.B_b[index],
-                          model.C_c[index], model.Q_q[index],
-                          model.R_u, model.gamma)
+                          model.Q_q[index], model.R_u, model.gamma)
 
 
 def policy_iteration_model_based(model: AugmentedModel, K0,
@@ -209,7 +205,6 @@ def policy_iteration_model_based(model: AugmentedModel, K0,
     batch = model.A_a.shape[:-2]
     flat = AugmentedModel(
         model.A_a.reshape(-1, 2, 2), model.B_b.reshape(-1, 2, 1),
-        model.C_c.reshape(-1, 1, 2),
         np.broadcast_to(model.Q_q, model.A_a.shape).reshape(-1, 2, 2),
         model.R_u, model.gamma)
     n = len(flat.A_a)

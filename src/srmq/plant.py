@@ -103,10 +103,6 @@ class InductanceSurface:
         object.__setattr__(self, "_current_list", self.current_grid.tolist())
         object.__setattr__(self, "_values_list", self.values.tolist())
 
-    @property
-    def pitch(self) -> float:
-        return float(self.theta_grid[-1] - self.theta_grid[0])
-
 
 @dataclass(frozen=True)
 class ReferenceProfile:
@@ -214,6 +210,9 @@ def default_surface(params: MotorParams, n_theta: int = 16, n_current: int = 8,
         i_sat = params.i_nominal
     if i_max is None:
         i_max = 1.5 * params.i_nominal
+    _require_bound("kappa", kappa)
+    _require_bound("i_sat", i_sat, positive=True)
+    _require_bound("i_max", i_max, positive=True)
     theta = np.linspace(0.0, params.rotor_pitch, n_theta)
     current = np.linspace(0.0, i_max, n_current)
     shape = (1 + np.cos(2 * np.pi * theta / params.rotor_pitch)) / 2

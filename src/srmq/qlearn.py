@@ -56,14 +56,6 @@ class QKernel:
         object.__setattr__(self, "G", (G + G.T) / 2)
 
     @property
-    def G_XX(self) -> np.ndarray:
-        return self.G[:2, :2]
-
-    @property
-    def G_Xu(self) -> np.ndarray:
-        return self.G[:2, 2]
-
-    @property
     def G_uX(self) -> np.ndarray:
         return self.G[2, :2]
 
@@ -119,12 +111,6 @@ def sym_features(M: np.ndarray) -> np.ndarray:
     m0, m1, m2 = np.asarray(M).T
     return np.array([m0 * m0, 2 * m0 * m1, 2 * m0 * m2,
                      m1 * m1, 2 * m1 * m2, m2 * m2]).T
-
-
-def q_value(kernel: QKernel, X, u: float) -> float:
-    """Action value 0.5 * M' G M with M = [X; u]."""
-    M = np.array([X[0], X[1], u], float)
-    return 0.5 * float(M @ kernel.G @ M)
 
 
 def stage_cost(X, u: float, Q_q: np.ndarray, R_u: float) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 from . import qlearn
 from .plant import (InductanceSurface, MotorParams, _corners, _locate,
                     _require_bound, _require_seed, _weights, frozen_dynamics)
-from .qlearn import NUM_PARAMS, DataTuple, QKernel, QTrainConfig
+from .qlearn import NUM_PARAMS, QKernel, QTrainConfig
 
 TABLE_FORMAT_VERSION = 2
 
@@ -76,6 +76,12 @@ class TableTrainConfig:
                      "safety_factor", "tol", "max_iters"):
             _require_bound(name, getattr(self, name), positive=True)
         _require_seed("seed", self.seed)
+        for name, k in zip(("k0_x", "k0_r"), self.K0):
+            if not np.isfinite(k):
+                raise ValueError(f"{name} must be finite, got {k!r}")
+        if self.tuples_per_iter < qlearn.MIN_TUPLES:
+            raise ValueError(f"tuples_per_iter must be at least "
+                             f"{qlearn.MIN_TUPLES}, got {self.tuples_per_iter}")
 
     def tracking_weight(self) -> np.ndarray:
         q = self.q_weight
@@ -148,10 +154,6 @@ class QCoreTable:
     def shape(self):
         return (self.theta_nodes.size, self.current_nodes.size)
 
-    @property
-    def pitch(self) -> float:
-        return float(self.theta_nodes[-1] - self.theta_nodes[0])
-
 
 def locate(table: QCoreTable, theta: float, i: float) -> CellLocation:
     """Find the enclosing cell; theta wraps periodically, current clamps."""
@@ -172,18 +174,6 @@ def _core_gain(table: QCoreTable, cell):
     kernel list (the same bits as QCoreTable.gains)."""
     g = table._kernels_list[cell[0]][cell[1]]
     return g[2] / g[5], g[4] / g[5]
-
-
-def _nearest_node(table: QCoreTable, theta: float, i: float):
-    """(row, col) of the core nearest to (theta, i); see _corner."""
-    return _corner(table, *_locate(table._theta_list, table._current_list,
-                                   theta, i))
-
-
-def nearest_core(table: QCoreTable, theta: float, i: float) -> QKernel:
-    """Corner kernel of the enclosing cell closest in normalized offsets;
-    ties break toward the lower indices."""
-    return QKernel.from_vec(table.kernels[_nearest_node(table, theta, i)])
 
 
 def scheduled_q(table: QCoreTable, theta: float, i: float) -> QKernel:
@@ -319,9 +309,11 @@ def train_table(params: MotorParams, surface: InductanceSurface,
                       params_hash(params, surface), iterations=iters)
 
 
-def update_core_online(table: QCoreTable, tup: DataTuple, cell) -> bool:
+def update_core_online(table: QCoreTable, cell, M_k, M_k1, cost) -> bool:
     """One RLS step on the core at cell = (row, col), the nearest core that
-    schedule returned, from a live-trajectory tuple.
+    schedule returned, from one live-trajectory transition: M_k = [x, r, u],
+    its successor M_{k+1} under the core's own gain, and the stage cost.
+    The caller passes finite numbers; they are not checked here.
 
     The refreshed gain is rate-limited: an update that would move the
     core's gain by more than the configured clamp (or make its input
@@ -329,9 +321,9 @@ def update_core_online(table: QCoreTable, tup: DataTuple, cell) -> bool:
     Returns True if the update was applied.
     """
     a, b = cell
-    row = qlearn.sym_features(tup.M_k) - table.cfg.gamma * qlearn.sym_features(tup.M_k1)
+    f_k, f_k1 = qlearn.sym_features((M_k, M_k1))
     g, eta = qlearn._rls_step(table.kernels[a, b], table.covariance[a, b],
-                              row, tup.stage_cost)
+                              f_k - table.cfg.gamma * f_k1, cost)
     if g[5] <= 0:
         return False
     K_new = np.array([g[2], g[4]]) / g[5]

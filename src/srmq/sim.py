@@ -32,6 +32,10 @@ CSV_ROW = ",".join(["{}"] * len(TRACE_COLUMNS)) + "\r\n"
 JSONL_ROW = "{{" + ", ".join(f'"{name}": {{}}' for name in TRACE_COLUMNS) + "}}\n"
 JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
+# the longest run a scenario may ask for, checked before the trace arrays
+# are allocated: 800 electrical cycles at the defaults, about 64 MB of trace
+MAX_STEPS = 10**6
+
 SETTLE_FRACTION = 0.05   # |x - r| below this fraction of the amplitude counts as settled
 
 
@@ -54,8 +58,10 @@ class Scenario:
         if self.controller not in CONTROLLERS:
             raise ValueError(f"unknown controller {self.controller!r}; "
                              f"expected one of {CONTROLLERS}")
-        if self.steps <= 0:
-            raise ValueError("duration must be positive")
+        if not 0 < self.steps <= MAX_STEPS:
+            raise ValueError(f"duration must be 1 to MAX_STEPS = {MAX_STEPS} "
+                             f"steps, got {self.steps} (duration_cycles x the "
+                             "steps per cycle from speed_rpm and t_sample)")
         _require_bound("dither", self.dither)
         _require_bound("r_scale", self.r_scale, positive=True)
         _require_bound("delta_band", self.delta_band)
@@ -157,17 +163,16 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None) -> SimT
     Q_q = cfg.tracking_weight()
     R_u = cfg.r_weight
 
-    plant_params = params if scenario.r_scale == 1.0 else \
-        replace(params, R_phase=params.R_phase * scenario.r_scale)
+    plant_params = replace(params, R_phase=params.R_phase * scenario.r_scale)
 
     rng = np.random.default_rng(scenario.seed)
     n = scenario.steps
     i_limit = cfg.safety_factor * params.i_nominal
     if scenario.controller == "single-qcore":
         # the core nearest the middle of the conduction window at i_ref
-        single = scheduler._nearest_node(
-            table, (profile.theta_on + profile.theta_off) / 2, profile.i_ref)
-        single_K = scheduler._core_gain(table, single)
+        cell = scheduler.schedule(
+            table, (profile.theta_on + profile.theta_off) / 2, profile.i_ref)[2]
+        single = (*scheduler._core_gain(table, cell), cell)
 
     rec = {name: np.zeros(n) for name in ("theta", "r", "x", "u")}
     K_rec = np.zeros((n, 2))
@@ -194,8 +199,7 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None) -> SimT
             cell = (-1, -1)
         else:
             if scenario.controller == "single-qcore":
-                cell = single
-                k_x, k_r = single_K
+                k_x, k_r, cell = single
             else:
                 k_x, k_r, cell = scheduler.schedule(table, theta, x)
             u = -(k_x * x + k_r * r)
@@ -237,9 +241,8 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None) -> SimT
                         + (f"the reference {r:.3g} A is beyond the "
                            f"{i_limit:.2f} A safety bound" if r > i_limit
                            else "the tracking weights are too large"))
-                tup = qlearn.DataTuple(np.array([x, r, u]),
-                                       np.array([x_next, r_next, u_next]), cost)
-                scheduler.update_core_online(table, tup, cell)
+                scheduler.update_core_online(table, cell, (x, r, u),
+                                             (x_next, r_next, u_next), cost)
         x, theta = x_next, theta_next
 
     return finish(n)

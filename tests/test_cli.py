@@ -168,6 +168,58 @@ class TestConfig:
         assert named in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["oracle", "train"])
+    @pytest.mark.parametrize("section, key, value", [
+        ("surface", "kappa", "nan"), ("surface", "kappa", "-1"),
+        ("surface", "i_max", "nan"), ("surface", "i_sat", "0"),
+        ("training", "k0_x", "nan"), ("training", "k0_r", "inf"),
+        ("training", "tuples_per_iter", "0"),
+    ])
+    def test_surface_and_training_keys_are_named(self, tmp_path, capsys,
+                                                 section, key, value, command):
+        # rejected when the config is read, with one line naming the key:
+        # no numpy warning, and no message from deep inside the solvers
+        cp = configparser.ConfigParser()
+        cp.read_string(SMALL)
+        if not cp.has_section(section):
+            cp.add_section(section)
+        cp[section][key] = value
+        path = tmp_path / "probe.ini"
+        with open(path, "w") as f:
+            cp.write(f)
+        args = ["--out", str(tmp_path / "t.json")] if command == "train" else []
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--config", str(path), command] + args)
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()]
+        what = "surface" if section == "surface" else "training parameters"
+        assert f"invalid {what}: {key} must be" in err
+
+    def test_step_budget_rejects_before_the_loop(self, tmp_path, monkeypatch,
+                                                 capsys):
+        # at 1e-6 RPM one electrical cycle is 7.5e10 steps; the run is refused
+        # by sim.MAX_STEPS before the loop allocates its trace arrays
+        def must_not_run(*args):
+            raise AssertionError("the closed loop was started")
+
+        monkeypatch.setattr(sim, "run_closed_loop", must_not_run)
+        path = tmp_path / "slow.ini"
+        path.write_text(SMALL + "\n[motor]\nspeed_rpm = 1e-6\n")
+        table = str(tmp_path / "slow.json")
+        assert main(["--config", str(path), "train", "--out", table]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["--config", str(path), "run", "--table", table,
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()]
+        assert f"MAX_STEPS = {sim.MAX_STEPS}" in err
+        for key in ("duration_cycles", "speed_rpm", "t_sample"):
+            assert key in err
+        assert not (tmp_path / "out").exists()
+
     def test_duplicate_section_rejected(self, tmp_path, capsys):
         path = tmp_path / "dup.ini"
         path.write_text("[grid]\nn_theta = 4\n[grid]\nn_current = 3\n")

@@ -92,7 +92,6 @@ class TestBuildAugmented:
         m = motor_model(A16, B16)
         assert np.array_equal(m.A_a, np.diag([A16, 1.0]))
         assert np.array_equal(m.B_b, [[B16], [0.0]])
-        assert np.array_equal(m.C_c, [[1.0, 0.0]])
 
     def test_tracking_weight(self):
         m = motor_model(A16, B16, Q=100.0)
@@ -115,7 +114,6 @@ class TestBuildAugmented:
     def test_asymmetric_weight_rejected(self):
         with pytest.raises(ValueError):
             AugmentedModel(np.eye(2), np.array([[1.0], [0.0]]),
-                           np.array([[1.0, 0.0]]),
                            np.array([[1.0, 2.0], [0.0, 1.0]]), 0.001, 0.9)
 
 
@@ -242,18 +240,17 @@ class TestStackedRiccati:
         A, B = random_dynamics(3)
         m = build_augmented(A, B, Q=100.0)
         assert m.A_a.shape == (3, 2, 2) and m.B_b.shape == (3, 2, 1)
-        assert m.C_c.shape == (3, 1, 2) and m.Q_q.shape == (3, 2, 2)
+        assert m.Q_q.shape == (3, 2, 2)
         for k in range(3):
             node = build_augmented(A[k], B[k], Q=100.0)
-            for name in ("A_a", "B_b", "C_c", "Q_q"):
+            for name in ("A_a", "B_b", "Q_q"):
                 assert np.array_equal(getattr(m, name)[k], getattr(node, name))
 
     def test_batched_asymmetric_weight_rejected(self):
         Q = np.array([np.eye(2), [[1.0, 2.0], [0.0, 1.0]]])
         with pytest.raises(ValueError):
             AugmentedModel(np.tile(np.eye(2), (2, 1, 1)),
-                           np.tile([[1.0], [0.0]], (2, 1, 1)),
-                           np.tile([[1.0, 0.0]], (2, 1, 1)), Q, 0.001, 0.9)
+                           np.tile([[1.0], [0.0]], (2, 1, 1)), Q, 0.001, 0.9)
 
     def test_nonconvergence_lists_unconverged_indices(self):
         A, B = random_dynamics(20, seed=1)
@@ -304,8 +301,8 @@ class TestStackedPolicyIteration:
         assert res.iterations.shape == (n,)
         for k in range(n):
             P, K, iters = reference_policy_iteration(
-                AugmentedModel(model.A_a[k], model.B_b[k], model.C_c[k],
-                               model.Q_q[k], model.R_u, model.gamma), K0, **kw)
+                AugmentedModel(model.A_a[k], model.B_b[k], model.Q_q[k],
+                               model.R_u, model.gamma), K0, **kw)
             assert np.array_equal(res.P[k], P), k
             assert np.array_equal(res.K[k], K), k
             assert res.iterations[k] == iters, k

@@ -125,7 +125,8 @@ class TestInductanceSurface:
     @given(theta=st.floats(-100, 200), i=st.floats(0, 12))
     @settings(max_examples=200, deadline=None)
     def test_periodicity(self, surface, theta, i):
-        assert inductance_at(surface, theta + surface.pitch, i) == \
+        pitch = surface.theta_grid[-1] - surface.theta_grid[0]
+        assert inductance_at(surface, theta + pitch, i) == \
             pytest.approx(inductance_at(surface, theta, i), rel=1e-12)
 
     @given(data=st.data())

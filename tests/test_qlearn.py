@@ -7,8 +7,7 @@ from srmq.qlearn import (DataTuple, ExcitationError, QKernel, QTrainConfig,
                          QTrainError, RankDeficientError, TupleBatch,
                          batch_ls_solve,
                          build_ls_rows, policy_improvement, q_policy_iteration,
-                         q_value, rls_init, rls_update, stage_cost,
-                         sym_features)
+                         rls_init, rls_update, stage_cost, sym_features)
 
 A16, B16 = 0.9875, 0.00625
 
@@ -68,12 +67,13 @@ def make_collector(model, rng, dither=15.0):
 class TestKernel:
     def test_example_value(self):
         k = QKernel(np.eye(3))
-        assert q_value(k, (1.0, 2.0), 3.0) == pytest.approx(7.0)
+        M = np.array([1.0, 2.0, 3.0])
+        assert 0.5 * M @ k.G @ M == pytest.approx(7.0)
 
     def test_blocks(self):
         G = np.array([[1.0, 2, 3], [2, 4, 5], [3, 5, 6]])
         k = QKernel(G)
-        assert np.array_equal(k.G_XX, [[1, 2], [2, 4]])
+        assert np.array_equal(k.G[:2, :2], [[1, 2], [2, 4]])
         assert np.array_equal(k.G_uX, [3, 5])
         assert k.G_uu == 6.0
 
@@ -132,8 +132,8 @@ class TestPolicyImprovement:
         k = kernel_from_value_matrix(m, P)
         K = policy_improvement(k)
         X = np.array([1.0, 4.0])
-        u = float(-K @ X)
-        assert q_value(k, X, u) == pytest.approx(0.5 * X @ P @ X, rel=1e-9)
+        M = np.array([*X, -K @ X])
+        assert 0.5 * M @ k.G @ M == pytest.approx(0.5 * X @ P @ X, rel=1e-9)
 
     def test_nonpositive_input_block_rejected(self):
         G = np.diag([1.0, 1.0, -0.5])

@@ -12,7 +12,7 @@ from srmq.qlearn import (DataTuple, QKernel, RlsState, rls_update, stage_cost,
 from srmq.scheduler import (CellLocation, QCoreTable, TableMismatchError,
                             TableTrainConfig, TableTrainError, _corner,
                             check_table_compatible, load_table, locate,
-                            nearest_core, params_hash, save_table, schedule,
+                            params_hash, save_table, schedule,
                             scheduled_gain, scheduled_q, train_table,
                             update_core_online)
 from srmq.sim import Scenario, run_closed_loop
@@ -177,7 +177,8 @@ class TestMirrors:
     def test_learning_run_keeps_kernel_mirror_and_public_rls_result(
             self, params, surface, fresh_table, monkeypatch):
         # criterion 6 learning scenario; every online update is replayed on
-        # a copy of the table through the public RlsState/rls_update path
+        # a copy of the table through the public RlsState/rls_update path,
+        # and its numbers pass DataTuple's finite, shape and cost checks
         spc = params.steps_per_cycle
         profile = ReferenceProfile(step_events=((4 * spc, 5.5), (8 * spc, 4.5)))
         scenario = Scenario(motor=params, surface=surface, reference=profile,
@@ -185,8 +186,9 @@ class TestMirrors:
         ref = copy.deepcopy(fresh_table)
         updates = []
 
-        def recording(table, tup, cell):
-            applied = update_core_online(table, tup, cell)
+        def recording(table, cell, M_k, M_k1, cost):
+            tup = DataTuple(M_k, M_k1, cost)
+            applied = update_core_online(table, cell, M_k, M_k1, cost)
             updates.append((tup, cell, applied))
             return applied
 
@@ -237,7 +239,7 @@ class TestLocate:
 
     def test_theta_wraps(self, trained_table):
         t = trained_table
-        pitch = t.pitch
+        pitch = t.theta_nodes[-1] - t.theta_nodes[0]
         a = locate(t, 12.0, 3.0)
         b = locate(t, 12.0 + 2 * pitch, 3.0)
         assert (a.row, a.col, a.l1, a.l2) == (b.row, b.col, b.l1, b.l2)
@@ -266,23 +268,25 @@ class TestLocate:
 
 
 class TestNearestCore:
+    """The nearest core that schedule returns with its gain."""
+
     def test_quadrant_selection(self, trained_table):
         t = trained_table
         dt = t.theta_nodes[1] - t.theta_nodes[0]
         di = t.current_nodes[1] - t.current_nodes[0]
-        near_00 = nearest_core(t, float(t.theta_nodes[0] + 0.2 * dt),
-                               float(t.current_nodes[0] + 0.2 * di))
-        assert np.array_equal(near_00.to_vec(), t.kernels[0, 0])
-        near_11 = nearest_core(t, float(t.theta_nodes[0] + 0.8 * dt),
-                               float(t.current_nodes[0] + 0.8 * di))
-        assert np.array_equal(near_11.to_vec(), t.kernels[1, 1])
+        cell = schedule(t, float(t.theta_nodes[0] + 0.2 * dt),
+                        float(t.current_nodes[0] + 0.2 * di))[2]
+        assert np.array_equal(t.kernels[cell], t.kernels[0, 0])
+        cell = schedule(t, float(t.theta_nodes[0] + 0.8 * dt),
+                        float(t.current_nodes[0] + 0.8 * di))[2]
+        assert np.array_equal(t.kernels[cell], t.kernels[1, 1])
 
     def test_tie_breaks_to_lower_indices(self, trained_table):
         t = trained_table
         mid_t = (t.theta_nodes[0] + t.theta_nodes[1]) / 2
         mid_i = (t.current_nodes[0] + t.current_nodes[1]) / 2
-        assert np.array_equal(
-            nearest_core(t, float(mid_t), float(mid_i)).to_vec(), t.kernels[0, 0])
+        cell = schedule(t, float(mid_t), float(mid_i))[2]
+        assert np.array_equal(t.kernels[cell], t.kernels[0, 0])
 
 
 class TestScheduledQ:
@@ -526,13 +530,14 @@ class TestOnlineUpdate:
         return 1 - params.T * params.R_phase / L, params.T / L
 
     def _make_tuple(self, table, A, B, x, r, u):
+        """(M_k, M_k1, cost) of one step of the core (2, 3)'s model."""
         a_, b_ = 2, 3
         x1 = A * x + B * u
         K = table.gains[a_, b_]
         u1 = -(K[0] * x1 + K[1] * r)
         c = stage_cost((x, r), u, table.cfg.tracking_weight(),
                        table.cfg.r_weight)
-        return DataTuple((x, r, u), (x1, r, u1), c)
+        return (x, r, u), (x1, r, u1), c
 
     def test_consistent_tuple_leaves_gain_fixed(self, params, surface,
                                                 fresh_table):
@@ -545,7 +550,7 @@ class TestOnlineUpdate:
         for _ in range(20):
             x, r = rng.uniform(0, 6), rng.uniform(1, 5)
             u = -(before[0] * x + before[1] * r) + 15 * rng.uniform(-1, 1)
-            update_core_online(t, self._make_tuple(t, A, B, x, r, u), (2, 3))
+            update_core_online(t, (2, 3), *self._make_tuple(t, A, B, x, r, u))
         assert np.allclose(t.gains[2, 3], before, atol=1e-6)
 
     def test_adapts_to_resistance_drift(self, params, surface, fresh_table):
@@ -565,7 +570,7 @@ class TestOnlineUpdate:
             x, r = rng.uniform(0, 6), rng.uniform(1, 5)
             K = t.gains[2, 3]
             u = -(K[0] * x + K[1] * r) + 15 * rng.uniform(-1, 1)
-            update_core_online(t, self._make_tuple(t, A, B, x, r, u), (2, 3))
+            update_core_online(t, (2, 3), *self._make_tuple(t, A, B, x, r, u))
         err1 = np.linalg.norm(t.gains[2, 3] - K_star)
         assert err1 < 0.05 * err0
 
@@ -573,8 +578,8 @@ class TestOnlineUpdate:
         t = fresh_table
         before = table_state(t)
         # wildly inconsistent target: huge cost at a tiny feature row
-        tup = DataTuple((0.1, 0.1, 0.1), (0.0, 0.1, 0.0), 1e7)
-        applied = update_core_online(t, tup, (2, 3))
+        applied = update_core_online(t, (2, 3), (0.1, 0.1, 0.1),
+                                     (0.0, 0.1, 0.0), 1e7)
         assert not applied
         assert table_state(t) == before
 

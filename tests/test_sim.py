@@ -7,8 +7,8 @@ import pytest
 from srmq.plant import MotorParams, ReferenceProfile
 from srmq.qlearn import stage_cost
 from srmq.scheduler import SafetyAbortError, TableTrainConfig
-from srmq.sim import (CONTROLLERS, EXPORT_CHUNK, TRACE_COLUMNS, Metrics,
-                      Scenario, SimTrace, compute_metrics,
+from srmq.sim import (CONTROLLERS, EXPORT_CHUNK, MAX_STEPS, TRACE_COLUMNS,
+                      Metrics, Scenario, SimTrace, compute_metrics,
                       delta_modulation_step, export_trace, run_closed_loop)
 from conftest import constant_surface
 
@@ -445,3 +445,14 @@ class TestControllerComparison:
                               np.linalg.norm(aligned_gain - K_star) / scale)
         assert worst_sched < 0.10
         assert worst_fixed > 0.50
+
+
+class TestStepBudget:
+    def test_longest_scenario_is_max_steps(self, params, surface):
+        # constructing a scenario allocates nothing; only the loop does
+        profile = ReferenceProfile()
+        Scenario(motor=params, surface=surface, reference=profile,
+                 duration=MAX_STEPS)
+        with pytest.raises(ValueError, match="MAX_STEPS"):
+            Scenario(motor=params, surface=surface, reference=profile,
+                     duration=MAX_STEPS + 1)
