@@ -23,8 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from . import lqt, scheduler, sim
-from .plant import (MotorParams, ReferenceProfile, _require_bound,
-                    default_surface, frozen_dynamics, load_surface_csv)
+from .plant import (MAX_AXIS_NODES, MotorParams, ReferenceProfile,
+                    _require_bound, _require_count, default_surface,
+                    frozen_dynamics, load_surface_csv)
 from .scheduler import (SafetyAbortError, TableMismatchError, TableTrainError,
                         TableTrainConfig)
 
@@ -117,14 +118,24 @@ def dump_config(cp: configparser.ConfigParser, path) -> None:
         cp.write(f)
 
 
+def _number(section, key, kind=float):
+    """section[key] as a float (an int for kind=int), naming the key."""
+    try:
+        return kind(section[key])
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{key} must be {what}, got {section[key]!r}") from None
+
+
 def _motor(cp) -> MotorParams:
     m = cp["motor"]
     try:
         return MotorParams(
-            R_phase=m.getfloat("r_phase"), T=m.getfloat("t_sample"),
-            L_unaligned=m.getfloat("l_unaligned"), L_aligned=m.getfloat("l_aligned"),
-            rotor_pitch=m.getfloat("rotor_pitch"), speed=m.getfloat("speed_rpm"),
-            V_dc=m.getfloat("v_dc"), i_nominal=m.getfloat("i_nominal"))
+            R_phase=_number(m, "r_phase"), T=_number(m, "t_sample"),
+            L_unaligned=_number(m, "l_unaligned"), V_dc=_number(m, "v_dc"),
+            L_aligned=_number(m, "l_aligned"), speed=_number(m, "speed_rpm"),
+            rotor_pitch=_number(m, "rotor_pitch"),
+            i_nominal=_number(m, "i_nominal"))
     except ValueError as exc:
         raise _invalid("motor parameters", exc) from exc
 
@@ -140,41 +151,40 @@ def _surface(cp, params: MotorParams):
         raise ConfigError(f"surface.kind must be analytic or file, got {s['kind']!r}")
     try:
         return default_surface(
-            params, n_theta=s.getint("n_theta"), n_current=s.getint("n_current"),
-            kappa=s.getfloat("kappa"),
-            i_sat=s.getfloat("i_sat") if s["i_sat"] else None,
-            i_max=s.getfloat("i_max") if s["i_max"] else None)
+            params, n_theta=_number(s, "n_theta", int),
+            n_current=_number(s, "n_current", int), kappa=_number(s, "kappa"),
+            i_sat=_number(s, "i_sat") if s["i_sat"] else None,
+            i_max=_number(s, "i_max") if s["i_max"] else None)
     except ValueError as exc:
         raise _invalid("surface", exc) from exc
 
 
 def _grid(cp, params: MotorParams):
     g = cp["grid"]
-    n_theta, n_current = g.getint("n_theta"), g.getint("n_current")
-    i_max = g.getfloat("i_max") if g["i_max"] else 1.5 * params.i_nominal
     try:
-        for key, n in (("n_theta", n_theta), ("n_current", n_current)):
-            if n < 1:
-                raise ValueError(f"{key} must be at least 1, got {n}")
+        nodes = {key: _number(g, key, int) for key in ("n_theta", "n_current")}
+        for key, n in nodes.items():
+            _require_count(key, n, 1, MAX_AXIS_NODES)
+        i_max = _number(g, "i_max") if g["i_max"] else 1.5 * params.i_nominal
         _require_bound("i_max", i_max, positive=True)
     except ValueError as exc:
         raise _invalid("grid", exc) from exc
-    return (np.linspace(0.0, params.rotor_pitch, n_theta),
-            np.linspace(0.0, i_max, n_current))
+    return (np.linspace(0.0, params.rotor_pitch, nodes["n_theta"]),
+            np.linspace(0.0, i_max, nodes["n_current"]))
 
 
 def _train_cfg(cp) -> TableTrainConfig:
     t = cp["training"]
     try:
         return TableTrainConfig(
-            q_weight=t.getfloat("q_weight"), r_weight=t.getfloat("r_weight"),
-            gamma=t.getfloat("gamma"),
-            K0=(t.getfloat("k0_x"), t.getfloat("k0_r")),
-            dither=t.getfloat("dither_v"),
-            tuples_per_iter=t.getint("tuples_per_iter"),
-            tol=t.getfloat("tol"), max_iters=t.getint("max_iters"),
-            online_tau=t.getfloat("online_tau"),
-            gain_clamp=t.getfloat("gain_clamp"), seed=t.getint("seed"))
+            q_weight=_number(t, "q_weight"), r_weight=_number(t, "r_weight"),
+            gamma=_number(t, "gamma"),
+            K0=(_number(t, "k0_x"), _number(t, "k0_r")),
+            dither=_number(t, "dither_v"),
+            tuples_per_iter=_number(t, "tuples_per_iter", int),
+            tol=_number(t, "tol"), max_iters=_number(t, "max_iters", int),
+            online_tau=_number(t, "online_tau"),
+            gain_clamp=_number(t, "gain_clamp"), seed=_number(t, "seed", int))
     except ValueError as exc:
         raise _invalid("training parameters", exc) from exc
 
@@ -195,11 +205,11 @@ def _scenario(cp, params, surface, seed=None) -> sim.Scenario:
     s = cp["scenario"]
     try:
         profile = ReferenceProfile(
-            i_ref=s.getfloat("i_ref"), theta_on=s.getfloat("theta_on"),
-            theta_off=s.getfloat("theta_off"), step_events=_parse_events(s["events"]))
+            i_ref=_number(s, "i_ref"), theta_on=_number(s, "theta_on"),
+            theta_off=_number(s, "theta_off"), step_events=_parse_events(s["events"]))
         if profile.theta_off > params.rotor_pitch:
             raise ValueError("theta_off exceeds the rotor pitch")
-        cycles = s.getint("duration_cycles")
+        cycles = _number(s, "duration_cycles", int)
         if cycles < 2:
             raise ValueError("duration_cycles must be at least 2 (the metrics "
                              f"skip the first cycle), got {cycles}")
@@ -207,10 +217,10 @@ def _scenario(cp, params, surface, seed=None) -> sim.Scenario:
             motor=params, surface=surface, reference=profile,
             controller=s["controller"],
             duration=cycles * params.steps_per_cycle,
-            seed=s.getint("seed") if seed is None else seed,
+            seed=_number(s, "seed", int) if seed is None else seed,
             online_learning=s.getboolean("online_learning"),
-            dither=s.getfloat("dither_v"), r_scale=s.getfloat("r_scale"),
-            delta_band=s.getfloat("delta_band"))
+            dither=_number(s, "dither_v"), r_scale=_number(s, "r_scale"),
+            delta_band=_number(s, "delta_band"))
     except ValueError as exc:
         raise _invalid("scenario", exc) from exc
 
@@ -290,12 +300,8 @@ def cmd_train(cp, out_path, json_out=False) -> int:
     surface = _surface(cp, params)
     theta_nodes, current_nodes = _grid(cp, params)
     cfg = _train_cfg(cp)
-    try:
-        table = scheduler.train_table(params, surface, theta_nodes,
-                                      current_nodes, cfg)
-    except TableTrainError as exc:
-        print(f"training failed: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
+    table = scheduler.train_table(params, surface, theta_nodes,
+                                  current_nodes, cfg)
 
     # model-based cross-check, reported per node: the gap is relative to
     # the oracle gain, or absolute where that gain is zero (q_weight = 0)
@@ -365,12 +371,8 @@ def cmd_run(cp, table_path, out_dir, fmt="csv", json_out=False) -> int:
     surface = _surface(cp, params)
     table = _load_checked_table(table_path, params, surface)
     scenario = _scenario(cp, params, surface)
-    try:
-        metrics, trace_path = _run_one(scenario, table, out_dir,
-                                       scenario.controller, fmt)
-    except SafetyAbortError as exc:
-        print(f"safety abort: {exc}", file=sys.stderr)
-        return EXIT_SAFETY
+    metrics, trace_path = _run_one(scenario, table, out_dir,
+                                   scenario.controller, fmt)
     out = Path(out_dir)
     dump_config(cp, out / "effective_config.ini")
     report = {"metrics": metrics.as_dict(), "trace": str(trace_path),
@@ -392,16 +394,12 @@ def cmd_compare(cp, table_path, out_dir, fmt="csv", json_out=False) -> int:
     table = _load_checked_table(table_path, params, surface)
     base = _scenario(cp, params, surface)
     results = {}
-    try:
-        for controller in ("scheduled-qlearning", "delta-modulation"):
-            scenario = replace(base, controller=controller)
-            metrics, trace_path = _run_one(scenario, table, out_dir,
-                                           controller, fmt)
-            results[controller] = {"metrics": metrics.as_dict(),
-                                   "trace": str(trace_path)}
-    except SafetyAbortError as exc:
-        print(f"safety abort: {exc}", file=sys.stderr)
-        return EXIT_SAFETY
+    for controller in ("scheduled-qlearning", "delta-modulation"):
+        scenario = replace(base, controller=controller)
+        metrics, trace_path = _run_one(scenario, table, out_dir,
+                                       controller, fmt)
+        results[controller] = {"metrics": metrics.as_dict(),
+                               "trace": str(trace_path)}
     sched = results["scheduled-qlearning"]["metrics"]
     delta = results["delta-modulation"]["metrics"]
     report = {"controllers": results,
@@ -465,6 +463,12 @@ def main(argv=None) -> int:
     except lqt.ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
+    except TableTrainError as exc:
+        print(f"training failed: {exc}", file=sys.stderr)
+        return EXIT_CONVERGENCE
+    except SafetyAbortError as exc:
+        print(f"safety abort: {exc}", file=sys.stderr)
+        return EXIT_SAFETY
     return EXIT_OK
 
 

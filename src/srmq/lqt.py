@@ -44,7 +44,7 @@ class AugmentedModel:
     sharing R_u and gamma.
     """
 
-    A_a: np.ndarray   # (..., 2, 2), diag(A, F)
+    A_a: np.ndarray   # (..., 2, 2), diag(A, 1)
     B_b: np.ndarray   # (..., 2, 1), [B, 0]
     Q_q: np.ndarray   # (..., 2, 2) tracking weight
     R_u: float
@@ -61,24 +61,24 @@ class AugmentedModel:
             raise ValueError("tracking weight must be symmetric")
 
 
-def build_augmented(A, B, C: float = 1.0, F: float = 1.0,
-                    Q: float = 100.0, R_u: float = 0.001,
+def build_augmented(A, B, Q: float = 100.0, R_u: float = 0.001,
                     gamma: float = 0.9) -> AugmentedModel:
     """Assemble the augmented block system and the tracking weight.
 
     Scalar A, B give one model; arrays of shape (N,) give N stacked models.
-    Q_q = [C, -1]^T Q [C, -1] penalizes the output-vs-reference error.
+    Q_q = [1, -1]^T Q [1, -1] penalizes the current-vs-reference error;
+    the reference is held constant (r' = r).
     """
     A, B = np.broadcast_arrays(np.asarray(A, float), np.asarray(B, float))
-    for v in (A, B, C, F, Q):
+    for v in (A, B, Q):
         if not np.all(np.isfinite(v)):
             raise ValueError("plant parameters must be finite")
     batch = A.shape
     A_a = np.zeros(batch + (2, 2))
-    A_a[..., 0, 0], A_a[..., 1, 1] = A, F
+    A_a[..., 0, 0], A_a[..., 1, 1] = A, 1.0
     B_b = np.zeros(batch + (2, 1))
     B_b[..., 0, 0] = B
-    e = np.array([[C, -1.0]])
+    e = np.array([[1.0, -1.0]])
     Q_q = np.broadcast_to(e.T * Q @ e, batch + (2, 2))
     return AugmentedModel(A_a, B_b, Q_q, float(R_u), float(gamma))
 
@@ -103,41 +103,32 @@ def are_fixed_point(model: AugmentedModel, tol: float = 1e-10,
                     max_iter: int = 10000) -> np.ndarray:
     """Solve the discounted Riccati equation by iterating from P = 0.
 
-    Every model of a batch is iterated in one stacked pass; each stops at
-    the first iterate whose own residual (Frobenius norm of the step)
-    drops below tol, so its P does not depend on the rest of the batch.
+    Every model of a batch is iterated in one stacked pass; each keeps the
+    first iterate whose own residual (Frobenius norm of the step) drops
+    below tol, so its P does not depend on the rest of the batch.
     """
-    batch = model.A_a.shape[:-2]
-    A = model.A_a.reshape(-1, 2, 2)
-    B = model.B_b.reshape(-1, 2, 1)
-    Q = np.broadcast_to(model.Q_q, model.A_a.shape).reshape(-1, 2, 2)
-    g, Ru = model.gamma, model.R_u
+    A, B, g, Ru = model.A_a, model.B_b, model.gamma, model.R_u
+    At, Bt = A.swapaxes(-1, -2), B.swapaxes(-1, -2)
+    batch = A.shape[:-2]
     P = np.zeros_like(A)
-    residual = np.full(len(A), np.inf)
-    active = np.arange(len(A))
-    a, b, q, p = A, B, Q, P
+    done, residual = np.zeros(batch, bool), np.full(batch, np.inf)
     for _ in range(max_iter):
-        at, bt = a.swapaxes(-1, -2), b.swapaxes(-1, -2)
-        S = Ru + g * (bt @ p @ b)
-        p_next = q + g * at @ p @ a \
-            - g ** 2 * (at @ p @ b) @ (bt @ p @ a) / S
-        p_next = (p_next + p_next.swapaxes(-1, -2)) / 2
-        step = (p_next - p).reshape(-1, 1, 4)
-        res = np.sqrt(step @ step.swapaxes(-1, -2))[:, 0, 0]
-        P[active], residual[active] = p_next, res
-        p = p_next
-        done = res < tol
+        S = Ru + g * (Bt @ P @ B)
+        P_next = model.Q_q + g * At @ P @ A \
+            - g ** 2 * (At @ P @ B) @ (Bt @ P @ A) / S
+        P_next = (P_next + P_next.swapaxes(-1, -2)) / 2
+        step = (P_next - P).reshape(batch + (1, 4))
+        residual = np.sqrt(step @ step.swapaxes(-1, -2))[..., 0, 0]
+        P = np.where(done[..., None, None], P, P_next)
+        done |= residual < tol
         if done.all():
-            return P.reshape(batch + (2, 2))
-        if done.any():
-            keep = ~done
-            active = active[keep]
-            a, b, q, p = A[active], B[active], Q[active], p[keep]
-    worst = float(residual[active].max())
+            return P
+    failed = np.flatnonzero(~done)
+    worst = float(residual[~done].max())
     raise ConvergenceError(
         f"Riccati iteration did not converge in {max_iter} steps at "
-        f"{active.size} of {len(A)} nodes, first {active[:5].tolist()} "
-        f"(worst residual {worst:.3e})", worst, tuple(active.tolist()))
+        f"{failed.size} of {done.size} nodes, first {failed[:5].tolist()} "
+        f"(worst residual {worst:.3e})", worst, tuple(failed.tolist()))
 
 
 def optimal_gain(P: np.ndarray, model: AugmentedModel) -> np.ndarray:
@@ -180,12 +171,6 @@ class PIResult(NamedTuple):
     iterations: int | np.ndarray
 
 
-def _nodes(model: AugmentedModel, index) -> AugmentedModel:
-    """The models of a flat batch selected by index."""
-    return AugmentedModel(model.A_a[index], model.B_b[index],
-                          model.Q_q[index], model.R_u, model.gamma)
-
-
 def policy_iteration_model_based(model: AugmentedModel, K0,
                                  tol: float = 1e-10,
                                  max_iter: int = 200) -> PIResult:
@@ -193,9 +178,9 @@ def policy_iteration_model_based(model: AugmentedModel, K0,
 
     K0 is one gain, shared by every node of a batched model, and must
     stabilize each node's discounted closed loop, otherwise the evaluated
-    cost is unbounded and the linear solve is meaningless.  The nodes still
-    iterating are evaluated in one stacked solve per iteration; each stops
-    at its own convergence, so its P, K and iteration count do not depend
+    cost is unbounded and the linear solve is meaningless.  Every node is
+    evaluated in one stacked solve per iteration; each keeps its gain from
+    its own convergence on, so its P, K and iteration count do not depend
     on the rest of the batch.  A batched model gives P (..., 2, 2),
     K (..., 2) and an integer array of iterations.
     """
@@ -203,42 +188,32 @@ def policy_iteration_model_based(model: AugmentedModel, K0,
     if K0.shape != (2,):
         raise ValueError("initial gain must have two entries")
     batch = model.A_a.shape[:-2]
-    flat = AugmentedModel(
-        model.A_a.reshape(-1, 2, 2), model.B_b.reshape(-1, 2, 1),
-        np.broadcast_to(model.Q_q, model.A_a.shape).reshape(-1, 2, 2),
-        model.R_u, model.gamma)
-    n = len(flat.A_a)
-    K = np.tile(K0, (n, 1))
-    bad = np.flatnonzero(~is_stabilizing(flat, K))
+    K = np.broadcast_to(K0, batch + (2,))
+    done = np.zeros(batch, bool)
+    bad = np.flatnonzero(~is_stabilizing(model, K))
     if bad.size:
-        where = f" at {bad.size} of {n} nodes, first {bad[0]}" if batch else ""
+        where = (f" at {bad.size} of {done.size} nodes, first {bad[0]}"
+                 if batch else "")
         raise NotStabilizingError(
             f"initial gain {K0} is not stabilizing for the discounted "
             f"loop{where}", tuple(bad.tolist()))
-    P_out, K_out = np.empty((n, 2, 2)), np.empty((n, 2))
-    iterations = np.zeros(n, int)
-    active = np.arange(n)
-    node = flat
+    iterations = np.zeros(batch, int)
+    P = evaluate_policy(model, K)
     for i in range(1, max_iter + 1):
-        P = evaluate_policy(node, K)
         if not np.all(np.isfinite(P)):
             raise ConvergenceError("policy evaluation diverged")
-        K_next = optimal_gain(P, node)
-        step = (K_next - K)[:, None, :]
-        done = np.sqrt(step @ step.swapaxes(-1, -2))[:, 0, 0] < tol
-        if done.any():
-            finished = active[done]
-            P_out[finished] = evaluate_policy(_nodes(node, done), K_next[done])
-            K_out[finished], iterations[finished] = K_next[done], i
-            keep = ~done
-            active, node, K_next = active[keep], _nodes(node, keep), K_next[keep]
-            if not active.size:
-                return PIResult(P_out.reshape(batch + (2, 2)),
-                                K_out.reshape(batch + (2,)),
-                                iterations.reshape(batch) if batch
-                                else int(iterations[0]))
-        K = K_next
+        K_next = optimal_gain(P, model)
+        step = (K_next - K)[..., None, :]
+        converged = np.sqrt(step @ step.swapaxes(-1, -2))[..., 0, 0] < tol
+        K = np.where(done[..., None], K, K_next)
+        iterations = np.where(done, iterations, i)
+        done |= converged
+        # a converged node's P is that of its final gain
+        P = evaluate_policy(model, K)
+        if done.all():
+            return PIResult(P, K, iterations if batch else int(iterations))
+    failed = np.flatnonzero(~done)
     raise ConvergenceError(
         f"policy iteration did not converge in {max_iter} steps at "
-        f"{active.size} of {n} nodes, first {active[:5].tolist()}",
-        indices=tuple(active.tolist()))
+        f"{failed.size} of {done.size} nodes, first {failed[:5].tolist()}",
+        indices=tuple(failed.tolist()))

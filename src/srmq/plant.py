@@ -17,6 +17,9 @@ import numpy as np
 # 1 RPM = 6 mechanical degrees per second
 RPM_TO_DEG_PER_S = 6.0
 
+# the most nodes per axis of an analytic surface or a Q-core grid
+MAX_AXIS_NODES = 256
+
 
 def _require_bound(name: str, value: float, positive: bool = False) -> None:
     """Raise ValueError naming `name` unless `value` is finite and >= 0
@@ -32,6 +35,13 @@ def _require_seed(name: str, value: int) -> None:
     integer, the seeds numpy's generators take."""
     if not (isinstance(value, (int, np.integer)) and value >= 0):
         raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+
+
+def _require_count(name: str, value: int, lo: int, hi: int) -> None:
+    """Raise ValueError naming `name` unless `value` is an int in [lo, hi]."""
+    if not (isinstance(value, (int, np.integer)) and lo <= value <= hi):
+        raise ValueError(f"{name} must be an integer from {lo} to {hi}, "
+                         f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -213,6 +223,8 @@ def default_surface(params: MotorParams, n_theta: int = 16, n_current: int = 8,
     _require_bound("kappa", kappa)
     _require_bound("i_sat", i_sat, positive=True)
     _require_bound("i_max", i_max, positive=True)
+    for name, n in (("n_theta", n_theta), ("n_current", n_current)):
+        _require_count(name, n, 2, MAX_AXIS_NODES)
     theta = np.linspace(0.0, params.rotor_pitch, n_theta)
     current = np.linspace(0.0, i_max, n_current)
     shape = (1 + np.cos(2 * np.pi * theta / params.rotor_pitch)) / 2

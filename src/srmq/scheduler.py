@@ -17,10 +17,16 @@ import numpy as np
 
 from . import qlearn
 from .plant import (InductanceSurface, MotorParams, _corners, _locate,
-                    _require_bound, _require_seed, _weights, frozen_dynamics)
+                    _require_bound, _require_count, _require_seed, _weights,
+                    frozen_dynamics)
 from .qlearn import NUM_PARAMS, QKernel, QTrainConfig
 
 TABLE_FORMAT_VERSION = 2
+
+# training work bounds: 10**5 tuples are about 30 MB of arrays per node
+# iteration, and 10**3 iterations bound the run of a grid that never settles
+MAX_TUPLES_PER_ITER = 10**5
+MAX_TRAIN_ITERS = 10**3
 
 
 class TableTrainError(RuntimeError):
@@ -73,15 +79,20 @@ class TableTrainConfig:
         for name in ("q_weight", "dither"):
             _require_bound(name, getattr(self, name))
         for name in ("r_weight", "gamma", "online_tau", "gain_clamp",
-                     "safety_factor", "tol", "max_iters"):
+                     "safety_factor", "tol"):
             _require_bound(name, getattr(self, name), positive=True)
+        if not self.gamma < 1:
+            raise ValueError(
+                f"gamma must be below 1, got {self.gamma!r}: training needs "
+                "gamma < 1, as with r' = r the r^2 Bellman column vanishes "
+                "and the kernel is unidentifiable")
         _require_seed("seed", self.seed)
         for name, k in zip(("k0_x", "k0_r"), self.K0):
             if not np.isfinite(k):
                 raise ValueError(f"{name} must be finite, got {k!r}")
-        if self.tuples_per_iter < qlearn.MIN_TUPLES:
-            raise ValueError(f"tuples_per_iter must be at least "
-                             f"{qlearn.MIN_TUPLES}, got {self.tuples_per_iter}")
+        _require_count("tuples_per_iter", self.tuples_per_iter,
+                       qlearn.MIN_TUPLES, MAX_TUPLES_PER_ITER)
+        _require_count("max_iters", self.max_iters, 1, MAX_TRAIN_ITERS)
 
     def tracking_weight(self) -> np.ndarray:
         q = self.q_weight
@@ -278,10 +289,6 @@ def train_table(params: MotorParams, surface: InductanceSurface,
     theta_nodes = np.asarray(theta_nodes, float)
     current_nodes = np.asarray(current_nodes, float)
 
-    if not cfg.gamma < 1:
-        raise ValueError(
-            f"training needs gamma < 1, got {cfg.gamma}: with r' = r the "
-            "r^2 Bellman column vanishes and the kernel is unidentifiable")
     qcfg = QTrainConfig(gamma=cfg.gamma, tuples_per_iter=cfg.tuples_per_iter,
                         tol=cfg.tol, max_iters=cfg.max_iters)
     i_limit = cfg.safety_factor * params.i_nominal

@@ -140,6 +140,12 @@ class TestConfig:
         ("grid", "n_theta", "0", "n_theta"),
         ("grid", "n_current", "-1", "n_current"),
         ("grid", "i_max", "nan", "i_max"),
+        ("grid", "n_theta", "257", "n_theta"),
+        ("grid", "n_theta", "abc", "n_theta"),
+        ("grid", "i_max", "abc", "i_max"),
+        ("training", "q_weight", "abc", "q_weight"),
+        ("scenario", "duration_cycles", "two", "duration_cycles"),
+        ("motor", "v_dc", "abc", "v_dc"),
         ("motor", "speed_rpm", "0", "speed_rpm"),
         ("motor", "t_sample", "-1e-4", "t_sample"),
         ("motor", "r_phase", "nan", "r_phase"),
@@ -174,6 +180,11 @@ class TestConfig:
         ("surface", "i_max", "nan"), ("surface", "i_sat", "0"),
         ("training", "k0_x", "nan"), ("training", "k0_r", "inf"),
         ("training", "tuples_per_iter", "0"),
+        ("surface", "n_theta", "1"), ("surface", "n_current", "-3"),
+        ("surface", "n_theta", "257"), ("surface", "n_current", "abc"),
+        ("training", "tuples_per_iter", "100001"),
+        ("training", "max_iters", "1001"), ("training", "gamma", "1"),
+        ("training", "q_weight", "abc"),
     ])
     def test_surface_and_training_keys_are_named(self, tmp_path, capsys,
                                                  section, key, value, command):
@@ -622,6 +633,8 @@ def fuzz_table(tmp_path_factory):
 
 
 @settings(max_examples=100, deadline=None)
+@example(command="train",
+         values={("training", "tuples_per_iter"): "1167133168"})
 @example(command="run", values={("scenario", "i_ref"): "1e285",
                                 ("scenario", "r_scale"): "1e12"})
 @example(command="run", values={("scenario", "i_ref"): "1e200",

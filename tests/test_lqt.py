@@ -97,10 +97,6 @@ class TestBuildAugmented:
         m = motor_model(A16, B16, Q=100.0)
         assert np.array_equal(m.Q_q, [[100.0, -100.0], [-100.0, 100.0]])
 
-    def test_tracking_weight_scales_with_output_map(self):
-        m = motor_model(0.5, 1.0, C=2.0, Q=3.0)
-        assert np.allclose(m.Q_q, [[12.0, -6.0], [-6.0, 3.0]])
-
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
             build_augmented(A16, B16, gamma=0.0)

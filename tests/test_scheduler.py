@@ -683,6 +683,7 @@ class TestTableValidation:
         ("tol", 0.0), ("tol", float("nan")), ("tol", float("inf")),
         ("max_iters", 0), ("max_iters", -3),
         ("gamma", 0.0), ("gamma", -0.5), ("gamma", float("nan")),
+        ("gamma", 1.0), ("max_iters", 1001), ("tuples_per_iter", 100001),
         ("seed", -1), ("seed", 1.5),
     ])
     def test_config_out_of_range_rejected(self, field, value):
