@@ -119,12 +119,16 @@ def dump_config(cp: configparser.ConfigParser, path) -> None:
 
 
 def _number(section, key, kind=float):
-    """section[key] as a float (an int for kind=int), naming the key."""
+    """section[key] as a float (an int for kind=int, a bool for kind=bool
+    in configparser's spellings), naming the key."""
+    value = section[key]
     try:
-        return kind(section[key])
-    except ValueError:
-        what = "an integer" if kind is int else "a number"
-        raise ValueError(f"{key} must be {what}, got {section[key]!r}") from None
+        if kind is bool:
+            return configparser.ConfigParser.BOOLEAN_STATES[value.lower()]
+        return kind(value)
+    except (KeyError, ValueError):
+        what = {int: "an integer", bool: "a boolean"}.get(kind, "a number")
+        raise ValueError(f"{key} must be {what}, got {value!r}") from None
 
 
 def _motor(cp) -> MotorParams:
@@ -146,7 +150,14 @@ def _surface(cp, params: MotorParams):
         path = s["path"]
         if not path or not Path(path).exists():
             raise ConfigError(f"surface file {path!r} does not exist")
-        return load_surface_csv(path)
+        surface = load_surface_csv(path)
+        lo, hi = surface.theta_grid[[0, -1]].tolist()
+        if not math.isclose(hi - lo, params.rotor_pitch, rel_tol=1e-9):
+            raise ConfigError(
+                f"{path}: theta_grid spans {hi - lo!r} deg ({lo!r} to "
+                f"{hi!r}), but [motor] rotor_pitch is {params.rotor_pitch!r}; "
+                "a surface file must span one rotor pitch")
+        return surface
     if s["kind"] != "analytic":
         raise ConfigError(f"surface.kind must be analytic or file, got {s['kind']!r}")
     try:
@@ -201,7 +212,7 @@ def _parse_events(text: str):
     return tuple(events)
 
 
-def _scenario(cp, params, surface, seed=None) -> sim.Scenario:
+def _scenario(cp, params, surface) -> sim.Scenario:
     s = cp["scenario"]
     try:
         profile = ReferenceProfile(
@@ -217,8 +228,8 @@ def _scenario(cp, params, surface, seed=None) -> sim.Scenario:
             motor=params, surface=surface, reference=profile,
             controller=s["controller"],
             duration=cycles * params.steps_per_cycle,
-            seed=_number(s, "seed", int) if seed is None else seed,
-            online_learning=s.getboolean("online_learning"),
+            seed=_number(s, "seed", int),
+            online_learning=_number(s, "online_learning", bool),
             dither=_number(s, "dither_v"), r_scale=_number(s, "r_scale"),
             delta_band=_number(s, "delta_band"))
     except ValueError as exc:

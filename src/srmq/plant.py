@@ -30,6 +30,13 @@ def _require_bound(name: str, value: float, positive: bool = False) -> None:
         raise ValueError(f"{name} must be {bound} and finite, got {value!r}")
 
 
+def _require_ascending(name: str, nodes: np.ndarray) -> None:
+    """Raise ValueError naming `name` unless the nodes are finite and
+    strictly ascending; written so that nan and inf fail too."""
+    if not (np.all(np.isfinite(nodes)) and np.all(np.diff(nodes) > 0)):
+        raise ValueError(f"{name} must be finite and strictly ascending")
+
+
 def _require_seed(name: str, value: int) -> None:
     """Raise ValueError naming `name` unless `value` is a non-negative
     integer, the seeds numpy's generators take."""
@@ -97,10 +104,8 @@ class InductanceSurface:
             raise ValueError("theta_grid needs at least 2 nodes")
         if self.current_grid.ndim != 1 or self.current_grid.size < 2:
             raise ValueError("current_grid needs at least 2 nodes")
-        if np.any(np.diff(self.theta_grid) <= 0):
-            raise ValueError("theta_grid must be strictly ascending")
-        if np.any(np.diff(self.current_grid) <= 0):
-            raise ValueError("current_grid must be strictly ascending")
+        _require_ascending("theta_grid", self.theta_grid)
+        _require_ascending("current_grid", self.current_grid)
         if self.values.shape != (self.theta_grid.size, self.current_grid.size):
             raise ValueError("values shape must be (n_theta, n_current)")
         if np.any(self.values <= 0) or not np.all(np.isfinite(self.values)):
@@ -269,18 +274,17 @@ def save_surface_csv(surface: InductanceSurface, path) -> None:
 
 
 def load_surface_csv(path) -> InductanceSurface:
-    """Read a surface written by save_surface_csv (strict rectangular shape)."""
-    with open(path) as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    if len(lines) < 3:
-        raise ValueError(f"{path}: surface file needs a header and >= 2 rows")
-    current = np.array([float(v) for v in lines[0].split(",")[1:]])
-    theta, rows = [], []
-    width = current.size
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        if len(cells) != width + 1:
-            raise ValueError(f"{path}: ragged row, expected {width + 1} cells")
-        theta.append(float(cells[0]))
-        rows.append([float(v) for v in cells[1:]])
-    return InductanceSurface(np.array(theta), current, np.array(rows))
+    """Read a surface written by save_surface_csv (strict rectangular shape);
+    every ValueError names the file."""
+    try:
+        with open(path) as f:
+            lines = [ln for ln in f if ln.strip()]
+        if len(lines) < 3:
+            raise ValueError("surface file needs a header and >= 2 rows")
+        current = np.array([float(v) for v in lines[0].split(",")[1:]])
+        body = np.loadtxt(lines[1:], delimiter=",", ndmin=2, comments=None)
+        if body.shape[1] != current.size + 1:
+            raise ValueError(f"ragged row, expected {current.size + 1} cells")
+        return InductanceSurface(body[:, 0], current, body[:, 1:])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

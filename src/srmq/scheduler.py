@@ -17,8 +17,8 @@ import numpy as np
 
 from . import qlearn
 from .plant import (InductanceSurface, MotorParams, _corners, _locate,
-                    _require_bound, _require_count, _require_seed, _weights,
-                    frozen_dynamics)
+                    _require_ascending, _require_bound, _require_count,
+                    _require_seed, _weights, frozen_dynamics)
 from .qlearn import NUM_PARAMS, QKernel, QTrainConfig
 
 TABLE_FORMAT_VERSION = 2
@@ -87,6 +87,9 @@ class TableTrainConfig:
                 "gamma < 1, as with r' = r the r^2 Bellman column vanishes "
                 "and the kernel is unidentifiable")
         _require_seed("seed", self.seed)
+        if len(self.K0) != 2:
+            raise ValueError(f"K0 must be the two gains (k0_x, k0_r), got "
+                             f"{self.K0!r}")
         for name, k in zip(("k0_x", "k0_r"), self.K0):
             if not np.isfinite(k):
                 raise ValueError(f"{name} must be finite, got {k!r}")
@@ -113,19 +116,18 @@ class CellLocation:
 class QCoreTable:
     """Grid of trained kernels (gains derived) and per-core RLS state.
 
-    Kernels are stored as 6-vectors in QKernel.to_vec order; they are
-    validated here (G_uu > 0) and on every accepted online update, never
-    per control step.  The node grids are fixed once built; the nodes and
-    the kernels are also kept as (nested) lists of Python floats, which the
-    per-step read uses.  Single writer (update_core_online, which also
-    refreshes the kernel list of the core it changes), many readers; an
+    Kernels are stored once, as a nested list of 6-float cores in
+    QKernel.to_vec order, which the per-step read uses; they are validated
+    here (G_uu > 0) and on every accepted online update, never per control
+    step.  The node grids are fixed once built and are also kept as lists
+    of Python floats.  Single writer (update_core_online), many readers; an
     update replaces a whole core at once so readers never see a
     half-written kernel.
     """
 
     theta_nodes: np.ndarray
     current_nodes: np.ndarray
-    kernels: np.ndarray             # (n_theta, n_current, 6)
+    kernels: list                   # [n_theta][n_current] -> 6 floats
     cfg: TableTrainConfig
     params_hash: str
     iterations: np.ndarray = None   # training iterations per core
@@ -134,17 +136,15 @@ class QCoreTable:
     def __post_init__(self):
         self.theta_nodes = np.asarray(self.theta_nodes, float)
         self.current_nodes = np.asarray(self.current_nodes, float)
-        self.kernels = np.array(self.kernels, float)
+        kernels = np.array(self.kernels, float)
         nt, ni = self.theta_nodes.size, self.current_nodes.size
-        if nt >= 2 and np.any(np.diff(self.theta_nodes) <= 0):
-            raise ValueError("theta nodes must be strictly ascending")
-        if ni >= 2 and np.any(np.diff(self.current_nodes) <= 0):
-            raise ValueError("current nodes must be strictly ascending")
-        if self.kernels.shape != (nt, ni, NUM_PARAMS):
+        _require_ascending("theta nodes", self.theta_nodes)
+        _require_ascending("current nodes", self.current_nodes)
+        if kernels.shape != (nt, ni, NUM_PARAMS):
             raise ValueError("core grid shape must match the node grids")
-        if not np.all(np.isfinite(self.kernels)):
+        if not np.all(np.isfinite(kernels)):
             raise ValueError("kernel entries must be finite")
-        if np.any(self.kernels[..., 5] <= 0):
+        if np.any(kernels[..., 5] <= 0):
             raise qlearn.ExcitationError(
                 "a core has a non-positive G_uu; kernel is not a valid "
                 "action value (insufficient excitation)")
@@ -152,14 +152,21 @@ class QCoreTable:
                                   (nt, ni, 1, 1))
         if self.iterations is None:
             self.iterations = np.zeros((nt, ni), int)
+        self.iterations = np.asarray(self.iterations)
+        if not (self.iterations.shape == (nt, ni)
+                and np.issubdtype(self.iterations.dtype, np.integer)
+                and np.all(self.iterations >= 0)):
+            raise ValueError("iterations must be a non-negative integer per "
+                             f"core, shape {(nt, ni)}")
+        self.kernels = kernels.tolist()
         self._theta_list = self.theta_nodes.tolist()
         self._current_list = self.current_nodes.tolist()
-        self._kernels_list = self.kernels.tolist()
 
     @property
     def gains(self) -> np.ndarray:
         """(n_theta, n_current, 2) greedy gains [G_ux, G_ur] / G_uu."""
-        return self.kernels[..., [2, 4]] / self.kernels[..., 5:]
+        kernels = np.array(self.kernels)
+        return kernels[..., [2, 4]] / kernels[..., 5:]
 
     @property
     def shape(self):
@@ -181,9 +188,9 @@ def _corner(table: QCoreTable, row: int, col: int, l1: float, l2: float):
 
 
 def _core_gain(table: QCoreTable, cell):
-    """(k_x, k_r): the greedy gain of one core as Python floats, from the
-    kernel list (the same bits as QCoreTable.gains)."""
-    g = table._kernels_list[cell[0]][cell[1]]
+    """(k_x, k_r): the greedy gain of one core as Python floats (the same
+    bits as QCoreTable.gains)."""
+    g = table.kernels[cell[0]][cell[1]]
     return g[2] / g[5], g[4] / g[5]
 
 
@@ -199,7 +206,7 @@ def scheduled_q(table: QCoreTable, theta: float, i: float) -> QKernel:
     w00, w10, w01, w11 = _weights(l1, l2)
     return QKernel.from_vec([
         w00 * g00 + w10 * g10 + w01 * g01 + w11 * g11
-        for g00, g10, g01, g11 in zip(*_corners(table._kernels_list, row, col))])
+        for g00, g10, g01, g11 in zip(*_corners(table.kernels, row, col))])
 
 
 def schedule(table: QCoreTable, theta: float, i: float):
@@ -214,7 +221,7 @@ def schedule(table: QCoreTable, theta: float, i: float):
                                theta, i)
     cell = _corner(table, row, col, l1, l2)
     w00, w10, w01, w11 = _weights(l1, l2)
-    g00, g10, g01, g11 = _corners(table._kernels_list, row, col)
+    g00, g10, g01, g11 = _corners(table.kernels, row, col)
     g_uu = w00 * g00[5] + w10 * g10[5] + w01 * g01[5] + w11 * g11[5]
     if g_uu <= 0:
         return (*_core_gain(table, cell), cell)
@@ -329,7 +336,7 @@ def update_core_online(table: QCoreTable, cell, M_k, M_k1, cost) -> bool:
     """
     a, b = cell
     f_k, f_k1 = qlearn.sym_features((M_k, M_k1))
-    g, eta = qlearn._rls_step(table.kernels[a, b], table.covariance[a, b],
+    g, eta = qlearn._rls_step(table.kernels[a][b], table.covariance[a, b],
                               f_k - table.cfg.gamma * f_k1, cost)
     if g[5] <= 0:
         return False
@@ -339,8 +346,7 @@ def update_core_online(table: QCoreTable, cell, M_k, M_k1, cost) -> bool:
         return False
     if not np.all(np.isfinite(g)):
         raise ValueError("kernel entries must be finite")
-    table.kernels[a, b] = g
-    table._kernels_list[a][b] = g.tolist()
+    table.kernels[a][b] = g.tolist()
     table.covariance[a, b] = eta
     return True
 
@@ -357,7 +363,7 @@ def save_table(table: QCoreTable, path) -> None:
         "theta_nodes": [float(v) for v in table.theta_nodes],
         "current_nodes": [float(v) for v in table.current_nodes],
         "iterations": table.iterations.tolist(),
-        "cores": table.kernels.tolist(),
+        "cores": table.kernels,
     }
     with open(path, "w") as f:
         json.dump(doc, f)
@@ -377,7 +383,7 @@ def load_table(path) -> QCoreTable:
         return QCoreTable(np.array(doc["theta_nodes"]),
                           np.array(doc["current_nodes"]),
                           doc["cores"], cfg, doc["params_hash"],
-                          iterations=np.array(doc["iterations"], int))
+                          iterations=np.array(doc["iterations"]))
     except (AttributeError, KeyError, TypeError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: malformed table file ({exc})") from exc
     except (ValueError, qlearn.ExcitationError) as exc:

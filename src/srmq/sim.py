@@ -9,6 +9,7 @@ recorded trace.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,8 +33,8 @@ CSV_ROW = ",".join(["{}"] * len(TRACE_COLUMNS)) + "\r\n"
 JSONL_ROW = "{{" + ", ".join(f'"{name}": {{}}' for name in TRACE_COLUMNS) + "}}\n"
 JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-# the longest run a scenario may ask for, checked before the trace arrays
-# are allocated: 800 electrical cycles at the defaults, about 64 MB of trace
+# the longest run a scenario may ask for, checked before the loop starts:
+# 800 electrical cycles at the defaults, about 64 MB of trace rows
 MAX_STEPS = 10**6
 
 SETTLE_FRACTION = 0.05   # |x - r| below this fraction of the amplitude counts as settled
@@ -174,25 +175,24 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None) -> SimT
             table, (profile.theta_on + profile.theta_off) / 2, profile.i_ref)[2]
         single = (*scheduler._core_gain(table, cell), cell)
 
-    rec = {name: np.zeros(n) for name in ("theta", "r", "x", "u")}
-    K_rec = np.zeros((n, 2))
-    cell_rec = np.full((n, 2), -1, int)
+    # one row per recorded step: theta, r, x, u, k_x, k_r, row, col
+    rows = array("d")
 
     x = theta = 0.0
+    r = reference_at(profile, theta, 0)
     learn = scenario.online_learning and scenario.controller == "scheduled-qlearning"
 
-    def finish(m):
-        ks = np.arange(m)
+    def finish():
+        buf = np.frombuffer(rows).reshape(-1, 8)
+        ks = np.arange(len(buf))
+        theta, r, x, u = buf[:, :4].T
         # the cost column in one stacked pass, bit for bit as
         # qlearn.stage_cost at every step
-        u = rec["u"][:m]
-        cost = qlearn._stage_costs(rec["x"][:m], rec["r"][:m], u, Q_q, R_u)
-        return SimTrace(ks, ks * params.T, rec["theta"][:m], rec["r"][:m],
-                        rec["x"][:m], u, K_rec[:m], cell_rec[:m], cost)
+        cost = qlearn._stage_costs(x, r, u, Q_q, R_u)
+        return SimTrace(ks, ks * params.T, theta, r, x, u, buf[:, 4:6],
+                        buf[:, 6:].astype(int), cost)
 
     for k in range(n):
-        r = reference_at(profile, theta, k)
-
         if scenario.controller == "delta-modulation":
             u = delta_modulation_step(x, r, params.V_dc, scenario.delta_band)
             k_x = k_r = 0.0
@@ -207,12 +207,7 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None) -> SimT
                 u += scenario.dither * rng.uniform(-1, 1)
         u = min(max(float(u), -params.V_dc), params.V_dc)
 
-        rec["theta"][k] = theta
-        rec["r"][k] = r
-        rec["x"][k] = x
-        rec["u"][k] = u
-        K_rec[k, 0], K_rec[k, 1] = k_x, k_r
-        cell_rec[k, 0], cell_rec[k, 1] = cell
+        rows.extend((theta, r, x, u, k_x, k_r, *cell))
 
         x_next, theta_next = step_phase(x, theta, u, plant_params, surface)
 
@@ -220,11 +215,11 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None) -> SimT
             err = SafetyAbortError(
                 f"current {x_next:.2f} A exceeded the {i_limit:.2f} A safety "
                 f"bound at step {k}")
-            err.trace = finish(k + 1)
+            err.trace = finish()
             raise err
 
+        r_next = reference_at(profile, theta_next, k + 1)
         if learn:
-            r_next = reference_at(profile, theta_next, k + 1)
             # the tuple is only Bellman-consistent on flat reference
             # segments away from the zero-current clamp (a clamped step
             # lands on exactly 0.0); settled samples are skipped because a
@@ -243,9 +238,9 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None) -> SimT
                            else "the tracking weights are too large"))
                 scheduler.update_core_online(table, cell, (x, r, u),
                                              (x_next, r_next, u_next), cost)
-        x, theta = x_next, theta_next
+        x, theta, r = x_next, theta_next, r_next
 
-    return finish(n)
+    return finish()
 
 
 def _conduction_windows(trace: SimTrace, start: int):

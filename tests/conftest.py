@@ -38,7 +38,7 @@ def constant_surface(L, pitch=45.0, i_max=7.5):
 
 def core_G(table, a, b):
     """3x3 kernel of the stored core at node (a, b)."""
-    return QKernel.from_vec(table.kernels[a, b]).G
+    return QKernel.from_vec(table.kernels[a][b]).G
 
 
 def reference_blend(values, row, col, l1, l2):

@@ -12,7 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 from srmq import lqt, sim
 from srmq.cli import (EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_OK, EXIT_SAFETY,
                       REFERENCE_GAIN, default_config, load_config, main)
-from srmq.plant import MotorParams, default_surface
+from srmq.plant import (InductanceSurface, MotorParams, default_surface,
+                        save_surface_csv)
 from srmq.qlearn import QKernel
 from srmq.scheduler import (QCoreTable, TableTrainConfig, load_table,
                             params_hash, save_table)
@@ -145,6 +146,8 @@ class TestConfig:
         ("grid", "i_max", "abc", "i_max"),
         ("training", "q_weight", "abc", "q_weight"),
         ("scenario", "duration_cycles", "two", "duration_cycles"),
+        ("scenario", "online_learning", "maybe",
+         "online_learning must be a boolean, got 'maybe'"),
         ("motor", "v_dc", "abc", "v_dc"),
         ("motor", "speed_rpm", "0", "speed_rpm"),
         ("motor", "t_sample", "-1e-4", "t_sample"),
@@ -208,6 +211,64 @@ class TestConfig:
         assert err.splitlines() == [err.strip()]
         what = "surface" if section == "surface" else "training parameters"
         assert f"invalid {what}: {key} must be" in err
+
+    @staticmethod
+    def oracle_on_surface_file(tmp_path, capsys, text):
+        """(exit code, stderr) of `srmq oracle` on a surface file."""
+        surface = tmp_path / "surface.csv"
+        surface.write_text(text)
+        path = tmp_path / "file.ini"
+        path.write_text(f"[surface]\nkind = file\npath = {surface}\n")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--config", str(path), "oracle"])
+        return code, capsys.readouterr().err
+
+    def test_malformed_surface_file_names_the_path(self, tmp_path, capsys):
+        save_surface_csv(default_surface(MotorParams()), tmp_path / "good.csv")
+        header, *rows = (tmp_path / "good.csv").read_text().splitlines()
+        theta, first, rest = rows[3].split(",", 2)
+        last, *top = rows[-1].split(",")
+        cases = {   # (row 3 or the whole body, what the message says)
+            "no number": (f"{theta},abc,{rest}", "'abc'"),
+            "ragged row": (f"{theta},{rest}", "columns"),
+            "empty body": ([], "needs a header and >= 2 rows"),
+            "aperiodic": (rows[:-1] + [",".join(
+                [last] + [repr(float(v) / 2) for v in top])], "periodic"),
+            "nan angle": (f"nan,{first},{rest}", "theta_grid must be finite"),
+            "inf angle": (f"inf,{first},{rest}", "theta_grid must be finite"),
+        }
+        for case, (body, says) in cases.items():
+            if isinstance(body, str):
+                body = rows[:3] + [body] + rows[4:]
+            code, err = self.oracle_on_surface_file(
+                tmp_path, capsys, "\n".join([header] + body) + "\n")
+            assert code == EXIT_CONFIG, case
+            assert err.splitlines() == [err.strip()], case
+            assert err.startswith(f"error: {tmp_path / 'surface.csv'}: "), case
+            assert says in err, case
+
+    @pytest.mark.parametrize("scale", [30 / 45, 8.0])
+    def test_surface_file_off_the_rotor_pitch_names_the_span(self, tmp_path,
+                                                             capsys, scale):
+        # a 0-30 deg grid, or one in electrical degrees (0-360), on the
+        # 45 deg motor
+        s = default_surface(MotorParams())
+        save_surface_csv(s, tmp_path / "pitch.csv")
+        code, err = self.oracle_on_surface_file(
+            tmp_path, capsys, (tmp_path / "pitch.csv").read_text())
+        assert code == EXIT_OK
+        save_surface_csv(InductanceSurface(s.theta_grid * scale,
+                                           s.current_grid, s.values),
+                         tmp_path / "off.csv")
+        code, err = self.oracle_on_surface_file(
+            tmp_path, capsys, (tmp_path / "off.csv").read_text())
+        assert code == EXIT_CONFIG
+        assert err.splitlines() == [err.strip()]
+        assert str(tmp_path / "surface.csv") in err
+        assert f"spans {45 * scale!r} deg" in err
+        assert "[motor] rotor_pitch is 45.0" in err
 
     def test_step_budget_rejects_before_the_loop(self, tmp_path, monkeypatch,
                                                  capsys):
@@ -499,6 +560,27 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.splitlines() == [err.strip()]
         assert str(bad) in err and "G_uu" in err
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("iterations", [[-5]], "iterations must be"),
+        ("iterations", [[-1] * 3] * 4, "iterations must be"),
+        ("iterations", [[1.5] * 3] * 4, "iterations must be"),
+        ("K0", [100.0, -100.0, 5.0], "K0 must be the two gains"),
+        ("theta_nodes", [0.0, float("nan"), 30.0, 45.0], "theta nodes must be"),
+    ])
+    def test_unchecked_table_field_exits_2(self, tmp_path, small_cfg,
+                                           small_table, capsys, key, value,
+                                           named):
+        doc = json.loads(Path(small_table).read_text())
+        (doc["cfg"] if key == "K0" else doc)[key] = value
+        bad = tmp_path / "field.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["--config", small_cfg, "run", "--table", str(bad),
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()]
+        assert str(bad) in err and named in err
 
     def test_motor_mismatch_exits_2(self, tmp_path, small_cfg, small_table):
         other = tmp_path / "other.ini"

@@ -171,6 +171,16 @@ class TestInductanceSurface:
         with pytest.raises(ValueError):  # increasing in current
             InductanceSurface(theta, current, np.array([[1, 2], [1, 2], [1, 2.0]]) * 1e-2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_grid_rejected(self, bad):
+        values = np.full((3, 2), 0.01)
+        with pytest.raises(ValueError, match="theta_grid must be finite"):
+            InductanceSurface(np.array([0.0, bad, 45.0]), np.array([0.0, 5.0]),
+                              values)
+        with pytest.raises(ValueError, match="current_grid must be finite"):
+            InductanceSurface(np.array([0.0, 10.0, 45.0]),
+                              np.array([0.0, bad]), values)
+
     def test_csv_round_trip(self, surface, tmp_path):
         path = tmp_path / "surface.csv"
         save_surface_csv(surface, path)

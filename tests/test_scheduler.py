@@ -57,7 +57,8 @@ def reference_scheduled_gain(table, theta, i):
     derived gain when the blended G_uu <= 0.  (K, cell, fell back?)."""
     loc = locate(table, theta, i)
     cell = _corner(table, loc.row, loc.col, loc.l1, loc.l2)
-    g = reference_blend(table.kernels, loc.row, loc.col, loc.l1, loc.l2)
+    g = reference_blend(np.array(table.kernels), loc.row, loc.col, loc.l1,
+                        loc.l2)
     if g[5] <= 0:
         return table.gains[cell], cell, True
     return g[[2, 4]] / g[5], cell, False
@@ -67,7 +68,9 @@ def reference_update_core_online(table, tup, cell):
     """update_core_online through the public, validated RLS path and the
     numpy gains."""
     row = sym_features(tup.M_k) - table.cfg.gamma * sym_features(tup.M_k1)
-    state = rls_update(RlsState(table.kernels[cell], table.covariance[cell]),
+    a, b = cell
+    state = rls_update(RlsState(np.array(table.kernels[a][b]),
+                                table.covariance[cell]),
                        row, tup.stage_cost)
     g = state.g_vec
     if g[5] <= 0:
@@ -76,7 +79,7 @@ def reference_update_core_online(table, tup, cell):
     K_old = table.gains[cell]
     if np.linalg.norm(K_new - K_old) > table.cfg.gain_clamp * (1 + np.linalg.norm(K_old)):
         return False
-    table.kernels[cell] = g
+    table.kernels[a][b] = g.tolist()
     table.covariance[cell] = state.eta
     return True
 
@@ -95,7 +98,7 @@ def subnormal_cores(kernels, mask):
     """Kernels with the cores under mask given a subnormal G_uu (and
     subnormal G_ux, G_ur, so that their gains stay finite): still valid,
     but a blend of them can round G_uu to 0."""
-    kernels = kernels.copy()
+    kernels = np.array(kernels)
     for j, scale in ((2, 1e-321), (4, 1e-321)):
         kernels[..., j] = np.where(mask, kernels[..., j] * scale, kernels[..., j])
     kernels[..., 5] = np.where(mask, SUBNORMAL, kernels[..., 5])
@@ -152,8 +155,8 @@ class TestSchedule:
     def test_scheduled_q_matches_numpy_reference(self, case):
         t, theta, i = case
         loc = locate(t, theta, i)
-        want = QKernel.from_vec(reference_blend(t.kernels, loc.row, loc.col,
-                                                loc.l1, loc.l2)).G
+        want = QKernel.from_vec(reference_blend(np.array(t.kernels), loc.row,
+                                                loc.col, loc.l1, loc.l2)).G
         assert scheduled_q(t, theta, i).G.tobytes() == want.tobytes()
 
     def test_fallback_leaves_table_unchanged(self):
@@ -174,7 +177,7 @@ class TestSchedule:
 
 
 class TestMirrors:
-    def test_learning_run_keeps_kernel_mirror_and_public_rls_result(
+    def test_learning_run_matches_public_rls_result(
             self, params, surface, fresh_table, monkeypatch):
         # criterion 6 learning scenario; every online update is replayed on
         # a copy of the table through the public RlsState/rls_update path,
@@ -199,9 +202,9 @@ class TestMirrors:
         for tup, cell, applied in updates:
             assert reference_update_core_online(ref, tup, cell) == applied
         t = fresh_table
-        assert t._kernels_list == t.kernels.tolist()
         for name in ("kernels", "gains", "covariance"):
-            assert getattr(t, name).tobytes() == getattr(ref, name).tobytes()
+            assert (np.array(getattr(t, name)).tobytes()
+                    == np.array(getattr(ref, name)).tobytes())
 
     def test_learning_run_locates_once_per_step(self, params, surface,
                                                 fresh_table, monkeypatch):
@@ -276,17 +279,17 @@ class TestNearestCore:
         di = t.current_nodes[1] - t.current_nodes[0]
         cell = schedule(t, float(t.theta_nodes[0] + 0.2 * dt),
                         float(t.current_nodes[0] + 0.2 * di))[2]
-        assert np.array_equal(t.kernels[cell], t.kernels[0, 0])
+        assert t.kernels[cell[0]][cell[1]] == t.kernels[0][0]
         cell = schedule(t, float(t.theta_nodes[0] + 0.8 * dt),
                         float(t.current_nodes[0] + 0.8 * di))[2]
-        assert np.array_equal(t.kernels[cell], t.kernels[1, 1])
+        assert t.kernels[cell[0]][cell[1]] == t.kernels[1][1]
 
     def test_tie_breaks_to_lower_indices(self, trained_table):
         t = trained_table
         mid_t = (t.theta_nodes[0] + t.theta_nodes[1]) / 2
         mid_i = (t.current_nodes[0] + t.current_nodes[1]) / 2
         cell = schedule(t, float(mid_t), float(mid_i))[2]
-        assert np.array_equal(t.kernels[cell], t.kernels[0, 0])
+        assert t.kernels[cell[0]][cell[1]] == t.kernels[0][0]
 
 
 class TestScheduledQ:
@@ -477,7 +480,7 @@ class TestTrainTable:
                 for b in range(current_nodes.size):
                     g, iters = reference_train_node(
                         params, surface, cfg, theta_nodes, current_nodes, a, b)
-                    assert np.array_equal(t.kernels[a, b], g), (a, b)
+                    assert np.array_equal(t.kernels[a][b], g), (a, b)
                     assert t.iterations[a, b] == iters, (a, b)
 
     def test_constant_surface_cores_agree(self, params):
@@ -684,7 +687,7 @@ class TestTableValidation:
         ("max_iters", 0), ("max_iters", -3),
         ("gamma", 0.0), ("gamma", -0.5), ("gamma", float("nan")),
         ("gamma", 1.0), ("max_iters", 1001), ("tuples_per_iter", 100001),
-        ("seed", -1), ("seed", 1.5),
+        ("seed", -1), ("seed", 1.5), ("K0", (1.0,)), ("K0", (1.0, 2.0, 3.0)),
     ])
     def test_config_out_of_range_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -698,6 +701,25 @@ class TestTableValidation:
         with pytest.raises(ValueError):
             QCoreTable(np.array([1.0, 0.0]), np.array([0.0, 1.0]),
                        np.tile(k.to_vec(), (2, 2, 1)), TableTrainConfig(), "h")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_nodes_rejected(self, bad):
+        k = QKernel(np.diag([1.0, 1.0, 1.0]))
+        for theta, current in (([0.0, bad], [0.0, 1.0]),
+                               ([0.0, 1.0], [bad, 1.0])):
+            with pytest.raises(ValueError, match="finite and strictly ascending"):
+                QCoreTable(np.array(theta), np.array(current),
+                           np.tile(k.to_vec(), (2, 2, 1)), TableTrainConfig(),
+                           "h")
+
+    @pytest.mark.parametrize("iterations", [
+        [[-5]], [[1, 2], [3, -1]], [[1.0, 2.0], [3.0, 4.0]], [[1, 2]]])
+    def test_iterations_must_be_a_count_per_core(self, iterations):
+        k = QKernel(np.diag([1.0, 1.0, 1.0]))
+        with pytest.raises(ValueError, match="iterations must be"):
+            QCoreTable(np.array([0.0, 1.0]), np.array([0.0, 1.0]),
+                       np.tile(k.to_vec(), (2, 2, 1)), TableTrainConfig(), "h",
+                       iterations=np.array(iterations))
 
     def test_shape_mismatch_rejected(self):
         k = QKernel(np.diag([1.0, 1.0, 1.0]))

@@ -1,10 +1,12 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
 
-from srmq.plant import MotorParams, ReferenceProfile
+from srmq import sim
+from srmq.plant import MotorParams, ReferenceProfile, reference_at
 from srmq.qlearn import stage_cost
 from srmq.scheduler import SafetyAbortError, TableTrainConfig
 from srmq.sim import (CONTROLLERS, EXPORT_CHUNK, MAX_STEPS, TRACE_COLUMNS,
@@ -186,6 +188,57 @@ class TestRunClosedLoop:
         assert len(exc.value.trace) < s.steps
         assert exc.value.trace.x.max() <= 1.2 * params.i_nominal
 
+    def test_abort_trace_ends_at_the_named_step(self, params, surface,
+                                                trained_table):
+        # the partial trace holds every step up to and including the one
+        # whose successor current crossed the bound, and nothing after it
+        from dataclasses import replace
+        s = make_scenario(params, surface, reference=ReferenceProfile(i_ref=6.5),
+                          duration=2 * params.steps_per_cycle)
+        tight = replace(trained_table,
+                        cfg=replace(trained_table.cfg, safety_factor=1.2))
+        with pytest.raises(SafetyAbortError) as exc:
+            run_closed_loop(s, tight)
+        k = int(re.search(r"at step (\d+)$", str(exc.value)).group(1))
+        trace = exc.value.trace
+        assert len(trace) == k + 1
+        assert trace.k[-1] == k
+        assert trace.t[-1] == k * params.T
+        assert trace.x.max() <= 1.2 * params.i_nominal
+
+    def test_reference_column_is_the_reference_at_each_step(
+            self, params, surface, fresh_table):
+        # a learning run whose amplitude events change the reference
+        # mid-window: every recorded r is the sample at that row's angle
+        # and step
+        spc = params.steps_per_cycle
+        profile = ReferenceProfile(step_events=((spc + 300, 5.5),
+                                                (2 * spc + 500, 3.0)))
+        s = make_scenario(params, surface, reference=profile, dither=5.0,
+                          online_learning=True, duration=3 * spc)
+        trace = run_closed_loop(s, fresh_table)
+        assert len(trace) == s.steps
+        assert set(np.unique(trace.r)) == {0.0, 4.0, 5.5, 3.0}
+        for k in range(len(trace)):
+            assert trace.r[k] == reference_at(profile, float(trace.theta[k]), k)
+
+    @pytest.mark.parametrize("controller, learning", [
+        ("scheduled-qlearning", True), ("scheduled-qlearning", False),
+        ("delta-modulation", False)])
+    def test_one_reference_sample_per_step(self, params, surface, fresh_table,
+                                           monkeypatch, controller, learning):
+        calls = []
+
+        def counting(profile, theta, k):
+            calls.append(k)
+            return reference_at(profile, theta, k)
+
+        monkeypatch.setattr(sim, "reference_at", counting)
+        s = make_scenario(params, surface, controller=controller,
+                          online_learning=learning, dither=5.0, duration=700)
+        run_closed_loop(s, fresh_table)
+        assert calls == list(range(s.steps + 1))
+
     def test_online_learning_on_nominal_plant_is_benign(self, params, surface,
                                                         trained_table,
                                                         fresh_table):
@@ -221,7 +274,7 @@ class TestCostColumn:
         s = make_scenario(params, surface, reference=reference,
                           online_learning=True, dither=5.0, r_scale=1.1,
                           seed=3)
-        before = fresh_table.kernels.copy()
+        before = np.array(fresh_table.kernels)
         trace = run_closed_loop(s, fresh_table)
         assert not np.array_equal(fresh_table.kernels, before)   # it learned
         assert_cost_per_step(trace, fresh_table.cfg)
