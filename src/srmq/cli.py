@@ -144,6 +144,18 @@ def _motor(cp) -> MotorParams:
         raise _invalid("motor parameters", exc) from exc
 
 
+def _require_pitch_span(path, what, name, nodes, params: MotorParams):
+    """A file's angle nodes must span one rotor pitch (relative 1e-9), or
+    its angles wrap by the wrong period; a single node spans nothing."""
+    lo, hi = nodes[[0, -1]].tolist()
+    if nodes.size > 1 and not math.isclose(hi - lo, params.rotor_pitch,
+                                           rel_tol=1e-9):
+        raise ConfigError(
+            f"{path}: {name} spans {hi - lo!r} deg ({lo!r} to {hi!r}), but "
+            f"[motor] rotor_pitch is {params.rotor_pitch!r}; a {what} file "
+            "must span one rotor pitch")
+
+
 def _surface(cp, params: MotorParams):
     s = cp["surface"]
     if s["kind"] == "file":
@@ -151,12 +163,8 @@ def _surface(cp, params: MotorParams):
         if not path or not Path(path).exists():
             raise ConfigError(f"surface file {path!r} does not exist")
         surface = load_surface_csv(path)
-        lo, hi = surface.theta_grid[[0, -1]].tolist()
-        if not math.isclose(hi - lo, params.rotor_pitch, rel_tol=1e-9):
-            raise ConfigError(
-                f"{path}: theta_grid spans {hi - lo!r} deg ({lo!r} to "
-                f"{hi!r}), but [motor] rotor_pitch is {params.rotor_pitch!r}; "
-                "a surface file must span one rotor pitch")
+        _require_pitch_span(path, "surface", "theta_grid", surface.theta_grid,
+                            params)
         return surface
     if s["kind"] != "analytic":
         raise ConfigError(f"surface.kind must be analytic or file, got {s['kind']!r}")
@@ -358,6 +366,8 @@ def _strict_json(report) -> str:
 def _load_checked_table(table_path, params, surface):
     table = scheduler.load_table(table_path)
     scheduler.check_table_compatible(table, params, surface)
+    _require_pitch_span(table_path, "table", "theta_nodes", table.theta_nodes,
+                        params)
     return table
 
 

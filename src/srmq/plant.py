@@ -275,16 +275,26 @@ def save_surface_csv(surface: InductanceSurface, path) -> None:
 
 def load_surface_csv(path) -> InductanceSurface:
     """Read a surface written by save_surface_csv (strict rectangular shape);
-    every ValueError names the file."""
+    every ValueError names the file, and a parse error its line, counted
+    from 1 with the header."""
     try:
         with open(path) as f:
-            lines = [ln for ln in f if ln.strip()]
-        if len(lines) < 3:
+            rows = [(n, line.split(",")) for n, line in enumerate(f, 1)
+                    if line.strip()]
+        if len(rows) < 3:
             raise ValueError("surface file needs a header and >= 2 rows")
-        current = np.array([float(v) for v in lines[0].split(",")[1:]])
-        body = np.loadtxt(lines[1:], delimiter=",", ndmin=2, comments=None)
-        if body.shape[1] != current.size + 1:
-            raise ValueError(f"ragged row, expected {current.size + 1} cells")
-        return InductanceSurface(body[:, 0], current, body[:, 1:])
+        rows[0][1][0] = "nan"    # the header's corner cell is a label
+        width = len(rows[0][1])
+        grid = []
+        for n, cells in rows:
+            if len(cells) != width:
+                raise ValueError(f"line {n}: ragged row, expected {width} "
+                                 f"columns, got {len(cells)}")
+            try:
+                grid.append([float(v) for v in cells])
+            except ValueError as exc:
+                raise ValueError(f"line {n}: {exc}") from None
+        grid = np.array(grid)
+        return InductanceSurface(grid[1:, 0], grid[0, 1:], grid[1:, 1:])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

@@ -127,13 +127,48 @@ def _stage_costs(x: np.ndarray, r: np.ndarray, u: np.ndarray,
     return ((X[:, None, :] @ Q_q) @ X[:, :, None])[:, 0, 0] + R_u * u * u
 
 
+def _excitation_error(g_uu: float) -> ExcitationError:
+    return ExcitationError(
+        f"G_uu = {g_uu:.3e} is not positive; kernel is not a valid "
+        "action value (insufficient excitation)")
+
+
 def policy_improvement(kernel: QKernel) -> np.ndarray:
     """Greedy gain K = G_uu^-1 G_uX; control law u = -K X."""
     if kernel.G_uu <= 0:
-        raise ExcitationError(
-            f"G_uu = {kernel.G_uu:.3e} is not positive; kernel is not a valid "
-            "action value (insufficient excitation)")
+        raise _excitation_error(kernel.G_uu)
     return kernel.G_uX / kernel.G_uu
+
+
+def _as_batch(tuples: TupleBatch | Sequence[DataTuple]) -> TupleBatch:
+    """The tuples as float arrays; a list of DataTuples is stacked."""
+    if isinstance(tuples, TupleBatch):
+        return TupleBatch(*(np.asarray(v, float) for v in tuples))
+    return TupleBatch(
+        np.array([t.M_k for t in tuples], float).reshape(-1, 3),
+        np.array([t.M_k1 for t in tuples], float).reshape(-1, 3),
+        np.array([t.stage_cost for t in tuples], float))
+
+
+def _ls_rows(batch: TupleBatch, gamma: float, live=True):
+    """build_ls_rows on a batch that may carry leading node axes, (..., z, 3)
+    and (..., z); the data checks apply to the nodes where `live` holds."""
+    M_k, M_k1, costs = batch
+    z = costs.shape[-1] if costs.ndim else costs.size
+    if z < MIN_TUPLES:
+        raise ValueError(f"need at least {MIN_TUPLES} tuples, got {z}")
+    if M_k.shape != costs.shape + (3,) or M_k1.shape != costs.shape + (3,):
+        raise ValueError("tuple vectors must have 3 entries [x, r, u]")
+    finite = (np.isfinite(M_k).all(axis=(-2, -1))
+              & np.isfinite(M_k1).all(axis=(-2, -1))
+              & np.isfinite(costs).all(axis=-1))
+    if np.any(live & ~finite):
+        raise ValueError("tuple entries must be finite")
+    if np.any(live & (costs < -1e-9).any(axis=-1)):
+        raise ValueError("stage cost must be non-negative")
+    design = (sym_features(M_k.reshape(-1, 3))
+              - gamma * sym_features(M_k1.reshape(-1, 3)))
+    return design.reshape(costs.shape + (NUM_PARAMS,)), costs
 
 
 def build_ls_rows(tuples: TupleBatch | Sequence[DataTuple], gamma: float):
@@ -143,31 +178,20 @@ def build_ls_rows(tuples: TupleBatch | Sequence[DataTuple], gamma: float):
     A list of DataTuples is stacked into a TupleBatch first; the batch is
     checked once, with DataTuple's rules.
     """
-    if not isinstance(tuples, TupleBatch):
-        tuples = TupleBatch(
-            np.array([t.M_k for t in tuples], float).reshape(-1, 3),
-            np.array([t.M_k1 for t in tuples], float).reshape(-1, 3),
-            np.array([t.stage_cost for t in tuples], float))
-    M_k, M_k1, costs = (np.asarray(v, float) for v in tuples)
-    z = costs.size
-    if z < MIN_TUPLES:
-        raise ValueError(f"need at least {MIN_TUPLES} tuples, got {z}")
-    if M_k.shape != (z, 3) or M_k1.shape != (z, 3) or costs.shape != (z,):
-        raise ValueError("tuple vectors must have 3 entries [x, r, u]")
-    if not (np.all(np.isfinite(M_k)) and np.all(np.isfinite(M_k1))
-            and np.all(np.isfinite(costs))):
-        raise ValueError("tuple entries must be finite")
-    if np.any(costs < -1e-9):
-        raise ValueError("stage cost must be non-negative")
-    return sym_features(M_k) - gamma * sym_features(M_k1), costs
+    return _ls_rows(_as_batch(tuples), gamma)
+
+
+def _ls_fit(design: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Least-squares kernel vector; rejects rank-deficient designs."""
+    g, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
+    if rank < NUM_PARAMS:
+        raise RankDeficientError(int(rank))
+    return g
 
 
 def batch_ls_solve(design: np.ndarray, targets: np.ndarray) -> QKernel:
     """Least-squares kernel fit; rejects rank-deficient designs."""
-    g, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
-    if rank < NUM_PARAMS:
-        raise RankDeficientError(int(rank))
-    return QKernel.from_vec(g)
+    return QKernel.from_vec(_ls_fit(design, targets))
 
 
 @dataclass(frozen=True)
@@ -232,31 +256,99 @@ class QTrainResult(NamedTuple):
     iterations: int
 
 
-Collector = Callable[[np.ndarray, int], TupleBatch | Sequence[DataTuple]]
+class QTrainBatchResult(NamedTuple):
+    """Outcome per node of a stacked run, in node order; a failed node has
+    a zero kernel and iteration count, and its exception in ``failures`` as
+    (node, exception), ascending in node."""
+
+    kernels: np.ndarray   # (n, 6) kernel vectors
+    iterations: list      # n ints
+    failures: list
+
+
+Collector = Callable[..., TupleBatch | Sequence[DataTuple]
+                     | tuple[TupleBatch, dict]]
 
 
 def q_policy_iteration(collect: Collector, K0,
-                       cfg: QTrainConfig = QTrainConfig()) -> QTrainResult:
+                       cfg: QTrainConfig = QTrainConfig()
+                       ) -> QTrainResult | QTrainBatchResult:
     """Sampled policy iteration: fit the kernel of the current gain from
     freshly collected tuples, take the greedy gain, repeat until the gain
     stops moving.
 
-    collect(gain, count) must return `count` tuples (a TupleBatch or a list
-    of DataTuples) gathered under
+    With K0 of shape (2,), collect(gain, count) must return `count` tuples
+    (a TupleBatch or a list of DataTuples) gathered under
     u = -gain . [x, r] plus exploration dither, with the successor action in
     M_{k+1} taken by the un-dithered policy.  Convergence is declared on the
     gain, not the kernel: kernel null directions under limited excitation
-    make the gain the robust criterion.
+    make the gain the robust criterion.  A failure raises.
+
+    With K0 of shape (n, 2), n nodes iterate in lockstep, one gain row each:
+    collect(gains, count, done) returns a TupleBatch of float (n, count, 3)
+    and (n, count) stacks, whose rows of the nodes marked done are ignored,
+    and a dict {node: exception} of the nodes whose collection failed.  Each
+    node keeps its kernel and iteration count from its own convergence on,
+    and a node that fails (its collection, a rank-deficient design, a
+    non-positive G_uu or no convergence) is reported in the result while the
+    others go on.  Bad data (non-finite tuples or kernels) still raises.
     """
-    K = np.asarray(K0, float).ravel()
-    kernel = None
+    K = np.array(K0, float)
+    single = K.ndim < 2
+    if single:
+        K, collect_one = K.reshape(1, -1), collect
+
+        def collect(K, count, done):
+            batch = _as_batch(collect_one(K[0], count))
+            return TupleBatch(*(v[None] for v in batch)), {}
+    n = K.shape[0]
+    done = np.zeros(n, bool)
+    failures = {}
+    fit = np.zeros((n, NUM_PARAMS))
+    iterations = np.zeros(n, int)
+
+    def fail(excs):
+        for j, exc in excs.items():
+            failures[int(j)] = exc
+            done[j] = True
+
     for i in range(1, cfg.max_iters + 1):
-        tuples = collect(K, cfg.tuples_per_iter)
-        design, targets = build_ls_rows(tuples, cfg.gamma)
-        kernel = batch_ls_solve(design, targets)
-        K_next = policy_improvement(kernel)
-        if np.linalg.norm(K_next - K) < cfg.tol:
-            return QTrainResult(kernel, K_next, i)
-        K = K_next
-    raise QTrainError(f"gain did not settle within {cfg.max_iters} iterations "
-                      f"(last gain {K})")
+        tuples, aborted = collect(K, cfg.tuples_per_iter, done)
+        fail(aborted)
+        design, targets = _ls_rows(tuples, cfg.gamma, ~done)
+        for j in np.flatnonzero(~done):
+            try:
+                fit[j] = _ls_fit(design[j], targets[j])
+            except RankDeficientError as exc:
+                fail({j: exc})
+        # rows are written only while live and checked at once: all finite
+        if not np.all(np.isfinite(fit)):
+            raise ValueError("kernel entries must be finite")
+        fail({j: _excitation_error(fit[j, 5])
+              for j in np.flatnonzero(~done & (fit[:, 5] <= 0))})
+        live = ~done
+        K_next = np.where(live[:, None], fit[:, [2, 4]]
+                          / np.where(live, fit[:, 5], 1.0)[:, None], K)
+        step = (K_next - K)[:, None, :]
+        converged = live & (np.sqrt(step @ step.swapaxes(-1, -2))[:, 0, 0]
+                            < cfg.tol)
+        iterations[converged] = i
+        done |= converged
+        # a finished node's rows are computed from a zero gain, so they stay
+        # finite whatever gain it ended on
+        K = np.where(done[:, None], 0.0, K_next)
+        if done.all():
+            break
+    fail({j: QTrainError(f"gain did not settle within {cfg.max_iters} "
+                         f"iterations (last gain {K[j]})")
+          for j in np.flatnonzero(~done)})
+    failures = sorted(failures.items())
+    if single:
+        if failures:
+            raise failures[0][1]
+        kernel = QKernel.from_vec(fit[0])
+        return QTrainResult(kernel, policy_improvement(kernel),
+                            int(iterations[0]))
+    # a converged node's fit is never written again
+    return QTrainBatchResult(np.where(iterations[:, None] > 0, fit, 0.0),
+                             iterations.tolist(), failures)

@@ -236,35 +236,49 @@ def scheduled_gain(table: QCoreTable, theta: float, i: float) -> np.ndarray:
     return np.array([k_x, k_r])
 
 
-def _node_collector(A: float, B: float, cfg: TableTrainConfig,
-                    i_span: tuple, i_limit: float, rng):
-    """Tuple source for one node: a frozen locally-linear plant sampled at
-    random operating points around the cell, with input dither.
+def _node_collector(A: np.ndarray, B: np.ndarray, cfg: TableTrainConfig,
+                    i_span: tuple, i_limit: float, rngs: list):
+    """Tuple source for a stack of nodes: node j is a frozen locally-linear
+    plant (A[j], B[j]) sampled at random operating points around the cell,
+    with input dither.
 
-    Each call draws its count x 3 uniforms in one block, row by row in the
-    order (x, r, dither) of one scalar rng.uniform per value, and scales
-    them as rng.uniform does, so the tuples are the scalar draws bit for
-    bit.
+    Each call draws, for every node not marked done, its count x 3 uniforms
+    in one block from its own rngs[j], row by row in the order
+    (x, r, dither) of one scalar rng.uniform per value, and scales them as
+    rng.uniform does, so each node's tuples are its scalar draws bit for
+    bit.  A node whose draw overshoots the safety bound is returned as a
+    SafetyAbortError naming its first overshooting tuple.
     """
     Q_q = cfg.tracking_weight()
     lo, hi = i_span
     r_lo = max(lo, 0.1 * hi)
+    A, B = A[:, None], B[:, None]
 
-    def collect(K, count):
-        U = rng.random((count, 3))
-        x = 0.0 + (hi - 0.0) * U[:, 0]
-        r = r_lo + (hi - r_lo) * U[:, 1]
-        u = -(K[0] * x + K[1] * r) + cfg.dither * (-1.0 + 2.0 * U[:, 2])
+    def collect(K, count, done):
+        U = np.zeros((len(rngs), count, 3))
+        for j in np.flatnonzero(~done):
+            U[j] = rngs[j].random((count, 3))
+        x = 0.0 + (hi - 0.0) * U[..., 0]
+        r = r_lo + (hi - r_lo) * U[..., 1]
+        k_x, k_r = K[:, :1], K[:, 1:]
+        u = -(k_x * x + k_r * r) + cfg.dither * (-1.0 + 2.0 * U[..., 2])
         x1 = A * x + B * u
-        over = np.flatnonzero(np.abs(x1) > i_limit)
-        if over.size:
-            raise SafetyAbortError(
-                f"training current {x1[over[0]]:.2f} A exceeded the "
-                f"{i_limit:.2f} A safety bound")
-        u1 = -(K[0] * x1 + K[1] * r)
-        return qlearn.TupleBatch(np.array([x, r, u]).T,
-                                 np.array([x1, r, u1]).T,
-                                 qlearn._stage_costs(x, r, u, Q_q, cfg.r_weight))
+        over = (np.abs(x1) > i_limit) & ~done[:, None]
+        hit = over.any(axis=1, keepdims=True)
+        aborted = {j: SafetyAbortError(
+            f"training current {x1[j, over[j].argmax()]:.2f} A exceeded the "
+            f"{i_limit:.2f} A safety bound") for j in np.flatnonzero(hit)}
+        if aborted:
+            # an aborted node's tuples are never used: zero its rows and gain,
+            # so that the stacked arithmetic below cannot overflow on them
+            u, x1, k_x, k_r = (np.where(hit, 0.0, v)
+                               for v in (u, x1, k_x, k_r))
+        u1 = -(k_x * x1 + k_r * r)
+        costs = qlearn._stage_costs(x.ravel(), r.ravel(), u.ravel(), Q_q,
+                                    cfg.r_weight).reshape(x.shape)
+        return qlearn.TupleBatch(np.stack((x, r, u), axis=-1),
+                                 np.stack((x1, r, u1), axis=-1),
+                                 costs), aborted
 
     return collect
 
@@ -301,26 +315,21 @@ def train_table(params: MotorParams, surface: InductanceSurface,
     i_limit = cfg.safety_factor * params.i_nominal
     i_span = (float(current_nodes[0]), float(current_nodes[-1]))
 
-    kernels = np.zeros((theta_nodes.size, current_nodes.size, NUM_PARAMS))
-    iters = np.zeros((theta_nodes.size, current_nodes.size), int)
-    failures = []
-    for a, th in enumerate(theta_nodes):
-        for b, i_node in enumerate(current_nodes):
-            _, A, B = frozen_dynamics(params, surface, th, i_node)
-            rng = np.random.default_rng([cfg.seed, a, b])
-            collect = _node_collector(A, B, cfg, i_span, i_limit, rng)
-            try:
-                result = qlearn.q_policy_iteration(collect, cfg.K0, qcfg)
-            except (qlearn.QTrainError, qlearn.RankDeficientError,
-                    qlearn.ExcitationError, SafetyAbortError) as exc:
-                failures.append((a, b, exc))
-                continue
-            kernels[a, b] = result.kernel.to_vec()
-            iters[a, b] = result.iterations
-    if failures:
-        raise TableTrainError(failures, iters.size)
-    return QCoreTable(theta_nodes, current_nodes, kernels, cfg,
-                      params_hash(params, surface), iterations=iters)
+    nt, ni = theta_nodes.size, current_nodes.size
+    A, B = np.array([frozen_dynamics(params, surface, th, i_node)[1:]
+                     for th in theta_nodes for i_node in current_nodes]).T
+    rngs = [np.random.default_rng([cfg.seed, a, b])
+            for a in range(nt) for b in range(ni)]
+    collect = _node_collector(A, B, cfg, i_span, i_limit, rngs)
+    result = qlearn.q_policy_iteration(
+        collect, np.tile(np.asarray(cfg.K0, float), (nt * ni, 1)), qcfg)
+    if result.failures:
+        raise TableTrainError([(*divmod(j, ni), exc)
+                               for j, exc in result.failures], nt * ni)
+    return QCoreTable(theta_nodes, current_nodes,
+                      result.kernels.reshape(nt, ni, NUM_PARAMS), cfg,
+                      params_hash(params, surface),
+                      iterations=np.reshape(result.iterations, (nt, ni)))
 
 
 def update_core_online(table: QCoreTable, cell, M_k, M_k1, cost) -> bool:

@@ -601,6 +601,36 @@ class TestRun:
         assert err.splitlines() == [err.strip()]
         assert "retrain or fix the config" in err
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("scale", [30 / 45, 8.0])
+    def test_table_off_the_rotor_pitch_names_the_file(
+            self, tmp_path, small_cfg, small_table, capsys, command, scale):
+        # theta nodes over 0-30 deg, or 0-360 (electrical), on the 45 deg
+        # motor would schedule the cores by the wrong wrap
+        doc = json.loads(Path(small_table).read_text())
+        doc["theta_nodes"] = [v * scale for v in doc["theta_nodes"]]
+        bad = tmp_path / "span.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["--config", small_cfg, command, "--table", str(bad),
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith(f"error: {bad}: theta_nodes spans "
+                              f"{45 * scale!r} deg")
+        assert "[motor] rotor_pitch is 45.0" in err
+
+    def test_single_theta_node_table_runs(self, tmp_path, capsys):
+        # one theta node spans no angle; the table holds one row of cores
+        cfg = tmp_path / "row.ini"
+        cfg.write_text(SMALL.replace("[grid]\nn_theta = 4",
+                                     "[grid]\nn_theta = 1"))
+        table = tmp_path / "row.json"
+        assert main(["--config", str(cfg), "train", "--out", str(table)]) \
+            == EXIT_OK
+        assert main(["--config", str(cfg), "run", "--table", str(table),
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
+
     def test_version_1_table_exits_2_with_retrain(self, tmp_path, small_cfg,
                                                    small_table, capsys):
         # format 1 carried a [training] tau entry in the table's config

@@ -195,6 +195,28 @@ class TestInductanceSurface:
         with pytest.raises(ValueError):
             load_surface_csv(path)
 
+    @pytest.mark.parametrize("blank", [False, True])
+    @pytest.mark.parametrize("fault, says", [
+        ("bad cell", "could not convert string to float: 'abc'"),
+        ("short row", "ragged row, expected 9 columns, got 8"),
+    ])
+    def test_csv_parse_error_names_the_file_line(self, surface, tmp_path,
+                                                 fault, says, blank):
+        # the fault sits in the fourth body row: file line 5, or 6 below a
+        # blank line after the header
+        path = tmp_path / "surface.csv"
+        save_surface_csv(surface, path)
+        lines = path.read_text().splitlines()
+        theta, first, rest = lines[4].split(",", 2)
+        lines[4] = (f"{theta},abc,{rest}" if fault == "bad cell"
+                    else f"{theta},{rest}")
+        if blank:
+            lines.insert(1, "")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as exc:
+            load_surface_csv(path)
+        assert str(exc.value) == f"{path}: line {5 + blank}: {says}"
+
 
 class TestAxisLocate:
     @given(case=grid_and_value(), wrap=st.booleans(), as_numpy=st.booleans())

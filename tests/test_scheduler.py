@@ -1,4 +1,5 @@
 import copy
+import warnings
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from srmq import lqt, qlearn, scheduler
 from srmq.plant import (MotorParams, ReferenceProfile, default_surface,
                         frozen_dynamics, inductance_at)
-from srmq.qlearn import (DataTuple, QKernel, RlsState, rls_update, stage_cost,
-                         sym_features)
+from srmq.qlearn import (DataTuple, QKernel, RlsState, TupleBatch, rls_update,
+                         stage_cost, sym_features)
 from srmq.scheduler import (CellLocation, QCoreTable, TableMismatchError,
                             TableTrainConfig, TableTrainError, _corner,
                             check_table_compatible, load_table, locate,
@@ -399,7 +400,8 @@ def reference_node_collector(A, B, cfg, i_span, i_limit, rng):
 def reference_train_node(params, surface, cfg, theta_nodes, current_nodes,
                          a, b):
     """(kernel vector, iterations) of node (a, b) from the scalar collector,
-    per-row regression rows, lstsq and the greedy gain, one tuple at a time."""
+    per-row regression rows, lstsq and the greedy gain, one tuple at a time.
+    A failing node raises what training reports for it, with its message."""
     _, A, B = frozen_dynamics(params, surface, theta_nodes[a], current_nodes[b])
     collect = reference_node_collector(
         A, B, cfg, (float(current_nodes[0]), float(current_nodes[-1])),
@@ -411,12 +413,37 @@ def reference_train_node(params, surface, cfg, theta_nodes, current_nodes,
         design = np.array([sym_features(t.M_k) - cfg.gamma * sym_features(t.M_k1)
                            for t in tuples])
         targets = np.array([t.stage_cost for t in tuples])
-        g = np.linalg.lstsq(design, targets, rcond=None)[0]
+        g, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
+        if rank < 6:
+            raise qlearn.RankDeficientError(int(rank))
+        if g[5] <= 0:
+            raise qlearn.ExcitationError(
+                f"G_uu = {g[5]:.3e} is not positive; kernel is not a valid "
+                "action value (insufficient excitation)")
         K_next = np.array([g[2], g[4]]) / g[5]
         if np.linalg.norm(K_next - K) < cfg.tol:
             return g, i
         K = K_next
-    raise AssertionError("reference training did not settle")
+    raise qlearn.QTrainError(f"gain did not settle within {cfg.max_iters} "
+                             f"iterations (last gain {K})")
+
+
+NODE_FAILURES = (scheduler.SafetyAbortError, qlearn.RankDeficientError,
+                 qlearn.ExcitationError, qlearn.QTrainError)
+
+
+def reference_failures(params, surface, cfg, theta_nodes, current_nodes):
+    """(row, col, exception) of every node that fails, node after node in
+    row-major order, from reference_train_node."""
+    failures = []
+    for a in range(theta_nodes.size):
+        for b in range(current_nodes.size):
+            try:
+                reference_train_node(params, surface, cfg, theta_nodes,
+                                     current_nodes, a, b)
+            except NODE_FAILURES as exc:
+                failures.append((a, b, exc))
+    return failures
 
 
 class TestTupleCollection:
@@ -427,8 +454,19 @@ class TestTupleCollection:
                    i_limit=15.0):
         rng = np.random.default_rng(seed)
         A, B = rng.uniform(0.95, 0.99), rng.uniform(0.005, 0.02)
-        return (scheduler._node_collector(A, B, cfg, i_span, i_limit,
-                                          np.random.default_rng([seed, 1])),
+        stacked = scheduler._node_collector(
+            np.array([A]), np.array([B]), cfg, i_span, i_limit,
+            [np.random.default_rng([seed, 1])])
+
+        def collect(K, count):
+            # the stacked collector on a one-node stack, unstacked
+            batch, aborted = stacked(np.array([K], float), count,
+                                     np.zeros(1, bool))
+            if aborted:
+                raise aborted[0]
+            return TupleBatch(*(v[0] for v in batch))
+
+        return (collect,
                 reference_node_collector(A, B, cfg, i_span, i_limit,
                                          np.random.default_rng([seed, 1])))
 
@@ -482,6 +520,65 @@ class TestTrainTable:
                         params, surface, cfg, theta_nodes, current_nodes, a, b)
                     assert np.array_equal(t.kernels[a][b], g), (a, b)
                     assert t.iterations[a, b] == iters, (a, b)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345, 999, 2**30])
+    def test_full_grid_matches_scalar_reference(self, params, surface, seed):
+        cfg = TableTrainConfig(seed=seed)
+        t = train_table(params, surface, cfg=cfg)
+        nt, ni = t.shape
+        for a in range(nt):
+            for b in range(ni):
+                g, iters = reference_train_node(
+                    params, surface, cfg, t.theta_nodes, t.current_nodes, a, b)
+                assert np.array(t.kernels[a][b]).tobytes() == g.tobytes(), \
+                    (a, b)
+                assert t.iterations[a, b] == iters, (a, b)
+
+    # 4 x 3 grids where nodes fail in different iterations and ways:
+    # safety aborts (iterations 1-3) and unsettled gains (after 3), with two
+    # nodes converging; non-positive G_uu and safety aborts; and a gain so
+    # large that every node aborts at once, on tuples near the float limit.
+    # With no dither, every node of the default grid is rank deficient.
+    FAILING = {
+        "aborts and unsettled": (TableTrainConfig(dither=800.0, max_iters=3),
+                                 (4, 3)),
+        "excitation": (TableTrainConfig(K0=(-200.0, 100.0), dither=150.0),
+                       (4, 3)),
+        "huge gain": (TableTrainConfig(K0=(1e300, 1e300)), (4, 3)),
+        "no dither": (TableTrainConfig(dither=0.0), (16, 8)),
+    }
+
+    @staticmethod
+    def failing_grid(params, name):
+        cfg, (nt, ni) = TestTrainTable.FAILING[name]
+        return (cfg, np.linspace(0.0, params.rotor_pitch, nt),
+                np.linspace(0.0, 1.5 * params.i_nominal, ni))
+
+    @pytest.mark.parametrize("name", list(FAILING))
+    def test_failures_match_per_node_reference(self, params, surface, name):
+        cfg, theta_nodes, current_nodes = self.failing_grid(params, name)
+        ref = reference_failures(params, surface, cfg, theta_nodes,
+                                 current_nodes)
+        with pytest.raises(TableTrainError) as exc:
+            train_table(params, surface, theta_nodes, current_nodes, cfg)
+        got = exc.value.failures
+        assert [(a, b, type(e), str(e)) for a, b, e in got] \
+            == [(a, b, type(e), str(e)) for a, b, e in ref]
+        assert str(exc.value) == str(TableTrainError(ref, theta_nodes.size
+                                                     * current_nodes.size))
+        if name == "aborts and unsettled":
+            kinds = {type(e) for _, _, e in ref}
+            assert kinds == {scheduler.SafetyAbortError, qlearn.QTrainError}
+            assert len(ref) < theta_nodes.size * current_nodes.size
+
+    @pytest.mark.parametrize("name", ["aborts and unsettled", "huge gain",
+                                      "no dither"])
+    def test_failing_grid_emits_no_warnings(self, params, surface, name):
+        cfg, theta_nodes, current_nodes = self.failing_grid(params, name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TableTrainError):
+                train_table(params, surface, theta_nodes, current_nodes, cfg)
 
     def test_constant_surface_cores_agree(self, params):
         surf = constant_surface(16e-3)
