@@ -363,12 +363,16 @@ def _strict_json(report) -> str:
     return json.dumps(clean(report), allow_nan=False)
 
 
-def _load_checked_table(table_path, params, surface):
+def _table_and_scenario(cp, table_path):
+    """The table file, checked against the config's motor and surface, and
+    the config's scenario."""
+    params = _motor(cp)
+    surface = _surface(cp, params)
     table = scheduler.load_table(table_path)
     scheduler.check_table_compatible(table, params, surface)
     _require_pitch_span(table_path, "table", "theta_nodes", table.theta_nodes,
                         params)
-    return table
+    return table, _scenario(cp, params, surface)
 
 
 def _run_one(scenario, table, out_dir, tag, fmt):
@@ -388,10 +392,7 @@ def _run_one(scenario, table, out_dir, tag, fmt):
 
 
 def cmd_run(cp, table_path, out_dir, fmt="csv", json_out=False) -> int:
-    params = _motor(cp)
-    surface = _surface(cp, params)
-    table = _load_checked_table(table_path, params, surface)
-    scenario = _scenario(cp, params, surface)
+    table, scenario = _table_and_scenario(cp, table_path)
     metrics, trace_path = _run_one(scenario, table, out_dir,
                                    scenario.controller, fmt)
     out = Path(out_dir)
@@ -410,10 +411,7 @@ def cmd_run(cp, table_path, out_dir, fmt="csv", json_out=False) -> int:
 
 
 def cmd_compare(cp, table_path, out_dir, fmt="csv", json_out=False) -> int:
-    params = _motor(cp)
-    surface = _surface(cp, params)
-    table = _load_checked_table(table_path, params, surface)
-    base = _scenario(cp, params, surface)
+    table, base = _table_and_scenario(cp, table_path)
     results = {}
     for controller in ("scheduled-qlearning", "delta-modulation"):
         scenario = replace(base, controller=controller)
@@ -470,10 +468,8 @@ def main(argv=None) -> int:
             return cmd_oracle(cp, args.json)
         if args.command == "train":
             return cmd_train(cp, args.out, args.json)
-        if args.command == "run":
-            return cmd_run(cp, args.table, args.out, args.format, args.json)
-        if args.command == "compare":
-            return cmd_compare(cp, args.table, args.out, args.format, args.json)
+        command = cmd_run if args.command == "run" else cmd_compare
+        return command(cp, args.table, args.out, args.format, args.json)
     except (ConfigError, TableMismatchError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -490,7 +486,6 @@ def main(argv=None) -> int:
     except SafetyAbortError as exc:
         print(f"safety abort: {exc}", file=sys.stderr)
         return EXIT_SAFETY
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -8,10 +8,13 @@ validated against; nothing here is used inside the learner itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+from .plant import _QUIET_OVERFLOW
 
 
 class ConvergenceError(RuntimeError):
@@ -99,13 +102,15 @@ def is_stabilizing(model: AugmentedModel, K: np.ndarray):
     return np.sqrt(model.gamma) * spectral_radius(closed_loop(model, K)) < 1.0
 
 
+@_QUIET_OVERFLOW
 def are_fixed_point(model: AugmentedModel, tol: float = 1e-10,
                     max_iter: int = 10000) -> np.ndarray:
     """Solve the discounted Riccati equation by iterating from P = 0.
 
     Every model of a batch is iterated in one stacked pass; each keeps the
     first iterate whose own residual (Frobenius norm of the step) drops
-    below tol, so its P does not depend on the rest of the batch.
+    below tol, so its P does not depend on the rest of the batch.  The
+    first nan residual (an overflow) stops the solve.
     """
     A, B, g, Ru = model.A_a, model.B_b, model.gamma, model.R_u
     At, Bt = A.swapaxes(-1, -2), B.swapaxes(-1, -2)
@@ -119,6 +124,12 @@ def are_fixed_point(model: AugmentedModel, tol: float = 1e-10,
         P_next = (P_next + P_next.swapaxes(-1, -2)) / 2
         step = (P_next - P).reshape(batch + (1, 4))
         residual = np.sqrt(step @ step.swapaxes(-1, -2))[..., 0, 0]
+        if math.isnan(np.dot(residual, residual)):   # nan if one node's is
+            failed = np.flatnonzero(np.isnan(residual))
+            raise ConvergenceError(
+                f"Riccati iteration diverged (nan residual) at {failed.size} "
+                f"of {done.size} nodes, first {failed[:5].tolist()}",
+                math.nan, tuple(failed.tolist()))
         P = np.where(done[..., None, None], P, P_next)
         done |= residual < tol
         if done.all():
@@ -171,6 +182,7 @@ class PIResult(NamedTuple):
     iterations: int | np.ndarray
 
 
+@_QUIET_OVERFLOW
 def policy_iteration_model_based(model: AugmentedModel, K0,
                                  tol: float = 1e-10,
                                  max_iter: int = 200) -> PIResult:

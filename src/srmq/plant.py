@@ -20,6 +20,10 @@ RPM_TO_DEG_PER_S = 6.0
 # the most nodes per axis of an analytic surface or a Q-core grid
 MAX_AXIS_NODES = 256
 
+# the overflow rule: what overflows is carried as inf or nan without a numpy
+# warning, masked out of the results, and the checks on live values decide
+_QUIET_OVERFLOW = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
 
 def _require_bound(name: str, value: float, positive: bool = False) -> None:
     """Raise ValueError naming `name` unless `value` is finite and >= 0
@@ -212,6 +216,7 @@ def frozen_dynamics(params: MotorParams, surface: InductanceSurface,
     return L, 1 - params.T * params.R_phase / L, params.T / L
 
 
+@_QUIET_OVERFLOW
 def default_surface(params: MotorParams, n_theta: int = 16, n_current: int = 8,
                     kappa: float = 0.5, i_sat: float | None = None,
                     i_max: float | None = None) -> InductanceSurface:

@@ -270,6 +270,8 @@ Collector = Callable[..., TupleBatch | Sequence[DataTuple]
                      | tuple[TupleBatch, dict]]
 
 
+# the overflow rule of plant._QUIET_OVERFLOW; the learner imports no plant
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def q_policy_iteration(collect: Collector, K0,
                        cfg: QTrainConfig = QTrainConfig()
                        ) -> QTrainResult | QTrainBatchResult:
@@ -327,16 +329,12 @@ def q_policy_iteration(collect: Collector, K0,
         fail({j: _excitation_error(fit[j, 5])
               for j in np.flatnonzero(~done & (fit[:, 5] <= 0))})
         live = ~done
-        K_next = np.where(live[:, None], fit[:, [2, 4]]
-                          / np.where(live, fit[:, 5], 1.0)[:, None], K)
-        step = (K_next - K)[:, None, :]
+        K_prev, K = K, np.where(live[:, None], fit[:, [2, 4]] / fit[:, 5:], K)
+        step = (K - K_prev)[:, None, :]
         converged = live & (np.sqrt(step @ step.swapaxes(-1, -2))[:, 0, 0]
                             < cfg.tol)
         iterations[converged] = i
         done |= converged
-        # a finished node's rows are computed from a zero gain, so they stay
-        # finite whatever gain it ended on
-        K = np.where(done[:, None], 0.0, K_next)
         if done.all():
             break
     fail({j: QTrainError(f"gain did not settle within {cfg.max_iters} "

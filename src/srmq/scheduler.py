@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -268,11 +269,6 @@ def _node_collector(A: np.ndarray, B: np.ndarray, cfg: TableTrainConfig,
         aborted = {j: SafetyAbortError(
             f"training current {x1[j, over[j].argmax()]:.2f} A exceeded the "
             f"{i_limit:.2f} A safety bound") for j in np.flatnonzero(hit)}
-        if aborted:
-            # an aborted node's tuples are never used: zero its rows and gain,
-            # so that the stacked arithmetic below cannot overflow on them
-            u, x1, k_x, k_r = (np.where(hit, 0.0, v)
-                               for v in (u, x1, k_x, k_r))
         u1 = -(k_x * x1 + k_r * r)
         costs = qlearn._stage_costs(x.ravel(), r.ravel(), u.ravel(), Q_q,
                                     cfg.r_weight).reshape(x.shape)
@@ -314,6 +310,10 @@ def train_table(params: MotorParams, surface: InductanceSurface,
                         tol=cfg.tol, max_iters=cfg.max_iters)
     i_limit = cfg.safety_factor * params.i_nominal
     i_span = (float(current_nodes[0]), float(current_nodes[-1]))
+    # bounds the initial gain's action on the sampled x, r in [0, i_span[1]]
+    if not math.isfinite(sum(map(abs, cfg.K0)) * i_span[1]):
+        raise ValueError(f"k0_x, k0_r = {list(cfg.K0)} overflow the training "
+                         f"action -(k0_x x + k0_r r) at {i_span[1]!r} A")
 
     nt, ni = theta_nodes.size, current_nodes.size
     A, B = np.array([frozen_dynamics(params, surface, th, i_node)[1:]

@@ -15,8 +15,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import qlearn, scheduler
-from .plant import (InductanceSurface, MotorParams, ReferenceProfile,
-                    _require_bound, _require_seed, reference_at, step_phase)
+from .plant import (_QUIET_OVERFLOW, InductanceSurface, MotorParams,
+                    ReferenceProfile, _require_bound, _require_seed,
+                    reference_at, step_phase)
 from .scheduler import QCoreTable, SafetyAbortError
 
 CONTROLLERS = ("scheduled-qlearning", "single-qcore", "delta-modulation")
@@ -142,11 +143,6 @@ def delta_modulation_step(x: float, r: float, V_dc: float,
     return 0.0
 
 
-# a reference far beyond the safety bound overflows the cost and the
-# tracking error: those values are recorded as inf or nan, without a warning
-_QUIET_OVERFLOW = np.errstate(over="ignore", invalid="ignore")
-
-
 @_QUIET_OVERFLOW
 def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None) -> SimTrace:
     """Run the scenario; deterministic for a fixed seed.
@@ -245,19 +241,10 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None) -> SimT
 
 def _conduction_windows(trace: SimTrace, start: int):
     """Contiguous runs of constant positive reference from `start` on."""
-    windows = []
-    n = len(trace)
-    k = start
-    while k < n:
-        if trace.r[k] > 0:
-            j = k
-            while j + 1 < n and trace.r[j + 1] == trace.r[k]:
-                j += 1
-            windows.append((k, j + 1))
-            k = j + 1
-        else:
-            k += 1
-    return windows
+    r = trace.r[start:]
+    bounds = [0, *(np.flatnonzero(r[1:] != r[:-1]) + 1).tolist(), r.size]
+    return [(start + lo, start + hi) for lo, hi in zip(bounds, bounds[1:])
+            if lo < hi and r[lo] > 0]
 
 
 @_QUIET_OVERFLOW

@@ -706,6 +706,25 @@ def ini_value(lo, hi, integer=False):
 
 
 FUZZ_KEYS = {
+    "motor": {
+        "r_phase": ini_value(0.5, 5.0), "t_sample": ini_value(1e-5, 1e-3),
+        "l_unaligned": ini_value(1e-3, 1e-2),
+        "l_aligned": ini_value(1e-2, 3e-2), "rotor_pitch": ini_value(10.0, 90.0),
+        "speed_rpm": ini_value(10.0, 600.0), "v_dc": ini_value(50.0, 600.0),
+        "i_nominal": ini_value(1.0, 20.0),
+    },
+    "surface": {
+        "kind": st.sampled_from(["analytic", "file", "table"]),
+        "kappa": ini_value(0.0, 2.0), "i_sat": ini_value(1.0, 10.0),
+        "i_max": ini_value(1.0, 10.0),
+        "n_theta": ini_value(2, 16, integer=True),
+        "n_current": ini_value(2, 8, integer=True),
+    },
+    "grid": {
+        "n_theta": ini_value(1, 8, integer=True),
+        "n_current": ini_value(1, 4, integer=True),
+        "i_max": ini_value(1.0, 10.0),
+    },
     "scenario": {
         "i_ref": ini_value(0.0, 8.0), "theta_on": ini_value(0.0, 45.0),
         "theta_off": ini_value(0.0, 45.0), "dither_v": ini_value(0.0, 30.0),
@@ -751,14 +770,20 @@ def fuzz_table(tmp_path_factory):
                                 ("scenario", "r_scale"): "1e12"})
 @example(command="run", values={("scenario", "i_ref"): "1e200",
                                 ("scenario", "online_learning"): "true"})
-@given(command=st.sampled_from(["run", "train"]),
+@example(command="train", values={("training", "k0_x"): "1e308",
+                                  ("training", "k0_r"): "-1e308"})
+@example(command="train", values={("grid", "i_max"): "1e300"})
+@example(command="oracle", values={("training", "q_weight"): "1e160"})
+@example(command="oracle", values={("motor", "r_phase"): "1e300"})
+@example(command="oracle", values={("surface", "i_sat"): "1e-300"})
+@given(command=st.sampled_from(["run", "train", "oracle"]),
        values=st.fixed_dictionaries({}, optional={
            (section, key): strategy for section, keys in FUZZ_KEYS.items()
            for key, strategy in keys.items()}))
 def test_fuzzed_config_exits_cleanly(fuzz_table, command, values):
     # every config ends in exit 0, 2, 3 or 4 with at most one line on
     # stderr and never a traceback; run reads [training] from the table
-    # file, train reads no [scenario] key
+    # file, train and oracle read no [scenario] key
     cp = configparser.ConfigParser(interpolation=None)
     cp.read_string(SMALL)
     for (section, key), value in values.items():
@@ -768,9 +793,10 @@ def test_fuzzed_config_exits_cleanly(fuzz_table, command, values):
     path = fuzz_table / "fuzz.ini"
     with open(path, "w") as f:
         cp.write(f)
-    args = (["run", "--table", str(fuzz_table / "qtable.json"), "--out",
-             str(fuzz_table / "out")] if command == "run"
-            else ["train", "--out", str(fuzz_table / "t.json")])
+    args = {"run": ["run", "--table", str(fuzz_table / "qtable.json"),
+                    "--out", str(fuzz_table / "out")],
+            "train": ["train", "--out", str(fuzz_table / "t.json")],
+            "oracle": ["oracle"]}[command]
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err), warnings.catch_warnings():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -271,6 +273,18 @@ class TestStackedRiccati:
             are_fixed_point(build_augmented(A, B), max_iter=max_iter)
         assert exc.value.indices == tuple(failing)
         assert exc.value.residual > 0
+
+    def test_divergence_stops_and_names_the_node(self):
+        # one node's weight so large that its P overflows: the solve stops
+        # at its first nan residual, with no numpy warning, naming that node
+        m = build_augmented(*random_dynamics(3))
+        Q_q = m.Q_q * np.array([1.0, 1e160, 1.0])[:, None, None]
+        model = AugmentedModel(m.A_a, m.B_b, Q_q, m.R_u, m.gamma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="diverged") as exc:
+                are_fixed_point(model)
+        assert exc.value.indices == (1,)
 
     def test_single_node_keeps_scalar_shapes(self):
         m = motor_model(A16, B16)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -116,6 +117,16 @@ class TestInductanceSurface:
         s = default_surface(params, n_theta=9)
         assert inductance_at(s, 0.0, 0.0) == pytest.approx(16e-3)
         assert inductance_at(s, 11.25, 0.0) == pytest.approx((6e-3 + 16e-3) / 2)
+
+    @pytest.mark.parametrize("kw", [{"i_sat": 1e-300}, {"i_max": 1e300}])
+    def test_overflowing_saturation_gives_saturated_limit(self, params, kw):
+        # (i / i_sat)^2 overflows above the zero-current column: s(i) is 0
+        # there, with no numpy warning, and the surface is L_unaligned
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = default_surface(params, **kw)
+        assert np.all(s.values[:, 1:] == params.L_unaligned)
+        assert s.values[0, 0] == pytest.approx(params.L_aligned)
 
     def test_current_clamped_above_grid(self, surface):
         top = surface.current_grid[-1]

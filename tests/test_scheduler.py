@@ -571,6 +571,9 @@ class TestTrainTable:
             assert kinds == {scheduler.SafetyAbortError, qlearn.QTrainError}
             assert len(ref) < theta_nodes.size * current_nodes.size
 
+    # the rows of failed and finished nodes may overflow (the huge gain's
+    # do): q_policy_iteration's errstate scope keeps them quiet, and the
+    # checks on live rows alone decide each node
     @pytest.mark.parametrize("name", ["aborts and unsettled", "huge gain",
                                       "no dither"])
     def test_failing_grid_emits_no_warnings(self, params, surface, name):
@@ -578,6 +581,16 @@ class TestTrainTable:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(TableTrainError):
+                train_table(params, surface, theta_nodes, current_nodes, cfg)
+
+    def test_overflowing_initial_gain_names_its_keys(self, params, surface):
+        # |k0| times the top current overflows: refused before any draw
+        _, theta_nodes, current_nodes = self.failing_grid(params, "huge gain")
+        cfg = TableTrainConfig(K0=(1e308, -1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"k0_x, k0_r = \[1e\+308, "
+                               r"-1e\+308\] overflow the training action"):
                 train_table(params, surface, theta_nodes, current_nodes, cfg)
 
     def test_constant_surface_cores_agree(self, params):

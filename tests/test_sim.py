@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from srmq import sim
 from srmq.plant import MotorParams, ReferenceProfile, reference_at
@@ -367,6 +368,45 @@ class TestMetrics:
         m = Metrics(rmse=0.0, rmse_settled=0.0, ripple=0.0, settling_steps=[],
                     dk_per_cycle=[], amplitude=4.0, windows=1)
         assert m.dk_final == 0.0
+
+
+def reference_windows(r, start):
+    """The nested scan that _conduction_windows replaced: maximal runs of
+    one positive reference value from `start` on, as (first, end) steps."""
+    windows, n, k = [], len(r), start
+    while k < n:
+        if r[k] > 0:
+            j = k
+            while j + 1 < n and r[j + 1] == r[k]:
+                j += 1
+            windows.append((k, j + 1))
+            k = j + 1
+        else:
+            k += 1
+    return windows
+
+
+@settings(max_examples=300, deadline=None)
+@example(runs=[(4.0, 3), (0.0, 2)], start=3)                 # empty tail
+@example(runs=[(0.0, 1), (4.0, 2)], start=40)  # shorter than one cycle
+@example(runs=[], start=0)                                  # empty trace
+@example(runs=[(0.0, 1), (4.0, 3), (5.5, 2), (0.0, 1)], start=0)  # adjacent
+@example(runs=[(0.0, 2), (4.0, 3)], start=1)          # ends the trace
+@example(runs=[(np.nan, 2), (np.inf, 3), (4.0, 1), (np.nan, 1)], start=0)
+@given(runs=st.lists(st.tuples(
+           st.sampled_from([0.0, -0.0, -1.0, 4.0, 5.5, 5e-324, np.nan,
+                            np.inf, -np.inf]),
+           st.integers(1, 4)), max_size=8),
+       start=st.integers(0, 40))
+def test_conduction_windows_match_scan(runs, start):
+    r = np.repeat([v for v, _ in runs], [n for _, n in runs]).astype(float)
+    # compute_metrics starts at one cycle, or at the end of a shorter trace
+    start = min(start, r.size)
+    z = np.zeros(r.size)
+    trace = SimTrace(np.arange(r.size), z, z, r, z, z, np.zeros((r.size, 2)),
+                     np.zeros((r.size, 2), int), z)
+    assert sim._conduction_windows(trace, start) \
+        == reference_windows(r.tolist(), start)
 
 
 class TestExport:
