@@ -246,14 +246,14 @@ def _scenario(cp, params, surface) -> sim.Scenario:
 
 def _grid_oracle(params, surface, cfg, theta_nodes, current_nodes):
     """Frozen local models at every grid node, row-major, and their
-    discounted Riccati solutions from one stacked solve: (L, A, B, model,
-    P, K) with a leading node axis."""
+    discounted Riccati solutions from one stacked closed-form solve: (L, A,
+    B, model, P, K) with a leading node axis."""
     L, A, B = np.array([frozen_dynamics(params, surface, th, i_node)
                         for th in theta_nodes
                         for i_node in current_nodes]).T
     model = lqt.build_augmented(A, B, Q=cfg.q_weight, R_u=cfg.r_weight,
                                 gamma=cfg.gamma)
-    P = lqt.are_fixed_point(model)
+    P = lqt.are_closed_form(model)
     return L, A, B, model, P, lqt.optimal_gain(P, model)
 
 
@@ -433,7 +433,7 @@ def cmd_compare(cp, table_path, out_dir, fmt="csv", json_out=False) -> int:
         print(f"{'metric':>22} {'scheduled':>14} {'delta':>14}")
         for key in keys:
             print(f"{key:>22} {sched[key]:>14.6g} {delta[key]:>14.6g}")
-        print(f"ripple ratio (scheduled/delta): {report['ripple_ratio']:.4f}")
+        print(f"ripple ratio (scheduled/delta): {report['ripple_ratio']:.4g}")
     return EXIT_OK
 
 

@@ -238,7 +238,10 @@ def default_surface(params: MotorParams, n_theta: int = 16, n_current: int = 8,
     theta = np.linspace(0.0, params.rotor_pitch, n_theta)
     current = np.linspace(0.0, i_max, n_current)
     shape = (1 + np.cos(2 * np.pi * theta / params.rotor_pitch)) / 2
-    sat = 1.0 / (1.0 + kappa * (current / i_sat) ** 2)
+    # with kappa = 0 the saturation term is exactly 1, also where
+    # (i / i_sat)^2 overflows and 0 * inf would be nan
+    sat = 1.0 / (1.0 + kappa * (current / i_sat) ** 2) if kappa \
+        else np.ones_like(current)
     values = params.L_unaligned + (params.L_aligned - params.L_unaligned) \
         * np.outer(shape, sat)
     return InductanceSurface(theta, current, values)

@@ -267,8 +267,8 @@ def _node_collector(A: np.ndarray, B: np.ndarray, cfg: TableTrainConfig,
         over = (np.abs(x1) > i_limit) & ~done[:, None]
         hit = over.any(axis=1, keepdims=True)
         aborted = {j: SafetyAbortError(
-            f"training current {x1[j, over[j].argmax()]:.2f} A exceeded the "
-            f"{i_limit:.2f} A safety bound") for j in np.flatnonzero(hit)}
+            f"training current {x1[j, over[j].argmax()]:#.4g} A exceeded "
+            f"the {i_limit:#.4g} A safety bound") for j in np.flatnonzero(hit)}
         u1 = -(k_x * x1 + k_r * r)
         costs = qlearn._stage_costs(x.ravel(), r.ravel(), u.ravel(), Q_q,
                                     cfg.r_weight).reshape(x.shape)

@@ -209,8 +209,8 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None) -> SimT
 
         if x_next > i_limit:
             err = SafetyAbortError(
-                f"current {x_next:.2f} A exceeded the {i_limit:.2f} A safety "
-                f"bound at step {k}")
+                f"current {x_next:#.4g} A exceeded the {i_limit:#.4g} A "
+                f"safety bound at step {k}")
             err.trace = finish()
             raise err
 
@@ -230,7 +230,7 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None) -> SimT
                     raise ValueError(
                         f"online learning stage cost overflowed at step {k}: "
                         + (f"the reference {r:.3g} A is beyond the "
-                           f"{i_limit:.2f} A safety bound" if r > i_limit
+                           f"{i_limit:#.4g} A safety bound" if r > i_limit
                            else "the tracking weights are too large"))
                 scheduler.update_core_online(table, cell, (x, r, u),
                                              (x_next, r_next, u_next), cost)

@@ -366,6 +366,30 @@ class TestOracle:
             assert node["K"] == pytest.approx([0.0, 0.0], abs=1e-9)
 
 
+    @pytest.mark.parametrize("ini, code", [
+        ("[training]\nq_weight = 1e160\n", EXIT_CONVERGENCE),
+        ("[motor]\nr_phase = 1e300\n", EXIT_CONVERGENCE),
+        ("[surface]\ni_sat = 1e-300\n", EXIT_OK),
+        ("[surface]\nkappa = 0\ni_sat = 1e-300\n", EXIT_OK),
+    ])
+    def test_overflowing_config_exits_cleanly(self, tmp_path, capsys, ini,
+                                              code):
+        # the closed-form solve names every non-finite node of the default
+        # 16x8 grid in one stderr line; kappa = 0 never saturates, so an
+        # overflowing i / i_sat leaves the surface finite
+        path = tmp_path / "huge.ini"
+        path.write_text(ini)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--config", str(path), "oracle"]) == code
+        err = capsys.readouterr().err
+        if code == EXIT_OK:
+            assert err == ""
+        else:
+            assert err.splitlines() == [err.strip()]
+            assert "not finite at 128 of 128 nodes, first [0, 1, 2, 3, 4]" \
+                in err
+
     @pytest.mark.parametrize("k0_x", ["-500", "200"])
     def test_non_stabilizing_start_names_the_first_node(self, tmp_path,
                                                         small_cfg, capsys,
@@ -452,6 +476,20 @@ class TestTrain:
         assert "128 of 128 nodes failed" in err
         assert "128 x RankDeficientError" in err
         assert "nodes (0,0), (0,1), (0,2), ..." in err
+
+    @pytest.mark.parametrize("ini", ["[motor]\nr_phase = 1e300\n",
+                                     "[grid]\ni_max = 1e300\n"])
+    def test_safety_abort_message_stays_short(self, tmp_path, capsys, ini):
+        # a training current near 1e300 A is printed in exponent form
+        path = tmp_path / "huge.ini"
+        path.write_text(ini)
+        assert main(["--config", str(path), "train",
+                     "--out", str(tmp_path / "t.json")]) == EXIT_CONVERGENCE
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert len(err) < 200
+        assert "128 x SafetyAbortError" in err
+        assert "e+29" in err and "exceeded the 15.00 A safety bound" in err
 
     def test_nonconvergence_exits_3(self, tmp_path):
         path = tmp_path / "hard.ini"
@@ -686,6 +724,20 @@ class TestCompare:
         sched = report["controllers"]["scheduled-qlearning"]["metrics"]
         delta = report["controllers"]["delta-modulation"]["metrics"]
         assert sched["ripple_A"] < delta["ripple_A"]
+
+    def test_text_ripple_ratio_keeps_its_digits(self, tmp_path, small_cfg,
+                                                small_table, capsys):
+        # the ratio is far below 1e-4, so a fixed four-decimal format
+        # would print 0.0000
+        out = tmp_path / "cmp"
+        assert main(["--config", small_cfg, "compare", "--table",
+                     small_table, "--out", str(out)]) == EXIT_OK
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        label, _, text = line.partition(": ")
+        assert label == "ripple ratio (scheduled/delta)"
+        ratio = json.loads((out / "compare.json").read_text())["ripple_ratio"]
+        assert 0 < ratio < 1e-4
+        assert text == f"{ratio:.4g}"
 
     def test_safety_abort_exports_partial_trace(self, tmp_path, small_cfg,
                                                 runaway_table):

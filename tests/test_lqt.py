@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from srmq.lqt import (AugmentedModel, ConvergenceError, NotStabilizingError,
-                      are_fixed_point, build_augmented, closed_loop,
+                      are_closed_form, are_fixed_point, build_augmented,
+                      closed_loop,
                       evaluate_policy, is_stabilizing, optimal_gain,
                       policy_iteration_model_based, spectral_radius)
 from srmq.plant import frozen_dynamics
@@ -297,6 +298,118 @@ class TestStackedRiccati:
         K1 = optimal_gain(P1, one)
         assert P1.shape == (1, 2, 2) and K1.shape == (1, 2)
         assert np.array_equal(P1[0], P) and np.array_equal(K1[0], K)
+
+
+class TestClosedFormRiccati:
+    """The closed form agrees with the iterated solve, its reference."""
+
+    @staticmethod
+    def relative(got, ref, axes):
+        return np.linalg.norm(got - ref, axis=axes) \
+            / np.linalg.norm(ref, axis=axes)
+
+    def test_matches_iteration_on_criterion_2_plants(self):
+        # the 100 random plants of acceptance criterion 2, stacked
+        draws = [np.random.default_rng(trial) for trial in range(100)]
+        A = np.array([rng.uniform(0.3, 0.995) for rng in draws])
+        B = np.array([rng.uniform(0.005, 0.5) for rng in draws])
+        m = build_augmented(A, B)
+        P, P_ref = are_closed_form(m), are_fixed_point(m, tol=1e-13)
+        assert self.relative(P, P_ref, (-2, -1)).max() < 1e-13
+        K, K_ref = optimal_gain(P, m), optimal_gain(P_ref, m)
+        assert self.relative(K, K_ref, -1).max() < 1e-14
+
+    def test_gain_matches_iteration_on_default_grid(self, params, surface):
+        m = build_augmented(*grid_dynamics(params, surface))
+        K = optimal_gain(are_closed_form(m), m)
+        K_ref = optimal_gain(are_fixed_point(m, tol=1e-13), m)
+        assert self.relative(K, K_ref, -1).max() < 1e-14
+
+    def test_tiny_input_gain_avoids_cancellation(self):
+        # B = 1e-8 makes -b and sqrt(D) agree to about eight digits, which
+        # the root's cancellation-free form does not subtract
+        m = motor_model(0.9, 1e-8)
+        P, P_ref = are_closed_form(m), are_fixed_point(m, tol=1e-13)
+        assert self.relative(P, P_ref, (-2, -1)) < 1e-13
+        K, K_ref = optimal_gain(P, m), optimal_gain(P_ref, m)
+        assert self.relative(K, K_ref, -1) < 1e-14
+
+    def test_satisfies_equation(self):
+        m = build_augmented(*random_dynamics(20, seed=2))
+        P = are_closed_form(m)
+        A, B, g = m.A_a, m.B_b, m.gamma
+        At, Bt = A.swapaxes(-1, -2), B.swapaxes(-1, -2)
+        rhs = m.Q_q + g * At @ P @ A \
+            - g ** 2 * (At @ P @ B) @ (Bt @ P @ A) / (m.R_u + g * Bt @ P @ B)
+        assert np.allclose(P, rhs, rtol=1e-12, atol=0)
+        assert np.array_equal(P, P.swapaxes(-1, -2))
+
+    @pytest.mark.parametrize("A", [0.9875, -5.0])
+    def test_zero_state_weight_gives_zero_cost(self, A):
+        # also where the discounted plant is unstable: doing nothing costs
+        # nothing, and the iteration from P = 0 stays there
+        m = motor_model(A, B16, Q=0.0)
+        assert np.all(are_closed_form(m) == 0)
+        assert np.all(are_fixed_point(m) == 0)
+
+    def test_unstable_plant_matches_iteration(self):
+        m = motor_model(-5.0, 0.05, Q=3.0)
+        P = are_closed_form(m)
+        assert np.allclose(P, are_fixed_point(m, tol=1e-12), rtol=1e-12, atol=0)
+
+    def test_single_node_keeps_scalar_shapes(self):
+        m = motor_model(A16, B16)
+        P = are_closed_form(m)
+        assert P.shape == (2, 2)
+        P1 = are_closed_form(build_augmented(np.array([A16]), np.array([B16])))
+        assert P1.shape == (1, 2, 2) and np.array_equal(P1[0], P)
+
+    @staticmethod
+    def edited(name, i, j, value):
+        m = build_augmented(*random_dynamics(3))
+        blocks = {k: getattr(m, k).copy() for k in ("A_a", "B_b", "Q_q")}
+        blocks[name][1, i, j] = value
+        if name == "Q_q":
+            blocks[name][1, j, i] = value
+        return AugmentedModel(**blocks, R_u=m.R_u, gamma=m.gamma)
+
+    @pytest.mark.parametrize("name, i, j, value, fault", [
+        ("A_a", 0, 1, 0.1, r"A_a = diag\(A, 1\)"),
+        ("A_a", 1, 1, 0.9, r"A_a = diag\(A, 1\)"),
+        ("B_b", 1, 0, 0.1, r"B_b\[1\] = 0"),
+        ("Q_q", 0, 1, -50.0, r"Q_q = q \[\[1, -1\], \[-1, 1\]\]"),
+        ("Q_q", 1, 1, 0.0, r"Q_q = q \[\[1, -1\], \[-1, 1\]\]"),
+    ])
+    def test_refuses_other_structures(self, name, i, j, value, fault):
+        with pytest.raises(ValueError, match=fault):
+            are_closed_form(self.edited(name, i, j, value))
+
+    def test_refuses_undiscounted_model(self):
+        with pytest.raises(ValueError, match="gamma < 1"):
+            are_closed_form(motor_model(A16, B16, gamma=1.0))
+
+    def test_overflow_names_every_node(self, params, surface):
+        # q_weight = 1e160 overflows the discriminant at every node of the
+        # default grid: one error listing all 128, with no numpy warning
+        m = build_augmented(*grid_dynamics(params, surface), Q=1e160)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError,
+                               match=r"at 128 of 128 nodes, first "
+                                     r"\[0, 1, 2, 3, 4\]") as exc:
+                are_closed_form(m)
+        assert exc.value.indices == tuple(range(128))
+
+    def test_overflow_names_only_the_failing_node(self):
+        m = build_augmented(*random_dynamics(3))
+        Q_q = m.Q_q * np.array([1.0, 1e160, 1.0])[:, None, None]
+        model = AugmentedModel(m.A_a, m.B_b, Q_q, m.R_u, m.gamma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="at 1 of 3 nodes") \
+                    as exc:
+                are_closed_form(model)
+        assert exc.value.indices == (1,)
 
 
 class TestStackedPolicyIteration:

@@ -128,6 +128,16 @@ class TestInductanceSurface:
         assert np.all(s.values[:, 1:] == params.L_unaligned)
         assert s.values[0, 0] == pytest.approx(params.L_aligned)
 
+    @pytest.mark.parametrize("kw", [{"i_sat": 1e-300}, {"i_max": 1e300}])
+    def test_unsaturated_surface_ignores_overflowing_ratio(self, params, kw):
+        # kappa = 0: s(i) is exactly 1 even where (i / i_sat)^2 overflows,
+        # so every current column is the zero-current column
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = default_surface(params, kappa=0.0, **kw)
+        assert np.array_equal(s.values, np.repeat(s.values[:, :1], 8, axis=1))
+        assert s.values[0, 0] == pytest.approx(params.L_aligned)
+
     def test_current_clamped_above_grid(self, surface):
         top = surface.current_grid[-1]
         assert inductance_at(surface, 7.3, 50.0) == \

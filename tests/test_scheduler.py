@@ -386,8 +386,8 @@ def reference_node_collector(A, B, cfg, i_span, i_limit, rng):
             x1 = A * x + B * u
             if abs(x1) > i_limit:
                 raise scheduler.SafetyAbortError(
-                    f"training current {x1:.2f} A exceeded the "
-                    f"{i_limit:.2f} A safety bound")
+                    f"training current {x1:#.4g} A exceeded the "
+                    f"{i_limit:#.4g} A safety bound")
             u1 = -(K[0] * x1 + K[1] * r)
             cost = stage_cost((x, r), u, Q_q, cfg.r_weight)
             tuples.append(DataTuple(np.array([x, r, u]),

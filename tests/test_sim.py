@@ -174,6 +174,24 @@ class TestRunClosedLoop:
         assert len(trace) < s.steps
         assert trace.x.max() <= 3.0 * params.i_nominal * 1.5
 
+    def test_huge_abort_current_message_stays_short(self, surface):
+        # a core that saturates the 1e300 V bridge at once drives the next
+        # current to about 6e297 A; the message prints it in exponent form
+        from srmq.qlearn import QKernel
+        from srmq.scheduler import QCoreTable, TableTrainConfig
+        G = np.zeros((3, 3))
+        G[0, 2] = G[2, 0] = G[1, 2] = G[2, 1] = -1e300
+        G[2, 2] = 1.0
+        bad = QCoreTable(np.array([0.0]), np.array([0.0]),
+                         [[QKernel(G).to_vec()]], TableTrainConfig(), "h")
+        s = make_scenario(MotorParams(V_dc=1e300), surface)
+        with pytest.raises(SafetyAbortError) as exc:
+            run_closed_loop(s, bad)
+        message = str(exc.value)
+        assert len(message) < 100
+        assert re.fullmatch(r"current \d\.\d{3}e\+29\d A exceeded the "
+                            r"15\.00 A safety bound at step \d+", message)
+
     def test_safety_bound_follows_table_config(self, params, surface,
                                                trained_table):
         # tracking 6.5 A stays inside the default 3x bound (15 A) but
