@@ -18,6 +18,7 @@ import json
 import math
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -42,33 +43,39 @@ REFERENCE_GAIN_NOTE = (
     "position, but it matches the aligned 16 mH inductance model, not the "
     "unaligned 6 mH one; the oracle comparison therefore uses L = 16 mH")
 
-DEFAULTS = {
+# Every config key, in the order effective_config.ini writes them: [section]
+# key -> (default text, kind[, keyword]).  The kind parses the text into the
+# builder argument `keyword` (the key itself if not given); an empty float
+# with an empty default is None, and a key of kind None fills no argument.
+SCHEMA = {
     "motor": {
-        "r_phase": "2.0", "t_sample": "1e-4",
-        "l_unaligned": "6e-3", "l_aligned": "16e-3",
-        "rotor_pitch": "45.0", "speed_rpm": "60.0",
-        "v_dc": "300.0", "i_nominal": "5.0",
+        "r_phase": ("2.0", float, "R_phase"), "t_sample": ("1e-4", float, "T"),
+        "l_unaligned": ("6e-3", float, "L_unaligned"),
+        "l_aligned": ("16e-3", float, "L_aligned"),
+        "rotor_pitch": ("45.0", float), "speed_rpm": ("60.0", float, "speed"),
+        "v_dc": ("300.0", float, "V_dc"), "i_nominal": ("5.0", float),
     },
     "surface": {
-        "kind": "analytic", "path": "",
-        "kappa": "0.5", "i_sat": "", "i_max": "",
-        "n_theta": "16", "n_current": "8",
+        "kind": ("analytic", None), "path": ("", None),
+        "kappa": ("0.5", float), "i_sat": ("", float), "i_max": ("", float),
+        "n_theta": ("16", int), "n_current": ("8", int),
     },
-    "grid": {
-        "n_theta": "16", "n_current": "8", "i_max": "",
-    },
+    "grid": {"n_theta": ("16", int), "n_current": ("8", int),
+             "i_max": ("", float)},
     "training": {
-        "gamma": "0.9", "q_weight": "100.0", "r_weight": "0.001",
-        "k0_x": "100.0", "k0_r": "-100.0",
-        "online_tau": "1e3", "dither_v": "15.0",
-        "tuples_per_iter": "6", "tol": "1e-4", "max_iters": "100",
-        "gain_clamp": "0.02", "seed": "0",
+        "gamma": ("0.9", float), "q_weight": ("100.0", float),
+        "r_weight": ("0.001", float), "k0_x": ("100.0", float),
+        "k0_r": ("-100.0", float), "online_tau": ("1e3", float),
+        "dither_v": ("15.0", float, "dither"), "tuples_per_iter": ("6", int),
+        "tol": ("1e-4", float), "max_iters": ("100", int),
+        "gain_clamp": ("0.02", float), "seed": ("0", int),
     },
     "scenario": {
-        "i_ref": "4.0", "theta_on": "10.0", "theta_off": "35.0",
-        "events": "", "duration_cycles": "5", "controller": "scheduled-qlearning",
-        "online_learning": "false", "dither_v": "0.0", "r_scale": "1.0",
-        "delta_band": "0.0", "seed": "0",
+        "i_ref": ("4.0", float), "theta_on": ("10.0", float),
+        "theta_off": ("35.0", float), "events": ("", str),
+        "duration_cycles": ("5", int), "controller": ("scheduled-qlearning", str),
+        "online_learning": ("false", bool), "dither_v": ("0.0", float, "dither"),
+        "r_scale": ("1.0", float), "delta_band": ("0.0", float), "seed": ("0", int),
     },
 }
 
@@ -77,21 +84,10 @@ class ConfigError(ValueError):
     pass
 
 
-# dataclass fields read from an INI key of another name
-INI_KEYS = {"dither": "dither_v", "speed": "speed_rpm", "T": "t_sample",
-            "R_phase": "r_phase"}
-
-
-def _invalid(what: str, exc: ValueError) -> ConfigError:
-    """A ConfigError for a rejected value; a message that starts with a
-    dataclass field (as plant._require_bound's do) names its INI key."""
-    name, sep, rest = str(exc).partition(" ")
-    return ConfigError(f"invalid {what}: {INI_KEYS.get(name, name)}{sep}{rest}")
-
-
 def default_config() -> configparser.ConfigParser:
     cp = configparser.ConfigParser()
-    cp.read_dict(DEFAULTS)
+    cp.read_dict({section: {key: spec[0] for key, spec in keys.items()}
+                  for section, keys in SCHEMA.items()})
     return cp
 
 
@@ -105,43 +101,46 @@ def load_config(path=None) -> configparser.ConfigParser:
         if not read:
             raise ConfigError(f"config file {path} not found")
         for section in cp.sections():
-            if section not in DEFAULTS:
+            if section not in SCHEMA:
                 raise ConfigError(f"unknown config section [{section}]")
             for key in cp[section]:
-                if key not in DEFAULTS[section]:
+                if key not in SCHEMA[section]:
                     raise ConfigError(f"unknown config key {section}.{key}")
     return cp
 
 
-def dump_config(cp: configparser.ConfigParser, path) -> None:
-    with open(path, "w") as f:
-        cp.write(f)
-
-
-def _number(section, key, kind=float):
-    """section[key] as a float (an int for kind=int, a bool for kind=bool
-    in configparser's spellings), naming the key."""
-    value = section[key]
+def _parse(key, text, kind):
+    """`key`'s text as its kind; a text that does not parse names the key."""
     try:
         if kind is bool:
-            return configparser.ConfigParser.BOOLEAN_STATES[value.lower()]
-        return kind(value)
+            return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+        return kind(text)
     except (KeyError, ValueError):
         what = {int: "an integer", bool: "a boolean"}.get(kind, "a number")
-        raise ValueError(f"{key} must be {what}, got {value!r}") from None
+        raise ValueError(f"{key} must be {what}, got {text!r}") from None
+
+
+def _build(cp, section, what, build):
+    """build(**{keyword: value}) for the keys of `section` in schema order;
+    a ValueError becomes "invalid <what>: ...", naming a keyword's INI key."""
+    ini_key, kwargs = {}, {}
+    try:
+        for key, (default, kind, *keyword) in SCHEMA[section].items():
+            text, keyword = cp[section][key], (keyword or [key])[0]
+            ini_key[keyword] = key
+            if kind is float and text == default == "":
+                kwargs[keyword] = None
+            elif kind is not None:
+                kwargs[keyword] = _parse(key, text, kind)
+        return build(**kwargs)
+    except ValueError as exc:
+        name, sep, rest = str(exc).partition(" ")
+        raise ConfigError(
+            f"invalid {what}: {ini_key.get(name, name)}{sep}{rest}") from exc
 
 
 def _motor(cp) -> MotorParams:
-    m = cp["motor"]
-    try:
-        return MotorParams(
-            R_phase=_number(m, "r_phase"), T=_number(m, "t_sample"),
-            L_unaligned=_number(m, "l_unaligned"), V_dc=_number(m, "v_dc"),
-            L_aligned=_number(m, "l_aligned"), speed=_number(m, "speed_rpm"),
-            rotor_pitch=_number(m, "rotor_pitch"),
-            i_nominal=_number(m, "i_nominal"))
-    except ValueError as exc:
-        raise _invalid("motor parameters", exc) from exc
+    return _build(cp, "motor", "motor parameters", MotorParams)
 
 
 def _require_pitch_span(path, what, name, nodes, params: MotorParams):
@@ -168,44 +167,23 @@ def _surface(cp, params: MotorParams):
         return surface
     if s["kind"] != "analytic":
         raise ConfigError(f"surface.kind must be analytic or file, got {s['kind']!r}")
-    try:
-        return default_surface(
-            params, n_theta=_number(s, "n_theta", int),
-            n_current=_number(s, "n_current", int), kappa=_number(s, "kappa"),
-            i_sat=_number(s, "i_sat") if s["i_sat"] else None,
-            i_max=_number(s, "i_max") if s["i_max"] else None)
-    except ValueError as exc:
-        raise _invalid("surface", exc) from exc
+    return _build(cp, "surface", "surface", partial(default_surface, params))
 
 
 def _grid(cp, params: MotorParams):
-    g = cp["grid"]
-    try:
-        nodes = {key: _number(g, key, int) for key in ("n_theta", "n_current")}
-        for key, n in nodes.items():
+    def nodes(n_theta, n_current, i_max):
+        for key, n in (("n_theta", n_theta), ("n_current", n_current)):
             _require_count(key, n, 1, MAX_AXIS_NODES)
-        i_max = _number(g, "i_max") if g["i_max"] else 1.5 * params.i_nominal
+        i_max = 1.5 * params.i_nominal if i_max is None else i_max
         _require_bound("i_max", i_max, positive=True)
-    except ValueError as exc:
-        raise _invalid("grid", exc) from exc
-    return (np.linspace(0.0, params.rotor_pitch, nodes["n_theta"]),
-            np.linspace(0.0, i_max, nodes["n_current"]))
+        return (np.linspace(0.0, params.rotor_pitch, n_theta),
+                np.linspace(0.0, i_max, n_current))
+    return _build(cp, "grid", "grid", nodes)
 
 
 def _train_cfg(cp) -> TableTrainConfig:
-    t = cp["training"]
-    try:
-        return TableTrainConfig(
-            q_weight=_number(t, "q_weight"), r_weight=_number(t, "r_weight"),
-            gamma=_number(t, "gamma"),
-            K0=(_number(t, "k0_x"), _number(t, "k0_r")),
-            dither=_number(t, "dither_v"),
-            tuples_per_iter=_number(t, "tuples_per_iter", int),
-            tol=_number(t, "tol"), max_iters=_number(t, "max_iters", int),
-            online_tau=_number(t, "online_tau"),
-            gain_clamp=_number(t, "gain_clamp"), seed=_number(t, "seed", int))
-    except ValueError as exc:
-        raise _invalid("training parameters", exc) from exc
+    return _build(cp, "training", "training parameters",
+                  lambda k0_x, k0_r, **kw: TableTrainConfig(K0=(k0_x, k0_r), **kw))
 
 
 def _parse_events(text: str):
@@ -221,27 +199,17 @@ def _parse_events(text: str):
 
 
 def _scenario(cp, params, surface) -> sim.Scenario:
-    s = cp["scenario"]
-    try:
-        profile = ReferenceProfile(
-            i_ref=_number(s, "i_ref"), theta_on=_number(s, "theta_on"),
-            theta_off=_number(s, "theta_off"), step_events=_parse_events(s["events"]))
+    def scenario(i_ref, theta_on, theta_off, events, duration_cycles, **kw):
+        profile = ReferenceProfile(i_ref, theta_on, theta_off,
+                                   _parse_events(events))
         if profile.theta_off > params.rotor_pitch:
             raise ValueError("theta_off exceeds the rotor pitch")
-        cycles = _number(s, "duration_cycles", int)
-        if cycles < 2:
+        if duration_cycles < 2:
             raise ValueError("duration_cycles must be at least 2 (the metrics "
-                             f"skip the first cycle), got {cycles}")
-        return sim.Scenario(
-            motor=params, surface=surface, reference=profile,
-            controller=s["controller"],
-            duration=cycles * params.steps_per_cycle,
-            seed=_number(s, "seed", int),
-            online_learning=_number(s, "online_learning", bool),
-            dither=_number(s, "dither_v"), r_scale=_number(s, "r_scale"),
-            delta_band=_number(s, "delta_band"))
-    except ValueError as exc:
-        raise _invalid("scenario", exc) from exc
+                             f"skip the first cycle), got {duration_cycles}")
+        return sim.Scenario(params, surface, profile, **kw,
+                            duration=duration_cycles * params.steps_per_cycle)
+    return _build(cp, "scenario", "scenario", scenario)
 
 
 def _grid_oracle(params, surface, cfg, theta_nodes, current_nodes):
@@ -396,7 +364,8 @@ def cmd_run(cp, table_path, out_dir, fmt="csv", json_out=False) -> int:
     metrics, trace_path = _run_one(scenario, table, out_dir,
                                    scenario.controller, fmt)
     out = Path(out_dir)
-    dump_config(cp, out / "effective_config.ini")
+    with open(out / "effective_config.ini", "w") as f:
+        cp.write(f)
     report = {"metrics": metrics.as_dict(), "trace": str(trace_path),
               "config": str(out / "effective_config.ini")}
     text = _strict_json(report)

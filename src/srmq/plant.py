@@ -72,7 +72,8 @@ class MotorParams:
         for name in ("R_phase", "T", "rotor_pitch", "speed", "V_dc", "i_nominal"):
             _require_bound(name, getattr(self, name), positive=True)
         if not (0 < self.L_unaligned < self.L_aligned):
-            raise ValueError("need 0 < L_unaligned < L_aligned")
+            raise ValueError("L_unaligned must be positive and below L_aligned"
+                             f" = {self.L_aligned!r}, got {self.L_unaligned!r}")
 
     @property
     def deg_per_step(self) -> float:

@@ -139,8 +139,11 @@ class QCoreTable:
         self.current_nodes = np.asarray(self.current_nodes, float)
         kernels = np.array(self.kernels, float)
         nt, ni = self.theta_nodes.size, self.current_nodes.size
-        _require_ascending("theta nodes", self.theta_nodes)
-        _require_ascending("current nodes", self.current_nodes)
+        for name, nodes in (("theta nodes", self.theta_nodes),
+                            ("current nodes", self.current_nodes)):
+            if nodes.ndim != 1:
+                raise ValueError(f"{name} must be 1-D, got shape {nodes.shape}")
+            _require_ascending(name, nodes)
         if kernels.shape != (nt, ni, NUM_PARAMS):
             raise ValueError("core grid shape must match the node grids")
         if not np.all(np.isfinite(kernels)):

@@ -58,8 +58,8 @@ class Scenario:
 
     def __post_init__(self):
         if self.controller not in CONTROLLERS:
-            raise ValueError(f"unknown controller {self.controller!r}; "
-                             f"expected one of {CONTROLLERS}")
+            raise ValueError(f"controller must be one of {CONTROLLERS}, "
+                             f"got {self.controller!r}")
         if not 0 < self.steps <= MAX_STEPS:
             raise ValueError(f"duration must be 1 to MAX_STEPS = {MAX_STEPS} "
                              f"steps, got {self.steps} (duration_cycles x the "

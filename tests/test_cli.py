@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from srmq import lqt, sim
 from srmq.cli import (EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_OK, EXIT_SAFETY,
-                      REFERENCE_GAIN, default_config, load_config, main)
+                      REFERENCE_GAIN, SCHEMA, default_config, load_config,
+                      main)
 from srmq.plant import (InductanceSurface, MotorParams, default_surface,
                         save_surface_csv)
 from srmq.qlearn import QKernel
@@ -152,6 +154,11 @@ class TestConfig:
         ("motor", "speed_rpm", "0", "speed_rpm"),
         ("motor", "t_sample", "-1e-4", "t_sample"),
         ("motor", "r_phase", "nan", "r_phase"),
+        ("motor", "v_dc", "-1", "v_dc must be positive"),
+        ("motor", "v_dc", "0", "v_dc must be positive"),
+        ("motor", "l_unaligned", "0.02",
+         "l_unaligned must be positive and below L_aligned = 0.016"),
+        ("scenario", "controller", "pid", "controller must be one of"),
     ])
     def test_out_of_range_value_names_the_key(self, tmp_path, request, capsys,
                                               section, key, value, named):
@@ -605,6 +612,8 @@ class TestRun:
         ("iterations", [[1.5] * 3] * 4, "iterations must be"),
         ("K0", [100.0, -100.0, 5.0], "K0 must be the two gains"),
         ("theta_nodes", [0.0, float("nan"), 30.0, 45.0], "theta nodes must be"),
+        ("theta_nodes", [[0.0, 15.0, 30.0, 45.0]], "theta nodes must be 1-D"),
+        ("current_nodes", [[0.0, 3.75, 7.5]], "current nodes must be 1-D"),
     ])
     def test_unchecked_table_field_exits_2(self, tmp_path, small_cfg,
                                            small_table, capsys, key, value,
@@ -767,6 +776,9 @@ FUZZ_KEYS = {
     },
     "surface": {
         "kind": st.sampled_from(["analytic", "file", "table"]),
+        # resolved in the fuzz directory: missing, a surface CSV, no CSV
+        "path": st.sampled_from(["", "missing.csv", "surface.csv",
+                                 "small.ini"]),
         "kappa": ini_value(0.0, 2.0), "i_sat": ini_value(1.0, 10.0),
         "i_max": ini_value(1.0, 10.0),
         "n_theta": ini_value(2, 16, integer=True),
@@ -805,14 +817,36 @@ FUZZ_KEYS = {
 }
 
 
+def test_fuzz_keys_cover_the_schema():
+    # a key added to the schema cannot escape the fuzzing
+    assert ({(section, key) for section in FUZZ_KEYS for key in FUZZ_KEYS[section]}
+            == {(section, key) for section in SCHEMA for key in SCHEMA[section]})
+
+
 @pytest.fixture(scope="module")
 def fuzz_table(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     (root / "small.ini").write_text(SMALL)
+    save_surface_csv(default_surface(MotorParams(), n_theta=5),
+                     root / "surface.csv")
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["--config", str(root / "small.ini"), "train",
                      "--out", str(root / "qtable.json")]) == EXIT_OK
     return root
+
+
+def assert_exits_cleanly(args):
+    """main(args) with warnings as errors ends in exit 0, 2, 3 or 4 with at
+    most one line on stderr and never a traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(args)
+    err = err.getvalue()
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_SAFETY)
+    assert len(err.splitlines()) <= 1
+    assert "Traceback" not in err
 
 
 @settings(max_examples=100, deadline=None)
@@ -828,20 +862,22 @@ def fuzz_table(tmp_path_factory):
 @example(command="oracle", values={("training", "q_weight"): "1e160"})
 @example(command="oracle", values={("motor", "r_phase"): "1e300"})
 @example(command="oracle", values={("surface", "i_sat"): "1e-300"})
+@example(command="run", values={("surface", "kind"): "file",
+                                ("surface", "path"): "surface.csv"})
 @given(command=st.sampled_from(["run", "train", "oracle"]),
        values=st.fixed_dictionaries({}, optional={
            (section, key): strategy for section, keys in FUZZ_KEYS.items()
            for key, strategy in keys.items()}))
 def test_fuzzed_config_exits_cleanly(fuzz_table, command, values):
-    # every config ends in exit 0, 2, 3 or 4 with at most one line on
-    # stderr and never a traceback; run reads [training] from the table
-    # file, train and oracle read no [scenario] key
+    # run reads [training] from the table file, train and oracle read no
+    # [scenario] key
     cp = configparser.ConfigParser(interpolation=None)
     cp.read_string(SMALL)
     for (section, key), value in values.items():
         if not cp.has_section(section):
             cp.add_section(section)
-        cp[section][key] = value
+        cp[section][key] = str(fuzz_table / value) if key == "path" and value \
+            else value
     path = fuzz_table / "fuzz.ini"
     with open(path, "w") as f:
         cp.write(f)
@@ -849,12 +885,54 @@ def test_fuzzed_config_exits_cleanly(fuzz_table, command, values):
                     "--out", str(fuzz_table / "out")],
             "train": ["train", "--out", str(fuzz_table / "t.json")],
             "oracle": ["oracle"]}[command]
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(err), warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = main(["--config", str(path)] + args)
-    err = err.getvalue()
-    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_SAFETY)
-    assert len(err.splitlines()) <= 1
-    assert "Traceback" not in err
+    assert_exits_cleanly(["--config", str(path)] + args)
+
+
+TABLE_KEYS = ["version", "params_hash", "cfg", "theta_nodes", "current_nodes",
+              "iterations", "cores"]
+CFG_KEYS = [f.name for f in fields(TableTrainConfig)]
+# at most one mutation of each kind, applied in this order to a saved 4x3
+# table: a cfg value of another JSON type, an iteration count, a nan core
+# entry, a ragged core row or core, a node list nested one level deeper,
+# and a key of the table or its cfg dropped
+TABLE_MUTATIONS = st.fixed_dictionaries({}, optional={
+    "cfg": st.tuples(st.sampled_from(CFG_KEYS), st.sampled_from(
+        [None, True, "0.9", [], {}, [1.0], -1, 0.5, 1e308])),
+    "iterations": st.tuples(st.integers(0, 3), st.integers(0, 2),
+                            st.sampled_from([-1, 2.5, 0])),
+    "nan": st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 5)),
+    "ragged": st.tuples(st.integers(0, 3), st.sampled_from([None, 0, 2])),
+    "nest": st.sampled_from(["theta_nodes", "current_nodes"]),
+    "drop": st.sampled_from(TABLE_KEYS + [f"cfg.{key}" for key in CFG_KEYS]),
+})
+
+
+@settings(max_examples=120, deadline=None)
+@example(mutations={"nest": "theta_nodes"})
+@example(mutations={"nest": "current_nodes"})
+@given(mutations=TABLE_MUTATIONS)
+def test_fuzzed_table_file_exits_cleanly(fuzz_table, mutations):
+    doc = json.loads((fuzz_table / "qtable.json").read_text())
+    if "cfg" in mutations:
+        key, value = mutations["cfg"]
+        doc["cfg"][key] = value
+    if "iterations" in mutations:
+        row, col, count = mutations["iterations"]
+        doc["iterations"][row][col] = count
+    if "nan" in mutations:
+        row, col, entry = mutations["nan"]
+        doc["cores"][row][col][entry] = float("nan")
+    if "ragged" in mutations:
+        row, col = mutations["ragged"]
+        cores = doc["cores"][row]
+        (cores if col is None else cores[col]).pop()
+    if "nest" in mutations:
+        doc[mutations["nest"]] = [doc[mutations["nest"]]]
+    if "drop" in mutations:
+        *cfg, key = mutations["drop"].split(".")
+        (doc["cfg"] if cfg else doc).pop(key)
+    table = fuzz_table / "fuzzed.json"
+    table.write_text(json.dumps(doc))
+    assert_exits_cleanly(["--config", str(fuzz_table / "small.ini"), "run",
+                          "--table", str(table), "--out",
+                          str(fuzz_table / "out")])
