@@ -41,16 +41,22 @@ def _require_ascending(name: str, nodes: np.ndarray) -> None:
         raise ValueError(f"{name} must be finite and strictly ascending")
 
 
+def _is_int(value) -> bool:
+    """A Python or numpy integer, not a boolean: bool subclasses int, so a
+    JSON true would pass isinstance(value, int) (np.bool_ is no np.integer)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _require_seed(name: str, value: int) -> None:
     """Raise ValueError naming `name` unless `value` is a non-negative
     integer, the seeds numpy's generators take."""
-    if not (isinstance(value, (int, np.integer)) and value >= 0):
+    if not (_is_int(value) and value >= 0):
         raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 def _require_count(name: str, value: int, lo: int, hi: int) -> None:
     """Raise ValueError naming `name` unless `value` is an int in [lo, hi]."""
-    if not (isinstance(value, (int, np.integer)) and lo <= value <= hi):
+    if not (_is_int(value) and lo <= value <= hi):
         raise ValueError(f"{name} must be an integer from {lo} to {hi}, "
                          f"got {value!r}")
 

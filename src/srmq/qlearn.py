@@ -113,6 +113,20 @@ def sym_features(M: np.ndarray) -> np.ndarray:
                      m1 * m1, 2 * m1 * m2, m2 * m2]).T
 
 
+def _bellman_row(M_k, M_k1, gamma: float) -> np.ndarray:
+    """sym_features(M_k) - gamma * sym_features(M_k1) for one transition,
+    built on Python floats: the same elementwise IEEE products and
+    differences, so the same bits, without numpy's per-call overhead."""
+    x0, x1, x2 = M_k
+    y0, y1, y2 = M_k1
+    return np.array([x0 * x0 - gamma * (y0 * y0),
+                     2 * x0 * x1 - gamma * (2 * y0 * y1),
+                     2 * x0 * x2 - gamma * (2 * y0 * y2),
+                     x1 * x1 - gamma * (y1 * y1),
+                     2 * x1 * x2 - gamma * (2 * y1 * y2),
+                     x2 * x2 - gamma * (y2 * y2)])
+
+
 def stage_cost(X, u: float, Q_q: np.ndarray, R_u: float) -> float:
     """One-step tracking cost X' Q_q X + R_u u^2."""
     X = np.asarray(X, float)

@@ -345,20 +345,27 @@ def update_core_online(table: QCoreTable, cell, M_k, M_k1, cost) -> bool:
     core's gain by more than the configured clamp (or make its input
     block non-positive) is rejected outright, leaving the table as it was.
     Returns True if the update was applied.
+
+    The row and the gain checks run on Python floats; the RLS products stay
+    numpy (BLAS) calls, as Python-float versions of them differ in the last
+    bit.  Each norm is sqrt(v.dot(v)), what np.linalg.norm computes.
     """
     a, b = cell
-    f_k, f_k1 = qlearn.sym_features((M_k, M_k1))
-    g, eta = qlearn._rls_step(table.kernels[a][b], table.covariance[a, b],
-                              f_k - table.cfg.gamma * f_k1, cost)
+    g, eta = qlearn._rls_step(
+        np.array(table.kernels[a][b]), table.covariance[a, b],
+        qlearn._bellman_row(M_k, M_k1, table.cfg.gamma), cost)
+    g = g.tolist()
     if g[5] <= 0:
         return False
-    K_new = np.array([g[2], g[4]]) / g[5]
-    K_old = np.array(_core_gain(table, cell))
-    if np.linalg.norm(K_new - K_old) > table.cfg.gain_clamp * (1 + np.linalg.norm(K_old)):
+    k_x, k_r = _core_gain(table, cell)
+    step = np.array([g[2] / g[5] - k_x, g[4] / g[5] - k_r])
+    k_old = np.array([k_x, k_r])
+    if (math.sqrt(step.dot(step))
+            > table.cfg.gain_clamp * (1 + math.sqrt(k_old.dot(k_old)))):
         return False
-    if not np.all(np.isfinite(g)):
+    if not all(map(math.isfinite, g)):
         raise ValueError("kernel entries must be finite")
-    table.kernels[a][b] = g.tolist()
+    table.kernels[a][b] = g
     table.covariance[a, b] = eta
     return True
 
@@ -390,6 +397,10 @@ def load_table(path) -> QCoreTable:
             raise ValueError(f"table format version {doc.get('version')!r}"
                              f" is not {TABLE_FORMAT_VERSION}; retrain the table")
         cfg_kwargs = dict(doc["cfg"])
+        for f in fields(TableTrainConfig):
+            if f.name not in cfg_kwargs:
+                raise ValueError(f"cfg.{f.name} is missing; every training "
+                                 "config key must be stored")
         cfg_kwargs["K0"] = tuple(cfg_kwargs["K0"])
         cfg = TableTrainConfig(**cfg_kwargs)
         return QCoreTable(np.array(doc["theta_nodes"]),

@@ -162,7 +162,6 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None) -> SimT
 
     plant_params = replace(params, R_phase=params.R_phase * scenario.r_scale)
 
-    rng = np.random.default_rng(scenario.seed)
     n = scenario.steps
     i_limit = cfg.safety_factor * params.i_nominal
     if scenario.controller == "single-qcore":
@@ -177,6 +176,13 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None) -> SimT
     x = theta = 0.0
     r = reference_at(profile, theta, 0)
     learn = scenario.online_learning and scenario.controller == "scheduled-qlearning"
+    dither = None
+    if learn and scenario.dither > 0:
+        # every step's dither in one draw, read back as Python floats: the
+        # same numbers as one scalar rng.uniform(-1, 1) per step, and the
+        # loop draws nothing else
+        dither = memoryview(scenario.dither * np.random.default_rng(
+            scenario.seed).uniform(-1, 1, n))
 
     def finish():
         buf = np.frombuffer(rows).reshape(-1, 8)
@@ -199,8 +205,8 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None) -> SimT
             else:
                 k_x, k_r, cell = scheduler.schedule(table, theta, x)
             u = -(k_x * x + k_r * r)
-            if learn and scenario.dither > 0:
-                u += scenario.dither * rng.uniform(-1, 1)
+            if dither is not None:
+                u += dither[k]
         u = min(max(float(u), -params.V_dc), params.V_dc)
 
         rows.extend((theta, r, x, u, k_x, k_r, *cell))

@@ -629,6 +629,39 @@ class TestRun:
         assert err.splitlines() == [err.strip()]
         assert str(bad) in err and named in err
 
+    @pytest.mark.parametrize("key", [f.name for f in fields(TableTrainConfig)])
+    def test_table_without_a_cfg_key_exits_2(self, tmp_path, small_cfg,
+                                             small_table, capsys, key):
+        # a dropped key must not fall back to the dataclass default
+        doc = json.loads(Path(small_table).read_text())
+        del doc["cfg"][key]
+        bad = tmp_path / "nokey.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["--config", small_cfg, "run", "--table", str(bad),
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith(f"error: {bad}: cfg.{key} is missing")
+
+    @pytest.mark.parametrize("values, named", [
+        ({"seed": True}, "seed"), ({"seed": False}, "seed"),
+        ({"max_iters": True}, "max_iters"),
+        ({"seed": True, "max_iters": True}, "seed")])
+    def test_table_boolean_in_integer_field_exits_2(
+            self, tmp_path, small_cfg, small_table, capsys, values, named):
+        # JSON true is no integer, though Python's bool subclasses int
+        doc = json.loads(Path(small_table).read_text())
+        doc["cfg"].update(values)
+        bad = tmp_path / "bool.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["--config", small_cfg, "run", "--table", str(bad),
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith(f"error: {bad}: {named} must be")
+
     def test_motor_mismatch_exits_2(self, tmp_path, small_cfg, small_table):
         other = tmp_path / "other.ini"
         other.write_text(SMALL + "\n[motor]\nr_phase = 2.5\n")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from srmq import lqt
+from srmq import lqt, qlearn
 from srmq.qlearn import (DataTuple, ExcitationError, QKernel, QTrainConfig,
                          QTrainError, RankDeficientError, TupleBatch,
                          batch_ls_solve,
@@ -139,6 +139,29 @@ class TestPolicyImprovement:
         G = np.diag([1.0, 1.0, -0.5])
         with pytest.raises(ExcitationError):
             policy_improvement(QKernel(G))
+
+
+# magnitudes from 1e-150 to 1e150 (no product overflows), signed zeros and
+# subnormals, whose products underflow to zero or to other subnormals
+ROW_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-320]),
+    st.tuples(st.floats(1e-150, 1e150), st.booleans()).map(
+        lambda p: -p[0] if p[1] else p[0]))
+
+
+class TestBellmanRow:
+    @given(M_k=st.tuples(ROW_ENTRIES, ROW_ENTRIES, ROW_ENTRIES),
+           M_k1=st.tuples(ROW_ENTRIES, ROW_ENTRIES, ROW_ENTRIES),
+           gamma=st.one_of(st.sampled_from([1e-3, 0.5, 0.9, 0.99, 1.0]),
+                           st.floats(0, 1, exclude_min=True)))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_stacked_sym_features(self, M_k, M_k1, gamma):
+        # the online step's scalar row is the stacked numpy row, bit for bit
+        f_k, f_k1 = sym_features(np.array([M_k, M_k1]))
+        want = f_k - gamma * f_k1
+        got = qlearn._bellman_row(M_k, M_k1, gamma)
+        assert got.dtype == np.float64 and got.shape == (6,)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestLeastSquares:

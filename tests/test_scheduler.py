@@ -177,35 +177,53 @@ class TestSchedule:
         assert table_state(t) == before
 
 
+def assert_learning_run_matches_public_rls_result(scenario, table,
+                                                  monkeypatch):
+    """Run the scenario and replay every online update on a copy of the
+    table through the public RlsState/rls_update path, whose numbers pass
+    DataTuple's finite, shape and cost checks: each accept or reject and
+    the final tables must agree bit for bit."""
+    ref = copy.deepcopy(table)
+    updates = []
+
+    def recording(table, cell, M_k, M_k1, cost):
+        tup = DataTuple(M_k, M_k1, cost)
+        applied = update_core_online(table, cell, M_k, M_k1, cost)
+        updates.append((tup, cell, applied))
+        return applied
+
+    monkeypatch.setattr(scheduler, "update_core_online", recording)
+    run_closed_loop(scenario, table)
+    accepted = sum(applied for *_, applied in updates)
+    assert 0 < accepted < len(updates)
+    for tup, cell, applied in updates:
+        assert reference_update_core_online(ref, tup, cell) == applied
+    for name in ("kernels", "gains", "covariance"):
+        assert (np.array(getattr(table, name)).tobytes()
+                == np.array(getattr(ref, name)).tobytes())
+
+
 class TestMirrors:
     def test_learning_run_matches_public_rls_result(
             self, params, surface, fresh_table, monkeypatch):
-        # criterion 6 learning scenario; every online update is replayed on
-        # a copy of the table through the public RlsState/rls_update path,
-        # and its numbers pass DataTuple's finite, shape and cost checks
+        # criterion 6 learning scenario
         spc = params.steps_per_cycle
         profile = ReferenceProfile(step_events=((4 * spc, 5.5), (8 * spc, 4.5)))
         scenario = Scenario(motor=params, surface=surface, reference=profile,
                             duration=12 * spc, online_learning=True)
-        ref = copy.deepcopy(fresh_table)
-        updates = []
+        assert_learning_run_matches_public_rls_result(scenario, fresh_table,
+                                                      monkeypatch)
 
-        def recording(table, cell, M_k, M_k1, cost):
-            tup = DataTuple(M_k, M_k1, cost)
-            applied = update_core_online(table, cell, M_k, M_k1, cost)
-            updates.append((tup, cell, applied))
-            return applied
-
-        monkeypatch.setattr(scheduler, "update_core_online", recording)
-        run_closed_loop(scenario, fresh_table)
-        accepted = sum(applied for *_, applied in updates)
-        assert 0 < accepted < len(updates)
-        for tup, cell, applied in updates:
-            assert reference_update_core_online(ref, tup, cell) == applied
-        t = fresh_table
-        for name in ("kernels", "gains", "covariance"):
-            assert (np.array(getattr(t, name)).tobytes()
-                    == np.array(getattr(ref, name)).tobytes())
+    def test_dithered_learning_run_matches_public_rls_result(
+            self, params, surface, fresh_table, monkeypatch):
+        # dither on the input and a resistance mismatch, as on adapt-online
+        spc = params.steps_per_cycle
+        profile = ReferenceProfile(step_events=((2 * spc, 5.5), (4 * spc, 3.0)))
+        scenario = Scenario(motor=params, surface=surface, reference=profile,
+                            duration=6 * spc, online_learning=True,
+                            dither=5.0, r_scale=1.1, seed=7)
+        assert_learning_run_matches_public_rls_result(scenario, fresh_table,
+                                                      monkeypatch)
 
     def test_learning_run_locates_once_per_step(self, params, surface,
                                                 fresh_table, monkeypatch):
@@ -798,6 +816,8 @@ class TestTableValidation:
         ("gamma", 0.0), ("gamma", -0.5), ("gamma", float("nan")),
         ("gamma", 1.0), ("max_iters", 1001), ("tuples_per_iter", 100001),
         ("seed", -1), ("seed", 1.5), ("K0", (1.0,)), ("K0", (1.0, 2.0, 3.0)),
+        ("seed", True), ("seed", np.True_), ("max_iters", True),
+        ("tuples_per_iter", np.bool_(True)),
     ])
     def test_config_out_of_range_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from srmq import sim
+from srmq import scheduler, sim
 from srmq.plant import MotorParams, ReferenceProfile, reference_at
 from srmq.qlearn import stage_cost
 from srmq.scheduler import SafetyAbortError, TableTrainConfig
@@ -257,6 +257,34 @@ class TestRunClosedLoop:
                           online_learning=learning, dither=5.0, duration=700)
         run_closed_loop(s, fresh_table)
         assert calls == list(range(s.steps + 1))
+
+    @pytest.mark.parametrize("safety_factor", [3.0, 0.05])
+    def test_dither_is_one_scalar_draw_per_step(self, params, surface,
+                                                trained_table, monkeypatch,
+                                                safety_factor):
+        # with zero gains and every update rejected, u is the dither alone:
+        # the draws of one rng.uniform(-1, 1) per step from default_rng(seed),
+        # also in the partial trace of a run the safety bound aborts
+        from dataclasses import replace
+        table = replace(trained_table, cfg=replace(
+            trained_table.cfg, safety_factor=safety_factor))
+        monkeypatch.setattr(scheduler, "schedule",
+                            lambda table, theta, i: (0.0, 0.0, (0, 0)))
+        monkeypatch.setattr(scheduler, "update_core_online",
+                            lambda *args: False)
+        s = make_scenario(params, surface, online_learning=True, dither=20.0,
+                          seed=11, duration=700)
+        if safety_factor < 1:
+            with pytest.raises(SafetyAbortError) as exc:
+                run_closed_loop(s, table)
+            trace = exc.value.trace
+            assert 0 < len(trace) < s.steps
+        else:
+            trace = run_closed_loop(s, table)
+            assert len(trace) == s.steps
+        rng = np.random.default_rng(s.seed)
+        draws = [s.dither * rng.uniform(-1, 1) for _ in range(len(trace))]
+        assert trace.u.tobytes() == np.array(draws).tobytes()
 
     def test_online_learning_on_nominal_plant_is_benign(self, params, surface,
                                                         trained_table,
