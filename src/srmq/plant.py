@@ -9,13 +9,18 @@ values, so instances are safe to share across threads.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 # 1 RPM = 6 mechanical degrees per second
 RPM_TO_DEG_PER_S = 6.0
+
+# the least inductance value of a surface: blending normal floats with
+# weights that sum to 1 never rounds to 0
+MIN_INDUCTANCE = float(np.finfo(float).tiny)
 
 # the most nodes per axis of an analytic surface or a Q-core grid
 MAX_AXIS_NODES = 256
@@ -25,11 +30,17 @@ MAX_AXIS_NODES = 256
 _QUIET_OVERFLOW = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
+def _is_bool(value) -> bool:
+    """A Python or numpy boolean: bool subclasses int, so a JSON true would
+    pass as the number 1 wherever a number is compared or summed."""
+    return isinstance(value, (bool, np.bool_))
+
+
 def _require_bound(name: str, value: float, positive: bool = False) -> None:
-    """Raise ValueError naming `name` unless `value` is finite and >= 0
-    (> 0 if `positive`); written so that nan fails too."""
+    """Raise ValueError naming `name` unless `value` is a finite number >= 0
+    (> 0 if `positive`), not a boolean; written so that nan fails too."""
     ok = value > 0 if positive else value >= 0
-    if not (ok and math.isfinite(value)):
+    if _is_bool(value) or not (ok and math.isfinite(value)):
         bound = "positive" if positive else "non-negative"
         raise ValueError(f"{name} must be {bound} and finite, got {value!r}")
 
@@ -42,8 +53,7 @@ def _require_ascending(name: str, nodes: np.ndarray) -> None:
 
 
 def _is_int(value) -> bool:
-    """A Python or numpy integer, not a boolean: bool subclasses int, so a
-    JSON true would pass isinstance(value, int) (np.bool_ is no np.integer)."""
+    """A Python or numpy integer, not a boolean (np.bool_ is no np.integer)."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
@@ -121,6 +131,11 @@ class InductanceSurface:
             raise ValueError("values shape must be (n_theta, n_current)")
         if np.any(self.values <= 0) or not np.all(np.isfinite(self.values)):
             raise ValueError("inductance values must be positive and finite")
+        if np.any(self.values < MIN_INDUCTANCE):
+            # a blend of subnormal values can round to 0 and divide by it
+            raise ValueError(f"inductance values must be at least "
+                             f"{MIN_INDUCTANCE!r} H, the smallest normal float, "
+                             f"got {float(self.values.min())!r}")
         if not np.allclose(self.values[0], self.values[-1], rtol=0, atol=1e-12):
             raise ValueError("first and last theta columns must match (periodic)")
         if np.any(np.diff(self.values, axis=1) > 1e-12):
@@ -183,6 +198,32 @@ def _axis_locate(nodes: list, value: float, wrap: bool):
     return idx, float(frac)
 
 
+@_QUIET_OVERFLOW
+def _wrapped_cells(nodes: np.ndarray, values: np.ndarray):
+    """(rows, fracs): _axis_locate(nodes.tolist(), v, wrap=True) for every v
+    of a float64 array, as one int64 and one float64 array, bit for bit:
+    the same + - / % in the same order, np.searchsorted for bisect_right.
+    Worked in place, so a block of values costs four buffers of its size."""
+    n = nodes.size
+    if n == 1:
+        return np.zeros(values.size, np.int64), np.zeros(values.size)
+    values = values - nodes[0]
+    values %= nodes[-1] - nodes[0]
+    values += nodes[0]
+    # the wrapped value is at least nodes[0], so no row is below 0
+    idx = np.searchsorted(nodes, values, side="right")
+    idx -= 1
+    top = idx >= n - 1
+    idx[top] = 0      # any cell; the top node's entries are set below
+    lo = nodes[idx]
+    hi = nodes[1:][idx]
+    values -= lo
+    hi -= lo
+    values /= hi
+    idx[top], values[top] = n - 1, 0.0
+    return idx, values
+
+
 def _locate(theta_nodes: list, current_nodes: list, theta: float, i: float):
     """(row, col, l1, l2): lower corner and offsets of the cell holding
     (theta, i) on the two node lists; theta wraps, current clamps."""
@@ -206,21 +247,32 @@ def _corners(grid: list, row: int, col: int):
     return lo[col], hi[col], lo[c1], hi[c1]
 
 
-def inductance_at(surface: InductanceSurface, theta: float, i: float) -> float:
-    """Bilinear lookup of L(theta, i); theta wraps, current clamps to the grid."""
-    row, col, l1, l2 = _locate(surface._theta_list, surface._current_list,
-                               theta, i)
+def _inductance_located(surface: InductanceSurface, row: int, l1: float,
+                        i: float) -> float:
+    """Bilinear lookup of L at the angle cell (row, l1) of the surface's
+    theta grid and the current i, which clamps to the grid."""
+    col, l2 = _axis_locate(surface._current_list, i, wrap=False)
     w00, w10, w01, w11 = _weights(l1, l2)
     v00, v10, v01, v11 = _corners(surface._values_list, row, col)
     return w00 * v00 + w10 * v10 + w01 * v01 + w11 * v11
+
+
+def inductance_at(surface: InductanceSurface, theta: float, i: float) -> float:
+    """Bilinear lookup of L(theta, i); theta wraps, current clamps to the grid."""
+    row, l1 = _axis_locate(surface._theta_list, theta, wrap=True)
+    return _inductance_located(surface, row, l1, i)
+
+
+def _linearised(params: MotorParams, L: float):
+    """(L, A, B): the phase model x' = A x + B u with the inductance L."""
+    return L, 1 - params.T * params.R_phase / L, params.T / L
 
 
 def frozen_dynamics(params: MotorParams, surface: InductanceSurface,
                     theta: float, i: float):
     """(L, A, B): the inductance at (theta, i) and the phase model
     x' = A x + B u linearised with L frozen there."""
-    L = inductance_at(surface, theta, i)
-    return L, 1 - params.T * params.R_phase / L, params.T / L
+    return _linearised(params, inductance_at(surface, theta, i))
 
 
 @_QUIET_OVERFLOW
@@ -254,28 +306,61 @@ def default_surface(params: MotorParams, n_theta: int = 16, n_current: int = 8,
     return InductanceSurface(theta, current, values)
 
 
-def step_phase(x: float, theta: float, u: float, params: MotorParams,
-               surface: InductanceSurface):
-    """(x', theta'): the phase current and rotor angle one sample on under
-    applied voltage u.
+def _step_located(x: float, u: float, params: MotorParams,
+                  surface: InductanceSurface, row: int, l1: float) -> float:
+    """x': the phase current one sample on under applied voltage u, with
+    the rotor angle given as its cell (row, l1) on the surface's theta grid.
 
-    x' = A x + B u with A, B from frozen_dynamics at (theta, x), the model
-    each Q-core is trained against; the current is clamped at zero (the
-    asymmetric bridge cannot drive it negative) and the rotor advances at
-    constant speed.
+    x' = A x + B u with A, B from the inductance at the angle and x, the
+    frozen_dynamics each Q-core is trained against; the current is clamped
+    at zero (the asymmetric bridge cannot drive it negative).
     """
     if not math.isfinite(u):
         raise ValueError("applied voltage must be finite")
-    _, A, B = frozen_dynamics(params, surface, theta, x)
-    theta_next = (theta + params.deg_per_step) % params.rotor_pitch
-    return max(0.0, A * x + B * u), theta_next
+    _, A, B = _linearised(params, _inductance_located(surface, row, l1, x))
+    return max(0.0, A * x + B * u)
+
+
+def _rotor_angles(params: MotorParams, theta: float, n: int) -> array:
+    """The rotor angle theta and the n angles after it, one sample apart at
+    constant speed, as one array("d"): (theta + deg_per_step) % rotor_pitch,
+    accumulated one step at a time."""
+    step, pitch = params.deg_per_step, params.rotor_pitch
+    angles = array("d", [theta])
+    for _ in range(n):
+        theta = (theta + step) % pitch
+        angles.append(theta)
+    return angles
+
+
+def step_phase(x: float, theta: float, u: float, params: MotorParams,
+               surface: InductanceSurface):
+    """(x', theta'): the phase current and rotor angle one sample on under
+    applied voltage u (see _step_located and _rotor_angles)."""
+    row, l1 = _axis_locate(surface._theta_list, theta, wrap=True)
+    return (_step_located(x, u, params, surface, row, l1),
+            _rotor_angles(params, theta, 1)[1])
+
+
+def _references(profile: ReferenceProfile, thetas: np.ndarray,
+                k: int) -> np.ndarray:
+    """reference_at(profile, thetas[j], k + j) for every j, as one float64
+    array.  The amplitude changes only at the step events inside the block,
+    so amplitude_at is read once per stretch between them."""
+    events, m = profile.step_events, thetas.size
+    inside = events[bisect_right(events, (k, math.inf)):
+                    bisect_left(events, (k + m, -math.inf))]
+    cuts = [k, *(step for step, _ in inside), k + m]
+    amplitude = np.empty(m)
+    for lo, hi in zip(cuts, cuts[1:]):
+        amplitude[lo - k:hi - k] = profile.amplitude_at(lo)
+    window = (profile.theta_on <= thetas) & (thetas < profile.theta_off)
+    return np.where(window, amplitude, 0.0)
 
 
 def reference_at(profile: ReferenceProfile, theta: float, k: int) -> float:
     """Reference current sample: pulse amplitude inside the conduction window."""
-    if profile.theta_on <= theta < profile.theta_off:
-        return profile.amplitude_at(k)
-    return 0.0
+    return float(_references(profile, np.array([theta], float), k)[0])
 
 
 def save_surface_csv(surface: InductanceSurface, path) -> None:

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import qlearn
-from .plant import (InductanceSurface, MotorParams, _corners, _locate,
-                    _require_ascending, _require_bound, _require_count,
-                    _require_seed, _weights, frozen_dynamics)
+from .plant import (InductanceSurface, MotorParams, _axis_locate, _corners,
+                    _is_bool, _locate, _require_ascending, _require_bound,
+                    _require_count, _require_seed, _weights, frozen_dynamics)
 from .qlearn import NUM_PARAMS, QKernel, QTrainConfig
 
 TABLE_FORMAT_VERSION = 2
@@ -92,7 +92,7 @@ class TableTrainConfig:
             raise ValueError(f"K0 must be the two gains (k0_x, k0_r), got "
                              f"{self.K0!r}")
         for name, k in zip(("k0_x", "k0_r"), self.K0):
-            if not np.isfinite(k):
+            if _is_bool(k) or not np.isfinite(k):
                 raise ValueError(f"{name} must be finite, got {k!r}")
         _require_count("tuples_per_iter", self.tuples_per_iter,
                        qlearn.MIN_TUPLES, MAX_TUPLES_PER_ITER)
@@ -213,16 +213,10 @@ def scheduled_q(table: QCoreTable, theta: float, i: float) -> QKernel:
         for g00, g10, g01, g11 in zip(*_corners(table.kernels, row, col))])
 
 
-def schedule(table: QCoreTable, theta: float, i: float):
-    """(k_x, k_r, (row, col)): the greedy gain of the scheduled kernel and
-    the nearest core, from one cell lookup, as Python floats and ints.
-
-    Only the entries the gain needs (G_ux, G_ur, G_uu) are blended.  If the
-    blended input block is not positive (subnormal G_uu can blend to 0),
-    the nearest core's gain is returned instead.  Reads never write.
-    """
-    row, col, l1, l2 = _locate(table._theta_list, table._current_list,
-                               theta, i)
+def _schedule_located(table: QCoreTable, row: int, l1: float, i: float):
+    """schedule at the angle cell (row, l1) of the table's theta nodes and
+    the current i, which clamps to the grid."""
+    col, l2 = _axis_locate(table._current_list, i, wrap=False)
     cell = _corner(table, row, col, l1, l2)
     w00, w10, w01, w11 = _weights(l1, l2)
     g00, g10, g01, g11 = _corners(table.kernels, row, col)
@@ -232,6 +226,18 @@ def schedule(table: QCoreTable, theta: float, i: float):
     return ((w00 * g00[2] + w10 * g10[2] + w01 * g01[2] + w11 * g11[2]) / g_uu,
             (w00 * g00[4] + w10 * g10[4] + w01 * g01[4] + w11 * g11[4]) / g_uu,
             cell)
+
+
+def schedule(table: QCoreTable, theta: float, i: float):
+    """(k_x, k_r, (row, col)): the greedy gain of the scheduled kernel and
+    the nearest core, from one cell lookup, as Python floats and ints.
+
+    Only the entries the gain needs (G_ux, G_ur, G_uu) are blended.  If the
+    blended input block is not positive (subnormal G_uu can blend to 0),
+    the nearest core's gain is returned instead.  Reads never write.
+    """
+    row, l1 = _axis_locate(table._theta_list, theta, wrap=True)
+    return _schedule_located(table, row, l1, i)
 
 
 def scheduled_gain(table: QCoreTable, theta: float, i: float) -> np.ndarray:

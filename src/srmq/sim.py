@@ -14,10 +14,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import qlearn, scheduler
+from . import plant, qlearn, scheduler
 from .plant import (_QUIET_OVERFLOW, InductanceSurface, MotorParams,
                     ReferenceProfile, _require_bound, _require_seed,
-                    reference_at, step_phase)
+                    _step_located, _wrapped_cells)
 from .scheduler import QCoreTable, SafetyAbortError
 
 CONTROLLERS = ("scheduled-qlearning", "single-qcore", "delta-modulation")
@@ -37,6 +37,10 @@ JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 # the longest run a scenario may ask for, checked before the loop starts:
 # 800 electrical cycles at the defaults, about 64 MB of trace rows
 MAX_STEPS = 10**6
+
+# steps whose rotor angles, reference samples and theta-axis cells are
+# computed together, in one numpy pass each, before the loop runs them
+BLOCK = 2048
 
 SETTLE_FRACTION = 0.05   # |x - r| below this fraction of the amplitude counts as settled
 
@@ -174,8 +178,9 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None) -> SimT
     rows = array("d")
 
     x = theta = 0.0
-    r = reference_at(profile, theta, 0)
-    learn = scenario.online_learning and scenario.controller == "scheduled-qlearning"
+    r = plant.reference_at(profile, theta, 0)
+    scheduled = scenario.controller == "scheduled-qlearning"
+    learn = scenario.online_learning and scheduled
     dither = None
     if learn and scenario.dither > 0:
         # every step's dither in one draw, read back as Python floats: the
@@ -194,53 +199,73 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None) -> SimT
         return SimTrace(ks, ks * params.T, theta, r, x, u, buf[:, 4:6],
                         buf[:, 6:].astype(int), cost)
 
-    for k in range(n):
-        if scenario.controller == "delta-modulation":
-            u = delta_modulation_step(x, r, params.V_dc, scenario.delta_band)
-            k_x = k_r = 0.0
-            cell = (-1, -1)
-        else:
-            if scenario.controller == "single-qcore":
-                k_x, k_r, cell = single
+    schedule_located = scheduler._schedule_located
+    V_dc = params.V_dc
+    for k0 in range(0, n, BLOCK):
+        # the half of the step that does not depend on the phase current:
+        # the block's rotor angles (and the one after it), the reference at
+        # each step's successor, and the angles' cells on the surface's
+        # and the table's theta nodes, read back as Python floats and ints
+        m = min(BLOCK, n - k0)
+        angles = plant._rotor_angles(plant_params, theta, m)
+        track = np.frombuffer(angles)
+        refs = memoryview(plant._references(profile, track[1:], k0 + 1))
+        s_row, s_l1 = map(memoryview, _wrapped_cells(surface.theta_grid,
+                                                     track[:m]))
+        if scheduled:
+            t_row, t_l1 = map(memoryview, _wrapped_cells(table.theta_nodes,
+                                                         track[:m]))
+        for j in range(m):
+            k = k0 + j
+            if scenario.controller == "delta-modulation":
+                u = delta_modulation_step(x, r, V_dc, scenario.delta_band)
+                k_x = k_r = 0.0
+                cell = (-1, -1)
             else:
-                k_x, k_r, cell = scheduler.schedule(table, theta, x)
-            u = -(k_x * x + k_r * r)
-            if dither is not None:
-                u += dither[k]
-        u = min(max(float(u), -params.V_dc), params.V_dc)
+                if scheduled:
+                    k_x, k_r, cell = schedule_located(table, t_row[j],
+                                                      t_l1[j], x)
+                else:
+                    k_x, k_r, cell = single
+                u = -(k_x * x + k_r * r)
+                if dither is not None:
+                    u += dither[k]
+            u = min(max(float(u), -V_dc), V_dc)
 
-        rows.extend((theta, r, x, u, k_x, k_r, *cell))
+            rows.extend((angles[j], r, x, u, k_x, k_r, *cell))
 
-        x_next, theta_next = step_phase(x, theta, u, plant_params, surface)
+            x_next = _step_located(x, u, plant_params, surface, s_row[j],
+                                   s_l1[j])
 
-        if x_next > i_limit:
-            err = SafetyAbortError(
-                f"current {x_next:#.4g} A exceeded the {i_limit:#.4g} A "
-                f"safety bound at step {k}")
-            err.trace = finish()
-            raise err
+            if x_next > i_limit:
+                err = SafetyAbortError(
+                    f"current {x_next:#.4g} A exceeded the {i_limit:#.4g} A "
+                    f"safety bound at step {k}")
+                err.trace = finish()
+                raise err
 
-        r_next = reference_at(profile, theta_next, k + 1)
-        if learn:
-            # the tuple is only Bellman-consistent on flat reference
-            # segments away from the zero-current clamp (a clamped step
-            # lands on exactly 0.0); settled samples are skipped because a
-            # steady operating point only constrains the kernel's level,
-            # not its shape, and would drag the gain around
-            transient = r > 0 and abs(x - r) >= SETTLE_FRACTION * r
-            if transient and r_next == r and x_next > 0.0:
-                g_x, g_r = scheduler._core_gain(table, cell)
-                u_next = -(g_x * x_next + g_r * r_next)
-                cost = qlearn.stage_cost((x, r), u, Q_q, R_u)
-                if not math.isfinite(cost):
-                    raise ValueError(
-                        f"online learning stage cost overflowed at step {k}: "
-                        + (f"the reference {r:.3g} A is beyond the "
-                           f"{i_limit:#.4g} A safety bound" if r > i_limit
-                           else "the tracking weights are too large"))
-                scheduler.update_core_online(table, cell, (x, r, u),
-                                             (x_next, r_next, u_next), cost)
-        x, theta, r = x_next, theta_next, r_next
+            r_next = refs[j]
+            if learn:
+                # the tuple is only Bellman-consistent on flat reference
+                # segments away from the zero-current clamp (a clamped step
+                # lands on exactly 0.0); settled samples are skipped because
+                # a steady operating point only constrains the kernel's
+                # level, not its shape, and would drag the gain around
+                transient = r > 0 and abs(x - r) >= SETTLE_FRACTION * r
+                if transient and r_next == r and x_next > 0.0:
+                    g_x, g_r = scheduler._core_gain(table, cell)
+                    u_next = -(g_x * x_next + g_r * r_next)
+                    cost = qlearn.stage_cost((x, r), u, Q_q, R_u)
+                    if not math.isfinite(cost):
+                        raise ValueError(
+                            f"online learning stage cost overflowed at step {k}: "
+                            + (f"the reference {r:.3g} A is beyond the "
+                               f"{i_limit:#.4g} A safety bound" if r > i_limit
+                               else "the tracking weights are too large"))
+                    scheduler.update_core_online(table, cell, (x, r, u),
+                                                 (x_next, r_next, u_next), cost)
+            x, r = x_next, r_next
+        theta = angles[m]
 
     return finish()
 

@@ -397,6 +397,19 @@ class TestOracle:
             assert "not finite at 128 of 128 nodes, first [0, 1, 2, 3, 4]" \
                 in err
 
+    def test_non_finite_local_model_names_the_first_node(self, tmp_path,
+                                                         capsys):
+        # with T = 1e306 s, T R / L overflows where L is below 11.1 mH
+        path = tmp_path / "hugeT.ini"
+        path.write_text(SMALL + "\n[motor]\nt_sample = 1e306\n")
+        assert main(["--config", str(path), "oracle"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith("error: the local model A = 1 - T R / L, "
+                              "B = T / L is not finite at ")
+        assert "at 8 of 12 grid nodes, first node (0,2): theta 0.0 deg, " \
+            "i 7.5 A, L = 0.010705882352941176 H" in err
+
     @pytest.mark.parametrize("k0_x", ["-500", "200"])
     def test_non_stabilizing_start_names_the_first_node(self, tmp_path,
                                                         small_cfg, capsys,
@@ -651,6 +664,23 @@ class TestRun:
     def test_table_boolean_in_integer_field_exits_2(
             self, tmp_path, small_cfg, small_table, capsys, values, named):
         # JSON true is no integer, though Python's bool subclasses int
+        doc = json.loads(Path(small_table).read_text())
+        doc["cfg"].update(values)
+        bad = tmp_path / "bool.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["--config", small_cfg, "run", "--table", str(bad),
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith(f"error: {bad}: {named} must be")
+
+    @pytest.mark.parametrize("values, named", [
+        ({"gain_clamp": True}, "gain_clamp"), ({"q_weight": True}, "q_weight"),
+        ({"dither": False}, "dither"), ({"K0": [True, -100.0]}, "k0_x")])
+    def test_table_boolean_in_number_field_exits_2(
+            self, tmp_path, small_cfg, small_table, capsys, values, named):
+        # JSON true is no number: a clamp of true would act as 1.0
         doc = json.loads(Path(small_table).read_text())
         doc["cfg"].update(values)
         bad = tmp_path / "bool.json"
@@ -969,3 +999,61 @@ def test_fuzzed_table_file_exits_cleanly(fuzz_table, mutations):
     assert_exits_cleanly(["--config", str(fuzz_table / "small.ini"), "run",
                           "--table", str(table), "--out",
                           str(fuzz_table / "out")])
+
+
+# at most one mutation of each kind, applied in this order to the saved 5x8
+# surface CSV (6 lines of 9 cells): every inductance set to one value, one
+# cell replaced, a row given one cell more or less, a theta row repeated,
+# another separator, the first lines kept, and one raw byte inserted
+SURFACE_MUTATIONS = st.fixed_dictionaries({}, optional={
+    "fill": st.sampled_from(["1e-320", "5e-324", "1e-300", "0.01", "1e300"]),
+    "cell": st.tuples(st.integers(0, 5), st.integers(0, 8), st.sampled_from(
+        ["nan", "inf", "1e400", "-0.01", "0", "1e-320", "abc", "", " 0.01 "])),
+    "ragged": st.tuples(st.integers(0, 5), st.booleans()),
+    "dup": st.integers(1, 5),
+    "sep": st.sampled_from([";", "\t", " ", ",,"]),
+    "keep": st.integers(0, 5),
+    "byte": st.tuples(st.integers(0, 400),
+                      st.sampled_from([b"\xff", b"\x00", b"\xc3"])),
+})
+
+
+@settings(max_examples=60, deadline=None)
+@example(mutations={"keep": 0})                              # empty file
+@example(mutations={"ragged": (3, True)})
+@example(mutations={"cell": (2, 3, "nan")})
+@example(mutations={"cell": (2, 3, "1e400")})
+@example(mutations={"byte": (40, b"\xff")})                 # not UTF-8
+@example(mutations={"dup": 2})                             # theta repeated
+@example(mutations={"sep": ";"})
+@example(mutations={"fill": "1e-320"})                      # subnormal L
+@example(mutations={"fill": "5e-324"})       # blends to 0 between nodes
+@given(mutations=SURFACE_MUTATIONS)
+def test_fuzzed_surface_file_exits_cleanly(fuzz_table, mutations):
+    rows = [line.split(",") for line in
+            (fuzz_table / "surface.csv").read_text().splitlines()]
+    if "fill" in mutations:
+        rows = rows[:1] + [[row[0]] + [mutations["fill"]] * (len(row) - 1)
+                           for row in rows[1:]]
+    if "cell" in mutations:
+        line, col, value = mutations["cell"]
+        rows[line][col] = value
+    if "ragged" in mutations:
+        line, longer = mutations["ragged"]
+        rows[line] = rows[line] + ["0.01"] if longer else rows[line][:-1]
+    if "dup" in mutations:
+        rows.insert(mutations["dup"], rows[mutations["dup"]])
+    sep = mutations.get("sep", ",")
+    lines = [sep.join(row) for row in rows][:mutations.get("keep")]
+    data = "".join(line + "\n" for line in lines).encode()
+    if "byte" in mutations:
+        at, byte = mutations["byte"]
+        data = data[:at] + byte + data[at:]
+    surface = fuzz_table / "fuzzed.csv"
+    surface.write_bytes(data)
+    config = fuzz_table / "fuzzed_surface.ini"
+    config.write_text(SMALL.replace(
+        "[surface]\n", f"[surface]\nkind = file\npath = {surface}\n"))
+    for command in (["oracle"], ["train", "--out", str(fuzz_table / "t.json")]):
+        assert_exits_cleanly(["--config", str(config)] + command)
+

@@ -3,12 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from srmq.plant import (InductanceSurface, MotorParams, ReferenceProfile,
-                        _axis_locate, default_surface, frozen_dynamics,
-                        inductance_at, load_surface_csv, reference_at,
-                        save_surface_csv, step_phase)
+                        _axis_locate, _references, _wrapped_cells,
+                        default_surface, frozen_dynamics, inductance_at,
+                        load_surface_csv, reference_at, save_surface_csv,
+                        step_phase)
 from conftest import constant_surface, point_near, reference_blend
 
 
@@ -50,6 +51,23 @@ def grid_and_value(draw):
         st.floats(-1e4, 1e4),
     ))
     return nodes, value
+
+
+@st.composite
+def grid_and_angles(draw):
+    """A strictly ascending grid of 1, 2 or 16 nodes and up to 20 angles:
+    its nodes (the top one included), 0, whole multiples of its span,
+    negative and large angles, and any float."""
+    size = draw(st.sampled_from([1, 2, 16]))
+    nodes = sorted(draw(st.lists(st.floats(-1e3, 1e3), min_size=size,
+                                 max_size=size, unique=True)))
+    span = nodes[-1] - nodes[0]
+    angle = st.one_of(
+        st.sampled_from(nodes), st.sampled_from([0.0, -0.0]),
+        st.integers(-50, 50).map(lambda m: m * span),
+        st.integers(-50, 50).map(lambda m: nodes[0] + m * span),
+        st.floats(-1e4, 0.0), st.floats(-1e300, 1e300), st.floats())
+    return nodes, draw(st.lists(angle, max_size=20))
 
 
 def ascending(size, lo, hi):
@@ -192,6 +210,16 @@ class TestInductanceSurface:
         with pytest.raises(ValueError):  # increasing in current
             InductanceSurface(theta, current, np.array([[1, 2], [1, 2], [1, 2.0]]) * 1e-2)
 
+    @pytest.mark.parametrize("tiny", [5e-324, 1e-320, 2e-308])
+    def test_subnormal_values_rejected(self, tiny):
+        # half of 5e-324 rounds to 0, so a blend between such nodes could
+        # divide by a zero inductance
+        values = np.full((3, 2), 0.01)
+        values[1, 1] = tiny
+        with pytest.raises(ValueError, match="smallest normal float"):
+            InductanceSurface(np.array([0.0, 10.0, 45.0]),
+                              np.array([0.0, 5.0]), values)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_grid_rejected(self, bad):
         values = np.full((3, 2), 0.01)
@@ -250,6 +278,27 @@ class TestAxisLocate:
         assert (idx, frac) == reference_axis_locate(nodes, value, wrap)
         assert type(idx) is int
         assert type(frac) is float
+
+
+class TestWrappedCells:
+    @given(case=grid_and_angles())
+    @settings(max_examples=500, deadline=None)
+    @example(case=([0.0, 11.25, 22.5, 33.75, 45.0],
+                   [0.0, -0.0, 11.25, 45.0, 90.0, -45.0, 44.99999999999999,
+                    -1e-300, 1e6, 1e300, -1e300]))
+    @example(case=([0.0], [0.0, 45.0, -3.0, 1e300]))
+    @example(case=([10.0, 55.0], [10.0, 55.0, 100.0, 0.0, -35.0]))
+    @example(case=([0.0, 45.0], [float("nan"), float("inf"), -float("inf")]))
+    def test_matches_scalar_locator(self, case):
+        # the vectorised wrap is _axis_locate(wrap=True) on every angle,
+        # bit for bit, with int64 rows and float64 offsets
+        nodes, angles = case
+        rows, fracs = _wrapped_cells(np.array(nodes), np.array(angles, float))
+        assert rows.dtype == np.int64 and fracs.dtype == np.float64
+        want = [_axis_locate(nodes, a, wrap=True) for a in angles]
+        assert rows.tolist() == [idx for idx, _ in want]
+        assert fracs.tobytes() == np.array([f for _, f in want],
+                                           float).tobytes()
 
 
 class TestStepPhase:
@@ -351,6 +400,25 @@ class TestReference:
         prof = ReferenceProfile(4.0, 10.0, 35.0, step_events=((100, 5.5),))
         if not (10.0 <= theta < 35.0):
             assert reference_at(prof, theta, k) == 0.0
+
+    @given(i_ref=st.floats(0, 10), k=st.integers(0, 100),
+           events=st.lists(st.tuples(st.integers(-5, 150), st.floats(0, 10)),
+                           max_size=8),
+           thetas=st.lists(st.floats(0, 45), max_size=40))
+    @settings(max_examples=300, deadline=None)
+    @example(i_ref=4.0, k=10, events=[(10, 5.0), (12, 6.0), (12, 7.0),
+                                      (13, 1.0)],
+             thetas=[20.0, 5.0, 10.0, 35.0, 34.9])
+    def test_block_matches_scalar_rule(self, i_ref, k, events, thetas):
+        # a block of samples from step k on: the amplitude in force at each
+        # step inside the window, events at the block's first and last steps
+        # and inside it included
+        events = sorted(events, key=lambda e: e[0])
+        prof = ReferenceProfile(i_ref, 10.0, 35.0, step_events=events)
+        got = _references(prof, np.array(thetas, float), k)
+        want = [prof.amplitude_at(k + j) if 10.0 <= theta < 35.0 else 0.0
+                for j, theta in enumerate(thetas)]
+        assert got.tobytes() == np.array(want, float).tobytes()
 
     def test_invalid_window_rejected(self):
         with pytest.raises(ValueError):

@@ -227,20 +227,22 @@ class TestMirrors:
 
     def test_learning_run_locates_once_per_step(self, params, surface,
                                                 fresh_table, monkeypatch):
-        # the online update works on the core that schedule located
+        # the online update works on the core that the step's schedule
+        # located; the loop takes the angle's cell from its block, so the
+        # one locate per step is on the current axis
         locates, updates = [], []
-        locate_once = scheduler._locate
+        locate_once = scheduler._axis_locate
         update = scheduler.update_core_online
 
-        def counting_locate(*args):
-            locates.append(args)
-            return locate_once(*args)
+        def counting_locate(nodes, value, wrap):
+            locates.append(wrap)
+            return locate_once(nodes, value, wrap)
 
         def counting_update(*args):
             updates.append(args)
             return update(*args)
 
-        monkeypatch.setattr(scheduler, "_locate", counting_locate)
+        monkeypatch.setattr(scheduler, "_axis_locate", counting_locate)
         monkeypatch.setattr(scheduler, "update_core_online", counting_update)
         scenario = Scenario(motor=params, surface=surface,
                             reference=ReferenceProfile(), dither=5.0,
@@ -249,6 +251,7 @@ class TestMirrors:
         run_closed_loop(scenario, fresh_table)
         assert len(updates) > 0
         assert len(locates) == scenario.steps
+        assert not any(locates)
 
 
 class TestLocate:
@@ -818,10 +821,18 @@ class TestTableValidation:
         ("seed", -1), ("seed", 1.5), ("K0", (1.0,)), ("K0", (1.0, 2.0, 3.0)),
         ("seed", True), ("seed", np.True_), ("max_iters", True),
         ("tuples_per_iter", np.bool_(True)),
+        ("gain_clamp", True), ("q_weight", True), ("dither", False),
+        ("safety_factor", np.True_),
     ])
     def test_config_out_of_range_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             TableTrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("K0, named", [
+        ((True, -100.0), "k0_x"), ((100.0, np.False_), "k0_r")])
+    def test_boolean_initial_gain_rejected(self, K0, named):
+        with pytest.raises(ValueError, match=named):
+            TableTrainConfig(K0=K0)
 
     def test_config_edge_values_accepted(self):
         TableTrainConfig(q_weight=0.0, dither=0.0)

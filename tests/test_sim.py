@@ -1,18 +1,20 @@
 import csv
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from srmq import scheduler, sim
-from srmq.plant import MotorParams, ReferenceProfile, reference_at
+from srmq import plant, scheduler, sim
+from srmq.plant import MotorParams, ReferenceProfile, reference_at, step_phase
 from srmq.qlearn import stage_cost
-from srmq.scheduler import SafetyAbortError, TableTrainConfig
-from srmq.sim import (CONTROLLERS, EXPORT_CHUNK, MAX_STEPS, TRACE_COLUMNS,
-                      Metrics, Scenario, SimTrace, compute_metrics,
-                      delta_modulation_step, export_trace, run_closed_loop)
+from srmq.scheduler import QCoreTable, SafetyAbortError, TableTrainConfig
+from srmq.sim import (BLOCK, CONTROLLERS, EXPORT_CHUNK, MAX_STEPS,
+                      SETTLE_FRACTION, TRACE_COLUMNS, Metrics, Scenario,
+                      SimTrace, compute_metrics, delta_modulation_step,
+                      export_trace, run_closed_loop)
 from conftest import constant_surface
 
 
@@ -58,6 +60,101 @@ def head(trace, m):
     return SimTrace(trace.k[:m], trace.t[:m], trace.theta[:m], trace.r[:m],
                     trace.x[:m], trace.u[:m], trace.K[:m], trace.cell[:m],
                     trace.cost[:m])
+
+
+def reference_closed_loop(scenario, table=None):
+    """The closed loop one step at a time, every step computing its own
+    rotor angle, reference sample and cells through step_phase, reference_at
+    and schedule: the loop run_closed_loop must reproduce bit for bit.
+    Returns (trace, abort error or None)."""
+    params, surface, profile = scenario.motor, scenario.surface, scenario.reference
+    cfg = table.cfg if table is not None else TableTrainConfig()
+    Q_q, R_u = cfg.tracking_weight(), cfg.r_weight
+    plant_params = replace(params, R_phase=params.R_phase * scenario.r_scale)
+    n = scenario.steps
+    i_limit = cfg.safety_factor * params.i_nominal
+    if scenario.controller == "single-qcore":
+        cell = scheduler.schedule(
+            table, (profile.theta_on + profile.theta_off) / 2, profile.i_ref)[2]
+        single = (*scheduler._core_gain(table, cell), cell)
+    learn = (scenario.online_learning
+             and scenario.controller == "scheduled-qlearning")
+    rng = np.random.default_rng(scenario.seed)
+    dither = learn and scenario.dither > 0
+    rows = []
+    x = theta = 0.0
+    r = reference_at(profile, theta, 0)
+    error = None
+    for k in range(n):
+        if scenario.controller == "delta-modulation":
+            u = delta_modulation_step(x, r, params.V_dc, scenario.delta_band)
+            k_x = k_r = 0.0
+            cell = (-1, -1)
+        else:
+            if scenario.controller == "single-qcore":
+                k_x, k_r, cell = single
+            else:
+                k_x, k_r, cell = scheduler.schedule(table, theta, x)
+            u = -(k_x * x + k_r * r)
+            if dither:
+                u += scenario.dither * rng.uniform(-1, 1)
+        u = min(max(float(u), -params.V_dc), params.V_dc)
+        rows.append((theta, r, x, u, k_x, k_r, *cell))
+        x_next, theta_next = step_phase(x, theta, u, plant_params, surface)
+        if x_next > i_limit:
+            error = SafetyAbortError(
+                f"current {x_next:#.4g} A exceeded the {i_limit:#.4g} A "
+                f"safety bound at step {k}")
+            break
+        r_next = reference_at(profile, theta_next, k + 1)
+        if learn:
+            transient = r > 0 and abs(x - r) >= SETTLE_FRACTION * r
+            if transient and r_next == r and x_next > 0.0:
+                g_x, g_r = scheduler._core_gain(table, cell)
+                u_next = -(g_x * x_next + g_r * r_next)
+                cost = stage_cost((x, r), u, Q_q, R_u)
+                scheduler.update_core_online(table, cell, (x, r, u),
+                                             (x_next, r_next, u_next), cost)
+        x, theta, r = x_next, theta_next, r_next
+    buf = np.array(rows).reshape(-1, 8)
+    ks = np.arange(len(buf))
+    cost = np.array([stage_cost((x, r), u, Q_q, R_u)
+                     for _, r, x, u, *_ in rows])
+    return SimTrace(ks, ks * params.T, *buf[:, :4].T, buf[:, 4:6],
+                    buf[:, 6:].astype(int), cost), error
+
+
+def copy_table(table):
+    """A fresh table with the same cores: its own kernels and covariances."""
+    return QCoreTable(table.theta_nodes, table.current_nodes, table.kernels,
+                      table.cfg, table.params_hash, iterations=table.iterations)
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+def assert_matches_reference_loop(scenario, table=None):
+    """run_closed_loop and reference_closed_loop on copies of the table give
+    the same trace columns, abort message and learned cores, bit for bit;
+    returns the trace."""
+    mine, theirs = (None, None) if table is None else \
+        (copy_table(table), copy_table(table))
+    want, error = reference_closed_loop(scenario, theirs)
+    if error is None:
+        got = run_closed_loop(scenario, mine)
+    else:
+        with pytest.raises(SafetyAbortError) as exc:
+            run_closed_loop(scenario, mine)
+        assert str(exc.value) == str(error)
+        got = exc.value.trace
+    for column in ("k", "t", "theta", "r", "x", "u", "K", "cell", "cost"):
+        assert_same_bits(getattr(got, column), getattr(want, column))
+    if table is not None:
+        assert_same_bits(np.array(mine.kernels), np.array(theirs.kernels))
+        assert_same_bits(mine.covariance, theirs.covariance)
+    return got
 
 
 class TestDeltaModulation:
@@ -246,15 +343,19 @@ class TestRunClosedLoop:
         ("delta-modulation", False)])
     def test_one_reference_sample_per_step(self, params, surface, fresh_table,
                                            monkeypatch, controller, learning):
+        # the loop samples the reference a block of steps at a time, and
+        # each step's sample once, also across the block boundaries
         calls = []
+        references = plant._references
 
-        def counting(profile, theta, k):
-            calls.append(k)
-            return reference_at(profile, theta, k)
+        def counting(profile, thetas, k):
+            calls.extend(range(k, k + len(thetas)))
+            return references(profile, thetas, k)
 
-        monkeypatch.setattr(sim, "reference_at", counting)
+        monkeypatch.setattr(plant, "_references", counting)
         s = make_scenario(params, surface, controller=controller,
-                          online_learning=learning, dither=5.0, duration=700)
+                          online_learning=learning, dither=5.0,
+                          duration=2 * BLOCK + 7)
         run_closed_loop(s, fresh_table)
         assert calls == list(range(s.steps + 1))
 
@@ -268,12 +369,12 @@ class TestRunClosedLoop:
         from dataclasses import replace
         table = replace(trained_table, cfg=replace(
             trained_table.cfg, safety_factor=safety_factor))
-        monkeypatch.setattr(scheduler, "schedule",
-                            lambda table, theta, i: (0.0, 0.0, (0, 0)))
+        monkeypatch.setattr(scheduler, "_schedule_located",
+                            lambda table, row, l1, i: (0.0, 0.0, (0, 0)))
         monkeypatch.setattr(scheduler, "update_core_online",
                             lambda *args: False)
         s = make_scenario(params, surface, online_learning=True, dither=20.0,
-                          seed=11, duration=700)
+                          seed=11, duration=BLOCK + 700)
         if safety_factor < 1:
             with pytest.raises(SafetyAbortError) as exc:
                 run_closed_loop(s, table)
@@ -302,6 +403,72 @@ class TestRunClosedLoop:
         m_nom = compute_metrics(run_closed_loop(nom, trained_table), nom)
         m_hot = compute_metrics(run_closed_loop(hot, trained_table), hot)
         assert m_hot.rmse_settled > 1.5 * m_nom.rmse_settled
+
+
+class TestBlocks:
+    """run_closed_loop computes the rotor angles, reference samples and
+    theta-axis cells BLOCK steps at a time; every run is bit for bit the
+    one-step-at-a-time reference loop, across and at the block edges."""
+
+    @pytest.mark.parametrize("steps", [1, BLOCK - 1, BLOCK, BLOCK + 1,
+                                       2 * BLOCK + 7])
+    def test_run_lengths(self, params, surface, trained_table, steps):
+        s = make_scenario(params, surface, duration=steps)
+        assert len(assert_matches_reference_loop(s, trained_table)) == steps
+
+    def test_amplitude_event_on_a_block_boundary(self, params, surface,
+                                                 trained_table):
+        # BLOCK and 2 BLOCK fall inside conduction windows; two events at
+        # one step, the last wins
+        profile = ReferenceProfile(step_events=(
+            (BLOCK - 1, 4.5), (BLOCK, 5.5), (2 * BLOCK, 3.0), (2 * BLOCK, 3.5)))
+        s = make_scenario(params, surface, reference=profile, dither=5.0,
+                          online_learning=True, duration=2 * BLOCK + 7)
+        trace = assert_matches_reference_loop(s, trained_table)
+        assert trace.r[BLOCK - 1:BLOCK + 1].tolist() == [4.5, 5.5]
+        assert trace.r[2 * BLOCK] == 3.5
+
+    def test_dithered_online_learning(self, params, surface, trained_table):
+        spc = params.steps_per_cycle
+        profile = ReferenceProfile(step_events=((spc, 5.5), (3 * spc, 3.0)))
+        s = make_scenario(params, surface, reference=profile, dither=5.0,
+                          online_learning=True, r_scale=1.1, seed=3,
+                          duration=4 * spc)
+        table = copy_table(trained_table)
+        assert_matches_reference_loop(s, table)
+        run_closed_loop(s, table)
+        assert table.kernels != trained_table.kernels   # it learned
+
+    def test_single_core(self, params, surface, trained_table):
+        s = make_scenario(params, surface, controller="single-qcore")
+        assert_matches_reference_loop(s, trained_table)
+
+    def test_delta_modulation_with_a_band(self, params, surface):
+        s = make_scenario(params, surface, controller="delta-modulation",
+                          delta_band=0.05)
+        assert_matches_reference_loop(s)
+
+    def test_one_theta_node_table(self, params, surface, trained_table):
+        t = trained_table
+        one = QCoreTable(t.theta_nodes[:1], t.current_nodes, t.kernels[3:4],
+                         t.cfg, t.params_hash)
+        s = make_scenario(params, surface, duration=BLOCK + 100,
+                          online_learning=True, dither=5.0)
+        trace = assert_matches_reference_loop(s, one)
+        assert set(trace.cell[:, 0].tolist()) == {0}
+
+    def test_safety_abort_inside_a_later_block(self, params, surface,
+                                               trained_table):
+        # a 6.5 A pulse from step BLOCK + 100 on, inside a conduction
+        # window, crosses the 1.2 x 5 A bound in the second block
+        tight = replace(trained_table,
+                        cfg=replace(trained_table.cfg, safety_factor=1.2))
+        profile = ReferenceProfile(step_events=((BLOCK + 100, 6.5),))
+        s = make_scenario(params, surface, reference=profile,
+                          duration=3 * BLOCK)
+        trace = assert_matches_reference_loop(s, tight)
+        assert BLOCK + 100 < len(trace) < 2 * BLOCK
+        assert trace.k[-1] == len(trace) - 1
 
 
 class TestCostColumn:
