@@ -1,7 +1,7 @@
 """Scheduled Q-learning optimal tracking current control for SRM drives."""
 
 from .plant import (MotorParams, InductanceSurface, ReferenceProfile,
-                    default_surface, inductance_at, step_phase, reference_at)
+                    default_surface, inductance_at, reference_at)
 from .lqt import (AugmentedModel, build_augmented, are_fixed_point, optimal_gain,
                   policy_iteration_model_based)
 from .qlearn import (QKernel, DataTuple, TupleBatch, RlsState, QTrainConfig,

@@ -217,14 +217,6 @@ def _grid_oracle(params, surface, cfg, theta_nodes, current_nodes):
     from one stacked closed-form solve: (L, A, B, model, P, K), one node
     per row."""
     L, A, B = frozen_grid(params, surface, theta_nodes, current_nodes)
-    bad = np.flatnonzero(~(np.isfinite(A) & np.isfinite(B)))
-    if bad.size:
-        row, col = divmod(int(bad[0]), current_nodes.size)
-        raise ConfigError(
-            f"the local model A = 1 - T R / L, B = T / L is not finite at "
-            f"{bad.size} of {L.size} grid nodes, first node ({row},{col}): "
-            f"theta {float(theta_nodes[row])!r} deg, i "
-            f"{float(current_nodes[col])!r} A, L = {float(L[bad[0]])!r} H")
     model = lqt.build_augmented(A, B, Q=cfg.q_weight, R_u=cfg.r_weight,
                                 gamma=cfg.gamma)
     P = lqt.are_closed_form(model)

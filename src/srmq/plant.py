@@ -271,9 +271,20 @@ def _linearised(params: MotorParams, L: float):
 def frozen_grid(params: MotorParams, surface: InductanceSurface,
                 theta_nodes, current_nodes):
     """Row-major arrays (L, A, B) over the grid: the inductance at each node
-    and the phase model x' = A x + B u linearised with L frozen there."""
-    return np.array([_linearised(params, inductance_at(surface, th, i))
+    and the phase model x' = A x + B u linearised with L frozen there.
+    Raises ValueError naming the first node where A or B is not finite."""
+    grid = np.array([_linearised(params, inductance_at(surface, th, i))
                      for th in theta_nodes for i in current_nodes]).T
+    L, A, B = grid
+    bad = np.flatnonzero(~(np.isfinite(A) & np.isfinite(B)))
+    if bad.size:
+        row, col = divmod(int(bad[0]), len(current_nodes))
+        raise ValueError(
+            f"the local model A = 1 - T R / L, B = T / L is not finite at "
+            f"{bad.size} of {L.size} grid nodes, first node ({row},{col}): "
+            f"theta {float(theta_nodes[row])!r} deg, i "
+            f"{float(current_nodes[col])!r} A, L = {float(L[bad[0]])!r} H")
+    return grid
 
 
 @_QUIET_OVERFLOW
@@ -332,15 +343,6 @@ def _rotor_angles(params: MotorParams, theta: float, n: int) -> array:
         theta = (theta + step) % pitch
         angles.append(theta)
     return angles
-
-
-def step_phase(x: float, theta: float, u: float, params: MotorParams,
-               surface: InductanceSurface):
-    """(x', theta'): the phase current and rotor angle one sample on under
-    applied voltage u (see _step_located and _rotor_angles)."""
-    row, l1 = _axis_locate(surface._theta_list, theta, wrap=True)
-    return (_step_located(x, u, params, surface, row, l1),
-            _rotor_angles(params, theta, 1)[1])
 
 
 def _references(profile: ReferenceProfile, thetas: np.ndarray,

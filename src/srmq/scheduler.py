@@ -389,8 +389,19 @@ def save_table(table: QCoreTable, path) -> None:
         "iterations": table.iterations.tolist(),
         "cores": table.kernels,
     }
+    # json.dumps takes the C encoder; json.dump streams through the Python one
     with open(path, "w") as f:
-        json.dump(doc, f)
+        f.write(json.dumps(doc))
+
+
+def _holds_bool(value) -> bool:
+    """A boolean anywhere in a parsed JSON value's nested lists: numpy
+    would read a true among numbers as 1.  One type set per list, so a
+    list of numbers costs no call per entry."""
+    if type(value) is not list:
+        return type(value) is bool
+    types = set(map(type, value))
+    return bool in types or list in types and any(map(_holds_bool, value))
 
 
 def load_table(path) -> QCoreTable:
@@ -401,6 +412,9 @@ def load_table(path) -> QCoreTable:
         if doc.get("version") != TABLE_FORMAT_VERSION:
             raise ValueError(f"table format version {doc.get('version')!r}"
                              f" is not {TABLE_FORMAT_VERSION}; retrain the table")
+        for key in ("theta_nodes", "current_nodes", "iterations", "cores"):
+            if _holds_bool(doc[key]):
+                raise ValueError(f"{key} must hold numbers, not JSON booleans")
         cfg_kwargs = dict(doc["cfg"])
         for f in fields(TableTrainConfig):
             if f.name not in cfg_kwargs:

@@ -4,7 +4,8 @@ from hypothesis import strategies as st
 
 from srmq import (MotorParams, QKernel, TableTrainConfig, default_surface,
                   train_table)
-from srmq.plant import InductanceSurface
+from srmq.plant import (InductanceSurface, _axis_locate, _rotor_angles,
+                        _step_located)
 
 
 @pytest.fixture(scope="session")
@@ -34,6 +35,17 @@ def constant_surface(L, pitch=45.0, i_max=7.5):
     theta = np.linspace(0.0, pitch, 5)
     current = np.linspace(0.0, i_max, 4)
     return InductanceSurface(theta, current, np.full((5, 4), L))
+
+
+def step_phase(x: float, theta: float, u: float, params: MotorParams,
+               surface: InductanceSurface):
+    """(x', theta'): the phase current and rotor angle one sample on under
+    applied voltage u, locating the angle itself: the one-step reference
+    for _step_located and _rotor_angles, which the simulator calls on a
+    block's cells."""
+    row, l1 = _axis_locate(surface._theta_list, theta, wrap=True)
+    return (_step_located(x, u, params, surface, row, l1),
+            _rotor_angles(params, theta, 1)[1])
 
 
 def core_G(table, a, b):

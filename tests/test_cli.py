@@ -1,22 +1,25 @@
 import configparser
 import contextlib
+import inspect
 import io
 import json
+import operator
 import warnings
-from dataclasses import fields
+from dataclasses import dataclass, fields
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from srmq import lqt, sim
+from srmq import cli, lqt, sim
 from srmq.cli import (EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_OK, EXIT_SAFETY,
                       REFERENCE_GAIN, SCHEMA, default_config, load_config,
                       main)
-from srmq.plant import (InductanceSurface, MotorParams, default_surface,
-                        save_surface_csv)
-from srmq.qlearn import QKernel
+from srmq.plant import (InductanceSurface, MotorParams, ReferenceProfile,
+                        default_surface, save_surface_csv)
+from srmq.qlearn import QKernel, QTrainConfig
 from srmq.scheduler import (QCoreTable, TableTrainConfig, load_table,
                             params_hash, save_table)
 
@@ -76,6 +79,37 @@ class TestConfig:
         assert cp["motor"]["r_phase"] == "2.0"
         assert cp["training"]["gamma"] == "0.9"
         assert cp["scenario"]["i_ref"] == "4.0"
+
+    def test_schema_defaults_are_the_dataclass_defaults(self, trained_table):
+        # SCHEMA's default texts and the dataclass and function defaults
+        # are written separately; the zero-flag run must build the same
+        # values the library defaults give
+        cp = default_config()
+        params = cli._motor(cp)
+        assert params == MotorParams()
+        cfg = cli._train_cfg(cp)
+        assert cfg == TableTrainConfig()
+        surface, want = cli._surface(cp, params), default_surface(MotorParams())
+        for grid in ("theta_grid", "current_grid", "values"):
+            assert getattr(surface, grid).tobytes() == \
+                getattr(want, grid).tobytes()
+        scenario = cli._scenario(cp, params, surface)
+        default = sim.Scenario(params, surface, ReferenceProfile())
+        assert scenario.steps == default.steps
+        for f in fields(sim.Scenario):
+            if f.name not in ("surface", "duration"):
+                assert getattr(scenario, f.name) == getattr(default, f.name)
+        # train_table's own node grid, which the trained_table fixture uses
+        for nodes, default_nodes in zip(cli._grid(cp, params), (
+                trained_table.theta_nodes, trained_table.current_nodes)):
+            assert nodes.tobytes() == default_nodes.tobytes()
+        qcfg = QTrainConfig()
+        for name in ("gamma", "tuples_per_iter", "tol", "max_iters"):
+            assert getattr(qcfg, name) == getattr(cfg, name)
+        augmented = inspect.signature(lqt.build_augmented).parameters
+        for arg, name in (("Q", "q_weight"), ("R_u", "r_weight"),
+                          ("gamma", "gamma")):
+            assert augmented[arg].default == getattr(cfg, name)
 
     def test_missing_file_rejected(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.ini"), "oracle"]) \
@@ -347,6 +381,109 @@ class TestConfig:
         assert "Traceback" not in err
 
 
+DROP, NEST = "<dropped>", "<nested>"
+
+
+@dataclass(frozen=True)
+class Probe:
+    """An edge-case config and how each of its commands must end.
+
+    `commands` runs in order, separated by commas: "oracle", "train" (into
+    the row's table file) or "run" with any flags (on that file, which is
+    the default 16x8 table unless the row trained one).  `edit` applies one
+    change to the table file first: (key, ..., key, value), with DROP
+    deleting the last key and NEST nesting its value one list deeper.
+    `says` are texts of the stderr line, where {table} is the table path.
+    """
+
+    ini: str
+    commands: str
+    code: int
+    says: tuple = ()
+    edit: tuple = None
+    aborted_lines: int = None   # of out/trace_aborted.csv, header included
+
+    def id(self):
+        # an oracle row is named by its INI text and exit code alone
+        what = self.ini
+        if self.edit is not None:
+            *keys, value = self.edit
+            what = ".".join(map(str, keys)) + " = " + (
+                value if value in (DROP, NEST) else json.dumps(value))
+        prefix = "" if self.commands == "oracle" else f"{self.commands}: "
+        return f"{prefix}{what}-{self.code}"
+
+
+NOT_FINITE_MODEL = ("error: the local model A = 1 - T R / L, B = T / L is "
+                    "not finite at 128 of 128 grid nodes, first node (0,0)")
+NOT_FINITE_P = "not finite at 128 of 128 nodes, first [0, 1, 2, 3, 4]"
+NOT_NUMBERS = "error: {table}: %s must hold numbers, not JSON booleans"
+
+# the CLI's exit contract on the default 16x8 grid, one row per edge case
+PROBES = [
+    # a Riccati solve that overflows at every node
+    Probe("[training]\nq_weight = 1e160\n", "oracle", EXIT_CONVERGENCE,
+          (NOT_FINITE_P,)),
+    # a resistance so large that A = 1 - T R / L overflows the Riccati solve
+    Probe("[motor]\nr_phase = 1e300\n", "oracle", EXIT_CONVERGENCE,
+          (NOT_FINITE_P,)),
+    Probe("[surface]\ni_sat = 1e-300\n", "oracle", EXIT_OK),
+    # kappa = 0 never saturates, so an overflowing i / i_sat leaves the
+    # surface finite
+    Probe("[surface]\nkappa = 0\ni_sat = 1e-300\n", "oracle", EXIT_OK),
+    # A = -inf, or B = inf: both commands refuse the model before solving
+    Probe("[motor]\nr_phase = 1e300\nt_sample = 1e10\n", "oracle,train",
+          EXIT_CONFIG, (NOT_FINITE_MODEL + ": theta 0.0 deg, i 0.0 A, "
+                        "L = 0.016 H\n",)),
+    Probe("[motor]\nt_sample = 1e10\nl_unaligned = 1e-300\n"
+          "l_aligned = 2e-300\n", "oracle,train", EXIT_CONFIG,
+          (NOT_FINITE_MODEL + ": theta 0.0 deg, i 0.0 A, L = 2e-300 H\n",)),
+    # without dither every node is rank deficient
+    Probe("[training]\ndither_v = 0\n", "train", EXIT_CONVERGENCE,
+          ("training failed: 128 of 128 nodes failed: 128 x "
+           "RankDeficientError",)),
+    # node (11,2) alone is rank deficient while the other 127 train
+    Probe("[training]\ndither_v = 0.5\n", "train", EXIT_CONVERGENCE,
+          ("1 of 128 nodes failed: 1 x RankDeficientError (first: design "
+           "matrix rank 5 < 6;", "nodes (11,2)\n")),
+    # an initial gain whose training action overflows
+    Probe("[training]\nk0_x = 1e308\nk0_r = -1e308\n", "train", EXIT_CONFIG,
+          ("k0_x, k0_r = [1e+308, -1e+308] overflow the training action",)),
+    # a [motor] key whose field has another name (V_dc)
+    Probe("[motor]\nv_dc = -1\n", "oracle", EXIT_CONFIG, ("v_dc must be",)),
+    # a dithered online-learning run with a resistance mismatch and two
+    # amplitude steps
+    Probe("[scenario]\nonline_learning = true\ndither_v = 20\nr_scale = 1.1"
+          "\nevents = 1250:5.5, 2500:3.0\n", "run --format jsonl", EXIT_OK),
+    # a 20 A pulse trips the 15 A safety bound at step 283: the partial
+    # trace holds the header and 284 rows
+    Probe("[scenario]\ni_ref = 20\n", "run", EXIT_SAFETY,
+          ("safety abort: current", "at step 283\n"), aborted_lines=285),
+    # a table with a single theta node
+    Probe("[grid]\nn_theta = 1\nn_current = 3\n", "train,run", EXIT_OK),
+    # table files that do not hold what the table needs
+    Probe("", "run", EXIT_CONFIG, ("error: {table}: theta nodes must be 1-D",),
+          edit=("theta_nodes", NEST)),
+    Probe("", "run", EXIT_CONFIG, ("error: {table}: cfg.gain_clamp is missing",),
+          edit=("cfg", "gain_clamp", DROP)),
+    Probe("", "run", EXIT_CONFIG, (NOT_NUMBERS % "theta_nodes",),
+          edit=("theta_nodes", 1, True)),
+    Probe("", "run", EXIT_CONFIG, (NOT_NUMBERS % "cores",),
+          edit=("cores", 0, 0, 0, True)),
+    Probe("", "run", EXIT_CONFIG, (NOT_NUMBERS % "iterations",),
+          edit=("iterations", 0, 0, True)),
+]
+
+
+@pytest.fixture(scope="module")
+def default_table(tmp_path_factory):
+    """The default 16x8 table file, trained once for the module."""
+    path = tmp_path_factory.mktemp("default") / "qtable.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["train", "--out", str(path)]) == EXIT_OK
+    return path
+
+
 class TestOracle:
     def test_reports_reference_gain_context(self, capsys):
         assert main(["oracle"]) == EXIT_OK
@@ -373,29 +510,45 @@ class TestOracle:
             assert node["K"] == pytest.approx([0.0, 0.0], abs=1e-9)
 
 
-    @pytest.mark.parametrize("ini, code", [
-        ("[training]\nq_weight = 1e160\n", EXIT_CONVERGENCE),
-        ("[motor]\nr_phase = 1e300\n", EXIT_CONVERGENCE),
-        ("[surface]\ni_sat = 1e-300\n", EXIT_OK),
-        ("[surface]\nkappa = 0\ni_sat = 1e-300\n", EXIT_OK),
-    ])
-    def test_overflowing_config_exits_cleanly(self, tmp_path, capsys, ini,
-                                              code):
-        # the closed-form solve names every non-finite node of the default
-        # 16x8 grid in one stderr line; kappa = 0 never saturates, so an
-        # overflowing i / i_sat leaves the surface finite
-        path = tmp_path / "huge.ini"
-        path.write_text(ini)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["--config", str(path), "oracle"]) == code
-        err = capsys.readouterr().err
-        if code == EXIT_OK:
-            assert err == ""
+    @pytest.mark.parametrize("probe", [
+        pytest.param(probe, id=probe.id()) for probe in PROBES])
+    def test_overflowing_config_exits_cleanly(self, tmp_path, capsys,
+                                              default_table, probe):
+        # one row of PROBES: each of its commands, in process with warnings
+        # as errors, ends in the row's exit code, and a non-zero exit
+        # prints exactly one stderr line holding the row's texts
+        config = tmp_path / "probe.ini"
+        config.write_text(probe.ini)
+        table, out = tmp_path / "qtable.json", tmp_path / "out"
+        if probe.edit is None:
+            table.write_bytes(default_table.read_bytes())
         else:
-            assert err.splitlines() == [err.strip()]
-            assert "not finite at 128 of 128 nodes, first [0, 1, 2, 3, 4]" \
-                in err
+            doc = json.loads(default_table.read_text())
+            *keys, last, value = probe.edit
+            node = reduce(operator.getitem, keys, doc)
+            if value == DROP:
+                del node[last]
+            else:
+                node[last] = [node[last]] if value == NEST else value
+            table.write_text(json.dumps(doc))
+        for command, *flags in map(str.split, probe.commands.split(",")):
+            args = {"oracle": [], "train": ["--out", str(table)]}.get(
+                command, ["--table", str(table), "--out", str(out)])
+            capsys.readouterr()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["--config", str(config), command, *args, *flags])
+            err = capsys.readouterr().err
+            assert code == probe.code, (command, err)
+            if code == EXIT_OK:
+                assert err == ""
+            else:
+                assert err.splitlines() == [err.strip()]
+            for text in probe.says:
+                assert text.replace("{table}", str(table)) in err
+        if probe.aborted_lines is not None:
+            assert len((out / "trace_aborted.csv").read_text().splitlines()) \
+                == probe.aborted_lines
 
     def test_non_finite_local_model_names_the_first_node(self, tmp_path,
                                                          capsys):

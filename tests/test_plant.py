@@ -8,9 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from srmq.plant import (InductanceSurface, MotorParams, ReferenceProfile,
                         _axis_locate, _linearised, _references,
                         _wrapped_cells, default_surface, inductance_at,
-                        load_surface_csv, reference_at, save_surface_csv,
-                        step_phase)
-from conftest import constant_surface, point_near, reference_blend
+                        load_surface_csv, reference_at, save_surface_csv)
+from conftest import constant_surface, point_near, reference_blend, step_phase
 
 
 def reference_axis_locate(nodes, value, wrap):

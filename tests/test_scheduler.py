@@ -1,4 +1,6 @@
 import copy
+import io
+import json
 import warnings
 
 import numpy as np
@@ -734,6 +736,26 @@ class TestPersistence:
                 assert np.array_equal(core_G(back, a, b),
                                       core_G(trained_table, a, b))
         assert np.array_equal(back.gains, trained_table.gains)
+
+    @pytest.mark.parametrize("grid", ["default", "one theta node",
+                                      "q_weight = 0"])
+    def test_file_bytes_are_the_streaming_encoders(self, trained_table,
+                                                    params, surface, tmp_path,
+                                                    grid):
+        # save_table encodes in one json.dumps; json.dump, which streams
+        # through the pure-Python encoder, writes the same bytes
+        current = np.linspace(0.0, 7.5, 3)
+        table = {"default": lambda: trained_table,
+                 "one theta node": lambda: train_table(
+                     params, surface, np.array([0.0]), current),
+                 "q_weight = 0": lambda: train_table(
+                     params, surface, np.linspace(0.0, 45.0, 4), current,
+                     TableTrainConfig(q_weight=0.0))}[grid]()
+        path = tmp_path / "table.json"
+        save_table(table, path)
+        streamed = io.StringIO()
+        json.dump(json.loads(path.read_text()), streamed)
+        assert path.read_text() == streamed.getvalue()
 
     def test_corrupted_file_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -8,14 +8,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from srmq import plant, scheduler, sim
-from srmq.plant import MotorParams, ReferenceProfile, reference_at, step_phase
+from srmq.plant import MotorParams, ReferenceProfile, reference_at
 from srmq.qlearn import stage_cost
 from srmq.scheduler import QCoreTable, SafetyAbortError, TableTrainConfig
 from srmq.sim import (BLOCK, CONTROLLERS, EXPORT_CHUNK, MAX_STEPS,
                       SETTLE_FRACTION, TRACE_COLUMNS, Metrics, Scenario,
                       SimTrace, compute_metrics, delta_modulation_step,
                       export_trace, run_closed_loop)
-from conftest import constant_surface
+from conftest import constant_surface, step_phase
 
 
 def make_scenario(params, surface, **kw):
