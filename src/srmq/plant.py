@@ -57,9 +57,9 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _require_seed(name: str, value: int) -> None:
+def _require_natural(name: str, value: int) -> None:
     """Raise ValueError naming `name` unless `value` is a non-negative
-    integer, the seeds numpy's generators take."""
+    integer, as a seed of numpy's generators or a step count."""
     if not (_is_int(value) and value >= 0):
         raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
@@ -159,6 +159,9 @@ class ReferenceProfile:
     step_events: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
+        for event in self.step_events:
+            if not _is_int(event[0]):
+                raise ValueError(f"step events need integer steps, got {event!r}")
         object.__setattr__(self, "step_events",
                            tuple((int(k), float(a)) for k, a in self.step_events))
         _require_bound("i_ref", self.i_ref)
@@ -203,7 +206,7 @@ def _wrapped_cells(nodes: np.ndarray, values: np.ndarray):
     """(rows, fracs): _axis_locate(nodes.tolist(), v, wrap=True) for every v
     of a float64 array, as one int64 and one float64 array, bit for bit:
     the same + - / % in the same order, np.searchsorted for bisect_right.
-    Worked in place, so a block of values costs four buffers of its size."""
+    Worked in place, so the values cost four buffers of their size."""
     n = nodes.size
     if n == 1:
         return np.zeros(values.size, np.int64), np.zeros(values.size)
@@ -348,7 +351,7 @@ def _rotor_angles(params: MotorParams, theta: float, n: int) -> array:
 def _references(profile: ReferenceProfile, thetas: np.ndarray,
                 k: int) -> np.ndarray:
     """reference_at(profile, thetas[j], k + j) for every j, as one float64
-    array.  The amplitude changes only at the step events inside the block,
+    array.  The amplitude changes only at the step events after step k,
     so amplitude_at is read once per stretch between them."""
     events, m = profile.step_events, thetas.size
     inside = events[bisect_right(events, (k, math.inf)):

@@ -19,7 +19,7 @@ import numpy as np
 from . import qlearn
 from .plant import (InductanceSurface, MotorParams, _axis_locate, _corners,
                     _is_bool, _locate, _require_ascending, _require_bound,
-                    _require_count, _require_seed, _weights, frozen_grid)
+                    _require_count, _require_natural, _weights, frozen_grid)
 from .qlearn import NUM_PARAMS, QKernel, QTrainConfig
 
 TABLE_FORMAT_VERSION = 2
@@ -87,7 +87,7 @@ class TableTrainConfig:
                 f"gamma must be below 1, got {self.gamma!r}: training needs "
                 "gamma < 1, as with r' = r the r^2 Bellman column vanishes "
                 "and the kernel is unidentifiable")
-        _require_seed("seed", self.seed)
+        _require_natural("seed", self.seed)
         if len(self.K0) != 2:
             raise ValueError(f"K0 must be the two gains (k0_x, k0_r), got "
                              f"{self.K0!r}")

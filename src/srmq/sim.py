@@ -16,7 +16,7 @@ import numpy as np
 
 from . import plant, qlearn, scheduler
 from .plant import (_QUIET_OVERFLOW, InductanceSurface, MotorParams,
-                    ReferenceProfile, _require_bound, _require_seed,
+                    ReferenceProfile, _require_bound, _require_natural,
                     _step_located, _wrapped_cells)
 from .scheduler import QCoreTable, SafetyAbortError
 
@@ -35,12 +35,8 @@ JSONL_ROW = "{{" + ", ".join(f'"{name}": {{}}' for name in TRACE_COLUMNS) + "}}\
 JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 # the longest run a scenario may ask for, checked before the loop starts:
-# 800 electrical cycles at the defaults, about 64 MB of trace rows
+# 800 electrical cycles at the defaults, about 64 MB of recorded trace
 MAX_STEPS = 10**6
-
-# steps whose rotor angles, reference samples and theta-axis cells are
-# computed together, in one numpy pass each, before the loop runs them
-BLOCK = 2048
 
 SETTLE_FRACTION = 0.05   # |x - r| below this fraction of the amplitude counts as settled
 
@@ -64,6 +60,7 @@ class Scenario:
         if self.controller not in CONTROLLERS:
             raise ValueError(f"controller must be one of {CONTROLLERS}, "
                              f"got {self.controller!r}")
+        _require_natural("duration", self.duration)
         if not 0 < self.steps <= MAX_STEPS:
             raise ValueError(f"duration must be 1 to MAX_STEPS = {MAX_STEPS} "
                              f"steps, got {self.steps} (duration_cycles x the "
@@ -71,7 +68,7 @@ class Scenario:
         _require_bound("dither", self.dither)
         _require_bound("r_scale", self.r_scale, positive=True)
         _require_bound("delta_band", self.delta_band)
-        _require_seed("seed", self.seed)
+        _require_natural("seed", self.seed)
 
     @property
     def steps(self) -> int:
@@ -156,8 +153,9 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None) -> SimT
     default without a table) times the nominal rating.
     """
     params, surface, profile = scenario.motor, scenario.surface, scenario.reference
-    uses_table = scenario.controller != "delta-modulation"
-    if uses_table and table is None:
+    delta = scenario.controller == "delta-modulation"
+    scheduled = scenario.controller == "scheduled-qlearning"
+    if not delta and table is None:
         raise ValueError(f"controller {scenario.controller!r} needs a trained table")
 
     cfg = table.cfg if table is not None else scheduler.TableTrainConfig()
@@ -174,12 +172,9 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None) -> SimT
             table, (profile.theta_on + profile.theta_off) / 2, profile.i_ref)[2]
         single = (*scheduler._core_gain(table, cell), cell)
 
-    # one row per recorded step: theta, r, x, u, k_x, k_r, row, col
+    # one row per recorded step: x, u, k_x, k_r, row, col
     rows = array("d")
 
-    x = theta = 0.0
-    r = plant.reference_at(profile, theta, 0)
-    scheduled = scenario.controller == "scheduled-qlearning"
     learn = scenario.online_learning and scheduled
     dither = None
     if learn and scenario.dither > 0:
@@ -189,85 +184,86 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None) -> SimT
         dither = memoryview(scenario.dither * np.random.default_rng(
             scenario.seed).uniform(-1, 1, n))
 
-    def finish():
-        buf = np.frombuffer(rows).reshape(-1, 8)
-        ks = np.arange(len(buf))
-        theta, r, x, u = buf[:, :4].T
-        # the cost column in one stacked pass, bit for bit as
-        # qlearn.stage_cost at every step
-        cost = qlearn._stage_costs(x, r, u, Q_q, R_u)
-        return SimTrace(ks, ks * params.T, theta, r, x, u, buf[:, 4:6],
-                        buf[:, 6:].astype(int), cost)
+    # the half of the step that does not depend on the phase current, in
+    # one numpy pass each: the n + 1 rotor angles, the reference at each,
+    # and their cells on the surface's and the table's theta nodes, read
+    # back as Python floats and ints; the angles and the references are the
+    # trace's theta and r columns
+    thetas = np.frombuffer(plant._rotor_angles(plant_params, 0.0, n))
+    references = plant._references(profile, thetas, 0)
+    refs = memoryview(references)
+    s_row, s_l1 = map(memoryview, _wrapped_cells(surface.theta_grid, thetas))
+    t_row = t_l1 = None
+    if scheduled:
+        t_row, t_l1 = map(memoryview, _wrapped_cells(table.theta_nodes, thetas))
 
     schedule_located = scheduler._schedule_located
     V_dc = params.V_dc
-    for k0 in range(0, n, BLOCK):
-        # the half of the step that does not depend on the phase current:
-        # the block's rotor angles (and the one after it), the reference at
-        # each step's successor, and the angles' cells on the surface's
-        # and the table's theta nodes, read back as Python floats and ints
-        m = min(BLOCK, n - k0)
-        angles = plant._rotor_angles(plant_params, theta, m)
-        track = np.frombuffer(angles)
-        refs = memoryview(plant._references(profile, track[1:], k0 + 1))
-        s_row, s_l1 = map(memoryview, _wrapped_cells(surface.theta_grid,
-                                                     track[:m]))
-        if scheduled:
-            t_row, t_l1 = map(memoryview, _wrapped_cells(table.theta_nodes,
-                                                         track[:m]))
-        for j in range(m):
-            k = k0 + j
-            if scenario.controller == "delta-modulation":
-                u = delta_modulation_step(x, r, V_dc, scenario.delta_band)
-                k_x = k_r = 0.0
-                cell = (-1, -1)
+    x, r = 0.0, refs[0]
+    err = None
+    for k in range(n):
+        if delta:
+            u = delta_modulation_step(x, r, V_dc, scenario.delta_band)
+            k_x = k_r = 0.0
+            cell = (-1, -1)
+        else:
+            if scheduled:
+                k_x, k_r, cell = schedule_located(table, t_row[k], t_l1[k], x)
             else:
-                if scheduled:
-                    k_x, k_r, cell = schedule_located(table, t_row[j],
-                                                      t_l1[j], x)
-                else:
-                    k_x, k_r, cell = single
-                u = -(k_x * x + k_r * r)
-                if dither is not None:
-                    u += dither[k]
-            u = min(max(float(u), -V_dc), V_dc)
+                k_x, k_r, cell = single
+            u = -(k_x * x + k_r * r)
+            if dither is not None:
+                u += dither[k]
+        u = min(max(float(u), -V_dc), V_dc)
 
-            rows.extend((angles[j], r, x, u, k_x, k_r, *cell))
+        rows.extend((x, u, k_x, k_r, *cell))
 
-            x_next = _step_located(x, u, plant_params, surface, s_row[j],
-                                   s_l1[j])
+        x_next = _step_located(x, u, plant_params, surface, s_row[k], s_l1[k])
 
-            if x_next > i_limit:
-                err = SafetyAbortError(
-                    f"current {x_next:#.4g} A exceeded the {i_limit:#.4g} A "
-                    f"safety bound at step {k}")
-                err.trace = finish()
-                raise err
+        if x_next > i_limit:
+            err = SafetyAbortError(
+                f"current {x_next:#.4g} A exceeded the {i_limit:#.4g} A "
+                f"safety bound at step {k}")
+            break
 
-            r_next = refs[j]
-            if learn:
-                # the tuple is only Bellman-consistent on flat reference
-                # segments away from the zero-current clamp (a clamped step
-                # lands on exactly 0.0); settled samples are skipped because
-                # a steady operating point only constrains the kernel's
-                # level, not its shape, and would drag the gain around
-                transient = r > 0 and abs(x - r) >= SETTLE_FRACTION * r
-                if transient and r_next == r and x_next > 0.0:
-                    g_x, g_r = scheduler._core_gain(table, cell)
-                    u_next = -(g_x * x_next + g_r * r_next)
-                    cost = qlearn.stage_cost((x, r), u, Q_q, R_u)
-                    if not math.isfinite(cost):
-                        raise ValueError(
-                            f"online learning stage cost overflowed at step {k}: "
-                            + (f"the reference {r:.3g} A is beyond the "
-                               f"{i_limit:#.4g} A safety bound" if r > i_limit
-                               else "the tracking weights are too large"))
-                    scheduler.update_core_online(table, cell, (x, r, u),
-                                                 (x_next, r_next, u_next), cost)
-            x, r = x_next, r_next
-        theta = angles[m]
+        r_next = refs[k + 1]
+        if learn:
+            # the tuple is only Bellman-consistent on flat reference
+            # segments away from the zero-current clamp (a clamped step
+            # lands on exactly 0.0); settled samples are skipped because
+            # a steady operating point only constrains the kernel's
+            # level, not its shape, and would drag the gain around
+            transient = r > 0 and abs(x - r) >= SETTLE_FRACTION * r
+            if transient and r_next == r and x_next > 0.0:
+                g_x, g_r = scheduler._core_gain(table, cell)
+                u_next = -(g_x * x_next + g_r * r_next)
+                cost = qlearn.stage_cost((x, r), u, Q_q, R_u)
+                if not math.isfinite(cost):
+                    raise ValueError(
+                        f"online learning stage cost overflowed at step {k}: "
+                        + (f"the reference {r:.3g} A is beyond the "
+                           f"{i_limit:#.4g} A safety bound" if r > i_limit
+                           else "the tracking weights are too large"))
+                scheduler.update_core_online(table, cell, (x, r, u),
+                                             (x_next, r_next, u_next), cost)
+        x, r = x_next, r_next
 
-    return finish()
+    # the cell buffers go before the trace's columns are built, so a long
+    # run's peak memory holds the rows, angles and references only
+    del s_row, s_l1, t_row, t_l1
+    buf = np.frombuffer(rows).reshape(-1, 6)
+    m = len(buf)
+    ks = np.arange(m)
+    x, u = buf[:, :2].T
+    # the cost column in one stacked pass, bit for bit as qlearn.stage_cost
+    # at every step
+    cost = qlearn._stage_costs(x, references[:m], u, Q_q, R_u)
+    trace = SimTrace(ks, ks * params.T, thetas[:m], references[:m], x, u,
+                     buf[:, 2:4], buf[:, 4:].astype(int), cost)
+    if err is not None:
+        err.trace = trace
+        raise err
+    return trace
 
 
 def _conduction_windows(trace: SimTrace, start: int):

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -372,6 +373,18 @@ class TestReference:
         assert reference_at(prof, 20.0, 499) == 4.0
         assert reference_at(prof, 20.0, 500) == 5.5
         assert reference_at(prof, 20.0, 10_000) == 5.5
+
+    @pytest.mark.parametrize("step", [1.7, 2.0, True, "3"])
+    def test_non_integer_event_step_rejected(self, step):
+        # a fractional step was truncated to int(1.7) = 1
+        with pytest.raises(ValueError, match="integer steps, got "
+                           + re.escape(repr((step, 4.0)))):
+            ReferenceProfile(step_events=((0, 3.0), (step, 4.0)))
+
+    def test_numpy_integer_event_step_accepted(self):
+        prof = ReferenceProfile(step_events=((np.int64(7), 5.5),))
+        assert prof.step_events == ((7, 5.5),)
+        assert type(prof.step_events[0][0]) is int
 
     def test_out_of_order_events_rejected(self):
         with pytest.raises(ValueError, match="step order"):

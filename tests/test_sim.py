@@ -11,7 +11,7 @@ from srmq import plant, scheduler, sim
 from srmq.plant import MotorParams, ReferenceProfile, reference_at
 from srmq.qlearn import stage_cost
 from srmq.scheduler import QCoreTable, SafetyAbortError, TableTrainConfig
-from srmq.sim import (BLOCK, CONTROLLERS, EXPORT_CHUNK, MAX_STEPS,
+from srmq.sim import (CONTROLLERS, EXPORT_CHUNK, MAX_STEPS,
                       SETTLE_FRACTION, TRACE_COLUMNS, Metrics, Scenario,
                       SimTrace, compute_metrics, delta_modulation_step,
                       export_trace, run_closed_loop)
@@ -191,6 +191,19 @@ class TestScenario:
             with pytest.raises(ValueError, match="seed"):
                 make_scenario(params, surface, seed=seed)
 
+    @pytest.mark.parametrize("duration", [-5, -1, True, False, 2.5, 2.0,
+                                          "100", None])
+    def test_duration_must_be_a_non_negative_integer(self, params, surface,
+                                                     duration):
+        # -5 ran five cycles, True one step, 2.5 failed inside the loop
+        with pytest.raises(ValueError, match="^duration must be a "
+                           "non-negative integer, got "
+                           + re.escape(repr(duration)) + "$"):
+            make_scenario(params, surface, duration=duration)
+
+    def test_duration_accepts_numpy_integers(self, params, surface):
+        assert make_scenario(params, surface, duration=np.int64(7)).steps == 7
+
     def test_controller_names(self):
         assert CONTROLLERS == ("scheduled-qlearning", "single-qcore",
                                "delta-modulation")
@@ -343,8 +356,8 @@ class TestRunClosedLoop:
         ("delta-modulation", False)])
     def test_one_reference_sample_per_step(self, params, surface, fresh_table,
                                            monkeypatch, controller, learning):
-        # the loop samples the reference a block of steps at a time, and
-        # each step's sample once, also across the block boundaries
+        # the loop samples the reference once per run, each step's sample
+        # once
         calls = []
         references = plant._references
 
@@ -355,9 +368,37 @@ class TestRunClosedLoop:
         monkeypatch.setattr(plant, "_references", counting)
         s = make_scenario(params, surface, controller=controller,
                           online_learning=learning, dither=5.0,
-                          duration=2 * BLOCK + 7)
+                          duration=4103)
         run_closed_loop(s, fresh_table)
         assert calls == list(range(s.steps + 1))
+
+    @pytest.mark.parametrize("controller, cell_passes", [
+        ("scheduled-qlearning", 2), ("single-qcore", 1),
+        ("delta-modulation", 1)])
+    def test_one_state_independent_pass_per_run(self, params, surface,
+                                                trained_table, monkeypatch,
+                                                controller, cell_passes):
+        # the rotor angles, the references and the theta-axis cells of a
+        # whole run come from one numpy pass each (two cell passes, on the
+        # surface's and the table's theta nodes, for the scheduled
+        # controller), and reference_at is not called
+        calls = {"angles": 0, "references": 0, "cells": 0}
+
+        def counted(module, name, key):
+            inner = getattr(module, name)
+
+            def wrapper(*args):
+                calls[key] += 1
+                return inner(*args)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(plant, "_rotor_angles", "angles")
+        counted(plant, "_references", "references")
+        counted(sim, "_wrapped_cells", "cells")
+        s = make_scenario(params, surface, controller=controller,
+                          duration=4103)
+        assert len(run_closed_loop(s, trained_table)) == 4103
+        assert calls == {"angles": 1, "references": 1, "cells": cell_passes}
 
     @pytest.mark.parametrize("safety_factor", [3.0, 0.05])
     def test_dither_is_one_scalar_draw_per_step(self, params, surface,
@@ -374,7 +415,7 @@ class TestRunClosedLoop:
         monkeypatch.setattr(scheduler, "update_core_online",
                             lambda *args: False)
         s = make_scenario(params, surface, online_learning=True, dither=20.0,
-                          seed=11, duration=BLOCK + 700)
+                          seed=11, duration=2748)
         if safety_factor < 1:
             with pytest.raises(SafetyAbortError) as exc:
                 run_closed_loop(s, table)
@@ -407,26 +448,26 @@ class TestRunClosedLoop:
 
 class TestBlocks:
     """run_closed_loop computes the rotor angles, reference samples and
-    theta-axis cells BLOCK steps at a time; every run is bit for bit the
-    one-step-at-a-time reference loop, across and at the block edges."""
+    theta-axis cells of the whole run before its loop; every run is bit for
+    bit the one-step-at-a-time reference loop, over short and long runs,
+    amplitude events and a safety abort late in the run."""
 
-    @pytest.mark.parametrize("steps", [1, BLOCK - 1, BLOCK, BLOCK + 1,
-                                       2 * BLOCK + 7])
+    @pytest.mark.parametrize("steps", [1, 2047, 2048, 2049, 4103])
     def test_run_lengths(self, params, surface, trained_table, steps):
         s = make_scenario(params, surface, duration=steps)
         assert len(assert_matches_reference_loop(s, trained_table)) == steps
 
     def test_amplitude_event_on_a_block_boundary(self, params, surface,
                                                  trained_table):
-        # BLOCK and 2 BLOCK fall inside conduction windows; two events at
+        # steps 2048 and 4096 fall inside conduction windows; two events at
         # one step, the last wins
         profile = ReferenceProfile(step_events=(
-            (BLOCK - 1, 4.5), (BLOCK, 5.5), (2 * BLOCK, 3.0), (2 * BLOCK, 3.5)))
+            (2047, 4.5), (2048, 5.5), (4096, 3.0), (4096, 3.5)))
         s = make_scenario(params, surface, reference=profile, dither=5.0,
-                          online_learning=True, duration=2 * BLOCK + 7)
+                          online_learning=True, duration=4103)
         trace = assert_matches_reference_loop(s, trained_table)
-        assert trace.r[BLOCK - 1:BLOCK + 1].tolist() == [4.5, 5.5]
-        assert trace.r[2 * BLOCK] == 3.5
+        assert trace.r[2047:2049].tolist() == [4.5, 5.5]
+        assert trace.r[4096] == 3.5
 
     def test_dithered_online_learning(self, params, surface, trained_table):
         spc = params.steps_per_cycle
@@ -452,22 +493,21 @@ class TestBlocks:
         t = trained_table
         one = QCoreTable(t.theta_nodes[:1], t.current_nodes, t.kernels[3:4],
                          t.cfg, t.params_hash)
-        s = make_scenario(params, surface, duration=BLOCK + 100,
+        s = make_scenario(params, surface, duration=2148,
                           online_learning=True, dither=5.0)
         trace = assert_matches_reference_loop(s, one)
         assert set(trace.cell[:, 0].tolist()) == {0}
 
     def test_safety_abort_inside_a_later_block(self, params, surface,
                                                trained_table):
-        # a 6.5 A pulse from step BLOCK + 100 on, inside a conduction
-        # window, crosses the 1.2 x 5 A bound in the second block
+        # a 6.5 A pulse from step 2148 on, inside a conduction window,
+        # crosses the 1.2 x 5 A bound before step 4096
         tight = replace(trained_table,
                         cfg=replace(trained_table.cfg, safety_factor=1.2))
-        profile = ReferenceProfile(step_events=((BLOCK + 100, 6.5),))
-        s = make_scenario(params, surface, reference=profile,
-                          duration=3 * BLOCK)
+        profile = ReferenceProfile(step_events=((2148, 6.5),))
+        s = make_scenario(params, surface, reference=profile, duration=6144)
         trace = assert_matches_reference_loop(s, tight)
-        assert BLOCK + 100 < len(trace) < 2 * BLOCK
+        assert 2148 < len(trace) < 4096
         assert trace.k[-1] == len(trace) - 1
 
 
