@@ -214,20 +214,20 @@ def _scenario(cp, params, surface) -> sim.Scenario:
 
 def _grid_oracle(params, surface, cfg, theta_nodes, current_nodes):
     """frozen_grid's local models and their discounted Riccati solutions
-    from one stacked closed-form solve: (L, A, B, model, P, K), one node
-    per row."""
+    from one stacked closed-form solve: (L, model, P, K), one node per
+    row."""
     L, A, B = frozen_grid(params, surface, theta_nodes, current_nodes)
     model = lqt.build_augmented(A, B, Q=cfg.q_weight, R_u=cfg.r_weight,
                                 gamma=cfg.gamma)
     P = lqt.are_closed_form(model)
-    return L, A, B, model, P, lqt.optimal_gain(P, model)
+    return L, model, P, lqt.optimal_gain(P, model)
 
 
 def _oracle_nodes(cp, params, surface):
     theta_nodes, current_nodes = _grid(cp, params)
     cfg = _train_cfg(cp)
-    L, A, B, model, P, K = _grid_oracle(params, surface, cfg, theta_nodes,
-                                        current_nodes)
+    L, model, P, K = _grid_oracle(params, surface, cfg, theta_nodes,
+                                  current_nodes)
     try:
         pi = lqt.policy_iteration_model_based(model, cfg.K0)
     except lqt.NotStabilizingError as exc:
@@ -236,20 +236,13 @@ def _oracle_nodes(cp, params, surface):
             f"invalid training parameters: k0_x, k0_r = {list(cfg.K0)} is "
             f"not stabilizing at {len(exc.indices)} of {L.size} nodes, "
             f"first node ({row},{col})") from exc
-    pi_gaps = _norms(pi.K - K)
-    rows = []
-    for k, (a, b) in enumerate(np.ndindex(theta_nodes.size,
-                                          current_nodes.size)):
-        rows.append({
-            "row": a, "col": b, "theta_deg": float(theta_nodes[a]),
-            "i_A": float(current_nodes[b]),
-            "L_H": float(L[k]), "A": float(A[k]), "B": float(B[k]),
-            "P": [[float(v) for v in r] for r in P[k]],
-            "K": [float(v) for v in K[k]],
-            "pi_iterations": int(pi.iterations[k]),
-            "pi_gap": float(pi_gaps[k]),
-        })
-    return rows
+    row, col = np.divmod(np.arange(L.size), current_nodes.size)
+    columns = {"row": row, "col": col, "theta_deg": theta_nodes[row],
+               "i_A": current_nodes[col], "L_H": L, "A": model.A,
+               "B": model.B, "P": P, "K": K,
+               "pi_iterations": pi.iterations, "pi_gap": _norms(pi.K - K)}
+    return [dict(zip(columns, node))
+            for node in zip(*(c.tolist() for c in columns.values()))]
 
 
 def cmd_oracle(cp, json_out=False) -> int:

@@ -42,49 +42,47 @@ class NotStabilizingError(ValueError):
 
 @dataclass(frozen=True)
 class AugmentedModel:
-    """Plant state stacked with the reference generator state X = [x, r].
+    """The discounted tracking problem of the phase x' = A x + B u, with
+    the reference held (r' = r) and the weight q on the error x - r.
 
-    The matrices may carry leading batch axes, one model per node, all
-    sharing R_u and gamma.
+    A and B may carry leading batch axes, one model per node, all sharing
+    q, R_u and gamma.  The augmented system on X = [x, r] is built once:
+    A_a = diag(A, 1), B_b = [B, 0]' and Q_q = q [[1, -1], [-1, 1]].
     """
 
-    A_a: np.ndarray   # (..., 2, 2), diag(A, 1)
-    B_b: np.ndarray   # (..., 2, 1), [B, 0]
-    Q_q: np.ndarray   # (..., 2, 2) tracking weight
+    A: np.ndarray
+    B: np.ndarray
+    q: float
     R_u: float
     gamma: float
 
     def __post_init__(self):
-        for name in ("A_a", "B_b", "Q_q"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), float))
+        A, B = np.broadcast_arrays(np.asarray(self.A, float),
+                                   np.asarray(self.B, float))
+        for v in (A, B, self.q):
+            if not np.all(np.isfinite(v)):
+                raise ValueError("plant parameters must be finite")
         if not (0 < self.gamma <= 1):
             raise ValueError("discount must be in (0, 1]")
         if not (self.R_u > 0):
             raise ValueError("input weight must be positive")
-        if not np.allclose(self.Q_q, self.Q_q.swapaxes(-1, -2)):
-            raise ValueError("tracking weight must be symmetric")
+        batch = A.shape
+        A_a = np.zeros(batch + (2, 2))
+        A_a[..., 0, 0], A_a[..., 1, 1] = A, 1.0
+        B_b = np.zeros(batch + (2, 1))
+        B_b[..., 0, 0] = B
+        e = np.array([[1.0, -1.0]])
+        Q_q = np.broadcast_to(e.T * self.q @ e, batch + (2, 2))
+        for name, value in dict(A=A, B=B, A_a=A_a, B_b=B_b, Q_q=Q_q).items():
+            object.__setattr__(self, name, value)
 
 
 def build_augmented(A, B, Q: float = 100.0, R_u: float = 0.001,
                     gamma: float = 0.9) -> AugmentedModel:
-    """Assemble the augmented block system and the tracking weight.
-
-    Scalar A, B give one model; arrays of shape (N,) give N stacked models.
-    Q_q = [1, -1]^T Q [1, -1] penalizes the current-vs-reference error;
-    the reference is held constant (r' = r).
-    """
-    A, B = np.broadcast_arrays(np.asarray(A, float), np.asarray(B, float))
-    for v in (A, B, Q):
-        if not np.all(np.isfinite(v)):
-            raise ValueError("plant parameters must be finite")
-    batch = A.shape
-    A_a = np.zeros(batch + (2, 2))
-    A_a[..., 0, 0], A_a[..., 1, 1] = A, 1.0
-    B_b = np.zeros(batch + (2, 1))
-    B_b[..., 0, 0] = B
-    e = np.array([[1.0, -1.0]])
-    Q_q = np.broadcast_to(e.T * Q @ e, batch + (2, 2))
-    return AugmentedModel(A_a, B_b, Q_q, float(R_u), float(gamma))
+    """The model of the plant scalars (or arrays of shape (N,), for N
+    stacked models) with tracking weight Q, input weight R_u and discount
+    gamma."""
+    return AugmentedModel(A, B, float(Q), float(R_u), float(gamma))
 
 
 def closed_loop(model: AugmentedModel, K: np.ndarray) -> np.ndarray:
@@ -148,10 +146,9 @@ def are_closed_form(model: AugmentedModel) -> np.ndarray:
     """Solve the discounted Riccati equation in closed form, every node of
     a batch in one pass.
 
-    For the structure build_augmented gives, A_a = diag(A, 1),
-    B_b = [B, 0]' and Q_q = q [[1, -1], [-1, 1]] with gamma < 1, the
-    equation decouples (Kiumarsi, Lewis et al. 2014).  P00 is the least
-    non-negative root of
+    The model's A_a = diag(A, 1), B_b = [B, 0]' and
+    Q_q = q [[1, -1], [-1, 1]] decouple the equation when gamma < 1
+    (Kiumarsi, Lewis et al. 2014).  P00 is the least non-negative root of
 
         gamma B^2 p^2 + (R (1 - gamma A^2) - q gamma B^2) p - q R = 0,
 
@@ -162,19 +159,9 @@ def are_closed_form(model: AugmentedModel) -> np.ndarray:
         P01 = -q / (1 - gamma A + gamma^2 A B^2 P00 / S)
         P11 = (q - gamma^2 B^2 P01^2 / S) / (1 - gamma).
     """
-    A_a, B_b, Q_q, g, R = (model.A_a, model.B_b, model.Q_q, model.gamma,
-                           model.R_u)
-    A, B, q = A_a[..., 0, 0], B_b[..., 0, 0], Q_q[..., 0, 0]
+    A, B, q, g, R = model.A, model.B, model.q, model.gamma, model.R_u
     if not g < 1:
         raise ValueError("the closed form needs gamma < 1, got gamma = 1")
-    if np.any(A_a[..., 0, 1] != 0) or np.any(A_a[..., 1, 0] != 0) \
-            or np.any(A_a[..., 1, 1] != 1):
-        raise ValueError("the closed form needs A_a = diag(A, 1)")
-    if np.any(B_b[..., 1, 0] != 0):
-        raise ValueError("the closed form needs B_b[1] = 0")
-    if np.any(Q_q[..., 1, 1] != q) or np.any(Q_q[..., 0, 1] != -q) \
-            or np.any(Q_q[..., 1, 0] != -q):
-        raise ValueError("the closed form needs Q_q = q [[1, -1], [-1, 1]]")
     gB2 = g * B * B
     lin = R * (1 - g * A * A) - q * gB2
     root = np.sqrt(lin * lin + 4 * gB2 * q * R)

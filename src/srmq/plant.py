@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -227,14 +227,6 @@ def _wrapped_cells(nodes: np.ndarray, values: np.ndarray):
     return idx, values
 
 
-def _locate(theta_nodes: list, current_nodes: list, theta: float, i: float):
-    """(row, col, l1, l2): lower corner and offsets of the cell holding
-    (theta, i) on the two node lists; theta wraps, current clamps."""
-    row, l1 = _axis_locate(theta_nodes, theta, wrap=True)
-    col, l2 = _axis_locate(current_nodes, i, wrap=False)
-    return row, col, l1, l2
-
-
 def _weights(l1: float, l2: float):
     """Bilinear weights of the corners (row, col), (row+1, col),
     (row, col+1), (row+1, col+1), in that order."""
@@ -351,17 +343,15 @@ def _rotor_angles(params: MotorParams, theta: float, n: int) -> array:
 def _references(profile: ReferenceProfile, thetas: np.ndarray,
                 k: int) -> np.ndarray:
     """reference_at(profile, thetas[j], k + j) for every j, as one float64
-    array.  The amplitude changes only at the step events after step k,
-    so amplitude_at is read once per stretch between them."""
-    events, m = profile.step_events, thetas.size
-    inside = events[bisect_right(events, (k, math.inf)):
-                    bisect_left(events, (k + m, -math.inf))]
-    cuts = [k, *(step for step, _ in inside), k + m]
-    amplitude = np.empty(m)
-    for lo, hi in zip(cuts, cuts[1:]):
-        amplitude[lo - k:hi - k] = profile.amplitude_at(lo)
+    array: amplitude_at for every step in one lookup, where equal event
+    steps resolve to the last event."""
+    steps = [step for step, _ in profile.step_events]
+    amplitudes = [profile.i_ref, *(a for _, a in profile.step_events)]
+    amplitude = np.array(amplitudes)[np.searchsorted(
+        steps, np.arange(k, k + thetas.size), side="right")]
     window = (profile.theta_on <= thetas) & (thetas < profile.theta_off)
-    return np.where(window, amplitude, 0.0)
+    amplitude[~window] = 0.0
+    return amplitude
 
 
 def reference_at(profile: ReferenceProfile, theta: float, k: int) -> float:

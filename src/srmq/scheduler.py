@@ -18,7 +18,7 @@ import numpy as np
 
 from . import qlearn
 from .plant import (InductanceSurface, MotorParams, _axis_locate, _corners,
-                    _is_bool, _locate, _require_ascending, _require_bound,
+                    _is_bool, _require_ascending, _require_bound,
                     _require_count, _require_natural, _weights, frozen_grid)
 from .qlearn import NUM_PARAMS, QKernel, QTrainConfig
 
@@ -179,8 +179,9 @@ class QCoreTable:
 
 def locate(table: QCoreTable, theta: float, i: float) -> CellLocation:
     """Find the enclosing cell; theta wraps periodically, current clamps."""
-    return CellLocation(*_locate(table._theta_list, table._current_list,
-                                 theta, i))
+    row, l1 = _axis_locate(table._theta_list, theta, wrap=True)
+    col, l2 = _axis_locate(table._current_list, i, wrap=False)
+    return CellLocation(row, col, l1, l2)
 
 
 def _corner(table: QCoreTable, row: int, col: int, l1: float, l2: float):
@@ -205,12 +206,12 @@ def scheduled_q(table: QCoreTable, theta: float, i: float) -> QKernel:
     entry stays inside the range of the corner entries.  Degenerate
     single-row or single-column tables reduce to linear interpolation.
     """
-    row, col, l1, l2 = _locate(table._theta_list, table._current_list,
-                               theta, i)
-    w00, w10, w01, w11 = _weights(l1, l2)
+    loc = locate(table, theta, i)
+    w00, w10, w01, w11 = _weights(loc.l1, loc.l2)
     return QKernel.from_vec([
         w00 * g00 + w10 * g10 + w01 * g01 + w11 * g11
-        for g00, g10, g01, g11 in zip(*_corners(table.kernels, row, col))])
+        for g00, g10, g01, g11 in zip(*_corners(table.kernels, loc.row,
+                                                 loc.col))])
 
 
 def _schedule_located(table: QCoreTable, row: int, l1: float, i: float):
@@ -349,7 +350,8 @@ def update_core_online(table: QCoreTable, cell, M_k, M_k1, cost) -> bool:
     The refreshed gain is rate-limited: an update that would move the
     core's gain by more than the configured clamp (or make its input
     block non-positive) is rejected outright, leaving the table as it was.
-    Returns True if the update was applied.
+    Returns True if the update was applied.  An update whose kernel or
+    covariance is not finite raises ValueError and writes nothing.
 
     The row and the gain checks run on Python floats; the RLS products stay
     numpy (BLAS) calls, as Python-float versions of them differ in the last
@@ -368,8 +370,11 @@ def update_core_online(table: QCoreTable, cell, M_k, M_k1, cost) -> bool:
     if (math.sqrt(step.dot(step))
             > table.cfg.gain_clamp * (1 + math.sqrt(k_old.dot(k_old)))):
         return False
-    if not all(map(math.isfinite, g)):
-        raise ValueError("kernel entries must be finite")
+    if not (all(map(math.isfinite, g)) and np.isfinite(eta).all()):
+        raise ValueError(
+            f"online update of core ({a},{b}) overflowed: its kernel or RLS "
+            f"covariance is not finite (the table's online_tau is "
+            f"{table.cfg.online_tau!r})")
     table.kernels[a][b] = g
     table.covariance[a, b] = eta
     return True

@@ -18,7 +18,7 @@ from srmq.cli import (EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_OK, EXIT_SAFETY,
                       REFERENCE_GAIN, SCHEMA, default_config, load_config,
                       main)
 from srmq.plant import (InductanceSurface, MotorParams, ReferenceProfile,
-                        default_surface, save_surface_csv)
+                        default_surface, frozen_grid, save_surface_csv)
 from srmq.qlearn import QKernel, QTrainConfig
 from srmq.scheduler import (QCoreTable, TableTrainConfig, load_table,
                             params_hash, save_table)
@@ -271,20 +271,23 @@ class TestConfig:
         header, *rows = (tmp_path / "good.csv").read_text().splitlines()
         theta, first, rest = rows[3].split(",", 2)
         last, *top = rows[-1].split(",")
-        cases = {   # (row 3 or the whole body, what the message says)
+        cases = {   # (row 3 or the whole file, what the message says)
             "no number": (f"{theta},abc,{rest}", "'abc'"),
             "ragged row": (f"{theta},{rest}", "columns"),
-            "empty body": ([], "needs a header and >= 2 rows"),
-            "aperiodic": (rows[:-1] + [",".join(
+            "empty body": ([header], "needs a header and >= 2 rows"),
+            "aperiodic": ([header] + rows[:-1] + [",".join(
                 [last] + [repr(float(v) / 2) for v in top])], "periodic"),
             "nan angle": (f"nan,{first},{rest}", "theta_grid must be finite"),
             "inf angle": (f"inf,{first},{rest}", "theta_grid must be finite"),
+            "one current": ([",".join(line.split(",")[:2])
+                             for line in [header] + rows],
+                            "current_grid needs at least 2 nodes"),
         }
-        for case, (body, says) in cases.items():
-            if isinstance(body, str):
-                body = rows[:3] + [body] + rows[4:]
+        for case, (lines, says) in cases.items():
+            if isinstance(lines, str):
+                lines = [header] + rows[:3] + [lines] + rows[4:]
             code, err = self.oracle_on_surface_file(
-                tmp_path, capsys, "\n".join([header] + body) + "\n")
+                tmp_path, capsys, "\n".join(lines) + "\n")
             assert code == EXIT_CONFIG, case
             assert err.splitlines() == [err.strip()], case
             assert err.startswith(f"error: {tmp_path / 'surface.csv'}: "), case
@@ -451,6 +454,10 @@ PROBES = [
           ("k0_x, k0_r = [1e+308, -1e+308] overflow the training action",)),
     # a [motor] key whose field has another name (V_dc)
     Probe("[motor]\nv_dc = -1\n", "oracle", EXIT_CONFIG, ("v_dc must be",)),
+    Probe("[surface]\nkind = file\npath = nope.csv\n", "oracle", EXIT_CONFIG,
+          ("error: surface file 'nope.csv' does not exist\n",)),
+    Probe("[scenario]\ntheta_off = 50\n", "run", EXIT_CONFIG,
+          ("error: invalid scenario: theta_off exceeds the rotor pitch\n",)),
     # a dithered online-learning run with a resistance mismatch and two
     # amplitude steps
     Probe("[scenario]\nonline_learning = true\ndither_v = 20\nr_scale = 1.1"
@@ -459,6 +466,18 @@ PROBES = [
     # trace holds the header and 284 rows
     Probe("[scenario]\ni_ref = 20\n", "run", EXIT_SAFETY,
           ("safety abort: current", "at step 283\n"), aborted_lines=285),
+    # a learning run on a table whose tracking weight overflows the stage
+    # cost at the first learning sample
+    Probe("[scenario]\nonline_learning = true\n", "run", EXIT_CONFIG,
+          ("error: online learning stage cost overflowed at step 278: the "
+           "tracking weights are too large\n",), edit=("cfg", "q_weight", 1e308)),
+    # the file `train` writes with online_tau = 1e200 (the start of the RLS
+    # covariance, which no hash covers): the first accepted update's
+    # covariance overflows, and nothing of it is written
+    Probe("[scenario]\nonline_learning = true\ndither_v = 20\n", "run",
+          EXIT_CONFIG, ("error: online update of core (3,2) overflowed: ",
+                        "(the table's online_tau is 1e+200)\n"),
+          edit=("cfg", "online_tau", 1e200)),
     # a table with a single theta node
     Probe("[grid]\nn_theta = 1\nn_current = 3\n", "train,run", EXIT_OK),
     # table files that do not hold what the table needs
@@ -500,6 +519,36 @@ class TestOracle:
         assert abs(K[1] - REFERENCE_GAIN[1]) / abs(REFERENCE_GAIN[1]) < 0.15
         assert report["nodes"]
         assert all(n["pi_gap"] < 1e-6 for n in report["nodes"])
+
+    def test_json_nodes_hold_the_solvers_numbers(self, small_cfg, capsys):
+        # every node of the SMALL grid, row-major: its grid position, its
+        # frozen model, the closed-form P and K and the policy iteration
+        assert main(["--config", small_cfg, "--json", "oracle"]) == EXIT_OK
+        nodes = last_json(capsys)["nodes"]
+        params = MotorParams()
+        theta = np.linspace(0.0, params.rotor_pitch, 4)
+        current = np.linspace(0.0, 1.5 * params.i_nominal, 3)
+        L, A, B = frozen_grid(params, default_surface(params, n_theta=5),
+                              theta, current)
+        model = lqt.build_augmented(A, B)
+        P = lqt.are_closed_form(model)
+        K = lqt.optimal_gain(P, model)
+        pi = lqt.policy_iteration_model_based(model, (100.0, -100.0))
+        assert len(nodes) == 12
+        for k, node in enumerate(nodes):
+            a, b = divmod(k, 3)
+            assert list(node) == ["row", "col", "theta_deg", "i_A", "L_H",
+                                  "A", "B", "P", "K", "pi_iterations",
+                                  "pi_gap"]
+            assert [type(node[key]) for key in ("row", "col", "theta_deg",
+                                                "i_A", "pi_iterations")] \
+                == [int, int, float, float, int]
+            assert (node["row"], node["col"]) == (a, b)
+            assert (node["theta_deg"], node["i_A"]) == (theta[a], current[b])
+            assert (node["L_H"], node["A"], node["B"]) == (L[k], A[k], B[k])
+            assert node["P"] == P[k].tolist() and node["K"] == K[k].tolist()
+            assert node["pi_iterations"] == pi.iterations[k]
+            assert node["pi_gap"] == np.linalg.norm(pi.K[k] - K[k])
 
     def test_zero_state_weight_gives_zero_gains(self, tmp_path, capsys):
         path = tmp_path / "zq.ini"

@@ -209,6 +209,12 @@ class TestInductanceSurface:
             InductanceSurface(theta, current, np.array([[1, 1], [2, 2], [3, 3.0]]) * 1e-2)
         with pytest.raises(ValueError):  # increasing in current
             InductanceSurface(theta, current, np.array([[1, 2], [1, 2], [1, 2.0]]) * 1e-2)
+        with pytest.raises(ValueError, match="theta_grid needs at least 2"):
+            InductanceSurface(theta[:1], current, good[:1])
+        with pytest.raises(ValueError, match="current_grid needs at least 2"):
+            InductanceSurface(theta, current[:1], good[:, :1])
+        with pytest.raises(ValueError, match=r"values shape must be"):
+            InductanceSurface(theta, current, good.T)
 
     @pytest.mark.parametrize("tiny", [5e-324, 1e-320, 2e-308])
     def test_subnormal_values_rejected(self, tiny):

@@ -2,6 +2,7 @@ import copy
 import io
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -718,6 +719,27 @@ class TestOnlineUpdate:
         applied = update_core_online(t, (2, 3), (0.1, 0.1, 0.1),
                                      (0.0, 0.1, 0.0), 1e7)
         assert not applied
+        assert table_state(t) == before
+
+    def test_non_finite_covariance_raises_and_writes_nothing(
+            self, params, surface, fresh_table):
+        # a covariance started at online_tau = 1e200 overflows in the first
+        # update's outer product; a tuple of the core's own model passes
+        # the gain clamp, so the update reaches the finiteness check
+        t = QCoreTable(fresh_table.theta_nodes, fresh_table.current_nodes,
+                       fresh_table.kernels,
+                       replace(fresh_table.cfg, online_tau=1e200),
+                       fresh_table.params_hash)
+        A, B = self._node_model(params, surface, t, 2, 3)
+        K = t.gains[2, 3]
+        x, r = 3.0, 4.0
+        tup = self._make_tuple(t, A, B, x, r, -(K[0] * x + K[1] * r) + 10.0)
+        before = table_state(t)
+        # the closed loop calls the update under its overflow rule
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                ValueError, match=r"core \(2,3\) overflowed: .* online_tau "
+                                  r"is 1e\+200"):
+            update_core_online(t, (2, 3), *tup)
         assert table_state(t) == before
 
 
