@@ -27,8 +27,7 @@ from . import lqt, scheduler, sim
 from .plant import (MAX_AXIS_NODES, MotorParams, ReferenceProfile,
                     _require_bound, _require_count, default_surface,
                     frozen_grid, load_surface_csv)
-from .scheduler import (SafetyAbortError, TableMismatchError, TableTrainError,
-                        TableTrainConfig)
+from .scheduler import SafetyAbortError, TableTrainConfig, TableTrainError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -80,10 +79,6 @@ SCHEMA = {
 }
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def default_config() -> configparser.ConfigParser:
     cp = configparser.ConfigParser()
     cp.read_dict({section: {key: spec[0] for key, spec in keys.items()}
@@ -97,15 +92,15 @@ def load_config(path=None) -> configparser.ConfigParser:
         try:
             read = cp.read(path)
         except configparser.Error as exc:
-            raise ConfigError(f"config file {path}: {exc}") from exc
+            raise ValueError(f"config file {path}: {exc}") from exc
         if not read:
-            raise ConfigError(f"config file {path} not found")
+            raise ValueError(f"config file {path} not found")
         for section in cp.sections():
             if section not in SCHEMA:
-                raise ConfigError(f"unknown config section [{section}]")
+                raise ValueError(f"unknown config section [{section}]")
             for key in cp[section]:
                 if key not in SCHEMA[section]:
-                    raise ConfigError(f"unknown config key {section}.{key}")
+                    raise ValueError(f"unknown config key {section}.{key}")
     return cp
 
 
@@ -135,7 +130,7 @@ def _build(cp, section, what, build):
         return build(**kwargs)
     except ValueError as exc:
         name, sep, rest = str(exc).partition(" ")
-        raise ConfigError(
+        raise ValueError(
             f"invalid {what}: {ini_key.get(name, name)}{sep}{rest}") from exc
 
 
@@ -149,7 +144,7 @@ def _require_pitch_span(path, what, name, nodes, params: MotorParams):
     lo, hi = nodes[[0, -1]].tolist()
     if nodes.size > 1 and not math.isclose(hi - lo, params.rotor_pitch,
                                            rel_tol=1e-9):
-        raise ConfigError(
+        raise ValueError(
             f"{path}: {name} spans {hi - lo!r} deg ({lo!r} to {hi!r}), but "
             f"[motor] rotor_pitch is {params.rotor_pitch!r}; a {what} file "
             "must span one rotor pitch")
@@ -160,13 +155,13 @@ def _surface(cp, params: MotorParams):
     if s["kind"] == "file":
         path = s["path"]
         if not path or not Path(path).exists():
-            raise ConfigError(f"surface file {path!r} does not exist")
+            raise ValueError(f"surface file {path!r} does not exist")
         surface = load_surface_csv(path)
         _require_pitch_span(path, "surface", "theta_grid", surface.theta_grid,
                             params)
         return surface
     if s["kind"] != "analytic":
-        raise ConfigError(f"surface.kind must be analytic or file, got {s['kind']!r}")
+        raise ValueError(f"surface.kind must be analytic or file, got {s['kind']!r}")
     return _build(cp, "surface", "surface", partial(default_surface, params))
 
 
@@ -194,7 +189,7 @@ def _parse_events(text: str):
             k, amp = part.split(":")
             events.append((int(k), float(amp)))
         except ValueError as exc:
-            raise ConfigError(f"bad event {part!r}, expected step:amplitude") from exc
+            raise ValueError(f"bad event {part!r}, expected step:amplitude") from exc
     return tuple(events)
 
 
@@ -232,7 +227,7 @@ def _oracle_nodes(cp, params, surface):
         pi = lqt.policy_iteration_model_based(model, cfg.K0)
     except lqt.NotStabilizingError as exc:
         row, col = divmod(exc.indices[0], current_nodes.size)
-        raise ConfigError(
+        raise ValueError(
             f"invalid training parameters: k0_x, k0_r = {list(cfg.K0)} is "
             f"not stabilizing at {len(exc.indices)} of {L.size} nodes, "
             f"first node ({row},{col})") from exc
@@ -316,8 +311,6 @@ def _strict_json(report) -> str:
             return v if math.isfinite(v) else None
         if isinstance(v, dict):
             return {k: clean(x) for k, x in v.items()}
-        if isinstance(v, list):
-            return [clean(x) for x in v]
         return v
     return json.dumps(clean(report), allow_nan=False)
 
@@ -430,7 +423,7 @@ def main(argv=None) -> int:
             return cmd_train(cp, args.out, args.json)
         command = cmd_run if args.command == "run" else cmd_compare
         return command(cp, args.table, args.out, args.format, args.json)
-    except (ConfigError, TableMismatchError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except configparser.InterpolationError as exc:

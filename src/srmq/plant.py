@@ -90,6 +90,14 @@ class MotorParams:
         if not (0 < self.L_unaligned < self.L_aligned):
             raise ValueError("L_unaligned must be positive and below L_aligned"
                              f" = {self.L_aligned!r}, got {self.L_unaligned!r}")
+        # a step that underflows to 0 deg, or one so small that a rotor
+        # pitch is an infinite number of them, leaves no steps_per_cycle
+        deg = self.deg_per_step
+        if not (deg > 0 and math.isfinite(self.rotor_pitch / deg)):
+            raise ValueError(
+                f"speed x t_sample = {self.speed!r} RPM x {self.T!r} s turns "
+                f"the rotor {deg!r} deg per sample, so one rotor pitch is no "
+                "finite number of samples")
 
     @property
     def deg_per_step(self) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, replace
+from decimal import Decimal
 
 import numpy as np
 
@@ -41,6 +42,13 @@ MAX_STEPS = 10**6
 SETTLE_FRACTION = 0.05   # |x - r| below this fraction of the amplitude counts as settled
 
 
+def _count(n: int) -> str:
+    """A count in full while it is short, else in #.4g exponent form: the
+    steps of a near-zero speed run to hundreds of digits, past any float."""
+    text = str(n)
+    return text if len(text) <= 12 else f"{Decimal(n):.4g}"
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One reproducible closed-loop run."""
@@ -63,10 +71,15 @@ class Scenario:
         _require_natural("duration", self.duration)
         if not 0 < self.steps <= MAX_STEPS:
             raise ValueError(f"duration must be 1 to MAX_STEPS = {MAX_STEPS} "
-                             f"steps, got {self.steps} (duration_cycles x the "
-                             "steps per cycle from speed_rpm and t_sample)")
+                             f"steps, got {_count(self.steps)} (duration_cycles "
+                             "x the steps per cycle from speed_rpm and t_sample)")
         _require_bound("dither", self.dither)
         _require_bound("r_scale", self.r_scale, positive=True)
+        R_phase = self.motor.R_phase * self.r_scale
+        if not 0 < R_phase < math.inf:
+            raise ValueError(f"r_scale = {self.r_scale!r} scales R_phase = "
+                             f"{self.motor.R_phase!r} ohm to {R_phase!r} ohm; "
+                             "it must stay positive and finite")
         _require_bound("delta_band", self.delta_band)
         _require_natural("seed", self.seed)
 

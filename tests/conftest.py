@@ -41,8 +41,8 @@ def step_phase(x: float, theta: float, u: float, params: MotorParams,
                surface: InductanceSurface):
     """(x', theta'): the phase current and rotor angle one sample on under
     applied voltage u, locating the angle itself: the one-step reference
-    for _step_located and _rotor_angles, which the simulator calls on a
-    block's cells."""
+    for _step_located and _rotor_angles; the simulator takes every step's
+    cell from one _wrapped_cells pass over the run's angles."""
     row, l1 = _axis_locate(surface._theta_list, theta, wrap=True)
     return (_step_located(x, u, params, surface, row, l1),
             _rotor_angles(params, theta, 1)[1])

@@ -100,6 +100,8 @@ class TestMotorParams:
     @pytest.mark.parametrize("kwargs", [
         {"R_phase": 0.0}, {"T": -1e-4}, {"L_unaligned": 0.02},
         {"rotor_pitch": 0.0}, {"V_dc": -1.0},
+        # a rotor step of 0 deg, or one a pitch holds infinitely often
+        {"speed": 5e-324}, {"speed": 1e-320}, {"T": 5e-324},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -182,6 +182,9 @@ class TestScenario:
             make_scenario(params, surface, dither=-1.0)
         with pytest.raises(ValueError):
             make_scenario(params, surface, r_scale=0.0)
+        with pytest.raises(ValueError, match=r"^r_scale = 1e\+308 scales "
+                           "R_phase = 2.0 ohm to inf ohm"):
+            make_scenario(params, surface, r_scale=1e308)
         for field in ("dither", "r_scale", "delta_band"):
             with pytest.raises(ValueError, match=field):
                 make_scenario(params, surface, **{field: float("nan")})
