@@ -84,6 +84,449 @@ def runaway_table(tmp_path):
     return str(path)
 
 
+DROP, NEST = "<dropped>", "<nested>"
+
+
+@dataclass(frozen=True)
+class Probe:
+    """An edge-case config and how each of its commands must end.
+
+    `ini` is the config file's text, or None for a config path that does
+    not exist.  `commands` runs in order, separated by commas: "oracle",
+    "train" (into the row's table file) or "run" or "compare" with any
+    flags (on that file).  The table file is the default 16x8 table unless
+    the row trained one, or `table` gives its raw text; `edits` then changes
+    it, each edit (key, ..., key, value), with DROP deleting the last key
+    and NEST nesting its value one list deeper.  `code` is the exit code of
+    every command, or a tuple of one per command.  `says` are texts of the
+    stderr line of a non-zero exit, where {table} and {config} are the
+    table and config paths.
+    """
+
+    ini: str | None
+    commands: str
+    code: int | tuple
+    says: tuple = ()
+    edits: tuple = ()
+    table: str = None
+    aborted_lines: int = None   # of out/trace_aborted.csv, header included
+
+    def id(self):
+        # an oracle row is named by its INI text and exit code alone
+        what = "<no config file>" if self.ini is None else self.ini
+        if self.table is not None:
+            what = f"table = {self.table}"
+        if self.edits:
+            what = ", ".join(".".join(map(str, keys)) + " = " + _shown(value)
+                             for *keys, value in self.edits)
+        prefix = "" if self.commands == "oracle" else f"{self.commands}: "
+        code = (",".join(map(str, self.code)) if isinstance(self.code, tuple)
+                else self.code)
+        return f"{prefix}{what}-{code}"
+
+
+def _shown(value):
+    """An edit's value as a row id shows it, cut short if it is long."""
+    text = value if value in (DROP, NEST) else json.dumps(value)
+    return text if len(text) <= 32 else text[:29] + "..."
+
+
+def by_id(*probes):
+    """The rows, each keyed by its own id."""
+    return {probe.id(): probe for probe in probes}
+
+
+# a stderr line, less the row's directory in the paths it names, is
+# shorter than this
+MAX_LINE = 200
+
+NOT_FINITE_MODEL = ("error: the local model A = 1 - T R / L, B = T / L is "
+                    "not finite at ")
+NOT_FINITE_P = "not finite at 128 of 128 nodes, first [0, 1, 2, 3, 4]"
+NOT_NUMBERS = "error: {table}: %s must hold numbers, not JSON booleans"
+TABLE_MISMATCH = ("error: table was trained for motor/surface hash ",
+                  "; retrain or fix the config\n")
+SUMMARY_NODES = "; nodes (0,0), (0,1), (0,2), ...\n"
+# the default table's theta nodes, as its file holds them
+THETA_NODES = np.linspace(0.0, MotorParams().rotor_pitch, 16).tolist()
+
+# a value out of its key's range: train (or run, for a [scenario] key)
+# exits 2 with a line naming the INI key, also where the dataclass field
+# behind it has another name (dither_v is the field dither)
+OUT_OF_RANGE = [
+    ("training", "q_weight", "-1", "q_weight"),
+    ("training", "r_weight", "0", "r_weight"),
+    ("training", "online_tau", "-5", "online_tau"),
+    ("training", "gain_clamp", "-1", "gain_clamp"),
+    ("training", "dither_v", "nan", "dither_v"),
+    ("training", "tol", "nan", "tol"),
+    ("training", "tol", "0", "tol"),
+    ("training", "max_iters", "0", "max_iters"),
+    ("training", "gamma", "0", "gamma"),
+    ("training", "gamma", "-0.5", "gamma"),
+    ("training", "seed", "-1", "seed"),
+    ("scenario", "seed", "-1", "seed"),
+    ("scenario", "dither_v", "nan", "dither_v"),
+    ("scenario", "delta_band", "-1", "delta_band"),
+    ("scenario", "i_ref", "nan", "i_ref"),
+    ("scenario", "r_scale", "nan", "r_scale"),
+    ("scenario", "events", "100:nan", "event amplitude"),
+    ("grid", "n_theta", "0", "n_theta"),
+    ("grid", "n_current", "-1", "n_current"),
+    ("grid", "i_max", "nan", "i_max"),
+    ("grid", "n_theta", "257", "n_theta"),
+    ("grid", "n_theta", "abc", "n_theta"),
+    ("grid", "i_max", "abc", "i_max"),
+    ("training", "q_weight", "abc", "q_weight"),
+    ("scenario", "duration_cycles", "two", "duration_cycles"),
+    ("scenario", "online_learning", "maybe",
+     "online_learning must be a boolean, got 'maybe'"),
+    ("motor", "v_dc", "abc", "v_dc"),
+    ("motor", "speed_rpm", "0", "speed_rpm"),
+    ("motor", "t_sample", "-1e-4", "t_sample"),
+    ("motor", "r_phase", "nan", "r_phase"),
+    ("motor", "v_dc", "-1", "v_dc must be positive"),
+    ("motor", "v_dc", "0", "v_dc must be positive"),
+    ("motor", "l_unaligned", "0.02",
+     "l_unaligned must be positive and below L_aligned = 0.016"),
+    ("scenario", "controller", "pid", "controller must be one of"),
+]
+
+# rejected when the config is read, by oracle and train alike, with one line
+# naming the key: no numpy warning, and no message from inside the solvers
+NAMED_WHEN_READ = [
+    ("surface", "kappa", "nan"), ("surface", "kappa", "-1"),
+    ("surface", "i_max", "nan"), ("surface", "i_sat", "0"),
+    ("training", "k0_x", "nan"), ("training", "k0_r", "inf"),
+    ("training", "tuples_per_iter", "0"),
+    ("surface", "n_theta", "1"), ("surface", "n_current", "-3"),
+    ("surface", "n_theta", "257"), ("surface", "n_current", "abc"),
+    ("training", "tuples_per_iter", "100001"),
+    ("training", "max_iters", "1001"), ("training", "gamma", "1"),
+    ("training", "q_weight", "abc"),
+]
+
+# the CLI's exit contract on the default 16x8 grid, one row per edge case.
+# Each key is the name of the test that checks its row, or its rows by case
+# id; a "Class::test" key makes the test a method of that class
+PROBES = {
+    # the config file
+    "TestConfig::test_missing_file_rejected": Probe(
+        None, "oracle", EXIT_CONFIG,
+        ("error: config file {config} not found\n",)),
+    "TestConfig::test_unknown_key_rejected": Probe(
+        "[motor]\nvoltage = 5\n", "oracle", EXIT_CONFIG,
+        ("error: unknown config key motor.voltage\n",)),
+    "TestConfig::test_unknown_section_rejected": Probe(
+        "[inverter]\nv = 5\n", "oracle", EXIT_CONFIG,
+        ("error: unknown config section [inverter]\n",)),
+    "TestConfig::test_duplicate_section_rejected": Probe(
+        "[grid]\nn_theta = 4\n[grid]\nn_current = 3\n", "oracle",
+        EXIT_CONFIG, ("section 'grid' already exists",)),
+    "TestConfig::test_bad_interpolation_names_the_key": {
+        value: Probe(f"[scenario]\nevents = {value}\n", "run", EXIT_CONFIG,
+                     ("config key scenario.events",))
+        for value in ("5%", "%(nope)s")},
+    "TestConfig::test_out_of_range_value_names_the_key": {
+        f"{section}-{key}-{value}-{named}": Probe(
+            f"[{section}]\n{key} = {value}\n",
+            "run" if section == "scenario" else "train", EXIT_CONFIG, (named,))
+        for section, key, value, named in OUT_OF_RANGE},
+    "TestConfig::test_surface_and_training_keys_are_named": {
+        f"{section}-{key}-{value}-{command}": Probe(
+            f"[{section}]\n{key} = {value}\n", command, EXIT_CONFIG,
+            ("invalid {}: {} must be".format("surface" if section == "surface"
+                                             else "training parameters", key),))
+        for command in ("oracle", "train")
+        for section, key, value in NAMED_WHEN_READ},
+    "TestConfig::test_non_positive_speed_rejected": {
+        speed: Probe(f"[motor]\nspeed_rpm = {speed}\n", "train,run",
+                     EXIT_CONFIG, ("speed_rpm must be positive",))
+        for speed in ("0", "-60")},
+    "test_exit_contract": by_id(
+        # a rotor step that underflows to 0 deg, or that a rotor pitch holds
+        # an infinite number of
+        Probe("[motor]\nspeed_rpm = 5e-324\n", "oracle,train,run", EXIT_CONFIG,
+              ("error: invalid motor parameters: speed_rpm x t_sample = "
+               "5e-324 RPM x 0.0001 s turns the rotor 0.0 deg per sample",)),
+        Probe("[motor]\nspeed_rpm = 1e-320\n", "oracle,train,run", EXIT_CONFIG,
+              ("error: invalid motor parameters: speed_rpm x t_sample = "
+               "1e-320 RPM x 0.0001 s turns the rotor 5e-324 deg per sample",)),
+        Probe("[motor]\nt_sample = 5e-324\n", "oracle,train,run", EXIT_CONFIG,
+              ("error: invalid motor parameters: speed_rpm x t_sample = 60.0 "
+               "RPM x 5e-324 s turns the rotor 1.78e-321 deg per sample",)),
+        # 3.75e305 steps, too many to run and too many digits to print in full
+        Probe("[motor]\nspeed_rpm = 1e-300\n", "train,run",
+              (EXIT_OK, EXIT_CONFIG),
+              (f"MAX_STEPS = {sim.MAX_STEPS} steps, got 3.750e+305 ",)),
+        # a plant resistance that overflows is refused with the scenario
+        Probe("[scenario]\nr_scale = 1e308\n", "run", EXIT_CONFIG,
+              ("error: invalid scenario: r_scale = 1e+308 scales R_phase = "
+               "2.0 ohm to inf ohm",))),
+    "TestConfig::test_bad_event_syntax_rejected": Probe(
+        "[scenario]\nevents = oops\n", "run", EXIT_CONFIG,
+        ("error: invalid scenario: bad event 'oops', expected "
+         "step:amplitude\n",)),
+    "TestConfig::test_out_of_order_events_rejected": Probe(
+        "[scenario]\nevents = 100:5.0, 50:3.0\n", "run", EXIT_CONFIG,
+        ("invalid scenario: step events must be in step order",)),
+    "TestConfig::test_zero_duration_rejected": Probe(
+        "[scenario]\nduration_cycles = 0\n", "run", EXIT_CONFIG,
+        ("error: invalid scenario: duration_cycles must be at least 2 (the "
+         "metrics skip the first cycle), got 0\n",)),
+    "TestOracle::test_overflowing_config_exits_cleanly": by_id(
+        # a Riccati solve that overflows at every node
+        Probe("[training]\nq_weight = 1e160\n", "oracle", EXIT_CONVERGENCE,
+              (NOT_FINITE_P,)),
+        # a resistance so large that A = 1 - T R / L overflows the Riccati
+        # solve
+        Probe("[motor]\nr_phase = 1e300\n", "oracle", EXIT_CONVERGENCE,
+              (NOT_FINITE_P,)),
+        Probe("[surface]\ni_sat = 1e-300\n", "oracle", EXIT_OK),
+        # kappa = 0 never saturates, so an overflowing i / i_sat leaves the
+        # surface finite
+        Probe("[surface]\nkappa = 0\ni_sat = 1e-300\n", "oracle", EXIT_OK),
+        # A = -inf, or B = inf: both commands refuse the model before solving
+        Probe("[motor]\nr_phase = 1e300\nt_sample = 1e10\n", "oracle,train",
+              EXIT_CONFIG, (NOT_FINITE_MODEL + "128 of 128 grid nodes, first "
+                            "node (0,0): theta 0.0 deg, i 0.0 A, L = 0.016 "
+                            "H\n",)),
+        Probe("[motor]\nt_sample = 1e10\nl_unaligned = 1e-300\n"
+              "l_aligned = 2e-300\n", "oracle,train", EXIT_CONFIG,
+              (NOT_FINITE_MODEL + "128 of 128 grid nodes, first node (0,0): "
+               "theta 0.0 deg, i 0.0 A, L = 2e-300 H\n",)),
+        # without dither every node is rank deficient; the line counts the
+        # failures instead of listing all 128
+        Probe("[training]\ndither_v = 0\n", "train", EXIT_CONVERGENCE,
+              ("training failed: 128 of 128 nodes failed: 128 x "
+               "RankDeficientError", SUMMARY_NODES)),
+        # node (11,2) alone is rank deficient while the other 127 train
+        Probe("[training]\ndither_v = 0.5\n", "train", EXIT_CONVERGENCE,
+              ("1 of 128 nodes failed: 1 x RankDeficientError (first: design "
+               "matrix rank 5 < 6;", "nodes (11,2)\n")),
+        # an initial gain whose training action overflows
+        Probe("[training]\nk0_x = 1e308\nk0_r = -1e308\n", "train",
+              EXIT_CONFIG, ("k0_x, k0_r = [1e+308, -1e+308] overflow the "
+                            "training action",)),
+        # a [motor] key whose field has another name (V_dc)
+        Probe("[motor]\nv_dc = -1\n", "oracle", EXIT_CONFIG, ("v_dc must be",)),
+        Probe("[surface]\nkind = file\npath = nope.csv\n", "oracle",
+              EXIT_CONFIG, ("error: surface file 'nope.csv' does not "
+                            "exist\n",)),
+        Probe("[scenario]\ntheta_off = 50\n", "run", EXIT_CONFIG,
+              ("error: invalid scenario: theta_off exceeds the rotor "
+               "pitch\n",)),
+        # a dithered online-learning run with a resistance mismatch and two
+        # amplitude steps
+        Probe("[scenario]\nonline_learning = true\ndither_v = 20\nr_scale = "
+              "1.1\nevents = 1250:5.5, 2500:3.0\n", "run --format jsonl",
+              EXIT_OK),
+        # a 20 A pulse trips the 15 A safety bound at step 283: the partial
+        # trace holds the header and 284 rows
+        Probe("[scenario]\ni_ref = 20\n", "run", EXIT_SAFETY,
+              ("safety abort: current", "at step 283\n"), aborted_lines=285),
+        # a learning run on a table whose tracking weight overflows the stage
+        # cost at the first learning sample
+        Probe("[scenario]\nonline_learning = true\n", "run", EXIT_CONFIG,
+              ("error: online learning stage cost overflowed at step 278: the "
+               "tracking weights are too large\n",),
+              edits=(("cfg", "q_weight", 1e308),)),
+        # the file `train` writes with online_tau = 1e200 (the start of the
+        # RLS covariance, which no hash covers): the first accepted update's
+        # covariance overflows, and nothing of it is written
+        Probe("[scenario]\nonline_learning = true\ndither_v = 20\n", "run",
+              EXIT_CONFIG, ("error: online update of core (3,2) overflowed: ",
+                            "(the table's online_tau is 1e+200)\n"),
+              edits=(("cfg", "online_tau", 1e200),)),
+        # a table with a single theta node
+        Probe("[grid]\nn_theta = 1\nn_current = 3\n", "train,run", EXIT_OK),
+        Probe("", "run", EXIT_CONFIG, ("error: {table}: theta nodes must be "
+                                       "1-D",), edits=(("theta_nodes", NEST),)),
+        # a dropped cfg key must not fall back to the dataclass default
+        Probe("", "run", EXIT_CONFIG, ("error: {table}: cfg.gain_clamp is "
+                                       "missing",),
+              edits=(("cfg", "gain_clamp", DROP),)),
+        # JSON true is no number, though Python's bool subclasses int: a clamp
+        # of true would act as 1.0
+        *(Probe("", "run", EXIT_CONFIG, (NOT_NUMBERS % keys[0],),
+                edits=(keys + (True,),))
+          for keys in (("theta_nodes", 1), ("cores", 0, 0, 0),
+                       ("iterations", 0, 0)))),
+    # with T = 1e306 s, T R / L overflows where L is below 11.1 mH
+    "TestOracle::test_non_finite_local_model_names_the_first_node": Probe(
+        "[motor]\nt_sample = 1e306\n", "oracle", EXIT_CONFIG,
+        (NOT_FINITE_MODEL + "80 of 128 grid nodes, first node (0,7): "
+         "theta 0.0 deg, i 7.5 A, L = 0.010705882352941176 H\n",)),
+    "TestTrain::test_nonconvergence_exits_3": Probe(
+        "[training]\nmax_iters = 1\ntol = 1e-16\n", "train", EXIT_CONVERGENCE,
+        ("training failed: 128 of 128 nodes failed: 128 x QTrainError "
+         "(first: gain did not settle within 1 iterations", SUMMARY_NODES)),
+    # a training current near 1e300 A is printed in exponent form
+    "TestTrain::test_safety_abort_message_stays_short": {
+        ini: Probe(ini, "train", EXIT_CONVERGENCE,
+                   ("128 x SafetyAbortError", "e+29",
+                    "exceeded the 15.00 A safety bound"))
+        for ini in ("[motor]\nr_phase = 1e300\n", "[grid]\ni_max = 1e300\n")},
+    "TestTrain::test_undiscounted_training_rejected": Probe(
+        "[training]\ngamma = 1.0\n", "train", EXIT_CONFIG,
+        ("gamma < 1", "Bellman column vanishes")),
+    # the reference is far beyond the safety bound, the current is not:
+    # the first learning sample's stage cost overflows
+    "TestRun::test_online_cost_overflow_names_the_step": Probe(
+        "[scenario]\ni_ref = 1e200\nonline_learning = true\n", "run",
+        EXIT_CONFIG, ("error: online learning stage cost overflowed at step "
+                      "278: the reference 1e+200 A is beyond the 15.00 A "
+                      "safety bound\n",)),
+    # a table trained for another motor or another surface
+    "TestRun::test_motor_mismatch_exits_2": Probe(
+        "[motor]\nr_phase = 2.5\n", "run", EXIT_CONFIG, TABLE_MISMATCH),
+    "TestRun::test_surface_mismatch_exits_2": {
+        command: Probe("[surface]\nkappa = 0.95\n", command, EXIT_CONFIG,
+                       TABLE_MISMATCH) for command in ("run", "compare")},
+    # table files that do not hold what the table needs
+    "TestRun::test_corrupted_table_exits_2": Probe(
+        "", "run", EXIT_CONFIG, (
+            "error: {table}: malformed table file (Expecting property name "
+            "enclosed in double quotes: line 1 column 2 (char 1))\n",),
+        table="{broken"),
+    "TestRun::test_version_1_table_exits_2_with_retrain": Probe(
+        "", "run", EXIT_CONFIG, ("error: {table}: table format version 1 is "
+                                 "not 2; retrain the table\n",),
+        edits=(("version", 1), ("cfg", "tau", 1e6))),
+    "TestRun::test_non_positive_G_uu_table_exits_2": Probe(
+        "", "run", EXIT_CONFIG, ("error: {table}: a core has a non-positive "
+                                 "G_uu",), edits=(("cores", 1, 2, 5, -1.0),)),
+    "TestRun::test_unchecked_table_field_exits_2": {
+        case: Probe("", "run", EXIT_CONFIG, ("error: {table}: " + says,),
+                    edits=(edit,))
+        for case, edit, says in (
+            ("iterations-value0-iterations must be", ("iterations", [[-5]]),
+             "iterations must be a non-negative integer per core"),
+            ("iterations-value1-iterations must be",
+             ("iterations", [[-1] * 8] * 16),
+             "iterations must be a non-negative integer per core"),
+            ("iterations-value2-iterations must be",
+             ("iterations", [[1.5] * 8] * 16),
+             "iterations must be a non-negative integer per core"),
+            ("K0-value3-K0 must be the two gains",
+             ("cfg", "K0", [100.0, -100.0, 5.0]), "K0 must be the two gains"),
+            ("theta_nodes-value4-theta nodes must be",
+             ("theta_nodes", 1, float("nan")),
+             "theta nodes must be finite and strictly ascending\n"),
+            ("current_nodes-value6-current nodes must be 1-D",
+             ("current_nodes", NEST), "current nodes must be 1-D"))},
+    # theta nodes over 0-30 deg, or 0-360 (electrical), on the 45 deg motor
+    # would schedule the cores by the wrong wrap
+    "TestRun::test_table_off_the_rotor_pitch_names_the_file": {
+        f"{scale!r}-{command}": Probe("", command, EXIT_CONFIG, (
+            f"error: {{table}}: theta_nodes spans {45 * scale!r} deg",
+            "[motor] rotor_pitch is 45.0"),
+            edits=(("theta_nodes", [v * scale for v in THETA_NODES]),))
+        for scale in (30 / 45, 8.0) for command in ("run", "compare")},
+    # gain_clamp's row is one of test_overflowing_config_exits_cleanly
+    "TestRun::test_table_without_a_cfg_key_exits_2": {
+        f.name: Probe("", "run", EXIT_CONFIG, (f"error: {{table}}: cfg.{f.name} "
+                                               "is missing",),
+                      edits=(("cfg", f.name, DROP),))
+        for f in fields(TableTrainConfig) if f.name != "gain_clamp"},
+    "TestRun::test_table_boolean_in_integer_field_exits_2": {
+        f"values{n}-{named}": Probe(
+            "", "run", EXIT_CONFIG, (f"error: {{table}}: {named} must be",),
+            edits=tuple(("cfg", key, value) for key, value in edits))
+        for n, (edits, named) in enumerate((
+            ((("seed", True),), "seed"), ((("seed", False),), "seed"),
+            ((("max_iters", True),), "max_iters"),
+            ((("seed", True), ("max_iters", True)), "seed")))},
+    "TestRun::test_table_boolean_in_number_field_exits_2": {
+        f"values{n}-{named}": Probe(
+            "", "run", EXIT_CONFIG, (f"error: {{table}}: {named} must be",),
+            edits=(("cfg", key, value),))
+        for n, (key, value, named) in enumerate((
+            ("gain_clamp", True, "gain_clamp"), ("q_weight", True, "q_weight"),
+            ("dither", False, "dither"), ("K0", [True, -100.0], "k0_x")))},
+}
+
+
+@pytest.fixture(scope="module")
+def default_table(tmp_path_factory):
+    """The default 16x8 table file, trained once for the module."""
+    path = tmp_path_factory.mktemp("default") / "qtable.json"
+    assert run_main(["train", "--out", str(path)]) == (EXIT_OK, "")
+    return path
+
+
+def check_probe(probe, tmp_path, default_table):
+    """Each command of the row, in process with warnings as errors, ends in
+    the row's exit code, and a non-zero exit prints exactly one short
+    stderr line holding the row's texts."""
+    config, table, out = (tmp_path / "probe.ini", tmp_path / "qtable.json",
+                          tmp_path / "out")
+    if probe.ini is not None:
+        config.write_text(probe.ini)
+    contents = default_table.read_text() if probe.table is None else probe.table
+    if probe.edits:
+        doc = json.loads(contents)
+        for *keys, last, value in probe.edits:
+            node = reduce(operator.getitem, keys, doc)
+            if value == DROP:
+                del node[last]
+            else:
+                node[last] = [node[last]] if value == NEST else value
+        contents = json.dumps(doc)
+    table.write_text(contents)
+    commands = [command.split() for command in probe.commands.split(",")]
+    codes = (probe.code if isinstance(probe.code, tuple)
+             else [probe.code] * len(commands))
+    for (command, *flags), want in zip(commands, codes, strict=True):
+        args = {"oracle": [], "train": ["--out", str(table)]}.get(
+            command, ["--table", str(table), "--out", str(out)])
+        code, err = run_main(["--config", str(config), command, *args,
+                              *flags])
+        assert code == want, (command, err)
+        if code == EXIT_OK:
+            assert err == ""
+            continue
+        assert err.splitlines() == [err.strip()]
+        assert len(err.replace(str(tmp_path), "")) < MAX_LINE, err
+        for text in probe.says:
+            assert text.replace("{table}", str(table)).replace(
+                "{config}", str(config)) in err
+    if probe.aborted_lines is not None:
+        assert len((out / "trace_aborted.csv").read_text().splitlines()) \
+            == probe.aborted_lines
+
+
+def probe_test(rows):
+    """A test method checking one PROBES row, or each of a dict of rows as
+    one case named by its key."""
+    if isinstance(rows, Probe):
+        def test(self, tmp_path, default_table):
+            check_probe(rows, tmp_path, default_table)
+        return test
+
+    @pytest.mark.parametrize("probe", [pytest.param(probe, id=case)
+                                       for case, probe in rows.items()])
+    def test(self, tmp_path, default_table, probe):
+        check_probe(probe, tmp_path, default_table)
+    return test
+
+
+def probe_tests(cls):
+    """`cls` with the test of each PROBES key "<cls name>::<test name>"."""
+    for name, rows in PROBES.items():
+        owner, _, test = name.partition("::")
+        if owner == cls.__name__:
+            setattr(cls, test, probe_test(rows))
+    return cls
+
+
+@pytest.mark.parametrize("probe", [pytest.param(probe, id=case) for case, probe
+                                   in PROBES["test_exit_contract"].items()])
+def test_exit_contract(tmp_path, default_table, probe):
+    check_probe(probe, tmp_path, default_table)
+
+
+@probe_tests
 class TestConfig:
     def test_defaults_reproduce_nominal_study(self):
         cp = default_config()
@@ -218,363 +661,7 @@ class TestConfig:
         assert calls == []
         assert not (tmp_path / "out").exists()
 
-
-DROP, NEST = "<dropped>", "<nested>"
-
-
-@dataclass(frozen=True)
-class Probe:
-    """An edge-case config and how each of its commands must end.
-
-    `ini` is the config file's text, or None for a config path that does
-    not exist.  `commands` runs in order, separated by commas: "oracle",
-    "train" (into the row's table file) or "run" or "compare" with any
-    flags (on that file).  The table file is the default 16x8 table unless
-    the row trained one, or `table` gives its raw text; `edits` then changes
-    it, each edit (key, ..., key, value), with DROP deleting the last key
-    and NEST nesting its value one list deeper.  `code` is the exit code of
-    every command, or a tuple of one per command.  `says` are texts of the
-    stderr line of a non-zero exit, where {table} and {config} are the
-    table and config paths.
-    """
-
-    ini: str | None
-    commands: str
-    code: int | tuple
-    says: tuple = ()
-    edits: tuple = ()
-    table: str = None
-    aborted_lines: int = None   # of out/trace_aborted.csv, header included
-
-    def id(self):
-        # an oracle row is named by its INI text and exit code alone
-        what = "<no config file>" if self.ini is None else self.ini
-        if self.table is not None:
-            what = f"table = {self.table}"
-        if self.edits:
-            what = ", ".join(".".join(map(str, keys)) + " = " + _shown(value)
-                             for *keys, value in self.edits)
-        prefix = "" if self.commands == "oracle" else f"{self.commands}: "
-        code = (",".join(map(str, self.code)) if isinstance(self.code, tuple)
-                else self.code)
-        return f"{prefix}{what}-{code}"
-
-
-def _shown(value):
-    """An edit's value as a row id shows it, cut short if it is long."""
-    text = value if value in (DROP, NEST) else json.dumps(value)
-    return text if len(text) <= 32 else text[:29] + "..."
-
-
-# a stderr line, less the row's directory in the paths it names, is
-# shorter than this
-MAX_LINE = 200
-
-NOT_FINITE_MODEL = ("error: the local model A = 1 - T R / L, B = T / L is "
-                    "not finite at ")
-NOT_FINITE_P = "not finite at 128 of 128 nodes, first [0, 1, 2, 3, 4]"
-NOT_NUMBERS = "error: {table}: %s must hold numbers, not JSON booleans"
-TABLE_MISMATCH = ("error: table was trained for motor/surface hash ",
-                  "; retrain or fix the config\n")
-SUMMARY_NODES = "; nodes (0,0), (0,1), (0,2), ...\n"
-# the default table's theta nodes, as its file holds them
-THETA_NODES = np.linspace(0.0, MotorParams().rotor_pitch, 16).tolist()
-
-# a value out of its key's range: train (or run, for a [scenario] key)
-# exits 2 with a line naming the INI key, also where the dataclass field
-# behind it has another name (dither_v is the field dither)
-OUT_OF_RANGE = [
-    ("training", "q_weight", "-1", "q_weight"),
-    ("training", "r_weight", "0", "r_weight"),
-    ("training", "online_tau", "-5", "online_tau"),
-    ("training", "gain_clamp", "-1", "gain_clamp"),
-    ("training", "dither_v", "nan", "dither_v"),
-    ("training", "tol", "nan", "tol"),
-    ("training", "tol", "0", "tol"),
-    ("training", "max_iters", "0", "max_iters"),
-    ("training", "gamma", "0", "gamma"),
-    ("training", "gamma", "-0.5", "gamma"),
-    ("training", "seed", "-1", "seed"),
-    ("scenario", "seed", "-1", "seed"),
-    ("scenario", "dither_v", "nan", "dither_v"),
-    ("scenario", "delta_band", "-1", "delta_band"),
-    ("scenario", "i_ref", "nan", "i_ref"),
-    ("scenario", "r_scale", "nan", "r_scale"),
-    ("scenario", "events", "100:nan", "event amplitude"),
-    ("grid", "n_theta", "0", "n_theta"),
-    ("grid", "n_current", "-1", "n_current"),
-    ("grid", "i_max", "nan", "i_max"),
-    ("grid", "n_theta", "257", "n_theta"),
-    ("grid", "n_theta", "abc", "n_theta"),
-    ("grid", "i_max", "abc", "i_max"),
-    ("training", "q_weight", "abc", "q_weight"),
-    ("scenario", "duration_cycles", "two", "duration_cycles"),
-    ("scenario", "online_learning", "maybe",
-     "online_learning must be a boolean, got 'maybe'"),
-    ("motor", "v_dc", "abc", "v_dc"),
-    ("motor", "speed_rpm", "0", "speed_rpm"),
-    ("motor", "t_sample", "-1e-4", "t_sample"),
-    ("motor", "r_phase", "nan", "r_phase"),
-    ("motor", "v_dc", "-1", "v_dc must be positive"),
-    ("motor", "v_dc", "0", "v_dc must be positive"),
-    ("motor", "l_unaligned", "0.02",
-     "l_unaligned must be positive and below L_aligned = 0.016"),
-    ("scenario", "controller", "pid", "controller must be one of"),
-]
-
-# rejected when the config is read, by oracle and train alike, with one line
-# naming the key: no numpy warning, and no message from inside the solvers
-NAMED_WHEN_READ = [
-    ("surface", "kappa", "nan"), ("surface", "kappa", "-1"),
-    ("surface", "i_max", "nan"), ("surface", "i_sat", "0"),
-    ("training", "k0_x", "nan"), ("training", "k0_r", "inf"),
-    ("training", "tuples_per_iter", "0"),
-    ("surface", "n_theta", "1"), ("surface", "n_current", "-3"),
-    ("surface", "n_theta", "257"), ("surface", "n_current", "abc"),
-    ("training", "tuples_per_iter", "100001"),
-    ("training", "max_iters", "1001"), ("training", "gamma", "1"),
-    ("training", "q_weight", "abc"),
-]
-
-# the CLI's exit contract on the default 16x8 grid, one row per edge case
-PROBES = [
-    # the config file
-    Probe(None, "oracle", EXIT_CONFIG,
-          ("error: config file {config} not found\n",)),
-    Probe("[motor]\nvoltage = 5\n", "oracle", EXIT_CONFIG,
-          ("error: unknown config key motor.voltage\n",)),
-    Probe("[inverter]\nv = 5\n", "oracle", EXIT_CONFIG,
-          ("error: unknown config section [inverter]\n",)),
-    Probe("[grid]\nn_theta = 4\n[grid]\nn_current = 3\n", "oracle",
-          EXIT_CONFIG, ("section 'grid' already exists",)),
-    *(Probe(f"[scenario]\nevents = {value}\n", "run", EXIT_CONFIG,
-            ("config key scenario.events",)) for value in ("5%", "%(nope)s")),
-    *(Probe(f"[{section}]\n{key} = {value}\n",
-            "run" if section == "scenario" else "train", EXIT_CONFIG, (named,))
-      for section, key, value, named in OUT_OF_RANGE),
-    *(Probe(f"[{section}]\n{key} = {value}\n", "oracle,train", EXIT_CONFIG,
-            ("invalid {}: {} must be".format("surface" if section == "surface"
-                                             else "training parameters", key),))
-      for section, key, value in NAMED_WHEN_READ),
-    *(Probe(f"[motor]\nspeed_rpm = {speed}\n", "train,run", EXIT_CONFIG,
-            ("speed_rpm must be positive",)) for speed in ("0", "-60")),
-    # a rotor step that underflows to 0 deg, or that a rotor pitch holds
-    # an infinite number of
-    Probe("[motor]\nspeed_rpm = 5e-324\n", "oracle,train,run", EXIT_CONFIG,
-          ("error: invalid motor parameters: speed_rpm x t_sample = 5e-324 "
-           "RPM x 0.0001 s turns the rotor 0.0 deg per sample",)),
-    Probe("[motor]\nspeed_rpm = 1e-320\n", "oracle,train,run", EXIT_CONFIG,
-          ("error: invalid motor parameters: speed_rpm x t_sample = 1e-320 "
-           "RPM x 0.0001 s turns the rotor 5e-324 deg per sample",)),
-    Probe("[motor]\nt_sample = 5e-324\n", "oracle,train,run", EXIT_CONFIG,
-          ("error: invalid motor parameters: speed_rpm x t_sample = 60.0 "
-           "RPM x 5e-324 s turns the rotor 1.78e-321 deg per sample",)),
-    # 3.75e305 steps, too many to run and too many digits to print in full
-    Probe("[motor]\nspeed_rpm = 1e-300\n", "train,run", (EXIT_OK, EXIT_CONFIG),
-          (f"MAX_STEPS = {sim.MAX_STEPS} steps, got 3.750e+305 ",)),
-    Probe("[scenario]\nevents = oops\n", "run", EXIT_CONFIG,
-          ("error: invalid scenario: bad event 'oops', expected "
-           "step:amplitude\n",)),
-    Probe("[scenario]\nevents = 100:5.0, 50:3.0\n", "run", EXIT_CONFIG,
-          ("invalid scenario: step events must be in step order",)),
-    Probe("[scenario]\nduration_cycles = 0\n", "run", EXIT_CONFIG,
-          ("error: invalid scenario: duration_cycles must be at least 2 (the "
-           "metrics skip the first cycle), got 0\n",)),
-    Probe("[scenario]\ntheta_off = 50\n", "run", EXIT_CONFIG,
-          ("error: invalid scenario: theta_off exceeds the rotor pitch\n",)),
-    # a plant resistance that overflows is refused with the scenario
-    Probe("[scenario]\nr_scale = 1e308\n", "run", EXIT_CONFIG,
-          ("error: invalid scenario: r_scale = 1e+308 scales R_phase = 2.0 "
-           "ohm to inf ohm",)),
-    # a Riccati solve that overflows at every node
-    Probe("[training]\nq_weight = 1e160\n", "oracle", EXIT_CONVERGENCE,
-          (NOT_FINITE_P,)),
-    # a resistance so large that A = 1 - T R / L overflows the Riccati solve
-    Probe("[motor]\nr_phase = 1e300\n", "oracle", EXIT_CONVERGENCE,
-          (NOT_FINITE_P,)),
-    Probe("[surface]\ni_sat = 1e-300\n", "oracle", EXIT_OK),
-    # kappa = 0 never saturates, so an overflowing i / i_sat leaves the
-    # surface finite
-    Probe("[surface]\nkappa = 0\ni_sat = 1e-300\n", "oracle", EXIT_OK),
-    # A = -inf, or B = inf: both commands refuse the model before solving
-    Probe("[motor]\nr_phase = 1e300\nt_sample = 1e10\n", "oracle,train",
-          EXIT_CONFIG, (NOT_FINITE_MODEL + "128 of 128 grid nodes, first "
-                        "node (0,0): theta 0.0 deg, i 0.0 A, L = 0.016 H\n",)),
-    Probe("[motor]\nt_sample = 1e10\nl_unaligned = 1e-300\n"
-          "l_aligned = 2e-300\n", "oracle,train", EXIT_CONFIG,
-          (NOT_FINITE_MODEL + "128 of 128 grid nodes, first node (0,0): "
-           "theta 0.0 deg, i 0.0 A, L = 2e-300 H\n",)),
-    # with T = 1e306 s, T R / L overflows where L is below 11.1 mH
-    Probe("[motor]\nt_sample = 1e306\n", "oracle", EXIT_CONFIG,
-          (NOT_FINITE_MODEL + "80 of 128 grid nodes, first node (0,7): "
-           "theta 0.0 deg, i 7.5 A, L = 0.010705882352941176 H\n",)),
-    # without dither every node is rank deficient; the line counts the
-    # failures instead of listing all 128
-    Probe("[training]\ndither_v = 0\n", "train", EXIT_CONVERGENCE,
-          ("training failed: 128 of 128 nodes failed: 128 x "
-           "RankDeficientError", SUMMARY_NODES)),
-    # node (11,2) alone is rank deficient while the other 127 train
-    Probe("[training]\ndither_v = 0.5\n", "train", EXIT_CONVERGENCE,
-          ("1 of 128 nodes failed: 1 x RankDeficientError (first: design "
-           "matrix rank 5 < 6;", "nodes (11,2)\n")),
-    Probe("[training]\nmax_iters = 1\ntol = 1e-16\n", "train",
-          EXIT_CONVERGENCE,
-          ("training failed: 128 of 128 nodes failed: 128 x QTrainError "
-           "(first: gain did not settle within 1 iterations", SUMMARY_NODES)),
-    # a training current near 1e300 A is printed in exponent form
-    *(Probe(ini, "train", EXIT_CONVERGENCE,
-            ("128 x SafetyAbortError", "e+29",
-             "exceeded the 15.00 A safety bound"))
-      for ini in ("[motor]\nr_phase = 1e300\n", "[grid]\ni_max = 1e300\n")),
-    Probe("[training]\ngamma = 1.0\n", "train", EXIT_CONFIG,
-          ("gamma < 1", "Bellman column vanishes")),
-    # an initial gain whose training action overflows
-    Probe("[training]\nk0_x = 1e308\nk0_r = -1e308\n", "train", EXIT_CONFIG,
-          ("k0_x, k0_r = [1e+308, -1e+308] overflow the training action",)),
-    # a [motor] key whose field has another name (V_dc)
-    Probe("[motor]\nv_dc = -1\n", "oracle", EXIT_CONFIG, ("v_dc must be",)),
-    Probe("[surface]\nkind = file\npath = nope.csv\n", "oracle", EXIT_CONFIG,
-          ("error: surface file 'nope.csv' does not exist\n",)),
-    # a dithered online-learning run with a resistance mismatch and two
-    # amplitude steps
-    Probe("[scenario]\nonline_learning = true\ndither_v = 20\nr_scale = 1.1"
-          "\nevents = 1250:5.5, 2500:3.0\n", "run --format jsonl", EXIT_OK),
-    # a 20 A pulse trips the 15 A safety bound at step 283: the partial
-    # trace holds the header and 284 rows
-    Probe("[scenario]\ni_ref = 20\n", "run", EXIT_SAFETY,
-          ("safety abort: current", "at step 283\n"), aborted_lines=285),
-    # the reference is far beyond the safety bound, the current is not:
-    # the first learning sample's stage cost overflows
-    Probe("[scenario]\ni_ref = 1e200\nonline_learning = true\n", "run",
-          EXIT_CONFIG, ("error: online learning stage cost overflowed at step "
-                        "278: the reference 1e+200 A is beyond the 15.00 A "
-                        "safety bound\n",)),
-    # a learning run on a table whose tracking weight overflows the stage
-    # cost at the first learning sample
-    Probe("[scenario]\nonline_learning = true\n", "run", EXIT_CONFIG,
-          ("error: online learning stage cost overflowed at step 278: the "
-           "tracking weights are too large\n",),
-          edits=(("cfg", "q_weight", 1e308),)),
-    # the file `train` writes with online_tau = 1e200 (the start of the RLS
-    # covariance, which no hash covers): the first accepted update's
-    # covariance overflows, and nothing of it is written
-    Probe("[scenario]\nonline_learning = true\ndither_v = 20\n", "run",
-          EXIT_CONFIG, ("error: online update of core (3,2) overflowed: ",
-                        "(the table's online_tau is 1e+200)\n"),
-          edits=(("cfg", "online_tau", 1e200),)),
-    # a table with a single theta node
-    Probe("[grid]\nn_theta = 1\nn_current = 3\n", "train,run", EXIT_OK),
-    # a table trained for another motor or another surface
-    Probe("[motor]\nr_phase = 2.5\n", "run", EXIT_CONFIG, TABLE_MISMATCH),
-    *(Probe("[surface]\nkappa = 0.95\n", command, EXIT_CONFIG, TABLE_MISMATCH)
-      for command in ("run", "compare")),
-    # table files that do not hold what the table needs
-    Probe("", "run", EXIT_CONFIG, (
-        "error: {table}: malformed table file (Expecting property name "
-        "enclosed in double quotes: line 1 column 2 (char 1))\n",),
-          table="{broken"),
-    Probe("", "run", EXIT_CONFIG, ("error: {table}: table format version 1 "
-                                   "is not 2; retrain the table\n",),
-          edits=(("version", 1), ("cfg", "tau", 1e6))),
-    Probe("", "run", EXIT_CONFIG, ("error: {table}: a core has a non-positive "
-                                   "G_uu",), edits=(("cores", 1, 2, 5, -1.0),)),
-    *(Probe("", "run", EXIT_CONFIG, ("error: {table}: iterations must be a "
-                                     "non-negative integer per core",),
-            edits=(("iterations", value),))
-      for value in ([[-5]], [[-1] * 8] * 16, [[1.5] * 8] * 16)),
-    Probe("", "run", EXIT_CONFIG, ("error: {table}: K0 must be the two gains",),
-          edits=(("cfg", "K0", [100.0, -100.0, 5.0]),)),
-    Probe("", "run", EXIT_CONFIG, ("error: {table}: theta nodes must be "
-                                   "finite and strictly ascending\n",),
-          edits=(("theta_nodes", 1, float("nan")),)),
-    Probe("", "run", EXIT_CONFIG, ("error: {table}: theta nodes must be 1-D",),
-          edits=(("theta_nodes", NEST),)),
-    Probe("", "run", EXIT_CONFIG,
-          ("error: {table}: current nodes must be 1-D",),
-          edits=(("current_nodes", NEST),)),
-    # theta nodes over 0-30 deg, or 0-360 (electrical), on the 45 deg motor
-    # would schedule the cores by the wrong wrap
-    *(Probe("", command, EXIT_CONFIG, (
-        f"error: {{table}}: theta_nodes spans {45 * scale!r} deg",
-        "[motor] rotor_pitch is 45.0"),
-            edits=(("theta_nodes", [v * scale for v in THETA_NODES]),))
-      for command in ("run", "compare") for scale in (30 / 45, 8.0)),
-    # a dropped cfg key must not fall back to the dataclass default
-    *(Probe("", "run", EXIT_CONFIG, (f"error: {{table}}: cfg.{f.name} is "
-                                     "missing",), edits=(("cfg", f.name, DROP),))
-      for f in fields(TableTrainConfig)),
-    # JSON true is no number, though Python's bool subclasses int: a clamp
-    # of true would act as 1.0
-    Probe("", "run", EXIT_CONFIG, (NOT_NUMBERS % "theta_nodes",),
-          edits=(("theta_nodes", 1, True),)),
-    Probe("", "run", EXIT_CONFIG, (NOT_NUMBERS % "cores",),
-          edits=(("cores", 0, 0, 0, True),)),
-    Probe("", "run", EXIT_CONFIG, (NOT_NUMBERS % "iterations",),
-          edits=(("iterations", 0, 0, True),)),
-    *(Probe("", "run", EXIT_CONFIG, (f"error: {{table}}: {named} must be",),
-            edits=tuple(("cfg", key, value) for key, value in edits))
-      for edits, named in (
-          ((("seed", True),), "seed"), ((("seed", False),), "seed"),
-          ((("max_iters", True),), "max_iters"),
-          ((("seed", True), ("max_iters", True)), "seed"),
-          ((("gain_clamp", True),), "gain_clamp"),
-          ((("q_weight", True),), "q_weight"),
-          ((("dither", False),), "dither"),
-          ((("K0", [True, -100.0]),), "k0_x"))),
-]
-
-
-@pytest.fixture(scope="module")
-def default_table(tmp_path_factory):
-    """The default 16x8 table file, trained once for the module."""
-    path = tmp_path_factory.mktemp("default") / "qtable.json"
-    assert run_main(["train", "--out", str(path)]) == (EXIT_OK, "")
-    return path
-
-
-@pytest.mark.parametrize("probe", [
-    pytest.param(probe, id=probe.id()) for probe in PROBES])
-def test_exit_contract(tmp_path, default_table, probe):
-    # one row of PROBES: each of its commands, in process with warnings as
-    # errors, ends in the row's exit code, and a non-zero exit prints
-    # exactly one short stderr line holding the row's texts
-    config, table, out = (tmp_path / "probe.ini", tmp_path / "qtable.json",
-                          tmp_path / "out")
-    if probe.ini is not None:
-        config.write_text(probe.ini)
-    contents = default_table.read_text() if probe.table is None else probe.table
-    if probe.edits:
-        doc = json.loads(contents)
-        for *keys, last, value in probe.edits:
-            node = reduce(operator.getitem, keys, doc)
-            if value == DROP:
-                del node[last]
-            else:
-                node[last] = [node[last]] if value == NEST else value
-        contents = json.dumps(doc)
-    table.write_text(contents)
-    commands = [command.split() for command in probe.commands.split(",")]
-    codes = (probe.code if isinstance(probe.code, tuple)
-             else [probe.code] * len(commands))
-    for (command, *flags), want in zip(commands, codes, strict=True):
-        args = {"oracle": [], "train": ["--out", str(table)]}.get(
-            command, ["--table", str(table), "--out", str(out)])
-        code, err = run_main(["--config", str(config), command, *args,
-                              *flags])
-        assert code == want, (command, err)
-        if code == EXIT_OK:
-            assert err == ""
-            continue
-        assert err.splitlines() == [err.strip()]
-        assert len(err.replace(str(tmp_path), "")) < MAX_LINE, err
-        for text in probe.says:
-            assert text.replace("{table}", str(table)).replace(
-                "{config}", str(config)) in err
-    if probe.aborted_lines is not None:
-        assert len((out / "trace_aborted.csv").read_text().splitlines()) \
-            == probe.aborted_lines
-
-
+@probe_tests
 class TestOracle:
     def test_reports_reference_gain_context(self, capsys):
         assert main(["oracle"]) == EXIT_OK
@@ -651,6 +738,7 @@ class TestOracle:
         assert "first node ({},{})".format(*failing[0]) in err
 
 
+@probe_tests
 class TestTrain:
     def test_reports_and_persists(self, tmp_path, small_cfg, capsys):
         out = tmp_path / "t.json"
@@ -739,6 +827,7 @@ def _csv_rows(path):
     return len(path.read_text().splitlines()) - 1
 
 
+@probe_tests
 class TestRun:
     def test_produces_trace_and_metrics(self, tmp_path, small_cfg,
                                         small_table, capsys):
