@@ -37,6 +37,9 @@ EXIT_SAFETY = 4
 # gain reported in the literature for this machine; it is quoted at the
 # unaligned position but numerically matches the aligned 16 mH model
 REFERENCE_GAIN = (120.0, -122.0)
+
+# the metrics skip the first electrical cycle, so a run has at least two
+MIN_CYCLES = 2
 REFERENCE_GAIN_NOTE = (
     "reference gain [120, -122] is nominally quoted at the unaligned "
     "position, but it matches the aligned 16 mH inductance model, not the "
@@ -199,9 +202,10 @@ def _scenario(cp, params, surface) -> sim.Scenario:
                                    _parse_events(events))
         if profile.theta_off > params.rotor_pitch:
             raise ValueError("theta_off exceeds the rotor pitch")
-        if duration_cycles < 2:
-            raise ValueError("duration_cycles must be at least 2 (the metrics "
-                             f"skip the first cycle), got {duration_cycles}")
+        if duration_cycles < MIN_CYCLES:
+            raise ValueError(f"duration_cycles must be at least {MIN_CYCLES} "
+                             "(the metrics skip the first cycle), got "
+                             f"{duration_cycles}")
         return sim.Scenario(params, surface, profile, **kw,
                             duration=duration_cycles * params.steps_per_cycle)
     return _build(cp, "scenario", "scenario", scenario)
@@ -270,6 +274,14 @@ def _norms(d):
 
 def cmd_train(cp, out_path, json_out=False) -> int:
     params = _motor(cp)
+    # the table's hash covers the motor: refuse one that no run could use
+    shortest = MIN_CYCLES * params.steps_per_cycle
+    if shortest > sim.MAX_STEPS:
+        raise ValueError(
+            f"invalid motor parameters: speed_rpm x t_sample = "
+            f"{params.speed!r} RPM x {params.T!r} s makes the shortest run "
+            f"({MIN_CYCLES} cycles) {sim._count(shortest)} steps, past "
+            f"MAX_STEPS = {sim.MAX_STEPS}; no run could use the table")
     surface = _surface(cp, params)
     theta_nodes, current_nodes = _grid(cp, params)
     cfg = _train_cfg(cp)

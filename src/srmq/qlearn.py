@@ -4,19 +4,21 @@ Everything in this module works on sampled transition tuples
 (M_k, M_{k+1}, stage cost) with M = [x, r, u]; no plant parameter ever
 enters.  The quadratic action value 0.5 * M' G M is fitted in the
 6-dimensional symmetric half-vectorization basis, by batch least squares
-or recursively.
+or recursively.  Every function works on arrays, and on stacks of them
+over leading node axes: tuples in a TupleBatch, kernels as 6-vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-# independent entries of a symmetric 3x3 kernel, order:
-# (0,0) (0,1) (0,2) (1,1) (1,2) (2,2)
+# independent entries of a symmetric 3x3 kernel, the order of every kernel
+# vector: (0,0) (0,1) (0,2) (1,1) (1,2) (2,2); the greedy gain reads
+# G_ux, G_ur and G_uu, entries 2, 4 and 5
 NUM_PARAMS = 6
 MIN_TUPLES = NUM_PARAMS
 
@@ -38,67 +40,10 @@ class QTrainError(RuntimeError):
     """Policy iteration on sampled data failed to converge."""
 
 
-@dataclass(frozen=True)
-class QKernel:
-    """Symmetric 3x3 action-value kernel over M = [x, r, u]."""
-
-    G: np.ndarray
-
-    def __post_init__(self):
-        G = np.asarray(self.G, float)
-        if G.shape != (3, 3):
-            raise ValueError("kernel must be 3x3")
-        if not np.all(np.isfinite(G)):
-            raise ValueError("kernel entries must be finite")
-        # from_vec's kernels are exactly symmetric; skip the tolerance test
-        if not ((G == G.T).all() or np.allclose(
-                G, G.T, rtol=0, atol=1e-8 * (1 + np.abs(G).max()))):
-            raise ValueError("kernel must be symmetric")
-        object.__setattr__(self, "G", (G + G.T) / 2)
-
-    @property
-    def G_uX(self) -> np.ndarray:
-        return self.G[2, :2]
-
-    @property
-    def G_uu(self) -> float:
-        return float(self.G[2, 2])
-
-    def to_vec(self) -> np.ndarray:
-        G = self.G
-        return np.array([G[0, 0], G[0, 1], G[0, 2], G[1, 1], G[1, 2], G[2, 2]])
-
-    @classmethod
-    def from_vec(cls, g: Sequence[float]) -> "QKernel":
-        a, b, c, d, e, f = np.asarray(g, float)
-        return cls(np.array([[a, b, c], [b, d, e], [c, e, f]]))
-
-
-@dataclass(frozen=True)
-class DataTuple:
-    """One sampled transition: M_k, the successor M_{k+1} under the
-    evaluated policy, and the observed stage cost."""
-
-    M_k: np.ndarray
-    M_k1: np.ndarray
-    stage_cost: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "M_k", np.asarray(self.M_k, float).ravel())
-        object.__setattr__(self, "M_k1", np.asarray(self.M_k1, float).ravel())
-        if self.M_k.shape != (3,) or self.M_k1.shape != (3,):
-            raise ValueError("tuple vectors must have 3 entries [x, r, u]")
-        if not (np.all(np.isfinite(self.M_k)) and np.all(np.isfinite(self.M_k1))
-                and np.isfinite(self.stage_cost)):
-            raise ValueError("tuple entries must be finite")
-        if self.stage_cost < -1e-9:
-            raise ValueError("stage cost must be non-negative")
-
-
 class TupleBatch(NamedTuple):
-    """z sampled transitions as arrays: rows of M_k and M_{k+1} (z, 3) and
-    the stage costs (z,); build_ls_rows checks them with DataTuple's rules,
-    once per batch."""
+    """z sampled transitions as arrays, over any leading node axes: M_k and
+    M_{k+1} (..., z, 3) and the stage costs (..., z); build_ls_rows checks
+    them once per batch."""
 
     M_k: np.ndarray
     M_k1: np.ndarray
@@ -148,64 +93,51 @@ def _excitation_error(g_uu: float) -> ExcitationError:
         "action value (insufficient excitation)")
 
 
-def policy_improvement(kernel: QKernel) -> np.ndarray:
-    """Greedy gain K = G_uu^-1 G_uX; control law u = -K X."""
-    if kernel.G_uu <= 0:
-        raise _excitation_error(kernel.G_uu)
-    return kernel.G_uX / kernel.G_uu
+def policy_improvement(kernel: np.ndarray) -> np.ndarray:
+    """Greedy gains K = G_uX / G_uu, (..., 2), of a stack of kernel vectors
+    (..., 6); the control law is u = -K . [x, r]."""
+    kernel = np.asarray(kernel, float)
+    g_uu = kernel[..., 5:]
+    if np.any(g_uu <= 0):
+        raise _excitation_error(g_uu[g_uu <= 0][0])
+    return kernel[..., [2, 4]] / g_uu
 
 
-def _as_batch(tuples: TupleBatch | Sequence[DataTuple]) -> TupleBatch:
-    """The tuples as float arrays; a list of DataTuples is stacked."""
-    if isinstance(tuples, TupleBatch):
-        return TupleBatch(*(np.asarray(v, float) for v in tuples))
-    return TupleBatch(
-        np.array([t.M_k for t in tuples], float).reshape(-1, 3),
-        np.array([t.M_k1 for t in tuples], float).reshape(-1, 3),
-        np.array([t.stage_cost for t in tuples], float))
+def build_ls_rows(tuples: TupleBatch, gamma: float):
+    """Bellman regression rows features(M_k) - gamma * features(M_{k+1}),
+    (..., z, 6), one per tuple, and the stage costs as targets (..., z).
 
-
-def _ls_rows(batch: TupleBatch, gamma: float, live=True):
-    """build_ls_rows on a batch that may carry leading node axes, (..., z, 3)
-    and (..., z); the data checks apply to the nodes where `live` holds."""
-    M_k, M_k1, costs = batch
+    The batch is checked once: 3-entry vectors, at least 6 tuples per
+    node, finite entries and non-negative costs.
+    """
+    M_k, M_k1, costs = (np.asarray(v, float) for v in tuples)
     z = costs.shape[-1] if costs.ndim else costs.size
     if z < MIN_TUPLES:
         raise ValueError(f"need at least {MIN_TUPLES} tuples, got {z}")
     if M_k.shape != costs.shape + (3,) or M_k1.shape != costs.shape + (3,):
         raise ValueError("tuple vectors must have 3 entries [x, r, u]")
-    finite = (np.isfinite(M_k).all(axis=(-2, -1))
-              & np.isfinite(M_k1).all(axis=(-2, -1))
-              & np.isfinite(costs).all(axis=-1))
-    if np.any(live & ~finite):
+    if not (np.isfinite(M_k).all() and np.isfinite(M_k1).all()
+            and np.isfinite(costs).all()):
         raise ValueError("tuple entries must be finite")
-    if np.any(live & (costs < -1e-9).any(axis=-1)):
+    if np.any(costs < -1e-9):
         raise ValueError("stage cost must be non-negative")
     design = (sym_features(M_k.reshape(-1, 3))
               - gamma * sym_features(M_k1.reshape(-1, 3)))
     return design.reshape(costs.shape + (NUM_PARAMS,)), costs
 
 
-def build_ls_rows(tuples: TupleBatch | Sequence[DataTuple], gamma: float):
-    """Bellman regression rows: features(M_k) - gamma * features(M_{k+1}),
-    one per tuple, with the stage costs as targets.
-
-    A list of DataTuples is stacked into a TupleBatch first; the batch is
-    checked once, with DataTuple's rules.
-    """
-    return _ls_rows(_as_batch(tuples), gamma)
-
-
 def _raise_lstsq_error(err, flag):
     raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
 
-def _ls_fit(design: np.ndarray, targets: np.ndarray):
-    """Least-squares kernel vectors and design ranks of a stack of
-    regressions, (..., z, 6) and (..., z): one call of the gufunc under
-    np.linalg.lstsq, with its rcond and, whatever the caller's errstate, its
-    LinAlgError rule, so each row is np.linalg.lstsq(rcond=None)'s bit for
-    bit."""
+def batch_ls_solve(design: np.ndarray, targets: np.ndarray):
+    """(g, rank): the least-squares kernel vectors and design ranks of a
+    stack of regressions, (..., z, 6) and (..., z).  A rank below 6 means
+    the data lacked excitation; the caller decides what to do with it.
+
+    One call of the gufunc under np.linalg.lstsq, with its rcond and,
+    whatever the caller's errstate, its LinAlgError rule, so each row is
+    np.linalg.lstsq(rcond=None)'s bit for bit."""
     rcond = np.finfo(float).eps * max(design.shape[-2], NUM_PARAMS)
     with np.errstate(call=_raise_lstsq_error, invalid="call", over="ignore",
                      divide="ignore", under="ignore"):
@@ -214,48 +146,11 @@ def _ls_fit(design: np.ndarray, targets: np.ndarray):
     return g[..., 0], rank
 
 
-def batch_ls_solve(design: np.ndarray, targets: np.ndarray) -> QKernel:
-    """Least-squares kernel fit; rejects rank-deficient designs."""
-    g, rank = _ls_fit(np.asarray(design, float), np.asarray(targets, float))
-    if rank < NUM_PARAMS:
-        raise RankDeficientError(int(rank))
-    return QKernel.from_vec(g)
-
-
-@dataclass(frozen=True)
-class RlsState:
-    """Recursive least-squares state: current coefficient estimate and
-    covariance over the 6 kernel entries."""
-
-    g_vec: np.ndarray
-    eta: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "g_vec", np.asarray(self.g_vec, float).ravel())
-        object.__setattr__(self, "eta", np.asarray(self.eta, float))
-        if self.g_vec.shape != (NUM_PARAMS,):
-            raise ValueError("coefficient vector must have 6 entries")
-        if self.eta.shape != (NUM_PARAMS, NUM_PARAMS):
-            raise ValueError("covariance must be 6x6")
-        if not np.allclose(self.eta, self.eta.T):
-            raise ValueError("covariance must be symmetric")
-
-
-def rls_init(tau: float = 1e6, kernel: QKernel | None = None) -> RlsState:
-    """Fresh RLS state: covariance tau*I, coefficients from kernel or zero."""
-    g = kernel.to_vec() if kernel is not None else np.zeros(NUM_PARAMS)
-    return RlsState(g, tau * np.eye(NUM_PARAMS))
-
-
-def rls_update(state: RlsState, row: np.ndarray, target: float) -> RlsState:
-    """One recursive least-squares step on a single regression row."""
-    return RlsState(*_rls_step(state.g_vec, state.eta,
-                               np.asarray(row, float).ravel(), target))
-
-
-def _rls_step(g: np.ndarray, eta: np.ndarray, row: np.ndarray, target: float):
-    """(g, eta) after one RLS step on plain arrays, unvalidated; the new
-    covariance is symmetric by construction."""
+def rls_update(g: np.ndarray, eta: np.ndarray, row: np.ndarray,
+               target: float):
+    """(g, eta) after one recursive least-squares step of the kernel vector
+    g and its covariance eta on one regression row; unvalidated, and the
+    new covariance is symmetric by construction."""
     eta_row = eta @ row
     denom = 1.0 + float(row @ eta_row)
     err = target - float(row @ g)
@@ -278,12 +173,6 @@ class QTrainConfig:
             raise ValueError(f"need at least {MIN_TUPLES} tuples per iteration")
 
 
-class QTrainResult(NamedTuple):
-    kernel: QKernel
-    gain: np.ndarray
-    iterations: int
-
-
 class QTrainBatchResult(NamedTuple):
     """Outcome per node of a stacked run, in node order; a failed node has
     a zero kernel and iteration count, and its exception in ``failures`` as
@@ -294,43 +183,36 @@ class QTrainBatchResult(NamedTuple):
     failures: list
 
 
-Collector = Callable[..., TupleBatch | Sequence[DataTuple]
-                     | tuple[TupleBatch, dict]]
+Collector = Callable[..., tuple[TupleBatch, dict]]
 
 
 # the overflow rule of plant._QUIET_OVERFLOW; the learner imports no plant
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def q_policy_iteration(collect: Collector, K0,
                        cfg: QTrainConfig = QTrainConfig()
-                       ) -> QTrainResult | QTrainBatchResult:
+                       ) -> QTrainBatchResult:
     """Sampled policy iteration: fit the kernel of the current gain from
     freshly collected tuples, take the greedy gain, repeat until the gain
-    stops moving.
+    stops moving.  Convergence is declared on the gain, not the kernel:
+    kernel null directions under limited excitation make the gain the
+    robust criterion.
 
-    With K0 of shape (2,), collect(gain, count) must return `count` tuples
-    (a TupleBatch or a list of DataTuples) gathered under
-    u = -gain . [x, r] plus exploration dither, with the successor action in
-    M_{k+1} taken by the un-dithered policy.  Convergence is declared on the
-    gain, not the kernel: kernel null directions under limited excitation
-    make the gain the robust criterion.  A failure raises.
-
-    With K0 of shape (n, 2), n nodes iterate in lockstep, one gain row each:
-    collect(gains, count, done) returns a TupleBatch of float (n, count, 3)
-    and (n, count) stacks, whose rows of the nodes marked done are ignored,
-    and a dict {node: exception} of the nodes whose collection failed.  Each
-    node keeps its kernel and iteration count from its own convergence on,
-    and a node that fails (its collection, a rank-deficient design, a
-    non-positive G_uu or no convergence) is reported in the result while the
-    others go on.  Bad data (non-finite tuples or kernels) still raises.
+    K0 holds one gain row per node, shape (n, 2), and the n nodes iterate
+    in lockstep.  collect(gains, count, done) returns a TupleBatch of float
+    (n, count, 3) and (n, count) stacks, gathered for node j under
+    u = -gains[j] . [x, r] plus exploration dither with the successor
+    action in M_{k+1} taken by the un-dithered policy, whose rows of the
+    nodes marked done are ignored, and a dict {node: exception} of the
+    nodes whose collection failed.  Each node keeps its kernel and
+    iteration count from its own convergence on, and a node that fails
+    (its collection, a rank-deficient design, a non-positive G_uu or no
+    convergence) is reported in the result while the others go on.  Bad
+    data (non-finite tuples or kernels) still raises.
     """
     K = np.array(K0, float)
-    single = K.ndim < 2
-    if single:
-        K, collect_one = K.reshape(1, -1), collect
-
-        def collect(K, count, done):
-            batch = _as_batch(collect_one(K[0], count))
-            return TupleBatch(*(v[None] for v in batch)), {}
+    if K.ndim != 2 or K.shape[1] != 2:
+        raise ValueError(f"K0 must hold one gain row [k_x, k_r] per node, "
+                         f"shape (n, 2), got shape {K.shape}")
     n = K.shape[0]
     done = np.zeros(n, bool)
     failures = {}
@@ -345,9 +227,9 @@ def q_policy_iteration(collect: Collector, K0,
     for i in range(1, cfg.max_iters + 1):
         tuples, aborted = collect(K, cfg.tuples_per_iter, done)
         fail(aborted)
-        design, targets = _ls_rows(tuples, cfg.gamma, ~done)
         rows = np.flatnonzero(~done)
-        g, rank = _ls_fit(design[rows], targets[rows])
+        g, rank = batch_ls_solve(*build_ls_rows(
+            TupleBatch(*(v[rows] for v in tuples)), cfg.gamma))
         full = rank >= NUM_PARAMS
         fit[rows[full]] = g[full]
         fail({j: RankDeficientError(int(r))
@@ -358,7 +240,8 @@ def q_policy_iteration(collect: Collector, K0,
         fail({j: _excitation_error(fit[j, 5])
               for j in np.flatnonzero(~done & (fit[:, 5] <= 0))})
         live = ~done
-        K_prev, K = K, np.where(live[:, None], fit[:, [2, 4]] / fit[:, 5:], K)
+        K_prev, K = K, K.copy()
+        K[live] = policy_improvement(fit[live])
         step = (K - K_prev)[:, None, :]
         converged = live & (np.sqrt(step @ step.swapaxes(-1, -2))[:, 0, 0]
                             < cfg.tol)
@@ -369,13 +252,6 @@ def q_policy_iteration(collect: Collector, K0,
     fail({j: QTrainError(f"gain did not settle within {cfg.max_iters} "
                          f"iterations (last gain {K[j]})")
           for j in np.flatnonzero(~done)})
-    failures = sorted(failures.items())
-    if single:
-        if failures:
-            raise failures[0][1]
-        kernel = QKernel.from_vec(fit[0])
-        return QTrainResult(kernel, policy_improvement(kernel),
-                            int(iterations[0]))
     # a converged node's fit is never written again
     return QTrainBatchResult(np.where(iterations[:, None] > 0, fit, 0.0),
-                             iterations.tolist(), failures)
+                             iterations.tolist(), sorted(failures.items()))

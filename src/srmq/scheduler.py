@@ -20,7 +20,7 @@ from . import qlearn
 from .plant import (InductanceSurface, MotorParams, _axis_locate, _corners,
                     _is_bool, _require_ascending, _require_bound,
                     _require_count, _require_natural, _weights, frozen_grid)
-from .qlearn import NUM_PARAMS, QKernel, QTrainConfig
+from .qlearn import NUM_PARAMS, QTrainConfig
 
 TABLE_FORMAT_VERSION = 2
 
@@ -117,8 +117,8 @@ class CellLocation:
 class QCoreTable:
     """Grid of trained kernels (gains derived) and per-core RLS state.
 
-    Kernels are stored once, as a nested list of 6-float cores in
-    QKernel.to_vec order, which the per-step read uses; they are validated
+    Kernels are stored once, as a nested list of 6-float cores in the
+    order at qlearn.NUM_PARAMS, which the per-step read uses; they are validated
     here (G_uu > 0) and on every accepted online update, never per control
     step.  The node grids are fixed once built and are also kept as lists
     of Python floats.  Single writer (update_core_online), many readers; an
@@ -169,8 +169,7 @@ class QCoreTable:
     @property
     def gains(self) -> np.ndarray:
         """(n_theta, n_current, 2) greedy gains [G_ux, G_ur] / G_uu."""
-        kernels = np.array(self.kernels)
-        return kernels[..., [2, 4]] / kernels[..., 5:]
+        return qlearn.policy_improvement(np.array(self.kernels))
 
     @property
     def shape(self):
@@ -199,8 +198,8 @@ def _core_gain(table: QCoreTable, cell):
     return g[2] / g[5], g[4] / g[5]
 
 
-def scheduled_q(table: QCoreTable, theta: float, i: float) -> QKernel:
-    """Bilinear blend of the four enclosing corner kernels, entrywise.
+def scheduled_q(table: QCoreTable, theta: float, i: float) -> np.ndarray:
+    """Bilinear blend of the four enclosing corner kernel vectors, entrywise.
 
     Exact at grid nodes, continuous across cell edges, and convex: every
     entry stays inside the range of the corner entries.  Degenerate
@@ -208,10 +207,9 @@ def scheduled_q(table: QCoreTable, theta: float, i: float) -> QKernel:
     """
     loc = locate(table, theta, i)
     w00, w10, w01, w11 = _weights(loc.l1, loc.l2)
-    return QKernel.from_vec([
-        w00 * g00 + w10 * g10 + w01 * g01 + w11 * g11
-        for g00, g10, g01, g11 in zip(*_corners(table.kernels, loc.row,
-                                                 loc.col))])
+    return np.array([w00 * g00 + w10 * g10 + w01 * g01 + w11 * g11
+                     for g00, g10, g01, g11 in zip(*_corners(
+                         table.kernels, loc.row, loc.col))])
 
 
 def _schedule_located(table: QCoreTable, row: int, l1: float, i: float):
@@ -358,7 +356,7 @@ def update_core_online(table: QCoreTable, cell, M_k, M_k1, cost) -> bool:
     bit.  Each norm is sqrt(v.dot(v)), what np.linalg.norm computes.
     """
     a, b = cell
-    g, eta = qlearn._rls_step(
+    g, eta = qlearn.rls_update(
         np.array(table.kernels[a][b]), table.covariance[a, b],
         qlearn._bellman_row(M_k, M_k1, table.cfg.gamma), cost)
     g = g.tolist()

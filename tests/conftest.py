@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from srmq import (MotorParams, QKernel, TableTrainConfig, default_surface,
-                  train_table)
+from srmq import MotorParams, default_surface, train_table
 from srmq.plant import (InductanceSurface, _axis_locate, _rotor_angles,
                         _step_located)
 
@@ -48,9 +47,22 @@ def step_phase(x: float, theta: float, u: float, params: MotorParams,
             _rotor_angles(params, theta, 1)[1])
 
 
+def kernel_matrix(g):
+    """The symmetric 3x3 kernel G of a kernel vector g, in the order at
+    qlearn.NUM_PARAMS: (0,0) (0,1) (0,2) (1,1) (1,2) (2,2)."""
+    a, b, c, d, e, f = g
+    return np.array([[a, b, c], [b, d, e], [c, e, f]], float)
+
+
+def kernel_vector(G):
+    """The kernel vector of a symmetric 3x3 kernel G (kernel_matrix's
+    inverse): its upper triangle, row by row."""
+    return np.asarray(G, float)[np.triu_indices(3)]
+
+
 def core_G(table, a, b):
     """3x3 kernel of the stored core at node (a, b)."""
-    return QKernel.from_vec(table.kernels[a][b]).G
+    return kernel_matrix(table.kernels[a][b])
 
 
 def reference_blend(values, row, col, l1, l2):

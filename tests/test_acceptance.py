@@ -18,14 +18,13 @@ import srmq.qlearn
 from srmq import lqt
 from srmq.cli import REFERENCE_GAIN, main
 from srmq.plant import MotorParams, ReferenceProfile, default_surface
-from srmq.qlearn import (DataTuple, QKernel, RankDeficientError,
-                         batch_ls_solve, build_ls_rows, policy_improvement,
-                         q_policy_iteration, rls_init, rls_update, stage_cost,
-                         sym_features)
-from srmq.scheduler import (QCoreTable, TableTrainConfig, locate,
-                            scheduled_q, train_table)
+from srmq.qlearn import (TupleBatch, batch_ls_solve, build_ls_rows,
+                         policy_improvement, q_policy_iteration, rls_update,
+                         stage_cost)
+from srmq.scheduler import (QCoreTable, TableTrainConfig, _corner, locate,
+                            schedule, scheduled_q, train_table)
 from srmq.sim import Scenario, SimTrace, compute_metrics, run_closed_loop
-from conftest import core_G
+from conftest import core_G, kernel_matrix, kernel_vector
 
 
 def report(n, dt, limit, detail):
@@ -65,19 +64,23 @@ def test_criterion_2_model_free_matches_model_based(capsys):
         res = lqt.policy_iteration_model_based(m, K0)
         worst_pi = max(worst_pi, float(np.linalg.norm(res.K - K_star)))
 
-        def collect(K, count, _m=m, _rng=rng):
+        # the plant as a one-node stack, as train_table drives its grid
+        def collect(gains, count, done, _m=m, _rng=rng):
+            K = gains[0]
             tuples = []
             for _ in range(count):
                 x, r = _rng.uniform(0, 6), _rng.uniform(1, 5)
                 u = -(K[0] * x + K[1] * r) + 15 * _rng.uniform(-1, 1)
                 x1 = _m.A_a[0, 0] * x + _m.B_b[0, 0] * u
                 u1 = -(K[0] * x1 + K[1] * r)
-                tuples.append(DataTuple((x, r, u), (x1, r, u1),
-                                        stage_cost((x, r), u, _m.Q_q, _m.R_u)))
-            return tuples
+                tuples.append(((x, r, u), (x1, r, u1),
+                               stage_cost((x, r), u, _m.Q_q, _m.R_u)))
+            return TupleBatch(*(np.array([v]) for v in zip(*tuples))), {}
 
-        q_res = q_policy_iteration(collect, K0)
-        worst_q = max(worst_q, float(np.linalg.norm(q_res.gain - K_star)
+        q_res = q_policy_iteration(collect, K0[None])
+        assert q_res.failures == []
+        gain = policy_improvement(q_res.kernels[0])
+        worst_q = max(worst_q, float(np.linalg.norm(gain - K_star)
                                      / np.linalg.norm(K_star)))
     assert worst_pi < 1e-8
     assert worst_q < 1e-3
@@ -96,34 +99,36 @@ def test_criterion_3_least_squares_machinery(capsys):
     for trial in range(50):
         rng = np.random.default_rng(1000 + trial)
         G = rng.uniform(-5, 5, (3, 3))
-        kernel = QKernel((G + G.T) / 2)
+        G = (G + G.T) / 2
 
         # consistent rows: targets manufactured from the kernel itself
         tuples = []
         for _ in range(12):
             M0 = rng.uniform(-5, 5, 3)
             M1 = rng.uniform(-5, 5, 3)
-            c = float(M0 @ kernel.G @ M0 - gamma * M1 @ kernel.G @ M1)
+            c = float(M0 @ G @ M0 - gamma * M1 @ G @ M1)
             if c < 0:
                 M0, M1, c = M1, M0, -c / gamma
-                c = float(M0 @ kernel.G @ M0 - gamma * M1 @ kernel.G @ M1)
+                c = float(M0 @ G @ M0 - gamma * M1 @ G @ M1)
                 if c < 0:
                     continue
-            tuples.append(DataTuple(M0, M1, c))
+            tuples.append((M0, M1, c))
         if len(tuples) < 6:
             continue
-        design, targets = build_ls_rows(tuples, gamma)
-        fit = batch_ls_solve(design, targets)
+        design, targets = build_ls_rows(
+            TupleBatch(*map(np.array, zip(*tuples))), gamma)
+        fit, rank = batch_ls_solve(design, targets)
+        assert rank == 6
         worst_exact = max(worst_exact,
-                          float(np.abs(fit.G - kernel.G).max()))
+                          float(np.abs(kernel_matrix(fit) - G).max()))
 
         # RLS over repeated passes approaches the batch solution
-        s = rls_init(tau=1e10)
+        g, eta = np.zeros(6), 1e10 * np.eye(6)
         for _ in range(6):
             for row, tgt in zip(design, targets):
-                s = rls_update(s, row, tgt)
-        worst_rls = max(worst_rls, float(np.linalg.norm(
-            s.g_vec - fit.to_vec()) / np.linalg.norm(fit.to_vec())))
+                g, eta = rls_update(g, eta, row, tgt)
+        worst_rls = max(worst_rls, float(np.linalg.norm(g - fit)
+                                         / np.linalg.norm(fit)))
 
         # no dither: u is a function of (x, r), design cannot be full rank
         K = rng.uniform(-2, 2, 2)
@@ -134,12 +139,10 @@ def test_criterion_3_least_squares_machinery(capsys):
             u = -(K[0] * x + K[1] * r)
             x1 = A * x + B * u
             u1 = -(K[0] * x1 + K[1] * r)
-            nodith.append(DataTuple((x, r, u), (x1, r, u1), 0.0))
-        d2, t2 = build_ls_rows(nodith, gamma)
-        try:
-            batch_ls_solve(d2, t2)
-        except RankDeficientError:
-            deficient_detected += 1
+            nodith.append(((x, r, u), (x1, r, u1), 0.0))
+        d2, t2 = build_ls_rows(TupleBatch(*map(np.array, zip(*nodith))),
+                               gamma)
+        deficient_detected += int(batch_ls_solve(d2, t2)[1] < 6)
     assert worst_exact < 1e-8
     assert worst_rls < 1e-6
     assert deficient_detected >= 48
@@ -166,7 +169,7 @@ def test_criterion_4_scheduling_equivalence(capsys):
                 G = rng.uniform(-5, 5, (3, 3))
                 G = (G + G.T) / 2
                 G[2, 2] = rng.uniform(0.5, 2.0)
-                row.append(QKernel(G).to_vec())
+                row.append(kernel_vector(G))
             cores.append(row)
         table = QCoreTable(theta, current, np.array(cores),
                            TableTrainConfig(), "h")
@@ -184,19 +187,26 @@ def test_criterion_4_scheduling_equivalence(capsys):
                           for a, b in ((0, 0), (1, 0), (0, 1), (1, 1))])
             w = np.linalg.solve(V.T, [1.0, loc.l1, loc.l2, loc.l1 * loc.l2])
             G_ref = sum(wk * Gk for wk, Gk in zip(w, corner_Gs))
-            G_got = scheduled_q(table, th, i).G
+            blend = scheduled_q(table, th, i)
+            G_got = kernel_matrix(blend)
             worst = max(worst, float(np.abs(G_got - G_ref).max()))
             # convexity: each entry inside the corner range
             stack = np.stack(corner_Gs)
             assert np.all(G_got >= stack.min(axis=0) - 1e-9)
             assert np.all(G_got <= stack.max(axis=0) + 1e-9)
+            # the loop's read: the greedy gain of the blend, bit for bit,
+            # and the cell's nearest node (G_uu >= 0.5: no fallback)
+            k_x, k_r, cell = schedule(table, th, i)
+            assert (np.array([k_x, k_r]).tobytes()
+                    == policy_improvement(blend).tobytes())
+            assert cell == _corner(table, loc.row, loc.col, loc.l1, loc.l2)
             checks += 1
         # corner reproduction at every node (the top theta node wraps onto
         # the first row by the periodic convention, so it is excluded here)
         for a in range(nt - 1):
             for b in range(ni):
-                G_node = scheduled_q(table, float(theta[a]),
-                                     float(current[b])).G
+                G_node = kernel_matrix(scheduled_q(table, float(theta[a]),
+                                                   float(current[b])))
                 assert np.allclose(G_node, core_G(table, a, b), atol=1e-12)
     assert worst < 1e-10
     dt = time.perf_counter() - t0

@@ -3,6 +3,7 @@ name.  A name it reads that srmq no longer defines breaks the benchmark's
 traced runs (``srmqbench/run.py --trace 1``); these tests catch that here."""
 
 import importlib
+import json
 import sys
 from pathlib import Path
 
@@ -40,3 +41,39 @@ def test_summarize_finds_every_name_it_reads(tracer):
     metrics, _ = tracer.summarize(spans, 1.0)
     assert metrics["scheduler.update_core_online.calls"] == 0
     assert set(metrics) <= {name for name, _ in tracer.PER_LAYER}
+
+
+# a 4 x 3 table on a 5-node surface and a two-cycle run that learns online
+LEARNING = """
+[surface]
+n_theta = 5
+
+[grid]
+n_theta = 4
+n_current = 3
+
+[scenario]
+duration_cycles = 2
+online_learning = true
+dither_v = 20
+"""
+
+
+def test_traced_counts_are_the_learner_the_program_runs(tracer, tmp_path,
+                                                        capsys):
+    # train's lockstep policy iteration solves every live node in one
+    # batch_ls_solve call per iteration, and each online update is one
+    # rls_update call
+    config, table = tmp_path / "learn.ini", str(tmp_path / "qtable.json")
+    config.write_text(LEARNING)
+    spans = tracer.Tracer(srmq)
+    with spans.installed(), spans.op_span(0):
+        assert srmq.cli.main(["--config", str(config), "--json", "train",
+                              "--out", table]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert srmq.cli.main(["--config", str(config), "run", "--table",
+                              table, "--out", str(tmp_path / "out")]) == 0
+    metrics, _ = tracer.summarize(spans, 1.0)
+    assert metrics["qlearn.batch_ls_solve.calls"] == report["iterations_max"]
+    assert (metrics["qlearn.rls_update.calls"]
+            == metrics["scheduler.update_core_online.calls"] > 0)

@@ -18,9 +18,10 @@ from srmq.cli import (EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_OK, EXIT_SAFETY,
                       main)
 from srmq.plant import (InductanceSurface, MotorParams, ReferenceProfile,
                         default_surface, frozen_grid, save_surface_csv)
-from srmq.qlearn import QKernel, QTrainConfig
+from srmq.qlearn import QTrainConfig
 from srmq.scheduler import (QCoreTable, TableTrainConfig, load_table,
                             params_hash, save_table)
+from conftest import kernel_vector
 
 
 def last_json(capsys):
@@ -77,7 +78,7 @@ def runaway_table(tmp_path):
     G[2, 2] = 1.0
     path = tmp_path / "runaway.json"
     save_table(QCoreTable(np.array([0.0]), np.array([0.0]),
-                          [[QKernel(G).to_vec()]], TableTrainConfig(),
+                          [[kernel_vector(G)]], TableTrainConfig(),
                           params_hash(MotorParams(),
                                       default_surface(MotorParams(), n_theta=5))),
                path)
@@ -255,10 +256,19 @@ PROBES = {
         Probe("[motor]\nt_sample = 5e-324\n", "oracle,train,run", EXIT_CONFIG,
               ("error: invalid motor parameters: speed_rpm x t_sample = 60.0 "
                "RPM x 5e-324 s turns the rotor 1.78e-321 deg per sample",)),
-        # 3.75e305 steps, too many to run and too many digits to print in full
-        Probe("[motor]\nspeed_rpm = 1e-300\n", "train,run",
+        # a motor whose shortest run, two cycles, exceeds the step budget:
+        # train refuses it, since no run could use the table (the hash
+        # covers the motor), and oracle, which writes no table, reports it;
+        # 1.5e305 steps are too many digits to print in full
+        Probe("[motor]\nspeed_rpm = 1e-300\n", "train", EXIT_CONFIG,
+              ("error: invalid motor parameters: speed_rpm x t_sample = "
+               "1e-300 RPM x 0.0001 s makes the shortest run (2 cycles) "
+               f"1.500e+305 steps, past MAX_STEPS = {sim.MAX_STEPS}; no run "
+               "could use the table\n",)),
+        Probe("[motor]\nspeed_rpm = 1e-6\n", "oracle,train",
               (EXIT_OK, EXIT_CONFIG),
-              (f"MAX_STEPS = {sim.MAX_STEPS} steps, got 3.750e+305 ",)),
+              ("x 0.0001 s makes the shortest run (2 cycles) 150000000000 "
+               f"steps, past MAX_STEPS = {sim.MAX_STEPS};",)),
         # a plant resistance that overflows is refused with the scenario
         Probe("[scenario]\nr_scale = 1e308\n", "run", EXIT_CONFIG,
               ("error: invalid scenario: r_scale = 1e+308 scales R_phase = "
@@ -623,14 +633,15 @@ class TestConfig:
         assert "[motor] rotor_pitch is 45.0" in err
 
     def test_step_budget_rejects_before_the_loop(self, tmp_path, monkeypatch):
-        # at 1e-6 RPM one electrical cycle is 7.5e10 steps; the run is refused
-        # by sim.MAX_STEPS before the loop allocates its trace arrays
+        # 801 cycles of 1250 steps are 1001250 steps; the run is refused by
+        # sim.MAX_STEPS before the loop allocates its trace arrays
         def must_not_run(*args):
             raise AssertionError("the closed loop was started")
 
         monkeypatch.setattr(sim, "run_closed_loop", must_not_run)
         path = tmp_path / "slow.ini"
-        path.write_text(SMALL + "\n[motor]\nspeed_rpm = 1e-6\n")
+        path.write_text(SMALL.replace("duration_cycles = 2",
+                                      "duration_cycles = 801"))
         table = str(tmp_path / "slow.json")
         assert run_main(["--config", str(path), "train", "--out", table]) \
             == (EXIT_OK, "")

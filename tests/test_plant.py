@@ -32,14 +32,36 @@ def reference_axis_locate(nodes, value, wrap):
     return idx, float(frac)
 
 
+def ascending(size, lo, hi):
+    """Strictly ascending lists of `size` floats, drawn without a rejection
+    filter: a first node in [lo, hi], then size - 1 gaps, each of one float
+    (a drawn 0) up to hi - lo, so the last node may pass hi."""
+    def build(first_and_gaps):
+        first, gaps = first_and_gaps
+        nodes = [first]
+        for gap in gaps:
+            nodes.append(max(nodes[-1] + gap,
+                             math.nextafter(nodes[-1], math.inf)))
+        return nodes
+    gaps = st.lists(st.floats(0.0, hi - lo), min_size=size - 1,
+                    max_size=size - 1)
+    return st.tuples(st.floats(lo, hi), gaps).map(build)
+
+
+# grids of 1, 2 and 16 nodes, for the examples of the locator tests: a
+# single node, two adjacent floats, and whole-range gaps
+ONE_NODE = [3.0]
+ADJACENT = [1.0, math.nextafter(1.0, math.inf)]
+WHOLE_RANGE = [-1e3 + 2e3 * k for k in range(16)]
+
+
 @st.composite
 def grid_and_value(draw):
     """A strictly ascending grid of 1, 2 or 16 nodes and a value that is
     a node, outside the range, a whole number of spans away from the first
     node, negative, or anywhere."""
-    size = draw(st.sampled_from([1, 2, 16]))
-    nodes = sorted(draw(st.lists(st.floats(-1e3, 1e3), min_size=size,
-                                 max_size=size, unique=True)))
+    nodes = draw(st.sampled_from([1, 2, 16]).flatmap(
+        lambda size: ascending(size, -1e3, 1e3)))
     lo, hi = nodes[0], nodes[-1]
     gap = st.floats(0.0, 1e4, exclude_min=True)
     value = draw(st.one_of(
@@ -58,9 +80,8 @@ def grid_and_angles(draw):
     """A strictly ascending grid of 1, 2 or 16 nodes and up to 20 angles:
     its nodes (the top one included), 0, whole multiples of its span,
     negative and large angles, and any float."""
-    size = draw(st.sampled_from([1, 2, 16]))
-    nodes = sorted(draw(st.lists(st.floats(-1e3, 1e3), min_size=size,
-                                 max_size=size, unique=True)))
+    nodes = draw(st.sampled_from([1, 2, 16]).flatmap(
+        lambda size: ascending(size, -1e3, 1e3)))
     span = nodes[-1] - nodes[0]
     angle = st.one_of(
         st.sampled_from(nodes), st.sampled_from([0.0, -0.0]),
@@ -68,12 +89,6 @@ def grid_and_angles(draw):
         st.integers(-50, 50).map(lambda m: nodes[0] + m * span),
         st.floats(-1e4, 0.0), st.floats(-1e300, 1e300), st.floats())
     return nodes, draw(st.lists(angle, max_size=20))
-
-
-def ascending(size, lo, hi):
-    """Strictly ascending lists of `size` floats in [lo, hi]."""
-    return st.lists(st.floats(lo, hi), min_size=size, max_size=size,
-                    unique=True).map(sorted)
 
 
 @st.composite
@@ -278,6 +293,12 @@ class TestInductanceSurface:
 class TestAxisLocate:
     @given(case=grid_and_value(), wrap=st.booleans(), as_numpy=st.booleans())
     @settings(max_examples=1000, deadline=None)
+    @example(case=(ONE_NODE, 3.0), wrap=True, as_numpy=False)
+    @example(case=(ONE_NODE, -7.5), wrap=False, as_numpy=True)
+    @example(case=(ADJACENT, ADJACENT[1]), wrap=True, as_numpy=False)
+    @example(case=(ADJACENT, ADJACENT[0]), wrap=False, as_numpy=True)
+    @example(case=(WHOLE_RANGE, WHOLE_RANGE[7]), wrap=True, as_numpy=True)
+    @example(case=(WHOLE_RANGE, WHOLE_RANGE[-1]), wrap=False, as_numpy=False)
     def test_matches_searchsorted_reference(self, case, wrap, as_numpy):
         nodes, value = case
         if as_numpy:   # grid nodes reach the locator as numpy scalars
@@ -297,6 +318,9 @@ class TestWrappedCells:
     @example(case=([0.0], [0.0, 45.0, -3.0, 1e300]))
     @example(case=([10.0, 55.0], [10.0, 55.0, 100.0, 0.0, -35.0]))
     @example(case=([0.0, 45.0], [float("nan"), float("inf"), -float("inf")]))
+    @example(case=(ONE_NODE, ONE_NODE + [0.0, -1e300]))
+    @example(case=(ADJACENT, ADJACENT + [0.0, 2.0, -1.0]))
+    @example(case=(WHOLE_RANGE, WHOLE_RANGE + [0.0, 3.1e4, -3.1e4]))
     def test_matches_scalar_locator(self, case):
         # the vectorised wrap is _axis_locate(wrap=True) on every angle,
         # bit for bit, with int64 rows and float64 offsets

@@ -3,18 +3,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from srmq import lqt, qlearn
-from srmq.qlearn import (DataTuple, ExcitationError, QKernel, QTrainConfig,
-                         QTrainError, RankDeficientError, TupleBatch,
-                         batch_ls_solve,
-                         build_ls_rows, policy_improvement, q_policy_iteration,
-                         rls_init, rls_update, stage_cost, sym_features)
+from srmq.qlearn import (ExcitationError, QTrainConfig, QTrainError,
+                         TupleBatch, batch_ls_solve, build_ls_rows,
+                         policy_improvement, q_policy_iteration, rls_update,
+                         stage_cost, sym_features)
+from conftest import kernel_matrix, kernel_vector
 
 A16, B16 = 0.9875, 0.00625
 
 
 def kernel_from_value_matrix(model, P):
-    """Ground-truth action-value kernel for a given cost matrix P, assembled
-    from the model the learner never sees."""
+    """Ground-truth action-value kernel vector for a given cost matrix P,
+    assembled from the model the learner never sees."""
     A, B, g = model.A_a, model.B_b, model.gamma
     G_XX = model.Q_q + g * A.T @ P @ A
     G_Xu = g * (A.T @ P @ B).ravel()
@@ -24,29 +24,31 @@ def kernel_from_value_matrix(model, P):
     G[:2, 2] = G_Xu
     G[2, :2] = G_Xu
     G[2, 2] = G_uu
-    return QKernel(G)
+    return kernel_vector(G)
 
 
 def reference_ls_rows(tuples, gamma):
-    """Regression rows one tuple at a time, from the scalar feature map:
-    the reference the stacked build_ls_rows must reproduce bit for bit."""
+    """Regression rows from a list of (M_k, M_k1, cost) tuples, one at a
+    time, from the scalar feature map: the reference the stacked
+    build_ls_rows must reproduce bit for bit."""
     def features(M):
         m0, m1, m2 = M
         return np.array([m0 * m0, 2 * m0 * m1, 2 * m0 * m2,
                          m1 * m1, 2 * m1 * m2, m2 * m2])
-    design = np.array([features(t.M_k) - gamma * features(t.M_k1)
-                       for t in tuples])
-    return design, np.array([t.stage_cost for t in tuples])
+    design = np.array([features(M_k) - gamma * features(M_k1)
+                       for M_k, M_k1, _ in tuples])
+    return design, np.array([cost for *_, cost in tuples])
 
 
-def as_batch(tuples):
-    return TupleBatch(np.array([t.M_k for t in tuples]),
-                      np.array([t.M_k1 for t in tuples]),
-                      np.array([t.stage_cost for t in tuples]))
+def repeated(M_k, M_k1, cost, count=6):
+    """A batch of `count` copies of one transition."""
+    return TupleBatch(np.tile(M_k, (count, 1)), np.tile(M_k1, (count, 1)),
+                      np.full(count, cost))
 
 
 def make_collector(model, rng, dither=15.0):
-    """Sampled-transition source for one frozen linear model."""
+    """Sampled-transition source for one frozen linear model: a batch of
+    `count` tuples under the gain K."""
     A, B = model.A_a[0, 0], model.B_b[0, 0]
 
     def collect(K, count):
@@ -57,43 +59,47 @@ def make_collector(model, rng, dither=15.0):
             u = -(K[0] * x + K[1] * r) + dither * rng.uniform(-1, 1)
             x1 = A * x + B * u
             u1 = -(K[0] * x1 + K[1] * r)
-            c = stage_cost((x, r), u, model.Q_q, model.R_u)
-            tuples.append(DataTuple((x, r, u), (x1, r, u1), c))
-        return tuples
+            tuples.append(((x, r, u), (x1, r, u1),
+                           stage_cost((x, r), u, model.Q_q, model.R_u)))
+        return TupleBatch(*map(np.array, zip(*tuples)))
 
     return collect
 
 
+def one_node(collect):
+    """q_policy_iteration's stacked collector over a single node."""
+    def stacked(K, count, done):
+        return TupleBatch(*(v[None] for v in collect(K[0], count))), {}
+    return stacked
+
+
 class TestKernel:
     def test_example_value(self):
-        k = QKernel(np.eye(3))
+        g = kernel_vector(np.eye(3))
         M = np.array([1.0, 2.0, 3.0])
-        assert 0.5 * M @ k.G @ M == pytest.approx(7.0)
+        assert 0.5 * sym_features(M) @ g == pytest.approx(7.0)
 
     def test_blocks(self):
+        # the order at NUM_PARAMS: G_ux, G_ur and G_uu are entries 2, 4, 5
         G = np.array([[1.0, 2, 3], [2, 4, 5], [3, 5, 6]])
-        k = QKernel(G)
-        assert np.array_equal(k.G[:2, :2], [[1, 2], [2, 4]])
-        assert np.array_equal(k.G_uX, [3, 5])
-        assert k.G_uu == 6.0
+        g = kernel_vector(G)
+        assert np.array_equal(g, [1, 2, 3, 4, 5, 6])
+        assert np.array_equal(policy_improvement(g), [3 / 6, 5 / 6])
+        stack = np.stack([g, 2 * g, g + 1])
+        assert policy_improvement(stack).tobytes() == np.array(
+            [policy_improvement(row) for row in stack]).tobytes()
 
     def test_vec_round_trip(self):
         G = np.array([[1.0, 2, 3], [2, 4, 5], [3, 5, 6]])
-        k = QKernel(G)
-        assert np.array_equal(QKernel.from_vec(k.to_vec()).G, G)
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError):
-            QKernel(np.array([[1.0, 2, 3], [0, 4, 5], [3, 5, 6]]))
+        assert np.array_equal(kernel_matrix(kernel_vector(G)), G)
 
     @given(g=st.lists(st.floats(-10, 10), min_size=6, max_size=6),
            m=st.lists(st.floats(-5, 5), min_size=3, max_size=3))
     @settings(max_examples=100, deadline=None)
     def test_features_reproduce_quadratic_form(self, g, m):
-        k = QKernel.from_vec(g)
         M = np.array(m)
-        assert sym_features(M) @ k.to_vec() == pytest.approx(M @ k.G @ M,
-                                                             rel=1e-9, abs=1e-9)
+        assert sym_features(M) @ np.array(g) == pytest.approx(
+            M @ kernel_matrix(g) @ M, rel=1e-9, abs=1e-9)
 
 
 class TestStageCost:
@@ -133,12 +139,15 @@ class TestPolicyImprovement:
         K = policy_improvement(k)
         X = np.array([1.0, 4.0])
         M = np.array([*X, -K @ X])
-        assert 0.5 * M @ k.G @ M == pytest.approx(0.5 * X @ P @ X, rel=1e-9)
+        assert 0.5 * M @ kernel_matrix(k) @ M == pytest.approx(
+            0.5 * X @ P @ X, rel=1e-9)
 
     def test_nonpositive_input_block_rejected(self):
-        G = np.diag([1.0, 1.0, -0.5])
-        with pytest.raises(ExcitationError):
-            policy_improvement(QKernel(G))
+        g = kernel_vector(np.diag([1.0, 1.0, -0.5]))
+        with pytest.raises(ExcitationError, match="G_uu = -5.000e-01"):
+            policy_improvement(g)
+        with pytest.raises(ExcitationError, match="G_uu = -5.000e-01"):
+            policy_improvement(np.stack([kernel_vector(np.eye(3)), g]))
 
 
 # magnitudes from 1e-150 to 1e150 (no product overflows), signed zeros and
@@ -166,56 +175,63 @@ class TestBellmanRow:
 
 class TestLeastSquares:
     def test_row_structure(self):
-        t = DataTuple((1.0, 2.0, 3.0), (0.5, 2.0, 1.0), 7.0)
-        design, targets = build_ls_rows([t] * 6, gamma=0.9)
+        design, targets = build_ls_rows(
+            repeated((1.0, 2.0, 3.0), (0.5, 2.0, 1.0), 7.0), gamma=0.9)
         expected = sym_features(np.array([1.0, 2.0, 3.0])) \
             - 0.9 * sym_features(np.array([0.5, 2.0, 1.0]))
         assert np.allclose(design, np.tile(expected, (6, 1)))
         assert np.array_equal(targets, np.full(6, 7.0))
 
     def test_undiscounted_rows(self):
-        t = DataTuple((1.0, 2.0, 3.0), (1.0, 2.0, 3.0), 0.0)
-        design, _ = build_ls_rows([t] * 6, gamma=1.0)
+        design, _ = build_ls_rows(
+            repeated((1.0, 2.0, 3.0), (1.0, 2.0, 3.0), 0.0), gamma=1.0)
         assert np.allclose(design, 0.0)
 
     def test_too_few_tuples_rejected(self):
-        t = DataTuple((1.0, 2.0, 3.0), (0.5, 2.0, 1.0), 7.0)
         with pytest.raises(ValueError):
-            build_ls_rows([t] * 5, gamma=0.9)
+            build_ls_rows(repeated((1.0, 2.0, 3.0), (0.5, 2.0, 1.0), 7.0, 5),
+                          gamma=0.9)
 
     def test_exact_recovery_from_six_tuples(self):
         m = lqt.build_augmented(A16, B16)
         K = np.array([100.0, -100.0])
-        G_true = kernel_from_value_matrix(m, lqt.evaluate_policy(m, K))
+        g_true = kernel_from_value_matrix(m, lqt.evaluate_policy(m, K))
         rng = np.random.default_rng(7)
-        tuples = make_collector(m, rng)(K, 6)
-        design, targets = build_ls_rows(tuples, m.gamma)
-        fit = batch_ls_solve(design, targets)
-        assert np.allclose(fit.G, G_true.G, rtol=1e-8, atol=1e-8)
+        design, targets = build_ls_rows(make_collector(m, rng)(K, 6), m.gamma)
+        g, rank = batch_ls_solve(design, targets)
+        assert rank == 6
+        assert np.allclose(g, g_true, rtol=1e-8, atol=1e-8)
 
     def test_noise_robustness_with_many_tuples(self):
         m = lqt.build_augmented(A16, B16)
         K = np.array([100.0, -100.0])
-        G_true = kernel_from_value_matrix(m, lqt.evaluate_policy(m, K))
+        g_true = kernel_from_value_matrix(m, lqt.evaluate_policy(m, K))
         rng = np.random.default_rng(11)
-        tuples = make_collector(m, rng)(K, 400)
-        design, targets = build_ls_rows(tuples, m.gamma)
+        design, targets = build_ls_rows(make_collector(m, rng)(K, 400),
+                                        m.gamma)
         targets = targets + rng.normal(0, 1e-9, targets.size)
-        fit = batch_ls_solve(design, targets)
-        assert np.allclose(fit.G, G_true.G, rtol=1e-5, atol=1e-5)
+        g, rank = batch_ls_solve(design, targets)
+        assert rank == 6
+        assert np.allclose(g, g_true, rtol=1e-5, atol=1e-5)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_list_and_batch_match_reference(self, seed):
+        # the rows of a list of tuples, one at a time, are the batch's rows
+        # and those of the batch as a one-node stack, bit for bit
         m = lqt.build_augmented(A16, B16)
         rng = np.random.default_rng(seed)
-        tuples = make_collector(m, rng)(np.array([100.0, -100.0]), 6 + 10 * seed)
-        ref_design, ref_targets = reference_ls_rows(tuples, m.gamma)
-        for source in (tuples, as_batch(tuples)):
+        batch = make_collector(m, rng)(np.array([100.0, -100.0]), 6 + 10 * seed)
+        ref_design, ref_targets = reference_ls_rows(list(zip(*batch)),
+                                                    m.gamma)
+        ref_g, ref_rank = batch_ls_solve(ref_design, ref_targets)
+        stack = TupleBatch(*(v[None] for v in batch))
+        for source, node in ((batch, ...), (stack, 0)):
             design, targets = build_ls_rows(source, m.gamma)
-            assert np.array_equal(design, ref_design)
-            assert np.array_equal(targets, ref_targets)
-            assert np.array_equal(batch_ls_solve(design, targets).G,
-                                  batch_ls_solve(ref_design, ref_targets).G)
+            assert np.array_equal(design[node], ref_design)
+            assert np.array_equal(targets[node], ref_targets)
+            g, rank = batch_ls_solve(design, targets)
+            assert g[node].tobytes() == ref_g.tobytes()
+            assert rank[node] == ref_rank == 6
 
     @pytest.mark.parametrize("field, index, value, message", [
         ("M_k", (2, 1), np.nan, "tuple entries must be finite"),
@@ -225,10 +241,10 @@ class TestLeastSquares:
     ])
     def test_batch_checked_as_data_tuples_are(self, field, index, value,
                                                message):
+        # each tuple of a batch is checked: finite entries, cost >= -1e-9
         m = lqt.build_augmented(A16, B16)
-        tuples = make_collector(m, np.random.default_rng(0))(
+        batch = make_collector(m, np.random.default_rng(0))(
             np.array([100.0, -100.0]), 6)
-        batch = as_batch(tuples)
         getattr(batch, field)[index] = value
         with pytest.raises(ValueError, match=message):
             build_ls_rows(batch, m.gamma)
@@ -245,28 +261,17 @@ class TestLeastSquares:
         # without dither u is a deterministic function of (x, r): 6 tuples
         # cannot span the 6-dimensional basis
         m = lqt.build_augmented(A16, B16)
-        K = np.array([100.0, -100.0])
-        A, B = m.A_a[0, 0], m.B_b[0, 0]
-        rng = np.random.default_rng(3)
-        tuples = []
-        for _ in range(40):
-            x, r = rng.uniform(0, 6), rng.uniform(1, 5)
-            u = -(K[0] * x + K[1] * r)
-            x1 = A * x + B * u
-            u1 = -(K[0] * x1 + K[1] * r)
-            tuples.append(DataTuple((x, r, u), (x1, r, u1),
-                                    stage_cost((x, r), u, m.Q_q, m.R_u)))
-        design, targets = build_ls_rows(tuples, m.gamma)
-        with pytest.raises(RankDeficientError) as exc:
-            batch_ls_solve(design, targets)
-        assert exc.value.rank < 6
+        design, targets = build_ls_rows(make_collector(
+            m, np.random.default_rng(3), dither=0.0)(
+                np.array([100.0, -100.0]), 40), m.gamma)
+        assert batch_ls_solve(design, targets)[1] < 6
 
     @pytest.mark.parametrize("n, z, deficient", [
         (64, 6, ()), (64, 40, ()), (9, 6, (2, 5)), (9, 40, (0, 4, 8)),
         (1, 6, ()), (1, 40, (0,))])
     def test_stacked_solve_matches_lstsq(self, n, z, deficient):
         # the training loop's one stacked call is np.linalg.lstsq per row,
-        # solution and rank bit for bit, and batch_ls_solve is its one-row use
+        # solution and rank bit for bit, also on one design alone
         rng = np.random.default_rng(n + z)
         design = (rng.standard_normal((n, z, 6))
                   * 10.0 ** rng.uniform(-3, 3, (n, 1, 6)))
@@ -276,7 +281,7 @@ class TestLeastSquares:
                 design[j, :, 4] = 0.0
             else:
                 design[j, :, 5] = design[j, :, 1]
-        g, rank = qlearn._ls_fit(design, targets)
+        g, rank = batch_ls_solve(design, targets)
         assert g.shape == (n, 6) and rank.shape == (n,)
         assert np.flatnonzero(rank < 6).tolist() == list(deficient)
         for j in range(n):
@@ -284,48 +289,48 @@ class TestLeastSquares:
                                                     rcond=None)
             assert g[j].tobytes() == want.tobytes()
             assert rank[j] == want_rank
-            if want_rank < 6:
-                with pytest.raises(RankDeficientError) as exc:
-                    batch_ls_solve(design[j], targets[j])
-                assert exc.value.rank == want_rank
-            else:
-                assert np.array_equal(batch_ls_solve(design[j], targets[j]).G,
-                                      QKernel.from_vec(want).G)
+            g_j, rank_j = batch_ls_solve(design[j], targets[j])
+            assert g_j.tobytes() == want.tobytes() and rank_j == want_rank
+
+
+def fresh_rls(tau=1e6):
+    """A zero kernel vector and the covariance tau * I."""
+    return np.zeros(6), tau * np.eye(6)
 
 
 class TestRls:
     def test_zero_row_is_noop(self):
-        s0 = rls_init()
-        s1 = rls_update(s0, np.zeros(6), 5.0)
-        assert np.array_equal(s1.g_vec, s0.g_vec)
-        assert np.array_equal(s1.eta, s0.eta)
+        g0, eta0 = fresh_rls()
+        g1, eta1 = rls_update(g0, eta0, np.zeros(6), 5.0)
+        assert np.array_equal(g1, g0)
+        assert np.array_equal(eta1, eta0)
 
     def test_single_row_min_norm(self):
         row = np.array([1.0, 0, 2, 0, 0, 1.0])
-        s = rls_update(rls_init(tau=1e12), row, 6.0)
-        assert np.allclose(s.g_vec, row * 6.0 / (row @ row), atol=1e-9)
+        g, eta = rls_update(*fresh_rls(tau=1e12), row, 6.0)
+        assert np.allclose(g, row * 6.0 / (row @ row), atol=1e-9)
+        assert np.array_equal(eta, eta.T)
 
     def test_repeated_passes_approach_batch_solution(self):
         m = lqt.build_augmented(A16, B16)
         K = np.array([100.0, -100.0])
         rng = np.random.default_rng(5)
-        tuples = make_collector(m, rng)(K, 60)
-        design, targets = build_ls_rows(tuples, m.gamma)
-        batch = batch_ls_solve(design, targets).to_vec()
-        s = rls_init(tau=1e10)
+        design, targets = build_ls_rows(make_collector(m, rng)(K, 60), m.gamma)
+        batch, _ = batch_ls_solve(design, targets)
+        g, eta = fresh_rls(tau=1e10)
         errs = []
         for _ in range(6):
             for row, t in zip(design, targets):
-                s = rls_update(s, row, t)
-            errs.append(np.linalg.norm(s.g_vec - batch) / np.linalg.norm(batch))
+                g, eta = rls_update(g, eta, row, t)
+            errs.append(np.linalg.norm(g - batch) / np.linalg.norm(batch))
         assert errs[-1] < 1e-6
         assert errs[-1] <= errs[0]
 
-    def test_warm_start_from_kernel(self):
-        k = QKernel(np.diag([1.0, 2.0, 3.0]))
-        s = rls_init(tau=10.0, kernel=k)
-        assert np.array_equal(s.g_vec, k.to_vec())
-        assert np.array_equal(s.eta, 10.0 * np.eye(6))
+
+def train_one(collect, K0, cfg=QTrainConfig()):
+    """(gain, iterations, failures) of one node trained alone."""
+    res = q_policy_iteration(one_node(collect), np.array([K0], float), cfg)
+    return policy_improvement(res.kernels[0]), res.iterations[0], res.failures
 
 
 class TestSampledPolicyIteration:
@@ -333,68 +338,61 @@ class TestSampledPolicyIteration:
         m = lqt.build_augmented(A16, B16)
         K_star = lqt.optimal_gain(lqt.are_fixed_point(m, tol=1e-13), m)
         rng = np.random.default_rng(0)
-        res = q_policy_iteration(make_collector(m, rng), [100.0, -100.0])
-        assert np.linalg.norm(res.gain - K_star) / np.linalg.norm(K_star) < 1e-3
-        assert res.iterations < 30
+        gain, iterations, failures = train_one(make_collector(m, rng),
+                                               [100.0, -100.0])
+        assert failures == []
+        assert np.linalg.norm(gain - K_star) / np.linalg.norm(K_star) < 1e-3
+        assert iterations < 30
 
     def test_optimal_start_is_a_fixed_point(self):
         m = lqt.build_augmented(A16, B16)
         K_star = lqt.optimal_gain(lqt.are_fixed_point(m, tol=1e-13), m)
         rng = np.random.default_rng(1)
-        res = q_policy_iteration(make_collector(m, rng), K_star)
-        assert res.iterations <= 2
-        assert np.linalg.norm(res.gain - K_star) < 1e-3
+        gain, iterations, failures = train_one(make_collector(m, rng), K_star)
+        assert failures == []
+        assert iterations <= 2
+        assert np.linalg.norm(gain - K_star) < 1e-3
 
-    def test_non_settling_raises(self):
+    def test_non_settling_is_reported(self):
         m = lqt.build_augmented(A16, B16)
         rng = np.random.default_rng(2)
         cfg = QTrainConfig(tol=1e-16, max_iters=3)
-        with pytest.raises(QTrainError):
-            q_policy_iteration(make_collector(m, rng), [100.0, -100.0], cfg)
+        res = q_policy_iteration(one_node(make_collector(m, rng)),
+                                 [[100.0, -100.0]], cfg)
+        assert res.iterations == [0]
+        assert np.array_equal(res.kernels, np.zeros((1, 6)))
+        [(node, exc)] = res.failures
+        assert node == 0 and isinstance(exc, QTrainError)
+        assert "did not settle within 3 iterations" in str(exc)
 
     @pytest.mark.parametrize("stacked", [False, True])
     def test_overflowing_design_raises_linalg_error(self, stacked):
         # tuples near 1e200 square to inf in the design, and dgelsd's SVD
         # fails: np.linalg.lstsq's LinAlgError, under the loop's errstate
-        # too, not a RankDeficientError; in a stack one such node is enough
+        # too, not a RankDeficientError; alone or in a stack of three, one
+        # such node is enough
         rng = np.random.default_rng(4)
 
         def vectors(count, scale):
             return scale * rng.uniform(0.5, 1.5, (count, 3))
 
-        def collect_one(K, count, scale=1e200):
-            return TupleBatch(vectors(count, scale), vectors(count, scale),
-                              np.ones(count))
-
         def collect(K, count, done):
-            nodes = [collect_one(k, count, 1e200 if j == 1 else 1.0)
-                     for j, k in enumerate(K)]
+            nodes = [(vectors(count, scale), vectors(count, scale),
+                      np.ones(count))
+                     for scale in ([1.0, 1e200, 1.0] if stacked else [1e200])]
             return TupleBatch(*map(np.array, zip(*nodes))), {}
 
-        K0 = np.array([100.0, -100.0])
+        K0 = np.tile([100.0, -100.0], (3 if stacked else 1, 1))
         with pytest.raises(np.linalg.LinAlgError,
                            match="SVD did not converge in Linear Least Squares"):
-            if stacked:
-                q_policy_iteration(collect, np.tile(K0, (3, 1)))
-            else:
-                q_policy_iteration(collect_one, K0)
+            q_policy_iteration(collect, K0)
+
+    def test_one_gain_row_per_node_required(self):
+        with pytest.raises(ValueError, match=r"shape \(n, 2\), got shape \(2,\)"):
+            q_policy_iteration(None, [100.0, -100.0])
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             QTrainConfig(gamma=0.0)
         with pytest.raises(ValueError):
             QTrainConfig(tuples_per_iter=5)
-
-
-class TestDataTuple:
-    def test_bad_shapes_rejected(self):
-        with pytest.raises(ValueError):
-            DataTuple((1.0, 2.0), (1.0, 2.0, 3.0), 0.0)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            DataTuple((1.0, 2.0, float("nan")), (1.0, 2.0, 3.0), 0.0)
-
-    def test_negative_cost_rejected(self):
-        with pytest.raises(ValueError):
-            DataTuple((1.0, 2.0, 3.0), (1.0, 2.0, 3.0), -1.0)

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from srmq import lqt, qlearn, scheduler
 from srmq.plant import (MotorParams, ReferenceProfile, default_surface,
                         _linearised, inductance_at)
-from srmq.qlearn import (DataTuple, QKernel, RlsState, TupleBatch, rls_update,
+from srmq.qlearn import (TupleBatch, policy_improvement, rls_update,
                          stage_cost, sym_features)
 from srmq.scheduler import (CellLocation, QCoreTable, TableMismatchError,
                             TableTrainConfig, TableTrainError, _corner,
@@ -20,15 +20,16 @@ from srmq.scheduler import (CellLocation, QCoreTable, TableMismatchError,
                             scheduled_gain, scheduled_q, train_table,
                             update_core_online)
 from srmq.sim import Scenario, run_closed_loop
-from conftest import constant_surface, core_G, point_near, reference_blend
+from conftest import (constant_surface, core_G, kernel_matrix, kernel_vector,
+                      point_near, reference_blend)
 
 
 def random_kernel(rng):
-    """Random symmetric kernel with a positive input block."""
+    """Random symmetric kernel vector with a positive input block."""
     G = rng.uniform(-5, 5, (3, 3))
     G = (G + G.T) / 2
     G[2, 2] = rng.uniform(0.5, 2.0)
-    return QKernel(G)
+    return kernel_vector(G)
 
 
 def random_table(rng, nt=None, ni=None):
@@ -36,7 +37,7 @@ def random_table(rng, nt=None, ni=None):
     ni = ni or rng.integers(2, 5)
     theta = np.sort(rng.uniform(0, 45, nt))
     current = np.sort(rng.uniform(0, 8, ni))
-    cores = np.array([[random_kernel(rng).to_vec() for _ in range(ni)]
+    cores = np.array([[random_kernel(rng) for _ in range(ni)]
                       for _ in range(nt)])
     return QCoreTable(theta, current, cores, TableTrainConfig(), "testhash")
 
@@ -69,14 +70,16 @@ def reference_scheduled_gain(table, theta, i):
 
 
 def reference_update_core_online(table, tup, cell):
-    """update_core_online through the public, validated RLS path and the
-    numpy gains."""
-    row = sym_features(tup.M_k) - table.cfg.gamma * sym_features(tup.M_k1)
+    """update_core_online through the stacked feature map, qlearn's
+    rls_update and the numpy gains, checking the RLS state it makes: a
+    6-vector and a symmetric 6x6 covariance."""
+    M_k, M_k1, cost = tup
+    row = sym_features(M_k) - table.cfg.gamma * sym_features(M_k1)
     a, b = cell
-    state = rls_update(RlsState(np.array(table.kernels[a][b]),
-                                table.covariance[cell]),
-                       row, tup.stage_cost)
-    g = state.g_vec
+    g, eta = rls_update(np.array(table.kernels[a][b]), table.covariance[cell],
+                        row, cost)
+    assert g.shape == (6,) and eta.shape == (6, 6)
+    assert np.allclose(eta, eta.T)
     if g[5] <= 0:
         return False
     K_new = np.array([g[2], g[4]]) / g[5]
@@ -84,7 +87,7 @@ def reference_update_core_online(table, tup, cell):
     if np.linalg.norm(K_new - K_old) > table.cfg.gain_clamp * (1 + np.linalg.norm(K_old)):
         return False
     table.kernels[a][b] = g.tolist()
-    table.covariance[cell] = state.eta
+    table.covariance[cell] = eta
     return True
 
 
@@ -159,9 +162,9 @@ class TestSchedule:
     def test_scheduled_q_matches_numpy_reference(self, case):
         t, theta, i = case
         loc = locate(t, theta, i)
-        want = QKernel.from_vec(reference_blend(np.array(t.kernels), loc.row,
-                                                loc.col, loc.l1, loc.l2)).G
-        assert scheduled_q(t, theta, i).G.tobytes() == want.tobytes()
+        want = reference_blend(np.array(t.kernels), loc.row, loc.col, loc.l1,
+                               loc.l2)
+        assert scheduled_q(t, theta, i).tobytes() == want.tobytes()
 
     def test_fallback_leaves_table_unchanged(self):
         # two valid cores with G_uu = 5e-324: at l2 = 0.5 each weight is 0.5
@@ -183,14 +186,18 @@ class TestSchedule:
 def assert_learning_run_matches_public_rls_result(scenario, table,
                                                   monkeypatch):
     """Run the scenario and replay every online update on a copy of the
-    table through the public RlsState/rls_update path, whose numbers pass
-    DataTuple's finite, shape and cost checks: each accept or reject and
-    the final tables must agree bit for bit."""
+    table through reference_update_core_online; every transition the loop
+    passes holds two 3-entry finite vectors and a finite, non-negative
+    cost.  Each accept or reject and the final tables must agree bit for
+    bit."""
     ref = copy.deepcopy(table)
     updates = []
 
     def recording(table, cell, M_k, M_k1, cost):
-        tup = DataTuple(M_k, M_k1, cost)
+        tup = (np.array(M_k, float), np.array(M_k1, float), cost)
+        assert tup[0].shape == tup[1].shape == (3,)
+        assert np.isfinite(tup[0]).all() and np.isfinite(tup[1]).all()
+        assert np.isfinite(cost) and cost >= -1e-9
         applied = update_core_online(table, cell, M_k, M_k1, cost)
         updates.append((tup, cell, applied))
         return applied
@@ -322,12 +329,14 @@ class TestScheduledQ:
         t = trained_table
         for a in (0, 4, 10):
             for b in (0, 3, 7):
-                G = scheduled_q(t, float(t.theta_nodes[a]),
-                                float(t.current_nodes[b])).G
+                G = kernel_matrix(scheduled_q(t, float(t.theta_nodes[a]),
+                                              float(t.current_nodes[b])))
                 assert np.allclose(G, core_G(t, a, b), atol=1e-12)
 
     def test_result_is_symmetric(self, trained_table):
-        G = scheduled_q(trained_table, 7.3, 2.9).G
+        g = scheduled_q(trained_table, 7.3, 2.9)
+        assert g.shape == (6,) and g.dtype == np.float64
+        G = kernel_matrix(g)
         assert np.array_equal(G, G.T)
 
     def test_convexity_entrywise(self, trained_table):
@@ -342,7 +351,7 @@ class TestScheduledQ:
             stack = np.stack([core_G(t, loc.row, loc.col),
                               core_G(t, r1, loc.col),
                               core_G(t, loc.row, c1), core_G(t, r1, c1)])
-            G = scheduled_q(t, theta, i).G
+            G = kernel_matrix(scheduled_q(t, theta, i))
             assert np.all(G >= stack.min(axis=0) - 1e-9)
             assert np.all(G <= stack.max(axis=0) + 1e-9)
 
@@ -350,8 +359,8 @@ class TestScheduledQ:
         t = trained_table
         edge_t = float(t.theta_nodes[5])
         for i in (1.3, 4.7):
-            left = scheduled_q(t, edge_t - 1e-9, i).G
-            right = scheduled_q(t, edge_t + 1e-9, i).G
+            left = scheduled_q(t, edge_t - 1e-9, i)
+            right = scheduled_q(t, edge_t + 1e-9, i)
             assert np.allclose(left, right, atol=1e-5)
 
     @given(seed=st.integers(0, 10_000), theta=st.floats(-10, 90),
@@ -360,23 +369,23 @@ class TestScheduledQ:
     def test_matches_coefficient_solve(self, seed, theta, i):
         rng = np.random.default_rng(seed)
         t = random_table(rng)
-        G = scheduled_q(t, theta, i).G
+        G = kernel_matrix(scheduled_q(t, theta, i))
         assert np.allclose(G, blend_oracle(t, theta, i), atol=1e-10)
 
     def test_matches_coefficient_solve_on_trained(self, trained_table):
         rng = np.random.default_rng(1)
         for _ in range(100):
             theta, i = rng.uniform(0, 45), rng.uniform(0, 7.5)
-            G = scheduled_q(trained_table, theta, i).G
+            G = kernel_matrix(scheduled_q(trained_table, theta, i))
             assert np.allclose(G, blend_oracle(trained_table, theta, i),
                                atol=1e-10)
 
 
 class TestScheduledGain:
     def test_gain_is_greedy_on_blended_kernel(self, trained_table):
-        k = scheduled_q(trained_table, 13.1, 3.7)
+        g = scheduled_q(trained_table, 13.1, 3.7)
         K = scheduled_gain(trained_table, 13.1, 3.7)
-        assert np.allclose(K, k.G_uX / k.G_uu)
+        assert np.allclose(K, policy_improvement(g))
 
     def test_fallback_on_indefinite_blend(self):
         # valid cores whose subnormal input blocks blend to G_uu = 0 at
@@ -388,7 +397,7 @@ class TestScheduledGain:
                        base.cfg, "h")
         theta = float(t.theta_nodes.mean())
         i = float(t.current_nodes.mean())
-        assert scheduled_q(t, theta, i).G_uu == 0.0
+        assert scheduled_q(t, theta, i)[5] == 0.0
         K = scheduled_gain(t, theta, i)
         cell = schedule(t, theta, i)[2]
         assert np.array_equal(K, t.gains[cell])
@@ -396,8 +405,8 @@ class TestScheduledGain:
 
 
 def reference_node_collector(A, B, cfg, i_span, i_limit, rng):
-    """Scalar tuple source, one rng.uniform per value and one DataTuple per
-    tuple: the reference the array collector must reproduce bit for bit."""
+    """Scalar tuple source, one rng.uniform per value and one tuple at a
+    time: the reference the array collector must reproduce bit for bit."""
     Q_q = cfg.tracking_weight()
     lo, hi = i_span
 
@@ -414,9 +423,8 @@ def reference_node_collector(A, B, cfg, i_span, i_limit, rng):
                     f"{i_limit:#.4g} A safety bound")
             u1 = -(K[0] * x1 + K[1] * r)
             cost = stage_cost((x, r), u, Q_q, cfg.r_weight)
-            tuples.append(DataTuple(np.array([x, r, u]),
-                                    np.array([x1, r, u1]), cost))
-        return tuples
+            tuples.append(((x, r, u), (x1, r, u1), cost))
+        return TupleBatch(*map(np.array, zip(*tuples)))
 
     return collect
 
@@ -434,10 +442,10 @@ def reference_train_node(params, surface, cfg, theta_nodes, current_nodes,
         np.random.default_rng([cfg.seed, a, b]))
     K = np.asarray(cfg.K0, float)
     for i in range(1, cfg.max_iters + 1):
-        tuples = collect(K, cfg.tuples_per_iter)
-        design = np.array([sym_features(t.M_k) - cfg.gamma * sym_features(t.M_k1)
-                           for t in tuples])
-        targets = np.array([t.stage_cost for t in tuples])
+        batch = collect(K, cfg.tuples_per_iter)
+        design = np.array([sym_features(M_k) - cfg.gamma * sym_features(M_k1)
+                           for M_k, M_k1 in zip(batch.M_k, batch.M_k1)])
+        targets = batch.costs
         g, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
         if rank < 6:
             raise qlearn.RankDeficientError(int(rank))
@@ -505,7 +513,7 @@ class TestTupleCollection:
             for K in gains:
                 count = 6 + seed % 5
                 try:
-                    tuples = reference(K, count)
+                    want = reference(K, count)
                 except scheduler.SafetyAbortError as ref:
                     with pytest.raises(scheduler.SafetyAbortError) as exc:
                         collect(K, count)
@@ -513,10 +521,8 @@ class TestTupleCollection:
                     aborts += 1
                     break
                 batch = collect(K, count)
-                assert np.array_equal(batch.M_k, [t.M_k for t in tuples]), seed
-                assert np.array_equal(batch.M_k1, [t.M_k1 for t in tuples]), seed
-                assert np.array_equal(batch.costs,
-                                      [t.stage_cost for t in tuples]), seed
+                for got, ref in zip(batch, want):
+                    assert np.array_equal(got, ref), seed
         assert 0 < aborts < 200
 
     def test_safety_abort_names_the_first_tuple_like_reference(self):
@@ -883,32 +889,28 @@ class TestTableValidation:
         TableTrainConfig(q_weight=0.0, dither=0.0)
 
     def test_unsorted_nodes_rejected(self):
-        k = QKernel(np.diag([1.0, 1.0, 1.0]))
         with pytest.raises(ValueError):
             QCoreTable(np.array([1.0, 0.0]), np.array([0.0, 1.0]),
-                       np.tile(k.to_vec(), (2, 2, 1)), TableTrainConfig(), "h")
+                       np.tile(kernel_vector(np.eye(3)), (2, 2, 1)), TableTrainConfig(), "h")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_nodes_rejected(self, bad):
-        k = QKernel(np.diag([1.0, 1.0, 1.0]))
         for theta, current in (([0.0, bad], [0.0, 1.0]),
                                ([0.0, 1.0], [bad, 1.0])):
             with pytest.raises(ValueError, match="finite and strictly ascending"):
                 QCoreTable(np.array(theta), np.array(current),
-                           np.tile(k.to_vec(), (2, 2, 1)), TableTrainConfig(),
+                           np.tile(kernel_vector(np.eye(3)), (2, 2, 1)), TableTrainConfig(),
                            "h")
 
     @pytest.mark.parametrize("iterations", [
         [[-5]], [[1, 2], [3, -1]], [[1.0, 2.0], [3.0, 4.0]], [[1, 2]]])
     def test_iterations_must_be_a_count_per_core(self, iterations):
-        k = QKernel(np.diag([1.0, 1.0, 1.0]))
         with pytest.raises(ValueError, match="iterations must be"):
             QCoreTable(np.array([0.0, 1.0]), np.array([0.0, 1.0]),
-                       np.tile(k.to_vec(), (2, 2, 1)), TableTrainConfig(), "h",
+                       np.tile(kernel_vector(np.eye(3)), (2, 2, 1)), TableTrainConfig(), "h",
                        iterations=np.array(iterations))
 
     def test_shape_mismatch_rejected(self):
-        k = QKernel(np.diag([1.0, 1.0, 1.0]))
         with pytest.raises(ValueError):
             QCoreTable(np.array([0.0, 1.0]), np.array([0.0, 1.0]),
-                       np.tile(k.to_vec(), (2, 1, 1)), TableTrainConfig(), "h")
+                       np.tile(kernel_vector(np.eye(3)), (2, 1, 1)), TableTrainConfig(), "h")

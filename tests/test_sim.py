@@ -15,7 +15,7 @@ from srmq.sim import (CONTROLLERS, EXPORT_CHUNK, MAX_STEPS,
                       SETTLE_FRACTION, TRACE_COLUMNS, Metrics, Scenario,
                       SimTrace, compute_metrics, delta_modulation_step,
                       export_trace, run_closed_loop)
-from conftest import constant_surface, step_phase
+from conftest import constant_surface, kernel_vector, step_phase
 
 
 def make_scenario(params, surface, **kw):
@@ -272,14 +272,13 @@ class TestRunClosedLoop:
         # a positive-feedback core (u = +50 x) drives the current toward
         # V_dc / R = 150 A; the run must abort with a partial trace well
         # before the duration is up
-        from srmq.qlearn import QKernel
         from srmq.scheduler import QCoreTable, TableTrainConfig
         G = np.zeros((3, 3))
         G[0, 2] = G[2, 0] = -50.0   # gain K = [-50, -50] with G_uu = 1
         G[1, 2] = G[2, 1] = -50.0
         G[2, 2] = 1.0
         bad = QCoreTable(np.array([0.0]), np.array([0.0]),
-                         [[QKernel(G).to_vec()]], TableTrainConfig(), "h")
+                         [[kernel_vector(G)]], TableTrainConfig(), "h")
         s = make_scenario(params, surface)
         with pytest.raises(SafetyAbortError) as exc:
             run_closed_loop(s, bad)
@@ -290,13 +289,12 @@ class TestRunClosedLoop:
     def test_huge_abort_current_message_stays_short(self, surface):
         # a core that saturates the 1e300 V bridge at once drives the next
         # current to about 6e297 A; the message prints it in exponent form
-        from srmq.qlearn import QKernel
         from srmq.scheduler import QCoreTable, TableTrainConfig
         G = np.zeros((3, 3))
         G[0, 2] = G[2, 0] = G[1, 2] = G[2, 1] = -1e300
         G[2, 2] = 1.0
         bad = QCoreTable(np.array([0.0]), np.array([0.0]),
-                         [[QKernel(G).to_vec()]], TableTrainConfig(), "h")
+                         [[kernel_vector(G)]], TableTrainConfig(), "h")
         s = make_scenario(MotorParams(V_dc=1e300), surface)
         with pytest.raises(SafetyAbortError) as exc:
             run_closed_loop(s, bad)
