@@ -211,11 +211,11 @@ def _scenario(cp, params, surface) -> sim.Scenario:
     return _build(cp, "scenario", "scenario", scenario)
 
 
-def _grid_oracle(params, surface, cfg, theta_nodes, current_nodes):
-    """frozen_grid's local models and their discounted Riccati solutions
-    from one stacked closed-form solve: (L, model, P, K), one node per
-    row."""
-    L, A, B = frozen_grid(params, surface, theta_nodes, current_nodes)
+def _grid_oracle(grid, cfg):
+    """frozen_grid's local models (L, A, B) and their discounted Riccati
+    solutions from one stacked closed-form solve: (L, model, P, K), one
+    node per row."""
+    L, A, B = grid
     model = lqt.build_augmented(A, B, Q=cfg.q_weight, R_u=cfg.r_weight,
                                 gamma=cfg.gamma)
     P = lqt.are_closed_form(model)
@@ -225,8 +225,8 @@ def _grid_oracle(params, surface, cfg, theta_nodes, current_nodes):
 def _oracle_nodes(cp, params, surface):
     theta_nodes, current_nodes = _grid(cp, params)
     cfg = _train_cfg(cp)
-    L, model, P, K = _grid_oracle(params, surface, cfg, theta_nodes,
-                                  current_nodes)
+    L, model, P, K = _grid_oracle(
+        frozen_grid(params, surface, theta_nodes, current_nodes), cfg)
     try:
         pi = lqt.policy_iteration_model_based(model, cfg.K0)
     except lqt.NotStabilizingError as exc:
@@ -285,13 +285,14 @@ def cmd_train(cp, out_path, json_out=False) -> int:
     surface = _surface(cp, params)
     theta_nodes, current_nodes = _grid(cp, params)
     cfg = _train_cfg(cp)
+    # one frozen grid for the training and the oracle's cross-check
+    grid = frozen_grid(params, surface, theta_nodes, current_nodes)
     table = scheduler.train_table(params, surface, theta_nodes,
-                                  current_nodes, cfg)
+                                  current_nodes, cfg, grid)
 
     # model-based cross-check, reported per node: the gap is relative to
     # the oracle gain, or absolute where that gain is zero (q_weight = 0)
-    K_ref = _grid_oracle(params, surface, cfg, theta_nodes,
-                         current_nodes)[-1]
+    K_ref = _grid_oracle(grid, cfg)[-1]
     scale = _norms(K_ref)
     gaps = (_norms(table.gains.reshape(-1, 2) - K_ref)
             / np.where(scale > 0, scale, 1.0)).reshape(table.shape)
@@ -332,11 +333,14 @@ def _table_and_scenario(cp, table_path):
     the config's scenario."""
     params = _motor(cp)
     surface = _surface(cp, params)
+    # the scenario first: a motor that no run can use is named as such, not
+    # as a table to retrain
+    scenario = _scenario(cp, params, surface)
     table = scheduler.load_table(table_path)
     scheduler.check_table_compatible(table, params, surface)
     _require_pitch_span(table_path, "table", "theta_nodes", table.theta_nodes,
                         params)
-    return table, _scenario(cp, params, surface)
+    return table, scenario
 
 
 def _run_one(scenario, table, out_dir, tag, fmt):

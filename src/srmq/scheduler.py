@@ -299,13 +299,16 @@ def params_hash(params: MotorParams, surface: InductanceSurface) -> str:
 
 def train_table(params: MotorParams, surface: InductanceSurface,
                 theta_nodes=None, current_nodes=None,
-                cfg: TableTrainConfig = TableTrainConfig()) -> QCoreTable:
+                cfg: TableTrainConfig = TableTrainConfig(),
+                grid=None) -> QCoreTable:
     """Train one Q-core per grid node against its frozen local dynamics.
 
     Each node sees a linear plant with the inductance frozen at that
     node's surface value; the learner itself only ever receives sampled
     tuples.  Any non-converged node is reported with its coordinates and
-    the whole table is rejected.
+    the whole table is rejected.  `grid` is frozen_grid's (L, A, B) on
+    these nodes, from a caller that needs it too; without it the grid is
+    built here.
     """
     if theta_nodes is None:
         theta_nodes = np.linspace(0.0, params.rotor_pitch, 16)
@@ -324,7 +327,9 @@ def train_table(params: MotorParams, surface: InductanceSurface,
                          f"action -(k0_x x + k0_r r) at {i_span[1]!r} A")
 
     nt, ni = theta_nodes.size, current_nodes.size
-    _, A, B = frozen_grid(params, surface, theta_nodes, current_nodes)
+    if grid is None:
+        grid = frozen_grid(params, surface, theta_nodes, current_nodes)
+    _, A, B = grid
     rngs = [np.random.default_rng([cfg.seed, a, b])
             for a in range(nt) for b in range(ni)]
     collect = _node_collector(A, B, cfg, i_span, i_limit, rngs)

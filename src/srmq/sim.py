@@ -8,10 +8,17 @@ recorded trace.
 
 from __future__ import annotations
 
+import gc
 import math
+import os
+import shutil
+import sys
+import tempfile
+import threading
 from array import array
 from dataclasses import dataclass, replace
 from decimal import Decimal
+from itertools import chain
 
 import numpy as np
 
@@ -26,14 +33,20 @@ CONTROLLERS = ("scheduled-qlearning", "single-qcore", "delta-modulation")
 TRACE_COLUMNS = ("k", "t_s", "theta_deg", "r_A", "x_A", "u_V",
                  "K1", "K2", "cell_row", "cell_col", "cost")
 
-EXPORT_CHUNK = 256       # trace rows converted to strings at a time on export
+EXPORT_CHUNK = 256       # trace rows formatted with one % at a time on export
+# a trace of at least this many rows is written by two processes: below it,
+# forking the helper costs more than the rows it formats (measured crossover)
+PARALLEL_MIN_ROWS = 2048
+# the share of a split trace's rows the parent writes, the helper the rest
+SPLIT_SHARE = 0.55
 
 # one trace row as the csv module and json.dumps write it: every value is
 # the repr of a Python int or float, which json.dumps spells NaN, Infinity
 # and -Infinity for the non-finite floats
-CSV_ROW = ",".join(["{}"] * len(TRACE_COLUMNS)) + "\r\n"
-JSONL_ROW = "{{" + ", ".join(f'"{name}": {{}}' for name in TRACE_COLUMNS) + "}}\n"
-JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+CSV_ROW = ",".join(["%r"] * len(TRACE_COLUMNS)) + "\r\n"
+JSONL_ROW = "{" + ", ".join(f'"{name}": %r' for name in TRACE_COLUMNS) + "}\n"
+# from 3.12, os.fork warns in a process with more than one OS thread
+_FORK_WARNS_WITH_THREADS = sys.version_info >= (3, 12)
 
 # the longest run a scenario may ask for, checked before the loop starts:
 # 800 electrical cycles at the defaults, about 64 MB of recorded trace
@@ -330,9 +343,13 @@ def compute_metrics(trace: SimTrace, scenario: Scenario) -> Metrics:
 
 def export_trace(trace: SimTrace, path, fmt: str = "csv") -> None:
     """Write the trace as CSV (fixed column order) or JSON lines, the bytes
-    the csv module and one json.dumps per row would write.  Columns are
-    turned into strings EXPORT_CHUNK rows at a time, which keeps the list
-    copies small."""
+    the csv module and one json.dumps per row would write.
+
+    A trace of at least PARALLEL_MIN_ROWS rows is written by two processes
+    where the machine lets it (see _split_export): one forked helper
+    formats the second part of the rows into an unnamed temporary file
+    beside `path`, which is appended once the helper has exited.  The
+    helper is always reaped before this returns or raises."""
     if fmt not in ("csv", "jsonl"):
         raise ValueError(f"unknown trace format {fmt!r}")
     columns = ((trace.k, int), (trace.t, float), (trace.theta, float),
@@ -341,22 +358,92 @@ def export_trace(trace: SimTrace, path, fmt: str = "csv") -> None:
                (trace.cell[:, 0], int), (trace.cell[:, 1], int),
                (trace.cost, float))
     row = CSV_ROW if fmt == "csv" else JSONL_ROW
+    n = len(trace)
     try:
-        with open(path, "w", newline="") as f:
+        with open(path, "wb") as f:
             if fmt == "csv":
-                f.write(",".join(TRACE_COLUMNS) + "\r\n")
-            for lo in range(0, len(trace), EXPORT_CHUNK):
-                f.writelines(map(row.format, *[
-                    _strings(col[lo:lo + EXPORT_CHUNK], kind, fmt)
-                    for col, kind in columns]))
+                f.write((",".join(TRACE_COLUMNS) + "\r\n").encode())
+            if _split_export(n):
+                _write_split(f, path, columns, row, fmt, n)
+            else:
+                _write_rows(f, columns, row, fmt, 0, n)
     except OSError as exc:
         raise OSError(f"cannot write trace to {path}: {exc}") from exc
 
 
-def _strings(chunk: np.ndarray, kind, fmt: str):
-    """The chunk's values as the reprs of Python ints or floats; in JSON
-    lines the non-finite floats take JSON's spelling."""
-    strings = map(repr, chunk.astype(kind, copy=False).tolist())
-    if fmt == "jsonl" and kind is float and not np.isfinite(chunk).all():
-        return [JSON_NONFINITE.get(s, s) for s in strings]
-    return strings
+def _write_rows(f, columns, row, fmt: str, lo: int, hi: int) -> None:
+    """Rows [lo, hi) to the binary file f, EXPORT_CHUNK rows per write.
+    Each chunk is one % format of the row template, so every value is the
+    repr of a Python int or float; in JSON lines the non-finite floats then
+    take JSON's spelling (no finite repr starts with n or i)."""
+    for a in range(lo, hi, EXPORT_CHUNK):
+        b = min(a + EXPORT_CHUNK, hi)
+        text = (row * (b - a)) % tuple(chain.from_iterable(zip(*[
+            col[a:b].astype(kind, copy=False).tolist()
+            for col, kind in columns])))
+        if fmt == "jsonl":
+            text = (text.replace(": nan", ": NaN")
+                    .replace(": inf", ": Infinity")
+                    .replace(": -inf", ": -Infinity"))
+        f.write(text.encode())
+
+
+def _split_export(n: int) -> bool:
+    """Whether a trace of n rows is written by two processes: it is long
+    enough, os.fork exists, the process may run on two CPUs, and forking
+    does not warn (Python 3.12+ with more than one OS thread)."""
+    return (n >= PARALLEL_MIN_ROWS and hasattr(os, "fork") and _cpus() >= 2
+            and not (_FORK_WARNS_WITH_THREADS and _os_threads() > 1))
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _os_threads() -> int:
+    """The process's OS threads: Linux lists them under /proc; elsewhere
+    only the interpreter's own threads are counted."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return threading.active_count()
+
+
+def _write_split(f, path, columns, row, fmt: str, n: int) -> None:
+    """Rows [0, n) to f, which holds the header: a forked helper writes
+    rows [mid, n) to a temporary file while this process writes [0, mid)
+    to f, then the helper is reaped and its file appended.  The helper
+    formats more slowly, as its first writes to each shared memory page
+    copy it, so the parent takes the larger part."""
+    mid = round(n * SPLIT_SHARE / EXPORT_CHUNK) * EXPORT_CHUNK
+    f.flush()
+    with tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))) \
+            as tail:
+        pid = os.fork()
+        if pid == 0:
+            # the helper never returns into the caller's stack, so no atexit
+            # handler, test teardown or stdio flush runs twice; nor does it
+            # collect cycles, which would copy the parent's pages it visits
+            # and could run the finalizers of the parent's garbage
+            code = 1
+            try:
+                gc.disable()
+                _write_rows(tail, columns, row, fmt, mid, n)
+                tail.flush()
+                code = 0
+            finally:
+                os._exit(code)
+        try:
+            _write_rows(f, columns, row, fmt, 0, mid)
+        finally:
+            status = os.waitpid(pid, 0)[1]
+        if status:
+            raise OSError(f"the helper process writing rows {mid} to {n} "
+                          + (f"exited with status {os.WEXITSTATUS(status)}"
+                             if os.WIFEXITED(status) else
+                             f"was killed by signal {os.WTERMSIG(status)}"))
+        tail.seek(0)
+        shutil.copyfileobj(tail, f)

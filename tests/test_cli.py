@@ -101,7 +101,8 @@ class Probe:
     and NEST nesting its value one list deeper.  `code` is the exit code of
     every command, or a tuple of one per command.  `says` are texts of the
     stderr line of a non-zero exit, where {table} and {config} are the
-    table and config paths.
+    table and config paths.  With `no_out`, no command made the --out
+    directory.
     """
 
     ini: str | None
@@ -111,6 +112,7 @@ class Probe:
     edits: tuple = ()
     table: str = None
     aborted_lines: int = None   # of out/trace_aborted.csv, header included
+    no_out: bool = False
 
     def id(self):
         # an oracle row is named by its INI text and exit code alone
@@ -269,6 +271,13 @@ PROBES = {
               (EXIT_OK, EXIT_CONFIG),
               ("x 0.0001 s makes the shortest run (2 cycles) 150000000000 "
                f"steps, past MAX_STEPS = {sim.MAX_STEPS};",)),
+        # run and compare on such a motor name the step budget, not the
+        # table's motor hash: no retrained table could serve the run
+        Probe("[motor]\nspeed_rpm = 1e-300\n", "run,compare", EXIT_CONFIG,
+              ("error: invalid scenario: duration must be 1 to MAX_STEPS = "
+               f"{sim.MAX_STEPS} steps, got 3.750e+305 (duration_cycles x "
+               "the steps per cycle from speed_rpm and t_sample)\n",),
+              no_out=True),
         # a plant resistance that overflows is refused with the scenario
         Probe("[scenario]\nr_scale = 1e308\n", "run", EXIT_CONFIG,
               ("error: invalid scenario: r_scale = 1e+308 scales R_phase = "
@@ -504,6 +513,8 @@ def check_probe(probe, tmp_path, default_table):
     if probe.aborted_lines is not None:
         assert len((out / "trace_aborted.csv").read_text().splitlines()) \
             == probe.aborted_lines
+    if probe.no_out:
+        assert not out.exists()
 
 
 def probe_test(rows):
@@ -759,6 +770,21 @@ class TestTrain:
         assert out.exists()
         assert report["cores"] == 12
         assert report["oracle_gap_max"] < 1e-2
+
+    def test_one_frozen_grid_per_train(self, tmp_path, small_cfg,
+                                       monkeypatch):
+        # training and the oracle's cross-check share one grid
+        from srmq import plant, scheduler
+        grids = []
+
+        def counted(*args):
+            grids.append(args)
+            return plant.frozen_grid(*args)
+        monkeypatch.setattr(cli, "frozen_grid", counted)
+        monkeypatch.setattr(scheduler, "frozen_grid", counted)
+        assert run_main(["--config", small_cfg, "train", "--out",
+                         str(tmp_path / "t.json")]) == (EXIT_OK, "")
+        assert len(grids) == 1
 
     def test_reports_worst_gap_node(self, tmp_path, small_cfg, capsys):
         out = tmp_path / "t.json"

@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import re
+import signal
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -12,9 +15,9 @@ from srmq.plant import MotorParams, ReferenceProfile, reference_at
 from srmq.qlearn import stage_cost
 from srmq.scheduler import QCoreTable, SafetyAbortError, TableTrainConfig
 from srmq.sim import (CONTROLLERS, EXPORT_CHUNK, MAX_STEPS,
-                      SETTLE_FRACTION, TRACE_COLUMNS, Metrics, Scenario,
-                      SimTrace, compute_metrics, delta_modulation_step,
-                      export_trace, run_closed_loop)
+                      PARALLEL_MIN_ROWS, SETTLE_FRACTION, TRACE_COLUMNS,
+                      Metrics, Scenario, SimTrace, compute_metrics,
+                      delta_modulation_step, export_trace, run_closed_loop)
 from conftest import constant_surface, kernel_vector, step_phase
 
 
@@ -44,6 +47,12 @@ def reference_export(trace, path, fmt):
             for i in range(len(trace)):
                 f.write(json.dumps(dict(zip(TRACE_COLUMNS,
                                             reference_row(trace, i)))) + "\n")
+
+
+def assert_no_child():
+    """This process has no child process left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def assert_cost_per_step(trace, cfg):
@@ -749,6 +758,156 @@ class TestExport:
         for word in ((b"-0.0", b"nan", b"-inf") if fmt == "csv"
                      else (b"-0.0", b"NaN", b"-Infinity")):
             assert word in got
+
+    @pytest.fixture(scope="class")
+    def long_trace(self, params, surface, trained_table):
+        trace = run_closed_loop(make_scenario(params, surface, duration=15000),
+                                trained_table)
+        assert len(trace) == 15000
+        return trace
+
+    @pytest.fixture(params=["serial", "split"])
+    def export_path(self, request, monkeypatch):
+        """Each export runs serially, or splits every trace of at least
+        PARALLEL_MIN_ROWS rows whatever this machine's CPUs and threads;
+        yields (split, the pids the exports forked)."""
+        forks, fork = [], os.fork
+        split = request.param == "split"
+        if split:
+            monkeypatch.setattr(sim, "_cpus", lambda: 2)
+            monkeypatch.setattr(sim, "_os_threads", lambda: 1)
+        else:
+            monkeypatch.setattr(sim, "_split_export", lambda n: False)
+
+        def counted():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+        monkeypatch.setattr(os, "fork", counted)
+        yield split, forks
+        assert_no_child()
+
+    @staticmethod
+    def assert_matches_row_writer(trace, tmp_path, fmt, export_path):
+        split, forks = export_path
+        export_trace(trace, tmp_path / "got", fmt=fmt)
+        assert_no_child()
+        assert len(forks) == (split and len(trace) >= PARALLEL_MIN_ROWS)
+        # the helper's temporary file had no name
+        assert [p.name for p in tmp_path.iterdir()] == ["got"]
+        reference_export(trace, tmp_path / "want", fmt)
+        assert (tmp_path / "got").read_bytes() == \
+            (tmp_path / "want").read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("n", [PARALLEL_MIN_ROWS - 1, PARALLEL_MIN_ROWS,
+                                   PARALLEL_MIN_ROWS + 1, 4099, 6250, 15000])
+    def test_both_paths_match_row_writer(self, long_trace, export_path,
+                                         tmp_path, n, fmt):
+        self.assert_matches_row_writer(head(long_trace, n), tmp_path, fmt,
+                                       export_path)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_special_floats_at_the_split(self, nominal_trace, export_path,
+                                         tmp_path, fmt):
+        # the split row is a multiple of EXPORT_CHUNK: every chunk's first
+        # row and its two neighbours hold -0.0 beside 0.0 and each
+        # non-finite float, in every float column
+        t = nominal_trace
+        special = [-0.0, 0.0, float("nan"), float("inf"), float("-inf")]
+        cols = [c.copy() for c in (t.t, t.theta, t.r, t.x, t.u, t.cost)]
+        K = t.K.copy()
+        for lo in range(EXPORT_CHUNK, len(t), EXPORT_CHUNK):
+            for j, col in enumerate(cols + [K[:, 0], K[:, 1]]):
+                for i in (-1, 0, 1):
+                    col[lo + i] = special[(lo // EXPORT_CHUNK + i + j) % 5]
+        trace = SimTrace(t.k, *cols[:5], K, t.cell, cols[5])
+        self.assert_matches_row_writer(trace, tmp_path, fmt, export_path)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_long_aborted_trace_matches_row_writer(self, params, surface,
+                                                   trained_table, export_path,
+                                                   tmp_path, fmt):
+        # a 20 A step at step 3000 trips the safety bound soon after
+        s = make_scenario(params, surface, reference=ReferenceProfile(
+            step_events=((3000, 20.0),)))
+        with pytest.raises(SafetyAbortError) as exc:
+            run_closed_loop(s, trained_table)
+        trace = exc.value.trace
+        assert 3000 < len(trace) < s.steps
+        self.assert_matches_row_writer(trace, tmp_path, fmt, export_path)
+
+    @pytest.mark.parametrize("fail", ["raise", "kill"])
+    def test_failing_helper_names_the_path(self, nominal_trace, monkeypatch,
+                                           tmp_path, fail):
+        # the helper alone fails, by an exception or a signal; the parent
+        # writes its rows, reaps it and reports the path
+        monkeypatch.setattr(sim, "_split_export", lambda n: True)
+        parent, write_rows = os.getpid(), sim._write_rows
+
+        def helper_fails(f, *args):
+            if os.getpid() != parent:
+                if fail == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise RuntimeError("helper fails")
+            write_rows(f, *args)
+        monkeypatch.setattr(sim, "_write_rows", helper_fails)
+        path = tmp_path / "trace.csv"
+        with pytest.raises(OSError) as exc:
+            export_trace(nominal_trace, path)
+        assert_no_child()
+        assert str(exc.value).startswith(f"cannot write trace to {path}: "
+                                         "the helper process writing rows ")
+        assert str(exc.value).endswith(
+            "exited with status 1" if fail == "raise"
+            else f"was killed by signal {int(signal.SIGKILL)}")
+
+    @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+    def test_failing_parent_reaps_the_helper(self, nominal_trace, monkeypatch,
+                                             tmp_path, error):
+        monkeypatch.setattr(sim, "_split_export", lambda n: True)
+        parent, write_rows = os.getpid(), sim._write_rows
+
+        def parent_fails(f, columns, row, fmt, lo, hi):
+            if os.getpid() == parent and lo == 0:
+                write_rows(f, columns, row, fmt, lo, EXPORT_CHUNK)
+                raise error("disk full")
+            write_rows(f, columns, row, fmt, lo, hi)
+        monkeypatch.setattr(sim, "_write_rows", parent_fails)
+        path = tmp_path / "trace.csv"
+        with pytest.raises(error) as exc:
+            export_trace(nominal_trace, path)
+        assert_no_child()
+        if error is OSError:
+            assert str(exc.value) == f"cannot write trace to {path}: disk full"
+
+    def test_split_only_where_fork_is_safe_and_pays(self, monkeypatch):
+        monkeypatch.setattr(sim, "_cpus", lambda: 2)
+        monkeypatch.setattr(sim, "_os_threads", lambda: 2)
+        for warns in (False, True):
+            monkeypatch.setattr(sim, "_FORK_WARNS_WITH_THREADS", warns)
+            assert sim._split_export(PARALLEL_MIN_ROWS) is not warns
+        # from Python 3.12 only a single-threaded process forks
+        monkeypatch.setattr(sim, "_os_threads", lambda: 1)
+        assert sim._split_export(PARALLEL_MIN_ROWS)
+        assert not sim._split_export(PARALLEL_MIN_ROWS - 1)
+        monkeypatch.setattr(sim, "_cpus", lambda: 1)
+        assert not sim._split_export(PARALLEL_MIN_ROWS)
+        monkeypatch.setattr(sim, "_cpus", lambda: 2)
+        monkeypatch.delattr(os, "fork")
+        assert not sim._split_export(PARALLEL_MIN_ROWS)
+
+    def test_os_threads_counts_a_started_thread(self):
+        before, stop = sim._os_threads(), threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert sim._os_threads() == before + 1
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
 
     def test_unknown_format_rejected(self, params, surface, trained_table,
                                      tmp_path):
