@@ -349,7 +349,7 @@ def _run_one(scenario, table, out_dir, tag, fmt):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        trace = sim.run_closed_loop(scenario, table)
+        trace = sim.run_closed_loop(scenario, table, stream=fmt)
     except SafetyAbortError as exc:
         sim.export_trace(exc.trace, out_dir / f"trace_aborted.{fmt}", fmt)
         raise

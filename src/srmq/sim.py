@@ -8,6 +8,7 @@ recorded trace.
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import math
 import os
@@ -15,6 +16,7 @@ import shutil
 import sys
 import tempfile
 import threading
+import weakref
 from array import array
 from dataclasses import dataclass, replace
 from decimal import Decimal
@@ -34,11 +36,9 @@ TRACE_COLUMNS = ("k", "t_s", "theta_deg", "r_A", "x_A", "u_V",
                  "K1", "K2", "cell_row", "cell_col", "cost")
 
 EXPORT_CHUNK = 256       # trace rows formatted with one % at a time on export
-# a trace of at least this many rows is written by two processes: below it,
-# forking the helper costs more than the rows it formats (measured crossover)
+# a run of at least this many steps streams its trace to a forked writer:
+# below it, forking the writer costs more than the rows it formats
 PARALLEL_MIN_ROWS = 2048
-# the share of a split trace's rows the parent writes, the helper the rest
-SPLIT_SHARE = 0.55
 
 # one trace row as the csv module and json.dumps write it: every value is
 # the repr of a Python int or float, which json.dumps spells NaN, Infinity
@@ -114,6 +114,7 @@ class SimTrace:
     K: np.ndarray       # (n, 2) active gains
     cell: np.ndarray    # (n, 2) int, (-1, -1) for the baseline
     cost: np.ndarray
+    written: _Writer | None = None   # formatted these rows as the loop ran
 
     def __len__(self):
         return self.k.size
@@ -171,12 +172,17 @@ def delta_modulation_step(x: float, r: float, V_dc: float,
 
 
 @_QUIET_OVERFLOW
-def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None) -> SimTrace:
+def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None,
+                    stream: str | None = None) -> SimTrace:
     """Run the scenario; deterministic for a fixed seed.
 
     Raises SafetyAbortError (carrying the partial trace in .trace) if the
     phase current exceeds the table's safety_factor (the TableTrainConfig
     default without a table) times the nominal rating.
+
+    With `stream` a trace format, a long enough run forks a _Writer that
+    formats the trace as the loop runs (see _parallel_export); the trace
+    carries it, and it is reaped before this returns or raises.
     """
     params, surface, profile = scenario.motor, scenario.surface, scenario.reference
     delta = scenario.controller == "delta-modulation"
@@ -223,69 +229,84 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None) -> SimT
     if scheduled:
         t_row, t_l1 = map(memoryview, _wrapped_cells(table.theta_nodes, thetas))
 
+    def rows_to_trace(buf, a=0):
+        """The trace of the recorded rows buf (m, 6) of steps a to a + m;
+        the cost column is bit for bit qlearn.stage_cost at every step."""
+        ks = np.arange(a, a + len(buf))
+        x, u = buf[:, :2].T
+        r = references[a:a + len(buf)]
+        # the cost first: its temporaries' memory then serves the columns
+        # below, which keeps a run's peak memory down
+        cost = qlearn._stage_costs(x, r, u, Q_q, R_u)
+        return SimTrace(ks, ks * params.T, thetas[a:a + len(buf)], r, x, u,
+                        buf[:, 2:4], buf[:, 4:].astype(int), cost)
+
+    writer = (_Writer(stream, rows_to_trace)
+              if stream is not None and _parallel_export(n) else None)
     schedule_located = scheduler._schedule_located
     V_dc = params.V_dc
     x, r = 0.0, refs[0]
     err = None
-    for k in range(n):
-        if delta:
-            u = delta_modulation_step(x, r, V_dc, scenario.delta_band)
-            k_x = k_r = 0.0
-            cell = (-1, -1)
-        else:
-            if scheduled:
-                k_x, k_r, cell = schedule_located(table, t_row[k], t_l1[k], x)
+    try:
+        for k in range(n):
+            if delta:
+                u = delta_modulation_step(x, r, V_dc, scenario.delta_band)
+                k_x = k_r = 0.0
+                cell = (-1, -1)
             else:
-                k_x, k_r, cell = single
-            u = -(k_x * x + k_r * r)
-            if dither is not None:
-                u += dither[k]
-        u = min(max(float(u), -V_dc), V_dc)
+                if scheduled:
+                    k_x, k_r, cell = schedule_located(table, t_row[k], t_l1[k], x)
+                else:
+                    k_x, k_r, cell = single
+                u = -(k_x * x + k_r * r)
+                if dither is not None:
+                    u += dither[k]
+            u = min(max(float(u), -V_dc), V_dc)
 
-        rows.extend((x, u, k_x, k_r, *cell))
+            rows.extend((x, u, k_x, k_r, *cell))
+            if writer is not None and (k + 1) % EXPORT_CHUNK == 0:
+                writer.send(rows, k + 1)
 
-        x_next = _step_located(x, u, plant_params, surface, s_row[k], s_l1[k])
+            x_next = _step_located(x, u, plant_params, surface, s_row[k], s_l1[k])
 
-        if x_next > i_limit:
-            err = SafetyAbortError(
-                f"current {x_next:#.4g} A exceeded the {i_limit:#.4g} A "
-                f"safety bound at step {k}")
-            break
+            if x_next > i_limit:
+                err = SafetyAbortError(
+                    f"current {x_next:#.4g} A exceeded the {i_limit:#.4g} A "
+                    f"safety bound at step {k}")
+                break
 
-        r_next = refs[k + 1]
-        if learn:
-            # the tuple is only Bellman-consistent on flat reference
-            # segments away from the zero-current clamp (a clamped step
-            # lands on exactly 0.0); settled samples are skipped because
-            # a steady operating point only constrains the kernel's
-            # level, not its shape, and would drag the gain around
-            transient = r > 0 and abs(x - r) >= SETTLE_FRACTION * r
-            if transient and r_next == r and x_next > 0.0:
-                g_x, g_r = scheduler._core_gain(table, cell)
-                u_next = -(g_x * x_next + g_r * r_next)
-                cost = qlearn.stage_cost((x, r), u, Q_q, R_u)
-                if not math.isfinite(cost):
-                    raise ValueError(
-                        f"online learning stage cost overflowed at step {k}: "
-                        + (f"the reference {r:.3g} A is beyond the "
-                           f"{i_limit:#.4g} A safety bound" if r > i_limit
-                           else "the tracking weights are too large"))
-                scheduler.update_core_online(table, cell, (x, r, u),
-                                             (x_next, r_next, u_next), cost)
-        x, r = x_next, r_next
+            r_next = refs[k + 1]
+            if learn:
+                # the tuple is only Bellman-consistent on flat reference
+                # segments away from the zero-current clamp (a clamped step
+                # lands on exactly 0.0); settled samples are skipped because
+                # a steady operating point only constrains the kernel's
+                # level, not its shape, and would drag the gain around
+                transient = r > 0 and abs(x - r) >= SETTLE_FRACTION * r
+                if transient and r_next == r and x_next > 0.0:
+                    g_x, g_r = scheduler._core_gain(table, cell)
+                    u_next = -(g_x * x_next + g_r * r_next)
+                    cost = qlearn.stage_cost((x, r), u, Q_q, R_u)
+                    if not math.isfinite(cost):
+                        raise ValueError(
+                            f"online learning stage cost overflowed at step {k}: "
+                            + (f"the reference {r:.3g} A is beyond the "
+                               f"{i_limit:#.4g} A safety bound" if r > i_limit
+                               else "the tracking weights are too large"))
+                    scheduler.update_core_online(table, cell, (x, r, u),
+                                                 (x_next, r_next, u_next), cost)
+            x, r = x_next, r_next
+        if writer is not None:
+            writer.send(rows, len(rows) // 6)
+    finally:
+        if writer is not None:
+            writer.finish()
 
     # the cell buffers go before the trace's columns are built, so a long
     # run's peak memory holds the rows, angles and references only
     del s_row, s_l1, t_row, t_l1
-    buf = np.frombuffer(rows).reshape(-1, 6)
-    m = len(buf)
-    ks = np.arange(m)
-    x, u = buf[:, :2].T
-    # the cost column in one stacked pass, bit for bit as qlearn.stage_cost
-    # at every step
-    cost = qlearn._stage_costs(x, references[:m], u, Q_q, R_u)
-    trace = SimTrace(ks, ks * params.T, thetas[:m], references[:m], x, u,
-                     buf[:, 2:4], buf[:, 4:].astype(int), cost)
+    trace = rows_to_trace(np.frombuffer(rows).reshape(-1, 6))
+    trace.written = writer
     if err is not None:
         err.trace = trace
         raise err
@@ -345,39 +366,41 @@ def export_trace(trace: SimTrace, path, fmt: str = "csv") -> None:
     """Write the trace as CSV (fixed column order) or JSON lines, the bytes
     the csv module and one json.dumps per row would write.
 
-    A trace of at least PARALLEL_MIN_ROWS rows is written by two processes
-    where the machine lets it (see _split_export): one forked helper
-    formats the second part of the rows into an unnamed temporary file
-    beside `path`, which is appended once the helper has exited.  The
-    helper is always reaped before this returns or raises."""
+    A trace whose writer formatted it in `fmt` as its loop ran (see
+    run_closed_loop's `stream`) is copied from the writer's file, the rows
+    as the loop recorded them; any other trace is formatted here."""
     if fmt not in ("csv", "jsonl"):
         raise ValueError(f"unknown trace format {fmt!r}")
+    written = trace.written
+    try:
+        with open(path, "wb") as f:
+            if fmt == "csv":
+                f.write((",".join(TRACE_COLUMNS) + "\r\n").encode())
+            if written is None or written.fmt != fmt:
+                _write_rows(f, trace, fmt)
+            elif written.error is not None:
+                raise OSError(written.error)
+            else:
+                written.file.seek(0)
+                shutil.copyfileobj(written.file, f)
+    except OSError as exc:
+        raise OSError(f"cannot write trace to {path}: {exc}") from exc
+
+
+def _write_rows(f, trace: SimTrace, fmt: str) -> None:
+    """The trace's rows to the binary file f, EXPORT_CHUNK rows per write.
+    Each chunk is one % format of the row template, so every value is the
+    repr of a Python int or float; in JSON lines the non-finite floats then
+    take JSON's spelling (no finite repr starts with n or i)."""
+    row = CSV_ROW if fmt == "csv" else JSONL_ROW
     columns = ((trace.k, int), (trace.t, float), (trace.theta, float),
                (trace.r, float), (trace.x, float), (trace.u, float),
                (trace.K[:, 0], float), (trace.K[:, 1], float),
                (trace.cell[:, 0], int), (trace.cell[:, 1], int),
                (trace.cost, float))
-    row = CSV_ROW if fmt == "csv" else JSONL_ROW
     n = len(trace)
-    try:
-        with open(path, "wb") as f:
-            if fmt == "csv":
-                f.write((",".join(TRACE_COLUMNS) + "\r\n").encode())
-            if _split_export(n):
-                _write_split(f, path, columns, row, fmt, n)
-            else:
-                _write_rows(f, columns, row, fmt, 0, n)
-    except OSError as exc:
-        raise OSError(f"cannot write trace to {path}: {exc}") from exc
-
-
-def _write_rows(f, columns, row, fmt: str, lo: int, hi: int) -> None:
-    """Rows [lo, hi) to the binary file f, EXPORT_CHUNK rows per write.
-    Each chunk is one % format of the row template, so every value is the
-    repr of a Python int or float; in JSON lines the non-finite floats then
-    take JSON's spelling (no finite repr starts with n or i)."""
-    for a in range(lo, hi, EXPORT_CHUNK):
-        b = min(a + EXPORT_CHUNK, hi)
+    for a in range(0, n, EXPORT_CHUNK):
+        b = min(a + EXPORT_CHUNK, n)
         text = (row * (b - a)) % tuple(chain.from_iterable(zip(*[
             col[a:b].astype(kind, copy=False).tolist()
             for col, kind in columns])))
@@ -388,10 +411,10 @@ def _write_rows(f, columns, row, fmt: str, lo: int, hi: int) -> None:
         f.write(text.encode())
 
 
-def _split_export(n: int) -> bool:
-    """Whether a trace of n rows is written by two processes: it is long
-    enough, os.fork exists, the process may run on two CPUs, and forking
-    does not warn (Python 3.12+ with more than one OS thread)."""
+def _parallel_export(n: int) -> bool:
+    """Whether a run of n steps streams its trace to a forked writer: it is
+    long enough, os.fork exists, the process may run on two CPUs, and
+    forking does not warn (Python 3.12+ with more than one OS thread)."""
     return (n >= PARALLEL_MIN_ROWS and hasattr(os, "fork") and _cpus() >= 2
             and not (_FORK_WARNS_WITH_THREADS and _os_threads() > 1))
 
@@ -412,38 +435,54 @@ def _os_threads() -> int:
         return threading.active_count()
 
 
-def _write_split(f, path, columns, row, fmt: str, n: int) -> None:
-    """Rows [0, n) to f, which holds the header: a forked helper writes
-    rows [mid, n) to a temporary file while this process writes [0, mid)
-    to f, then the helper is reaped and its file appended.  The helper
-    formats more slowly, as its first writes to each shared memory page
-    copy it, so the parent takes the larger part."""
-    mid = round(n * SPLIT_SHARE / EXPORT_CHUNK) * EXPORT_CHUNK
-    f.flush()
-    with tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))) \
-            as tail:
-        pid = os.fork()
-        if pid == 0:
-            # the helper never returns into the caller's stack, so no atexit
-            # handler, test teardown or stdio flush runs twice; nor does it
-            # collect cycles, which would copy the parent's pages it visits
-            # and could run the finalizers of the parent's garbage
-            code = 1
+class _Writer:
+    """One forked process that formats a run's trace as the loop sends it
+    its (x, u, k_x, k_r, row, col) rows, EXPORT_CHUNK rows per pipe write:
+    `rows_to_trace(chunk, first step)` adds the columns the fork shares, and
+    the rows go to an unnamed temporary file that closes with this object.
+    It leaves through os._exit, so no atexit handler or stdio flush runs
+    twice, and collects no cycles, which would copy the pages it visits."""
+
+    def __init__(self, fmt: str, rows_to_trace):
+        self.fmt, self.sent, self.error = fmt, 0, None
+        self.file = tempfile.TemporaryFile()
+        weakref.finalize(self, self.file.close)
+        read, self.fd = os.pipe()
+        try:
+            self.pid = os.fork()
+        except BaseException:
+            os.close(read)
+            os.close(self.fd)
+            raise
+        if self.pid == 0:
             try:
                 gc.disable()
-                _write_rows(tail, columns, row, fmt, mid, n)
-                tail.flush()
-                code = 0
+                os.close(self.fd)
+                with open(read, "rb") as pipe:
+                    while data := pipe.read(EXPORT_CHUNK * 6 * 8):
+                        chunk = rows_to_trace(
+                            np.frombuffer(data).reshape(-1, 6), self.sent)
+                        _write_rows(self.file, chunk, fmt)
+                        self.sent += len(chunk)
+                self.file.flush()
+                os._exit(0)
             finally:
-                os._exit(code)
-        try:
-            _write_rows(f, columns, row, fmt, 0, mid)
-        finally:
-            status = os.waitpid(pid, 0)[1]
-        if status:
-            raise OSError(f"the helper process writing rows {mid} to {n} "
-                          + (f"exited with status {os.WEXITSTATUS(status)}"
-                             if os.WIFEXITED(status) else
-                             f"was killed by signal {os.WTERMSIG(status)}"))
-        tail.seek(0)
-        shutil.copyfileobj(tail, f)
+                os._exit(1)
+        os.close(read)
+
+    def send(self, rows: array, m: int) -> None:
+        """Rows [sent, m) of the loop's buffer; an exited writer takes none."""
+        data = memoryview(rows)[6 * self.sent:6 * m].cast("B")
+        self.sent = m
+        with contextlib.suppress(BrokenPipeError):
+            while data:   # one write unless a signal cuts it short
+                data = data[os.write(self.fd, data):]
+
+    def finish(self) -> None:
+        """Close the pipe and reap the writer once it has formatted all."""
+        os.close(self.fd)
+        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        if code:
+            self.error = ("the helper process formatting the trace " + (
+                f"exited with status {code}" if code > 0
+                else f"was killed by signal {-code}"))

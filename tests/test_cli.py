@@ -102,7 +102,7 @@ class Probe:
     every command, or a tuple of one per command.  `says` are texts of the
     stderr line of a non-zero exit, where {table} and {config} are the
     table and config paths.  With `no_out`, no command made the --out
-    directory.
+    directory; `out_files`, where given, are the names it holds, sorted.
     """
 
     ini: str | None
@@ -113,6 +113,7 @@ class Probe:
     table: str = None
     aborted_lines: int = None   # of out/trace_aborted.csv, header included
     no_out: bool = False
+    out_files: tuple = None
 
     def id(self):
         # an oracle row is named by its INI text and exit code alone
@@ -278,6 +279,12 @@ PROBES = {
                f"{sim.MAX_STEPS} steps, got 3.750e+305 (duration_cycles x "
                "the steps per cycle from speed_rpm and t_sample)\n",),
               no_out=True),
+        # a run with no conduction window fails at its metrics, after the
+        # writer has formatted its trace: no trace and no file of the
+        # writer's is left in --out
+        Probe("[scenario]\ni_ref = 0\n", "run,compare", EXIT_CONFIG,
+              ("error: trace has no conduction window after the first "
+               "cycle\n",), out_files=()),
         # a plant resistance that overflows is refused with the scenario
         Probe("[scenario]\nr_scale = 1e308\n", "run", EXIT_CONFIG,
               ("error: invalid scenario: r_scale = 1e+308 scales R_phase = "
@@ -515,6 +522,8 @@ def check_probe(probe, tmp_path, default_table):
             == probe.aborted_lines
     if probe.no_out:
         assert not out.exists()
+    if probe.out_files is not None:
+        assert tuple(sorted(p.name for p in out.iterdir())) == probe.out_files
 
 
 def probe_test(rows):

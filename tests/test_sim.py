@@ -1,9 +1,12 @@
 import csv
+import gc
 import json
 import os
 import re
 import signal
 import threading
+from array import array
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -53,6 +56,23 @@ def assert_no_child():
     """This process has no child process left, running or unreaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def open_fds():
+    """The process's open file descriptors, where /proc lists them."""
+    return (sorted(os.listdir("/proc/self/fd"))
+            if os.path.isdir("/proc/self/fd") else None)
+
+
+@contextmanager
+def leaves_no_child_or_fd():
+    """The block leaves no child process and, once its garbage is
+    collected, no file descriptor open."""
+    fds = open_fds()
+    yield
+    assert_no_child()
+    gc.collect()
+    assert open_fds() == fds
 
 
 def assert_cost_per_step(trace, cfg):
@@ -759,25 +779,19 @@ class TestExport:
                      else (b"-0.0", b"NaN", b"-Infinity")):
             assert word in got
 
-    @pytest.fixture(scope="class")
-    def long_trace(self, params, surface, trained_table):
-        trace = run_closed_loop(make_scenario(params, surface, duration=15000),
-                                trained_table)
-        assert len(trace) == 15000
-        return trace
-
     @pytest.fixture(params=["serial", "split"])
     def export_path(self, request, monkeypatch):
-        """Each export runs serially, or splits every trace of at least
-        PARALLEL_MIN_ROWS rows whatever this machine's CPUs and threads;
-        yields (split, the pids the exports forked)."""
+        """Each run with a stream forks no writer (serial), or forks one for
+        every run of at least PARALLEL_MIN_ROWS steps whatever this machine's
+        CPUs and threads (split); yields (split, the pids the runs forked).
+        No child process and no file descriptor outlives the test."""
         forks, fork = [], os.fork
         split = request.param == "split"
         if split:
             monkeypatch.setattr(sim, "_cpus", lambda: 2)
             monkeypatch.setattr(sim, "_os_threads", lambda: 1)
         else:
-            monkeypatch.setattr(sim, "_split_export", lambda n: False)
+            monkeypatch.setattr(sim, "_parallel_export", lambda n: False)
 
         def counted():
             pid = fork()
@@ -785,16 +799,27 @@ class TestExport:
                 forks.append(pid)
             return pid
         monkeypatch.setattr(os, "fork", counted)
-        yield split, forks
-        assert_no_child()
+        with leaves_no_child_or_fd():
+            yield split, forks
 
     @staticmethod
-    def assert_matches_row_writer(trace, tmp_path, fmt, export_path):
+    def streamed_run(scenario, table, fmt, export_path):
+        """The trace of a run that streams it in fmt, aborted or not; the
+        writer is reaped when the run ends."""
         split, forks = export_path
-        export_trace(trace, tmp_path / "got", fmt=fmt)
+        try:
+            trace = run_closed_loop(scenario, table, stream=fmt)
+        except SafetyAbortError as exc:
+            trace = exc.trace
         assert_no_child()
-        assert len(forks) == (split and len(trace) >= PARALLEL_MIN_ROWS)
-        # the helper's temporary file had no name
+        assert len(forks) == (split and scenario.steps >= PARALLEL_MIN_ROWS)
+        assert (trace.written is not None) == bool(forks)
+        return trace
+
+    @staticmethod
+    def assert_matches_row_writer(trace, tmp_path, fmt):
+        export_trace(trace, tmp_path / "got", fmt=fmt)
+        # the export leaves nothing beside the trace
         assert [p.name for p in tmp_path.iterdir()] == ["got"]
         reference_export(trace, tmp_path / "want", fmt)
         assert (tmp_path / "got").read_bytes() == \
@@ -803,17 +828,40 @@ class TestExport:
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     @pytest.mark.parametrize("n", [PARALLEL_MIN_ROWS - 1, PARALLEL_MIN_ROWS,
                                    PARALLEL_MIN_ROWS + 1, 4099, 6250, 15000])
-    def test_both_paths_match_row_writer(self, long_trace, export_path,
-                                         tmp_path, n, fmt):
-        self.assert_matches_row_writer(head(long_trace, n), tmp_path, fmt,
-                                       export_path)
+    def test_both_paths_match_row_writer(self, params, surface, trained_table,
+                                         export_path, tmp_path, n, fmt):
+        trace = self.streamed_run(make_scenario(params, surface, duration=n),
+                                  trained_table, fmt, export_path)
+        assert len(trace) == n
+        assert_cost_per_step(trace, trained_table.cfg)
+        self.assert_matches_row_writer(trace, tmp_path, fmt)
+
+    @staticmethod
+    def written_by_writer(trace, fmt):
+        """A writer fed the trace's x, u, K and cell rows down its pipe as
+        the loop feeds it, EXPORT_CHUNK rows per write, which takes the
+        trace's other columns as the loop's writer takes its shared ones."""
+        def rows_to_trace(buf, a):
+            b = a + len(buf)
+            return SimTrace(trace.k[a:b], trace.t[a:b], trace.theta[a:b],
+                            trace.r[a:b], buf[:, 0], buf[:, 1], buf[:, 2:4],
+                            buf[:, 4:].astype(int), trace.cost[a:b])
+        rows = array("d", np.column_stack((trace.x, trace.u, trace.K,
+                                           trace.cell)).ravel().tolist())
+        writer = sim._Writer(fmt, rows_to_trace)
+        for m in range(EXPORT_CHUNK, len(trace), EXPORT_CHUNK):
+            writer.send(rows, m)
+        writer.send(rows, len(trace))
+        writer.finish()
+        return writer
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_special_floats_at_the_split(self, nominal_trace, export_path,
                                          tmp_path, fmt):
-        # the split row is a multiple of EXPORT_CHUNK: every chunk's first
-        # row and its two neighbours hold -0.0 beside 0.0 and each
-        # non-finite float, in every float column
+        # every chunk's first row and its two neighbours hold -0.0 beside
+        # 0.0 and each non-finite float, in every float column; split, the
+        # writer formats the chunks the pipe brings it
+        split, forks = export_path
         t = nominal_trace
         special = [-0.0, 0.0, float("nan"), float("inf"), float("-inf")]
         cols = [c.copy() for c in (t.t, t.theta, t.r, t.x, t.u, t.cost)]
@@ -823,7 +871,11 @@ class TestExport:
                 for i in (-1, 0, 1):
                     col[lo + i] = special[(lo // EXPORT_CHUNK + i + j) % 5]
         trace = SimTrace(t.k, *cols[:5], K, t.cell, cols[5])
-        self.assert_matches_row_writer(trace, tmp_path, fmt, export_path)
+        if split:
+            trace.written = self.written_by_writer(trace, fmt)
+        assert_no_child()
+        assert len(forks) == split
+        self.assert_matches_row_writer(trace, tmp_path, fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_long_aborted_trace_matches_row_writer(self, params, surface,
@@ -832,71 +884,103 @@ class TestExport:
         # a 20 A step at step 3000 trips the safety bound soon after
         s = make_scenario(params, surface, reference=ReferenceProfile(
             step_events=((3000, 20.0),)))
-        with pytest.raises(SafetyAbortError) as exc:
+        with pytest.raises(SafetyAbortError):
             run_closed_loop(s, trained_table)
-        trace = exc.value.trace
+        trace = self.streamed_run(s, trained_table, fmt, export_path)
         assert 3000 < len(trace) < s.steps
-        self.assert_matches_row_writer(trace, tmp_path, fmt, export_path)
+        self.assert_matches_row_writer(trace, tmp_path, fmt)
+
+    def test_other_format_is_formatted_here(self, params, surface,
+                                            trained_table, export_path,
+                                            tmp_path):
+        # a trace streamed in CSV exports JSON lines by the row writer
+        trace = self.streamed_run(make_scenario(params, surface),
+                                  trained_table, "csv", export_path)
+        self.assert_matches_row_writer(trace, tmp_path, "jsonl")
 
     @pytest.mark.parametrize("fail", ["raise", "kill"])
-    def test_failing_helper_names_the_path(self, nominal_trace, monkeypatch,
+    def test_failing_helper_names_the_path(self, params, surface,
+                                           trained_table, monkeypatch,
                                            tmp_path, fail):
-        # the helper alone fails, by an exception or a signal; the parent
-        # writes its rows, reaps it and reports the path
-        monkeypatch.setattr(sim, "_split_export", lambda n: True)
+        # the writer alone fails, by an exception or a signal, on its first
+        # chunk; the loop runs on, the writer is reaped when it ends, and the
+        # export reports the path
+        monkeypatch.setattr(sim, "_parallel_export", lambda n: True)
         parent, write_rows = os.getpid(), sim._write_rows
 
-        def helper_fails(f, *args):
+        def writer_fails(f, *args):
             if os.getpid() != parent:
                 if fail == "kill":
                     os.kill(os.getpid(), signal.SIGKILL)
-                raise RuntimeError("helper fails")
+                raise RuntimeError("writer fails")
             write_rows(f, *args)
-        monkeypatch.setattr(sim, "_write_rows", helper_fails)
+        monkeypatch.setattr(sim, "_write_rows", writer_fails)
         path = tmp_path / "trace.csv"
-        with pytest.raises(OSError) as exc:
-            export_trace(nominal_trace, path)
-        assert_no_child()
-        assert str(exc.value).startswith(f"cannot write trace to {path}: "
-                                         "the helper process writing rows ")
-        assert str(exc.value).endswith(
+        with leaves_no_child_or_fd():
+            trace = run_closed_loop(make_scenario(params, surface),
+                                    trained_table, stream="csv")
+            assert_no_child()
+            with pytest.raises(OSError) as exc:
+                export_trace(trace, path)
+            message = str(exc.value)
+            del trace, exc
+        assert message.startswith(f"cannot write trace to {path}: "
+                                  "the helper process ")
+        assert message.endswith(
             "exited with status 1" if fail == "raise"
             else f"was killed by signal {int(signal.SIGKILL)}")
 
     @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
-    def test_failing_parent_reaps_the_helper(self, nominal_trace, monkeypatch,
-                                             tmp_path, error):
-        monkeypatch.setattr(sim, "_split_export", lambda n: True)
-        parent, write_rows = os.getpid(), sim._write_rows
+    def test_failing_parent_reaps_the_helper(self, params, surface,
+                                             trained_table, monkeypatch,
+                                             error):
+        # the loop fails at step 1000, after it has sent the writer three
+        # chunks
+        monkeypatch.setattr(sim, "_parallel_export", lambda n: True)
+        step_located, steps = sim._step_located, []
 
-        def parent_fails(f, columns, row, fmt, lo, hi):
-            if os.getpid() == parent and lo == 0:
-                write_rows(f, columns, row, fmt, lo, EXPORT_CHUNK)
+        def fails_at_1000(*args):
+            steps.append(None)
+            if len(steps) > 1000:
                 raise error("disk full")
-            write_rows(f, columns, row, fmt, lo, hi)
-        monkeypatch.setattr(sim, "_write_rows", parent_fails)
-        path = tmp_path / "trace.csv"
-        with pytest.raises(error) as exc:
-            export_trace(nominal_trace, path)
-        assert_no_child()
-        if error is OSError:
-            assert str(exc.value) == f"cannot write trace to {path}: disk full"
+            return step_located(*args)
+        monkeypatch.setattr(sim, "_step_located", fails_at_1000)
+        with leaves_no_child_or_fd(), pytest.raises(error, match="disk full"):
+            run_closed_loop(make_scenario(params, surface), trained_table,
+                            stream="jsonl")
+
+    def test_stage_cost_overflow_reaps_the_writer(self, params, surface,
+                                                  trained_table, export_path):
+        # online learning against a reference far beyond the safety bound
+        # overflows the first learning step's stage cost inside the loop
+        split, forks = export_path
+        s = make_scenario(params, surface, online_learning=True,
+                          reference=ReferenceProfile(i_ref=1e200))
+        with pytest.raises(ValueError, match="stage cost overflowed"):
+            run_closed_loop(s, trained_table, stream="csv")
+        assert len(forks) == split
+
+    def test_no_writer_without_a_stream(self, params, surface, trained_table,
+                                        monkeypatch):
+        monkeypatch.setattr(sim, "_parallel_export", lambda n: True)
+        trace = run_closed_loop(make_scenario(params, surface), trained_table)
+        assert trace.written is None
 
     def test_split_only_where_fork_is_safe_and_pays(self, monkeypatch):
         monkeypatch.setattr(sim, "_cpus", lambda: 2)
         monkeypatch.setattr(sim, "_os_threads", lambda: 2)
         for warns in (False, True):
             monkeypatch.setattr(sim, "_FORK_WARNS_WITH_THREADS", warns)
-            assert sim._split_export(PARALLEL_MIN_ROWS) is not warns
+            assert sim._parallel_export(PARALLEL_MIN_ROWS) is not warns
         # from Python 3.12 only a single-threaded process forks
         monkeypatch.setattr(sim, "_os_threads", lambda: 1)
-        assert sim._split_export(PARALLEL_MIN_ROWS)
-        assert not sim._split_export(PARALLEL_MIN_ROWS - 1)
+        assert sim._parallel_export(PARALLEL_MIN_ROWS)
+        assert not sim._parallel_export(PARALLEL_MIN_ROWS - 1)
         monkeypatch.setattr(sim, "_cpus", lambda: 1)
-        assert not sim._split_export(PARALLEL_MIN_ROWS)
+        assert not sim._parallel_export(PARALLEL_MIN_ROWS)
         monkeypatch.setattr(sim, "_cpus", lambda: 2)
         monkeypatch.delattr(os, "fork")
-        assert not sim._split_export(PARALLEL_MIN_ROWS)
+        assert not sim._parallel_export(PARALLEL_MIN_ROWS)
 
     def test_os_threads_counts_a_started_thread(self):
         before, stop = sim._os_threads(), threading.Event()
