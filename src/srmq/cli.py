@@ -216,8 +216,7 @@ def _grid_oracle(grid, cfg):
     solutions from one stacked closed-form solve: (L, model, P, K), one
     node per row."""
     L, A, B = grid
-    model = lqt.build_augmented(A, B, Q=cfg.q_weight, R_u=cfg.r_weight,
-                                gamma=cfg.gamma)
+    model = lqt.AugmentedModel(A, B, cfg.q_weight, cfg.r_weight, cfg.gamma)
     P = lqt.are_closed_form(model)
     return L, model, P, lqt.optimal_gain(P, model)
 

@@ -77,14 +77,6 @@ class AugmentedModel:
             object.__setattr__(self, name, value)
 
 
-def build_augmented(A, B, Q: float = 100.0, R_u: float = 0.001,
-                    gamma: float = 0.9) -> AugmentedModel:
-    """The model of the plant scalars (or arrays of shape (N,), for N
-    stacked models) with tracking weight Q, input weight R_u and discount
-    gamma."""
-    return AugmentedModel(A, B, float(Q), float(R_u), float(gamma))
-
-
 def closed_loop(model: AugmentedModel, K: np.ndarray) -> np.ndarray:
     """A_a - B_b K for a row gain K; K of shape (..., 2) gives one loop per
     node of a batched model."""
@@ -101,6 +93,7 @@ def is_stabilizing(model: AugmentedModel, K: np.ndarray):
     return np.sqrt(model.gamma) * spectral_radius(closed_loop(model, K)) < 1.0
 
 
+# test-only: stays public while srmqbench/tracer.py reads it by name
 @_QUIET_OVERFLOW
 def are_fixed_point(model: AugmentedModel, tol: float = 1e-10,
                     max_iter: int = 10000) -> np.ndarray:

@@ -181,11 +181,6 @@ class ReferenceProfile:
         if steps != sorted(steps):
             raise ValueError(f"step events must be in step order, got steps {steps}")
 
-    def amplitude_at(self, k: int) -> float:
-        # events at equal steps: the last one wins
-        n = bisect_right(self.step_events, (k, math.inf))
-        return self.step_events[n - 1][1] if n else self.i_ref
-
 
 def _axis_locate(nodes: list, value: float, wrap: bool):
     """(idx, frac): the lower node of the cell holding `value` on the
@@ -351,8 +346,8 @@ def _rotor_angles(params: MotorParams, theta: float, n: int) -> array:
 def _references(profile: ReferenceProfile, thetas: np.ndarray,
                 k: int) -> np.ndarray:
     """reference_at(profile, thetas[j], k + j) for every j, as one float64
-    array: amplitude_at for every step in one lookup, where equal event
-    steps resolve to the last event."""
+    array: the amplitude in force at every step in one lookup, where equal
+    event steps resolve to the last event."""
     steps = [step for step, _ in profile.step_events]
     amplitudes = [profile.i_ref, *(a for _, a in profile.step_events)]
     amplitude = np.array(amplitudes)[np.searchsorted(
@@ -362,25 +357,17 @@ def _references(profile: ReferenceProfile, thetas: np.ndarray,
     return amplitude
 
 
+# test-only: stays public while srmqbench/tracer.py reads it by name
 def reference_at(profile: ReferenceProfile, theta: float, k: int) -> float:
     """Reference current sample: pulse amplitude inside the conduction window."""
     return float(_references(profile, np.array([theta], float), k)[0])
 
 
-def save_surface_csv(surface: InductanceSurface, path) -> None:
-    """Write the surface: first row = current grid, first column = theta grid."""
-    with open(path, "w") as f:
-        f.write("theta_deg," + ",".join(repr(float(c))
-                                        for c in surface.current_grid) + "\n")
-        for th, row in zip(surface.theta_grid, surface.values):
-            f.write(repr(float(th)) + ","
-                    + ",".join(repr(float(v)) for v in row) + "\n")
-
-
 def load_surface_csv(path) -> InductanceSurface:
-    """Read a surface written by save_surface_csv (strict rectangular shape);
-    every ValueError names the file, and a parse error its line, counted
-    from 1 with the header."""
+    """Read a surface file: a header row of the current grid after one
+    label cell, then one row per theta node, its angle and its values
+    (strict rectangular shape); every ValueError names the file, and a
+    parse error its line, counted from 1 with the header."""
     try:
         with open(path) as f:
             rows = [(n, line.split(",")) for n, line in enumerate(f, 1)

@@ -103,16 +103,6 @@ class TableTrainConfig:
         return np.array([[q, -q], [-q, q]])
 
 
-@dataclass(frozen=True)
-class CellLocation:
-    """Enclosing cell (lower corner indices) and normalized offsets."""
-
-    row: int     # theta index
-    col: int     # current index
-    l1: float    # theta offset in [0, 1)
-    l2: float    # current offset in [0, 1)
-
-
 @dataclass
 class QCoreTable:
     """Grid of trained kernels (gains derived) and per-core RLS state.
@@ -176,11 +166,14 @@ class QCoreTable:
         return (self.theta_nodes.size, self.current_nodes.size)
 
 
-def locate(table: QCoreTable, theta: float, i: float) -> CellLocation:
-    """Find the enclosing cell; theta wraps periodically, current clamps."""
+# test-only: stays public while srmqbench/tracer.py reads it by name
+def locate(table: QCoreTable, theta: float, i: float):
+    """(row, col, l1, l2): the enclosing cell's lower corner indices and
+    the offsets in [0, 1) toward the next nodes; theta wraps periodically,
+    current clamps."""
     row, l1 = _axis_locate(table._theta_list, theta, wrap=True)
     col, l2 = _axis_locate(table._current_list, i, wrap=False)
-    return CellLocation(row, col, l1, l2)
+    return row, col, l1, l2
 
 
 def _corner(table: QCoreTable, row: int, col: int, l1: float, l2: float):
@@ -196,20 +189,6 @@ def _core_gain(table: QCoreTable, cell):
     bits as QCoreTable.gains)."""
     g = table.kernels[cell[0]][cell[1]]
     return g[2] / g[5], g[4] / g[5]
-
-
-def scheduled_q(table: QCoreTable, theta: float, i: float) -> np.ndarray:
-    """Bilinear blend of the four enclosing corner kernel vectors, entrywise.
-
-    Exact at grid nodes, continuous across cell edges, and convex: every
-    entry stays inside the range of the corner entries.  Degenerate
-    single-row or single-column tables reduce to linear interpolation.
-    """
-    loc = locate(table, theta, i)
-    w00, w10, w01, w11 = _weights(loc.l1, loc.l2)
-    return np.array([w00 * g00 + w10 * g10 + w01 * g01 + w11 * g11
-                     for g00, g10, g01, g11 in zip(*_corners(
-                         table.kernels, loc.row, loc.col))])
 
 
 def _schedule_located(table: QCoreTable, row: int, l1: float, i: float):
@@ -239,6 +218,7 @@ def schedule(table: QCoreTable, theta: float, i: float):
     return _schedule_located(table, row, l1, i)
 
 
+# test-only: stays public while srmqbench/tracer.py reads it by name
 def scheduled_gain(table: QCoreTable, theta: float, i: float) -> np.ndarray:
     """Greedy gain of the scheduled kernel as an array (see schedule)."""
     k_x, k_r, _ = schedule(table, theta, i)

@@ -241,8 +241,11 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None,
         return SimTrace(ks, ks * params.T, thetas[a:a + len(buf)], r, x, u,
                         buf[:, 2:4], buf[:, 4:].astype(int), cost)
 
-    writer = (_Writer(stream, rows_to_trace)
-              if stream is not None and _parallel_export(n) else None)
+    writer = None
+    if stream is not None and _parallel_export(n):
+        # a writer that cannot fork, pipe or open its file: export serially
+        with contextlib.suppress(OSError):
+            writer = _Writer(stream, rows_to_trace)
     schedule_located = scheduler._schedule_located
     V_dc = params.V_dc
     x, r = 0.0, refs[0]
@@ -372,17 +375,18 @@ def export_trace(trace: SimTrace, path, fmt: str = "csv") -> None:
     if fmt not in ("csv", "jsonl"):
         raise ValueError(f"unknown trace format {fmt!r}")
     written = trace.written
+    streamed = written is not None and written.fmt == fmt
     try:
+        if streamed and written.error is not None:
+            raise OSError(written.error)    # before the path is opened
         with open(path, "wb") as f:
             if fmt == "csv":
                 f.write((",".join(TRACE_COLUMNS) + "\r\n").encode())
-            if written is None or written.fmt != fmt:
-                _write_rows(f, trace, fmt)
-            elif written.error is not None:
-                raise OSError(written.error)
-            else:
+            if streamed:
                 written.file.seek(0)
                 shutil.copyfileobj(written.file, f)
+            else:
+                _write_rows(f, trace, fmt)
     except OSError as exc:
         raise OSError(f"cannot write trace to {path}: {exc}") from exc
 

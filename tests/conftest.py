@@ -3,8 +3,13 @@ import pytest
 from hypothesis import strategies as st
 
 from srmq import MotorParams, default_surface, train_table
+from srmq.lqt import AugmentedModel
 from srmq.plant import (InductanceSurface, _axis_locate, _rotor_angles,
                         _step_located)
+from srmq.scheduler import TableTrainConfig
+
+# the study's tracking weight, input weight and discount
+STUDY = TableTrainConfig()
 
 
 @pytest.fixture(scope="session")
@@ -75,6 +80,35 @@ def reference_blend(values, row, col, l1, l2):
             + l1 * (1 - l2) * values[r1, col]
             + (1 - l1) * l2 * values[row, c1]
             + l1 * l2 * values[r1, c1])
+
+
+def scheduled_q(table, theta: float, i: float) -> np.ndarray:
+    """The scheduled kernel: the numpy blend of the four kernel vectors
+    around the cell that _axis_locate finds (theta wraps, current clamps),
+    entrywise.  Exact at the nodes, continuous across cell edges, and
+    convex; the reference whose greedy gain schedule must return."""
+    row, l1 = _axis_locate(table._theta_list, theta, wrap=True)
+    col, l2 = _axis_locate(table._current_list, i, wrap=False)
+    return reference_blend(np.array(table.kernels), row, col, l1, l2)
+
+
+def build_augmented(A, B, Q: float = STUDY.q_weight,
+                    R_u: float = STUDY.r_weight,
+                    gamma: float = STUDY.gamma) -> AugmentedModel:
+    """The model of the plant scalars (or arrays of shape (N,), for N
+    stacked models), with the study's weights and discount by default."""
+    return AugmentedModel(A, B, float(Q), float(R_u), float(gamma))
+
+
+def save_surface_csv(surface: InductanceSurface, path) -> None:
+    """Write a surface file as load_surface_csv reads it: the first row is
+    the current grid, the first column the theta grid."""
+    with open(path, "w") as f:
+        f.write("theta_deg," + ",".join(repr(float(c))
+                                        for c in surface.current_grid) + "\n")
+        for th, row in zip(surface.theta_grid, surface.values):
+            f.write(repr(float(th)) + ","
+                    + ",".join(repr(float(v)) for v in row) + "\n")
 
 
 @pytest.fixture

@@ -22,9 +22,10 @@ from srmq.qlearn import (TupleBatch, batch_ls_solve, build_ls_rows,
                          policy_improvement, q_policy_iteration, rls_update,
                          stage_cost)
 from srmq.scheduler import (QCoreTable, TableTrainConfig, _corner, locate,
-                            schedule, scheduled_q, train_table)
+                            schedule, train_table)
 from srmq.sim import Scenario, SimTrace, compute_metrics, run_closed_loop
-from conftest import core_G, kernel_matrix, kernel_vector
+from conftest import (build_augmented, core_G, kernel_matrix, kernel_vector,
+                      scheduled_q)
 
 
 def report(n, dt, limit, detail):
@@ -57,7 +58,7 @@ def test_criterion_2_model_free_matches_model_based(capsys):
         rng = np.random.default_rng(trial)
         A = rng.uniform(0.3, 0.995)
         B = rng.uniform(0.005, 0.5)
-        m = lqt.build_augmented(A, B)
+        m = build_augmented(A, B)
         K_star = lqt.optimal_gain(lqt.are_fixed_point(m, tol=1e-13), m)
         K0 = 0.9 * np.array([A / B, -A / B])
 
@@ -175,17 +176,16 @@ def test_criterion_4_scheduling_equivalence(capsys):
                            TableTrainConfig(), "h")
         for _ in range(10):
             th, i = rng.uniform(-10, 90), rng.uniform(-1, 10)
-            loc = locate(table, th, i)
-            r1 = min(loc.row + 1, nt - 1)
-            c1 = min(loc.col + 1, ni - 1)
-            corner_Gs = [core_G(table, loc.row, loc.col),
-                         core_G(table, r1, loc.col),
-                         core_G(table, loc.row, c1), core_G(table, r1, c1)]
+            row, col, l1, l2 = locate(table, th, i)
+            r1 = min(row + 1, nt - 1)
+            c1 = min(col + 1, ni - 1)
+            corner_Gs = [core_G(table, row, col), core_G(table, r1, col),
+                         core_G(table, row, c1), core_G(table, r1, c1)]
             # independent route: solve for the coefficients of the
             # 1, l1, l2, l1*l2 basis at the unit-square corners
             V = np.array([[1.0, a, b, a * b]
                           for a, b in ((0, 0), (1, 0), (0, 1), (1, 1))])
-            w = np.linalg.solve(V.T, [1.0, loc.l1, loc.l2, loc.l1 * loc.l2])
+            w = np.linalg.solve(V.T, [1.0, l1, l2, l1 * l2])
             G_ref = sum(wk * Gk for wk, Gk in zip(w, corner_Gs))
             blend = scheduled_q(table, th, i)
             G_got = kernel_matrix(blend)
@@ -199,7 +199,7 @@ def test_criterion_4_scheduling_equivalence(capsys):
             k_x, k_r, cell = schedule(table, th, i)
             assert (np.array([k_x, k_r]).tobytes()
                     == policy_improvement(blend).tobytes())
-            assert cell == _corner(table, loc.row, loc.col, loc.l1, loc.l2)
+            assert cell == _corner(table, row, col, l1, l2)
             checks += 1
         # corner reproduction at every node (the top theta node wraps onto
         # the first row by the periodic convention, so it is excluded here)

@@ -1,6 +1,5 @@
 import configparser
 import contextlib
-import inspect
 import io
 import json
 import operator
@@ -17,11 +16,11 @@ from srmq.cli import (EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_OK, EXIT_SAFETY,
                       REFERENCE_GAIN, SCHEMA, default_config, load_config,
                       main)
 from srmq.plant import (InductanceSurface, MotorParams, ReferenceProfile,
-                        default_surface, frozen_grid, save_surface_csv)
+                        default_surface, frozen_grid)
 from srmq.qlearn import QTrainConfig
 from srmq.scheduler import (QCoreTable, TableTrainConfig, load_table,
                             params_hash, save_table)
-from conftest import kernel_vector
+from conftest import build_augmented, kernel_vector, save_surface_csv
 
 
 def last_json(capsys):
@@ -590,10 +589,6 @@ class TestConfig:
         qcfg = QTrainConfig()
         for name in ("gamma", "tuples_per_iter", "tol", "max_iters"):
             assert getattr(qcfg, name) == getattr(cfg, name)
-        augmented = inspect.signature(lqt.build_augmented).parameters
-        for arg, name in (("Q", "q_weight"), ("R_u", "r_weight"),
-                          ("gamma", "gamma")):
-            assert augmented[arg].default == getattr(cfg, name)
 
     @staticmethod
     def oracle_on_surface_file(tmp_path, text):
@@ -720,7 +715,7 @@ class TestOracle:
         current = np.linspace(0.0, 1.5 * params.i_nominal, 3)
         L, A, B = frozen_grid(params, default_surface(params, n_theta=5),
                               theta, current)
-        model = lqt.build_augmented(A, B)
+        model = build_augmented(A, B)
         P = lqt.are_closed_form(model)
         K = lqt.optimal_gain(P, model)
         pi = lqt.policy_iteration_model_based(model, (100.0, -100.0))
@@ -756,7 +751,7 @@ class TestOracle:
         assert main(["--config", small_cfg, "--json", "oracle"]) == EXIT_OK
         K0 = [float(k0_x), -100.0]
         failing = [(n["row"], n["col"]) for n in last_json(capsys)["nodes"]
-                   if not lqt.is_stabilizing(lqt.build_augmented(n["A"], n["B"]),
+                   if not lqt.is_stabilizing(build_augmented(n["A"], n["B"]),
                                              K0)]
         assert failing
         path = tmp_path / "k0.ini"

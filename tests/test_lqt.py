@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from srmq.lqt import (AugmentedModel, ConvergenceError, NotStabilizingError,
-                      are_closed_form, are_fixed_point, build_augmented,
-                      closed_loop,
+                      are_closed_form, are_fixed_point, closed_loop,
                       evaluate_policy, is_stabilizing, optimal_gain,
                       policy_iteration_model_based, spectral_radius)
 from srmq.plant import frozen_grid
+from conftest import build_augmented
 
 # dynamics of one phase frozen at the two inductance extremes:
 # A = 1 - T*R/L, B = T/L with T = 1e-4 s, R = 2 ohm

@@ -9,8 +9,20 @@ from hypothesis import example, given, settings, strategies as st
 from srmq.plant import (InductanceSurface, MotorParams, ReferenceProfile,
                         _axis_locate, _linearised, _references,
                         _wrapped_cells, default_surface, inductance_at,
-                        load_surface_csv, reference_at, save_surface_csv)
-from conftest import constant_surface, point_near, reference_blend, step_phase
+                        load_surface_csv, reference_at)
+from conftest import (constant_surface, point_near, reference_blend,
+                      save_surface_csv, step_phase)
+
+
+def amplitude_at(profile, k):
+    """The amplitude in force at step k by a linear scan of the events: the
+    last event's with step <= k, else i_ref (the reference of the lookup
+    in _references)."""
+    amp = profile.i_ref
+    for step, value in profile.step_events:
+        if step <= k:
+            amp = value
+    return amp
 
 
 def reference_axis_locate(nodes, value, wrap):
@@ -432,11 +444,8 @@ class TestReference:
         # order, so the amplitudes at one step are in no particular order
         events = sorted(events, key=lambda e: e[0])
         prof = ReferenceProfile(i_ref, 10.0, 35.0, step_events=events)
-        amp = i_ref
-        for idx, value in events:
-            if idx <= k:
-                amp = value
-        assert prof.amplitude_at(k) == amp
+        # 20 deg is inside the conduction window
+        assert _references(prof, np.array([20.0]), k)[0] == amplitude_at(prof, k)
 
     @given(theta=st.floats(0, 45), k=st.integers(0, 10**6))
     @settings(max_examples=200, deadline=None)
@@ -460,7 +469,7 @@ class TestReference:
         events = sorted(events, key=lambda e: e[0])
         prof = ReferenceProfile(i_ref, 10.0, 35.0, step_events=events)
         got = _references(prof, np.array(thetas, float), k)
-        want = [prof.amplitude_at(k + j) if 10.0 <= theta < 35.0 else 0.0
+        want = [amplitude_at(prof, k + j) if 10.0 <= theta < 35.0 else 0.0
                 for j, theta in enumerate(thetas)]
         assert got.tobytes() == np.array(want, float).tobytes()
 

@@ -7,7 +7,7 @@ from srmq.qlearn import (ExcitationError, QTrainConfig, QTrainError,
                          TupleBatch, batch_ls_solve, build_ls_rows,
                          policy_improvement, q_policy_iteration, rls_update,
                          stage_cost, sym_features)
-from conftest import kernel_matrix, kernel_vector
+from conftest import build_augmented, kernel_matrix, kernel_vector
 
 A16, B16 = 0.9875, 0.00625
 
@@ -112,7 +112,7 @@ class TestStageCost:
 
 class TestPolicyImprovement:
     def test_matches_model_based_gain(self):
-        m = lqt.build_augmented(A16, B16)
+        m = build_augmented(A16, B16)
         P = lqt.are_fixed_point(m, tol=1e-13)
         k = kernel_from_value_matrix(m, P)
         assert policy_improvement(k) == pytest.approx(lqt.optimal_gain(P, m),
@@ -122,7 +122,7 @@ class TestPolicyImprovement:
     @settings(max_examples=50, deadline=None)
     def test_matches_model_based_gain_random_plants(self, seed):
         rng = np.random.default_rng(seed)
-        m = lqt.build_augmented(rng.uniform(0.3, 0.995), rng.uniform(0.005, 0.5))
+        m = build_augmented(rng.uniform(0.3, 0.995), rng.uniform(0.005, 0.5))
         K = rng.uniform(-1, 1, 2) * np.array([m.A_a[0, 0] / m.B_b[0, 0], 1.0])
         if not lqt.is_stabilizing(m, K):
             return
@@ -133,7 +133,7 @@ class TestPolicyImprovement:
 
     def test_greedy_value_matches_state_value(self):
         # minimizing the quadratic in u recovers 0.5 X' P X at the optimum
-        m = lqt.build_augmented(A16, B16)
+        m = build_augmented(A16, B16)
         P = lqt.are_fixed_point(m, tol=1e-13)
         k = kernel_from_value_matrix(m, P)
         K = policy_improvement(k)
@@ -193,7 +193,7 @@ class TestLeastSquares:
                           gamma=0.9)
 
     def test_exact_recovery_from_six_tuples(self):
-        m = lqt.build_augmented(A16, B16)
+        m = build_augmented(A16, B16)
         K = np.array([100.0, -100.0])
         g_true = kernel_from_value_matrix(m, lqt.evaluate_policy(m, K))
         rng = np.random.default_rng(7)
@@ -203,7 +203,7 @@ class TestLeastSquares:
         assert np.allclose(g, g_true, rtol=1e-8, atol=1e-8)
 
     def test_noise_robustness_with_many_tuples(self):
-        m = lqt.build_augmented(A16, B16)
+        m = build_augmented(A16, B16)
         K = np.array([100.0, -100.0])
         g_true = kernel_from_value_matrix(m, lqt.evaluate_policy(m, K))
         rng = np.random.default_rng(11)
@@ -218,7 +218,7 @@ class TestLeastSquares:
     def test_list_and_batch_match_reference(self, seed):
         # the rows of a list of tuples, one at a time, are the batch's rows
         # and those of the batch as a one-node stack, bit for bit
-        m = lqt.build_augmented(A16, B16)
+        m = build_augmented(A16, B16)
         rng = np.random.default_rng(seed)
         batch = make_collector(m, rng)(np.array([100.0, -100.0]), 6 + 10 * seed)
         ref_design, ref_targets = reference_ls_rows(list(zip(*batch)),
@@ -242,7 +242,7 @@ class TestLeastSquares:
     def test_batch_checked_as_data_tuples_are(self, field, index, value,
                                                message):
         # each tuple of a batch is checked: finite entries, cost >= -1e-9
-        m = lqt.build_augmented(A16, B16)
+        m = build_augmented(A16, B16)
         batch = make_collector(m, np.random.default_rng(0))(
             np.array([100.0, -100.0]), 6)
         getattr(batch, field)[index] = value
@@ -260,7 +260,7 @@ class TestLeastSquares:
     def test_pure_state_feedback_is_rank_deficient(self):
         # without dither u is a deterministic function of (x, r): 6 tuples
         # cannot span the 6-dimensional basis
-        m = lqt.build_augmented(A16, B16)
+        m = build_augmented(A16, B16)
         design, targets = build_ls_rows(make_collector(
             m, np.random.default_rng(3), dither=0.0)(
                 np.array([100.0, -100.0]), 40), m.gamma)
@@ -312,7 +312,7 @@ class TestRls:
         assert np.array_equal(eta, eta.T)
 
     def test_repeated_passes_approach_batch_solution(self):
-        m = lqt.build_augmented(A16, B16)
+        m = build_augmented(A16, B16)
         K = np.array([100.0, -100.0])
         rng = np.random.default_rng(5)
         design, targets = build_ls_rows(make_collector(m, rng)(K, 60), m.gamma)
@@ -335,7 +335,7 @@ def train_one(collect, K0, cfg=QTrainConfig()):
 
 class TestSampledPolicyIteration:
     def test_converges_to_model_based_optimum(self):
-        m = lqt.build_augmented(A16, B16)
+        m = build_augmented(A16, B16)
         K_star = lqt.optimal_gain(lqt.are_fixed_point(m, tol=1e-13), m)
         rng = np.random.default_rng(0)
         gain, iterations, failures = train_one(make_collector(m, rng),
@@ -345,7 +345,7 @@ class TestSampledPolicyIteration:
         assert iterations < 30
 
     def test_optimal_start_is_a_fixed_point(self):
-        m = lqt.build_augmented(A16, B16)
+        m = build_augmented(A16, B16)
         K_star = lqt.optimal_gain(lqt.are_fixed_point(m, tol=1e-13), m)
         rng = np.random.default_rng(1)
         gain, iterations, failures = train_one(make_collector(m, rng), K_star)
@@ -354,7 +354,7 @@ class TestSampledPolicyIteration:
         assert np.linalg.norm(gain - K_star) < 1e-3
 
     def test_non_settling_is_reported(self):
-        m = lqt.build_augmented(A16, B16)
+        m = build_augmented(A16, B16)
         rng = np.random.default_rng(2)
         cfg = QTrainConfig(tol=1e-16, max_iters=3)
         res = q_policy_iteration(one_node(make_collector(m, rng)),

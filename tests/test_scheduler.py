@@ -13,15 +13,14 @@ from srmq.plant import (MotorParams, ReferenceProfile, default_surface,
                         _linearised, inductance_at)
 from srmq.qlearn import (TupleBatch, policy_improvement, rls_update,
                          stage_cost, sym_features)
-from srmq.scheduler import (CellLocation, QCoreTable, TableMismatchError,
+from srmq.scheduler import (QCoreTable, TableMismatchError,
                             TableTrainConfig, TableTrainError, _corner,
                             check_table_compatible, load_table, locate,
                             params_hash, save_table, schedule,
-                            scheduled_gain, scheduled_q, train_table,
-                            update_core_online)
+                            scheduled_gain, train_table, update_core_online)
 from srmq.sim import Scenario, run_closed_loop
-from conftest import (constant_surface, core_G, kernel_matrix, kernel_vector,
-                      point_near, reference_blend)
+from conftest import (build_augmented, constant_surface, core_G,
+                      kernel_matrix, kernel_vector, point_near, scheduled_q)
 
 
 def random_kernel(rng):
@@ -45,14 +44,14 @@ def random_table(rng, nt=None, ni=None):
 def blend_oracle(table, theta, i):
     """Independent interpolant: solve for the four basis coefficients of
     1, l1, l2, l1*l2 at the cell corners, then combine the corner kernels."""
-    loc = locate(table, theta, i)
+    row, col, l1, l2 = locate(table, theta, i)
     nt, ni = table.shape
-    r1, c1 = min(loc.row + 1, nt - 1), min(loc.col + 1, ni - 1)
+    r1, c1 = min(row + 1, nt - 1), min(col + 1, ni - 1)
     corners = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
     V = np.array([[1.0, a, b, a * b] for a, b in corners])
-    w = np.linalg.solve(V.T, [1.0, loc.l1, loc.l2, loc.l1 * loc.l2])
-    Gs = [core_G(table, loc.row, loc.col), core_G(table, r1, loc.col),
-          core_G(table, loc.row, c1), core_G(table, r1, c1)]
+    w = np.linalg.solve(V.T, [1.0, l1, l2, l1 * l2])
+    Gs = [core_G(table, row, col), core_G(table, r1, col),
+          core_G(table, row, c1), core_G(table, r1, c1)]
     return sum(wk * Gk for wk, Gk in zip(w, Gs))
 
 
@@ -60,10 +59,8 @@ def reference_scheduled_gain(table, theta, i):
     """The numpy scheduled read: locate, the nearest-corner rule, the numpy
     blend of the whole 6-vector and g[[2, 4]] / g[5], or the nearest core's
     derived gain when the blended G_uu <= 0.  (K, cell, fell back?)."""
-    loc = locate(table, theta, i)
-    cell = _corner(table, loc.row, loc.col, loc.l1, loc.l2)
-    g = reference_blend(np.array(table.kernels), loc.row, loc.col, loc.l1,
-                        loc.l2)
+    cell = _corner(table, *locate(table, theta, i))
+    g = scheduled_q(table, theta, i)
     if g[5] <= 0:
         return table.gains[cell], cell, True
     return g[[2, 4]] / g[5], cell, False
@@ -156,15 +153,6 @@ class TestSchedule:
         # numpy scalars here would silently double the cost of a step
         assert type(k_x) is float and type(k_r) is float
         assert type(cell[0]) is int and type(cell[1]) is int
-
-    @given(case=table_and_point())
-    @settings(max_examples=200, deadline=None)
-    def test_scheduled_q_matches_numpy_reference(self, case):
-        t, theta, i = case
-        loc = locate(t, theta, i)
-        want = reference_blend(np.array(t.kernels), loc.row, loc.col, loc.l1,
-                               loc.l2)
-        assert scheduled_q(t, theta, i).tobytes() == want.tobytes()
 
     def test_fallback_leaves_table_unchanged(self):
         # two valid cores with G_uu = 5e-324: at l2 = 0.5 each weight is 0.5
@@ -267,39 +255,39 @@ class TestMirrors:
 class TestLocate:
     def test_node_hits(self, trained_table):
         t = trained_table
-        loc = locate(t, float(t.theta_nodes[3]), float(t.current_nodes[2]))
-        assert (loc.row, loc.col) == (3, 2)
-        assert loc.l1 == pytest.approx(0.0)
-        assert loc.l2 == pytest.approx(0.0)
+        row, col, l1, l2 = locate(t, float(t.theta_nodes[3]),
+                                  float(t.current_nodes[2]))
+        assert (row, col) == (3, 2)
+        assert l1 == pytest.approx(0.0)
+        assert l2 == pytest.approx(0.0)
 
     def test_theta_wraps(self, trained_table):
         t = trained_table
         pitch = t.theta_nodes[-1] - t.theta_nodes[0]
-        a = locate(t, 12.0, 3.0)
-        b = locate(t, 12.0 + 2 * pitch, 3.0)
-        assert (a.row, a.col, a.l1, a.l2) == (b.row, b.col, b.l1, b.l2)
+        assert locate(t, 12.0, 3.0) == locate(t, 12.0 + 2 * pitch, 3.0)
 
     def test_top_theta_node_wraps_to_first_cell(self, trained_table):
-        loc = locate(trained_table, float(trained_table.theta_nodes[-1]), 3.0)
-        assert loc.row == 0
-        assert loc.l1 == pytest.approx(0.0)
+        row, _, l1, _ = locate(trained_table,
+                               float(trained_table.theta_nodes[-1]), 3.0)
+        assert row == 0
+        assert l1 == pytest.approx(0.0)
 
     def test_current_clamps(self, trained_table):
         t = trained_table
-        lo = locate(t, 5.0, -1.0)
-        assert (lo.col, lo.l2) == (0, 0.0)
-        hi = locate(t, 5.0, 99.0)
-        assert hi.col == t.current_nodes.size - 1
-        assert hi.l2 == pytest.approx(0.0)
+        _, col, _, l2 = locate(t, 5.0, -1.0)
+        assert (col, l2) == (0, 0.0)
+        _, col, _, l2 = locate(t, 5.0, 99.0)
+        assert col == t.current_nodes.size - 1
+        assert l2 == pytest.approx(0.0)
 
     def test_cell_interior_offsets(self, trained_table):
         t = trained_table
         mid_t = (t.theta_nodes[1] + t.theta_nodes[2]) / 2
         mid_i = (t.current_nodes[4] + t.current_nodes[5]) / 2
-        loc = locate(t, float(mid_t), float(mid_i))
-        assert (loc.row, loc.col) == (1, 4)
-        assert loc.l1 == pytest.approx(0.5)
-        assert loc.l2 == pytest.approx(0.5)
+        row, col, l1, l2 = locate(t, float(mid_t), float(mid_i))
+        assert (row, col) == (1, 4)
+        assert l1 == pytest.approx(0.5)
+        assert l2 == pytest.approx(0.5)
 
 
 class TestNearestCore:
@@ -345,12 +333,11 @@ class TestScheduledQ:
         for _ in range(50):
             theta = rng.uniform(0, 45)
             i = rng.uniform(0, 7.5)
-            loc = locate(t, theta, i)
-            r1 = min(loc.row + 1, t.theta_nodes.size - 1)
-            c1 = min(loc.col + 1, t.current_nodes.size - 1)
-            stack = np.stack([core_G(t, loc.row, loc.col),
-                              core_G(t, r1, loc.col),
-                              core_G(t, loc.row, c1), core_G(t, r1, c1)])
+            row, col, _, _ = locate(t, theta, i)
+            r1 = min(row + 1, t.theta_nodes.size - 1)
+            c1 = min(col + 1, t.current_nodes.size - 1)
+            stack = np.stack([core_G(t, row, col), core_G(t, r1, col),
+                              core_G(t, row, c1), core_G(t, r1, c1)])
             G = kernel_matrix(scheduled_q(t, theta, i))
             assert np.all(G >= stack.min(axis=0) - 1e-9)
             assert np.all(G <= stack.max(axis=0) + 1e-9)
@@ -640,7 +627,7 @@ class TestTrainTable:
         for a, th in enumerate(theta_nodes):
             for b, i in enumerate(current_nodes):
                 L = inductance_at(surface, float(th), float(i))
-                m = lqt.build_augmented(1 - params.T * params.R_phase / L,
+                m = build_augmented(1 - params.T * params.R_phase / L,
                                         params.T / L)
                 K_star = lqt.optimal_gain(lqt.are_fixed_point(m), m)
                 err = np.linalg.norm(t.gains[a, b] - K_star) \
@@ -705,7 +692,7 @@ class TestOnlineUpdate:
                           float(t.current_nodes[3]))
         R_hot = params.R_phase * 1.1
         A, B = 1 - params.T * R_hot / L, params.T / L
-        m = lqt.build_augmented(A, B)
+        m = build_augmented(A, B)
         K_star = lqt.optimal_gain(lqt.are_fixed_point(m), m)
 
         err0 = np.linalg.norm(t.gains[2, 3] - K_star)

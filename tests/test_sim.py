@@ -1,4 +1,5 @@
 import csv
+import errno
 import gc
 import json
 import os
@@ -13,15 +14,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from srmq import plant, scheduler, sim
+from srmq import cli, plant, scheduler, sim
 from srmq.plant import MotorParams, ReferenceProfile, reference_at
 from srmq.qlearn import stage_cost
-from srmq.scheduler import QCoreTable, SafetyAbortError, TableTrainConfig
+from srmq.scheduler import (QCoreTable, SafetyAbortError, TableTrainConfig,
+                            save_table)
 from srmq.sim import (CONTROLLERS, EXPORT_CHUNK, MAX_STEPS,
                       PARALLEL_MIN_ROWS, SETTLE_FRACTION, TRACE_COLUMNS,
                       Metrics, Scenario, SimTrace, compute_metrics,
                       delta_modulation_step, export_trace, run_closed_loop)
-from conftest import constant_surface, kernel_vector, step_phase
+from conftest import (build_augmented, constant_surface, kernel_vector,
+                      step_phase)
 
 
 def make_scenario(params, surface, **kw):
@@ -929,6 +932,46 @@ class TestExport:
         assert message.endswith(
             "exited with status 1" if fail == "raise"
             else f"was killed by signal {int(signal.SIGKILL)}")
+        # the failure is reported before the path is opened
+        assert not path.exists()
+
+    @pytest.mark.parametrize("fails", [(os, "fork"), (os, "pipe"),
+                                       (sim.tempfile, "TemporaryFile")],
+                             ids=["fork", "pipe", "file"])
+    def test_writer_that_cannot_start_exports_serially(
+            self, params, surface, trained_table, monkeypatch, tmp_path,
+            capsys, fails):
+        # no process, descriptor or file to spare for the writer: the run
+        # goes on without one, its trace is formatted at export, and `run`
+        # writes the serial export's bytes
+        def unavailable(*args):
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(sim, "_parallel_export", lambda n: True)
+        table = tmp_path / "qtable.json"
+        save_table(trained_table, table)
+        with leaves_no_child_or_fd():
+            with monkeypatch.context() as m:
+                m.setattr(*fails, unavailable)
+                trace = run_closed_loop(make_scenario(params, surface),
+                                        trained_table, stream="csv")
+                code = cli.main(["run", "--table", str(table),
+                                 "--out", str(tmp_path / "failed")])
+            assert trace.written is None
+            assert code == 0
+            export_trace(trace, tmp_path / "got")
+            reference_export(trace, tmp_path / "want", "csv")
+            assert (tmp_path / "got").read_bytes() == \
+                (tmp_path / "want").read_bytes()
+            with monkeypatch.context() as m:
+                m.setattr(sim, "_parallel_export", lambda n: False)
+                assert cli.main(["run", "--table", str(table),
+                                 "--out", str(tmp_path / "serial")]) == 0
+            del trace
+        capsys.readouterr()
+        name = "trace_scheduled-qlearning.csv"
+        assert ((tmp_path / "failed" / name).read_bytes()
+                == (tmp_path / "serial" / name).read_bytes())
 
     @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
     def test_failing_parent_reaps_the_helper(self, params, surface,
@@ -1024,7 +1067,7 @@ class TestControllerComparison:
         for _ in range(60):
             theta, i = rng.uniform(0, 45), rng.uniform(0, 7.5)
             L = inductance_at(surface, theta, i)
-            m = lqt.build_augmented(1 - params.T * params.R_phase / L,
+            m = build_augmented(1 - params.T * params.R_phase / L,
                                     params.T / L)
             K_star = lqt.optimal_gain(lqt.are_fixed_point(m), m)
             scale = np.linalg.norm(K_star)
