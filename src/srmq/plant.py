@@ -245,12 +245,11 @@ def _corners(grid: list, row: int, col: int):
     return lo[col], hi[col], lo[c1], hi[c1]
 
 
-def _inductance_located(surface: InductanceSurface, row: int, l1: float,
-                        i: float) -> float:
-    """Bilinear lookup of L at the angle cell (row, l1) of the surface's
-    theta grid and the current i, which clamps to the grid."""
-    col, l2 = _axis_locate(surface._current_list, i, wrap=False)
-    w00, w10, w01, w11 = _weights(l1, l2)
+def _inductance_located(surface: InductanceSurface, row: int, col: int,
+                        w) -> float:
+    """Bilinear lookup of L in the cell (row, col) of the surface's grids,
+    with the corner weights w of _weights."""
+    w00, w10, w01, w11 = w
     v00, v10, v01, v11 = _corners(surface._values_list, row, col)
     return w00 * v00 + w10 * v10 + w01 * v01 + w11 * v11
 
@@ -258,7 +257,8 @@ def _inductance_located(surface: InductanceSurface, row: int, l1: float,
 def inductance_at(surface: InductanceSurface, theta: float, i: float) -> float:
     """Bilinear lookup of L(theta, i); theta wraps, current clamps to the grid."""
     row, l1 = _axis_locate(surface._theta_list, theta, wrap=True)
-    return _inductance_located(surface, row, l1, i)
+    col, l2 = _axis_locate(surface._current_list, i, wrap=False)
+    return _inductance_located(surface, row, col, _weights(l1, l2))
 
 
 def _linearised(params: MotorParams, L: float):
@@ -317,9 +317,10 @@ def default_surface(params: MotorParams, n_theta: int = 16, n_current: int = 8,
 
 
 def _step_located(x: float, u: float, params: MotorParams,
-                  surface: InductanceSurface, row: int, l1: float) -> float:
+                  surface: InductanceSurface, row: int, col: int, w) -> float:
     """x': the phase current one sample on under applied voltage u, with
-    the rotor angle given as its cell (row, l1) on the surface's theta grid.
+    the operating point (rotor angle, x) given as its cell (row, col) on
+    the surface's grids and the corner weights w of _weights.
 
     x' = A x + B u with A, B from the inductance at the angle and x, the
     frozen_grid model each Q-core is trained against; the current is clamped
@@ -327,7 +328,7 @@ def _step_located(x: float, u: float, params: MotorParams,
     """
     if not math.isfinite(u):
         raise ValueError("applied voltage must be finite")
-    _, A, B = _linearised(params, _inductance_located(surface, row, l1, x))
+    _, A, B = _linearised(params, _inductance_located(surface, row, col, w))
     return max(0.0, A * x + B * u)
 
 

@@ -191,12 +191,12 @@ def _core_gain(table: QCoreTable, cell):
     return g[2] / g[5], g[4] / g[5]
 
 
-def _schedule_located(table: QCoreTable, row: int, l1: float, i: float):
-    """schedule at the angle cell (row, l1) of the table's theta nodes and
-    the current i, which clamps to the grid."""
-    col, l2 = _axis_locate(table._current_list, i, wrap=False)
+def _schedule_located(table: QCoreTable, row: int, col: int, l1: float,
+                      l2: float, w):
+    """schedule in the cell (row, col) of the table's nodes, at the offsets
+    (l1, l2) with the corner weights w = _weights(l1, l2)."""
     cell = _corner(table, row, col, l1, l2)
-    w00, w10, w01, w11 = _weights(l1, l2)
+    w00, w10, w01, w11 = w
     g00, g10, g01, g11 = _corners(table.kernels, row, col)
     g_uu = w00 * g00[5] + w10 * g10[5] + w01 * g01[5] + w11 * g11[5]
     if g_uu <= 0:
@@ -215,7 +215,8 @@ def schedule(table: QCoreTable, theta: float, i: float):
     the nearest core's gain is returned instead.  Reads never write.
     """
     row, l1 = _axis_locate(table._theta_list, theta, wrap=True)
-    return _schedule_located(table, row, l1, i)
+    col, l2 = _axis_locate(table._current_list, i, wrap=False)
+    return _schedule_located(table, row, col, l1, l2, _weights(l1, l2))
 
 
 # test-only: stays public while srmqbench/tracer.py reads it by name

@@ -216,17 +216,23 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None,
         dither = memoryview(scenario.dither * np.random.default_rng(
             scenario.seed).uniform(-1, 1, n))
 
+    # the scheduled controller's cell is the plant's when the table's nodes
+    # are the surface's: then each step locates its operating point once
+    shared = (scheduled
+              and np.array_equal(table.theta_nodes, surface.theta_grid)
+              and np.array_equal(table.current_nodes, surface.current_grid))
+
     # the half of the step that does not depend on the phase current, in
     # one numpy pass each: the n + 1 rotor angles, the reference at each,
-    # and their cells on the surface's and the table's theta nodes, read
-    # back as Python floats and ints; the angles and the references are the
-    # trace's theta and r columns
+    # and their cells on the surface's and (unless shared) the table's
+    # theta nodes, read back as Python floats and ints; the angles and the
+    # references are the trace's theta and r columns
     thetas = np.frombuffer(plant._rotor_angles(plant_params, 0.0, n))
     references = plant._references(profile, thetas, 0)
     refs = memoryview(references)
     s_row, s_l1 = map(memoryview, _wrapped_cells(surface.theta_grid, thetas))
-    t_row = t_l1 = None
-    if scheduled:
+    t_row, t_l1 = s_row, s_l1
+    if scheduled and not shared:
         t_row, t_l1 = map(memoryview, _wrapped_cells(table.theta_nodes, thetas))
 
     def rows_to_trace(buf, a=0):
@@ -247,6 +253,9 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None,
         with contextlib.suppress(OSError):
             writer = _Writer(stream, rows_to_trace)
     schedule_located = scheduler._schedule_located
+    locate, weights = plant._axis_locate, plant._weights
+    s_current = surface._current_list
+    t_current = table._current_list if scheduled else None
     V_dc = params.V_dc
     x, r = 0.0, refs[0]
     err = None
@@ -258,7 +267,10 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None,
                 cell = (-1, -1)
             else:
                 if scheduled:
-                    k_x, k_r, cell = schedule_located(table, t_row[k], t_l1[k], x)
+                    row, l1 = t_row[k], t_l1[k]
+                    col, l2 = locate(t_current, x, False)
+                    w = weights(l1, l2)
+                    k_x, k_r, cell = schedule_located(table, row, col, l1, l2, w)
                 else:
                     k_x, k_r, cell = single
                 u = -(k_x * x + k_r * r)
@@ -270,7 +282,11 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None,
             if writer is not None and (k + 1) % EXPORT_CHUNK == 0:
                 writer.send(rows, k + 1)
 
-            x_next = _step_located(x, u, plant_params, surface, s_row[k], s_l1[k])
+            if not shared:
+                row, l1 = s_row[k], s_l1[k]
+                col, l2 = locate(s_current, x, False)
+                w = weights(l1, l2)
+            x_next = _step_located(x, u, plant_params, surface, row, col, w)
 
             if x_next > i_limit:
                 err = SafetyAbortError(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -5,8 +7,8 @@ from hypothesis import strategies as st
 from srmq import MotorParams, default_surface, train_table
 from srmq.lqt import AugmentedModel
 from srmq.plant import (InductanceSurface, _axis_locate, _rotor_angles,
-                        _step_located)
-from srmq.scheduler import TableTrainConfig
+                        _step_located, _weights)
+from srmq.scheduler import QCoreTable, TableTrainConfig
 
 # the study's tracking weight, input weight and discount
 STUDY = TableTrainConfig()
@@ -34,6 +36,15 @@ def fresh_table(params, surface):
     return train_table(params, surface)
 
 
+def coarse_table(table):
+    """A fresh table of every third theta node's cores (six nodes over the
+    same pitch on the default grid): its nodes are not the surface's, so the
+    closed loop locates the controller's and the plant's cells apart."""
+    return QCoreTable(table.theta_nodes[::3], table.current_nodes,
+                      table.kernels[::3], table.cfg, table.params_hash,
+                      iterations=table.iterations[::3])
+
+
 def constant_surface(L, pitch=45.0, i_max=7.5):
     """Flat inductance surface, handy for frozen-dynamics checks."""
     theta = np.linspace(0.0, pitch, 5)
@@ -44,11 +55,14 @@ def constant_surface(L, pitch=45.0, i_max=7.5):
 def step_phase(x: float, theta: float, u: float, params: MotorParams,
                surface: InductanceSurface):
     """(x', theta'): the phase current and rotor angle one sample on under
-    applied voltage u, locating the angle itself: the one-step reference
-    for _step_located and _rotor_angles; the simulator takes every step's
-    cell from one _wrapped_cells pass over the run's angles."""
+    applied voltage u, locating the angle and the current on the surface
+    itself: the one-step reference for _step_located and _rotor_angles; the
+    simulator takes every step's angle cell from one _wrapped_cells pass
+    over the run's angles, and shares its current cell with the scheduled
+    controller where the table's nodes are the surface's."""
     row, l1 = _axis_locate(surface._theta_list, theta, wrap=True)
-    return (_step_located(x, u, params, surface, row, l1),
+    col, l2 = _axis_locate(surface._current_list, x, wrap=False)
+    return (_step_located(x, u, params, surface, row, col, _weights(l1, l2)),
             _rotor_angles(params, theta, 1)[1])
 
 
@@ -126,3 +140,33 @@ def point_near(nodes, wrap):
         st.one_of(st.floats(lo - 100, lo), st.floats(hi, hi + 100)))
     return st.one_of(st.sampled_from(nodes), shifted, st.floats(lo, hi),
                      st.floats(lo - 100, hi + 100))
+
+
+def ascending(size, lo, hi):
+    """Strictly ascending lists of `size` floats, drawn without a rejection
+    filter: a first node in [lo, hi], then size - 1 gaps, each of one float
+    (a drawn 0) up to hi - lo, so the last node may pass hi."""
+    def build(first_and_gaps):
+        first, gaps = first_and_gaps
+        nodes = [first]
+        for gap in gaps:
+            nodes.append(max(nodes[-1] + gap,
+                             math.nextafter(nodes[-1], math.inf)))
+        return nodes
+    gaps = st.lists(st.floats(0.0, hi - lo), min_size=size - 1,
+                    max_size=size - 1)
+    return st.tuples(st.floats(lo, hi), gaps).map(build)
+
+
+@st.composite
+def random_surface(draw):
+    """A valid random surface of 2 to 6 angle and 2 to 5 current nodes:
+    periodic in angle, non-increasing in current."""
+    nt, ni = draw(st.integers(2, 6)), draw(st.integers(2, 5))
+    theta = draw(ascending(nt, 0.0, 90.0))
+    current = draw(ascending(ni, 0.0, 20.0))
+    rows = [sorted(draw(st.lists(st.floats(1e-3, 2e-2), min_size=ni,
+                                 max_size=ni)), reverse=True)
+            for _ in range(nt - 1)]
+    return InductanceSurface(np.array(theta), np.array(current),
+                             np.array(rows + rows[:1]))

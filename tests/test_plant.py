@@ -10,8 +10,9 @@ from srmq.plant import (InductanceSurface, MotorParams, ReferenceProfile,
                         _axis_locate, _linearised, _references,
                         _wrapped_cells, default_surface, inductance_at,
                         load_surface_csv, reference_at)
-from conftest import (constant_surface, point_near, reference_blend,
-                      save_surface_csv, step_phase)
+from conftest import (ascending, constant_surface, point_near,
+                      random_surface, reference_blend, save_surface_csv,
+                      step_phase)
 
 
 def amplitude_at(profile, k):
@@ -42,22 +43,6 @@ def reference_axis_locate(nodes, value, wrap):
     idx = max(idx, 0)
     frac = (value - nodes[idx]) / (nodes[idx + 1] - nodes[idx])
     return idx, float(frac)
-
-
-def ascending(size, lo, hi):
-    """Strictly ascending lists of `size` floats, drawn without a rejection
-    filter: a first node in [lo, hi], then size - 1 gaps, each of one float
-    (a drawn 0) up to hi - lo, so the last node may pass hi."""
-    def build(first_and_gaps):
-        first, gaps = first_and_gaps
-        nodes = [first]
-        for gap in gaps:
-            nodes.append(max(nodes[-1] + gap,
-                             math.nextafter(nodes[-1], math.inf)))
-        return nodes
-    gaps = st.lists(st.floats(0.0, hi - lo), min_size=size - 1,
-                    max_size=size - 1)
-    return st.tuples(st.floats(lo, hi), gaps).map(build)
 
 
 # grids of 1, 2 and 16 nodes, for the examples of the locator tests: a
@@ -107,15 +92,9 @@ def grid_and_angles(draw):
 def surface_and_point(draw):
     """A valid random surface (periodic in angle, non-increasing in
     current) and a point on, around or off its grid."""
-    nt, ni = draw(st.integers(2, 6)), draw(st.integers(2, 5))
-    theta = draw(ascending(nt, 0.0, 90.0))
-    current = draw(ascending(ni, 0.0, 20.0))
-    rows = [sorted(draw(st.lists(st.floats(1e-3, 2e-2), min_size=ni,
-                                 max_size=ni)), reverse=True)
-            for _ in range(nt - 1)]
-    surface = InductanceSurface(np.array(theta), np.array(current),
-                                np.array(rows + rows[:1]))
-    return surface, draw(point_near(theta, True)), draw(point_near(current, False))
+    surface = draw(random_surface())
+    return (surface, draw(point_near(surface._theta_list, True)),
+            draw(point_near(surface._current_list, False)))
 
 
 class TestMotorParams:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from srmq import lqt, qlearn, scheduler
+from srmq import lqt, plant, qlearn, scheduler
 from srmq.plant import (MotorParams, ReferenceProfile, default_surface,
                         _linearised, inductance_at)
 from srmq.qlearn import (TupleBatch, policy_improvement, rls_update,
@@ -19,8 +19,9 @@ from srmq.scheduler import (QCoreTable, TableMismatchError,
                             params_hash, save_table, schedule,
                             scheduled_gain, train_table, update_core_online)
 from srmq.sim import Scenario, run_closed_loop
-from conftest import (build_augmented, constant_surface, core_G,
-                      kernel_matrix, kernel_vector, point_near, scheduled_q)
+from conftest import (build_augmented, coarse_table, constant_surface,
+                      core_G, kernel_matrix, kernel_vector, point_near,
+                      scheduled_q)
 
 
 def random_kernel(rng):
@@ -226,10 +227,12 @@ class TestMirrors:
     def test_learning_run_locates_once_per_step(self, params, surface,
                                                 fresh_table, monkeypatch):
         # the online update works on the core that the step's schedule
-        # located; the loop takes the angle's cell from its block, so the
-        # one locate per step is on the current axis
+        # located; the loop takes the angle's cells from its block, so every
+        # locate of the loop, the controller and the plant is on the
+        # current axis: one per step, shared by the gain and the plant step
+        # where the table's nodes are the surface's, else one for each
         locates, updates = [], []
-        locate_once = scheduler._axis_locate
+        locate_once = plant._axis_locate
         update = scheduler.update_core_online
 
         def counting_locate(nodes, value, wrap):
@@ -240,16 +243,21 @@ class TestMirrors:
             updates.append(args)
             return update(*args)
 
-        monkeypatch.setattr(scheduler, "_axis_locate", counting_locate)
+        for module in (plant, scheduler):
+            monkeypatch.setattr(module, "_axis_locate", counting_locate)
         monkeypatch.setattr(scheduler, "update_core_online", counting_update)
         scenario = Scenario(motor=params, surface=surface,
                             reference=ReferenceProfile(), dither=5.0,
                             duration=2 * params.steps_per_cycle,
                             online_learning=True)
-        run_closed_loop(scenario, fresh_table)
-        assert len(updates) > 0
-        assert len(locates) == scenario.steps
-        assert not any(locates)
+        for table, per_step in ((fresh_table, 1),
+                                (coarse_table(fresh_table), 2)):
+            locates.clear()
+            updates.clear()
+            run_closed_loop(scenario, table)
+            assert len(updates) > 0
+            assert len(locates) == per_step * scenario.steps
+            assert not any(locates)
 
 
 class TestLocate:

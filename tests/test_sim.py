@@ -1,6 +1,7 @@
 import csv
 import errno
 import gc
+import hashlib
 import json
 import os
 import re
@@ -23,8 +24,8 @@ from srmq.sim import (CONTROLLERS, EXPORT_CHUNK, MAX_STEPS,
                       PARALLEL_MIN_ROWS, SETTLE_FRACTION, TRACE_COLUMNS,
                       Metrics, Scenario, SimTrace, compute_metrics,
                       delta_modulation_step, export_trace, run_closed_loop)
-from conftest import (build_augmented, constant_surface, kernel_vector,
-                      step_phase)
+from conftest import (build_augmented, coarse_table, constant_surface,
+                      kernel_vector, point_near, random_surface, step_phase)
 
 
 def make_scenario(params, surface, **kw):
@@ -405,16 +406,22 @@ class TestRunClosedLoop:
         run_closed_loop(s, fresh_table)
         assert calls == list(range(s.steps + 1))
 
-    @pytest.mark.parametrize("controller, cell_passes", [
-        ("scheduled-qlearning", 2), ("single-qcore", 1),
-        ("delta-modulation", 1)])
+    @pytest.mark.parametrize("controller, grid, cell_passes", [
+        ("scheduled-qlearning", "surface", 1),
+        ("scheduled-qlearning", "coarse", 2),
+        ("single-qcore", "surface", 1), ("delta-modulation", "surface", 1)],
+        ids=["scheduled-qlearning-1", "scheduled-qlearning-coarse-2",
+             "single-qcore-1", "delta-modulation-1"])
     def test_one_state_independent_pass_per_run(self, params, surface,
                                                 trained_table, monkeypatch,
-                                                controller, cell_passes):
+                                                controller, grid, cell_passes):
         # the rotor angles, the references and the theta-axis cells of a
-        # whole run come from one numpy pass each (two cell passes, on the
-        # surface's and the table's theta nodes, for the scheduled
-        # controller), and reference_at is not called
+        # whole run come from one numpy pass each (a second cell pass, on
+        # the table's theta nodes, only for the scheduled controller on a
+        # table whose nodes are not the surface's), and reference_at is not
+        # called
+        table = trained_table if grid == "surface" else coarse_table(
+            trained_table)
         calls = {"angles": 0, "references": 0, "cells": 0}
 
         def counted(module, name, key):
@@ -430,7 +437,7 @@ class TestRunClosedLoop:
         counted(sim, "_wrapped_cells", "cells")
         s = make_scenario(params, surface, controller=controller,
                           duration=4103)
-        assert len(run_closed_loop(s, trained_table)) == 4103
+        assert len(run_closed_loop(s, table)) == 4103
         assert calls == {"angles": 1, "references": 1, "cells": cell_passes}
 
     @pytest.mark.parametrize("safety_factor", [3.0, 0.05])
@@ -444,7 +451,8 @@ class TestRunClosedLoop:
         table = replace(trained_table, cfg=replace(
             trained_table.cfg, safety_factor=safety_factor))
         monkeypatch.setattr(scheduler, "_schedule_located",
-                            lambda table, row, l1, i: (0.0, 0.0, (0, 0)))
+                            lambda table, row, col, l1, l2, w:
+                            (0.0, 0.0, (0, 0)))
         monkeypatch.setattr(scheduler, "update_core_online",
                             lambda *args: False)
         s = make_scenario(params, surface, online_learning=True, dither=20.0,
@@ -477,6 +485,95 @@ class TestRunClosedLoop:
         m_nom = compute_metrics(run_closed_loop(nom, trained_table), nom)
         m_hot = compute_metrics(run_closed_loop(hot, trained_table), hot)
         assert m_hot.rmse_settled > 1.5 * m_nom.rmse_settled
+
+
+@st.composite
+def equal_grids_and_point(draw):
+    """A random surface, a table of random cores on the surface's own
+    nodes, and a step's operating point and voltage: an angle on, around or
+    off the grid, and a current of 0, a node, the top node, a value clamped
+    beyond it or anywhere in the grid."""
+    surface = draw(random_surface())
+    nt, ni = surface.values.shape
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kernels = rng.uniform(-5.0, 5.0, (nt, ni, 6))
+    kernels[..., 5] = rng.uniform(0.5, 2.0, (nt, ni))
+    table = QCoreTable(surface.theta_grid.copy(), surface.current_grid.copy(),
+                       kernels, TableTrainConfig(), "h")
+    lo, hi = surface._current_list[0], surface._current_list[-1]
+    x = draw(st.one_of(st.just(0.0), st.just(hi),
+                       st.sampled_from(surface._current_list),
+                       st.floats(hi, hi + 100), st.floats(lo, hi)))
+    theta = draw(point_near(surface._theta_list, wrap=True))
+    return surface, table, theta, x, draw(st.floats(-300.0, 300.0))
+
+
+# sha256 (first 16 hex digits) of what a dithered learning run under a 10 %
+# resistance mismatch writes, recorded from the loop that located the
+# controller's and the plant's cells apart at every step
+LEARNING_RUN_DIGESTS = {
+    "surface": {
+        "csv/trace_scheduled-qlearning.csv": "223aec233e5eb99f",
+        "csv/metrics.json": "1ec96d9f72d707e6",
+        "jsonl/trace_scheduled-qlearning.jsonl": "e62d91c1695e08b8",
+        "jsonl/metrics.json": "301b2032074592e5"},
+    "n_theta = 12": {
+        "csv/trace_scheduled-qlearning.csv": "4b85b40b348f6305",
+        "csv/metrics.json": "5b41915c00775b61",
+        "jsonl/trace_scheduled-qlearning.jsonl": "7fde4b14d101f71e",
+        "jsonl/metrics.json": "8b3dc24d182e8e48"},
+}
+
+
+class TestSharedLocation:
+    """Where the table's nodes are the surface's, each step locates its
+    operating point once, and the gain and the plant step share the cell:
+    the same gain, cell and next current as locating each for itself."""
+
+    @given(case=equal_grids_and_point())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_locating_apart(self, case):
+        surface, table, theta, x, u = case
+        params = MotorParams()
+        # the loop's cell: the angle's from the run's one _wrapped_cells
+        # pass, the current's from one locate on the table's nodes
+        rows, fracs = sim._wrapped_cells(surface.theta_grid,
+                                         np.array([theta], float))
+        row, l1 = rows.tolist()[0], fracs.tolist()[0]
+        col, l2 = plant._axis_locate(table._current_list, x, wrap=False)
+        w = plant._weights(l1, l2)
+        k_x, k_r, cell = scheduler._schedule_located(table, row, col, l1,
+                                                     l2, w)
+        want_x, want_r, want_cell = scheduler.schedule(table, theta, x)
+        assert (k_x.hex(), k_r.hex(), cell) == (want_x.hex(), want_r.hex(),
+                                                want_cell)
+        x_next = sim._step_located(x, u, params, surface, row, col, w)
+        want_next, _ = step_phase(x, theta, u, params, surface)
+        assert x_next.hex() == want_next.hex()
+
+    @pytest.mark.parametrize("grid", sorted(LEARNING_RUN_DIGESTS))
+    def test_learning_run_writes_the_recorded_bytes(self, tmp_path,
+                                                    monkeypatch, grid):
+        # the default grid shares the location; a 12-node theta grid on the
+        # 16-node surface locates the controller's and the plant's apart
+        monkeypatch.chdir(tmp_path)
+        config = ("[scenario]\nonline_learning = true\ndither_v = 5.0\n"
+                  "r_scale = 1.1\n")
+        if grid != "surface":
+            config += f"[grid]\n{grid}\n"
+        (tmp_path / "run.ini").write_text(config)
+        assert cli.main(["--config", "run.ini", "train", "--out",
+                         "qtable.json"]) == cli.EXIT_OK
+        for fmt in ("csv", "jsonl"):
+            assert cli.main(["--config", "run.ini", "run", "--table",
+                             "qtable.json", "--out", fmt,
+                             "--format", fmt]) == cli.EXIT_OK
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes())
+               .hexdigest()[:16] for name in (
+                   "csv/trace_scheduled-qlearning.csv", "csv/metrics.json",
+                   "jsonl/trace_scheduled-qlearning.jsonl",
+                   "jsonl/metrics.json")}
+        assert got == LEARNING_RUN_DIGESTS[grid]
 
 
 class TestBlocks:
