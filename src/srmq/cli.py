@@ -343,8 +343,11 @@ def _table_and_scenario(cp, table_path):
 
 
 def _run_one(scenario, table, out_dir, tag, fmt):
-    """Run and export one scenario; on a safety abort the partial trace is
-    exported as trace_aborted.<fmt> before the error propagates."""
+    """Run and measure one scenario: (metrics, trace path, export), where
+    export() writes trace_<tag>.<fmt>. A trace whose writer formats it as
+    the caller goes on waits in export() as the writer alone, without its
+    columns. On a safety abort the partial trace is exported as
+    trace_aborted.<fmt> before the error propagates."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
@@ -354,14 +357,15 @@ def _run_one(scenario, table, out_dir, tag, fmt):
         raise
     metrics = sim.compute_metrics(trace, scenario)
     trace_path = out_dir / f"trace_{tag}.{fmt}"
-    sim.export_trace(trace, trace_path, fmt)
-    return metrics, trace_path
+    return metrics, trace_path, partial(sim.export_trace, trace.pending(),
+                                        trace_path, fmt)
 
 
 def cmd_run(cp, table_path, out_dir, fmt="csv", json_out=False) -> int:
     table, scenario = _table_and_scenario(cp, table_path)
-    metrics, trace_path = _run_one(scenario, table, out_dir,
-                                   scenario.controller, fmt)
+    metrics, trace_path, export = _run_one(scenario, table, out_dir,
+                                           scenario.controller, fmt)
+    export()
     out = Path(out_dir)
     with open(out / "effective_config.ini", "w") as f:
         cp.write(f)
@@ -380,13 +384,21 @@ def cmd_run(cp, table_path, out_dir, fmt="csv", json_out=False) -> int:
 
 def cmd_compare(cp, table_path, out_dir, fmt="csv", json_out=False) -> int:
     table, base = _table_and_scenario(cp, table_path)
-    results = {}
-    for controller in ("scheduled-qlearning", "delta-modulation"):
-        scenario = replace(base, controller=controller)
-        metrics, trace_path = _run_one(scenario, table, out_dir,
-                                       controller, fmt)
-        results[controller] = {"metrics": metrics.as_dict(),
-                               "trace": str(trace_path)}
+    results, exports = {}, []
+    try:
+        # both runs first: each one's writer formats its trace while the
+        # next run goes on, and the exports then wait for the writers
+        for controller in ("scheduled-qlearning", "delta-modulation"):
+            scenario = replace(base, controller=controller)
+            metrics, trace_path, export = _run_one(scenario, table, out_dir,
+                                                   controller, fmt)
+            results[controller] = {"metrics": metrics.as_dict(),
+                                   "trace": str(trace_path)}
+            exports.append(export)
+    finally:
+        # a run measured before the other aborts or fails keeps its trace
+        for export in exports:
+            export()
     sched = results["scheduled-qlearning"]["metrics"]
     delta = results["delta-modulation"]["metrics"]
     report = {"controllers": results,

@@ -119,6 +119,17 @@ class SimTrace:
     def __len__(self):
         return self.k.size
 
+    def pending(self) -> SimTrace:
+        """The trace as its export in the writer's format reads it: the
+        writer and no rows, so an export that waits for the writer holds
+        none of the columns. A trace without a writer is itself."""
+        if self.written is None:
+            return self
+        empty = np.empty(0)
+        return SimTrace(empty, empty, empty, empty, empty, empty,
+                        np.empty((0, 2)), np.empty((0, 2), int), empty,
+                        written=self.written)
+
 
 @dataclass
 class Metrics:
@@ -181,8 +192,11 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None,
     default without a table) times the nominal rating.
 
     With `stream` a trace format, a long enough run forks a _Writer that
-    formats the trace as the loop runs (see _parallel_export); the trace
-    carries it, and it is reaped before this returns or raises.
+    formats the trace as the loop runs (see _parallel_export). The loop
+    closes its pipe when it ends and returns, or raises SafetyAbortError,
+    without waiting: the trace carries the writer, which formats the last
+    chunks while the caller goes on, and export_trace reaps it. Any other
+    error carries no trace, so the writer is reaped before it is raised.
     """
     params, surface, profile = scenario.motor, scenario.surface, scenario.reference
     delta = scenario.controller == "delta-modulation"
@@ -317,9 +331,13 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None,
             x, r = x_next, r_next
         if writer is not None:
             writer.send(rows, len(rows) // 6)
-    finally:
+    except BaseException:
+        # no trace leaves with this error, so no export will reap the writer
         if writer is not None:
-            writer.finish()
+            writer.reap()
+        raise
+    if writer is not None:
+        writer.close()
 
     # the cell buffers go before the trace's columns are built, so a long
     # run's peak memory holds the rows, angles and references only
@@ -328,7 +346,10 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None,
     trace.written = writer
     if err is not None:
         err.trace = trace
-        raise err
+        try:
+            raise err
+        finally:
+            del err   # or the traceback's frame and err hold each other
     return trace
 
 
@@ -385,12 +406,15 @@ def export_trace(trace: SimTrace, path, fmt: str = "csv") -> None:
     """Write the trace as CSV (fixed column order) or JSON lines, the bytes
     the csv module and one json.dumps per row would write.
 
-    A trace whose writer formatted it in `fmt` as its loop ran (see
-    run_closed_loop's `stream`) is copied from the writer's file, the rows
-    as the loop recorded them; any other trace is formatted here."""
+    A trace with a writer (see run_closed_loop's `stream`) first waits for
+    it. One it formatted in `fmt` as its loop ran is then copied from the
+    writer's file, the rows as the loop recorded them; any other trace is
+    formatted here."""
     if fmt not in ("csv", "jsonl"):
         raise ValueError(f"unknown trace format {fmt!r}")
     written = trace.written
+    if written is not None:
+        written.reap()
     streamed = written is not None and written.fmt == fmt
     try:
         if streamed and written.error is not None:
@@ -455,13 +479,26 @@ def _os_threads() -> int:
         return threading.active_count()
 
 
+def _reap(close, pid: int) -> int:
+    """Close the writer's pipe if it is still open, so that it reads to the
+    end, and wait for it: its exit code."""
+    close()
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
 class _Writer:
     """One forked process that formats a run's trace as the loop sends it
     its (x, u, k_x, k_r, row, col) rows, EXPORT_CHUNK rows per pipe write:
     `rows_to_trace(chunk, first step)` adds the columns the fork shares, and
     the rows go to an unnamed temporary file that closes with this object.
     It leaves through os._exit, so no atexit handler or stdio flush runs
-    twice, and collects no cycles, which would copy the pages it visits."""
+    twice, and collects no cycles, which would copy the pages it visits.
+
+    The loop closes the pipe when it ends (`close`) and the export waits
+    for the writer (`reap`); a writer whose trace is dropped unexported is
+    reaped when this object is collected, or at interpreter exit. Each
+    happens once: both are finalizers, which hold the pipe and the pid but
+    not this object."""
 
     def __init__(self, fmt: str, rows_to_trace):
         self.fmt, self.sent, self.error = fmt, 0, None
@@ -489,6 +526,8 @@ class _Writer:
             finally:
                 os._exit(1)
         os.close(read)
+        self.close = weakref.finalize(self, os.close, self.fd)
+        self._reap = weakref.finalize(self, _reap, self.close, self.pid)
 
     def send(self, rows: array, m: int) -> None:
         """Rows [sent, m) of the loop's buffer; an exited writer takes none."""
@@ -498,10 +537,11 @@ class _Writer:
             while data:   # one write unless a signal cuts it short
                 data = data[os.write(self.fd, data):]
 
-    def finish(self) -> None:
-        """Close the pipe and reap the writer once it has formatted all."""
-        os.close(self.fd)
-        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+    def reap(self) -> None:
+        """Wait for the writer to format all it was sent, closing the pipe
+        first if the loop has not; a writer that failed leaves the reason
+        in `error`. Only the first call waits."""
+        code = self._reap()
         if code:
             self.error = ("the helper process formatting the trace " + (
                 f"exited with status {code}" if code > 0

@@ -1,4 +1,7 @@
+import gc
 import math
+import os
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -9,6 +12,32 @@ from srmq.lqt import AugmentedModel
 from srmq.plant import (InductanceSurface, _axis_locate, _rotor_angles,
                         _step_located, _weights)
 from srmq.scheduler import QCoreTable, TableTrainConfig
+
+
+def assert_no_child():
+    """This process has no child process left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def open_fds():
+    """The process's open file descriptors, where /proc lists them."""
+    return (sorted(os.listdir("/proc/self/fd"))
+            if os.path.isdir("/proc/self/fd") else None)
+
+
+@contextmanager
+def leaves_no_child_or_fd():
+    """The block leaves no child process and, once its garbage is
+    collected, no file descriptor open (garbage from before the block is
+    collected first)."""
+    gc.collect()
+    fds = open_fds()
+    yield
+    assert_no_child()
+    gc.collect()
+    assert open_fds() == fds
+
 
 # the study's tracking weight, input weight and discount
 STUDY = TableTrainConfig()

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import operator
+import os
 import warnings
 from dataclasses import dataclass, fields
 from functools import reduce
@@ -20,7 +21,8 @@ from srmq.plant import (InductanceSurface, MotorParams, ReferenceProfile,
 from srmq.qlearn import QTrainConfig
 from srmq.scheduler import (QCoreTable, TableTrainConfig, load_table,
                             params_hash, save_table)
-from conftest import build_augmented, kernel_vector, save_surface_csv
+from conftest import (assert_no_child, build_augmented, kernel_vector,
+                      leaves_no_child_or_fd, save_surface_csv)
 
 
 def last_json(capsys):
@@ -38,6 +40,14 @@ def run_main(args):
         warnings.simplefilter("error")
         code = main(args)
     return code, err.getvalue()
+
+
+@pytest.fixture(autouse=True)
+def leaves_no_child():
+    """No command a test runs leaves a child process, running or unreaped
+    (TestCompareWriters checks the file descriptors too)."""
+    yield
+    assert_no_child()
 
 
 SMALL = """
@@ -953,6 +963,94 @@ class TestCompare:
         assert main(["--config", small_cfg, "compare", "--table",
                      runaway_table, "--out", str(out)]) == EXIT_SAFETY
         assert 0 < _csv_rows(out / "trace_aborted.csv") < SMALL_STEPS
+
+
+class TestCompareWriters:
+    """compare runs both controllers before it exports either trace, so
+    the scheduled run's writer formats its trace while delta modulation
+    runs. Every exit writes the files and bytes that the serial export
+    writes, and leaves no process or descriptor behind."""
+
+    @staticmethod
+    def compare(tmp_path, table, monkeypatch, split, *flags):
+        """(exit code, {file name: bytes} in --out or None, forks) of one
+        compare with the default config, whose runs fork a writer each
+        whatever this machine's CPUs and threads (split) or none."""
+        forks, fork = [], os.fork
+        out = tmp_path / ("split" if split else "serial")
+        with monkeypatch.context() as m:
+            if split:
+                m.setattr(sim, "_cpus", lambda: 2)
+                m.setattr(sim, "_os_threads", lambda: 1)
+            else:
+                m.setattr(sim, "_parallel_export", lambda n: False)
+
+            def counted():
+                pid = fork()
+                if pid:
+                    forks.append(pid)
+                return pid
+            m.setattr(os, "fork", counted)
+            with leaves_no_child_or_fd():
+                code, _ = run_main(["compare", "--table", str(table),
+                                    "--out", str(out), *flags])
+        files = ({p.name: p.read_bytes() for p in out.iterdir()}
+                 if out.exists() else None)
+        return code, files, len(forks)
+
+    def both(self, tmp_path, table, monkeypatch, *flags):
+        """compare split and serial: the exit code, the files of each, and
+        the writers the split one forked."""
+        code, files, forks = self.compare(tmp_path, table, monkeypatch,
+                                          True, *flags)
+        serial = self.compare(tmp_path, table, monkeypatch, False, *flags)
+        assert serial[0] == code
+        assert serial[2] == 0
+        return code, files, serial[1], forks
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_traces_match_the_serial_export(self, tmp_path, default_table,
+                                            monkeypatch, fmt):
+        code, files, serial, forks = self.both(
+            tmp_path, default_table, monkeypatch, "--format", fmt)
+        assert (code, forks) == (EXIT_OK, 2)
+        traces = {f"trace_scheduled-qlearning.{fmt}",
+                  f"trace_delta-modulation.{fmt}"}
+        assert set(files) == set(serial) == traces | {"compare.json"}
+        for name in traces:
+            assert files[name] == serial[name]
+
+        def report(files):   # the same report, bar the --out paths
+            doc = json.loads(files["compare.json"])
+            for run in doc["controllers"].values():
+                run.pop("trace")
+            return doc
+        assert report(files) == report(serial)
+
+    def test_delta_abort_keeps_the_scheduled_trace(self, tmp_path,
+                                                   default_table, monkeypatch):
+        # delta modulation at full positive voltage runs the current past
+        # the safety bound: the scheduled trace, measured before the abort,
+        # is written beside the aborted one
+        monkeypatch.setattr(sim, "delta_modulation_step",
+                            lambda x, r, V_dc, band: V_dc)
+        code, files, serial, forks = self.both(tmp_path, default_table,
+                                               monkeypatch)
+        assert (code, forks) == (EXIT_SAFETY, 2)
+        assert files == serial
+        assert set(files) == {"trace_scheduled-qlearning.csv",
+                              "trace_aborted.csv"}
+
+    def test_failed_scheduled_metrics_write_nothing(self, tmp_path,
+                                                    default_table,
+                                                    monkeypatch):
+        def fails(trace, scenario):
+            raise ValueError("no metrics")
+        monkeypatch.setattr(sim, "compute_metrics", fails)
+        code, files, serial, forks = self.both(tmp_path, default_table,
+                                               monkeypatch)
+        assert (code, forks) == (EXIT_CONFIG, 1)
+        assert files == serial == {}
 
 
 # values for one INI key: in the key's range, any float (nan and inf

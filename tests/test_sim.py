@@ -7,8 +7,8 @@ import os
 import re
 import signal
 import threading
+import time
 from array import array
-from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -24,8 +24,9 @@ from srmq.sim import (CONTROLLERS, EXPORT_CHUNK, MAX_STEPS,
                       PARALLEL_MIN_ROWS, SETTLE_FRACTION, TRACE_COLUMNS,
                       Metrics, Scenario, SimTrace, compute_metrics,
                       delta_modulation_step, export_trace, run_closed_loop)
-from conftest import (build_augmented, coarse_table, constant_surface,
-                      kernel_vector, point_near, random_surface, step_phase)
+from conftest import (assert_no_child, build_augmented, coarse_table,
+                      constant_surface, kernel_vector, leaves_no_child_or_fd,
+                      point_near, random_surface, step_phase)
 
 
 def make_scenario(params, surface, **kw):
@@ -54,29 +55,6 @@ def reference_export(trace, path, fmt):
             for i in range(len(trace)):
                 f.write(json.dumps(dict(zip(TRACE_COLUMNS,
                                             reference_row(trace, i)))) + "\n")
-
-
-def assert_no_child():
-    """This process has no child process left, running or unreaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def open_fds():
-    """The process's open file descriptors, where /proc lists them."""
-    return (sorted(os.listdir("/proc/self/fd"))
-            if os.path.isdir("/proc/self/fd") else None)
-
-
-@contextmanager
-def leaves_no_child_or_fd():
-    """The block leaves no child process and, once its garbage is
-    collected, no file descriptor open."""
-    fds = open_fds()
-    yield
-    assert_no_child()
-    gc.collect()
-    assert open_fds() == fds
 
 
 def assert_cost_per_step(trace, cfg):
@@ -905,20 +883,21 @@ class TestExport:
     @staticmethod
     def streamed_run(scenario, table, fmt, export_path):
         """The trace of a run that streams it in fmt, aborted or not; the
-        writer is reaped when the run ends."""
+        run has closed the writer's pipe, and the export reaps it."""
         split, forks = export_path
         try:
             trace = run_closed_loop(scenario, table, stream=fmt)
         except SafetyAbortError as exc:
             trace = exc.trace
-        assert_no_child()
         assert len(forks) == (split and scenario.steps >= PARALLEL_MIN_ROWS)
         assert (trace.written is not None) == bool(forks)
+        assert trace.written is None or not trace.written.close.alive
         return trace
 
     @staticmethod
     def assert_matches_row_writer(trace, tmp_path, fmt):
         export_trace(trace, tmp_path / "got", fmt=fmt)
+        assert_no_child()
         # the export leaves nothing beside the trace
         assert [p.name for p in tmp_path.iterdir()] == ["got"]
         reference_export(trace, tmp_path / "want", fmt)
@@ -952,7 +931,7 @@ class TestExport:
         for m in range(EXPORT_CHUNK, len(trace), EXPORT_CHUNK):
             writer.send(rows, m)
         writer.send(rows, len(trace))
-        writer.finish()
+        writer.reap()
         return writer
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
@@ -1003,8 +982,8 @@ class TestExport:
                                            trained_table, monkeypatch,
                                            tmp_path, fail):
         # the writer alone fails, by an exception or a signal, on its first
-        # chunk; the loop runs on, the writer is reaped when it ends, and the
-        # export reports the path
+        # chunk; the loop runs on, and the export reaps the writer and
+        # reports the path
         monkeypatch.setattr(sim, "_parallel_export", lambda n: True)
         parent, write_rows = os.getpid(), sim._write_rows
 
@@ -1019,9 +998,9 @@ class TestExport:
         with leaves_no_child_or_fd():
             trace = run_closed_loop(make_scenario(params, surface),
                                     trained_table, stream="csv")
-            assert_no_child()
             with pytest.raises(OSError) as exc:
                 export_trace(trace, path)
+            assert_no_child()
             message = str(exc.value)
             del trace, exc
         assert message.startswith(f"cannot write trace to {path}: "
@@ -1099,6 +1078,72 @@ class TestExport:
         with pytest.raises(ValueError, match="stage cost overflowed"):
             run_closed_loop(s, trained_table, stream="csv")
         assert len(forks) == split
+
+    @pytest.fixture
+    def slow_writer(self, monkeypatch):
+        """Every run with a stream forks a writer, which sleeps 0.2 s
+        before it formats the last, short chunk of a nominal run:
+        that chunk reaches it only when the loop closes the pipe, so the
+        writer is still at work when the run returns."""
+        monkeypatch.setattr(sim, "_parallel_export", lambda n: True)
+        parent, write_rows = os.getpid(), sim._write_rows
+
+        def slow(f, chunk, fmt):
+            if os.getpid() != parent and len(chunk) < EXPORT_CHUNK:
+                time.sleep(0.2)
+            write_rows(f, chunk, fmt)
+        monkeypatch.setattr(sim, "_write_rows", slow)
+
+    def test_run_returns_while_its_writer_formats(self, params, surface,
+                                                  trained_table, slow_writer,
+                                                  tmp_path):
+        with leaves_no_child_or_fd():
+            trace = run_closed_loop(make_scenario(params, surface),
+                                    trained_table, stream="csv")
+            assert os.waitpid(trace.written.pid, os.WNOHANG) == (0, 0)
+            self.assert_matches_row_writer(trace, tmp_path, "csv")
+            del trace
+
+    @pytest.mark.parametrize("aborted", [False, True],
+                             ids=["returned", "aborted"])
+    def test_dropped_trace_reaps_its_writer(self, params, surface,
+                                            trained_table, slow_writer,
+                                            aborted):
+        # a trace left unexported, as when its metrics fail, takes its
+        # writer with it once it is collected
+        s = make_scenario(params, surface, reference=ReferenceProfile(
+            step_events=((3000, 20.0),) if aborted else ()))
+        with leaves_no_child_or_fd():
+            try:
+                trace = run_closed_loop(s, trained_table, stream="jsonl")
+            except SafetyAbortError as exc:
+                trace = exc.trace
+            assert (len(trace) < s.steps) == aborted
+            assert os.waitpid(trace.written.pid, os.WNOHANG) == (0, 0)
+            del trace
+            gc.collect()
+            assert_no_child()
+
+    def test_second_writer_leaves_the_first_its_pipe(self, params, surface,
+                                                     trained_table,
+                                                     slow_writer, tmp_path):
+        # the first run's writer is still at work when a second one forks
+        # with its pipe open: the second must not hold the first's pipe, or
+        # the first never reads to its end and waits as long as the second
+        with leaves_no_child_or_fd():
+            trace = run_closed_loop(make_scenario(params, surface),
+                                    trained_table, stream="csv")
+            first, second = trace.written, sim._Writer("csv", None)
+            reap = threading.Thread(target=first.reap)
+            reap.start()
+            reap.join(timeout=10)
+            waited = reap.is_alive()
+            second.reap()
+            reap.join()
+            assert not waited
+            assert first.error is second.error is None
+            self.assert_matches_row_writer(trace, tmp_path, "csv")
+            del trace, first, second
 
     def test_no_writer_without_a_stream(self, params, surface, trained_table,
                                         monkeypatch):
