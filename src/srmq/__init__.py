@@ -4,7 +4,7 @@ from .plant import (MotorParams, InductanceSurface, ReferenceProfile,
                     default_surface, inductance_at, reference_at)
 from .lqt import (AugmentedModel, are_fixed_point, optimal_gain,
                   policy_iteration_model_based)
-from .qlearn import (TupleBatch, QTrainConfig, policy_improvement, stage_cost,
+from .qlearn import (TupleBatch, policy_improvement, stage_cost,
                      build_ls_rows, batch_ls_solve, rls_update,
                      q_policy_iteration)
 from .scheduler import (QCoreTable, TableTrainConfig, locate, scheduled_gain,

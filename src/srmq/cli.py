@@ -327,45 +327,50 @@ def _strict_json(report) -> str:
     return json.dumps(clean(report), allow_nan=False)
 
 
-def _table_and_scenario(cp, table_path):
-    """The table file, checked against the config's motor and surface, and
-    the config's scenario."""
+def _drive(cp, table_path, out_dir, fmt, controllers=None):
+    """Run the config's scenario on the table file under each controller,
+    the config's own if none are given, and measure each run: {controller:
+    (metrics, trace path)}. The table is checked against the config's motor
+    and surface. --out is made before the first run, and a run whose
+    metrics fail writes nothing into it. The traces, trace_<controller>.<fmt>,
+    are exported once every run is measured, so each writer formats its
+    trace while the next run goes on, and a run measured before another
+    aborts or fails keeps its trace. On a safety abort the partial trace is
+    exported as trace_aborted.<fmt> before the error propagates."""
     params = _motor(cp)
     surface = _surface(cp, params)
     # the scenario first: a motor that no run can use is named as such, not
     # as a table to retrain
-    scenario = _scenario(cp, params, surface)
+    base = _scenario(cp, params, surface)
     table = scheduler.load_table(table_path)
     scheduler.check_table_compatible(table, params, surface)
     _require_pitch_span(table_path, "table", "theta_nodes", table.theta_nodes,
                         params)
-    return table, scenario
-
-
-def _run_one(scenario, table, out_dir, tag, fmt):
-    """Run and measure one scenario: (metrics, trace path, export), where
-    export() writes trace_<tag>.<fmt>. A trace whose writer formats it as
-    the caller goes on waits in export() as the writer alone, without its
-    columns. On a safety abort the partial trace is exported as
-    trace_aborted.<fmt> before the error propagates."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    results, exports = {}, []
     try:
-        trace = sim.run_closed_loop(scenario, table, stream=fmt)
-    except SafetyAbortError as exc:
-        sim.export_trace(exc.trace, out_dir / f"trace_aborted.{fmt}", fmt)
-        raise
-    metrics = sim.compute_metrics(trace, scenario)
-    trace_path = out_dir / f"trace_{tag}.{fmt}"
-    return metrics, trace_path, partial(sim.export_trace, trace.pending(),
-                                        trace_path, fmt)
+        for controller in controllers or (base.controller,):
+            scenario = replace(base, controller=controller)
+            try:
+                trace = sim.run_closed_loop(scenario, table, stream=fmt)
+            except SafetyAbortError as exc:
+                sim.export_trace(exc.trace, out / f"trace_aborted.{fmt}", fmt)
+                raise
+            path = out / f"trace_{controller}.{fmt}"
+            results[controller] = sim.compute_metrics(trace, scenario), path
+            exports.append(partial(sim.export_trace, trace.pending(), path,
+                                   fmt))
+            # a waiting export holds the writer, not the trace's columns
+            del trace
+    finally:
+        for export in exports:
+            export()
+    return results
 
 
 def cmd_run(cp, table_path, out_dir, fmt="csv", json_out=False) -> int:
-    table, scenario = _table_and_scenario(cp, table_path)
-    metrics, trace_path, export = _run_one(scenario, table, out_dir,
-                                           scenario.controller, fmt)
-    export()
+    [(metrics, trace_path)] = _drive(cp, table_path, out_dir, fmt).values()
     out = Path(out_dir)
     with open(out / "effective_config.ini", "w") as f:
         cp.write(f)
@@ -383,22 +388,10 @@ def cmd_run(cp, table_path, out_dir, fmt="csv", json_out=False) -> int:
 
 
 def cmd_compare(cp, table_path, out_dir, fmt="csv", json_out=False) -> int:
-    table, base = _table_and_scenario(cp, table_path)
-    results, exports = {}, []
-    try:
-        # both runs first: each one's writer formats its trace while the
-        # next run goes on, and the exports then wait for the writers
-        for controller in ("scheduled-qlearning", "delta-modulation"):
-            scenario = replace(base, controller=controller)
-            metrics, trace_path, export = _run_one(scenario, table, out_dir,
-                                                   controller, fmt)
-            results[controller] = {"metrics": metrics.as_dict(),
-                                   "trace": str(trace_path)}
-            exports.append(export)
-    finally:
-        # a run measured before the other aborts or fails keeps its trace
-        for export in exports:
-            export()
+    runs = _drive(cp, table_path, out_dir, fmt,
+                  ("scheduled-qlearning", "delta-modulation"))
+    results = {controller: {"metrics": metrics.as_dict(), "trace": str(path)}
+               for controller, (metrics, path) in runs.items()}
     sched = results["scheduled-qlearning"]["metrics"]
     delta = results["delta-modulation"]["metrics"]
     report = {"controllers": results,

@@ -10,7 +10,6 @@ over leading node axes: tuples in a TupleBatch, kernels as 6-vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -159,20 +158,6 @@ def rls_update(g: np.ndarray, eta: np.ndarray, row: np.ndarray,
     return g, (eta + eta.T) / 2
 
 
-@dataclass(frozen=True)
-class QTrainConfig:
-    gamma: float = 0.9
-    tuples_per_iter: int = 6     # z; must be >= the 6 kernel parameters
-    tol: float = 1e-4            # on the gain change between iterations
-    max_iters: int = 100
-
-    def __post_init__(self):
-        if not (0 < self.gamma <= 1):
-            raise ValueError("discount must be in (0, 1]")
-        if self.tuples_per_iter < MIN_TUPLES:
-            raise ValueError(f"need at least {MIN_TUPLES} tuples per iteration")
-
-
 class QTrainBatchResult(NamedTuple):
     """Outcome per node of a stacked run, in node order; a failed node has
     a zero kernel and iteration count, and its exception in ``failures`` as
@@ -188,14 +173,17 @@ Collector = Callable[..., tuple[TupleBatch, dict]]
 
 # the overflow rule of plant._QUIET_OVERFLOW; the learner imports no plant
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def q_policy_iteration(collect: Collector, K0,
-                       cfg: QTrainConfig = QTrainConfig()
-                       ) -> QTrainBatchResult:
+def q_policy_iteration(collect: Collector, K0, cfg) -> QTrainBatchResult:
     """Sampled policy iteration: fit the kernel of the current gain from
     freshly collected tuples, take the greedy gain, repeat until the gain
     stops moving.  Convergence is declared on the gain, not the kernel:
     kernel null directions under limited excitation make the gain the
     robust criterion.
+
+    cfg gives the discount gamma, the tuples collected per iteration
+    (tuples_per_iter), the tolerance tol on the gain change between
+    iterations and the iteration cap max_iters: the table's
+    TableTrainConfig, which checks them where it is built.
 
     K0 holds one gain row per node, shape (n, 2), and the n nodes iterate
     in lockstep.  collect(gains, count, done) returns a TupleBatch of float

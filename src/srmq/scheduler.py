@@ -20,7 +20,7 @@ from . import qlearn
 from .plant import (InductanceSurface, MotorParams, _axis_locate, _corners,
                     _is_bool, _require_ascending, _require_bound,
                     _require_count, _require_natural, _weights, frozen_grid)
-from .qlearn import NUM_PARAMS, QTrainConfig
+from .qlearn import NUM_PARAMS
 
 TABLE_FORMAT_VERSION = 2
 
@@ -298,8 +298,6 @@ def train_table(params: MotorParams, surface: InductanceSurface,
     theta_nodes = np.asarray(theta_nodes, float)
     current_nodes = np.asarray(current_nodes, float)
 
-    qcfg = QTrainConfig(gamma=cfg.gamma, tuples_per_iter=cfg.tuples_per_iter,
-                        tol=cfg.tol, max_iters=cfg.max_iters)
     i_limit = cfg.safety_factor * params.i_nominal
     i_span = (float(current_nodes[0]), float(current_nodes[-1]))
     # bounds the initial gain's action on the sampled x, r in [0, i_span[1]]
@@ -315,7 +313,7 @@ def train_table(params: MotorParams, surface: InductanceSurface,
             for a in range(nt) for b in range(ni)]
     collect = _node_collector(A, B, cfg, i_span, i_limit, rngs)
     result = qlearn.q_policy_iteration(
-        collect, np.tile(np.asarray(cfg.K0, float), (nt * ni, 1)), qcfg)
+        collect, np.tile(np.asarray(cfg.K0, float), (nt * ni, 1)), cfg)
     if result.failures:
         raise TableTrainError([(*divmod(j, ni), exc)
                                for j, exc in result.failures], nt * ni)

@@ -78,7 +78,7 @@ def test_criterion_2_model_free_matches_model_based(capsys):
                                stage_cost((x, r), u, _m.Q_q, _m.R_u)))
             return TupleBatch(*(np.array([v]) for v in zip(*tuples))), {}
 
-        q_res = q_policy_iteration(collect, K0[None])
+        q_res = q_policy_iteration(collect, K0[None], TableTrainConfig())
         assert q_res.failures == []
         gain = policy_improvement(q_res.kernels[0])
         worst_q = max(worst_q, float(np.linalg.norm(gain - K_star)

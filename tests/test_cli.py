@@ -18,7 +18,6 @@ from srmq.cli import (EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_OK, EXIT_SAFETY,
                       main)
 from srmq.plant import (InductanceSurface, MotorParams, ReferenceProfile,
                         default_surface, frozen_grid)
-from srmq.qlearn import QTrainConfig
 from srmq.scheduler import (QCoreTable, TableTrainConfig, load_table,
                             params_hash, save_table)
 from conftest import (assert_no_child, build_augmented, kernel_vector,
@@ -596,9 +595,6 @@ class TestConfig:
         for nodes, default_nodes in zip(cli._grid(cp, params), (
                 trained_table.theta_nodes, trained_table.current_nodes)):
             assert nodes.tobytes() == default_nodes.tobytes()
-        qcfg = QTrainConfig()
-        for name in ("gamma", "tuples_per_iter", "tol", "max_iters"):
-            assert getattr(qcfg, name) == getattr(cfg, name)
 
     @staticmethod
     def oracle_on_surface_file(tmp_path, text):
@@ -966,18 +962,19 @@ class TestCompare:
 
 
 class TestCompareWriters:
-    """compare runs both controllers before it exports either trace, so
-    the scheduled run's writer formats its trace while delta modulation
-    runs. Every exit writes the files and bytes that the serial export
-    writes, and leaves no process or descriptor behind."""
+    """run and compare share one driver, which runs and measures every
+    controller before it exports any trace, so the scheduled run's writer
+    formats its trace while delta modulation runs. Every exit of either
+    command writes the files and bytes that the serial export writes, and
+    leaves no process or descriptor behind."""
 
     @staticmethod
-    def compare(tmp_path, table, monkeypatch, split, *flags):
+    def invoke(tmp_path, table, monkeypatch, split, command, *flags):
         """(exit code, {file name: bytes} in --out or None, forks) of one
-        compare with the default config, whose runs fork a writer each
-        whatever this machine's CPUs and threads (split) or none."""
+        run or compare with the default config, whose runs fork a writer
+        each whatever this machine's CPUs and threads (split) or none."""
         forks, fork = [], os.fork
-        out = tmp_path / ("split" if split else "serial")
+        out = tmp_path / f"{command}-{'split' if split else 'serial'}"
         with monkeypatch.context() as m:
             if split:
                 m.setattr(sim, "_cpus", lambda: 2)
@@ -992,40 +989,67 @@ class TestCompareWriters:
                 return pid
             m.setattr(os, "fork", counted)
             with leaves_no_child_or_fd():
-                code, _ = run_main(["compare", "--table", str(table),
+                code, _ = run_main([command, "--table", str(table),
                                     "--out", str(out), *flags])
         files = ({p.name: p.read_bytes() for p in out.iterdir()}
                  if out.exists() else None)
         return code, files, len(forks)
 
-    def both(self, tmp_path, table, monkeypatch, *flags):
-        """compare split and serial: the exit code, the files of each, and
-        the writers the split one forked."""
-        code, files, forks = self.compare(tmp_path, table, monkeypatch,
-                                          True, *flags)
-        serial = self.compare(tmp_path, table, monkeypatch, False, *flags)
+    def both(self, tmp_path, table, monkeypatch, command, *flags):
+        """The command split and serial: the exit code, the files of each,
+        and the writers the split one forked."""
+        code, files, forks = self.invoke(tmp_path, table, monkeypatch,
+                                         True, command, *flags)
+        serial = self.invoke(tmp_path, table, monkeypatch, False, command,
+                             *flags)
         assert serial[0] == code
         assert serial[2] == 0
         return code, files, serial[1], forks
 
-    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @staticmethod
+    def reports(files):
+        """The run's metrics.json or compare's compare.json, bar the --out
+        paths."""
+        if "metrics.json" in files:
+            doc = json.loads(files["metrics.json"])
+            del doc["trace"], doc["config"]
+            return doc
+        doc = json.loads(files["compare.json"])
+        for run in doc["controllers"].values():
+            run.pop("trace")
+        return doc
+
+    @pytest.mark.parametrize(("command", "fmt"), [
+        ("compare", "csv"), ("compare", "jsonl"), ("run", "csv"),
+        ("run", "jsonl")], ids=["csv", "jsonl", "run-csv", "run-jsonl"])
     def test_traces_match_the_serial_export(self, tmp_path, default_table,
-                                            monkeypatch, fmt):
+                                            monkeypatch, command, fmt):
         code, files, serial, forks = self.both(
-            tmp_path, default_table, monkeypatch, "--format", fmt)
-        assert (code, forks) == (EXIT_OK, 2)
-        traces = {f"trace_scheduled-qlearning.{fmt}",
-                  f"trace_delta-modulation.{fmt}"}
-        assert set(files) == set(serial) == traces | {"compare.json"}
+            tmp_path, default_table, monkeypatch, command, "--format", fmt)
+        controllers = ["scheduled-qlearning", "delta-modulation"]
+        reports = {"compare.json"}
+        if command == "run":
+            controllers = controllers[:1]
+            reports = {"metrics.json", "effective_config.ini"}
+        assert (code, forks) == (EXIT_OK, len(controllers))
+        traces = {f"trace_{c}.{fmt}" for c in controllers}
+        assert set(files) == set(serial) == traces | reports
         for name in traces:
             assert files[name] == serial[name]
+        assert self.reports(files) == self.reports(serial)
 
-        def report(files):   # the same report, bar the --out paths
-            doc = json.loads(files["compare.json"])
-            for run in doc["controllers"].values():
-                run.pop("trace")
-            return doc
-        assert report(files) == report(serial)
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_run_and_compare_agree(self, tmp_path, default_table,
+                                   monkeypatch, fmt):
+        # the scheduled run of compare is the run of the same config: the
+        # same trace bytes and the same metrics
+        files = {command: self.invoke(tmp_path, default_table, monkeypatch,
+                                      True, command, "--format", fmt)[1]
+                 for command in ("run", "compare")}
+        name = f"trace_scheduled-qlearning.{fmt}"
+        assert files["run"][name] == files["compare"][name]
+        compared = self.reports(files["compare"])["controllers"]
+        assert self.reports(files["run"]) == compared["scheduled-qlearning"]
 
     def test_delta_abort_keeps_the_scheduled_trace(self, tmp_path,
                                                    default_table, monkeypatch):
@@ -1035,7 +1059,7 @@ class TestCompareWriters:
         monkeypatch.setattr(sim, "delta_modulation_step",
                             lambda x, r, V_dc, band: V_dc)
         code, files, serial, forks = self.both(tmp_path, default_table,
-                                               monkeypatch)
+                                               monkeypatch, "compare")
         assert (code, forks) == (EXIT_SAFETY, 2)
         assert files == serial
         assert set(files) == {"trace_scheduled-qlearning.csv",
@@ -1047,10 +1071,11 @@ class TestCompareWriters:
         def fails(trace, scenario):
             raise ValueError("no metrics")
         monkeypatch.setattr(sim, "compute_metrics", fails)
-        code, files, serial, forks = self.both(tmp_path, default_table,
-                                               monkeypatch)
-        assert (code, forks) == (EXIT_CONFIG, 1)
-        assert files == serial == {}
+        for command in ("compare", "run"):
+            code, files, serial, forks = self.both(tmp_path, default_table,
+                                                   monkeypatch, command)
+            assert (code, forks) == (EXIT_CONFIG, 1)
+            assert files == serial == {}
 
 
 # values for one INI key: in the key's range, any float (nan and inf

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from srmq import lqt, qlearn
-from srmq.qlearn import (ExcitationError, QTrainConfig, QTrainError,
-                         TupleBatch, batch_ls_solve, build_ls_rows,
-                         policy_improvement, q_policy_iteration, rls_update,
-                         stage_cost, sym_features)
+from srmq.qlearn import (ExcitationError, QTrainError, TupleBatch,
+                         batch_ls_solve, build_ls_rows, policy_improvement,
+                         q_policy_iteration, rls_update, stage_cost,
+                         sym_features)
+from srmq.scheduler import TableTrainConfig
 from conftest import build_augmented, kernel_matrix, kernel_vector
 
 A16, B16 = 0.9875, 0.00625
@@ -327,7 +328,7 @@ class TestRls:
         assert errs[-1] <= errs[0]
 
 
-def train_one(collect, K0, cfg=QTrainConfig()):
+def train_one(collect, K0, cfg=TableTrainConfig()):
     """(gain, iterations, failures) of one node trained alone."""
     res = q_policy_iteration(one_node(collect), np.array([K0], float), cfg)
     return policy_improvement(res.kernels[0]), res.iterations[0], res.failures
@@ -356,7 +357,7 @@ class TestSampledPolicyIteration:
     def test_non_settling_is_reported(self):
         m = build_augmented(A16, B16)
         rng = np.random.default_rng(2)
-        cfg = QTrainConfig(tol=1e-16, max_iters=3)
+        cfg = TableTrainConfig(tol=1e-16, max_iters=3)
         res = q_policy_iteration(one_node(make_collector(m, rng)),
                                  [[100.0, -100.0]], cfg)
         assert res.iterations == [0]
@@ -385,14 +386,14 @@ class TestSampledPolicyIteration:
         K0 = np.tile([100.0, -100.0], (3 if stacked else 1, 1))
         with pytest.raises(np.linalg.LinAlgError,
                            match="SVD did not converge in Linear Least Squares"):
-            q_policy_iteration(collect, K0)
+            q_policy_iteration(collect, K0, TableTrainConfig())
 
     def test_one_gain_row_per_node_required(self):
         with pytest.raises(ValueError, match=r"shape \(n, 2\), got shape \(2,\)"):
-            q_policy_iteration(None, [100.0, -100.0])
+            q_policy_iteration(None, [100.0, -100.0], TableTrainConfig())
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            QTrainConfig(gamma=0.0)
-        with pytest.raises(ValueError):
-            QTrainConfig(tuples_per_iter=5)
+        with pytest.raises(ValueError, match="gamma"):
+            TableTrainConfig(gamma=0.0)
+        with pytest.raises(ValueError, match="tuples_per_iter"):
+            TableTrainConfig(tuples_per_iter=5)
