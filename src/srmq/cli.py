@@ -24,8 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import lqt, scheduler, sim
-from .plant import (MAX_AXIS_NODES, MotorParams, ReferenceProfile,
-                    _require_bound, _require_count, default_surface,
+from .plant import (MotorParams, ReferenceProfile, default_surface,
                     frozen_grid, load_surface_csv)
 from .scheduler import SafetyAbortError, TableTrainConfig, TableTrainError
 
@@ -62,8 +61,6 @@ SCHEMA = {
         "kappa": ("0.5", float), "i_sat": ("", float), "i_max": ("", float),
         "n_theta": ("16", int), "n_current": ("8", int),
     },
-    "grid": {"n_theta": ("16", int), "n_current": ("8", int),
-             "i_max": ("", float)},
     "training": {
         "gamma": ("0.9", float), "q_weight": ("100.0", float),
         "r_weight": ("0.001", float), "k0_x": ("100.0", float),
@@ -141,16 +138,15 @@ def _motor(cp) -> MotorParams:
     return _build(cp, "motor", "motor parameters", MotorParams)
 
 
-def _require_pitch_span(path, what, name, nodes, params: MotorParams):
-    """A file's angle nodes must span one rotor pitch (relative 1e-9), or
-    its angles wrap by the wrong period; a single node spans nothing."""
-    lo, hi = nodes[[0, -1]].tolist()
-    if nodes.size > 1 and not math.isclose(hi - lo, params.rotor_pitch,
-                                           rel_tol=1e-9):
+def _require_pitch_span(path, theta_grid, params: MotorParams):
+    """A surface file's angle grid must span one rotor pitch (relative
+    1e-9), or its angles wrap by the wrong period."""
+    lo, hi = theta_grid[[0, -1]].tolist()
+    if not math.isclose(hi - lo, params.rotor_pitch, rel_tol=1e-9):
         raise ValueError(
-            f"{path}: {name} spans {hi - lo!r} deg ({lo!r} to {hi!r}), but "
-            f"[motor] rotor_pitch is {params.rotor_pitch!r}; a {what} file "
-            "must span one rotor pitch")
+            f"{path}: theta_grid spans {hi - lo!r} deg ({lo!r} to {hi!r}), "
+            f"but [motor] rotor_pitch is {params.rotor_pitch!r}; a surface "
+            "file must span one rotor pitch")
 
 
 def _surface(cp, params: MotorParams):
@@ -160,23 +156,11 @@ def _surface(cp, params: MotorParams):
         if not path or not Path(path).exists():
             raise ValueError(f"surface file {path!r} does not exist")
         surface = load_surface_csv(path)
-        _require_pitch_span(path, "surface", "theta_grid", surface.theta_grid,
-                            params)
+        _require_pitch_span(path, surface.theta_grid, params)
         return surface
     if s["kind"] != "analytic":
         raise ValueError(f"surface.kind must be analytic or file, got {s['kind']!r}")
     return _build(cp, "surface", "surface", partial(default_surface, params))
-
-
-def _grid(cp, params: MotorParams):
-    def nodes(n_theta, n_current, i_max):
-        for key, n in (("n_theta", n_theta), ("n_current", n_current)):
-            _require_count(key, n, 1, MAX_AXIS_NODES)
-        i_max = 1.5 * params.i_nominal if i_max is None else i_max
-        _require_bound("i_max", i_max, positive=True)
-        return (np.linspace(0.0, params.rotor_pitch, n_theta),
-                np.linspace(0.0, i_max, n_current))
-    return _build(cp, "grid", "grid", nodes)
 
 
 def _train_cfg(cp) -> TableTrainConfig:
@@ -222,10 +206,9 @@ def _grid_oracle(grid, cfg):
 
 
 def _oracle_nodes(cp, params, surface):
-    theta_nodes, current_nodes = _grid(cp, params)
+    theta_nodes, current_nodes = surface.theta_grid, surface.current_grid
     cfg = _train_cfg(cp)
-    L, model, P, K = _grid_oracle(
-        frozen_grid(params, surface, theta_nodes, current_nodes), cfg)
+    L, model, P, K = _grid_oracle(frozen_grid(params, surface), cfg)
     try:
         pi = lqt.policy_iteration_model_based(model, cfg.K0)
     except lqt.NotStabilizingError as exc:
@@ -282,12 +265,10 @@ def cmd_train(cp, out_path, json_out=False) -> int:
             f"({MIN_CYCLES} cycles) {sim._count(shortest)} steps, past "
             f"MAX_STEPS = {sim.MAX_STEPS}; no run could use the table")
     surface = _surface(cp, params)
-    theta_nodes, current_nodes = _grid(cp, params)
     cfg = _train_cfg(cp)
     # one frozen grid for the training and the oracle's cross-check
-    grid = frozen_grid(params, surface, theta_nodes, current_nodes)
-    table = scheduler.train_table(params, surface, theta_nodes,
-                                  current_nodes, cfg, grid)
+    grid = frozen_grid(params, surface)
+    table = scheduler.train_table(params, surface, cfg, grid)
 
     # model-based cross-check, reported per node: the gap is relative to
     # the oracle gain, or absolute where that gain is zero (q_weight = 0)
@@ -331,12 +312,13 @@ def _drive(cp, table_path, out_dir, fmt, controllers=None):
     """Run the config's scenario on the table file under each controller,
     the config's own if none are given, and measure each run: {controller:
     (metrics, trace path)}. The table is checked against the config's motor
-    and surface. --out is made before the first run, and a run whose
-    metrics fail writes nothing into it. The traces, trace_<controller>.<fmt>,
-    are exported once every run is measured, so each writer formats its
-    trace while the next run goes on, and a run measured before another
-    aborts or fails keeps its trace. On a safety abort the partial trace is
-    exported as trace_aborted.<fmt> before the error propagates."""
+    and surface, whose grid must be its nodes. --out is made before the
+    first run, and a run whose metrics fail writes nothing into it. The
+    traces, trace_<controller>.<fmt>, are exported once every run is
+    measured, so each writer formats its trace while the next run goes on,
+    and a run measured before another aborts or fails keeps its trace. On a
+    safety abort the partial trace is exported as trace_aborted.<fmt>
+    before the error propagates."""
     params = _motor(cp)
     surface = _surface(cp, params)
     # the scenario first: a motor that no run can use is named as such, not
@@ -344,8 +326,6 @@ def _drive(cp, table_path, out_dir, fmt, controllers=None):
     base = _scenario(cp, params, surface)
     table = scheduler.load_table(table_path)
     scheduler.check_table_compatible(table, params, surface)
-    _require_pitch_span(table_path, "table", "theta_nodes", table.theta_nodes,
-                        params)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     results, exports = {}, []

@@ -22,7 +22,7 @@ RPM_TO_DEG_PER_S = 6.0
 # weights that sum to 1 never rounds to 0
 MIN_INDUCTANCE = float(np.finfo(float).tiny)
 
-# the most nodes per axis of an analytic surface or a Q-core grid
+# the most nodes per axis of an analytic surface, and so of its Q-core table
 MAX_AXIS_NODES = 256
 
 # the overflow rule: what overflows is carried as inf or nan without a numpy
@@ -266,11 +266,12 @@ def _linearised(params: MotorParams, L: float):
     return L, 1 - params.T * params.R_phase / L, params.T / L
 
 
-def frozen_grid(params: MotorParams, surface: InductanceSurface,
-                theta_nodes, current_nodes):
-    """Row-major arrays (L, A, B) over the grid: the inductance at each node
-    and the phase model x' = A x + B u linearised with L frozen there.
-    Raises ValueError naming the first node where A or B is not finite."""
+def frozen_grid(params: MotorParams, surface: InductanceSurface):
+    """Row-major arrays (L, A, B) over the surface's grid, a Q-core table's
+    nodes: the inductance at each node and the phase model x' = A x + B u
+    linearised with L frozen there. Raises ValueError naming the first node
+    where A or B is not finite."""
+    theta_nodes, current_nodes = surface.theta_grid, surface.current_grid
     grid = np.array([_linearised(params, inductance_at(surface, th, i))
                      for th in theta_nodes for i in current_nodes]).T
     L, A, B = grid

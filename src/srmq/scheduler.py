@@ -56,7 +56,7 @@ class SafetyAbortError(RuntimeError):
 
 
 class TableMismatchError(ValueError):
-    """Table file was trained against a different motor or surface."""
+    """Table was trained for another motor or surface, or off its grid."""
 
 
 @dataclass(frozen=True)
@@ -279,25 +279,18 @@ def params_hash(params: MotorParams, surface: InductanceSurface) -> str:
 
 
 def train_table(params: MotorParams, surface: InductanceSurface,
-                theta_nodes=None, current_nodes=None,
                 cfg: TableTrainConfig = TableTrainConfig(),
                 grid=None) -> QCoreTable:
-    """Train one Q-core per grid node against its frozen local dynamics.
+    """Train one Q-core per node of the surface's grid against its frozen
+    local dynamics: the table's nodes are the surface's.
 
     Each node sees a linear plant with the inductance frozen at that
     node's surface value; the learner itself only ever receives sampled
     tuples.  Any non-converged node is reported with its coordinates and
-    the whole table is rejected.  `grid` is frozen_grid's (L, A, B) on
-    these nodes, from a caller that needs it too; without it the grid is
-    built here.
+    the whole table is rejected.  `grid` is frozen_grid(params, surface),
+    from a caller that needs it too; without it the grid is built here.
     """
-    if theta_nodes is None:
-        theta_nodes = np.linspace(0.0, params.rotor_pitch, 16)
-    if current_nodes is None:
-        current_nodes = np.linspace(0.0, 1.5 * params.i_nominal, 8)
-    theta_nodes = np.asarray(theta_nodes, float)
-    current_nodes = np.asarray(current_nodes, float)
-
+    theta_nodes, current_nodes = surface.theta_grid, surface.current_grid
     i_limit = cfg.safety_factor * params.i_nominal
     i_span = (float(current_nodes[0]), float(current_nodes[-1]))
     # bounds the initial gain's action on the sampled x, r in [0, i_span[1]]
@@ -307,7 +300,7 @@ def train_table(params: MotorParams, surface: InductanceSurface,
 
     nt, ni = theta_nodes.size, current_nodes.size
     if grid is None:
-        grid = frozen_grid(params, surface, theta_nodes, current_nodes)
+        grid = frozen_grid(params, surface)
     _, A, B = grid
     rngs = [np.random.default_rng([cfg.seed, a, b])
             for a in range(nt) for b in range(ni)]
@@ -427,3 +420,17 @@ def check_table_compatible(table: QCoreTable, params: MotorParams,
         raise TableMismatchError(
             f"table was trained for motor/surface hash {table.params_hash}, "
             f"config gives {expected}; retrain or fix the config")
+    _require_surface_nodes(table, surface)
+
+
+def _require_surface_nodes(table: QCoreTable, surface: InductanceSurface):
+    """Refuse a table whose nodes are not the surface's grid, where
+    train_table puts them and the closed loop locates every step."""
+    for name, nodes, grid in (
+            ("theta_nodes", table.theta_nodes, surface.theta_grid),
+            ("current_nodes", table.current_nodes, surface.current_grid)):
+        if not np.array_equal(nodes, grid):
+            raise TableMismatchError(
+                f"table {name} ({nodes.size} nodes, {nodes[0]} to {nodes[-1]})"
+                f" are not the surface's ({grid.size} nodes, {grid[0]} to "
+                f"{grid[-1]}); retrain the table")

@@ -187,9 +187,11 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None,
                     stream: str | None = None) -> SimTrace:
     """Run the scenario; deterministic for a fixed seed.
 
-    Raises SafetyAbortError (carrying the partial trace in .trace) if the
-    phase current exceeds the table's safety_factor (the TableTrainConfig
-    default without a table) times the nominal rating.
+    A table's nodes must be the surface's grid (else TableMismatchError),
+    where each step locates its operating point once. Raises
+    SafetyAbortError (carrying the partial trace in .trace) if the phase
+    current exceeds the table's safety_factor (the TableTrainConfig default
+    without a table) times the nominal rating.
 
     With `stream` a trace format, a long enough run forks a _Writer that
     formats the trace as the loop runs (see _parallel_export). The loop
@@ -203,6 +205,8 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None,
     scheduled = scenario.controller == "scheduled-qlearning"
     if not delta and table is None:
         raise ValueError(f"controller {scenario.controller!r} needs a trained table")
+    if table is not None:
+        scheduler._require_surface_nodes(table, surface)
 
     cfg = table.cfg if table is not None else scheduler.TableTrainConfig()
     Q_q = cfg.tracking_weight()
@@ -230,24 +234,15 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None,
         dither = memoryview(scenario.dither * np.random.default_rng(
             scenario.seed).uniform(-1, 1, n))
 
-    # the scheduled controller's cell is the plant's when the table's nodes
-    # are the surface's: then each step locates its operating point once
-    shared = (scheduled
-              and np.array_equal(table.theta_nodes, surface.theta_grid)
-              and np.array_equal(table.current_nodes, surface.current_grid))
-
     # the half of the step that does not depend on the phase current, in
     # one numpy pass each: the n + 1 rotor angles, the reference at each,
-    # and their cells on the surface's and (unless shared) the table's
-    # theta nodes, read back as Python floats and ints; the angles and the
-    # references are the trace's theta and r columns
+    # and their cells on the surface's theta grid, read back as Python
+    # floats and ints; the angles and the references are the trace's theta
+    # and r columns
     thetas = np.frombuffer(plant._rotor_angles(plant_params, 0.0, n))
     references = plant._references(profile, thetas, 0)
     refs = memoryview(references)
     s_row, s_l1 = map(memoryview, _wrapped_cells(surface.theta_grid, thetas))
-    t_row, t_l1 = s_row, s_l1
-    if scheduled and not shared:
-        t_row, t_l1 = map(memoryview, _wrapped_cells(table.theta_nodes, thetas))
 
     def rows_to_trace(buf, a=0):
         """The trace of the recorded rows buf (m, 6) of steps a to a + m;
@@ -269,21 +264,20 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None,
     schedule_located = scheduler._schedule_located
     locate, weights = plant._axis_locate, plant._weights
     s_current = surface._current_list
-    t_current = table._current_list if scheduled else None
     V_dc = params.V_dc
     x, r = 0.0, refs[0]
     err = None
     try:
         for k in range(n):
+            row, l1 = s_row[k], s_l1[k]
+            col, l2 = locate(s_current, x, False)
+            w = weights(l1, l2)
             if delta:
                 u = delta_modulation_step(x, r, V_dc, scenario.delta_band)
                 k_x = k_r = 0.0
                 cell = (-1, -1)
             else:
                 if scheduled:
-                    row, l1 = t_row[k], t_l1[k]
-                    col, l2 = locate(t_current, x, False)
-                    w = weights(l1, l2)
                     k_x, k_r, cell = schedule_located(table, row, col, l1, l2, w)
                 else:
                     k_x, k_r, cell = single
@@ -296,10 +290,6 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None,
             if writer is not None and (k + 1) % EXPORT_CHUNK == 0:
                 writer.send(rows, k + 1)
 
-            if not shared:
-                row, l1 = s_row[k], s_l1[k]
-                col, l2 = locate(s_current, x, False)
-                w = weights(l1, l2)
             x_next = _step_located(x, u, plant_params, surface, row, col, w)
 
             if x_next > i_limit:
@@ -341,7 +331,7 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None,
 
     # the cell buffers go before the trace's columns are built, so a long
     # run's peak memory holds the rows, angles and references only
-    del s_row, s_l1, t_row, t_l1
+    del s_row, s_l1
     trace = rows_to_trace(np.frombuffer(rows).reshape(-1, 6))
     trace.written = writer
     if err is not None:
@@ -409,12 +399,15 @@ def export_trace(trace: SimTrace, path, fmt: str = "csv") -> None:
     A trace with a writer (see run_closed_loop's `stream`) first waits for
     it. One it formatted in `fmt` as its loop ran is then copied from the
     writer's file, the rows as the loop recorded them; any other trace is
-    formatted here."""
+    formatted here. A pending trace in another format is refused."""
     if fmt not in ("csv", "jsonl"):
         raise ValueError(f"unknown trace format {fmt!r}")
     written = trace.written
     if written is not None:
         written.reap()
+        if written.fmt != fmt and len(trace) < written.sent:
+            raise ValueError(f"the trace's rows went only to its {written.fmt}"
+                             f" writer; it cannot be exported as {fmt}")
     streamed = written is not None and written.fmt == fmt
     try:
         if streamed and written.error is not None:

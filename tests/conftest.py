@@ -67,18 +67,27 @@ def fresh_table(params, surface):
 
 def coarse_table(table):
     """A fresh table of every third theta node's cores (six nodes over the
-    same pitch on the default grid): its nodes are not the surface's, so the
-    closed loop locates the controller's and the plant's cells apart."""
+    same pitch on the default grid): its nodes are not the surface's, which
+    the closed loop refuses."""
     return QCoreTable(table.theta_nodes[::3], table.current_nodes,
                       table.kernels[::3], table.cfg, table.params_hash,
                       iterations=table.iterations[::3])
 
 
+def one_core_table(surface, g, params_hash="h"):
+    """A table on the surface's grid with the kernel vector g at every
+    node."""
+    nt, ni = surface.values.shape
+    return QCoreTable(surface.theta_grid, surface.current_grid,
+                      [[g] * ni] * nt, TableTrainConfig(), params_hash)
+
+
 def constant_surface(L, pitch=45.0, i_max=7.5):
-    """Flat inductance surface, handy for frozen-dynamics checks."""
-    theta = np.linspace(0.0, pitch, 5)
-    current = np.linspace(0.0, i_max, 4)
-    return InductanceSurface(theta, current, np.full((5, 4), L))
+    """Flat inductance surface, handy for frozen-dynamics checks, on the
+    default 16x8 grid: the trained_table fixture's nodes."""
+    theta = np.linspace(0.0, pitch, 16)
+    current = np.linspace(0.0, i_max, 8)
+    return InductanceSurface(theta, current, np.full((16, 8), L))
 
 
 def step_phase(x: float, theta: float, u: float, params: MotorParams,
@@ -87,8 +96,7 @@ def step_phase(x: float, theta: float, u: float, params: MotorParams,
     applied voltage u, locating the angle and the current on the surface
     itself: the one-step reference for _step_located and _rotor_angles; the
     simulator takes every step's angle cell from one _wrapped_cells pass
-    over the run's angles, and shares its current cell with the scheduled
-    controller where the table's nodes are the surface's."""
+    over the run's angles, and shares its cell with the controller."""
     row, l1 = _axis_locate(surface._theta_list, theta, wrap=True)
     col, l2 = _axis_locate(surface._current_list, x, wrap=False)
     return (_step_located(x, u, params, surface, row, col, _weights(l1, l2)),

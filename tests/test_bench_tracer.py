@@ -43,12 +43,9 @@ def test_summarize_finds_every_name_it_reads(tracer):
     assert set(metrics) <= {name for name, _ in tracer.PER_LAYER}
 
 
-# a 4 x 3 table on a 5-node surface and a two-cycle run that learns online
+# a 4 x 3 surface, and so table, and a two-cycle run that learns online
 LEARNING = """
 [surface]
-n_theta = 5
-
-[grid]
 n_theta = 4
 n_current = 3
 

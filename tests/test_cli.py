@@ -18,10 +18,10 @@ from srmq.cli import (EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_OK, EXIT_SAFETY,
                       main)
 from srmq.plant import (InductanceSurface, MotorParams, ReferenceProfile,
                         default_surface, frozen_grid)
-from srmq.scheduler import (QCoreTable, TableTrainConfig, load_table,
-                            params_hash, save_table)
+from srmq.scheduler import (TableTrainConfig, load_table, params_hash,
+                            save_table)
 from conftest import (assert_no_child, build_augmented, kernel_vector,
-                      leaves_no_child_or_fd, save_surface_csv)
+                      leaves_no_child_or_fd, one_core_table, save_surface_csv)
 
 
 def last_json(capsys):
@@ -51,9 +51,6 @@ def leaves_no_child():
 
 SMALL = """
 [surface]
-n_theta = 5
-
-[grid]
 n_theta = 4
 n_current = 3
 
@@ -79,21 +76,19 @@ def small_table(tmp_path, small_cfg):
 
 @pytest.fixture
 def runaway_table(tmp_path):
-    """One positive-feedback core (K = [-50, -50]) for the default motor and
-    the SMALL surface."""
+    """A positive-feedback core (K = [-50, -50]) at every node of the SMALL
+    surface, for the default motor."""
     G = np.zeros((3, 3))
     G[0, 2] = G[2, 0] = G[1, 2] = G[2, 1] = -50.0
     G[2, 2] = 1.0
     path = tmp_path / "runaway.json"
-    save_table(QCoreTable(np.array([0.0]), np.array([0.0]),
-                          [[kernel_vector(G)]], TableTrainConfig(),
-                          params_hash(MotorParams(),
-                                      default_surface(MotorParams(), n_theta=5))),
-               path)
+    surface = default_surface(MotorParams(), n_theta=4, n_current=3)
+    save_table(one_core_table(surface, kernel_vector(G),
+                              params_hash(MotorParams(), surface)), path)
     return str(path)
 
 
-DROP, NEST = "<dropped>", "<nested>"
+DROP, NEST, EVERY_THIRD = "<dropped>", "<nested>", "<every third>"
 
 
 @dataclass(frozen=True)
@@ -105,8 +100,9 @@ class Probe:
     "train" (into the row's table file) or "run" or "compare" with any
     flags (on that file).  The table file is the default 16x8 table unless
     the row trained one, or `table` gives its raw text; `edits` then changes
-    it, each edit (key, ..., key, value), with DROP deleting the last key
-    and NEST nesting its value one list deeper.  `code` is the exit code of
+    it, each edit (key, ..., key, value), with DROP deleting the last key,
+    NEST nesting its value one list deeper and EVERY_THIRD keeping every
+    third entry of it.  `code` is the exit code of
     every command, or a tuple of one per command.  `says` are texts of the
     stderr line of a non-zero exit, where {table} and {config} are the
     table and config paths.  With `no_out`, no command made the --out
@@ -139,7 +135,7 @@ class Probe:
 
 def _shown(value):
     """An edit's value as a row id shows it, cut short if it is long."""
-    text = value if value in (DROP, NEST) else json.dumps(value)
+    text = value if value in (DROP, NEST, EVERY_THIRD) else json.dumps(value)
     return text if len(text) <= 32 else text[:29] + "..."
 
 
@@ -183,12 +179,10 @@ OUT_OF_RANGE = [
     ("scenario", "i_ref", "nan", "i_ref"),
     ("scenario", "r_scale", "nan", "r_scale"),
     ("scenario", "events", "100:nan", "event amplitude"),
-    ("grid", "n_theta", "0", "n_theta"),
-    ("grid", "n_current", "-1", "n_current"),
-    ("grid", "i_max", "nan", "i_max"),
-    ("grid", "n_theta", "257", "n_theta"),
-    ("grid", "n_theta", "abc", "n_theta"),
-    ("grid", "i_max", "abc", "i_max"),
+    ("surface", "n_theta", "0", "n_theta"),
+    ("surface", "n_current", "-1", "n_current"),
+    ("surface", "n_theta", "abc", "n_theta"),
+    ("surface", "i_max", "abc", "i_max"),
     ("training", "q_weight", "abc", "q_weight"),
     ("scenario", "duration_cycles", "two", "duration_cycles"),
     ("scenario", "online_learning", "maybe",
@@ -233,8 +227,8 @@ PROBES = {
         "[inverter]\nv = 5\n", "oracle", EXIT_CONFIG,
         ("error: unknown config section [inverter]\n",)),
     "TestConfig::test_duplicate_section_rejected": Probe(
-        "[grid]\nn_theta = 4\n[grid]\nn_current = 3\n", "oracle",
-        EXIT_CONFIG, ("section 'grid' already exists",)),
+        "[surface]\nn_theta = 4\n[surface]\nn_current = 3\n", "oracle",
+        EXIT_CONFIG, ("section 'surface' already exists",)),
     "TestConfig::test_bad_interpolation_names_the_key": {
         value: Probe(f"[scenario]\nevents = {value}\n", "run", EXIT_CONFIG,
                      ("config key scenario.events",))
@@ -296,7 +290,18 @@ PROBES = {
         # a plant resistance that overflows is refused with the scenario
         Probe("[scenario]\nr_scale = 1e308\n", "run", EXIT_CONFIG,
               ("error: invalid scenario: r_scale = 1e+308 scales R_phase = "
-               "2.0 ohm to inf ohm",))),
+               "2.0 ohm to inf ohm",)),
+        # a table's nodes are the surface's grid: there is no [grid] to set,
+        # and a table file cut down to every third theta node is refused
+        # before --out is made
+        Probe("[grid]\nn_theta = 12\n", "train,oracle,run,compare",
+              EXIT_CONFIG, ("error: unknown config section [grid]\n",),
+              no_out=True),
+        Probe("", "run,compare", EXIT_CONFIG, (
+            "error: table theta_nodes (6 nodes, 0.0 to 45.0) are not the "
+            "surface's (16 nodes, 0.0 to 45.0); retrain the table\n",),
+              edits=(("theta_nodes", EVERY_THIRD), ("cores", EVERY_THIRD),
+                     ("iterations", EVERY_THIRD)), no_out=True)),
     "TestConfig::test_bad_event_syntax_rejected": Probe(
         "[scenario]\nevents = oops\n", "run", EXIT_CONFIG,
         ("error: invalid scenario: bad event 'oops', expected "
@@ -372,8 +377,6 @@ PROBES = {
               EXIT_CONFIG, ("error: online update of core (3,2) overflowed: ",
                             "(the table's online_tau is 1e+200)\n"),
               edits=(("cfg", "online_tau", 1e200),)),
-        # a table with a single theta node
-        Probe("[grid]\nn_theta = 1\nn_current = 3\n", "train,run", EXIT_OK),
         Probe("", "run", EXIT_CONFIG, ("error: {table}: theta nodes must be "
                                        "1-D",), edits=(("theta_nodes", NEST),)),
         # a dropped cfg key must not fall back to the dataclass default
@@ -400,7 +403,7 @@ PROBES = {
         ini: Probe(ini, "train", EXIT_CONVERGENCE,
                    ("128 x SafetyAbortError", "e+29",
                     "exceeded the 15.00 A safety bound"))
-        for ini in ("[motor]\nr_phase = 1e300\n", "[grid]\ni_max = 1e300\n")},
+        for ini in ("[motor]\nr_phase = 1e300\n", "[surface]\ni_max = 1e300\n")},
     "TestTrain::test_undiscounted_training_rejected": Probe(
         "[training]\ngamma = 1.0\n", "train", EXIT_CONFIG,
         ("gamma < 1", "Bellman column vanishes")),
@@ -450,12 +453,13 @@ PROBES = {
             ("current_nodes-value6-current nodes must be 1-D",
              ("current_nodes", NEST), "current nodes must be 1-D"))},
     # theta nodes over 0-30 deg, or 0-360 (electrical), on the 45 deg motor
-    # would schedule the cores by the wrong wrap
+    # would schedule the cores by the wrong wrap: they are not the surface's
     "TestRun::test_table_off_the_rotor_pitch_names_the_file": {
         f"{scale!r}-{command}": Probe("", command, EXIT_CONFIG, (
-            f"error: {{table}}: theta_nodes spans {45 * scale!r} deg",
-            "[motor] rotor_pitch is 45.0"),
-            edits=(("theta_nodes", [v * scale for v in THETA_NODES]),))
+            f"error: table theta_nodes (16 nodes, 0.0 to {45 * scale!r}) are "
+            "not the surface's (16 nodes, 0.0 to 45.0); retrain the table\n",),
+            edits=(("theta_nodes", [v * scale for v in THETA_NODES]),),
+            no_out=True)
         for scale in (30 / 45, 8.0) for command in ("run", "compare")},
     # gain_clamp's row is one of test_overflowing_config_exits_cleanly
     "TestRun::test_table_without_a_cfg_key_exits_2": {
@@ -504,6 +508,8 @@ def check_probe(probe, tmp_path, default_table):
             node = reduce(operator.getitem, keys, doc)
             if value == DROP:
                 del node[last]
+            elif value == EVERY_THIRD:
+                node[last] = node[last][::3]
             else:
                 node[last] = [node[last]] if value == NEST else value
         contents = json.dumps(doc)
@@ -572,7 +578,7 @@ class TestConfig:
         assert cp["training"]["gamma"] == "0.9"
         assert cp["scenario"]["i_ref"] == "4.0"
 
-    def test_schema_defaults_are_the_dataclass_defaults(self, trained_table):
+    def test_schema_defaults_are_the_dataclass_defaults(self):
         # SCHEMA's default texts and the dataclass and function defaults
         # are written separately; the zero-flag run must build the same
         # values the library defaults give
@@ -591,10 +597,6 @@ class TestConfig:
         for f in fields(sim.Scenario):
             if f.name not in ("surface", "duration"):
                 assert getattr(scenario, f.name) == getattr(default, f.name)
-        # train_table's own node grid, which the trained_table fixture uses
-        for nodes, default_nodes in zip(cli._grid(cp, params), (
-                trained_table.theta_nodes, trained_table.current_nodes)):
-            assert nodes.tobytes() == default_nodes.tobytes()
 
     @staticmethod
     def oracle_on_surface_file(tmp_path, text):
@@ -717,10 +719,9 @@ class TestOracle:
         assert main(["--config", small_cfg, "--json", "oracle"]) == EXIT_OK
         nodes = last_json(capsys)["nodes"]
         params = MotorParams()
-        theta = np.linspace(0.0, params.rotor_pitch, 4)
-        current = np.linspace(0.0, 1.5 * params.i_nominal, 3)
-        L, A, B = frozen_grid(params, default_surface(params, n_theta=5),
-                              theta, current)
+        surface = default_surface(params, n_theta=4, n_current=3)
+        theta, current = surface.theta_grid, surface.current_grid
+        L, A, B = frozen_grid(params, surface)
         model = build_augmented(A, B)
         P = lqt.are_closed_form(model)
         K = lqt.optimal_gain(P, model)
@@ -1106,11 +1107,6 @@ FUZZ_KEYS = {
         "n_theta": ini_value(2, 16, integer=True),
         "n_current": ini_value(2, 8, integer=True),
     },
-    "grid": {
-        "n_theta": ini_value(1, 8, integer=True),
-        "n_current": ini_value(1, 4, integer=True),
-        "i_max": ini_value(1.0, 10.0),
-    },
     "scenario": {
         "i_ref": ini_value(0.0, 8.0), "theta_on": ini_value(0.0, 45.0),
         "theta_off": ini_value(0.0, 45.0), "dither_v": ini_value(0.0, 30.0),
@@ -1174,7 +1170,7 @@ def assert_exits_cleanly(args):
                                 ("scenario", "online_learning"): "true"})
 @example(command="train", values={("training", "k0_x"): "1e308",
                                   ("training", "k0_r"): "-1e308"})
-@example(command="train", values={("grid", "i_max"): "1e300"})
+@example(command="train", values={("surface", "i_max"): "1e300"})
 @example(command="oracle", values={("training", "q_weight"): "1e160"})
 @example(command="oracle", values={("motor", "r_phase"): "1e300"})
 @example(command="oracle", values={("surface", "i_sat"): "1e-300"})

@@ -73,10 +73,8 @@ def reference_gain(P, model):
 
 def grid_dynamics(params, surface):
     """(A, B) of the frozen local model at every node of the default
-    16x8 grid, row-major."""
-    theta = np.linspace(0.0, params.rotor_pitch, 16)
-    current = np.linspace(0.0, 1.5 * params.i_nominal, 8)
-    return frozen_grid(params, surface, theta, current)[1:]
+    16x8 surface, row-major."""
+    return frozen_grid(params, surface)[1:]
 
 
 def random_dynamics(n, seed=0):

@@ -20,10 +20,11 @@ def commands_call(tmp_path):
     from a file, all on the 4 x 3 learning grid."""
     analytic, surface = tmp_path / "analytic.ini", tmp_path / "surface.csv"
     analytic.write_text(LEARNING)
-    save_surface_csv(default_surface(MotorParams(), n_theta=5), surface)
+    save_surface_csv(default_surface(MotorParams(), n_theta=4, n_current=3),
+                     surface)
     config = tmp_path / "file.ini"
     config.write_text(LEARNING.replace(
-        "[surface]\nn_theta = 5\n",
+        "[surface]\nn_theta = 4\nn_current = 3\n",
         f"[surface]\nkind = file\npath = {surface}\n"))
     single = tmp_path / "single.ini"
     single.write_text(config.read_text().replace(

@@ -19,9 +19,8 @@ from srmq.scheduler import (QCoreTable, TableMismatchError,
                             params_hash, save_table, schedule,
                             scheduled_gain, train_table, update_core_online)
 from srmq.sim import Scenario, run_closed_loop
-from conftest import (build_augmented, coarse_table, constant_surface,
-                      core_G, kernel_matrix, kernel_vector, point_near,
-                      scheduled_q)
+from conftest import (build_augmented, constant_surface, core_G,
+                      kernel_matrix, kernel_vector, point_near, scheduled_q)
 
 
 def random_kernel(rng):
@@ -230,7 +229,6 @@ class TestMirrors:
         # located; the loop takes the angle's cells from its block, so every
         # locate of the loop, the controller and the plant is on the
         # current axis: one per step, shared by the gain and the plant step
-        # where the table's nodes are the surface's, else one for each
         locates, updates = [], []
         locate_once = plant._axis_locate
         update = scheduler.update_core_online
@@ -250,14 +248,10 @@ class TestMirrors:
                             reference=ReferenceProfile(), dither=5.0,
                             duration=2 * params.steps_per_cycle,
                             online_learning=True)
-        for table, per_step in ((fresh_table, 1),
-                                (coarse_table(fresh_table), 2)):
-            locates.clear()
-            updates.clear()
-            run_closed_loop(scenario, table)
-            assert len(updates) > 0
-            assert len(locates) == per_step * scenario.steps
-            assert not any(locates)
+        run_closed_loop(scenario, fresh_table)
+        assert len(updates) > 0
+        assert len(locates) == scenario.steps
+        assert not any(locates)
 
 
 class TestLocate:
@@ -424,11 +418,12 @@ def reference_node_collector(A, B, cfg, i_span, i_limit, rng):
     return collect
 
 
-def reference_train_node(params, surface, cfg, theta_nodes, current_nodes,
-                         a, b):
-    """(kernel vector, iterations) of node (a, b) from the scalar collector,
-    per-row regression rows, lstsq and the greedy gain, one tuple at a time.
-    A failing node raises what training reports for it, with its message."""
+def reference_train_node(params, surface, cfg, a, b):
+    """(kernel vector, iterations) of the surface's node (a, b) from the
+    scalar collector, per-row regression rows, lstsq and the greedy gain,
+    one tuple at a time. A failing node raises what training reports for
+    it, with its message."""
+    theta_nodes, current_nodes = surface.theta_grid, surface.current_grid
     _, A, B = _linearised(params, inductance_at(surface, theta_nodes[a],
                                                 current_nodes[b]))
     collect = reference_node_collector(
@@ -460,15 +455,14 @@ NODE_FAILURES = (scheduler.SafetyAbortError, qlearn.RankDeficientError,
                  qlearn.ExcitationError, qlearn.QTrainError)
 
 
-def reference_failures(params, surface, cfg, theta_nodes, current_nodes):
-    """(row, col, exception) of every node that fails, node after node in
-    row-major order, from reference_train_node."""
+def reference_failures(params, surface, cfg):
+    """(row, col, exception) of every node of the surface that fails, node
+    after node in row-major order, from reference_train_node."""
     failures = []
-    for a in range(theta_nodes.size):
-        for b in range(current_nodes.size):
+    for a in range(surface.theta_grid.size):
+        for b in range(surface.current_grid.size):
             try:
-                reference_train_node(params, surface, cfg, theta_nodes,
-                                     current_nodes, a, b)
+                reference_train_node(params, surface, cfg, a, b)
             except NODE_FAILURES as exc:
                 failures.append((a, b, exc))
     return failures
@@ -534,16 +528,14 @@ class TestTupleCollection:
 
 
 class TestTrainTable:
-    def test_small_grid_matches_scalar_reference(self, params, surface):
-        theta_nodes = np.array([0.0, 10.0, 22.5, 45.0])
-        current_nodes = np.array([0.0, 3.0, 7.5])
+    def test_small_grid_matches_scalar_reference(self, params):
+        surface = default_surface(params, n_theta=4, n_current=3)
         for cfg in (TableTrainConfig(), TableTrainConfig(seed=12345,
                                                          tuples_per_iter=9)):
-            t = train_table(params, surface, theta_nodes, current_nodes, cfg)
-            for a in range(theta_nodes.size):
-                for b in range(current_nodes.size):
-                    g, iters = reference_train_node(
-                        params, surface, cfg, theta_nodes, current_nodes, a, b)
+            t = train_table(params, surface, cfg)
+            for a in range(4):
+                for b in range(3):
+                    g, iters = reference_train_node(params, surface, cfg, a, b)
                     assert np.array_equal(t.kernels[a][b], g), (a, b)
                     assert t.iterations[a, b] == iters, (a, b)
 
@@ -554,17 +546,16 @@ class TestTrainTable:
         nt, ni = t.shape
         for a in range(nt):
             for b in range(ni):
-                g, iters = reference_train_node(
-                    params, surface, cfg, t.theta_nodes, t.current_nodes, a, b)
+                g, iters = reference_train_node(params, surface, cfg, a, b)
                 assert np.array(t.kernels[a][b]).tobytes() == g.tobytes(), \
                     (a, b)
                 assert t.iterations[a, b] == iters, (a, b)
 
-    # 4 x 3 grids where nodes fail in different iterations and ways:
+    # 4 x 3 surfaces where nodes fail in different iterations and ways:
     # safety aborts (iterations 1-3) and unsettled gains (after 3), with two
     # nodes converging; non-positive G_uu and safety aborts; and a gain so
     # large that every node aborts at once, on tuples near the float limit.
-    # With no dither, every node of the default grid is rank deficient.
+    # With no dither, every node of the default surface is rank deficient.
     FAILING = {
         "aborts and unsettled": (TableTrainConfig(dither=800.0, max_iters=3),
                                  (4, 3)),
@@ -577,63 +568,57 @@ class TestTrainTable:
     @staticmethod
     def failing_grid(params, name):
         cfg, (nt, ni) = TestTrainTable.FAILING[name]
-        return (cfg, np.linspace(0.0, params.rotor_pitch, nt),
-                np.linspace(0.0, 1.5 * params.i_nominal, ni))
+        return cfg, default_surface(params, n_theta=nt, n_current=ni)
 
     @pytest.mark.parametrize("name", list(FAILING))
-    def test_failures_match_per_node_reference(self, params, surface, name):
-        cfg, theta_nodes, current_nodes = self.failing_grid(params, name)
-        ref = reference_failures(params, surface, cfg, theta_nodes,
-                                 current_nodes)
+    def test_failures_match_per_node_reference(self, params, name):
+        cfg, surface = self.failing_grid(params, name)
+        ref = reference_failures(params, surface, cfg)
         with pytest.raises(TableTrainError) as exc:
-            train_table(params, surface, theta_nodes, current_nodes, cfg)
+            train_table(params, surface, cfg)
         got = exc.value.failures
         assert [(a, b, type(e), str(e)) for a, b, e in got] \
             == [(a, b, type(e), str(e)) for a, b, e in ref]
-        assert str(exc.value) == str(TableTrainError(ref, theta_nodes.size
-                                                     * current_nodes.size))
+        assert str(exc.value) == str(TableTrainError(ref, surface.values.size))
         if name == "aborts and unsettled":
             kinds = {type(e) for _, _, e in ref}
             assert kinds == {scheduler.SafetyAbortError, qlearn.QTrainError}
-            assert len(ref) < theta_nodes.size * current_nodes.size
+            assert len(ref) < surface.values.size
 
     # the rows of failed and finished nodes may overflow (the huge gain's
     # do): q_policy_iteration's errstate scope keeps them quiet, and the
     # checks on live rows alone decide each node
     @pytest.mark.parametrize("name", ["aborts and unsettled", "huge gain",
                                       "no dither"])
-    def test_failing_grid_emits_no_warnings(self, params, surface, name):
-        cfg, theta_nodes, current_nodes = self.failing_grid(params, name)
+    def test_failing_grid_emits_no_warnings(self, params, name):
+        cfg, surface = self.failing_grid(params, name)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(TableTrainError):
-                train_table(params, surface, theta_nodes, current_nodes, cfg)
+                train_table(params, surface, cfg)
 
-    def test_overflowing_initial_gain_names_its_keys(self, params, surface):
+    def test_overflowing_initial_gain_names_its_keys(self, params):
         # |k0| times the top current overflows: refused before any draw
-        _, theta_nodes, current_nodes = self.failing_grid(params, "huge gain")
+        _, surface = self.failing_grid(params, "huge gain")
         cfg = TableTrainConfig(K0=(1e308, -1e308))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"k0_x, k0_r = \[1e\+308, "
                                r"-1e\+308\] overflow the training action"):
-                train_table(params, surface, theta_nodes, current_nodes, cfg)
+                train_table(params, surface, cfg)
 
     def test_constant_surface_cores_agree(self, params):
-        surf = constant_surface(16e-3)
-        t = train_table(params, surf, theta_nodes=np.array([0.0, 45.0]),
-                        current_nodes=np.array([0.0, 7.5]))
+        t = train_table(params, constant_surface(16e-3))
         ref = t.gains[0, 0]
-        for a in range(2):
-            for b in range(2):
+        for a in range(t.shape[0]):
+            for b in range(t.shape[1]):
                 assert np.allclose(t.gains[a, b], ref, atol=2e-3)
 
-    def test_small_grid_matches_model_based_oracle(self, params, surface):
-        theta_nodes = np.array([0.0, 15.0, 30.0, 45.0])
-        current_nodes = np.array([0.0, 4.0, 7.5])
-        t = train_table(params, surface, theta_nodes, current_nodes)
-        for a, th in enumerate(theta_nodes):
-            for b, i in enumerate(current_nodes):
+    def test_small_grid_matches_model_based_oracle(self, params):
+        surface = default_surface(params, n_theta=4, n_current=3)
+        t = train_table(params, surface)
+        for a, th in enumerate(surface.theta_grid):
+            for b, i in enumerate(surface.current_grid):
                 L = inductance_at(surface, float(th), float(i))
                 m = build_augmented(1 - params.T * params.R_phase / L,
                                         params.T / L)
@@ -653,11 +638,11 @@ class TestTrainTable:
         for b in range(t.current_nodes.size):
             assert np.allclose(t.gains[0, b], t.gains[-1, b], atol=2e-3)
 
-    def test_failure_lists_nodes(self, params, surface):
+    def test_failure_lists_nodes(self, params):
         cfg = TableTrainConfig(max_iters=1, tol=1e-16)
         with pytest.raises(TableTrainError) as exc:
-            train_table(params, surface, np.array([0.0, 45.0]),
-                        np.array([0.0, 7.5]), cfg)
+            train_table(params, default_surface(params, n_theta=2,
+                                                n_current=2), cfg)
         assert len(exc.value.failures) == 4
 
 
@@ -767,12 +752,13 @@ class TestPersistence:
                                                     grid):
         # save_table encodes in one json.dumps; json.dump, which streams
         # through the pure-Python encoder, writes the same bytes
-        current = np.linspace(0.0, 7.5, 3)
-        table = {"default": lambda: trained_table,
-                 "one theta node": lambda: train_table(
-                     params, surface, np.array([0.0]), current),
+        t = trained_table
+        table = {"default": lambda: t,
+                 "one theta node": lambda: QCoreTable(
+                     t.theta_nodes[:1], t.current_nodes, t.kernels[:1],
+                     t.cfg, t.params_hash, iterations=t.iterations[:1]),
                  "q_weight = 0": lambda: train_table(
-                     params, surface, np.linspace(0.0, 45.0, 4), current,
+                     params, default_surface(params, n_theta=4, n_current=3),
                      TableTrainConfig(q_weight=0.0))}[grid]()
         path = tmp_path / "table.json"
         save_table(table, path)

@@ -18,15 +18,15 @@ from hypothesis import example, given, settings, strategies as st
 from srmq import cli, plant, scheduler, sim
 from srmq.plant import MotorParams, ReferenceProfile, reference_at
 from srmq.qlearn import stage_cost
-from srmq.scheduler import (QCoreTable, SafetyAbortError, TableTrainConfig,
-                            save_table)
+from srmq.scheduler import (QCoreTable, SafetyAbortError, TableMismatchError,
+                            TableTrainConfig, save_table)
 from srmq.sim import (CONTROLLERS, EXPORT_CHUNK, MAX_STEPS,
                       PARALLEL_MIN_ROWS, SETTLE_FRACTION, TRACE_COLUMNS,
                       Metrics, Scenario, SimTrace, compute_metrics,
                       delta_modulation_step, export_trace, run_closed_loop)
 from conftest import (assert_no_child, build_augmented, coarse_table,
                       constant_surface, kernel_vector, leaves_no_child_or_fd,
-                      point_near, random_surface, step_phase)
+                      one_core_table, point_near, random_surface, step_phase)
 
 
 def make_scenario(params, surface, **kw):
@@ -283,13 +283,11 @@ class TestRunClosedLoop:
         # a positive-feedback core (u = +50 x) drives the current toward
         # V_dc / R = 150 A; the run must abort with a partial trace well
         # before the duration is up
-        from srmq.scheduler import QCoreTable, TableTrainConfig
         G = np.zeros((3, 3))
         G[0, 2] = G[2, 0] = -50.0   # gain K = [-50, -50] with G_uu = 1
         G[1, 2] = G[2, 1] = -50.0
         G[2, 2] = 1.0
-        bad = QCoreTable(np.array([0.0]), np.array([0.0]),
-                         [[kernel_vector(G)]], TableTrainConfig(), "h")
+        bad = one_core_table(surface, kernel_vector(G))
         s = make_scenario(params, surface)
         with pytest.raises(SafetyAbortError) as exc:
             run_closed_loop(s, bad)
@@ -300,12 +298,10 @@ class TestRunClosedLoop:
     def test_huge_abort_current_message_stays_short(self, surface):
         # a core that saturates the 1e300 V bridge at once drives the next
         # current to about 6e297 A; the message prints it in exponent form
-        from srmq.scheduler import QCoreTable, TableTrainConfig
         G = np.zeros((3, 3))
         G[0, 2] = G[2, 0] = G[1, 2] = G[2, 1] = -1e300
         G[2, 2] = 1.0
-        bad = QCoreTable(np.array([0.0]), np.array([0.0]),
-                         [[kernel_vector(G)]], TableTrainConfig(), "h")
+        bad = one_core_table(surface, kernel_vector(G))
         s = make_scenario(MotorParams(V_dc=1e300), surface)
         with pytest.raises(SafetyAbortError) as exc:
             run_closed_loop(s, bad)
@@ -384,22 +380,14 @@ class TestRunClosedLoop:
         run_closed_loop(s, fresh_table)
         assert calls == list(range(s.steps + 1))
 
-    @pytest.mark.parametrize("controller, grid, cell_passes", [
-        ("scheduled-qlearning", "surface", 1),
-        ("scheduled-qlearning", "coarse", 2),
-        ("single-qcore", "surface", 1), ("delta-modulation", "surface", 1)],
-        ids=["scheduled-qlearning-1", "scheduled-qlearning-coarse-2",
-             "single-qcore-1", "delta-modulation-1"])
+    @pytest.mark.parametrize("controller", CONTROLLERS, ids=[
+        "scheduled-qlearning-1", "single-qcore-1", "delta-modulation-1"])
     def test_one_state_independent_pass_per_run(self, params, surface,
                                                 trained_table, monkeypatch,
-                                                controller, grid, cell_passes):
+                                                controller):
         # the rotor angles, the references and the theta-axis cells of a
-        # whole run come from one numpy pass each (a second cell pass, on
-        # the table's theta nodes, only for the scheduled controller on a
-        # table whose nodes are not the surface's), and reference_at is not
+        # whole run come from one numpy pass each, and reference_at is not
         # called
-        table = trained_table if grid == "surface" else coarse_table(
-            trained_table)
         calls = {"angles": 0, "references": 0, "cells": 0}
 
         def counted(module, name, key):
@@ -415,8 +403,17 @@ class TestRunClosedLoop:
         counted(sim, "_wrapped_cells", "cells")
         s = make_scenario(params, surface, controller=controller,
                           duration=4103)
-        assert len(run_closed_loop(s, table)) == 4103
-        assert calls == {"angles": 1, "references": 1, "cells": cell_passes}
+        assert len(run_closed_loop(s, trained_table)) == 4103
+        assert calls == {"angles": 1, "references": 1, "cells": 1}
+
+    def test_table_off_the_surface_grid_rejected(self, params, surface,
+                                                 trained_table):
+        # each step locates its operating point once, on the surface's grid
+        s = make_scenario(params, surface)
+        with pytest.raises(TableMismatchError, match=(
+                r"table theta_nodes \(6 nodes, 0.0 to 45.0\) are not the "
+                r"surface's \(16 nodes, 0.0 to 45.0\); retrain the table")):
+            run_closed_loop(s, coarse_table(trained_table))
 
     @pytest.mark.parametrize("safety_factor", [3.0, 0.05])
     def test_dither_is_one_scalar_draw_per_step(self, params, surface,
@@ -487,24 +484,19 @@ def equal_grids_and_point(draw):
 
 
 # sha256 (first 16 hex digits) of what a dithered learning run under a 10 %
-# resistance mismatch writes, recorded from the loop that located the
-# controller's and the plant's cells apart at every step
+# resistance mismatch writes on the default grid, recorded from the loop
+# that located the controller's and the plant's cells apart at every step
 LEARNING_RUN_DIGESTS = {
     "surface": {
         "csv/trace_scheduled-qlearning.csv": "223aec233e5eb99f",
         "csv/metrics.json": "1ec96d9f72d707e6",
         "jsonl/trace_scheduled-qlearning.jsonl": "e62d91c1695e08b8",
         "jsonl/metrics.json": "301b2032074592e5"},
-    "n_theta = 12": {
-        "csv/trace_scheduled-qlearning.csv": "4b85b40b348f6305",
-        "csv/metrics.json": "5b41915c00775b61",
-        "jsonl/trace_scheduled-qlearning.jsonl": "7fde4b14d101f71e",
-        "jsonl/metrics.json": "8b3dc24d182e8e48"},
 }
 
 
 class TestSharedLocation:
-    """Where the table's nodes are the surface's, each step locates its
+    """The table's nodes are the surface's, so each step locates its
     operating point once, and the gain and the plant step share the cell:
     the same gain, cell and next current as locating each for itself."""
 
@@ -514,11 +506,11 @@ class TestSharedLocation:
         surface, table, theta, x, u = case
         params = MotorParams()
         # the loop's cell: the angle's from the run's one _wrapped_cells
-        # pass, the current's from one locate on the table's nodes
+        # pass, the current's from one locate on the surface's nodes
         rows, fracs = sim._wrapped_cells(surface.theta_grid,
                                          np.array([theta], float))
         row, l1 = rows.tolist()[0], fracs.tolist()[0]
-        col, l2 = plant._axis_locate(table._current_list, x, wrap=False)
+        col, l2 = plant._axis_locate(surface._current_list, x, wrap=False)
         w = plant._weights(l1, l2)
         k_x, k_r, cell = scheduler._schedule_located(table, row, col, l1,
                                                      l2, w)
@@ -532,14 +524,10 @@ class TestSharedLocation:
     @pytest.mark.parametrize("grid", sorted(LEARNING_RUN_DIGESTS))
     def test_learning_run_writes_the_recorded_bytes(self, tmp_path,
                                                     monkeypatch, grid):
-        # the default grid shares the location; a 12-node theta grid on the
-        # 16-node surface locates the controller's and the plant's apart
         monkeypatch.chdir(tmp_path)
-        config = ("[scenario]\nonline_learning = true\ndither_v = 5.0\n"
-                  "r_scale = 1.1\n")
-        if grid != "surface":
-            config += f"[grid]\n{grid}\n"
-        (tmp_path / "run.ini").write_text(config)
+        (tmp_path / "run.ini").write_text(
+            "[scenario]\nonline_learning = true\ndither_v = 5.0\n"
+            "r_scale = 1.1\n")
         assert cli.main(["--config", "run.ini", "train", "--out",
                          "qtable.json"]) == cli.EXIT_OK
         for fmt in ("csv", "jsonl"):
@@ -596,15 +584,6 @@ class TestBlocks:
         s = make_scenario(params, surface, controller="delta-modulation",
                           delta_band=0.05)
         assert_matches_reference_loop(s)
-
-    def test_one_theta_node_table(self, params, surface, trained_table):
-        t = trained_table
-        one = QCoreTable(t.theta_nodes[:1], t.current_nodes, t.kernels[3:4],
-                         t.cfg, t.params_hash)
-        s = make_scenario(params, surface, duration=2148,
-                          online_learning=True, dither=5.0)
-        trace = assert_matches_reference_loop(s, one)
-        assert set(trace.cell[:, 0].tolist()) == {0}
 
     def test_safety_abort_inside_a_later_block(self, params, surface,
                                                trained_table):
@@ -976,6 +955,23 @@ class TestExport:
         trace = self.streamed_run(make_scenario(params, surface),
                                   trained_table, "csv", export_path)
         self.assert_matches_row_writer(trace, tmp_path, "jsonl")
+
+    def test_pending_trace_keeps_its_writer_format(self, params, surface,
+                                                   trained_table, export_path,
+                                                   tmp_path):
+        # the pending trace of a run streamed in CSV holds no rows: only its
+        # writer has them, so it exports as CSV and no other format, and a
+        # refused export opens no file; without a writer it is the trace
+        split, _ = export_path
+        trace = self.streamed_run(make_scenario(params, surface),
+                                  trained_table, "csv", export_path)
+        if split:
+            with pytest.raises(ValueError, match="rows went only to its csv "
+                               "writer; it cannot be exported as jsonl"):
+                export_trace(trace.pending(), tmp_path / "got", "jsonl")
+            self.assert_matches_row_writer(trace, tmp_path, "csv")
+        else:
+            self.assert_matches_row_writer(trace.pending(), tmp_path, "jsonl")
 
     @pytest.mark.parametrize("fail", ["raise", "kill"])
     def test_failing_helper_names_the_path(self, params, surface,
