@@ -183,6 +183,8 @@ OUT_OF_RANGE = [
     ("surface", "n_current", "-1", "n_current"),
     ("surface", "n_theta", "abc", "n_theta"),
     ("surface", "i_max", "abc", "i_max"),
+    ("surface", "i_max", "nan", "i_max"),
+    ("surface", "n_theta", "257", "n_theta"),
     ("training", "q_weight", "abc", "q_weight"),
     ("scenario", "duration_cycles", "two", "duration_cycles"),
     ("scenario", "online_learning", "maybe",
