@@ -138,17 +138,6 @@ def _motor(cp) -> MotorParams:
     return _build(cp, "motor", "motor parameters", MotorParams)
 
 
-def _require_pitch_span(path, theta_grid, params: MotorParams):
-    """A surface file's angle grid must span one rotor pitch (relative
-    1e-9), or its angles wrap by the wrong period."""
-    lo, hi = theta_grid[[0, -1]].tolist()
-    if not math.isclose(hi - lo, params.rotor_pitch, rel_tol=1e-9):
-        raise ValueError(
-            f"{path}: theta_grid spans {hi - lo!r} deg ({lo!r} to {hi!r}), "
-            f"but [motor] rotor_pitch is {params.rotor_pitch!r}; a surface "
-            "file must span one rotor pitch")
-
-
 def _surface(cp, params: MotorParams):
     s = cp["surface"]
     if s["kind"] == "file":
@@ -156,7 +145,14 @@ def _surface(cp, params: MotorParams):
         if not path or not Path(path).exists():
             raise ValueError(f"surface file {path!r} does not exist")
         surface = load_surface_csv(path)
-        _require_pitch_span(path, surface.theta_grid, params)
+        # its angles must span one rotor pitch (relative 1e-9), or they
+        # wrap by the wrong period
+        lo, hi = surface.theta_grid[[0, -1]].tolist()
+        if not math.isclose(hi - lo, params.rotor_pitch, rel_tol=1e-9):
+            raise ValueError(
+                f"{path}: theta_grid spans {hi - lo!r} deg ({lo!r} to {hi!r})"
+                f", but [motor] rotor_pitch is {params.rotor_pitch!r}; a "
+                "surface file must span one rotor pitch")
         return surface
     if s["kind"] != "analytic":
         raise ValueError(f"surface.kind must be analytic or file, got {s['kind']!r}")
@@ -325,7 +321,10 @@ def _drive(cp, table_path, out_dir, fmt, controllers=None):
     # as a table to retrain
     base = _scenario(cp, params, surface)
     table = scheduler.load_table(table_path)
-    scheduler.check_table_compatible(table, params, surface)
+    try:
+        scheduler.check_table_compatible(table, params, surface)
+    except scheduler.TableMismatchError as exc:
+        raise scheduler.TableMismatchError(f"{table_path}: {exc}") from exc
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     results, exports = {}, []

@@ -22,7 +22,7 @@ RPM_TO_DEG_PER_S = 6.0
 # weights that sum to 1 never rounds to 0
 MIN_INDUCTANCE = float(np.finfo(float).tiny)
 
-# the most nodes per axis of an analytic surface, and so of its Q-core table
+# the most nodes per axis of a surface, and so of its Q-core table
 MAX_AXIS_NODES = 256
 
 # the overflow rule: what overflows is carried as inf or nan without a numpy
@@ -129,10 +129,11 @@ class InductanceSurface:
         object.__setattr__(self, "theta_grid", np.asarray(self.theta_grid, float))
         object.__setattr__(self, "current_grid", np.asarray(self.current_grid, float))
         object.__setattr__(self, "values", np.asarray(self.values, float))
-        if self.theta_grid.ndim != 1 or self.theta_grid.size < 2:
-            raise ValueError("theta_grid needs at least 2 nodes")
-        if self.current_grid.ndim != 1 or self.current_grid.size < 2:
-            raise ValueError("current_grid needs at least 2 nodes")
+        for name, grid in (("theta_grid", self.theta_grid),
+                           ("current_grid", self.current_grid)):
+            if grid.ndim != 1 or not 2 <= grid.size <= MAX_AXIS_NODES:
+                raise ValueError(f"{name} needs at least 2 nodes and at most "
+                                 f"{MAX_AXIS_NODES}, got {grid.size}")
         _require_ascending("theta_grid", self.theta_grid)
         _require_ascending("current_grid", self.current_grid)
         if self.values.shape != (self.theta_grid.size, self.current_grid.size):

@@ -152,8 +152,8 @@ NOT_FINITE_MODEL = ("error: the local model A = 1 - T R / L, B = T / L is "
                     "not finite at ")
 NOT_FINITE_P = "not finite at 128 of 128 nodes, first [0, 1, 2, 3, 4]"
 NOT_NUMBERS = "error: {table}: %s must hold numbers, not JSON booleans"
-TABLE_MISMATCH = ("error: table was trained for motor/surface hash ",
-                  "; retrain or fix the config\n")
+TABLE_MISMATCH = ("error: {table}: table was trained for motor/surface "
+                  "hash ", "; retrain or fix the config\n")
 SUMMARY_NODES = "; nodes (0,0), (0,1), (0,2), ...\n"
 # the default table's theta nodes, as its file holds them
 THETA_NODES = np.linspace(0.0, MotorParams().rotor_pitch, 16).tolist()
@@ -300,8 +300,8 @@ PROBES = {
               EXIT_CONFIG, ("error: unknown config section [grid]\n",),
               no_out=True),
         Probe("", "run,compare", EXIT_CONFIG, (
-            "error: table theta_nodes (6 nodes, 0.0 to 45.0) are not the "
-            "surface's (16 nodes, 0.0 to 45.0); retrain the table\n",),
+            "error: {table}: table theta_nodes (6 nodes, 0.0 to 45.0) are not "
+            "the surface's (16 nodes, 0.0 to 45.0); retrain the table\n",),
               edits=(("theta_nodes", EVERY_THIRD), ("cores", EVERY_THIRD),
                      ("iterations", EVERY_THIRD)), no_out=True)),
     "TestConfig::test_bad_event_syntax_rejected": Probe(
@@ -458,8 +458,9 @@ PROBES = {
     # would schedule the cores by the wrong wrap: they are not the surface's
     "TestRun::test_table_off_the_rotor_pitch_names_the_file": {
         f"{scale!r}-{command}": Probe("", command, EXIT_CONFIG, (
-            f"error: table theta_nodes (16 nodes, 0.0 to {45 * scale!r}) are "
-            "not the surface's (16 nodes, 0.0 to 45.0); retrain the table\n",),
+            f"error: {{table}}: table theta_nodes (16 nodes, 0.0 to "
+            f"{45 * scale!r}) are not the surface's (16 nodes, 0.0 to 45.0); "
+            "retrain the table\n",),
             edits=(("theta_nodes", [v * scale for v in THETA_NODES]),),
             no_out=True)
         for scale in (30 / 45, 8.0) for command in ("run", "compare")},
@@ -635,6 +636,28 @@ class TestConfig:
             assert err.splitlines() == [err.strip()], case
             assert err.startswith(f"error: {tmp_path / 'surface.csv'}: "), case
             assert says in err, case
+
+    @pytest.mark.parametrize("n_theta", [256, 257])
+    def test_surface_file_past_max_axis_nodes_names_the_file(self, tmp_path,
+                                                             n_theta):
+        # a surface file's grid is its table's, so a file finer than
+        # MAX_AXIS_NODES per axis is refused, naming the file, before any
+        # core is trained or solved
+        theta = np.linspace(0.0, MotorParams().rotor_pitch, n_theta)
+        text = "theta_deg,0.0,15.0\n" + "".join(
+            f"{t!r},0.016,0.016\n" for t in theta.tolist())
+        code, err = self.oracle_on_surface_file(tmp_path, text)
+        if n_theta == 256:
+            assert (code, err) == (EXIT_OK, "")
+            return
+        table = tmp_path / "qtable.json"
+        train = run_main(["--config", str(tmp_path / "file.ini"), "train",
+                          "--out", str(table)])
+        for code, err in ((code, err), train):
+            assert code == EXIT_CONFIG
+            assert err == (f"error: {tmp_path / 'surface.csv'}: theta_grid "
+                           "needs at least 2 nodes and at most 256, got 257\n")
+        assert not table.exists()
 
     @pytest.mark.parametrize("scale", [30 / 45, 8.0])
     def test_surface_file_off_the_rotor_pitch_names_the_span(self, tmp_path,

@@ -223,6 +223,14 @@ class TestInductanceSurface:
             InductanceSurface(theta, current[:1], good[:, :1])
         with pytest.raises(ValueError, match=r"values shape must be"):
             InductanceSurface(theta, current, good.T)
+        # past MAX_AXIS_NODES, the most nodes a Q-core table takes per axis
+        fine = np.linspace(0.0, 45.0, 257)
+        with pytest.raises(ValueError, match="theta_grid needs at least 2 "
+                           "nodes and at most 256, got 257"):
+            InductanceSurface(fine, current, np.full((257, 2), 0.01))
+        with pytest.raises(ValueError, match="current_grid needs at least 2 "
+                           "nodes and at most 256, got 257"):
+            InductanceSurface(theta, fine, np.full((3, 257), 0.01))
 
     @pytest.mark.parametrize("tiny", [5e-324, 1e-320, 2e-308])
     def test_subnormal_values_rejected(self, tiny):
