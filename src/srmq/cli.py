@@ -262,9 +262,9 @@ def cmd_train(cp, out_path, json_out=False) -> int:
             f"MAX_STEPS = {sim.MAX_STEPS}; no run could use the table")
     surface = _surface(cp, params)
     cfg = _train_cfg(cp)
-    # one frozen grid for the training and the oracle's cross-check
+    # the local models first: a non-finite one is refused before training
     grid = frozen_grid(params, surface)
-    table = scheduler.train_table(params, surface, cfg, grid)
+    table = scheduler.train_table(params, surface, cfg)
 
     # model-based cross-check, reported per node: the gap is relative to
     # the oracle gain, or absolute where that gain is zero (q_weight = 0)

@@ -45,9 +45,15 @@ def _require_bound(name: str, value: float, positive: bool = False) -> None:
         raise ValueError(f"{name} must be {bound} and finite, got {value!r}")
 
 
-def _require_ascending(name: str, nodes: np.ndarray) -> None:
-    """Raise ValueError naming `name` unless the nodes are finite and
-    strictly ascending; written so that nan and inf fail too."""
+def _require_axis(name: str, nodes: np.ndarray) -> None:
+    """Raise ValueError naming `name` unless the nodes are an axis of a
+    surface grid: 1-D, 2 to MAX_AXIS_NODES nodes, finite and strictly
+    ascending; written so that nan and inf fail too."""
+    if nodes.ndim != 1:
+        raise ValueError(f"{name} must be 1-D, got shape {nodes.shape}")
+    if not 2 <= nodes.size <= MAX_AXIS_NODES:
+        raise ValueError(f"{name} needs at least 2 nodes and at most "
+                         f"{MAX_AXIS_NODES}, got {nodes.size}")
     if not (np.all(np.isfinite(nodes)) and np.all(np.diff(nodes) > 0)):
         raise ValueError(f"{name} must be finite and strictly ascending")
 
@@ -129,13 +135,8 @@ class InductanceSurface:
         object.__setattr__(self, "theta_grid", np.asarray(self.theta_grid, float))
         object.__setattr__(self, "current_grid", np.asarray(self.current_grid, float))
         object.__setattr__(self, "values", np.asarray(self.values, float))
-        for name, grid in (("theta_grid", self.theta_grid),
-                           ("current_grid", self.current_grid)):
-            if grid.ndim != 1 or not 2 <= grid.size <= MAX_AXIS_NODES:
-                raise ValueError(f"{name} needs at least 2 nodes and at most "
-                                 f"{MAX_AXIS_NODES}, got {grid.size}")
-        _require_ascending("theta_grid", self.theta_grid)
-        _require_ascending("current_grid", self.current_grid)
+        _require_axis("theta_grid", self.theta_grid)
+        _require_axis("current_grid", self.current_grid)
         if self.values.shape != (self.theta_grid.size, self.current_grid.size):
             raise ValueError("values shape must be (n_theta, n_current)")
         if np.any(self.values <= 0) or not np.all(np.isfinite(self.values)):
@@ -188,8 +189,6 @@ def _axis_locate(nodes: list, value: float, wrap: bool):
     ascending list of float nodes and the offset in [0, 1) toward the next
     node; the value wraps over the span or clamps to the end nodes."""
     n = len(nodes)
-    if n == 1:
-        return 0, 0.0
     if wrap:
         # wrapped value lands in [nodes[0], nodes[-1]), never on the top node
         span = nodes[-1] - nodes[0]
@@ -212,8 +211,6 @@ def _wrapped_cells(nodes: np.ndarray, values: np.ndarray):
     the same + - / % in the same order, np.searchsorted for bisect_right.
     Worked in place, so the values cost four buffers of their size."""
     n = nodes.size
-    if n == 1:
-        return np.zeros(values.size, np.int64), np.zeros(values.size)
     values = values - nodes[0]
     values %= nodes[-1] - nodes[0]
     values += nodes[0]
@@ -255,6 +252,7 @@ def _inductance_located(surface: InductanceSurface, row: int, col: int,
     return w00 * v00 + w10 * v10 + w01 * v01 + w11 * v11
 
 
+# test-only: stays public while srmqbench/tracer.py reads it by name
 def inductance_at(surface: InductanceSurface, theta: float, i: float) -> float:
     """Bilinear lookup of L(theta, i); theta wraps, current clamps to the grid."""
     row, l1 = _axis_locate(surface._theta_list, theta, wrap=True)
@@ -267,14 +265,17 @@ def _linearised(params: MotorParams, L: float):
     return L, 1 - params.T * params.R_phase / L, params.T / L
 
 
+@_QUIET_OVERFLOW
 def frozen_grid(params: MotorParams, surface: InductanceSurface):
     """Row-major arrays (L, A, B) over the surface's grid, a Q-core table's
-    nodes: the inductance at each node and the phase model x' = A x + B u
-    linearised with L frozen there. Raises ValueError naming the first node
-    where A or B is not finite."""
+    nodes: the inductance stored at each node, the top angle row read as
+    the first one, as the periodic lookup reads it, and the phase model
+    x' = A x + B u linearised with L frozen there. Raises ValueError naming
+    the first node where A or B is not finite."""
     theta_nodes, current_nodes = surface.theta_grid, surface.current_grid
-    grid = np.array([_linearised(params, inductance_at(surface, th, i))
-                     for th in theta_nodes for i in current_nodes]).T
+    values = surface.values
+    grid = np.array(_linearised(
+        params, np.concatenate((values[:-1], values[:1])).ravel()))
     L, A, B = grid
     bad = np.flatnonzero(~(np.isfinite(A) & np.isfinite(B)))
     if bad.size:

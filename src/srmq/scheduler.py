@@ -18,8 +18,8 @@ import numpy as np
 
 from . import qlearn
 from .plant import (InductanceSurface, MotorParams, _axis_locate, _corners,
-                    _is_bool, _require_ascending, _require_bound,
-                    _require_count, _require_natural, _weights, frozen_grid)
+                    _is_bool, _require_axis, _require_bound, _require_count,
+                    _require_natural, _weights, frozen_grid)
 from .qlearn import NUM_PARAMS
 
 TABLE_FORMAT_VERSION = 2
@@ -110,10 +110,9 @@ class QCoreTable:
     Kernels are stored once, as a nested list of 6-float cores in the
     order at qlearn.NUM_PARAMS, which the per-step read uses; they are validated
     here (G_uu > 0) and on every accepted online update, never per control
-    step.  The node grids are fixed once built and are also kept as lists
-    of Python floats.  Single writer (update_core_online), many readers; an
-    update replaces a whole core at once so readers never see a
-    half-written kernel.
+    step.  The node grids are axes of a surface grid (plant._require_axis).
+    Single writer (update_core_online), many readers; an update replaces a
+    whole core at once so readers never see a half-written kernel.
     """
 
     theta_nodes: np.ndarray
@@ -129,11 +128,8 @@ class QCoreTable:
         self.current_nodes = np.asarray(self.current_nodes, float)
         kernels = np.array(self.kernels, float)
         nt, ni = self.theta_nodes.size, self.current_nodes.size
-        for name, nodes in (("theta nodes", self.theta_nodes),
-                            ("current nodes", self.current_nodes)):
-            if nodes.ndim != 1:
-                raise ValueError(f"{name} must be 1-D, got shape {nodes.shape}")
-            _require_ascending(name, nodes)
+        _require_axis("theta nodes", self.theta_nodes)
+        _require_axis("current nodes", self.current_nodes)
         if kernels.shape != (nt, ni, NUM_PARAMS):
             raise ValueError("core grid shape must match the node grids")
         if not np.all(np.isfinite(kernels)):
@@ -153,8 +149,6 @@ class QCoreTable:
             raise ValueError("iterations must be a non-negative integer per "
                              f"core, shape {(nt, ni)}")
         self.kernels = kernels.tolist()
-        self._theta_list = self.theta_nodes.tolist()
-        self._current_list = self.current_nodes.tolist()
 
     @property
     def gains(self) -> np.ndarray:
@@ -171,17 +165,15 @@ def locate(table: QCoreTable, theta: float, i: float):
     """(row, col, l1, l2): the enclosing cell's lower corner indices and
     the offsets in [0, 1) toward the next nodes; theta wraps periodically,
     current clamps."""
-    row, l1 = _axis_locate(table._theta_list, theta, wrap=True)
-    col, l2 = _axis_locate(table._current_list, i, wrap=False)
+    row, l1 = _axis_locate(table.theta_nodes.tolist(), theta, wrap=True)
+    col, l2 = _axis_locate(table.current_nodes.tolist(), i, wrap=False)
     return row, col, l1, l2
 
 
-def _corner(table: QCoreTable, row: int, col: int, l1: float, l2: float):
+def _corner(row: int, col: int, l1: float, l2: float):
     """Node of the cell (row, col) nearest in normalized offsets; ties
-    break toward the lower indices."""
-    dr = 1 if (l1 > 0.5 and row + 1 < len(table._theta_list)) else 0
-    dc = 1 if (l2 > 0.5 and col + 1 < len(table._current_list)) else 0
-    return row + dr, col + dc
+    break toward the lower indices (the top node's offset is 0.0)."""
+    return row + 1 if l1 > 0.5 else row, col + 1 if l2 > 0.5 else col
 
 
 def _core_gain(table: QCoreTable, cell):
@@ -195,7 +187,7 @@ def _schedule_located(table: QCoreTable, row: int, col: int, l1: float,
                       l2: float, w):
     """schedule in the cell (row, col) of the table's nodes, at the offsets
     (l1, l2) with the corner weights w = _weights(l1, l2)."""
-    cell = _corner(table, row, col, l1, l2)
+    cell = _corner(row, col, l1, l2)
     w00, w10, w01, w11 = w
     g00, g10, g01, g11 = _corners(table.kernels, row, col)
     g_uu = w00 * g00[5] + w10 * g10[5] + w01 * g01[5] + w11 * g11[5]
@@ -214,8 +206,8 @@ def schedule(table: QCoreTable, theta: float, i: float):
     blended input block is not positive (subnormal G_uu can blend to 0),
     the nearest core's gain is returned instead.  Reads never write.
     """
-    row, l1 = _axis_locate(table._theta_list, theta, wrap=True)
-    col, l2 = _axis_locate(table._current_list, i, wrap=False)
+    row, l1 = _axis_locate(table.theta_nodes.tolist(), theta, wrap=True)
+    col, l2 = _axis_locate(table.current_nodes.tolist(), i, wrap=False)
     return _schedule_located(table, row, col, l1, l2, _weights(l1, l2))
 
 
@@ -279,16 +271,14 @@ def params_hash(params: MotorParams, surface: InductanceSurface) -> str:
 
 
 def train_table(params: MotorParams, surface: InductanceSurface,
-                cfg: TableTrainConfig = TableTrainConfig(),
-                grid=None) -> QCoreTable:
+                cfg: TableTrainConfig = TableTrainConfig()) -> QCoreTable:
     """Train one Q-core per node of the surface's grid against its frozen
     local dynamics: the table's nodes are the surface's.
 
     Each node sees a linear plant with the inductance frozen at that
     node's surface value; the learner itself only ever receives sampled
     tuples.  Any non-converged node is reported with its coordinates and
-    the whole table is rejected.  `grid` is frozen_grid(params, surface),
-    from a caller that needs it too; without it the grid is built here.
+    the whole table is rejected.
     """
     theta_nodes, current_nodes = surface.theta_grid, surface.current_grid
     i_limit = cfg.safety_factor * params.i_nominal
@@ -299,9 +289,7 @@ def train_table(params: MotorParams, surface: InductanceSurface,
                          f"action -(k0_x x + k0_r r) at {i_span[1]!r} A")
 
     nt, ni = theta_nodes.size, current_nodes.size
-    if grid is None:
-        grid = frozen_grid(params, surface)
-    _, A, B = grid
+    _, A, B = frozen_grid(params, surface)
     rngs = [np.random.default_rng([cfg.seed, a, b])
             for a in range(nt) for b in range(ni)]
     collect = _node_collector(A, B, cfg, i_span, i_limit, rngs)

@@ -138,8 +138,8 @@ def scheduled_q(table, theta: float, i: float) -> np.ndarray:
     around the cell that _axis_locate finds (theta wraps, current clamps),
     entrywise.  Exact at the nodes, continuous across cell edges, and
     convex; the reference whose greedy gain schedule must return."""
-    row, l1 = _axis_locate(table._theta_list, theta, wrap=True)
-    col, l2 = _axis_locate(table._current_list, i, wrap=False)
+    row, l1 = _axis_locate(table.theta_nodes.tolist(), theta, wrap=True)
+    col, l2 = _axis_locate(table.current_nodes.tolist(), i, wrap=False)
     return reference_blend(np.array(table.kernels), row, col, l1, l2)
 
 

@@ -199,7 +199,7 @@ def test_criterion_4_scheduling_equivalence(capsys):
             k_x, k_r, cell = schedule(table, th, i)
             assert (np.array([k_x, k_r]).tobytes()
                     == policy_improvement(blend).tobytes())
-            assert cell == _corner(table, row, col, l1, l2)
+            assert cell == _corner(row, col, l1, l2)
             checks += 1
         # corner reproduction at every node (the top theta node wraps onto
         # the first row by the periodic convention, so it is excluded here)

@@ -453,7 +453,11 @@ PROBES = {
              ("theta_nodes", 1, float("nan")),
              "theta nodes must be finite and strictly ascending\n"),
             ("current_nodes-value6-current nodes must be 1-D",
-             ("current_nodes", NEST), "current nodes must be 1-D"))},
+             ("current_nodes", NEST), "current nodes must be 1-D"),
+            # a table's axes are a surface's, of at least two nodes
+            ("theta_nodes-value7-theta nodes needs at least 2",
+             ("theta_nodes", [0.0]),
+             "theta nodes needs at least 2 nodes and at most 256, got 1\n"))},
     # theta nodes over 0-30 deg, or 0-360 (electrical), on the 45 deg motor
     # would schedule the cores by the wrong wrap: they are not the surface's
     "TestRun::test_table_off_the_rotor_pitch_names_the_file": {
@@ -806,21 +810,6 @@ class TestTrain:
         assert out.exists()
         assert report["cores"] == 12
         assert report["oracle_gap_max"] < 1e-2
-
-    def test_one_frozen_grid_per_train(self, tmp_path, small_cfg,
-                                       monkeypatch):
-        # training and the oracle's cross-check share one grid
-        from srmq import plant, scheduler
-        grids = []
-
-        def counted(*args):
-            grids.append(args)
-            return plant.frozen_grid(*args)
-        monkeypatch.setattr(cli, "frozen_grid", counted)
-        monkeypatch.setattr(scheduler, "frozen_grid", counted)
-        assert run_main(["--config", small_cfg, "train", "--out",
-                         str(tmp_path / "t.json")]) == (EXIT_OK, "")
-        assert len(grids) == 1
 
     def test_reports_worst_gap_node(self, tmp_path, small_cfg, capsys):
         out = tmp_path / "t.json"

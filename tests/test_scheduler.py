@@ -59,7 +59,7 @@ def reference_scheduled_gain(table, theta, i):
     """The numpy scheduled read: locate, the nearest-corner rule, the numpy
     blend of the whole 6-vector and g[[2, 4]] / g[5], or the nearest core's
     derived gain when the blended G_uu <= 0.  (K, cell, fell back?)."""
-    cell = _corner(table, *locate(table, theta, i))
+    cell = _corner(*locate(table, theta, i))
     g = scheduled_q(table, theta, i)
     if g[5] <= 0:
         return table.gains[cell], cell, True
@@ -110,20 +110,19 @@ def subnormal_cores(kernels, mask):
 
 
 def cell_middle(nodes):
-    """The middle between two neighbouring nodes (the node itself on a
-    one-node axis), where every bilinear weight is about 1/4 or 1/2."""
-    return st.sampled_from([(a + b) / 2 for a, b in zip(nodes, nodes[1:])]
-                           or nodes)
+    """The middle between two neighbouring nodes, where every bilinear
+    weight is about 1/4 or 1/2."""
+    return st.sampled_from([(a + b) / 2 for a, b in zip(nodes, nodes[1:])])
 
 
 @st.composite
 def table_and_point(draw):
-    """A random valid table, 1xN and Nx1 grids included, optionally with
-    some or all cores at a subnormal G_uu (which reaches the fallback), and
-    a point on a node, wrapped in theta, clamped in current, in the middle
-    of a cell, or anywhere; the point may come as numpy scalars."""
+    """A random valid table, optionally with some or all cores at a
+    subnormal G_uu (which reaches the fallback), and a point on a node,
+    wrapped in theta, clamped in current, in the middle of a cell, or
+    anywhere; the point may come as numpy scalars."""
     rng = np.random.default_rng(draw(st.integers(0, 10_000)))
-    nt, ni = draw(st.sampled_from([(1, 1), (1, 4), (4, 1), (2, 2), (3, 5)]))
+    nt, ni = draw(st.sampled_from([(2, 2), (3, 5)]))
     t = random_table(rng, nt, ni)
     share = draw(st.sampled_from([0.0, 0.5, 1.0]))
     if share:
@@ -155,12 +154,13 @@ class TestSchedule:
         assert type(cell[0]) is int and type(cell[1]) is int
 
     def test_fallback_leaves_table_unchanged(self):
-        # two valid cores with G_uu = 5e-324: at l2 = 0.5 each weight is 0.5
-        # and 0.5 * 5e-324 rounds to 0, so the blended G_uu is 0
-        t = QCoreTable(np.array([0.0]), np.array([0.0, 4.0]),
-                       [[[1.0, 0.0, 1e-321, 1.0, -1e-321, SUBNORMAL],
-                         [1.0, 0.0, 2e-321, 1.0, -3e-321, SUBNORMAL]]],
-                       TableTrainConfig(), "h")
+        # two valid cores with G_uu = 5e-324, repeated on both theta nodes:
+        # at l1 = 0, l2 = 0.5 two weights are 0.5 and 0.5 * 5e-324 rounds to
+        # 0, so the blended G_uu is 0
+        cores = [[1.0, 0.0, 1e-321, 1.0, -1e-321, SUBNORMAL],
+                 [1.0, 0.0, 2e-321, 1.0, -3e-321, SUBNORMAL]]
+        t = QCoreTable(np.array([0.0, 45.0]), np.array([0.0, 4.0]),
+                       [cores, cores], TableTrainConfig(), "h")
         before = table_state(t)
         assert schedule(t, 0.0, 2.0) == (*t.gains[0, 0].tolist(), (0, 0))
         assert reference_scheduled_gain(t, 0.0, 2.0)[2]     # fell back
@@ -745,8 +745,7 @@ class TestPersistence:
                                       core_G(trained_table, a, b))
         assert np.array_equal(back.gains, trained_table.gains)
 
-    @pytest.mark.parametrize("grid", ["default", "one theta node",
-                                      "q_weight = 0"])
+    @pytest.mark.parametrize("grid", ["default", "q_weight = 0"])
     def test_file_bytes_are_the_streaming_encoders(self, trained_table,
                                                     params, surface, tmp_path,
                                                     grid):
@@ -754,9 +753,6 @@ class TestPersistence:
         # through the pure-Python encoder, writes the same bytes
         t = trained_table
         table = {"default": lambda: t,
-                 "one theta node": lambda: QCoreTable(
-                     t.theta_nodes[:1], t.current_nodes, t.kernels[:1],
-                     t.cfg, t.params_hash, iterations=t.iterations[:1]),
                  "q_weight = 0": lambda: train_table(
                      params, default_surface(params, n_theta=4, n_current=3),
                      TableTrainConfig(q_weight=0.0))}[grid]()
@@ -868,6 +864,20 @@ class TestTableValidation:
 
     def test_config_edge_values_accepted(self):
         TableTrainConfig(q_weight=0.0, dither=0.0)
+
+    @pytest.mark.parametrize("n", [1, 257])
+    def test_axis_off_the_surface_node_count_rejected(self, n):
+        # a table's axes are a surface's: 2 to MAX_AXIS_NODES nodes each
+        nodes = np.linspace(0.0, 45.0, n)
+        two = np.array([0.0, 1.0])
+        core = kernel_vector(np.eye(3))
+        for name, theta, current in (("theta", nodes, two),
+                                     ("current", two, nodes)):
+            with pytest.raises(ValueError, match=f"{name} nodes needs at "
+                               f"least 2 nodes and at most 256, got {n}$"):
+                QCoreTable(theta, current,
+                           np.tile(core, (theta.size, current.size, 1)),
+                           TableTrainConfig(), "h")
 
     def test_unsorted_nodes_rejected(self):
         with pytest.raises(ValueError):
