@@ -202,20 +202,20 @@ def _grid_oracle(grid, cfg):
 
 
 def _oracle_nodes(cp, params, surface):
-    theta_nodes, current_nodes = surface.theta_grid, surface.current_grid
+    thetas, currents = surface.theta_grid, surface.current_grid
     cfg = _train_cfg(cp)
     L, model, P, K = _grid_oracle(frozen_grid(params, surface), cfg)
     try:
         pi = lqt.policy_iteration_model_based(model, cfg.K0)
     except lqt.NotStabilizingError as exc:
-        row, col = divmod(exc.indices[0], current_nodes.size)
+        row, col = divmod(exc.indices[0], currents.size)
         raise ValueError(
             f"invalid training parameters: k0_x, k0_r = {list(cfg.K0)} is "
             f"not stabilizing at {len(exc.indices)} of {L.size} nodes, "
             f"first node ({row},{col})") from exc
-    row, col = np.divmod(np.arange(L.size), current_nodes.size)
-    columns = {"row": row, "col": col, "theta_deg": theta_nodes[row],
-               "i_A": current_nodes[col], "L_H": L, "A": model.A,
+    row, col = np.divmod(np.arange(L.size), currents.size)
+    columns = {"row": row, "col": col, "theta_deg": thetas[row],
+               "i_A": currents[col], "L_H": L, "A": model.A,
                "B": model.B, "P": P, "K": K,
                "pi_iterations": pi.iterations, "pi_gap": _norms(pi.K - K)}
     return [dict(zip(columns, node))
@@ -308,7 +308,7 @@ def _drive(cp, table_path, out_dir, fmt, controllers=None):
     """Run the config's scenario on the table file under each controller,
     the config's own if none are given, and measure each run: {controller:
     (metrics, trace path)}. The table is checked against the config's motor
-    and surface, whose grid must be its nodes. --out is made before the
+    and surface (its hash, then its shape). --out is made before the
     first run, and a run whose metrics fail writes nothing into it. The
     traces, trace_<controller>.<fmt>, are exported once every run is
     measured, so each writer formats its trace while the next run goes on,

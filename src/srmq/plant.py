@@ -187,12 +187,15 @@ class ReferenceProfile:
 def _axis_locate(nodes: list, value: float, wrap: bool):
     """(idx, frac): the lower node of the cell holding `value` on the
     ascending list of float nodes and the offset in [0, 1) toward the next
-    node; the value wraps over the span or clamps to the end nodes."""
+    node; the value wraps over the span or clamps to the end nodes.  A
+    wrapped value's offset from the first node is located among the nodes'
+    offsets, so a node's value lands on its node on any origin."""
     n = len(nodes)
     if wrap:
-        # wrapped value lands in [nodes[0], nodes[-1]), never on the top node
-        span = nodes[-1] - nodes[0]
-        value = nodes[0] + (value - nodes[0]) % span
+        # the offset lands in [0, span), never on the top node
+        origin = nodes[0]
+        nodes = [v - origin for v in nodes]
+        value = (value - origin) % nodes[-1]
     else:
         value = min(max(value, nodes[0]), nodes[-1])
     idx = bisect_right(nodes, value) - 1
@@ -208,13 +211,13 @@ def _axis_locate(nodes: list, value: float, wrap: bool):
 def _wrapped_cells(nodes: np.ndarray, values: np.ndarray):
     """(rows, fracs): _axis_locate(nodes.tolist(), v, wrap=True) for every v
     of a float64 array, as one int64 and one float64 array, bit for bit:
-    the same + - / % in the same order, np.searchsorted for bisect_right.
+    the same - / % in the same order, np.searchsorted for bisect_right.
     Worked in place, so the values cost four buffers of their size."""
     n = nodes.size
     values = values - nodes[0]
-    values %= nodes[-1] - nodes[0]
-    values += nodes[0]
-    # the wrapped value is at least nodes[0], so no row is below 0
+    nodes = nodes - nodes[0]
+    values %= nodes[-1]
+    # the offset is at least 0, so no row is below 0
     idx = np.searchsorted(nodes, values, side="right")
     idx -= 1
     top = idx >= n - 1
@@ -272,19 +275,19 @@ def frozen_grid(params: MotorParams, surface: InductanceSurface):
     the first one, as the periodic lookup reads it, and the phase model
     x' = A x + B u linearised with L frozen there. Raises ValueError naming
     the first node where A or B is not finite."""
-    theta_nodes, current_nodes = surface.theta_grid, surface.current_grid
+    thetas, currents = surface.theta_grid, surface.current_grid
     values = surface.values
     grid = np.array(_linearised(
         params, np.concatenate((values[:-1], values[:1])).ravel()))
     L, A, B = grid
     bad = np.flatnonzero(~(np.isfinite(A) & np.isfinite(B)))
     if bad.size:
-        row, col = divmod(int(bad[0]), len(current_nodes))
+        row, col = divmod(int(bad[0]), len(currents))
         raise ValueError(
             f"the local model A = 1 - T R / L, B = T / L is not finite at "
             f"{bad.size} of {L.size} grid nodes, first node ({row},{col}): "
-            f"theta {float(theta_nodes[row])!r} deg, i "
-            f"{float(current_nodes[col])!r} A, L = {float(L[bad[0]])!r} H")
+            f"theta {float(thetas[row])!r} deg, i "
+            f"{float(currents[col])!r} A, L = {float(L[bad[0]])!r} H")
     return grid
 
 

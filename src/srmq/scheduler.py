@@ -17,12 +17,12 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import qlearn
-from .plant import (InductanceSurface, MotorParams, _axis_locate, _corners,
-                    _is_bool, _require_axis, _require_bound, _require_count,
-                    _require_natural, _weights, frozen_grid)
+from .plant import (MAX_AXIS_NODES, InductanceSurface, MotorParams,
+                    _axis_locate, _corners, _is_bool, _require_bound,
+                    _require_count, _require_natural, _weights, frozen_grid)
 from .qlearn import NUM_PARAMS
 
-TABLE_FORMAT_VERSION = 2
+TABLE_FORMAT_VERSION = 3
 
 # training work bounds: 10**5 tuples are about 30 MB of arrays per node
 # iteration, and 10**3 iterations bound the run of a grid that never settles
@@ -56,7 +56,7 @@ class SafetyAbortError(RuntimeError):
 
 
 class TableMismatchError(ValueError):
-    """Table was trained for another motor or surface, or off its grid."""
+    """Table was trained for another motor or surface, or for another grid."""
 
 
 @dataclass(frozen=True)
@@ -110,13 +110,11 @@ class QCoreTable:
     Kernels are stored once, as a nested list of 6-float cores in the
     order at qlearn.NUM_PARAMS, which the per-step read uses; they are validated
     here (G_uu > 0) and on every accepted online update, never per control
-    step.  The node grids are axes of a surface grid (plant._require_axis).
+    step.  Its nodes are the grid of the surface whose hash it carries.
     Single writer (update_core_online), many readers; an update replaces a
     whole core at once so readers never see a half-written kernel.
     """
 
-    theta_nodes: np.ndarray
-    current_nodes: np.ndarray
     kernels: list                   # [n_theta][n_current] -> 6 floats
     cfg: TableTrainConfig
     params_hash: str
@@ -124,14 +122,13 @@ class QCoreTable:
     covariance: np.ndarray = field(init=False, repr=False)  # (.., 6, 6), online_tau*I
 
     def __post_init__(self):
-        self.theta_nodes = np.asarray(self.theta_nodes, float)
-        self.current_nodes = np.asarray(self.current_nodes, float)
         kernels = np.array(self.kernels, float)
-        nt, ni = self.theta_nodes.size, self.current_nodes.size
-        _require_axis("theta nodes", self.theta_nodes)
-        _require_axis("current nodes", self.current_nodes)
-        if kernels.shape != (nt, ni, NUM_PARAMS):
-            raise ValueError("core grid shape must match the node grids")
+        if not (kernels.shape[2:] == (NUM_PARAMS,) and all(
+                2 <= n <= MAX_AXIS_NODES for n in kernels.shape[:2])):
+            raise ValueError(f"cores must have shape (n_theta, n_current, "
+                             f"{NUM_PARAMS}), 2 to {MAX_AXIS_NODES} nodes per "
+                             f"axis, got {kernels.shape}")
+        nt, ni = kernels.shape[:2]
         if not np.all(np.isfinite(kernels)):
             raise ValueError("kernel entries must be finite")
         if np.any(kernels[..., 5] <= 0):
@@ -157,16 +154,15 @@ class QCoreTable:
 
     @property
     def shape(self):
-        return (self.theta_nodes.size, self.current_nodes.size)
+        return len(self.kernels), len(self.kernels[0])
 
 
-# test-only: stays public while srmqbench/tracer.py reads it by name
-def locate(table: QCoreTable, theta: float, i: float):
-    """(row, col, l1, l2): the enclosing cell's lower corner indices and
-    the offsets in [0, 1) toward the next nodes; theta wraps periodically,
-    current clamps."""
-    row, l1 = _axis_locate(table.theta_nodes.tolist(), theta, wrap=True)
-    col, l2 = _axis_locate(table.current_nodes.tolist(), i, wrap=False)
+def locate(surface: InductanceSurface, theta: float, i: float):
+    """(row, col, l1, l2): the enclosing cell of the surface's grid, a
+    table's nodes: its lower corner indices and the offsets in [0, 1)
+    toward the next nodes; theta wraps periodically, current clamps."""
+    row, l1 = _axis_locate(surface._theta_list, theta, wrap=True)
+    col, l2 = _axis_locate(surface._current_list, i, wrap=False)
     return row, col, l1, l2
 
 
@@ -185,8 +181,11 @@ def _core_gain(table: QCoreTable, cell):
 
 def _schedule_located(table: QCoreTable, row: int, col: int, l1: float,
                       l2: float, w):
-    """schedule in the cell (row, col) of the table's nodes, at the offsets
-    (l1, l2) with the corner weights w = _weights(l1, l2)."""
+    """(k_x, k_r, (row, col)): the greedy gain of the scheduled kernel at
+    the offsets (l1, l2) in the cell (row, col), w = _weights(l1, l2), and
+    the nearest core, as Python floats and ints.  Only G_ux, G_ur and G_uu
+    are blended; if the blended G_uu is not positive (subnormal ones can
+    blend to 0), the nearest core's gain is returned.  Reads never write."""
     cell = _corner(row, col, l1, l2)
     w00, w10, w01, w11 = w
     g00, g10, g01, g11 = _corners(table.kernels, row, col)
@@ -198,23 +197,13 @@ def _schedule_located(table: QCoreTable, row: int, col: int, l1: float,
             cell)
 
 
-def schedule(table: QCoreTable, theta: float, i: float):
-    """(k_x, k_r, (row, col)): the greedy gain of the scheduled kernel and
-    the nearest core, from one cell lookup, as Python floats and ints.
-
-    Only the entries the gain needs (G_ux, G_ur, G_uu) are blended.  If the
-    blended input block is not positive (subnormal G_uu can blend to 0),
-    the nearest core's gain is returned instead.  Reads never write.
-    """
-    row, l1 = _axis_locate(table.theta_nodes.tolist(), theta, wrap=True)
-    col, l2 = _axis_locate(table.current_nodes.tolist(), i, wrap=False)
-    return _schedule_located(table, row, col, l1, l2, _weights(l1, l2))
-
-
 # test-only: stays public while srmqbench/tracer.py reads it by name
-def scheduled_gain(table: QCoreTable, theta: float, i: float) -> np.ndarray:
-    """Greedy gain of the scheduled kernel as an array (see schedule)."""
-    k_x, k_r, _ = schedule(table, theta, i)
+def scheduled_gain(table: QCoreTable, surface: InductanceSurface,
+                   theta: float, i: float) -> np.ndarray:
+    """Greedy gain of the scheduled kernel at (theta, i) on the surface's
+    grid, as an array (see _schedule_located)."""
+    row, col, l1, l2 = locate(surface, theta, i)
+    k_x, k_r, _ = _schedule_located(table, row, col, l1, l2, _weights(l1, l2))
     return np.array([k_x, k_r])
 
 
@@ -262,12 +251,14 @@ def _node_collector(A: np.ndarray, B: np.ndarray, cfg: TableTrainConfig,
 
 def params_hash(params: MotorParams, surface: InductanceSurface) -> str:
     """Fingerprint of what a table is trained against: the motor parameters
-    and the inductance surface (both grids and the values)."""
-    payload = ",".join(f"{f.name}={getattr(params, f.name)!r}"
-                       for f in fields(params))
-    payload += "".join(f";{grid.tolist()!r}" for grid in (
-        surface.theta_grid, surface.current_grid, surface.values))
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    as text, then the shape and little-endian float64 bytes of each of the
+    surface's grids and its values."""
+    digest = hashlib.sha256(",".join(f"{f.name}={getattr(params, f.name)!r}"
+                                     for f in fields(params)).encode())
+    for grid in (surface.theta_grid, surface.current_grid, surface.values):
+        digest.update(repr(grid.shape).encode())
+        digest.update(grid.astype("<f8").tobytes())
+    return digest.hexdigest()[:16]
 
 
 def train_table(params: MotorParams, surface: InductanceSurface,
@@ -280,15 +271,14 @@ def train_table(params: MotorParams, surface: InductanceSurface,
     tuples.  Any non-converged node is reported with its coordinates and
     the whole table is rejected.
     """
-    theta_nodes, current_nodes = surface.theta_grid, surface.current_grid
     i_limit = cfg.safety_factor * params.i_nominal
-    i_span = (float(current_nodes[0]), float(current_nodes[-1]))
+    i_span = (float(surface.current_grid[0]), float(surface.current_grid[-1]))
     # bounds the initial gain's action on the sampled x, r in [0, i_span[1]]
     if not math.isfinite(sum(map(abs, cfg.K0)) * i_span[1]):
         raise ValueError(f"k0_x, k0_r = {list(cfg.K0)} overflow the training "
                          f"action -(k0_x x + k0_r r) at {i_span[1]!r} A")
 
-    nt, ni = theta_nodes.size, current_nodes.size
+    nt, ni = surface.values.shape
     _, A, B = frozen_grid(params, surface)
     rngs = [np.random.default_rng([cfg.seed, a, b])
             for a in range(nt) for b in range(ni)]
@@ -298,15 +288,14 @@ def train_table(params: MotorParams, surface: InductanceSurface,
     if result.failures:
         raise TableTrainError([(*divmod(j, ni), exc)
                                for j, exc in result.failures], nt * ni)
-    return QCoreTable(theta_nodes, current_nodes,
-                      result.kernels.reshape(nt, ni, NUM_PARAMS), cfg,
+    return QCoreTable(result.kernels.reshape(nt, ni, NUM_PARAMS), cfg,
                       params_hash(params, surface),
                       iterations=np.reshape(result.iterations, (nt, ni)))
 
 
 def update_core_online(table: QCoreTable, cell, M_k, M_k1, cost) -> bool:
     """One RLS step on the core at cell = (row, col), the nearest core that
-    schedule returned, from one live-trajectory transition: M_k = [x, r, u],
+    _schedule_located returned, from one live-trajectory transition: M_k = [x, r, u],
     its successor M_{k+1} under the core's own gain, and the stage cost.
     The caller passes finite numbers; they are not checked here.
 
@@ -344,7 +333,8 @@ def update_core_online(table: QCoreTable, cell, M_k, M_k1, cost) -> bool:
 
 
 def save_table(table: QCoreTable, path) -> None:
-    """Persist grid, training config, and cores; round-trips bit-exactly."""
+    """Persist the training config, the hash and the cores; round-trips
+    bit-exactly."""
     cfg = table.cfg
     doc = {
         "version": TABLE_FORMAT_VERSION,
@@ -352,8 +342,6 @@ def save_table(table: QCoreTable, path) -> None:
         "cfg": {f.name: (list(getattr(cfg, f.name))
                          if f.name == "K0" else getattr(cfg, f.name))
                 for f in fields(cfg)},
-        "theta_nodes": [float(v) for v in table.theta_nodes],
-        "current_nodes": [float(v) for v in table.current_nodes],
         "iterations": table.iterations.tolist(),
         "cores": table.kernels,
     }
@@ -380,7 +368,7 @@ def load_table(path) -> QCoreTable:
         if doc.get("version") != TABLE_FORMAT_VERSION:
             raise ValueError(f"table format version {doc.get('version')!r}"
                              f" is not {TABLE_FORMAT_VERSION}; retrain the table")
-        for key in ("theta_nodes", "current_nodes", "iterations", "cores"):
+        for key in ("iterations", "cores"):
             if _holds_bool(doc[key]):
                 raise ValueError(f"{key} must hold numbers, not JSON booleans")
         cfg_kwargs = dict(doc["cfg"])
@@ -390,35 +378,26 @@ def load_table(path) -> QCoreTable:
                                  "config key must be stored")
         cfg_kwargs["K0"] = tuple(cfg_kwargs["K0"])
         cfg = TableTrainConfig(**cfg_kwargs)
-        return QCoreTable(np.array(doc["theta_nodes"]),
-                          np.array(doc["current_nodes"]),
-                          doc["cores"], cfg, doc["params_hash"],
+        return QCoreTable(doc["cores"], cfg, doc["params_hash"],
                           iterations=np.array(doc["iterations"]))
     except (AttributeError, KeyError, TypeError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: malformed table file ({exc})") from exc
     except (ValueError, qlearn.ExcitationError) as exc:
-        # a bad version, training config, grid or kernel; named by path
+        # a bad version, training config, core shape or kernel; named by path
         raise ValueError(f"{path}: {exc}") from exc
 
 
 def check_table_compatible(table: QCoreTable, params: MotorParams,
                            surface: InductanceSurface) -> None:
+    """Refuse a table trained for another motor or surface (its hash), or
+    one whose cores are not one per node of the surface's grid, as in a
+    table file edited after training."""
     expected = params_hash(params, surface)
     if table.params_hash != expected:
         raise TableMismatchError(
             f"table was trained for motor/surface hash {table.params_hash}, "
             f"config gives {expected}; retrain or fix the config")
-    _require_surface_nodes(table, surface)
-
-
-def _require_surface_nodes(table: QCoreTable, surface: InductanceSurface):
-    """Refuse a table whose nodes are not the surface's grid, where
-    train_table puts them and the closed loop locates every step."""
-    for name, nodes, grid in (
-            ("theta_nodes", table.theta_nodes, surface.theta_grid),
-            ("current_nodes", table.current_nodes, surface.current_grid)):
-        if not np.array_equal(nodes, grid):
-            raise TableMismatchError(
-                f"table {name} ({nodes.size} nodes, {nodes[0]} to {nodes[-1]})"
-                f" are not the surface's ({grid.size} nodes, {grid[0]} to "
-                f"{grid[-1]}); retrain the table")
+    if table.shape != surface.values.shape:
+        raise TableMismatchError(
+            "table has {} x {} cores, the surface's grid {} x {} nodes; "
+            "retrain the table".format(*table.shape, *surface.values.shape))

@@ -187,11 +187,12 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None,
                     stream: str | None = None) -> SimTrace:
     """Run the scenario; deterministic for a fixed seed.
 
-    A table's nodes must be the surface's grid (else TableMismatchError),
-    where each step locates its operating point once. Raises
-    SafetyAbortError (carrying the partial trace in .trace) if the phase
-    current exceeds the table's safety_factor (the TableTrainConfig default
-    without a table) times the nominal rating.
+    A table must pass scheduler.check_table_compatible against the
+    scenario's motor and surface (else TableMismatchError): its cores sit
+    on the surface's grid, where each step locates its operating point
+    once. Raises SafetyAbortError (carrying the partial trace in .trace) if
+    the phase current exceeds the table's safety_factor (the
+    TableTrainConfig default without a table) times the nominal rating.
 
     With `stream` a trace format, a long enough run forks a _Writer that
     formats the trace as the loop runs (see _parallel_export). The loop
@@ -206,7 +207,7 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None,
     if not delta and table is None:
         raise ValueError(f"controller {scenario.controller!r} needs a trained table")
     if table is not None:
-        scheduler._require_surface_nodes(table, surface)
+        scheduler.check_table_compatible(table, params, surface)
 
     cfg = table.cfg if table is not None else scheduler.TableTrainConfig()
     Q_q = cfg.tracking_weight()
@@ -218,8 +219,8 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None,
     i_limit = cfg.safety_factor * params.i_nominal
     if scenario.controller == "single-qcore":
         # the core nearest the middle of the conduction window at i_ref
-        cell = scheduler.schedule(
-            table, (profile.theta_on + profile.theta_off) / 2, profile.i_ref)[2]
+        cell = scheduler._corner(*scheduler.locate(
+            surface, (profile.theta_on + profile.theta_off) / 2, profile.i_ref))
         single = (*scheduler._core_gain(table, cell), cell)
 
     # one row per recorded step: x, u, k_x, k_r, row, col

@@ -11,7 +11,8 @@ from srmq import MotorParams, default_surface, train_table
 from srmq.lqt import AugmentedModel
 from srmq.plant import (InductanceSurface, _axis_locate, _rotor_angles,
                         _step_located, _weights)
-from srmq.scheduler import QCoreTable, TableTrainConfig
+from srmq.scheduler import (QCoreTable, TableTrainConfig, _schedule_located,
+                            locate, params_hash)
 
 
 def assert_no_child():
@@ -66,28 +67,42 @@ def fresh_table(params, surface):
 
 
 def coarse_table(table):
-    """A fresh table of every third theta node's cores (six nodes over the
-    same pitch on the default grid): its nodes are not the surface's, which
-    the closed loop refuses."""
-    return QCoreTable(table.theta_nodes[::3], table.current_nodes,
-                      table.kernels[::3], table.cfg, table.params_hash,
+    """A fresh table of every third theta row of cores (six rows on the
+    default grid), with the same hash: its shape is not the surface's
+    grid, which the closed loop refuses."""
+    return QCoreTable(table.kernels[::3], table.cfg, table.params_hash,
                       iterations=table.iterations[::3])
 
 
-def one_core_table(surface, g, params_hash="h"):
-    """A table on the surface's grid with the kernel vector g at every
-    node."""
+def one_core_table(params, surface, g):
+    """A table for the motor and the surface, with the kernel vector g at
+    every node of the surface's grid."""
     nt, ni = surface.values.shape
-    return QCoreTable(surface.theta_grid, surface.current_grid,
-                      [[g] * ni] * nt, TableTrainConfig(), params_hash)
+    return QCoreTable([[g] * ni] * nt, TableTrainConfig(),
+                      params_hash(params, surface))
+
+
+def flat_surface_on(theta, current, L=16e-3):
+    """A flat surface on the given nodes: the grid that a table built on
+    random nodes is read against."""
+    return InductanceSurface(np.asarray(theta, float),
+                             np.asarray(current, float),
+                             np.full((len(theta), len(current)), L))
+
+
+def schedule(table, surface, theta: float, i: float):
+    """(k_x, k_r, (row, col)): the scheduled gain and the nearest core at
+    (theta, i), from one cell lookup on the surface's grid: the closed
+    loop's per-step read, _schedule_located, on scheduler.locate's cell."""
+    row, col, l1, l2 = locate(surface, theta, i)
+    return _schedule_located(table, row, col, l1, l2, _weights(l1, l2))
 
 
 def constant_surface(L, pitch=45.0, i_max=7.5):
     """Flat inductance surface, handy for frozen-dynamics checks, on the
     default 16x8 grid: the trained_table fixture's nodes."""
-    theta = np.linspace(0.0, pitch, 16)
-    current = np.linspace(0.0, i_max, 8)
-    return InductanceSurface(theta, current, np.full((16, 8), L))
+    return flat_surface_on(np.linspace(0.0, pitch, 16),
+                           np.linspace(0.0, i_max, 8), L)
 
 
 def step_phase(x: float, theta: float, u: float, params: MotorParams,
@@ -133,13 +148,14 @@ def reference_blend(values, row, col, l1, l2):
             + l1 * l2 * values[r1, c1])
 
 
-def scheduled_q(table, theta: float, i: float) -> np.ndarray:
+def scheduled_q(table, surface, theta: float, i: float) -> np.ndarray:
     """The scheduled kernel: the numpy blend of the four kernel vectors
-    around the cell that _axis_locate finds (theta wraps, current clamps),
-    entrywise.  Exact at the nodes, continuous across cell edges, and
-    convex; the reference whose greedy gain schedule must return."""
-    row, l1 = _axis_locate(table.theta_nodes.tolist(), theta, wrap=True)
-    col, l2 = _axis_locate(table.current_nodes.tolist(), i, wrap=False)
+    around the cell of the surface's grid that _axis_locate finds (theta
+    wraps, current clamps), entrywise.  Exact at the nodes, continuous
+    across cell edges, and convex; the reference whose greedy gain schedule
+    must return."""
+    row, l1 = _axis_locate(surface._theta_list, theta, wrap=True)
+    col, l2 = _axis_locate(surface._current_list, i, wrap=False)
     return reference_blend(np.array(table.kernels), row, col, l1, l2)
 
 

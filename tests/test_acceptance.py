@@ -22,10 +22,10 @@ from srmq.qlearn import (TupleBatch, batch_ls_solve, build_ls_rows,
                          policy_improvement, q_policy_iteration, rls_update,
                          stage_cost)
 from srmq.scheduler import (QCoreTable, TableTrainConfig, _corner, locate,
-                            schedule, train_table)
+                            params_hash, train_table)
 from srmq.sim import Scenario, SimTrace, compute_metrics, run_closed_loop
-from conftest import (build_augmented, core_G, kernel_matrix, kernel_vector,
-                      scheduled_q)
+from conftest import (build_augmented, core_G, flat_surface_on, kernel_matrix,
+                      kernel_vector, schedule, scheduled_q)
 
 
 def report(n, dt, limit, detail):
@@ -172,11 +172,13 @@ def test_criterion_4_scheduling_equivalence(capsys):
                 G[2, 2] = rng.uniform(0.5, 2.0)
                 row.append(kernel_vector(G))
             cores.append(row)
-        table = QCoreTable(theta, current, np.array(cores),
-                           TableTrainConfig(), "h")
+        # the flat surface on the random nodes: the grid the table is read on
+        surface = flat_surface_on(theta, current)
+        table = QCoreTable(np.array(cores), TableTrainConfig(),
+                           params_hash(MotorParams(), surface))
         for _ in range(10):
             th, i = rng.uniform(-10, 90), rng.uniform(-1, 10)
-            row, col, l1, l2 = locate(table, th, i)
+            row, col, l1, l2 = locate(surface, th, i)
             r1 = min(row + 1, nt - 1)
             c1 = min(col + 1, ni - 1)
             corner_Gs = [core_G(table, row, col), core_G(table, r1, col),
@@ -187,7 +189,7 @@ def test_criterion_4_scheduling_equivalence(capsys):
                           for a, b in ((0, 0), (1, 0), (0, 1), (1, 1))])
             w = np.linalg.solve(V.T, [1.0, l1, l2, l1 * l2])
             G_ref = sum(wk * Gk for wk, Gk in zip(w, corner_Gs))
-            blend = scheduled_q(table, th, i)
+            blend = scheduled_q(table, surface, th, i)
             G_got = kernel_matrix(blend)
             worst = max(worst, float(np.abs(G_got - G_ref).max()))
             # convexity: each entry inside the corner range
@@ -196,7 +198,7 @@ def test_criterion_4_scheduling_equivalence(capsys):
             assert np.all(G_got <= stack.max(axis=0) + 1e-9)
             # the loop's read: the greedy gain of the blend, bit for bit,
             # and the cell's nearest node (G_uu >= 0.5: no fallback)
-            k_x, k_r, cell = schedule(table, th, i)
+            k_x, k_r, cell = schedule(table, surface, th, i)
             assert (np.array([k_x, k_r]).tobytes()
                     == policy_improvement(blend).tobytes())
             assert cell == _corner(row, col, l1, l2)
@@ -205,8 +207,8 @@ def test_criterion_4_scheduling_equivalence(capsys):
         # the first row by the periodic convention, so it is excluded here)
         for a in range(nt - 1):
             for b in range(ni):
-                G_node = kernel_matrix(scheduled_q(table, float(theta[a]),
-                                                   float(current[b])))
+                G_node = kernel_matrix(scheduled_q(
+                    table, surface, float(theta[a]), float(current[b])))
                 assert np.allclose(G_node, core_G(table, a, b), atol=1e-12)
     assert worst < 1e-10
     dt = time.perf_counter() - t0

@@ -18,8 +18,7 @@ from srmq.cli import (EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_OK, EXIT_SAFETY,
                       main)
 from srmq.plant import (InductanceSurface, MotorParams, ReferenceProfile,
                         default_surface, frozen_grid)
-from srmq.scheduler import (TableTrainConfig, load_table, params_hash,
-                            save_table)
+from srmq.scheduler import TableTrainConfig, load_table, save_table
 from conftest import (assert_no_child, build_augmented, kernel_vector,
                       leaves_no_child_or_fd, one_core_table, save_surface_csv)
 
@@ -83,8 +82,7 @@ def runaway_table(tmp_path):
     G[2, 2] = 1.0
     path = tmp_path / "runaway.json"
     surface = default_surface(MotorParams(), n_theta=4, n_current=3)
-    save_table(one_core_table(surface, kernel_vector(G),
-                              params_hash(MotorParams(), surface)), path)
+    save_table(one_core_table(MotorParams(), surface, kernel_vector(G)), path)
     return str(path)
 
 
@@ -155,8 +153,13 @@ NOT_NUMBERS = "error: {table}: %s must hold numbers, not JSON booleans"
 TABLE_MISMATCH = ("error: {table}: table was trained for motor/surface "
                   "hash ", "; retrain or fix the config\n")
 SUMMARY_NODES = "; nodes (0,0), (0,1), (0,2), ...\n"
-# the default table's theta nodes, as its file holds them
-THETA_NODES = np.linspace(0.0, MotorParams().rotor_pitch, 16).tolist()
+# the default surface's node lists, as a format-2 table file held them
+FORMAT_2_NODES = (
+    ("theta_nodes", np.linspace(0.0, MotorParams().rotor_pitch, 16).tolist()),
+    ("current_nodes", np.linspace(0.0, 1.5 * MotorParams().i_nominal,
+                                  8).tolist()))
+SHAPE_REFUSAL = ("error: {table}: cores must have shape (n_theta, n_current, "
+                 "6), 2 to 256 nodes per axis, got ")
 
 # a value out of its key's range: train (or run, for a [scenario] key)
 # exits 2 with a line naming the INI key, also where the dataclass field
@@ -294,16 +297,16 @@ PROBES = {
               ("error: invalid scenario: r_scale = 1e+308 scales R_phase = "
                "2.0 ohm to inf ohm",)),
         # a table's nodes are the surface's grid: there is no [grid] to set,
-        # and a table file cut down to every third theta node is refused
-        # before --out is made
+        # and a table file cut down to every third row of cores keeps its
+        # hash but is refused for its shape before --out is made
         Probe("[grid]\nn_theta = 12\n", "train,oracle,run,compare",
               EXIT_CONFIG, ("error: unknown config section [grid]\n",),
               no_out=True),
         Probe("", "run,compare", EXIT_CONFIG, (
-            "error: {table}: table theta_nodes (6 nodes, 0.0 to 45.0) are not "
-            "the surface's (16 nodes, 0.0 to 45.0); retrain the table\n",),
-              edits=(("theta_nodes", EVERY_THIRD), ("cores", EVERY_THIRD),
-                     ("iterations", EVERY_THIRD)), no_out=True)),
+            "error: {table}: table has 6 x 8 cores, the surface's grid 16 x 8 "
+            "nodes; retrain the table\n",),
+              edits=(("cores", EVERY_THIRD), ("iterations", EVERY_THIRD)),
+              no_out=True)),
     "TestConfig::test_bad_event_syntax_rejected": Probe(
         "[scenario]\nevents = oops\n", "run", EXIT_CONFIG,
         ("error: invalid scenario: bad event 'oops', expected "
@@ -379,8 +382,8 @@ PROBES = {
               EXIT_CONFIG, ("error: online update of core (3,2) overflowed: ",
                             "(the table's online_tau is 1e+200)\n"),
               edits=(("cfg", "online_tau", 1e200),)),
-        Probe("", "run", EXIT_CONFIG, ("error: {table}: theta nodes must be "
-                                       "1-D",), edits=(("theta_nodes", NEST),)),
+        Probe("", "run", EXIT_CONFIG, (SHAPE_REFUSAL + "(1, 16, 8, 6)\n",),
+              edits=(("cores", NEST),)),
         # a dropped cfg key must not fall back to the dataclass default
         Probe("", "run", EXIT_CONFIG, ("error: {table}: cfg.gain_clamp is "
                                        "missing",),
@@ -389,7 +392,7 @@ PROBES = {
         # of true would act as 1.0
         *(Probe("", "run", EXIT_CONFIG, (NOT_NUMBERS % keys[0],),
                 edits=(keys + (True,),))
-          for keys in (("theta_nodes", 1), ("cores", 0, 0, 0),
+          for keys in (("cores", 0, 0), ("cores", 0, 0, 0),
                        ("iterations", 0, 0)))),
     # with T = 1e306 s, T R / L overflows where L is below 11.1 mH
     "TestOracle::test_non_finite_local_model_names_the_first_node": Probe(
@@ -418,10 +421,12 @@ PROBES = {
                       "safety bound\n",)),
     # a table trained for another motor or another surface
     "TestRun::test_motor_mismatch_exits_2": Probe(
-        "[motor]\nr_phase = 2.5\n", "run", EXIT_CONFIG, TABLE_MISMATCH),
+        "[motor]\nr_phase = 2.5\n", "run", EXIT_CONFIG, TABLE_MISMATCH,
+        no_out=True),
     "TestRun::test_surface_mismatch_exits_2": {
         command: Probe("[surface]\nkappa = 0.95\n", command, EXIT_CONFIG,
-                       TABLE_MISMATCH) for command in ("run", "compare")},
+                       TABLE_MISMATCH, no_out=True)
+        for command in ("run", "compare")},
     # table files that do not hold what the table needs
     "TestRun::test_corrupted_table_exits_2": Probe(
         "", "run", EXIT_CONFIG, (
@@ -430,8 +435,14 @@ PROBES = {
         table="{broken"),
     "TestRun::test_version_1_table_exits_2_with_retrain": Probe(
         "", "run", EXIT_CONFIG, ("error: {table}: table format version 1 is "
-                                 "not 2; retrain the table\n",),
+                                 "not 3; retrain the table\n",),
         edits=(("version", 1), ("cfg", "tau", 1e6))),
+    # a table file as format 2 wrote it, with its node lists
+    "TestRun::test_version_2_table_exits_2_with_retrain": Probe(
+        "", "run,compare", EXIT_CONFIG, ("error: {table}: table format "
+                                         "version 2 is not 3; retrain the "
+                                         "table\n",),
+        edits=(("version", 2), *FORMAT_2_NODES), no_out=True),
     "TestRun::test_non_positive_G_uu_table_exits_2": Probe(
         "", "run", EXIT_CONFIG, ("error: {table}: a core has a non-positive "
                                  "G_uu",), edits=(("cores", 1, 2, 5, -1.0),)),
@@ -449,25 +460,17 @@ PROBES = {
              "iterations must be a non-negative integer per core"),
             ("K0-value3-K0 must be the two gains",
              ("cfg", "K0", [100.0, -100.0, 5.0]), "K0 must be the two gains"),
-            ("theta_nodes-value4-theta nodes must be",
-             ("theta_nodes", 1, float("nan")),
-             "theta nodes must be finite and strictly ascending\n"),
-            ("current_nodes-value6-current nodes must be 1-D",
-             ("current_nodes", NEST), "current nodes must be 1-D"),
-            # a table's axes are a surface's, of at least two nodes
-            ("theta_nodes-value7-theta nodes needs at least 2",
-             ("theta_nodes", [0.0]),
-             "theta nodes needs at least 2 nodes and at most 256, got 1\n"))},
-    # theta nodes over 0-30 deg, or 0-360 (electrical), on the 45 deg motor
-    # would schedule the cores by the wrong wrap: they are not the surface's
-    "TestRun::test_table_off_the_rotor_pitch_names_the_file": {
-        f"{scale!r}-{command}": Probe("", command, EXIT_CONFIG, (
-            f"error: {{table}}: table theta_nodes (16 nodes, 0.0 to "
-            f"{45 * scale!r}) are not the surface's (16 nodes, 0.0 to 45.0); "
-            "retrain the table\n",),
-            edits=(("theta_nodes", [v * scale for v in THETA_NODES]),),
-            no_out=True)
-        for scale in (30 / 45, 8.0) for command in ("run", "compare")},
+            # cores of 5 entries, and tables of 257 current columns or of
+            # one theta row: a table's axes are a surface's, of 2 to 256
+            # nodes
+            ("cores-value4-cores must have shape",
+             ("cores", [[[1.0] * 5] * 8] * 16), "cores must have shape"),
+            ("cores-value6-cores must have shape",
+             ("cores", [[[1.0] * 6] * 257] * 2),
+             SHAPE_REFUSAL[len("error: {table}: "):] + "(2, 257, 6)\n"),
+            ("cores-value7-cores must have shape",
+             ("cores", [[[1.0] * 6] * 8]),
+             SHAPE_REFUSAL[len("error: {table}: "):] + "(1, 8, 6)\n"))},
     # gain_clamp's row is one of test_overflowing_config_exits_cleanly
     "TestRun::test_table_without_a_cfg_key_exits_2": {
         f.name: Probe("", "run", EXIT_CONFIG, (f"error: {{table}}: cfg.{f.name} "
@@ -1224,13 +1227,12 @@ def test_fuzzed_config_exits_cleanly(fuzz_table, command, values):
     assert_exits_cleanly(["--config", str(path)] + args)
 
 
-TABLE_KEYS = ["version", "params_hash", "cfg", "theta_nodes", "current_nodes",
-              "iterations", "cores"]
+TABLE_KEYS = ["version", "params_hash", "cfg", "iterations", "cores"]
 CFG_KEYS = [f.name for f in fields(TableTrainConfig)]
 # at most one mutation of each kind, applied in this order to a saved 4x3
 # table: a cfg value of another JSON type, an iteration count, a nan core
-# entry, a ragged core row or core, a node list nested one level deeper,
-# and a key of the table or its cfg dropped
+# entry, a ragged core row or core, the cores or the iteration counts
+# nested one level deeper, and a key of the table or its cfg dropped
 TABLE_MUTATIONS = st.fixed_dictionaries({}, optional={
     "cfg": st.tuples(st.sampled_from(CFG_KEYS), st.sampled_from(
         [None, True, "0.9", [], {}, [1.0], -1, 0.5, 1e308])),
@@ -1238,14 +1240,14 @@ TABLE_MUTATIONS = st.fixed_dictionaries({}, optional={
                             st.sampled_from([-1, 2.5, 0])),
     "nan": st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 5)),
     "ragged": st.tuples(st.integers(0, 3), st.sampled_from([None, 0, 2])),
-    "nest": st.sampled_from(["theta_nodes", "current_nodes"]),
+    "nest": st.sampled_from(["cores", "iterations"]),
     "drop": st.sampled_from(TABLE_KEYS + [f"cfg.{key}" for key in CFG_KEYS]),
 })
 
 
 @settings(max_examples=120, deadline=None)
-@example(mutations={"nest": "theta_nodes"})
-@example(mutations={"nest": "current_nodes"})
+@example(mutations={"nest": "cores"})
+@example(mutations={"nest": "iterations"})
 @given(mutations=TABLE_MUTATIONS)
 def test_fuzzed_table_file_exits_cleanly(fuzz_table, mutations):
     doc = json.loads((fuzz_table / "qtable.json").read_text())

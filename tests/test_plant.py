@@ -29,11 +29,13 @@ def amplitude_at(profile, k):
 
 def reference_axis_locate(nodes, value, wrap):
     """np.searchsorted locator on a node array: the reference the bisect
-    locator over a node list must reproduce exactly."""
+    locator over a node list must reproduce exactly.  A wrapped value's
+    offset from the first node is located among the nodes' offsets."""
     nodes = np.asarray(nodes, float)
     if wrap:
-        span = nodes[-1] - nodes[0]
-        value = nodes[0] + (value - nodes[0]) % span
+        origin = nodes[0]
+        nodes = nodes - origin
+        value = (value - origin) % nodes[-1]
     else:
         value = min(max(value, nodes[0]), nodes[-1])
     idx = int(np.searchsorted(nodes, value, side="right")) - 1
@@ -99,15 +101,16 @@ def surface_and_point(draw):
 def node_grid_surface(draw):
     """A surface whose grid frozen_grid reads: the default surface at any
     size it takes, or a random surface, at its drawn angle origin or
-    moved to an origin of 0."""
+    moved to an origin of 0.  Its angle nodes' offsets from the origin are
+    distinct floats (see grid_at_any_origin)."""
     if draw(st.booleans()):
         size = st.integers(2, MAX_AXIS_NODES)
         return default_surface(MotorParams(), n_theta=draw(size),
                                n_current=draw(size))
     surface = draw(random_surface())
+    theta = surface.theta_grid - surface.theta_grid[0]
+    assume(np.all(np.diff(theta) > 0))
     if draw(st.booleans()):
-        theta = surface.theta_grid - surface.theta_grid[0]
-        assume(np.all(np.diff(theta) > 0))
         surface = InductanceSurface(theta, surface.current_grid,
                                     surface.values)
     return surface
@@ -311,7 +314,7 @@ class TestFrozenGrid:
     @example(surface=default_surface(MotorParams(), n_theta=MAX_AXIS_NODES))
     def test_reads_the_node_values_off_the_surface(self, surface):
         # L is the stored value at each node, the top angle row read as the
-        # first; with the angle origin at 0 the whole grid is the per-node
+        # first; on any angle origin the whole grid is the per-node
         # lookup's, bit for bit
         params = MotorParams()
         grid = frozen_grid(params, surface)
@@ -319,11 +322,10 @@ class TestFrozenGrid:
         values[-1] = values[0]
         assert grid[0].tobytes() == values.tobytes()
         assert grid.tobytes() == np.array(_linearised(params, grid[0])).tobytes()
-        if surface.theta_grid[0] == 0:
-            per_node = np.array([
-                _linearised(params, inductance_at(surface, th, i))
-                for th in surface.theta_grid for i in surface.current_grid]).T
-            assert grid.tobytes() == per_node.tobytes()
+        per_node = np.array([
+            _linearised(params, inductance_at(surface, th, i))
+            for th in surface.theta_grid for i in surface.current_grid]).T
+        assert grid.tobytes() == per_node.tobytes()
 
 
 class TestAxisLocate:
@@ -341,6 +343,40 @@ class TestAxisLocate:
         assert (idx, frac) == reference_axis_locate(nodes, value, wrap)
         assert type(idx) is int
         assert type(frac) is float
+
+
+@st.composite
+def grid_at_any_origin(draw):
+    """A strictly ascending grid of 2 to 16 nodes at any origin: anywhere
+    in [-1e3, 1e3], or an origin in [-35, 0) with interior nodes in
+    [1e-3, 10] and a 45-degree span.  Its nodes' offsets from the origin
+    are distinct floats: where two round together (nodes a float apart
+    beside a far larger origin), no offset tells those nodes apart."""
+    size = draw(st.integers(2, 16))
+    if draw(st.booleans()):
+        nodes = draw(ascending(size, -1e3, 1e3))
+    else:
+        origin = draw(st.floats(-35.0, 0.0, exclude_max=True))
+        inner = draw(st.lists(st.floats(1e-3, 10.0), min_size=size - 2,
+                              max_size=size - 2, unique=True))
+        nodes = [origin, *sorted(inner), origin + 45.0]
+    offsets = [v - nodes[0] for v in nodes]
+    assume(all(a < b for a, b in zip(offsets, offsets[1:])))
+    return nodes
+
+
+class TestNodeAngles:
+    @given(nodes=grid_at_any_origin())
+    @settings(max_examples=500, deadline=None)
+    @example(nodes=[-30.0, 1e-3, 0.1, 10.0, 15.0])
+    @example(nodes=[-30.0, 2.5, 7.25, 15.0])
+    def test_every_node_locates_to_itself(self, nodes):
+        # each node below the top one locates to (k, 0.0), and the top one
+        # wraps onto the first, in the scalar and the vectorised locator
+        want = [(k, 0.0) for k in range(len(nodes) - 1)] + [(0, 0.0)]
+        assert [_axis_locate(nodes, v, wrap=True) for v in nodes] == want
+        rows, fracs = _wrapped_cells(np.array(nodes), np.array(nodes))
+        assert list(zip(rows.tolist(), fracs.tolist())) == want
 
 
 class TestWrappedCells:

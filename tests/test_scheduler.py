@@ -1,6 +1,7 @@
 import copy
 import io
 import json
+import re
 import warnings
 from dataclasses import replace
 
@@ -16,11 +17,12 @@ from srmq.qlearn import (TupleBatch, policy_improvement, rls_update,
 from srmq.scheduler import (QCoreTable, TableMismatchError,
                             TableTrainConfig, TableTrainError, _corner,
                             check_table_compatible, load_table, locate,
-                            params_hash, save_table, schedule,
-                            scheduled_gain, train_table, update_core_online)
+                            params_hash, save_table, scheduled_gain,
+                            train_table, update_core_online)
 from srmq.sim import Scenario, run_closed_loop
-from conftest import (build_augmented, constant_surface, core_G,
-                      kernel_matrix, kernel_vector, point_near, scheduled_q)
+from conftest import (build_augmented, coarse_table, constant_surface, core_G,
+                      flat_surface_on, kernel_matrix, kernel_vector,
+                      point_near, schedule, scheduled_q)
 
 
 def random_kernel(rng):
@@ -32,19 +34,22 @@ def random_kernel(rng):
 
 
 def random_table(rng, nt=None, ni=None):
+    """(table, surface): random valid cores on random nodes, and the flat
+    surface on those nodes that the table is read against."""
     nt = nt or rng.integers(2, 5)
     ni = ni or rng.integers(2, 5)
-    theta = np.sort(rng.uniform(0, 45, nt))
-    current = np.sort(rng.uniform(0, 8, ni))
+    surface = flat_surface_on(np.sort(rng.uniform(0, 45, nt)),
+                              np.sort(rng.uniform(0, 8, ni)))
     cores = np.array([[random_kernel(rng) for _ in range(ni)]
                       for _ in range(nt)])
-    return QCoreTable(theta, current, cores, TableTrainConfig(), "testhash")
+    return (QCoreTable(cores, TableTrainConfig(),
+                       params_hash(MotorParams(), surface)), surface)
 
 
-def blend_oracle(table, theta, i):
+def blend_oracle(table, surface, theta, i):
     """Independent interpolant: solve for the four basis coefficients of
     1, l1, l2, l1*l2 at the cell corners, then combine the corner kernels."""
-    row, col, l1, l2 = locate(table, theta, i)
+    row, col, l1, l2 = locate(surface, theta, i)
     nt, ni = table.shape
     r1, c1 = min(row + 1, nt - 1), min(col + 1, ni - 1)
     corners = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
@@ -55,12 +60,12 @@ def blend_oracle(table, theta, i):
     return sum(wk * Gk for wk, Gk in zip(w, Gs))
 
 
-def reference_scheduled_gain(table, theta, i):
+def reference_scheduled_gain(table, surface, theta, i):
     """The numpy scheduled read: locate, the nearest-corner rule, the numpy
     blend of the whole 6-vector and g[[2, 4]] / g[5], or the nearest core's
     derived gain when the blended G_uu <= 0.  (K, cell, fell back?)."""
-    cell = _corner(*locate(table, theta, i))
-    g = scheduled_q(table, theta, i)
+    cell = _corner(*locate(surface, theta, i))
+    g = scheduled_q(table, surface, theta, i)
     if g[5] <= 0:
         return table.gains[cell], cell, True
     return g[[2, 4]] / g[5], cell, False
@@ -117,35 +122,34 @@ def cell_middle(nodes):
 
 @st.composite
 def table_and_point(draw):
-    """A random valid table, optionally with some or all cores at a
-    subnormal G_uu (which reaches the fallback), and a point on a node,
-    wrapped in theta, clamped in current, in the middle of a cell, or
-    anywhere; the point may come as numpy scalars."""
+    """A random valid table and its surface, optionally with some or all
+    cores at a subnormal G_uu (which reaches the fallback), and a point on
+    a node, wrapped in theta, clamped in current, in the middle of a cell,
+    or anywhere; the point may come as numpy scalars."""
     rng = np.random.default_rng(draw(st.integers(0, 10_000)))
     nt, ni = draw(st.sampled_from([(2, 2), (3, 5)]))
-    t = random_table(rng, nt, ni)
+    t, s = random_table(rng, nt, ni)
     share = draw(st.sampled_from([0.0, 0.5, 1.0]))
     if share:
         mask = rng.random((nt, ni)) < share
-        t = QCoreTable(t.theta_nodes, t.current_nodes,
-                       subnormal_cores(t.kernels, mask), t.cfg, "h")
-    theta = draw(st.one_of(point_near(t.theta_nodes.tolist(), wrap=True),
-                           cell_middle(t.theta_nodes.tolist())))
-    i = draw(st.one_of(point_near(t.current_nodes.tolist(), wrap=False),
-                       cell_middle(t.current_nodes.tolist())))
+        t = QCoreTable(subnormal_cores(t.kernels, mask), t.cfg, "h")
+    theta = draw(st.one_of(point_near(s._theta_list, wrap=True),
+                           cell_middle(s._theta_list)))
+    i = draw(st.one_of(point_near(s._current_list, wrap=False),
+                       cell_middle(s._current_list)))
     if draw(st.booleans()):
         theta, i = np.float64(theta), np.float64(i)
-    return t, theta, i
+    return t, s, theta, i
 
 
 class TestSchedule:
     @given(case=table_and_point())
     @settings(max_examples=500, deadline=None)
     def test_matches_numpy_reference(self, case):
-        t, theta, i = case
-        K_ref, cell_ref, _ = reference_scheduled_gain(t, theta, i)
+        t, s, theta, i = case
+        K_ref, cell_ref, _ = reference_scheduled_gain(t, s, theta, i)
         before = table_state(t)
-        k_x, k_r, cell = schedule(t, theta, i)
+        k_x, k_r, cell = schedule(t, s, theta, i)
         assert np.array([k_x, k_r]).tobytes() == K_ref.tobytes()
         assert cell == cell_ref
         assert table_state(t) == before
@@ -159,14 +163,14 @@ class TestSchedule:
         # 0, so the blended G_uu is 0
         cores = [[1.0, 0.0, 1e-321, 1.0, -1e-321, SUBNORMAL],
                  [1.0, 0.0, 2e-321, 1.0, -3e-321, SUBNORMAL]]
-        t = QCoreTable(np.array([0.0, 45.0]), np.array([0.0, 4.0]),
-                       [cores, cores], TableTrainConfig(), "h")
+        s = flat_surface_on([0.0, 45.0], [0.0, 4.0])
+        t = QCoreTable([cores, cores], TableTrainConfig(), "h")
         before = table_state(t)
-        assert schedule(t, 0.0, 2.0) == (*t.gains[0, 0].tolist(), (0, 0))
-        assert reference_scheduled_gain(t, 0.0, 2.0)[2]     # fell back
-        assert np.array_equal(scheduled_gain(t, 0.0, 2.0), t.gains[0, 0])
-        k_x, k_r, cell = schedule(t, 0.0, 3.6)             # G_uu = 5e-324
-        assert not reference_scheduled_gain(t, 0.0, 3.6)[2]
+        assert schedule(t, s, 0.0, 2.0) == (*t.gains[0, 0].tolist(), (0, 0))
+        assert reference_scheduled_gain(t, s, 0.0, 2.0)[2]     # fell back
+        assert np.array_equal(scheduled_gain(t, s, 0.0, 2.0), t.gains[0, 0])
+        k_x, k_r, cell = schedule(t, s, 0.0, 3.6)             # G_uu = 5e-324
+        assert not reference_scheduled_gain(t, s, 0.0, 3.6)[2]
         assert cell == (0, 1)
         assert table_state(t) == before
 
@@ -255,38 +259,37 @@ class TestMirrors:
 
 
 class TestLocate:
-    def test_node_hits(self, trained_table):
-        t = trained_table
-        row, col, l1, l2 = locate(t, float(t.theta_nodes[3]),
-                                  float(t.current_nodes[2]))
+    def test_node_hits(self, surface):
+        s = surface
+        row, col, l1, l2 = locate(s, float(s.theta_grid[3]),
+                                  float(s.current_grid[2]))
         assert (row, col) == (3, 2)
         assert l1 == pytest.approx(0.0)
         assert l2 == pytest.approx(0.0)
 
-    def test_theta_wraps(self, trained_table):
-        t = trained_table
-        pitch = t.theta_nodes[-1] - t.theta_nodes[0]
-        assert locate(t, 12.0, 3.0) == locate(t, 12.0 + 2 * pitch, 3.0)
+    def test_theta_wraps(self, surface):
+        s = surface
+        pitch = s.theta_grid[-1] - s.theta_grid[0]
+        assert locate(s, 12.0, 3.0) == locate(s, 12.0 + 2 * pitch, 3.0)
 
-    def test_top_theta_node_wraps_to_first_cell(self, trained_table):
-        row, _, l1, _ = locate(trained_table,
-                               float(trained_table.theta_nodes[-1]), 3.0)
+    def test_top_theta_node_wraps_to_first_cell(self, surface):
+        row, _, l1, _ = locate(surface, float(surface.theta_grid[-1]), 3.0)
         assert row == 0
         assert l1 == pytest.approx(0.0)
 
-    def test_current_clamps(self, trained_table):
-        t = trained_table
-        _, col, _, l2 = locate(t, 5.0, -1.0)
+    def test_current_clamps(self, surface):
+        s = surface
+        _, col, _, l2 = locate(s, 5.0, -1.0)
         assert (col, l2) == (0, 0.0)
-        _, col, _, l2 = locate(t, 5.0, 99.0)
-        assert col == t.current_nodes.size - 1
+        _, col, _, l2 = locate(s, 5.0, 99.0)
+        assert col == s.current_grid.size - 1
         assert l2 == pytest.approx(0.0)
 
-    def test_cell_interior_offsets(self, trained_table):
-        t = trained_table
-        mid_t = (t.theta_nodes[1] + t.theta_nodes[2]) / 2
-        mid_i = (t.current_nodes[4] + t.current_nodes[5]) / 2
-        row, col, l1, l2 = locate(t, float(mid_t), float(mid_i))
+    def test_cell_interior_offsets(self, surface):
+        s = surface
+        mid_t = (s.theta_grid[1] + s.theta_grid[2]) / 2
+        mid_i = (s.current_grid[4] + s.current_grid[5]) / 2
+        row, col, l1, l2 = locate(s, float(mid_t), float(mid_i))
         assert (row, col) == (1, 4)
         assert l1 == pytest.approx(0.5)
         assert l2 == pytest.approx(0.5)
@@ -295,61 +298,61 @@ class TestLocate:
 class TestNearestCore:
     """The nearest core that schedule returns with its gain."""
 
-    def test_quadrant_selection(self, trained_table):
-        t = trained_table
-        dt = t.theta_nodes[1] - t.theta_nodes[0]
-        di = t.current_nodes[1] - t.current_nodes[0]
-        cell = schedule(t, float(t.theta_nodes[0] + 0.2 * dt),
-                        float(t.current_nodes[0] + 0.2 * di))[2]
+    def test_quadrant_selection(self, trained_table, surface):
+        t, s = trained_table, surface
+        dt = s.theta_grid[1] - s.theta_grid[0]
+        di = s.current_grid[1] - s.current_grid[0]
+        cell = schedule(t, s, float(s.theta_grid[0] + 0.2 * dt),
+                        float(s.current_grid[0] + 0.2 * di))[2]
         assert t.kernels[cell[0]][cell[1]] == t.kernels[0][0]
-        cell = schedule(t, float(t.theta_nodes[0] + 0.8 * dt),
-                        float(t.current_nodes[0] + 0.8 * di))[2]
+        cell = schedule(t, s, float(s.theta_grid[0] + 0.8 * dt),
+                        float(s.current_grid[0] + 0.8 * di))[2]
         assert t.kernels[cell[0]][cell[1]] == t.kernels[1][1]
 
-    def test_tie_breaks_to_lower_indices(self, trained_table):
-        t = trained_table
-        mid_t = (t.theta_nodes[0] + t.theta_nodes[1]) / 2
-        mid_i = (t.current_nodes[0] + t.current_nodes[1]) / 2
-        cell = schedule(t, float(mid_t), float(mid_i))[2]
+    def test_tie_breaks_to_lower_indices(self, trained_table, surface):
+        t, s = trained_table, surface
+        mid_t = (s.theta_grid[0] + s.theta_grid[1]) / 2
+        mid_i = (s.current_grid[0] + s.current_grid[1]) / 2
+        cell = schedule(t, s, float(mid_t), float(mid_i))[2]
         assert t.kernels[cell[0]][cell[1]] == t.kernels[0][0]
 
 
 class TestScheduledQ:
-    def test_exact_at_nodes(self, trained_table):
-        t = trained_table
+    def test_exact_at_nodes(self, trained_table, surface):
+        t, s = trained_table, surface
         for a in (0, 4, 10):
             for b in (0, 3, 7):
-                G = kernel_matrix(scheduled_q(t, float(t.theta_nodes[a]),
-                                              float(t.current_nodes[b])))
+                G = kernel_matrix(scheduled_q(t, s, float(s.theta_grid[a]),
+                                              float(s.current_grid[b])))
                 assert np.allclose(G, core_G(t, a, b), atol=1e-12)
 
-    def test_result_is_symmetric(self, trained_table):
-        g = scheduled_q(trained_table, 7.3, 2.9)
+    def test_result_is_symmetric(self, trained_table, surface):
+        g = scheduled_q(trained_table, surface, 7.3, 2.9)
         assert g.shape == (6,) and g.dtype == np.float64
         G = kernel_matrix(g)
         assert np.array_equal(G, G.T)
 
-    def test_convexity_entrywise(self, trained_table):
-        t = trained_table
+    def test_convexity_entrywise(self, trained_table, surface):
+        t, s = trained_table, surface
         rng = np.random.default_rng(0)
         for _ in range(50):
             theta = rng.uniform(0, 45)
             i = rng.uniform(0, 7.5)
-            row, col, _, _ = locate(t, theta, i)
-            r1 = min(row + 1, t.theta_nodes.size - 1)
-            c1 = min(col + 1, t.current_nodes.size - 1)
+            row, col, _, _ = locate(s, theta, i)
+            r1 = min(row + 1, s.theta_grid.size - 1)
+            c1 = min(col + 1, s.current_grid.size - 1)
             stack = np.stack([core_G(t, row, col), core_G(t, r1, col),
                               core_G(t, row, c1), core_G(t, r1, c1)])
-            G = kernel_matrix(scheduled_q(t, theta, i))
+            G = kernel_matrix(scheduled_q(t, s, theta, i))
             assert np.all(G >= stack.min(axis=0) - 1e-9)
             assert np.all(G <= stack.max(axis=0) + 1e-9)
 
-    def test_continuous_across_cell_edges(self, trained_table):
-        t = trained_table
-        edge_t = float(t.theta_nodes[5])
+    def test_continuous_across_cell_edges(self, trained_table, surface):
+        t, s = trained_table, surface
+        edge_t = float(s.theta_grid[5])
         for i in (1.3, 4.7):
-            left = scheduled_q(t, edge_t - 1e-9, i)
-            right = scheduled_q(t, edge_t + 1e-9, i)
+            left = scheduled_q(t, s, edge_t - 1e-9, i)
+            right = scheduled_q(t, s, edge_t + 1e-9, i)
             assert np.allclose(left, right, atol=1e-5)
 
     @given(seed=st.integers(0, 10_000), theta=st.floats(-10, 90),
@@ -357,38 +360,38 @@ class TestScheduledQ:
     @settings(max_examples=150, deadline=None)
     def test_matches_coefficient_solve(self, seed, theta, i):
         rng = np.random.default_rng(seed)
-        t = random_table(rng)
-        G = kernel_matrix(scheduled_q(t, theta, i))
-        assert np.allclose(G, blend_oracle(t, theta, i), atol=1e-10)
+        t, s = random_table(rng)
+        G = kernel_matrix(scheduled_q(t, s, theta, i))
+        assert np.allclose(G, blend_oracle(t, s, theta, i), atol=1e-10)
 
-    def test_matches_coefficient_solve_on_trained(self, trained_table):
+    def test_matches_coefficient_solve_on_trained(self, trained_table,
+                                                  surface):
         rng = np.random.default_rng(1)
         for _ in range(100):
             theta, i = rng.uniform(0, 45), rng.uniform(0, 7.5)
-            G = kernel_matrix(scheduled_q(trained_table, theta, i))
-            assert np.allclose(G, blend_oracle(trained_table, theta, i),
-                               atol=1e-10)
+            G = kernel_matrix(scheduled_q(trained_table, surface, theta, i))
+            assert np.allclose(G, blend_oracle(trained_table, surface, theta,
+                                               i), atol=1e-10)
 
 
 class TestScheduledGain:
-    def test_gain_is_greedy_on_blended_kernel(self, trained_table):
-        g = scheduled_q(trained_table, 13.1, 3.7)
-        K = scheduled_gain(trained_table, 13.1, 3.7)
+    def test_gain_is_greedy_on_blended_kernel(self, trained_table, surface):
+        g = scheduled_q(trained_table, surface, 13.1, 3.7)
+        K = scheduled_gain(trained_table, surface, 13.1, 3.7)
         assert np.allclose(K, policy_improvement(g))
 
     def test_fallback_on_indefinite_blend(self):
         # valid cores whose subnormal input blocks blend to G_uu = 0 at
         # l1 = l2 = 0.5 (every weight 0.25): the nearest core's gain is used
         rng = np.random.default_rng(3)
-        base = random_table(rng, 2, 2)
-        t = QCoreTable(base.theta_nodes, base.current_nodes,
-                       subnormal_cores(base.kernels, np.ones((2, 2), bool)),
+        base, s = random_table(rng, 2, 2)
+        t = QCoreTable(subnormal_cores(base.kernels, np.ones((2, 2), bool)),
                        base.cfg, "h")
-        theta = float(t.theta_nodes.mean())
-        i = float(t.current_nodes.mean())
-        assert scheduled_q(t, theta, i)[5] == 0.0
-        K = scheduled_gain(t, theta, i)
-        cell = schedule(t, theta, i)[2]
+        theta = float(s.theta_grid.mean())
+        i = float(s.current_grid.mean())
+        assert scheduled_q(t, s, theta, i)[5] == 0.0
+        K = scheduled_gain(t, s, theta, i)
+        cell = schedule(t, s, theta, i)[2]
         assert np.array_equal(K, t.gains[cell])
         assert np.all(np.isfinite(K))
 
@@ -635,7 +638,7 @@ class TestTrainTable:
     def test_periodic_ends_match(self, trained_table):
         # first and last theta rows see the same inductance
         t = trained_table
-        for b in range(t.current_nodes.size):
+        for b in range(t.shape[1]):
             assert np.allclose(t.gains[0, b], t.gains[-1, b], atol=2e-3)
 
     def test_failure_lists_nodes(self, params):
@@ -648,9 +651,9 @@ class TestTrainTable:
 
 class TestOnlineUpdate:
     @staticmethod
-    def _node_model(params, surface, table, a, b):
-        L = inductance_at(surface, float(table.theta_nodes[a]),
-                          float(table.current_nodes[b]))
+    def _node_model(params, surface, a, b):
+        L = inductance_at(surface, float(surface.theta_grid[a]),
+                          float(surface.current_grid[b]))
         return 1 - params.T * params.R_phase / L, params.T / L
 
     def _make_tuple(self, table, A, B, x, r, u):
@@ -668,7 +671,7 @@ class TestOnlineUpdate:
         # data generated by the core's own frozen model has (near) zero
         # Bellman residual, so the update must not move the gain
         t = fresh_table
-        A, B = self._node_model(params, surface, t, 2, 3)
+        A, B = self._node_model(params, surface, 2, 3)
         before = t.gains[2, 3].copy()
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -681,8 +684,8 @@ class TestOnlineUpdate:
         # feed excited tuples from a plant whose resistance grew 10 %; the
         # core's gain must converge toward the perturbed optimum
         t = fresh_table
-        L = inductance_at(surface, float(t.theta_nodes[2]),
-                          float(t.current_nodes[3]))
+        L = inductance_at(surface, float(surface.theta_grid[2]),
+                          float(surface.current_grid[3]))
         R_hot = params.R_phase * 1.1
         A, B = 1 - params.T * R_hot / L, params.T / L
         m = build_augmented(A, B)
@@ -712,11 +715,10 @@ class TestOnlineUpdate:
         # a covariance started at online_tau = 1e200 overflows in the first
         # update's outer product; a tuple of the core's own model passes
         # the gain clamp, so the update reaches the finiteness check
-        t = QCoreTable(fresh_table.theta_nodes, fresh_table.current_nodes,
-                       fresh_table.kernels,
+        t = QCoreTable(fresh_table.kernels,
                        replace(fresh_table.cfg, online_tau=1e200),
                        fresh_table.params_hash)
-        A, B = self._node_model(params, surface, t, 2, 3)
+        A, B = self._node_model(params, surface, 2, 3)
         K = t.gains[2, 3]
         x, r = 3.0, 4.0
         tup = self._make_tuple(t, A, B, x, r, -(K[0] * x + K[1] * r) + 10.0)
@@ -736,8 +738,7 @@ class TestPersistence:
         back = load_table(path)
         assert back.params_hash == trained_table.params_hash
         assert back.cfg == trained_table.cfg
-        assert np.array_equal(back.theta_nodes, trained_table.theta_nodes)
-        assert np.array_equal(back.current_nodes, trained_table.current_nodes)
+        assert back.shape == trained_table.shape
         assert np.array_equal(back.iterations, trained_table.iterations)
         for a in range(16):
             for b in range(8):
@@ -826,6 +827,16 @@ class TestCompatibility:
         assert params_hash(params, surface) != params_hash(
             params, default_surface(params, n_current=9))
 
+    def test_hash_tells_the_grids_shapes_apart(self, params):
+        # the grids and the values of the two surfaces concatenate to the
+        # same bytes: only their shapes tell them apart
+        a = flat_surface_on([0.0, 1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
+        b = flat_surface_on([0.0, 1.0, 2.0], [3.0, 4.0, 5.0, 6.0])
+        assert b"".join(v.tobytes() for v in (
+            a.theta_grid, a.current_grid, a.values)) == b"".join(
+            v.tobytes() for v in (b.theta_grid, b.current_grid, b.values))
+        assert params_hash(params, a) != params_hash(params, b)
+
     def test_mismatch_raises(self, trained_table, params, surface):
         from dataclasses import replace
         check_table_compatible(trained_table, params, surface)
@@ -835,6 +846,13 @@ class TestCompatibility:
         with pytest.raises(TableMismatchError):
             check_table_compatible(trained_table, params,
                                    default_surface(params, kappa=0.95))
+        # the hash matches, but a file edited after training holds every
+        # third row of cores: the check names both shapes
+        with pytest.raises(TableMismatchError, match=(
+                r"^table has 6 x 8 cores, the surface's grid 16 x 8 nodes; "
+                r"retrain the table$")):
+            check_table_compatible(coarse_table(trained_table), params,
+                                   surface)
 
 
 class TestTableValidation:
@@ -867,41 +885,24 @@ class TestTableValidation:
 
     @pytest.mark.parametrize("n", [1, 257])
     def test_axis_off_the_surface_node_count_rejected(self, n):
-        # a table's axes are a surface's: 2 to MAX_AXIS_NODES nodes each
-        nodes = np.linspace(0.0, 45.0, n)
-        two = np.array([0.0, 1.0])
+        # a table's cores are one per node of a surface's grid: 2 to
+        # MAX_AXIS_NODES along each axis
         core = kernel_vector(np.eye(3))
-        for name, theta, current in (("theta", nodes, two),
-                                     ("current", two, nodes)):
-            with pytest.raises(ValueError, match=f"{name} nodes needs at "
-                               f"least 2 nodes and at most 256, got {n}$"):
-                QCoreTable(theta, current,
-                           np.tile(core, (theta.size, current.size, 1)),
-                           TableTrainConfig(), "h")
-
-    def test_unsorted_nodes_rejected(self):
-        with pytest.raises(ValueError):
-            QCoreTable(np.array([1.0, 0.0]), np.array([0.0, 1.0]),
-                       np.tile(kernel_vector(np.eye(3)), (2, 2, 1)), TableTrainConfig(), "h")
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_nodes_rejected(self, bad):
-        for theta, current in (([0.0, bad], [0.0, 1.0]),
-                               ([0.0, 1.0], [bad, 1.0])):
-            with pytest.raises(ValueError, match="finite and strictly ascending"):
-                QCoreTable(np.array(theta), np.array(current),
-                           np.tile(kernel_vector(np.eye(3)), (2, 2, 1)), TableTrainConfig(),
-                           "h")
+        for shape in ((n, 2), (2, n)):
+            with pytest.raises(ValueError, match=re.escape(
+                    "cores must have shape (n_theta, n_current, 6), 2 to 256 "
+                    f"nodes per axis, got {(*shape, 6)}")):
+                QCoreTable(np.tile(core, (*shape, 1)), TableTrainConfig(), "h")
 
     @pytest.mark.parametrize("iterations", [
         [[-5]], [[1, 2], [3, -1]], [[1.0, 2.0], [3.0, 4.0]], [[1, 2]]])
     def test_iterations_must_be_a_count_per_core(self, iterations):
         with pytest.raises(ValueError, match="iterations must be"):
-            QCoreTable(np.array([0.0, 1.0]), np.array([0.0, 1.0]),
-                       np.tile(kernel_vector(np.eye(3)), (2, 2, 1)), TableTrainConfig(), "h",
+            QCoreTable(np.tile(kernel_vector(np.eye(3)), (2, 2, 1)),
+                       TableTrainConfig(), "h",
                        iterations=np.array(iterations))
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            QCoreTable(np.array([0.0, 1.0]), np.array([0.0, 1.0]),
-                       np.tile(kernel_vector(np.eye(3)), (2, 1, 1)), TableTrainConfig(), "h")
+        for shape in ((2, 2, 5), (2, 2, 7), (2, 2), (1, 2, 2, 6)):
+            with pytest.raises(ValueError, match="cores must have shape"):
+                QCoreTable(np.ones(shape), TableTrainConfig(), "h")

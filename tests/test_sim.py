@@ -16,17 +16,20 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from srmq import cli, plant, scheduler, sim
-from srmq.plant import MotorParams, ReferenceProfile, reference_at
+from srmq.plant import (MotorParams, ReferenceProfile, default_surface,
+                        reference_at)
 from srmq.qlearn import stage_cost
 from srmq.scheduler import (QCoreTable, SafetyAbortError, TableMismatchError,
-                            TableTrainConfig, save_table)
+                            TableTrainConfig, params_hash, save_table,
+                            scheduled_gain, train_table)
 from srmq.sim import (CONTROLLERS, EXPORT_CHUNK, MAX_STEPS,
                       PARALLEL_MIN_ROWS, SETTLE_FRACTION, TRACE_COLUMNS,
                       Metrics, Scenario, SimTrace, compute_metrics,
                       delta_modulation_step, export_trace, run_closed_loop)
 from conftest import (assert_no_child, build_augmented, coarse_table,
                       constant_surface, kernel_vector, leaves_no_child_or_fd,
-                      one_core_table, point_near, random_surface, step_phase)
+                      one_core_table, point_near, random_surface, schedule,
+                      step_phase)
 
 
 def make_scenario(params, surface, **kw):
@@ -76,7 +79,8 @@ def head(trace, m):
 def reference_closed_loop(scenario, table=None):
     """The closed loop one step at a time, every step computing its own
     rotor angle, reference sample and cells through step_phase, reference_at
-    and schedule: the loop run_closed_loop must reproduce bit for bit.
+    and schedule on the surface's grid: the loop run_closed_loop must
+    reproduce bit for bit.
     Returns (trace, abort error or None)."""
     params, surface, profile = scenario.motor, scenario.surface, scenario.reference
     cfg = table.cfg if table is not None else TableTrainConfig()
@@ -85,8 +89,8 @@ def reference_closed_loop(scenario, table=None):
     n = scenario.steps
     i_limit = cfg.safety_factor * params.i_nominal
     if scenario.controller == "single-qcore":
-        cell = scheduler.schedule(
-            table, (profile.theta_on + profile.theta_off) / 2, profile.i_ref)[2]
+        cell = schedule(table, surface, (profile.theta_on + profile.theta_off)
+                        / 2, profile.i_ref)[2]
         single = (*scheduler._core_gain(table, cell), cell)
     learn = (scenario.online_learning
              and scenario.controller == "scheduled-qlearning")
@@ -105,7 +109,7 @@ def reference_closed_loop(scenario, table=None):
             if scenario.controller == "single-qcore":
                 k_x, k_r, cell = single
             else:
-                k_x, k_r, cell = scheduler.schedule(table, theta, x)
+                k_x, k_r, cell = schedule(table, surface, theta, x)
             u = -(k_x * x + k_r * r)
             if dither:
                 u += scenario.dither * rng.uniform(-1, 1)
@@ -137,8 +141,8 @@ def reference_closed_loop(scenario, table=None):
 
 def copy_table(table):
     """A fresh table with the same cores: its own kernels and covariances."""
-    return QCoreTable(table.theta_nodes, table.current_nodes, table.kernels,
-                      table.cfg, table.params_hash, iterations=table.iterations)
+    return QCoreTable(table.kernels, table.cfg, table.params_hash,
+                      iterations=table.iterations)
 
 
 def assert_same_bits(a, b):
@@ -266,12 +270,12 @@ class TestRunClosedLoop:
         assert np.all(trace.cell == -1)
         assert set(np.unique(trace.u)) <= {-300.0, 0.0, 300.0}
 
-    def test_resistive_balance_when_settled(self, params, trained_table):
+    def test_resistive_balance_when_settled(self, params):
         # on a flat-inductance plant the settled voltage must cover the
         # resistive drop: u ~= R * x in the middle of each pulse
         surf = constant_surface(16e-3)
         s = make_scenario(params, surf, duration=3 * params.steps_per_cycle)
-        trace = run_closed_loop(s, trained_table)
+        trace = run_closed_loop(s, train_table(params, surf))
         spc = params.steps_per_cycle
         mid = (trace.r > 0) & (np.abs(trace.x - trace.r) < 0.02 * 4.0)
         mid[: spc] = False
@@ -287,7 +291,7 @@ class TestRunClosedLoop:
         G[0, 2] = G[2, 0] = -50.0   # gain K = [-50, -50] with G_uu = 1
         G[1, 2] = G[2, 1] = -50.0
         G[2, 2] = 1.0
-        bad = one_core_table(surface, kernel_vector(G))
+        bad = one_core_table(params, surface, kernel_vector(G))
         s = make_scenario(params, surface)
         with pytest.raises(SafetyAbortError) as exc:
             run_closed_loop(s, bad)
@@ -301,8 +305,9 @@ class TestRunClosedLoop:
         G = np.zeros((3, 3))
         G[0, 2] = G[2, 0] = G[1, 2] = G[2, 1] = -1e300
         G[2, 2] = 1.0
-        bad = one_core_table(surface, kernel_vector(G))
-        s = make_scenario(MotorParams(V_dc=1e300), surface)
+        motor = MotorParams(V_dc=1e300)
+        bad = one_core_table(motor, surface, kernel_vector(G))
+        s = make_scenario(motor, surface)
         with pytest.raises(SafetyAbortError) as exc:
             run_closed_loop(s, bad)
         message = str(exc.value)
@@ -408,12 +413,21 @@ class TestRunClosedLoop:
 
     def test_table_off_the_surface_grid_rejected(self, params, surface,
                                                  trained_table):
-        # each step locates its operating point once, on the surface's grid
+        # each step locates its operating point once, on the surface's
+        # grid: a table trained on a 6-node surface has another hash, and
+        # every third row of the default table's cores another shape
         s = make_scenario(params, surface)
+        six = train_table(params, default_surface(params, n_theta=6))
         with pytest.raises(TableMismatchError, match=(
-                r"table theta_nodes \(6 nodes, 0.0 to 45.0\) are not the "
-                r"surface's \(16 nodes, 0.0 to 45.0\); retrain the table")):
+                rf"^table was trained for motor/surface hash {six.params_hash}"
+                rf", config gives {trained_table.params_hash}; retrain or fix "
+                "the config$")):
+            run_closed_loop(s, six)
+        with pytest.raises(TableMismatchError, match=(
+                r"^table has 6 x 8 cores, the surface's grid 16 x 8 nodes; "
+                r"retrain the table$")):
             run_closed_loop(s, coarse_table(trained_table))
+
 
     @pytest.mark.parametrize("safety_factor", [3.0, 0.05])
     def test_dither_is_one_scalar_draw_per_step(self, params, surface,
@@ -473,8 +487,8 @@ def equal_grids_and_point(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kernels = rng.uniform(-5.0, 5.0, (nt, ni, 6))
     kernels[..., 5] = rng.uniform(0.5, 2.0, (nt, ni))
-    table = QCoreTable(surface.theta_grid.copy(), surface.current_grid.copy(),
-                       kernels, TableTrainConfig(), "h")
+    table = QCoreTable(kernels, TableTrainConfig(),
+                       params_hash(MotorParams(), surface))
     lo, hi = surface._current_list[0], surface._current_list[-1]
     x = draw(st.one_of(st.just(0.0), st.just(hi),
                        st.sampled_from(surface._current_list),
@@ -514,7 +528,7 @@ class TestSharedLocation:
         w = plant._weights(l1, l2)
         k_x, k_r, cell = scheduler._schedule_located(table, row, col, l1,
                                                      l2, w)
-        want_x, want_r, want_cell = scheduler.schedule(table, theta, x)
+        want_x, want_r, want_cell = schedule(table, surface, theta, x)
         assert (k_x.hex(), k_r.hex(), cell) == (want_x.hex(), want_r.hex(),
                                                 want_cell)
         x_next = sim._step_located(x, u, params, surface, row, col, w)
@@ -1197,7 +1211,6 @@ class TestControllerComparison:
         # core can do across the whole surface
         from srmq import lqt
         from srmq.plant import inductance_at
-        from srmq.scheduler import scheduled_gain
         rng = np.random.default_rng(0)
         worst_sched = 0.0
         aligned_gain = trained_table.gains[0, 0]
@@ -1211,7 +1224,8 @@ class TestControllerComparison:
             scale = np.linalg.norm(K_star)
             worst_sched = max(worst_sched,
                               np.linalg.norm(scheduled_gain(
-                                  trained_table, theta, i) - K_star) / scale)
+                                  trained_table, surface, theta, i) - K_star)
+                              / scale)
             worst_fixed = max(worst_fixed,
                               np.linalg.norm(aligned_gain - K_star) / scale)
         assert worst_sched < 0.10
