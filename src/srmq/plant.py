@@ -121,10 +121,12 @@ class InductanceSurface:
 
     theta_grid spans exactly one rotor pitch with both endpoints present;
     the first and last angle columns must be equal so the surface continues
-    periodically.  Values must be non-increasing in current at fixed angle
+    periodically.  An angle locates by its offset from the first node, so
+    the nodes' offsets must be strictly ascending floats too.  Values must be non-increasing in current at fixed angle
     (magnetic saturation).  The surface is fixed once built: its nodes and
     values are also kept as (nested) lists of Python floats for the scalar
-    lookup.
+    lookup, and `_cells[row][col]` holds the four values around each cell
+    (see _cell_corners), so a lookup reads its cell once.
     """
 
     theta_grid: np.ndarray   # deg, strictly ascending
@@ -136,6 +138,17 @@ class InductanceSurface:
         object.__setattr__(self, "current_grid", np.asarray(self.current_grid, float))
         object.__setattr__(self, "values", np.asarray(self.values, float))
         _require_axis("theta_grid", self.theta_grid)
+        # nodes whose offsets round together would locate onto one node
+        offsets = self.theta_grid - self.theta_grid[0]
+        same = np.flatnonzero(np.diff(offsets) <= 0)
+        if same.size:
+            k = int(same[0])
+            raise ValueError(
+                f"theta_grid nodes {float(self.theta_grid[k])!r} and "
+                f"{float(self.theta_grid[k + 1])!r} deg lie at the same "
+                f"offset {float(offsets[k])!r} deg from the first node "
+                f"{float(self.theta_grid[0])!r} deg; the offsets must be "
+                "strictly ascending")
         _require_axis("current_grid", self.current_grid)
         if self.values.shape != (self.theta_grid.size, self.current_grid.size):
             raise ValueError("values shape must be (n_theta, n_current)")
@@ -153,6 +166,7 @@ class InductanceSurface:
         object.__setattr__(self, "_theta_list", self.theta_grid.tolist())
         object.__setattr__(self, "_current_list", self.current_grid.tolist())
         object.__setattr__(self, "_values_list", self.values.tolist())
+        object.__setattr__(self, "_cells", _cell_corners(self._values_list))
 
 
 @dataclass(frozen=True)
@@ -202,7 +216,6 @@ def _axis_locate(nodes: list, value: float, wrap: bool):
     if idx >= n - 1:
         # at (or clamped to) the top node: that node is the lower corner, l = 0
         return n - 1, 0.0
-    idx = max(idx, 0)
     frac = (value - nodes[idx]) / (nodes[idx + 1] - nodes[idx])
     return idx, float(frac)
 
@@ -237,13 +250,13 @@ def _weights(l1: float, l2: float):
     return (1 - l1) * (1 - l2), l1 * (1 - l2), (1 - l1) * l2, l1 * l2
 
 
-def _corners(grid: list, row: int, col: int):
-    """The four node entries around a cell of a nested-list grid, in the
-    order of _weights; the upper corner saturates at the last node, where
-    its weight is zero."""
-    lo, hi = grid[row], grid[min(row + 1, len(grid) - 1)]
-    c1 = min(col + 1, len(lo) - 1)
-    return lo[col], hi[col], lo[c1], hi[c1]
+def _cell_corners(grid: list) -> list:
+    """cells[row][col]: the four node entries around each cell of a
+    nested-list grid, in the order of _weights, the entries themselves (not
+    copies); the upper corner saturates at the last node, where its weight
+    is zero.  One zip pass per pair of rows."""
+    return [list(zip(lo, hi, lo[1:] + lo[-1:], hi[1:] + hi[-1:]))
+            for lo, hi in zip(grid, grid[1:] + grid[-1:])]
 
 
 def _inductance_located(surface: InductanceSurface, row: int, col: int,
@@ -251,7 +264,7 @@ def _inductance_located(surface: InductanceSurface, row: int, col: int,
     """Bilinear lookup of L in the cell (row, col) of the surface's grids,
     with the corner weights w of _weights."""
     w00, w10, w01, w11 = w
-    v00, v10, v01, v11 = _corners(surface._values_list, row, col)
+    v00, v10, v01, v11 = surface._cells[row][col]
     return w00 * v00 + w10 * v10 + w01 * v01 + w11 * v11
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import qlearn
 from .plant import (MAX_AXIS_NODES, InductanceSurface, MotorParams,
-                    _axis_locate, _corners, _is_bool, _require_bound,
+                    _axis_locate, _cell_corners, _is_bool, _require_bound,
                     _require_count, _require_natural, _weights, frozen_grid)
 from .qlearn import NUM_PARAMS
 
@@ -108,11 +108,14 @@ class QCoreTable:
     """Grid of trained kernels (gains derived) and per-core RLS state.
 
     Kernels are stored once, as a nested list of 6-float cores in the
-    order at qlearn.NUM_PARAMS, which the per-step read uses; they are validated
-    here (G_uu > 0) and on every accepted online update, never per control
-    step.  Its nodes are the grid of the surface whose hash it carries.
-    Single writer (update_core_online), many readers; an update replaces a
-    whole core at once so readers never see a half-written kernel.
+    order at qlearn.NUM_PARAMS; `_cells[row][col]` holds the four core
+    lists around each cell (see plant._cell_corners), which the per-step
+    read uses.  They are validated here (G_uu > 0) and on every accepted
+    online update, never per control step.  Its nodes are the grid of the
+    surface whose hash it carries.  Single writer (update_core_online),
+    which writes a core in place, so every cell that holds it sees the
+    update; the program is single-threaded, so no read sees a half-written
+    core.
     """
 
     kernels: list                   # [n_theta][n_current] -> 6 floats
@@ -146,6 +149,7 @@ class QCoreTable:
             raise ValueError("iterations must be a non-negative integer per "
                              f"core, shape {(nt, ni)}")
         self.kernels = kernels.tolist()
+        self._cells = _cell_corners(self.kernels)
 
     @property
     def gains(self) -> np.ndarray:
@@ -188,7 +192,7 @@ def _schedule_located(table: QCoreTable, row: int, col: int, l1: float,
     blend to 0), the nearest core's gain is returned.  Reads never write."""
     cell = _corner(row, col, l1, l2)
     w00, w10, w01, w11 = w
-    g00, g10, g01, g11 = _corners(table.kernels, row, col)
+    g00, g10, g01, g11 = table._cells[row][col]
     g_uu = w00 * g00[5] + w10 * g10[5] + w01 * g01[5] + w11 * g11[5]
     if g_uu <= 0:
         return (*_core_gain(table, cell), cell)
@@ -302,8 +306,10 @@ def update_core_online(table: QCoreTable, cell, M_k, M_k1, cost) -> bool:
     The refreshed gain is rate-limited: an update that would move the
     core's gain by more than the configured clamp (or make its input
     block non-positive) is rejected outright, leaving the table as it was.
-    Returns True if the update was applied.  An update whose kernel or
-    covariance is not finite raises ValueError and writes nothing.
+    An applied update writes the core's list in place, so the table's cell
+    view (QCoreTable._cells) reads it at once.  Returns True if the update
+    was applied.  An update whose kernel or covariance is not finite
+    raises ValueError and writes nothing.
 
     The row and the gain checks run on Python floats; the RLS products stay
     numpy (BLAS) calls, as Python-float versions of them differ in the last
@@ -327,7 +333,7 @@ def update_core_online(table: QCoreTable, cell, M_k, M_k1, cost) -> bool:
             f"online update of core ({a},{b}) overflowed: its kernel or RLS "
             f"covariance is not finite (the table's online_tau is "
             f"{table.cfg.online_tau!r})")
-    table.kernels[a][b] = g
+    table.kernels[a][b][:] = g
     table.covariance[a, b] = eta
     return True
 

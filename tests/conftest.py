@@ -5,7 +5,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import strategies as st
+from hypothesis import assume, strategies as st
 
 from srmq import MotorParams, default_surface, train_table
 from srmq.lqt import AugmentedModel
@@ -136,12 +136,23 @@ def core_G(table, a, b):
     return kernel_matrix(table.kernels[a][b])
 
 
+def _corners(grid: list, row: int, col: int):
+    """The four node entries around a cell of a nested-list grid, in the
+    order of plant._weights; the upper corner saturates at the last node,
+    where its weight is zero: the reference for the cell views that
+    plant._cell_corners builds."""
+    lo, hi = grid[row], grid[min(row + 1, len(grid) - 1)]
+    c1 = min(col + 1, len(lo) - 1)
+    return lo[col], hi[col], lo[c1], hi[c1]
+
+
 def reference_blend(values, row, col, l1, l2):
     """Bilinear blend of the four node entries around a cell of a numpy
     grid (over its two leading axes), upper corner saturating at the last
-    node: the numpy rule the list blends in src must reproduce bit for bit."""
-    r1 = min(row + 1, values.shape[0] - 1)
-    c1 = min(col + 1, values.shape[1] - 1)
+    node: the numpy rule the list blends in src must reproduce bit for bit.
+    The cell and its offsets may be arrays that broadcast together."""
+    r1 = np.minimum(row + 1, values.shape[0] - 1)
+    c1 = np.minimum(col + 1, values.shape[1] - 1)
     return ((1 - l1) * (1 - l2) * values[row, col]
             + l1 * (1 - l2) * values[r1, col]
             + (1 - l1) * l2 * values[row, c1]
@@ -195,6 +206,15 @@ def point_near(nodes, wrap):
                      st.floats(lo - 100, hi + 100))
 
 
+def distinct_offsets(theta) -> bool:
+    """Whether an angle grid's offsets from its first node are strictly
+    ascending floats, as InductanceSurface requires: where two round
+    together (nodes a float apart beside a far larger origin), no offset
+    tells those nodes apart."""
+    offsets = [v - theta[0] for v in theta]
+    return all(a < b for a, b in zip(offsets, offsets[1:]))
+
+
 def ascending(size, lo, hi):
     """Strictly ascending lists of `size` floats, drawn without a rejection
     filter: a first node in [lo, hi], then size - 1 gaps, each of one float
@@ -214,9 +234,11 @@ def ascending(size, lo, hi):
 @st.composite
 def random_surface(draw):
     """A valid random surface of 2 to 6 angle and 2 to 5 current nodes:
-    periodic in angle, non-increasing in current."""
+    periodic in angle, non-increasing in current, its angle nodes at
+    distinct offsets from the first."""
     nt, ni = draw(st.integers(2, 6)), draw(st.integers(2, 5))
     theta = draw(ascending(nt, 0.0, 90.0))
+    assume(distinct_offsets(theta))
     current = draw(ascending(ni, 0.0, 20.0))
     rows = [sorted(draw(st.lists(st.floats(1e-3, 2e-2), min_size=ni,
                                  max_size=ni)), reverse=True)

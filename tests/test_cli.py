@@ -2,6 +2,7 @@ import configparser
 import contextlib
 import io
 import json
+import math
 import operator
 import os
 import warnings
@@ -665,6 +666,21 @@ class TestConfig:
             assert err == (f"error: {tmp_path / 'surface.csv'}: theta_grid "
                            "needs at least 2 nodes and at most 256, got 257\n")
         assert not table.exists()
+
+    def test_surface_file_with_colliding_angle_offsets_names_the_file(
+            self, tmp_path):
+        # a one-pitch grid on which 10 and the float after it lie at the
+        # same offset, 40 deg, from the first node -30: the second node
+        # would locate onto the first, so the file is refused in one line
+        theta = [-30.0, 10.0, math.nextafter(10.0, math.inf), 15.0]
+        text = "theta_deg,0.0,15.0\n" + "".join(
+            f"{t!r},0.016,0.016\n" for t in theta)
+        code, err = self.oracle_on_surface_file(tmp_path, text)
+        assert code == EXIT_CONFIG
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith(f"error: {tmp_path / 'surface.csv'}: theta_grid "
+                              f"nodes 10.0 and {theta[2]!r} deg lie at the "
+                              "same offset 40.0 deg")
 
     @pytest.mark.parametrize("scale", [30 / 45, 8.0])
     def test_surface_file_off_the_rotor_pitch_names_the_span(self, tmp_path,

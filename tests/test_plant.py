@@ -11,9 +11,9 @@ from srmq.plant import (MAX_AXIS_NODES, InductanceSurface, MotorParams,
                         _references, _wrapped_cells, default_surface,
                         frozen_grid, inductance_at, load_surface_csv,
                         reference_at)
-from conftest import (ascending, constant_surface, point_near,
-                      random_surface, reference_blend, save_surface_csv,
-                      step_phase)
+from conftest import (ascending, constant_surface, distinct_offsets,
+                      point_near, random_surface, reference_blend,
+                      save_surface_csv, step_phase)
 
 
 def amplitude_at(profile, k):
@@ -101,15 +101,14 @@ def surface_and_point(draw):
 def node_grid_surface(draw):
     """A surface whose grid frozen_grid reads: the default surface at any
     size it takes, or a random surface, at its drawn angle origin or
-    moved to an origin of 0.  Its angle nodes' offsets from the origin are
-    distinct floats (see grid_at_any_origin)."""
+    moved to an origin of 0: its offsets from the first node, which are
+    distinct floats (see distinct_offsets)."""
     if draw(st.booleans()):
         size = st.integers(2, MAX_AXIS_NODES)
         return default_surface(MotorParams(), n_theta=draw(size),
                                n_current=draw(size))
     surface = draw(random_surface())
     theta = surface.theta_grid - surface.theta_grid[0]
-    assume(np.all(np.diff(theta) > 0))
     if draw(st.booleans()):
         surface = InductanceSurface(theta, surface.current_grid,
                                     surface.values)
@@ -271,6 +270,24 @@ class TestInductanceSurface:
             InductanceSurface(np.array([0.0, 10.0, 45.0]),
                               np.array([0.0, bad]), values)
 
+    @pytest.mark.parametrize("theta, k", [
+        # 10 and the float after it lie 40 deg from -30, and so do their
+        # offsets: the second node would locate onto the first
+        ([-30.0, 10.0, math.nextafter(10.0, math.inf), 15.0], 1),
+        ([64.41390909772612, 64.41390909772613, 64.41390909772615,
+          102.41390909772615, 192.41390909772616, 192.4139090977262], 4),
+    ])
+    def test_colliding_angle_offsets_rejected(self, theta, k):
+        assert not distinct_offsets(theta)
+        offset = theta[k + 1] - theta[0]
+        assert theta[k] - theta[0] == offset
+        with pytest.raises(ValueError, match=re.escape(
+                f"theta_grid nodes {theta[k]!r} and {theta[k + 1]!r} deg lie "
+                f"at the same offset {offset!r} deg from the first node "
+                f"{theta[0]!r} deg; the offsets must be strictly ascending")):
+            InductanceSurface(np.array(theta), np.array([0.0, 5.0]),
+                              np.full((len(theta), 2), 0.01))
+
     def test_csv_round_trip(self, surface, tmp_path):
         path = tmp_path / "surface.csv"
         save_surface_csv(surface, path)
@@ -315,17 +332,23 @@ class TestFrozenGrid:
     def test_reads_the_node_values_off_the_surface(self, surface):
         # L is the stored value at each node, the top angle row read as the
         # first; on any angle origin the whole grid is the per-node
-        # lookup's, bit for bit
+        # lookup's, bit for bit: the angle cells of _wrapped_cells (held to
+        # _axis_locate by TestWrappedCells), the current cells of
+        # _axis_locate, and inductance_at's blend in numpy
         params = MotorParams()
         grid = frozen_grid(params, surface)
         values = surface.values.copy()
         values[-1] = values[0]
         assert grid[0].tobytes() == values.tobytes()
         assert grid.tobytes() == np.array(_linearised(params, grid[0])).tobytes()
-        per_node = np.array([
-            _linearised(params, inductance_at(surface, th, i))
-            for th in surface.theta_grid for i in surface.current_grid]).T
-        assert grid.tobytes() == per_node.tobytes()
+        rows, l1 = _wrapped_cells(surface.theta_grid, surface.theta_grid)
+        cols, l2 = map(np.array, zip(*(
+            _axis_locate(surface._current_list, i, wrap=False)
+            for i in surface._current_list)))
+        per_node = reference_blend(surface.values, rows[:, None], cols,
+                                   l1[:, None], l2)
+        assert grid.tobytes() == np.array(
+            _linearised(params, per_node.ravel())).tobytes()
 
 
 class TestAxisLocate:
@@ -350,8 +373,7 @@ def grid_at_any_origin(draw):
     """A strictly ascending grid of 2 to 16 nodes at any origin: anywhere
     in [-1e3, 1e3], or an origin in [-35, 0) with interior nodes in
     [1e-3, 10] and a 45-degree span.  Its nodes' offsets from the origin
-    are distinct floats: where two round together (nodes a float apart
-    beside a far larger origin), no offset tells those nodes apart."""
+    are distinct floats (see distinct_offsets)."""
     size = draw(st.integers(2, 16))
     if draw(st.booleans()):
         nodes = draw(ascending(size, -1e3, 1e3))
@@ -360,8 +382,7 @@ def grid_at_any_origin(draw):
         inner = draw(st.lists(st.floats(1e-3, 10.0), min_size=size - 2,
                               max_size=size - 2, unique=True))
         nodes = [origin, *sorted(inner), origin + 45.0]
-    offsets = [v - nodes[0] for v in nodes]
-    assume(all(a < b for a, b in zip(offsets, offsets[1:])))
+    assume(distinct_offsets(nodes))
     return nodes
 
 

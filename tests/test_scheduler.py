@@ -1,28 +1,30 @@
 import copy
 import io
 import json
+import operator
 import re
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from srmq import lqt, plant, qlearn, scheduler
 from srmq.plant import (MotorParams, ReferenceProfile, default_surface,
-                        _linearised, inductance_at)
+                        _linearised, _weights, inductance_at)
 from srmq.qlearn import (TupleBatch, policy_improvement, rls_update,
                          stage_cost, sym_features)
 from srmq.scheduler import (QCoreTable, TableMismatchError,
                             TableTrainConfig, TableTrainError, _corner,
-                            check_table_compatible, load_table, locate,
-                            params_hash, save_table, scheduled_gain,
-                            train_table, update_core_online)
+                            _schedule_located, check_table_compatible,
+                            load_table, locate, params_hash, save_table,
+                            scheduled_gain, train_table, update_core_online)
 from srmq.sim import Scenario, run_closed_loop
-from conftest import (build_augmented, coarse_table, constant_surface, core_G,
-                      flat_surface_on, kernel_matrix, kernel_vector,
-                      point_near, schedule, scheduled_q)
+from conftest import (_corners, build_augmented, coarse_table,
+                      constant_surface, core_G, flat_surface_on,
+                      kernel_matrix, kernel_vector, point_near,
+                      random_surface, schedule, scheduled_q)
 
 
 def random_kernel(rng):
@@ -74,7 +76,8 @@ def reference_scheduled_gain(table, surface, theta, i):
 def reference_update_core_online(table, tup, cell):
     """update_core_online through the stacked feature map, qlearn's
     rls_update and the numpy gains, checking the RLS state it makes: a
-    6-vector and a symmetric 6x6 covariance."""
+    6-vector and a symmetric 6x6 covariance.  An accepted core is written
+    in place, as the table's cell view holds the core lists."""
     M_k, M_k1, cost = tup
     row = sym_features(M_k) - table.cfg.gamma * sym_features(M_k1)
     a, b = cell
@@ -88,7 +91,7 @@ def reference_update_core_online(table, tup, cell):
     K_old = table.gains[cell]
     if np.linalg.norm(K_new - K_old) > table.cfg.gain_clamp * (1 + np.linalg.norm(K_old)):
         return False
-    table.kernels[a][b] = g.tolist()
+    table.kernels[a][b][:] = g.tolist()
     table.covariance[cell] = eta
     return True
 
@@ -647,6 +650,64 @@ class TestTrainTable:
             train_table(params, default_surface(params, n_theta=2,
                                                 n_current=2), cfg)
         assert len(exc.value.failures) == 4
+
+
+@st.composite
+def surface_table_and_updates(draw):
+    """A random surface, a table of random cores on its grid whose gain
+    clamp is drawn loose (most updates pass) or as trained, and 1 to 30
+    online transitions (cell, (M_k, M_k1, cost)) at random cores."""
+    surface = draw(random_surface())
+    nt, ni = surface.values.shape
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kernels = np.array([[random_kernel(rng) for _ in range(ni)]
+                        for _ in range(nt)])
+    cfg = TableTrainConfig(gain_clamp=draw(st.sampled_from([0.02, 1e6])))
+    table = QCoreTable(kernels, cfg, params_hash(MotorParams(), surface))
+    updates = [((int(rng.integers(nt)), int(rng.integers(ni))),
+                (rng.uniform(0, 6, 3).tolist(), rng.uniform(0, 6, 3).tolist(),
+                 float(rng.uniform(0, 100))))
+               for _ in range(draw(st.integers(1, 30)))]
+    return surface, table, updates
+
+
+def assert_cells_follow(cells, grid):
+    """Every cell of a view is _corners of the grid at that cell: equal
+    entries, and the same objects."""
+    assert [len(row) for row in cells] == [len(row) for row in grid]
+    for row, cell_row in enumerate(cells):
+        for col, cell in enumerate(cell_row):
+            corners = _corners(grid, row, col)
+            assert cell == corners
+            assert all(map(operator.is_, cell, corners))
+
+
+class TestCellViews:
+    @given(case=surface_table_and_updates())
+    @settings(max_examples=100, deadline=None)
+    def test_views_follow_accepted_updates(self, case):
+        # an accepted update writes its core's list in place, so every cell
+        # of the table's view that holds the core reads the new kernel
+        surface, table, updates = case
+        ref = copy.deepcopy(table)
+        cores = [list(row) for row in table.kernels]
+        accepted = [update_core_online(table, cell, *tup)
+                    for cell, tup in updates]
+        assume(any(accepted))
+        assert [reference_update_core_online(ref, tup, cell)
+                for cell, tup in updates] == accepted
+        assert (np.array(table.kernels).tobytes()
+                == np.array(ref.kernels).tobytes())
+        assert all(map(operator.is_, sum(table.kernels, []), sum(cores, [])))
+        for t in (table, ref):
+            assert_cells_follow(t._cells, t.kernels)
+        assert_cells_follow(surface._cells, surface._values_list)
+        # the loop's read sees the updated cores: at each node, its gain
+        for a, b in {cell for cell, _ in updates}:
+            g = table.kernels[a][b]
+            assert (_schedule_located(table, a, b, 0.0, 0.0,
+                                      _weights(0.0, 0.0))
+                    == (g[2] / g[5], g[4] / g[5], (a, b)))
 
 
 class TestOnlineUpdate:
