@@ -57,8 +57,7 @@ SCHEMA = {
         "v_dc": ("300.0", float, "V_dc"), "i_nominal": ("5.0", float),
     },
     "surface": {
-        "kind": ("analytic", None), "path": ("", None),
-        "kappa": ("0.5", float), "i_sat": ("", float), "i_max": ("", float),
+        "path": ("", None), "kappa": ("0.5", float), "i_max": ("", float),
         "n_theta": ("16", int), "n_current": ("8", int),
     },
     "training": {
@@ -140,23 +139,26 @@ def _motor(cp) -> MotorParams:
 
 def _surface(cp, params: MotorParams):
     s = cp["surface"]
-    if s["kind"] == "file":
-        path = s["path"]
-        if not path or not Path(path).exists():
-            raise ValueError(f"surface file {path!r} does not exist")
-        surface = load_surface_csv(path)
-        # its angles must span one rotor pitch (relative 1e-9), or they
-        # wrap by the wrong period
-        lo, hi = surface.theta_grid[[0, -1]].tolist()
-        if not math.isclose(hi - lo, params.rotor_pitch, rel_tol=1e-9):
-            raise ValueError(
-                f"{path}: theta_grid spans {hi - lo!r} deg ({lo!r} to {hi!r})"
-                f", but [motor] rotor_pitch is {params.rotor_pitch!r}; a "
-                "surface file must span one rotor pitch")
-        return surface
-    if s["kind"] != "analytic":
-        raise ValueError(f"surface.kind must be analytic or file, got {s['kind']!r}")
-    return _build(cp, "surface", "surface", partial(default_surface, params))
+    path = s["path"]
+    if not path:
+        return _build(cp, "surface", "surface", partial(default_surface, params))
+    # a surface file leaves the analytic surface's keys at their defaults
+    for key, (default, *_) in SCHEMA["surface"].items():
+        if s[key] != default and key != "path":
+            raise ValueError(f"surface.{key} = {s[key]!r} is set beside "
+                             "surface.path; a surface file takes no other key")
+    if not Path(path).exists():
+        raise ValueError(f"surface file {path!r} does not exist")
+    surface = load_surface_csv(path)
+    # its angles must span one rotor pitch (relative 1e-9), or they wrap by
+    # the wrong period
+    lo, hi = surface.theta_grid[[0, -1]].tolist()
+    if not math.isclose(hi - lo, params.rotor_pitch, rel_tol=1e-9):
+        raise ValueError(
+            f"{path}: theta_grid spans {hi - lo!r} deg ({lo!r} to {hi!r}), "
+            f"but [motor] rotor_pitch is {params.rotor_pitch!r}; a surface "
+            "file must span one rotor pitch")
+    return surface
 
 
 def _train_cfg(cp) -> TableTrainConfig:

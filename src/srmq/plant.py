@@ -123,10 +123,10 @@ class InductanceSurface:
     the first and last angle columns must be equal so the surface continues
     periodically.  An angle locates by its offset from the first node, so
     the nodes' offsets must be strictly ascending floats too.  Values must be non-increasing in current at fixed angle
-    (magnetic saturation).  The surface is fixed once built: its nodes and
-    values are also kept as (nested) lists of Python floats for the scalar
-    lookup, and `_cells[row][col]` holds the four values around each cell
-    (see _cell_corners), so a lookup reads its cell once.
+    (magnetic saturation).  The surface is fixed once built: its current
+    nodes and its values are also kept as (nested) lists of Python floats
+    for the scalar lookup, and `_cells[row][col]` holds the four values
+    around each cell (see _cell_corners), so a lookup reads its cell once.
     """
 
     theta_grid: np.ndarray   # deg, strictly ascending
@@ -163,7 +163,6 @@ class InductanceSurface:
             raise ValueError("first and last theta columns must match (periodic)")
         if np.any(np.diff(self.values, axis=1) > 1e-12):
             raise ValueError("values must be non-increasing in current (saturation)")
-        object.__setattr__(self, "_theta_list", self.theta_grid.tolist())
         object.__setattr__(self, "_current_list", self.current_grid.tolist())
         object.__setattr__(self, "_values_list", self.values.tolist())
         object.__setattr__(self, "_cells", _cell_corners(self._values_list))
@@ -198,34 +197,29 @@ class ReferenceProfile:
             raise ValueError(f"step events must be in step order, got steps {steps}")
 
 
-def _axis_locate(nodes: list, value: float, wrap: bool):
-    """(idx, frac): the lower node of the cell holding `value` on the
-    ascending list of float nodes and the offset in [0, 1) toward the next
-    node; the value wraps over the span or clamps to the end nodes.  A
-    wrapped value's offset from the first node is located among the nodes'
-    offsets, so a node's value lands on its node on any origin."""
-    n = len(nodes)
-    if wrap:
-        # the offset lands in [0, span), never on the top node
-        origin = nodes[0]
-        nodes = [v - origin for v in nodes]
-        value = (value - origin) % nodes[-1]
-    else:
-        value = min(max(value, nodes[0]), nodes[-1])
+def _axis_locate(nodes: list, value: float):
+    """(idx, frac): the lower node of the cell holding `value`, clamped to
+    the end nodes, on the ascending list of float nodes, and the offset in
+    [0, 1) toward the next node.  Currents locate here, angles in
+    _wrapped_cells."""
+    value = min(max(value, nodes[0]), nodes[-1])
     idx = bisect_right(nodes, value) - 1
-    if idx >= n - 1:
+    if idx >= len(nodes) - 1:
         # at (or clamped to) the top node: that node is the lower corner, l = 0
-        return n - 1, 0.0
+        return idx, 0.0
     frac = (value - nodes[idx]) / (nodes[idx + 1] - nodes[idx])
     return idx, float(frac)
 
 
 @_QUIET_OVERFLOW
 def _wrapped_cells(nodes: np.ndarray, values: np.ndarray):
-    """(rows, fracs): _axis_locate(nodes.tolist(), v, wrap=True) for every v
-    of a float64 array, as one int64 and one float64 array, bit for bit:
-    the same - / % in the same order, np.searchsorted for bisect_right.
-    Worked in place, so the values cost four buffers of their size."""
+    """(rows, fracs): the cell of every angle of a float64 array on the
+    ascending angle nodes, as one int64 and one float64 array: the lower
+    node and the offset in [0, 1) toward the next one.  An angle's offset
+    from the first node wraps over the span, (v - nodes[0]) % span, and is
+    located among the nodes' offsets, so a node's angle lands on its node,
+    (k, 0.0), on any origin, and the top node on the first.  Worked in
+    place, so the values cost four buffers of their size."""
     n = nodes.size
     values = values - nodes[0]
     nodes = nodes - nodes[0]
@@ -271,8 +265,9 @@ def _inductance_located(surface: InductanceSurface, row: int, col: int,
 # test-only: stays public while srmqbench/tracer.py reads it by name
 def inductance_at(surface: InductanceSurface, theta: float, i: float) -> float:
     """Bilinear lookup of L(theta, i); theta wraps, current clamps to the grid."""
-    row, l1 = _axis_locate(surface._theta_list, theta, wrap=True)
-    col, l2 = _axis_locate(surface._current_list, i, wrap=False)
+    (row,), (l1,) = (a.tolist() for a in _wrapped_cells(
+        surface.theta_grid, np.array([theta], float)))
+    col, l2 = _axis_locate(surface._current_list, i)
     return _inductance_located(surface, row, col, _weights(l1, l2))
 
 
@@ -306,20 +301,17 @@ def frozen_grid(params: MotorParams, surface: InductanceSurface):
 
 @_QUIET_OVERFLOW
 def default_surface(params: MotorParams, n_theta: int = 16, n_current: int = 8,
-                    kappa: float = 0.5, i_sat: float | None = None,
+                    kappa: float = 0.5,
                     i_max: float | None = None) -> InductanceSurface:
     """Analytic stand-in surface: raised cosine in angle times saturation in current.
 
     L(theta, i) = L_u + (L_a - L_u) * (1 + cos(2*pi*theta/pitch)) / 2 * s(i)
-    with s(i) = 1 / (1 + kappa * (i / i_sat)^2) applied to the varying part,
-    so the aligned/unaligned endpoints are preserved as i -> 0.
+    with s(i) = 1 / (1 + kappa * (i / i_nominal)^2) applied to the varying
+    part, so the aligned/unaligned endpoints are preserved as i -> 0.
     """
-    if i_sat is None:
-        i_sat = params.i_nominal
     if i_max is None:
         i_max = 1.5 * params.i_nominal
     _require_bound("kappa", kappa)
-    _require_bound("i_sat", i_sat, positive=True)
     _require_bound("i_max", i_max, positive=True)
     for name, n in (("n_theta", n_theta), ("n_current", n_current)):
         _require_count(name, n, 2, MAX_AXIS_NODES)
@@ -327,8 +319,8 @@ def default_surface(params: MotorParams, n_theta: int = 16, n_current: int = 8,
     current = np.linspace(0.0, i_max, n_current)
     shape = (1 + np.cos(2 * np.pi * theta / params.rotor_pitch)) / 2
     # with kappa = 0 the saturation term is exactly 1, also where
-    # (i / i_sat)^2 overflows and 0 * inf would be nan
-    sat = 1.0 / (1.0 + kappa * (current / i_sat) ** 2) if kappa \
+    # (i / i_nominal)^2 overflows and 0 * inf would be nan
+    sat = 1.0 / (1.0 + kappa * (current / params.i_nominal) ** 2) if kappa \
         else np.ones_like(current)
     values = params.L_unaligned + (params.L_aligned - params.L_unaligned) \
         * np.outer(shape, sat)

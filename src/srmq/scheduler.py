@@ -19,7 +19,8 @@ import numpy as np
 from . import qlearn
 from .plant import (MAX_AXIS_NODES, InductanceSurface, MotorParams,
                     _axis_locate, _cell_corners, _is_bool, _require_bound,
-                    _require_count, _require_natural, _weights, frozen_grid)
+                    _require_count, _require_natural, _weights,
+                    _wrapped_cells, frozen_grid)
 from .qlearn import NUM_PARAMS
 
 TABLE_FORMAT_VERSION = 3
@@ -164,9 +165,11 @@ class QCoreTable:
 def locate(surface: InductanceSurface, theta: float, i: float):
     """(row, col, l1, l2): the enclosing cell of the surface's grid, a
     table's nodes: its lower corner indices and the offsets in [0, 1)
-    toward the next nodes; theta wraps periodically, current clamps."""
-    row, l1 = _axis_locate(surface._theta_list, theta, wrap=True)
-    col, l2 = _axis_locate(surface._current_list, i, wrap=False)
+    toward the next nodes, as Python ints and floats; theta wraps
+    periodically (_wrapped_cells), current clamps (_axis_locate)."""
+    (row,), (l1,) = (a.tolist() for a in _wrapped_cells(
+        surface.theta_grid, np.array([theta], float)))
+    col, l2 = _axis_locate(surface._current_list, i)
     return row, col, l1, l2
 
 

@@ -271,7 +271,7 @@ def run_closed_loop(scenario: Scenario, table: QCoreTable | None = None,
     try:
         for k in range(n):
             row, l1 = s_row[k], s_l1[k]
-            col, l2 = locate(s_current, x, False)
+            col, l2 = locate(s_current, x)
             w = weights(l1, l2)
             if delta:
                 u = delta_modulation_step(x, r, V_dc, scenario.delta_band)

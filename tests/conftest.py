@@ -9,8 +9,8 @@ from hypothesis import assume, strategies as st
 
 from srmq import MotorParams, default_surface, train_table
 from srmq.lqt import AugmentedModel
-from srmq.plant import (InductanceSurface, _axis_locate, _rotor_angles,
-                        _step_located, _weights)
+from srmq.plant import (InductanceSurface, _rotor_angles, _step_located,
+                        _weights)
 from srmq.scheduler import (QCoreTable, TableTrainConfig, _schedule_located,
                             locate, params_hash)
 
@@ -109,11 +109,11 @@ def step_phase(x: float, theta: float, u: float, params: MotorParams,
                surface: InductanceSurface):
     """(x', theta'): the phase current and rotor angle one sample on under
     applied voltage u, locating the angle and the current on the surface
-    itself: the one-step reference for _step_located and _rotor_angles; the
-    simulator takes every step's angle cell from one _wrapped_cells pass
-    over the run's angles, and shares its cell with the controller."""
-    row, l1 = _axis_locate(surface._theta_list, theta, wrap=True)
-    col, l2 = _axis_locate(surface._current_list, x, wrap=False)
+    itself (scheduler.locate): the one-step reference for _step_located and
+    _rotor_angles; the simulator takes every step's angle cell from one
+    _wrapped_cells pass over the run's angles, and shares its cell with the
+    controller."""
+    row, col, l1, l2 = locate(surface, theta, x)
     return (_step_located(x, u, params, surface, row, col, _weights(l1, l2)),
             _rotor_angles(params, theta, 1)[1])
 
@@ -161,12 +161,11 @@ def reference_blend(values, row, col, l1, l2):
 
 def scheduled_q(table, surface, theta: float, i: float) -> np.ndarray:
     """The scheduled kernel: the numpy blend of the four kernel vectors
-    around the cell of the surface's grid that _axis_locate finds (theta
-    wraps, current clamps), entrywise.  Exact at the nodes, continuous
-    across cell edges, and convex; the reference whose greedy gain schedule
-    must return."""
-    row, l1 = _axis_locate(surface._theta_list, theta, wrap=True)
-    col, l2 = _axis_locate(surface._current_list, i, wrap=False)
+    around the cell of the surface's grid that scheduler.locate finds
+    (theta wraps, current clamps), entrywise.  Exact at the nodes,
+    continuous across cell edges, and convex; the reference whose greedy
+    gain schedule must return."""
+    row, col, l1, l2 = locate(surface, theta, i)
     return reference_blend(np.array(table.kernels), row, col, l1, l2)
 
 

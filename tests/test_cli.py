@@ -19,7 +19,8 @@ from srmq.cli import (EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_OK, EXIT_SAFETY,
                       main)
 from srmq.plant import (InductanceSurface, MotorParams, ReferenceProfile,
                         default_surface, frozen_grid)
-from srmq.scheduler import TableTrainConfig, load_table, save_table
+from srmq.scheduler import (TableTrainConfig, load_table, save_table,
+                            train_table)
 from conftest import (assert_no_child, build_augmented, kernel_vector,
                       leaves_no_child_or_fd, one_core_table, save_surface_csv)
 
@@ -95,14 +96,15 @@ class Probe:
     """An edge-case config and how each of its commands must end.
 
     `ini` is the config file's text, or None for a config path that does
-    not exist.  `commands` runs in order, separated by commas: "oracle",
-    "train" (into the row's table file) or "run" or "compare" with any
-    flags (on that file).  The table file is the default 16x8 table unless
-    the row trained one, or `table` gives its raw text; `edits` then changes
-    it, each edit (key, ..., key, value), with DROP deleting the last key,
-    NEST nesting its value one list deeper and EVERY_THIRD keeping every
-    third entry of it.  `code` is the exit code of
-    every command, or a tuple of one per command.  `says` are texts of the
+    not exist; {surface} in it is the path of a surface file, the analytic
+    surface at kappa = 0.9.  `commands` runs in order, separated by commas:
+    "oracle", "train" (into the row's table file) or "run" or "compare"
+    with any flags (on that file).  The table file is the default 16x8
+    table unless the row trained one, or `table` gives its raw text;
+    `edits` then changes it, each edit (key, ..., key, value), with DROP
+    deleting the last key, NEST nesting its value one list deeper and
+    EVERY_THIRD keeping every third entry of it.  `code` is the exit code
+    of every command, or a tuple of one per command.  `says` are texts of the
     stderr line of a non-zero exit, where {table} and {config} are the
     table and config paths.  With `no_out`, no command made the --out
     directory; `out_files`, where given, are the names it holds, sorted.
@@ -208,7 +210,7 @@ OUT_OF_RANGE = [
 # naming the key: no numpy warning, and no message from inside the solvers
 NAMED_WHEN_READ = [
     ("surface", "kappa", "nan"), ("surface", "kappa", "-1"),
-    ("surface", "i_max", "nan"), ("surface", "i_sat", "0"),
+    ("surface", "i_max", "nan"), ("surface", "i_max", "0"),
     ("training", "k0_x", "nan"), ("training", "k0_r", "inf"),
     ("training", "tuples_per_iter", "0"),
     ("surface", "n_theta", "1"), ("surface", "n_current", "-3"),
@@ -303,6 +305,34 @@ PROBES = {
         Probe("[grid]\nn_theta = 12\n", "train,oracle,run,compare",
               EXIT_CONFIG, ("error: unknown config section [grid]\n",),
               no_out=True),
+        # a surface is a file at [surface] path or else the analytic one:
+        # there is no kind to set, and a saturation current i_sat is a
+        # kappa, kappa (i_nominal / i_sat)^2
+        *(Probe(f"[surface]\n{key} = {value}\n", "train,oracle,run,compare",
+                EXIT_CONFIG, (f"error: unknown config key surface.{key}\n",),
+                no_out=True)
+          for key, value in (("kind", "file"), ("kind", "analytic"),
+                             ("i_sat", "5"))),
+        # a path alone reads its file, here the surface at kappa = 0.9, and
+        # trains its own table: the default table is refused for its hash
+        Probe("[surface]\npath = {surface}\n", "run,compare", EXIT_CONFIG,
+              TABLE_MISMATCH, no_out=True),
+        Probe("[surface]\npath = {surface}\n", "train,run,compare",
+              EXIT_OK),
+        # beside a path, an analytic key is neither parsed nor used: one
+        # that differs from its default text is refused before --out is
+        # made, and one spelled at its default, as effective_config.ini
+        # writes it, is not
+        *(Probe(f"[surface]\npath = {{surface}}\n{key} = {value}\n",
+                "train,oracle,run,compare", EXIT_CONFIG,
+                (f"error: surface.{key} = {value!r} is set beside "
+                 "surface.path; a surface file takes no other key\n",),
+                no_out=True)
+          for key, value in (("kappa", "-1"), ("n_theta", "abc"),
+                             ("i_max", "nan"), ("n_current", "3"),
+                             ("kappa", "0.50"))),
+        Probe("[surface]\npath = {surface}\nkappa = 0.5\ni_max =\n"
+              "n_theta = 16\nn_current = 8\n", "train,oracle,run", EXIT_OK),
         Probe("", "run,compare", EXIT_CONFIG, (
             "error: {table}: table has 6 x 8 cores, the surface's grid 16 x 8 "
             "nodes; retrain the table\n",),
@@ -327,10 +357,11 @@ PROBES = {
         # solve
         Probe("[motor]\nr_phase = 1e300\n", "oracle", EXIT_CONVERGENCE,
               (NOT_FINITE_P,)),
-        Probe("[surface]\ni_sat = 1e-300\n", "oracle", EXIT_OK),
-        # kappa = 0 never saturates, so an overflowing i / i_sat leaves the
-        # surface finite
-        Probe("[surface]\nkappa = 0\ni_sat = 1e-300\n", "oracle", EXIT_OK),
+        # kappa (i / i_nominal)^2 overflows to the saturated limit
+        Probe("[surface]\nkappa = 1e308\n", "oracle", EXIT_OK),
+        # kappa = 0 never saturates, so an overflowing i / i_nominal leaves
+        # the surface finite
+        Probe("[surface]\nkappa = 0\ni_max = 1e300\n", "oracle", EXIT_OK),
         # A = -inf, or B = inf: both commands refuse the model before solving
         Probe("[motor]\nr_phase = 1e300\nt_sample = 1e10\n", "oracle,train",
               EXIT_CONFIG, (NOT_FINITE_MODEL + "128 of 128 grid nodes, first "
@@ -355,9 +386,8 @@ PROBES = {
                             "training action",)),
         # a [motor] key whose field has another name (V_dc)
         Probe("[motor]\nv_dc = -1\n", "oracle", EXIT_CONFIG, ("v_dc must be",)),
-        Probe("[surface]\nkind = file\npath = nope.csv\n", "oracle",
-              EXIT_CONFIG, ("error: surface file 'nope.csv' does not "
-                            "exist\n",)),
+        Probe("[surface]\npath = nope.csv\n", "oracle", EXIT_CONFIG,
+              ("error: surface file 'nope.csv' does not exist\n",)),
         Probe("[scenario]\ntheta_off = 50\n", "run", EXIT_CONFIG,
               ("error: invalid scenario: theta_off exceeds the rotor "
                "pitch\n",)),
@@ -511,7 +541,10 @@ def check_probe(probe, tmp_path, default_table):
     config, table, out = (tmp_path / "probe.ini", tmp_path / "qtable.json",
                           tmp_path / "out")
     if probe.ini is not None:
-        config.write_text(probe.ini)
+        surface = tmp_path / "surface.csv"
+        if "{surface}" in probe.ini:
+            save_surface_csv(default_surface(MotorParams(), kappa=0.9), surface)
+        config.write_text(probe.ini.replace("{surface}", str(surface)))
     contents = default_table.read_text() if probe.table is None else probe.table
     if probe.edits:
         doc = json.loads(contents)
@@ -615,7 +648,7 @@ class TestConfig:
         surface = tmp_path / "surface.csv"
         surface.write_text(text)
         path = tmp_path / "file.ini"
-        path.write_text(f"[surface]\nkind = file\npath = {surface}\n")
+        path.write_text(f"[surface]\npath = {surface}\n")
         return run_main(["--config", str(path), "oracle"])
 
     def test_malformed_surface_file_names_the_path(self, tmp_path):
@@ -702,6 +735,26 @@ class TestConfig:
         assert str(tmp_path / "surface.csv") in err
         assert f"spans {45 * scale!r} deg" in err
         assert "[motor] rotor_pitch is 45.0" in err
+
+    def test_path_alone_reads_its_file(self, tmp_path):
+        # [surface] path alone reads the file: a 4 x 3 file of the surface
+        # at kappa = 0.9 trains that surface's table byte for byte, not the
+        # analytic table of the section's default keys
+        params = MotorParams()
+        surface = default_surface(params, n_theta=4, n_current=3, kappa=0.9)
+        save_surface_csv(surface, tmp_path / "surface.csv")
+        (tmp_path / "file.ini").write_text(
+            f"[surface]\npath = {tmp_path / 'surface.csv'}\n")
+        (tmp_path / "analytic.ini").write_text(
+            "[surface]\nn_theta = 4\nn_current = 3\n")
+        for name in ("file", "analytic"):
+            assert run_main(["--config", str(tmp_path / f"{name}.ini"),
+                             "train", "--out", str(tmp_path / f"{name}.json")]
+                            ) == (EXIT_OK, "")
+        save_table(train_table(params, surface), tmp_path / "want.json")
+        table = (tmp_path / "file.json").read_bytes()
+        assert table == (tmp_path / "want.json").read_bytes()
+        assert table != (tmp_path / "analytic.json").read_bytes()
 
     def test_step_budget_rejects_before_the_loop(self, tmp_path, monkeypatch):
         # 801 cycles of 1250 steps are 1001250 steps; the run is refused by
@@ -931,6 +984,31 @@ class TestRun:
         for section in orig.sections():
             assert dict(cp[section]) == dict(orig[section])
 
+    def test_file_surface_effective_config_reruns(self, tmp_path):
+        # a file-surface run's effective_config.ini spells every other
+        # [surface] key out at its default beside the path: it loads, and
+        # its rerun writes the same trace bytes
+        surface = tmp_path / "surface.csv"
+        save_surface_csv(default_surface(MotorParams(), n_theta=4,
+                                         n_current=3, kappa=0.9), surface)
+        config = tmp_path / "file.ini"
+        config.write_text(SMALL.replace("[surface]\nn_theta = 4\nn_current = 3\n",
+                                        f"[surface]\npath = {surface}\n"))
+        table = str(tmp_path / "qtable.json")
+        assert run_main(["--config", str(config), "train", "--out", table]) \
+            == (EXIT_OK, "")
+        first, again = tmp_path / "first", tmp_path / "again"
+        for ini, out in ((config, first),
+                         (first / "effective_config.ini", again)):
+            assert run_main(["--config", str(ini), "run", "--table", table,
+                             "--out", str(out)]) == (EXIT_OK, "")
+        effective = load_config(str(first / "effective_config.ini"))
+        assert dict(effective["surface"]) == {
+            key: spec[0] for key, spec in SCHEMA["surface"].items()
+        } | {"path": str(surface)}
+        trace = "trace_scheduled-qlearning.csv"
+        assert (again / trace).read_bytes() == (first / trace).read_bytes()
+
     def test_jsonl_format(self, tmp_path, small_cfg, small_table):
         out = tmp_path / "out"
         assert main(["--config", small_cfg, "run", "--table", small_table,
@@ -1131,12 +1209,10 @@ FUZZ_KEYS = {
         "i_nominal": ini_value(1.0, 20.0),
     },
     "surface": {
-        "kind": st.sampled_from(["analytic", "file", "table"]),
         # resolved in the fuzz directory: missing, a surface CSV, no CSV
         "path": st.sampled_from(["", "missing.csv", "surface.csv",
                                  "small.ini"]),
-        "kappa": ini_value(0.0, 2.0), "i_sat": ini_value(1.0, 10.0),
-        "i_max": ini_value(1.0, 10.0),
+        "kappa": ini_value(0.0, 2.0), "i_max": ini_value(1.0, 10.0),
         "n_theta": ini_value(2, 16, integer=True),
         "n_current": ini_value(2, 8, integer=True),
     },
@@ -1206,9 +1282,10 @@ def assert_exits_cleanly(args):
 @example(command="train", values={("surface", "i_max"): "1e300"})
 @example(command="oracle", values={("training", "q_weight"): "1e160"})
 @example(command="oracle", values={("motor", "r_phase"): "1e300"})
-@example(command="oracle", values={("surface", "i_sat"): "1e-300"})
-@example(command="run", values={("surface", "kind"): "file",
-                                ("surface", "path"): "surface.csv"})
+@example(command="oracle", values={("surface", "kappa"): "1e308"})
+@example(command="run", values={("surface", "path"): "surface.csv"})
+@example(command="train", values={("surface", "path"): "surface.csv",
+                                  ("surface", "n_theta"): "4"})
 @example(command="run", values={("motor", "speed_rpm"): "5e-324"})
 @example(command="run", values={("motor", "speed_rpm"): "1e-320"})
 @example(command="run", values={("motor", "t_sample"): "5e-324"})
@@ -1219,9 +1296,12 @@ def assert_exits_cleanly(args):
 def test_fuzzed_config_exits_cleanly(fuzz_table, command, values):
     # run reads [training] from the table file, train and oracle read no
     # [scenario] key; a run that sets a [motor] or [surface] key runs on a
-    # table trained from its config, as the fuzz table would not match it
+    # table trained from its config, as the fuzz table would not match it;
+    # a surface file takes SMALL's grid keys only where they are drawn
     cp = configparser.ConfigParser(interpolation=None)
     cp.read_string(SMALL)
+    if values.get(("surface", "path")):
+        cp.remove_section("surface")
     for (section, key), value in values.items():
         if not cp.has_section(section):
             cp.add_section(section)
@@ -1344,7 +1424,8 @@ def test_fuzzed_surface_file_exits_cleanly(fuzz_table, mutations):
     surface.write_bytes(data)
     config = fuzz_table / "fuzzed_surface.ini"
     config.write_text(SMALL.replace(
-        "[surface]\n", f"[surface]\nkind = file\npath = {surface}\n"))
+        "[surface]\nn_theta = 4\nn_current = 3\n",
+        f"[surface]\npath = {surface}\n"))
     for command in (["oracle"], ["train", "--out", str(fuzz_table / "t.json")]):
         assert_exits_cleanly(["--config", str(config)] + command)
 

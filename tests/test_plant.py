@@ -27,10 +27,12 @@ def amplitude_at(profile, k):
     return amp
 
 
+@np.errstate(invalid="ignore")
 def reference_axis_locate(nodes, value, wrap):
     """np.searchsorted locator on a node array: the reference the bisect
-    locator over a node list must reproduce exactly.  A wrapped value's
-    offset from the first node is located among the nodes' offsets."""
+    locator over a node list (clamped) and _wrapped_cells (wrapped) must
+    reproduce exactly.  A wrapped value's offset from the first node is
+    located among the nodes' offsets; an infinite one is nan."""
     nodes = np.asarray(nodes, float)
     if wrap:
         origin = nodes[0]
@@ -93,7 +95,7 @@ def surface_and_point(draw):
     """A valid random surface (periodic in angle, non-increasing in
     current) and a point on, around or off its grid."""
     surface = draw(random_surface())
-    return (surface, draw(point_near(surface._theta_list, True)),
+    return (surface, draw(point_near(surface.theta_grid.tolist(), True)),
             draw(point_near(surface._current_list, False)))
 
 
@@ -162,25 +164,40 @@ class TestInductanceSurface:
         assert inductance_at(s, 0.0, 0.0) == pytest.approx(16e-3)
         assert inductance_at(s, 11.25, 0.0) == pytest.approx((6e-3 + 16e-3) / 2)
 
-    @pytest.mark.parametrize("kw", [{"i_sat": 1e-300}, {"i_max": 1e300}])
+    @pytest.mark.parametrize("kw", [{"kappa": 1e308}, {"i_max": 1e300}])
     def test_overflowing_saturation_gives_saturated_limit(self, params, kw):
-        # (i / i_sat)^2 overflows above the zero-current column: s(i) is 0
-        # there, with no numpy warning, and the surface is L_unaligned
+        # above the zero-current column kappa (i / i_nominal)^2 overflows,
+        # or comes so near it that s(i) vanishes beside L_unaligned: the
+        # surface is L_unaligned there, with no numpy warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             s = default_surface(params, **kw)
         assert np.all(s.values[:, 1:] == params.L_unaligned)
         assert s.values[0, 0] == pytest.approx(params.L_aligned)
 
-    @pytest.mark.parametrize("kw", [{"i_sat": 1e-300}, {"i_max": 1e300}])
-    def test_unsaturated_surface_ignores_overflowing_ratio(self, params, kw):
-        # kappa = 0: s(i) is exactly 1 even where (i / i_sat)^2 overflows,
-        # so every current column is the zero-current column
+    def test_unsaturated_surface_ignores_overflowing_ratio(self, params):
+        # kappa = 0: s(i) is exactly 1 even where (i / i_nominal)^2
+        # overflows, so every current column is the zero-current column
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            s = default_surface(params, kappa=0.0, **kw)
+            s = default_surface(params, kappa=0.0, i_max=1e300)
         assert np.array_equal(s.values, np.repeat(s.values[:, :1], 8, axis=1))
         assert s.values[0, 0] == pytest.approx(params.L_aligned)
+
+    @given(kappa=st.floats(0.0, 2.0), i_sat=st.floats(1.0, 10.0),
+           i_max=st.floats(1.0, 20.0))
+    @settings(max_examples=300, deadline=None)
+    @example(kappa=2.0, i_sat=1.0, i_max=20.0)
+    def test_a_saturation_current_is_a_kappa(self, kappa, i_sat, i_max):
+        # s(i) = 1 / (1 + kappa (i / i_sat)^2), the law of a saturation
+        # current i_sat, is the surface's law at kappa (i_nominal / i_sat)^2
+        # to 8 ulp; with L_u = 1e-300 and L_a = 1 the aligned row,
+        # L_u + (L_a - L_u) s(i), is s(i) itself
+        params = MotorParams(L_unaligned=1e-300, L_aligned=1.0)
+        s = default_surface(params, kappa=kappa * (params.i_nominal / i_sat)
+                            ** 2, i_max=i_max)
+        want = 1.0 / (1.0 + kappa * (s.current_grid / i_sat) ** 2)
+        assert np.all(np.abs(s.values[0] - want) <= 8 * np.spacing(want))
 
     def test_current_clamped_above_grid(self, surface):
         top = surface.current_grid[-1]
@@ -332,9 +349,8 @@ class TestFrozenGrid:
     def test_reads_the_node_values_off_the_surface(self, surface):
         # L is the stored value at each node, the top angle row read as the
         # first; on any angle origin the whole grid is the per-node
-        # lookup's, bit for bit: the angle cells of _wrapped_cells (held to
-        # _axis_locate by TestWrappedCells), the current cells of
-        # _axis_locate, and inductance_at's blend in numpy
+        # lookup's, bit for bit: the angle cells of _wrapped_cells, the
+        # current cells of _axis_locate, and inductance_at's blend in numpy
         params = MotorParams()
         grid = frozen_grid(params, surface)
         values = surface.values.copy()
@@ -343,7 +359,7 @@ class TestFrozenGrid:
         assert grid.tobytes() == np.array(_linearised(params, grid[0])).tobytes()
         rows, l1 = _wrapped_cells(surface.theta_grid, surface.theta_grid)
         cols, l2 = map(np.array, zip(*(
-            _axis_locate(surface._current_list, i, wrap=False)
+            _axis_locate(surface._current_list, i)
             for i in surface._current_list)))
         per_node = reference_blend(surface.values, rows[:, None], cols,
                                    l1[:, None], l2)
@@ -352,18 +368,19 @@ class TestFrozenGrid:
 
 
 class TestAxisLocate:
-    @given(case=grid_and_value(), wrap=st.booleans(), as_numpy=st.booleans())
+    @given(case=grid_and_value(), as_numpy=st.booleans())
     @settings(max_examples=1000, deadline=None)
-    @example(case=(ADJACENT, ADJACENT[1]), wrap=True, as_numpy=False)
-    @example(case=(ADJACENT, ADJACENT[0]), wrap=False, as_numpy=True)
-    @example(case=(WHOLE_RANGE, WHOLE_RANGE[7]), wrap=True, as_numpy=True)
-    @example(case=(WHOLE_RANGE, WHOLE_RANGE[-1]), wrap=False, as_numpy=False)
-    def test_matches_searchsorted_reference(self, case, wrap, as_numpy):
+    @example(case=(ADJACENT, ADJACENT[1]), as_numpy=False)
+    @example(case=(ADJACENT, ADJACENT[0]), as_numpy=True)
+    @example(case=(WHOLE_RANGE, WHOLE_RANGE[7]), as_numpy=True)
+    @example(case=(WHOLE_RANGE, WHOLE_RANGE[-1]), as_numpy=False)
+    def test_matches_searchsorted_reference(self, case, as_numpy):
+        # the current axis: values clamp to the end nodes
         nodes, value = case
         if as_numpy:   # grid nodes reach the locator as numpy scalars
             value = np.float64(value)
-        idx, frac = _axis_locate(nodes, value, wrap)
-        assert (idx, frac) == reference_axis_locate(nodes, value, wrap)
+        idx, frac = _axis_locate(nodes, value)
+        assert (idx, frac) == reference_axis_locate(nodes, value, False)
         assert type(idx) is int
         assert type(frac) is float
 
@@ -393,9 +410,9 @@ class TestNodeAngles:
     @example(nodes=[-30.0, 2.5, 7.25, 15.0])
     def test_every_node_locates_to_itself(self, nodes):
         # each node below the top one locates to (k, 0.0), and the top one
-        # wraps onto the first, in the scalar and the vectorised locator
+        # wraps onto the first, in the locator and its reference
         want = [(k, 0.0) for k in range(len(nodes) - 1)] + [(0, 0.0)]
-        assert [_axis_locate(nodes, v, wrap=True) for v in nodes] == want
+        assert [reference_axis_locate(nodes, v, True) for v in nodes] == want
         rows, fracs = _wrapped_cells(np.array(nodes), np.array(nodes))
         assert list(zip(rows.tolist(), fracs.tolist())) == want
 
@@ -411,12 +428,12 @@ class TestWrappedCells:
     @example(case=(ADJACENT, ADJACENT + [0.0, 2.0, -1.0]))
     @example(case=(WHOLE_RANGE, WHOLE_RANGE + [0.0, 3.1e4, -3.1e4]))
     def test_matches_scalar_locator(self, case):
-        # the vectorised wrap is _axis_locate(wrap=True) on every angle,
-        # bit for bit, with int64 rows and float64 offsets
+        # the wrap is the searchsorted reference on every angle, bit for
+        # bit, with int64 rows and float64 offsets
         nodes, angles = case
         rows, fracs = _wrapped_cells(np.array(nodes), np.array(angles, float))
         assert rows.dtype == np.int64 and fracs.dtype == np.float64
-        want = [_axis_locate(nodes, a, wrap=True) for a in angles]
+        want = [reference_axis_locate(nodes, a, True) for a in angles]
         assert rows.tolist() == [idx for idx, _ in want]
         assert fracs.tobytes() == np.array([f for _, f in want],
                                            float).tobytes()

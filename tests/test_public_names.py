@@ -25,7 +25,7 @@ def commands_call(tmp_path):
     config = tmp_path / "file.ini"
     config.write_text(LEARNING.replace(
         "[surface]\nn_theta = 4\nn_current = 3\n",
-        f"[surface]\nkind = file\npath = {surface}\n"))
+        f"[surface]\npath = {surface}\n"))
     single = tmp_path / "single.ini"
     single.write_text(config.read_text().replace(
         "[scenario]\n", "[scenario]\ncontroller = single-qcore\n"))

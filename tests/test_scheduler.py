@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from srmq import lqt, plant, qlearn, scheduler
+from srmq import lqt, plant, qlearn, scheduler, sim
 from srmq.plant import (MotorParams, ReferenceProfile, default_surface,
                         _linearised, _weights, inductance_at)
 from srmq.qlearn import (TupleBatch, policy_improvement, rls_update,
@@ -136,8 +136,9 @@ def table_and_point(draw):
     if share:
         mask = rng.random((nt, ni)) < share
         t = QCoreTable(subnormal_cores(t.kernels, mask), t.cfg, "h")
-    theta = draw(st.one_of(point_near(s._theta_list, wrap=True),
-                           cell_middle(s._theta_list)))
+    thetas = s.theta_grid.tolist()
+    theta = draw(st.one_of(point_near(thetas, wrap=True),
+                           cell_middle(thetas)))
     i = draw(st.one_of(point_near(s._current_list, wrap=False),
                        cell_middle(s._current_list)))
     if draw(st.booleans()):
@@ -233,16 +234,22 @@ class TestMirrors:
     def test_learning_run_locates_once_per_step(self, params, surface,
                                                 fresh_table, monkeypatch):
         # the online update works on the core that the step's schedule
-        # located; the loop takes the angle's cells from its block, so every
-        # locate of the loop, the controller and the plant is on the
-        # current axis: one per step, shared by the gain and the plant step
-        locates, updates = [], []
+        # located; the loop takes the angles' cells from one _wrapped_cells
+        # pass, so every locate of the loop, the controller and the plant is
+        # on the current axis: one per step, shared by the gain and the
+        # plant step
+        locates, updates, passes = [], [], []
         locate_once = plant._axis_locate
+        wrapped_cells = sim._wrapped_cells
         update = scheduler.update_core_online
 
-        def counting_locate(nodes, value, wrap):
-            locates.append(wrap)
-            return locate_once(nodes, value, wrap)
+        def counting_locate(nodes, value):
+            locates.append(nodes is surface._current_list)
+            return locate_once(nodes, value)
+
+        def counting_pass(*args):
+            passes.append(args)
+            return wrapped_cells(*args)
 
         def counting_update(*args):
             updates.append(args)
@@ -251,6 +258,7 @@ class TestMirrors:
         for module in (plant, scheduler):
             monkeypatch.setattr(module, "_axis_locate", counting_locate)
         monkeypatch.setattr(scheduler, "update_core_online", counting_update)
+        monkeypatch.setattr(sim, "_wrapped_cells", counting_pass)
         scenario = Scenario(motor=params, surface=surface,
                             reference=ReferenceProfile(), dither=5.0,
                             duration=2 * params.steps_per_cycle,
@@ -258,7 +266,8 @@ class TestMirrors:
         run_closed_loop(scenario, fresh_table)
         assert len(updates) > 0
         assert len(locates) == scenario.steps
-        assert not any(locates)
+        assert all(locates)
+        assert len(passes) == 1
 
 
 class TestLocate:

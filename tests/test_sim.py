@@ -493,7 +493,7 @@ def equal_grids_and_point(draw):
     x = draw(st.one_of(st.just(0.0), st.just(hi),
                        st.sampled_from(surface._current_list),
                        st.floats(hi, hi + 100), st.floats(lo, hi)))
-    theta = draw(point_near(surface._theta_list, wrap=True))
+    theta = draw(point_near(surface.theta_grid.tolist(), wrap=True))
     return surface, table, theta, x, draw(st.floats(-300.0, 300.0))
 
 
@@ -524,7 +524,7 @@ class TestSharedLocation:
         rows, fracs = sim._wrapped_cells(surface.theta_grid,
                                          np.array([theta], float))
         row, l1 = rows.tolist()[0], fracs.tolist()[0]
-        col, l2 = plant._axis_locate(surface._current_list, x, wrap=False)
+        col, l2 = plant._axis_locate(surface._current_list, x)
         w = plant._weights(l1, l2)
         k_x, k_r, cell = scheduler._schedule_located(table, row, col, l1,
                                                      l2, w)
